@@ -19,7 +19,7 @@ from mpmath import mp
 from .core import (ExactMatrix, Polynomial, coefficient_matrix, contract,
                    monomial_basis)
 from .numerics import (DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE,
-                       least_squares, to_mp, workprec)
+                       least_squares, projective_distance, to_mp, workprec)
 
 __all__ = [
     "GradedIdealPiece",
@@ -33,6 +33,7 @@ __all__ = [
     "is_apolar_scheme",
     "piece_contains",
     "power_coefficient_vector",
+    "power_sum_solve",
 ]
 
 
@@ -242,6 +243,38 @@ def power_coefficient_vector(point: Sequence, d: int,
     return out
 
 
+def power_sum_solve(points: Sequence[Sequence], form: Polynomial,
+                    precision_bits: int, tolerance: Fraction):
+    """Weights w with form = sum_i w_i (sum_j p_ij x_j)^d for dual points p_i.
+
+    Returns (points, weights, residual, exact).  Integer and Fraction
+    points are solved exactly: the residual is 0 and the weights are None
+    when the form is outside the span.  Other points become mp scalars
+    and are solved by least squares at `precision_bits`; the weights are
+    None when the residual, relative to the largest coefficient of the
+    form (at least 1), exceeds `tolerance`.  Raises ValueError when the
+    floating system is degenerate.
+    """
+    basis = monomial_basis(form.nvars, form.degree)
+    if _all_exact(points):
+        pts = [tuple(Fraction(c) for c in p) for p in points]
+        columns = [power_coefficient_vector(p, form.degree, basis) for p in pts]
+        weights = ExactMatrix(columns).transpose().solve(form.coefficient_vector(basis))
+        return pts, weights, Fraction(0), True
+    with workprec(precision_bits):
+        pts = [tuple(to_mp(c) for c in p) for p in points]
+        matrix = mp.matrix([[to_mp(x) for x in power_coefficient_vector(p, form.degree, basis)]
+                            for p in pts]).T
+        target = mp.matrix([to_mp(c) for c in form.coefficient_vector(basis)])
+        weights = least_squares(matrix, target)
+        fitted = matrix * weights
+        scale = max(mp.mpf(1), max(abs(x) for x in target))
+        residual = max(abs(fitted[i] - target[i]) for i in range(len(basis))) / scale
+        if residual > to_mp(tolerance):
+            weights = None
+        return pts, weights, residual, False
+
+
 @dataclass(frozen=True)
 class ApolarityCertificate:
     """Outcome of an apolar-scheme membership test."""
@@ -284,40 +317,20 @@ def is_apolar_scheme(points: Sequence[Sequence], form: Polynomial,
         if not any(p):
             raise ValueError("zero vector is not a projective point")
     exact = _all_exact(points)
-    if exact:
-        pts = [tuple(Fraction(c) for c in p) for p in points]
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if _points_coincide_exact(pts[i], pts[j]):
-                    raise ValueError(f"coincident dual points at indices {i} and {j}")
-        basis = monomial_basis(n, form.degree)
-        columns = [power_coefficient_vector(p, form.degree, basis) for p in pts]
-        system = ExactMatrix(columns).transpose()
-        solution = system.solve(form.coefficient_vector(basis))
-        if solution is None:
-            return ApolarityCertificate(False, None, Fraction(0), True)
-        return ApolarityCertificate(True, tuple(solution), Fraction(0), True)
     with workprec(precision_bits):
-        basis = monomial_basis(n, form.degree)
-        pts = [tuple(to_mp(c) for c in p) for p in points]
+        pts = points if exact else [[to_mp(c) for c in p] for p in points]
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
-                ui, vj = pts[i], pts[j]
-                dot = mp.fsum(a * mp.conj(b) for a, b in zip(ui, vj))
-                ni = mp.fsum(abs(a) ** 2 for a in ui)
-                nj = mp.fsum(abs(b) ** 2 for b in vj)
-                if 1 - abs(dot) ** 2 / (ni * nj) < mp.mpf(10) ** (-16):
+                if exact:
+                    coincide = _points_coincide_exact(pts[i], pts[j])
+                else:
+                    coincide = projective_distance(pts[i], pts[j]) < mp.mpf(10) ** (-16)
+                if coincide:
                     raise ValueError(f"coincident dual points at indices {i} and {j}")
-        matrix = mp.matrix([[to_mp(x) for x in power_coefficient_vector(p, form.degree, basis)]
-                            for p in pts]).T
-        target = mp.matrix([to_mp(c) for c in form.coefficient_vector(basis)])
-        weights = least_squares(matrix, target)
-        fitted = matrix * weights
-        scale = max(mp.mpf(1), max(abs(x) for x in target))
-        residual = max(abs(fitted[i] - target[i]) for i in range(len(basis))) / scale
-        ok = residual <= to_mp(tolerance)
-        return ApolarityCertificate(bool(ok), tuple(weights) if ok else None,
-                                    residual, False)
+    _, weights, residual, exact = power_sum_solve(points, form, precision_bits, tolerance)
+    return ApolarityCertificate(weights is not None,
+                                None if weights is None else tuple(weights),
+                                residual, exact)
 
 
 def piece_contains(piece: GradedIdealPiece, poly: Polynomial) -> bool:

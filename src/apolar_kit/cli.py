@@ -3,7 +3,10 @@
 Exit codes: 0 on success, 1 when an internal certificate or verification
 assertion fails, 2 on malformed input.  Every command with randomness
 requires an explicit --seed; identical invocations produce byte-identical
-reports.  APOLAR_KIT_THREADS caps trial parallelism (0 or unset = serial).
+reports.  APOLAR_KIT_THREADS is the number of worker processes for the
+verifier trials (0, empty or unset = serial); the pool never has more
+processes than there are trials, and a value that is not a non-negative
+integer exits with code 2.  Reports do not depend on it.
 """
 
 from __future__ import annotations

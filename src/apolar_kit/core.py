@@ -358,11 +358,11 @@ def _row_to_int(row: Sequence) -> list[int]:
     return ints
 
 
-def _int_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int], list[int]]:
+def _int_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
     """Fraction-free row echelon form of integer rows.
 
-    Returns (echelon rows, pivot columns, pivot row indices aligned with
-    the pivot columns).  Rows are gcd-stripped after every elimination to
+    Returns (echelon rows, pivot columns); row i has its pivot in column
+    pivots[i].  Rows are gcd-stripped after every elimination to
     keep entries small; the row space is preserved up to scaling, which
     is all rank/kernel/solve need.
     """
@@ -396,7 +396,7 @@ def _int_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], li
         prow += 1
         if prow == len(mat):
             break
-    return mat[:prow], pivots, list(range(prow))
+    return mat[:prow], pivots
 
 
 class ExactMatrix:
@@ -484,14 +484,14 @@ class ExactMatrix:
     def rank(self) -> int:
         if self.nrows == 0 or self.ncols == 0:
             return 0
-        _, pivots, _ = _int_echelon(self._int_rows(), self.ncols)
+        _, pivots = _int_echelon(self._int_rows(), self.ncols)
         return len(pivots)
 
     def rref(self) -> tuple["ExactMatrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns (canonical)."""
         if self.nrows == 0 or self.ncols == 0:
             return ExactMatrix([]), ()
-        ech, pivots, _ = _int_echelon(self._int_rows(), self.ncols)
+        ech, pivots = _int_echelon(self._int_rows(), self.ncols)
         reduced = [[Fraction(x) for x in row] for row in ech]
         for r in range(len(pivots) - 1, -1, -1):
             col = pivots[r]
@@ -515,7 +515,7 @@ class ExactMatrix:
             return ExactMatrix([])
         if self.nrows == 0:
             return ExactMatrix.identity(self.ncols)
-        ech, pivots, _ = _int_echelon(self._int_rows(), self.ncols)
+        ech, pivots = _int_echelon(self._int_rows(), self.ncols)
         pivot_set = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
         basis = []
@@ -551,7 +551,7 @@ class ExactMatrix:
         aug_rows = [list(row) + [_coerce(b)] for row, b in zip(self._rows, rhs)]
         if not aug_rows:
             return [Fraction(0)] * self.ncols
-        ech, pivots, _ = _int_echelon([_row_to_int(r) for r in aug_rows], self.ncols + 1)
+        ech, pivots = _int_echelon([_row_to_int(r) for r in aug_rows], self.ncols + 1)
         if pivots and pivots[-1] == self.ncols:
             return None
         x = [Fraction(0)] * self.ncols

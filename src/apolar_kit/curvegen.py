@@ -33,7 +33,7 @@ from .scroll import (DivisorClass, Scroll, canonical_class, chow_product,
                      coordinate_layout, embed_point, section_count,
                      section_templates)
 from .seeding import derive_seed, make_rng, small_rationals
-from .univariate import rational_roots
+from .univariate import affine_chart, rational_roots
 
 __all__ = [
     "BihomSection",
@@ -353,25 +353,21 @@ def _fraction_sqrt(value: Fraction) -> Optional[Fraction]:
     return Fraction(rn, rd)
 
 
+def _rational_binary_roots(coeffs: Sequence[Fraction]) -> list[tuple]:
+    """Rational roots (s : t) of sum_j c_j s^(d-j) t^j, each listed once."""
+    affine, roots = affine_chart(coeffs)
+    if len(affine) > 1:
+        roots.extend((Fraction(1), root) for root in rational_roots(affine))
+    return roots
+
+
 def _tetragonal_fiber_points(q1: Polynomial, q2: Polynomial) -> list[tuple]:
     """Exact rational intersection points of two fiber conics."""
     res = _conic_pair_resultant(q1, q2)
     if res is None or res.is_zero():
         return []
-    coeffs = [res.coefficient((4 - j, j)) for j in range(5)]
-    lines = []
-    affine = list(coeffs)
-    dropped = 0
-    while affine and affine[-1] == 0:
-        affine.pop()
-        dropped += 1
-    if dropped:
-        lines.append((Fraction(0), Fraction(1)))
-    if len(affine) > 1:
-        for root in rational_roots(affine):
-            lines.append((Fraction(1), root))
     points = []
-    for u, v in lines:
+    for u, v in _rational_binary_roots([res.coefficient((4 - j, j)) for j in range(5)]):
         den = (u.denominator * v.denominator) // gcd(u.denominator, v.denominator)
         ui, vi = int(u * den), int(v * den)
         common = gcd(ui, vi)
@@ -473,18 +469,7 @@ def _fiber_rational_points(curve: CurveSpec, base) -> list[tuple]:
         coeffs = [cubic.coefficient((3 - j, j)) for j in range(4)]
         if all(c == 0 for c in coeffs):
             return []
-        fibers = []
-        affine = list(coeffs)
-        dropped = 0
-        while affine and affine[-1] == 0:
-            affine.pop()
-            dropped += 1
-        if dropped:
-            fibers.append((Fraction(0), Fraction(1)))
-        if len(affine) > 1:
-            for root in rational_roots(affine):
-                fibers.append((Fraction(1), root))
-        return fibers
+        return _rational_binary_roots(coeffs)
     q1 = curve.equations[0].fiber_form(base)
     q2 = curve.equations[1].fiber_form(base)
     return _tetragonal_fiber_points(q1, q2)

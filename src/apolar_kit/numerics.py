@@ -13,7 +13,7 @@ from fractions import Fraction
 from mpmath import mp
 
 __all__ = ["to_mp", "workprec", "format_scalar", "least_squares",
-           "DEFAULT_PRECISION_BITS", "DEFAULT_TOLERANCE"]
+           "projective_distance", "DEFAULT_PRECISION_BITS", "DEFAULT_TOLERANCE"]
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_TOLERANCE = Fraction(1, 10**10)
@@ -47,6 +47,18 @@ def least_squares(matrix, rhs):
         return mp.lu_solve(gram, ah * rhs)
     except ZeroDivisionError as exc:
         raise ValueError("degenerate least-squares system") from exc
+
+
+def projective_distance(u, v):
+    """1 - |<u, v>|^2 / (|u|^2 |v|^2) for mp vectors, at the working precision.
+
+    Zero exactly when u and v span the same complex line; callers compare
+    it against their own threshold.
+    """
+    dot = mp.fsum(a * mp.conj(b) for a, b in zip(u, v))
+    nu = mp.fsum(abs(a) ** 2 for a in u)
+    nv = mp.fsum(abs(b) ** 2 for b in v)
+    return 1 - abs(dot) ** 2 / (nu * nv)
 
 
 def format_scalar(value, digits: int = 30) -> str:

@@ -32,8 +32,8 @@ from .core import (ExactMatrix, Polynomial, change_coordinates, monomial_basis,
 from .curvegen import (CurveSpec, IdealReconstruction, ideal_pieces,
                        sample_points, tetragonal_curve, trigonal_curve)
 from .numerics import (DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, format_scalar,
-                       to_mp, workprec)
-from .scroll import Scroll, coordinate_layout, divisor_degree, embed_point
+                       projective_distance, to_mp, workprec)
+from .scroll import Scroll, divisor_degree, embed_point
 from .seeding import derive_seed, make_rng, random_dual_linear
 from .univariate import binary_form_roots
 from .waring import Decomposition, fermat_detect_detail, power_sum_fit, rank_lower_bound
@@ -194,7 +194,6 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
 def _linear_form_blocks(scroll: Scroll, eta: Polynomial) -> list[Polynomial]:
     """Restriction of an ambient linear form to the scroll: one binary
     base form per fiber coordinate."""
-    layout = coordinate_layout(scroll)
     basis1 = monomial_basis(scroll.N + 1, 1)
     coeffs = eta.coefficient_vector(basis1)
     blocks = []
@@ -208,10 +207,6 @@ def _linear_form_blocks(scroll: Scroll, eta: Polynomial) -> list[Polynomial]:
         blocks.append(Polynomial(2, a, terms))
         offset += a + 1
     return blocks
-
-
-def _evaluate_binary(form: Polynomial, base) -> object:
-    return form.evaluate(base)
 
 
 def _dual_point(image: Sequence, kept: Sequence[int], eta1v, eta2v, tol,
@@ -243,10 +238,7 @@ def _points_distinct(points, tol) -> bool:
         vecs = [[to_mp(c) for c in p] for p in points]
         for i in range(len(vecs)):
             for j in range(i + 1, len(vecs)):
-                dot = mp.fsum(a * mp.conj(b) for a, b in zip(vecs[i], vecs[j]))
-                ni = mp.fsum(abs(a) ** 2 for a in vecs[i])
-                nj = mp.fsum(abs(b) ** 2 for b in vecs[j])
-                if 1 - abs(dot) ** 2 / (ni * nj) < tol ** 2:
+                if projective_distance(vecs[i], vecs[j]) < tol ** 2:
                     return False
     return True
 
@@ -304,14 +296,12 @@ def gamma_points(curve: CurveSpec, surface_index: Optional[int],
         if all(c.is_zero() for c in cross):
             raise GammaExtractionError("hyperplanes restrict dependently to the scroll")
         determinant = None
-        total = None
         for exp, base_form in section.coeffs.items():
             term = base_form
             for c, e in zip(cross, exp):
                 for _ in range(e):
                     term = term * c
-            total = term if total is None else total + term
-        determinant = total
+            determinant = term if determinant is None else determinant + term
         if determinant is None or determinant.is_zero():
             raise GammaExtractionError("surface restricts to zero along the section")
 
@@ -376,12 +366,9 @@ def forms_match(forms_a: Sequence[Sequence], forms_b: Sequence[Sequence],
         remaining = [[to_mp(c) for c in f] for f in forms_b]
         for f in forms_a:
             u = [to_mp(c) for c in f]
-            nu = mp.fsum(abs(a) ** 2 for a in u)
             best = None
             for idx, v in enumerate(remaining):
-                dot = mp.fsum(a * mp.conj(b) for a, b in zip(u, v))
-                nv = mp.fsum(abs(b) ** 2 for b in v)
-                dist = mp.sqrt(abs(1 - abs(dot) ** 2 / (nu * nv)))
+                dist = mp.sqrt(abs(projective_distance(u, v)))
                 if best is None or dist < best[0]:
                     best = (dist, idx)
             if best is None or best[0] > tolerance:
@@ -395,6 +382,26 @@ def reduce_to_quotient(alpha: AlphaResult, poly: Polynomial) -> Polynomial:
     return _restrict_to_quotient(poly, alpha.frame.inverse(), alpha.genus - 2)
 
 
+def _alpha_attempts(curve: CurveSpec, seed: int, eta_retries: int):
+    """Sample and reconstruct a curve now; return an iterator that yields,
+    for each of up to `eta_retries` seeded hyperplane pairs, its
+    AlphaResult or the AlphaCertificateError it raised.  The pair stream
+    is salted by gonality, so `alpha` and the verifiers draw alike."""
+    points = sample_points(curve, curve.guaranteed_point_count, seed)
+    recon = ideal_pieces(curve, points)
+    rng = make_rng(derive_seed(seed, 271 if curve.gonality == 3 else 577))
+
+    def attempts():
+        for _ in range(eta_retries):
+            eta1, eta2 = _random_eta_pair(curve.genus, rng)
+            try:
+                alpha = alpha_map(recon, eta1, eta2)
+            except AlphaCertificateError as err:
+                alpha = err
+            yield alpha
+    return attempts()
+
+
 def alpha_for_curve(curve: CurveSpec, seed: int,
                     precision_bits: int = DEFAULT_PRECISION_BITS,
                     tolerance: Fraction = DEFAULT_TOLERANCE,
@@ -405,17 +412,11 @@ def alpha_for_curve(curve: CurveSpec, seed: int,
     `eta_retries` times; the last certificate error propagates if all of
     them fail.
     """
-    points = sample_points(curve, curve.guaranteed_point_count, seed)
-    recon = ideal_pieces(curve, points)
-    rng = make_rng(derive_seed(seed, 271))
-    last: Exception = AlphaCertificateError((1,), "no hyperplane pair tried")
-    for _ in range(eta_retries):
-        eta1, eta2 = _random_eta_pair(curve.genus, rng)
-        try:
-            return alpha_map(recon, eta1, eta2)
-        except AlphaCertificateError as err:
-            last = err
-    raise last
+    alpha = AlphaCertificateError((1,), "no hyperplane pair tried")
+    for alpha in _alpha_attempts(curve, seed, eta_retries):
+        if isinstance(alpha, AlphaResult):
+            return alpha
+    raise alpha
 
 
 def _random_eta_pair(g: int, rng):
@@ -428,75 +429,131 @@ def _random_eta_pair(g: int, rng):
             return eta1, eta2
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("APOLAR_KIT_THREADS", "0")
+def _certify_fermat(curve: CurveSpec, alpha: AlphaResult, seed: int,
+                    precision_bits: int, tolerance: Fraction,
+                    failures: list) -> Optional[dict]:
+    """Trigonal certificate: pencil detection and the scroll scheme both
+    find g - 2 cubes, and the same ones up to permutation and scale."""
+    fermat, reason = fermat_detect_detail(alpha.cubic, seed=seed,
+                                          precision_bits=precision_bits,
+                                          tolerance=tolerance)
+    if fermat is None or fermat.rank != curve.genus - 2:
+        failures.append(f"detection: {reason}")
+        return None
     try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
-
-
-def _map_trials(worker, arguments: list):
-    threads = _thread_count()
-    if threads > 1 and len(arguments) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, arguments))
-    return [worker(args) for args in arguments]
-
-
-def _trigonal_trial(args: tuple) -> dict:
-    g, trial_seed, precision_bits, tolerance, eta_retries = args
-    try:
-        curve = trigonal_curve(g, trial_seed)
-        points = sample_points(curve, curve.guaranteed_point_count, trial_seed)
-        recon = ideal_pieces(curve, points)
-    except Exception as err:
-        return {"trial_seed": trial_seed, "failures": [f"construction: {err}"],
-                "passed": False}
-    failures: list[str] = []
-    rng = make_rng(derive_seed(trial_seed, 271))
-    for attempt in range(eta_retries):
-        eta1, eta2 = _random_eta_pair(g, rng)
-        try:
-            alpha = alpha_map(recon, eta1, eta2)
-        except AlphaCertificateError as err:
-            failures.append(f"alpha: {err}")
-            continue
-        fermat, reason = fermat_detect_detail(alpha.cubic, seed=trial_seed,
-                                              precision_bits=precision_bits,
-                                              tolerance=tolerance)
-        if fermat is None or fermat.rank != g - 2:
-            failures.append(f"detection: {reason}")
-            continue
-        try:
-            gamma = gamma_points(curve, None, eta1, eta2, precision_bits, tolerance)
-            certificate = waring_certificate(alpha, gamma, precision_bits, tolerance)
-        except (GammaExtractionError, CertificateError) as err:
-            failures.append(f"scheme: {err}")
-            continue
-        agreement = forms_match(fermat.forms, certificate.forms)
-        if not agreement:
-            failures.append("agreement: detection and scheme decompositions differ")
-            continue
-        return {
-            "trial_seed": trial_seed,
-            "scroll": list(curve.scroll.type),
-            "hilbert": list(alpha.hilbert),
-            "detected_rank": fermat.rank,
-            "detection_residual": format_scalar(fermat.residual),
-            "scheme_points": gamma.found_length,
-            "scheme_exact_points": gamma.exact_count,
-            "residual": format_scalar(certificate.residual),
-            "agreement": True,
-            "eta_attempts": attempt + 1,
-            "passed": True,
-        }
+        gamma = gamma_points(curve, None, alpha.eta1, alpha.eta2,
+                             precision_bits, tolerance)
+        certificate = waring_certificate(alpha, gamma, precision_bits, tolerance)
+    except (GammaExtractionError, CertificateError) as err:
+        failures.append(f"scheme: {err}")
+        return None
+    if not forms_match(fermat.forms, certificate.forms):
+        failures.append("agreement: detection and scheme decompositions differ")
+        return None
     return {
-        "trial_seed": trial_seed,
-        "scroll": list(curve.scroll.type),
-        "failures": failures,
-        "passed": False,
+        "detected_rank": fermat.rank,
+        "detection_residual": format_scalar(fermat.residual),
+        "scheme_points": gamma.found_length,
+        "scheme_exact_points": gamma.exact_count,
+        "residual": format_scalar(certificate.residual),
+        "agreement": True,
+        "passed": True,
     }
+
+
+def _certify_bound(curve: CurveSpec, alpha: AlphaResult, seed: int,
+                   precision_bits: int, tolerance: Fraction,
+                   failures: list) -> Optional[dict]:
+    """Tetragonal certificate: a power sum over the scheme cut on one of
+    the two surfaces 2H - bF, whose length must stay within the bound."""
+    g = curve.genus
+    bound = tetragonal_cube_bound(g)
+    lower_bound = rank_lower_bound(alpha.cubic)
+    bs = [-cls.f for cls in curve.classes]
+    # prefer the lower-degree surface: larger b first
+    for surface_index in sorted((0, 1), key=lambda i: -bs[i]):
+        b = bs[surface_index]
+        try:
+            gamma = gamma_points(curve, surface_index, alpha.eta1, alpha.eta2,
+                                 precision_bits, tolerance)
+            certificate = waring_certificate(alpha, gamma,
+                                             precision_bits, tolerance)
+        except (GammaExtractionError, CertificateError) as err:
+            failures.append(f"surface b={b}: {err}")
+            continue
+        length = certificate.rank
+        return {
+            "surface": {"h": 2, "f": -b},
+            "surface_degree": 2 * g - 6 - b,
+            "length": length,
+            "bound": bound,
+            "within_bound": length <= bound,
+            "rank_interval": [lower_bound, length],
+            "rank_certified": lower_bound == length,
+            "residual": format_scalar(certificate.residual),
+            "scheme_exact_points": gamma.exact_count,
+            "passed": length <= bound,
+        }
+    return None
+
+
+def _trial(args: tuple) -> dict:
+    """Build a curve (trigonal when `split` is None, else tetragonal) and
+    certify the quotient cubic of the first hyperplane pair that allows it."""
+    g, split, trial_seed, precision_bits, tolerance, eta_retries = args
+    head: dict = {"trial_seed": trial_seed}
+    if split is not None:
+        head["split"] = list(split)
+    try:
+        if split is None:
+            curve = trigonal_curve(g, trial_seed)
+        else:
+            curve = tetragonal_curve(g, *split, trial_seed)
+        attempts = _alpha_attempts(curve, trial_seed, eta_retries)
+    except Exception as err:
+        return {**head, "failures": [f"construction: {err}"], "passed": False}
+    certify = _certify_fermat if split is None else _certify_bound
+    failures: list[str] = []
+    for attempt, alpha in enumerate(attempts, 1):
+        if isinstance(alpha, AlphaCertificateError):
+            failures.append(f"alpha: {alpha}")
+            continue
+        found = certify(curve, alpha, trial_seed, precision_bits, tolerance,
+                        failures)
+        if found is not None:
+            return {**head, "scroll": list(curve.scroll.type),
+                    "hilbert": list(alpha.hilbert), "eta_attempts": attempt,
+                    **found}
+    if split is None:
+        head["scroll"] = list(curve.scroll.type)
+    return {**head, "failures": failures, "passed": False}
+
+
+def _verify(report: dict, g: int, split: Optional[tuple[int, int]], trials: int,
+            seed: int, precision_bits: int, tolerance: Fraction,
+            eta_retries: int) -> dict:
+    """Run the trials, serially or in a pool of at most one process per
+    trial, and finish `report`; raise VerificationError if one failed.
+
+    APOLAR_KIT_THREADS is the process count; unset, empty or 0 is serial.
+    """
+    raw = os.environ.get("APOLAR_KIT_THREADS") or "0"
+    if not raw.isdecimal():
+        raise ValueError(f"APOLAR_KIT_THREADS must be a process count, not {raw!r}")
+    processes = min(int(raw), trials)
+    arguments = [(g, split, derive_seed(seed, i), precision_bits, tolerance,
+                  eta_retries) for i in range(trials)]
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            results = list(pool.map(_trial, arguments))
+    else:
+        results = [_trial(args) for args in arguments]
+    report = {**report, "g": g, "seed": seed, "trials": results,
+              "passed": all(r["passed"] for r in results)}
+    if not report["passed"]:
+        kind = "trigonal" if split is None else "tetragonal"
+        raise VerificationError(f"a {kind} trial failed", report)
+    return report
 
 
 def verify_trigonal_fermat(g: int, trials: int, seed: int,
@@ -513,79 +570,13 @@ def verify_trigonal_fermat(g: int, trials: int, seed: int,
     """
     if not 5 <= g <= 8:
         raise ValueError("desk-scale verification covers genus 5 through 8")
-    arguments = [(g, derive_seed(seed, i), precision_bits, tolerance, eta_retries)
-                 for i in range(trials)]
-    results = _map_trials(_trigonal_trial, arguments)
     report = {
         "claim": f"the quotient cubic of a trigonal genus-{g} canonical curve "
                  f"is a sum of exactly {g - 2} cubes",
-        "g": g,
         "expected_rank": g - 2,
-        "seed": seed,
-        "trials": results,
-        "passed": all(r["passed"] for r in results),
     }
-    if not report["passed"]:
-        raise VerificationError("a trigonal trial failed", report)
-    return report
-
-
-def _tetragonal_trial(args: tuple) -> dict:
-    (g, b1, b2, trial_seed, precision_bits, tolerance, eta_retries) = args
-    bound = tetragonal_cube_bound(g)
-    try:
-        curve = tetragonal_curve(g, b1, b2, trial_seed)
-        points = sample_points(curve, curve.guaranteed_point_count, trial_seed)
-        recon = ideal_pieces(curve, points)
-    except Exception as err:
-        return {"trial_seed": trial_seed, "split": [b1, b2],
-                "failures": [f"construction: {err}"], "passed": False}
-    # prefer the lower-degree surface: larger b first
-    order = sorted((0, 1), key=lambda i: -[b1, b2][i])
-    failures: list[str] = []
-    rng = make_rng(derive_seed(trial_seed, 577))
-    for attempt in range(eta_retries):
-        eta1, eta2 = _random_eta_pair(g, rng)
-        try:
-            alpha = alpha_map(recon, eta1, eta2)
-        except AlphaCertificateError as err:
-            failures.append(f"alpha: {err}")
-            continue
-        lower_bound = rank_lower_bound(alpha.cubic)
-        for surface_index in order:
-            b = [b1, b2][surface_index]
-            try:
-                gamma = gamma_points(curve, surface_index, eta1, eta2,
-                                     precision_bits, tolerance)
-                certificate = waring_certificate(alpha, gamma,
-                                                 precision_bits, tolerance)
-            except (GammaExtractionError, CertificateError) as err:
-                failures.append(f"surface b={b}: {err}")
-                continue
-            length = certificate.rank
-            return {
-                "trial_seed": trial_seed,
-                "split": [b1, b2],
-                "scroll": list(curve.scroll.type),
-                "hilbert": list(alpha.hilbert),
-                "surface": {"h": 2, "f": -b},
-                "surface_degree": 2 * g - 6 - b,
-                "length": length,
-                "bound": bound,
-                "within_bound": length <= bound,
-                "rank_interval": [lower_bound, length],
-                "rank_certified": lower_bound == length,
-                "residual": format_scalar(certificate.residual),
-                "scheme_exact_points": gamma.exact_count,
-                "eta_attempts": attempt + 1,
-                "passed": length <= bound,
-            }
-    return {
-        "trial_seed": trial_seed,
-        "split": [b1, b2],
-        "failures": failures,
-        "passed": False,
-    }
+    return _verify(report, g, None, trials, seed, precision_bits, tolerance,
+                   eta_retries)
 
 
 def verify_tetragonal_bound(g: int, split: Optional[tuple[int, int]], trials: int,
@@ -609,19 +600,11 @@ def verify_tetragonal_bound(g: int, split: Optional[tuple[int, int]], trials: in
         split = ((g - 5) // 2, g - 5 - (g - 5) // 2)
     b1, b2 = split
     bound = tetragonal_cube_bound(g)
-    arguments = [(g, b1, b2, derive_seed(seed, i), precision_bits, tolerance,
-                  eta_retries) for i in range(trials)]
-    results = _map_trials(_tetragonal_trial, arguments)
     report = {
         "claim": f"the quotient cubic of a tetragonal genus-{g} canonical curve "
                  f"is a sum of at most {bound} cubes",
-        "g": g,
         "bound": bound,
         "split": [b1, b2],
-        "seed": seed,
-        "trials": results,
-        "passed": all(r["passed"] for r in results),
     }
-    if not report["passed"]:
-        raise VerificationError("a tetragonal trial failed", report)
-    return report
+    return _verify(report, g, (b1, b2), trials, seed, precision_bits, tolerance,
+                   eta_retries)

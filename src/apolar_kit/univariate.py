@@ -20,7 +20,7 @@ from .core import Polynomial
 from .numerics import DEFAULT_PRECISION_BITS, to_mp, workprec
 
 __all__ = ["RootExtraction", "rational_roots", "certified_roots",
-           "binary_form_roots", "RootFindingError"]
+           "affine_chart", "binary_form_roots", "RootFindingError"]
 
 
 class RootFindingError(RuntimeError):
@@ -135,6 +135,20 @@ def certified_roots(coeffs: Sequence[Fraction],
     return result
 
 
+def affine_chart(coeffs: Sequence) -> tuple[list, list[tuple]]:
+    """Split sum_j c_j s^(d-j) t^j at the point at infinity.
+
+    Strips the trailing zero coefficients, each a factor s of the form,
+    and returns (the affine coefficients, [(0, 1)] when any were stripped,
+    else []).
+    """
+    affine = list(coeffs)
+    while affine and affine[-1] == 0:
+        affine.pop()
+    at_infinity = [(Fraction(0), Fraction(1))] if len(affine) < len(coeffs) else []
+    return affine, at_infinity
+
+
 def binary_form_roots(form: Polynomial,
                       precision_bits: int = DEFAULT_PRECISION_BITS,
                       tolerance: Fraction = Fraction(1, 10**10)) -> tuple[list, RootExtraction]:
@@ -152,19 +166,12 @@ def binary_form_roots(form: Polynomial,
     d = form.degree
     # form = sum_j c_j s^(d-j) t^j; affine chart s = 1
     coeffs = [form.coefficient((d - j, j)) for j in range(d + 1)]
-    affine = list(coeffs)
-    infinity_mult = 0
-    while affine and affine[-1] == 0:
-        affine.pop()
-        infinity_mult += 1
-    pairs: list[tuple] = []
-    if infinity_mult:
-        pairs.append((Fraction(0), Fraction(1)))
+    affine, pairs = affine_chart(coeffs)
     if len(affine) > 1:
         extraction = certified_roots(affine, precision_bits, tolerance)
     else:
         extraction = RootExtraction(degree=0)
-    if infinity_mult > 1:
+    if len(coeffs) - len(affine) > 1:
         extraction.clustered = True
     for r in extraction.roots:
         if isinstance(r, Fraction):

@@ -19,10 +19,9 @@ from typing import Optional, Sequence
 
 from mpmath import mp
 
-from .apolarity import catalecticant, power_coefficient_vector
-from .core import ExactMatrix, Polynomial, contract, monomial_basis
-from .numerics import (DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE,
-                       least_squares, to_mp, workprec)
+from .apolarity import catalecticant, power_sum_solve
+from .core import ExactMatrix, Polynomial, contract
+from .numerics import DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, to_mp, workprec
 from .seeding import make_rng, random_dual_linear
 
 __all__ = [
@@ -105,10 +104,6 @@ def _normalize_point(vec: Sequence, exact: bool):
     return tuple(c / lead for c in vec)
 
 
-def _sort_key_exact(vec):
-    return tuple(vec)
-
-
 def _sort_key_float(vec):
     return tuple((mp.re(c), mp.im(c)) for c in vec)
 
@@ -131,30 +126,14 @@ def power_sum_fit(points: Sequence[Sequence], form: Polynomial,
     for p in points:
         if len(p) != n:
             raise ValueError("point arity does not match the form")
-    basis = monomial_basis(n, 3)
-    exact = all(isinstance(c, (int, Fraction)) for p in points for c in p)
-    if exact:
-        pts = [tuple(Fraction(c) for c in p) for p in points]
-        columns = [power_coefficient_vector(p, 3, basis) for p in pts]
-        solution = ExactMatrix(columns).transpose().solve(form.coefficient_vector(basis))
-        if solution is None:
-            return None
-        return Decomposition(n, tuple(pts), tuple(solution), Fraction(0), True)
-    with workprec(precision_bits):
-        pts = [tuple(to_mp(c) for c in p) for p in points]
-        matrix = mp.matrix([[to_mp(v) for v in power_coefficient_vector(p, 3, basis)]
-                            for p in pts]).T
-        target = mp.matrix([to_mp(c) for c in form.coefficient_vector(basis)])
-        try:
-            weights = least_squares(matrix, target)
-        except ValueError:
-            return None
-        fitted = matrix * weights
-        scale = max(mp.mpf(1), max(abs(x) for x in target))
-        residual = max(abs(fitted[i] - target[i]) for i in range(matrix.rows)) / scale
-        if residual > to_mp(tolerance):
-            return None
-        return Decomposition(n, tuple(pts), tuple(weights), residual, False)
+    try:
+        pts, weights, residual, exact = power_sum_solve(points, form,
+                                                        precision_bits, tolerance)
+    except ValueError:
+        return None
+    if weights is None:
+        return None
+    return Decomposition(n, tuple(pts), tuple(weights), residual, exact)
 
 
 def _quadric_matrix(q: Polynomial) -> ExactMatrix:

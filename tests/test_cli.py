@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 
-from apolar_kit import jsonio
+import pytest
+
+from apolar_kit import jsonio, pipeline
 from apolar_kit.apolarity import apolar_ideal_piece
 from apolar_kit.cli import main
 from apolar_kit.core import Polynomial
@@ -154,3 +156,48 @@ class TestCommands:
         assert result.returncode == 0
         report = json.loads(result.stdout)
         assert report["degS"] == 9 and report["multiplicities"] == [3, 3, 3, 3]
+
+
+class TestProcessCount:
+    """APOLAR_KIT_THREADS is the number of worker processes for the trials."""
+
+    @pytest.mark.parametrize("value", ["two", "-1", "1.5"])
+    def test_bad_value_is_input_error(self, monkeypatch, value):
+        monkeypatch.setenv("APOLAR_KIT_THREADS", value)
+        assert main(["verify-a", "--g", "5", "--trials", "1", "--seed", "5"]) == 2
+
+    def test_pool_never_exceeds_trials(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setenv("APOLAR_KIT_THREADS", "64")
+        code, report = run(tmp_path, "verify-a", "--g", "5", "--trials", "2",
+                           "--seed", "5")
+        assert code == 0 and report["passed"]
+        assert sizes == [2]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-a", "--g", "5", "--trials", "2", "--seed", "5"],
+        ["verify-b", "--g", "6", "--trials", "2", "--seed", "6"],
+    ])
+    def test_parallel_report_equals_serial(self, tmp_path, monkeypatch, argv):
+        reports = []
+        for threads in ("0", "2"):
+            monkeypatch.setenv("APOLAR_KIT_THREADS", threads)
+            out = tmp_path / f"report{threads}.json"
+            assert main(argv + ["--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]

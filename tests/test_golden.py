@@ -37,3 +37,14 @@ def test_golden_values_spot_check():
     assert g9["degS"] == 9
     k3 = json.loads((GOLDEN / "nakai_k3.json").read_text())
     assert k3["ample_self_intersection"] == 9 and k3["holds"]
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("verify_a_g5", ["verify-a", "--g", "5", "--trials", "2", "--seed", "41"]),
+    ("verify_b_g7_split02", ["verify-b", "--g", "7", "--split", "0,2",
+                             "--trials", "1", "--seed", "42"]),
+])
+def test_verify_golden(name, argv, tmp_path, monkeypatch):
+    monkeypatch.delenv("APOLAR_KIT_THREADS", raising=False)
+    recorded = (GOLDEN / f"{name}.json").read_text()
+    assert fresh_report(argv, tmp_path) == recorded
