@@ -3,8 +3,9 @@
 The graded piece of the annihilator of a form F in degree k is the kernel
 of the contraction map from degree-k dual operators to forms of degree
 d - k; the map in the other direction (recovering F, up to scalar, from
-enough graded pieces) is `macaulay_inverse`.  All of it is plain exact
-linear algebra on the matrices produced by `catalecticant`.
+enough graded pieces) is `inverse_system`, and `macaulay_inverse` when
+that space is one-dimensional.  All of it is plain exact linear algebra
+on the matrices produced by `catalecticant`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "catalecticant",
     "apolar_ideal_piece",
     "hilbert_function",
+    "inverse_system",
     "macaulay_inverse",
     "is_apolar_scheme",
     "piece_contains",
@@ -177,34 +179,30 @@ def _condition_rows(piece: GradedIdealPiece, d: int,
     return rows
 
 
-def macaulay_inverse(pieces: Sequence[GradedIdealPiece], d: int) -> Polynomial:
-    """Recover the unique form annihilated by the given graded pieces.
+def inverse_system(pieces: Sequence[GradedIdealPiece], d: int) -> list[Polynomial]:
+    """Basis of the degree-d forms annihilated by every given graded piece.
 
-    `pieces` hold components of an ideal in degrees between 1 and d.  The
-    solution space is cut out degree by degree, highest first (the top
-    piece pins the form down to a low-dimensional space, so the remaining
-    conditions are cheap).  Raises SocleDimensionError unless the space
-    of solutions is exactly one-dimensional; the result is normalized so
-    its leading graded-lex coefficient is 1.
+    `pieces` hold components of an ideal in degrees between 1 and d, in
+    one dual ring.  The solution space is cut out degree by degree,
+    highest first (the top piece pins the forms down to a low-dimensional
+    space, so the remaining conditions are cheap).  Without a nonempty
+    piece the result is the monomial basis of degree d.
     """
     if d < 1:
         raise ValueError("socle degree must be >= 1")
-    by_degree = sorted((p for p in pieces if p.dim > 0),
-                       key=lambda p: p.degree, reverse=True)
-    if not by_degree:
-        raise ValueError("no nonempty graded pieces given")
-    n = by_degree[0].nvars
-    for p in by_degree:
+    if not pieces:
+        raise ValueError("no graded pieces given")
+    n = pieces[0].nvars
+    for p in pieces:
         if p.nvars != n:
             raise ValueError("pieces live in different dual rings")
-        if not 1 <= p.degree <= d:
+        if p.dim and not 1 <= p.degree <= d:
             raise ValueError(f"piece degree {p.degree} outside 1..{d}")
+    by_degree = sorted((p for p in pieces if p.dim > 0),
+                       key=lambda p: p.degree, reverse=True)
     columns = monomial_basis(n, d)
-
-    def input_hilbert() -> tuple[int, ...]:
-        dims = {p.degree: p.dim for p in by_degree}
-        return (1,) + tuple(comb(n + k - 1, k) - dims.get(k, 0) for k in range(1, d + 1))
-
+    if not by_degree:
+        return [Polynomial.monomial(m) for m in columns]
     # solution space of the top piece, then intersect downwards
     top = by_degree[0]
     basis_vectors = ExactMatrix(_condition_rows(top, d, columns)).kernel().rows()
@@ -220,11 +218,27 @@ def macaulay_inverse(pieces: Sequence[GradedIdealPiece], d: int) -> Polynomial:
         basis_vectors = [
             [sum(c * vec[j] for c, vec in zip(combo, basis_vectors)) for j in range(len(columns))]
             for combo in coeffs]
-    dim = len(basis_vectors)
-    if dim != 1:
-        raise SocleDimensionError(dim, input_hilbert())
-    form = Polynomial.from_vector(n, d, basis_vectors[0], columns)
-    return form.normalized()
+    return [Polynomial.from_vector(n, d, v, columns) for v in basis_vectors]
+
+
+def macaulay_inverse(pieces: Sequence[GradedIdealPiece], d: int) -> Polynomial:
+    """Recover the unique form annihilated by the given graded pieces.
+
+    Raises SocleDimensionError unless the `inverse_system` of the pieces
+    is exactly one-dimensional; the result is normalized so its leading
+    graded-lex coefficient is 1.
+    """
+    nonempty = [p for p in pieces if p.dim > 0]
+    if not nonempty:
+        raise ValueError("no nonempty graded pieces given")
+    solutions = inverse_system(nonempty, d)
+    if len(solutions) != 1:
+        n = nonempty[0].nvars
+        dims = {p.degree: p.dim for p in nonempty}
+        hilbert = (1,) + tuple(comb(n + k - 1, k) - dims.get(k, 0)
+                               for k in range(1, d + 1))
+        raise SocleDimensionError(len(solutions), hilbert)
+    return solutions[0].normalized()
 
 
 def power_coefficient_vector(point: Sequence, d: int,

@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, default=None)
     p.add_argument("--gonality", type=int, choices=[3, 4], default=None)
     p.add_argument("--split", default=None)
-    _add_common(p, seed=True, precision=True)
+    _add_common(p, seed=True)
     p.set_defaults(handler=_cmd_alpha)
 
     p = sub.add_parser("verify-a", help="trigonal power-sum verification")

@@ -20,7 +20,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd, lcm, prod
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "contract",
     "pair",
     "change_coordinates",
+    "substitute",
     "coefficient_matrix",
     "primitive_point",
 ]
@@ -297,13 +298,56 @@ def pair(form: Polynomial, op: Polynomial) -> Fraction:
     """The perfect pairing between degree-d forms and degree-d operators.
 
     On monomial bases its Gram matrix is diagonal with entries the
-    multi-index factorials, hence invertible.
+    multi-index factorials, hence invertible: the pairing is the dot
+    product of coefficient vectors weighted by those factorials.
     """
-    if form.degree != op.degree:
-        raise ValueError(
-            f"degree mismatch in pairing: {form.degree} vs {op.degree}")
-    result = contract(op, form)
-    return result.coefficient((0,) * form.nvars)
+    if form.nvars != op.nvars or form.degree != op.degree:
+        raise ValueError(f"shape mismatch in pairing: ({form.nvars},{form.degree}) "
+                         f"vs ({op.nvars},{op.degree})")
+    total = Fraction(0)
+    for exp, c in form.terms.items():
+        if exp in op.terms:
+            total += c * op.terms[exp] * prod(map(factorial, exp))
+    return total
+
+
+def substitute(forms: Sequence[Polynomial], matrix: "ExactMatrix") -> list[Polynomial]:
+    """Substitute x_i -> sum_j M[i][j] y_j in forms of M.nrows variables.
+
+    M may be rectangular; the images are forms of the same degree in
+    M.ncols variables.  The forms share one cache of monomial images,
+    kept in integers over the common denominator of M, so a whole graded
+    piece costs one product per monomial rather than one per term.
+    """
+    entries = matrix.rows()
+    den = lcm(*(x.denominator for row in entries for x in row))
+    rows = [[(j, int(x * den)) for j, x in enumerate(row) if x] for row in entries]
+    images = {(0,) * matrix.nrows: {(0,) * matrix.ncols: 1}}
+
+    def image(exp: tuple[int, ...]) -> dict:
+        if exp not in images:
+            i = next(i for i, e in enumerate(exp) if e)
+            found = images[exp] = {}
+            for mono, c in image(exp[:i] + (exp[i] - 1,) + exp[i + 1:]).items():
+                for j, a in rows[i]:
+                    key = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
+                    found[key] = found.get(key, 0) + c * a
+        return images[exp]
+
+    out = []
+    for form in forms:
+        if form.nvars != matrix.nrows:
+            raise ValueError("matrix shape does not match variable count")
+        scale = lcm(*(c.denominator for c in form.terms.values()))
+        acc: dict[tuple[int, ...], int] = {}
+        for exp, c in form.terms.items():
+            ci = c.numerator * (scale // c.denominator)
+            for mono, v in image(exp).items():
+                acc[mono] = acc.get(mono, 0) + ci * v
+        total = scale * den ** form.degree
+        out.append(Polynomial(matrix.ncols, form.degree,
+                              {mono: Fraction(v, total) for mono, v in acc.items()}))
+    return out
 
 
 def change_coordinates(form: Polynomial, matrix: "ExactMatrix") -> Polynomial:
@@ -316,27 +360,7 @@ def change_coordinates(form: Polynomial, matrix: "ExactMatrix") -> Polynomial:
         raise ValueError("matrix shape does not match variable count")
     if matrix.rank() != n:
         raise ValueError("coordinate change matrix is singular")
-    images = []
-    for i in range(n):
-        row = {tuple(1 if k == j else 0 for k in range(n)): matrix.entry(i, j)
-               for j in range(n)}
-        images.append(Polynomial(n, 1, row))
-    powers: dict[tuple[int, int], Polynomial] = {}
-
-    def power(i: int, e: int) -> Polynomial:
-        key = (i, e)
-        if key not in powers:
-            powers[key] = images[i] ** e
-        return powers[key]
-
-    total = Polynomial.zero(n, form.degree)
-    for exp, coef in form.terms.items():
-        piece = Polynomial(n, 0, {(0,) * n: coef})
-        for i, e in enumerate(exp):
-            if e:
-                piece = piece * power(i, e)
-        total = total + piece
-    return total
+    return substitute([form], matrix)[0]
 
 
 # ----------------------------------------------------------------------

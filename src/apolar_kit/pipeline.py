@@ -26,16 +26,16 @@ from typing import Optional, Sequence
 
 from mpmath import mp
 
-from .apolarity import GradedIdealPiece, SocleDimensionError, macaulay_inverse
+from .apolarity import GradedIdealPiece, inverse_system
 from .core import (ExactMatrix, Polynomial, change_coordinates, monomial_basis,
-                   primitive_point)
+                   pair, primitive_point, substitute)
 from .curvegen import (CurveSpec, IdealReconstruction, ideal_pieces,
                        sample_points, tetragonal_curve, trigonal_curve)
 from .numerics import (DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, format_scalar,
                        projective_distance, to_mp, workprec)
 from .scroll import Scroll, divisor_degree, embed_point
 from .seeding import derive_seed, make_rng, random_dual_linear
-from .univariate import binary_form_roots
+from .univariate import RootFindingError, binary_form_roots
 from .waring import Decomposition, fermat_detect_detail, power_sum_fit, rank_lower_bound
 
 __all__ = [
@@ -92,7 +92,6 @@ class AlphaResult:
     kept_indices: tuple[int, ...]
     frame: ExactMatrix          # rows: kept coordinate vectors, then the etas
     quotient_piece2: GradedIdealPiece
-    quotient_piece3: GradedIdealPiece
 
 
 @dataclass(frozen=True)
@@ -120,75 +119,62 @@ def quotient_frame(eta1: Polynomial, eta2: Polynomial, g: int):
 
     Returns (kept coordinate indices, R, L) where the rows of R are the
     kept unit vectors followed by the two hyperplane coefficient rows and
-    L is the inverse substitution matrix.
+    L is the inverse substitution matrix.  Coordinate i is dropped when
+    some combination of the hyperplanes has its last nonzero entry at i:
+    those are the pivots of the hyperplane rows read from the right.
     """
     if eta1.nvars != g or eta2.nvars != g or eta1.degree != 1 or eta2.degree != 1:
         raise ValueError("hyperplanes must be linear forms in g variables")
     basis1 = monomial_basis(g, 1)
     c1 = eta1.coefficient_vector(basis1)
     c2 = eta2.coefficient_vector(basis1)
-    if ExactMatrix([c1, c2]).rank() < 2:
+    _, pivots = ExactMatrix([c1[::-1], c2[::-1]]).rref()
+    if len(pivots) < 2:
         raise AlphaCertificateError((1,), "the two hyperplanes are dependent")
-    kept: list[int] = []
-    rows = [c1, c2]
-    rank = 2
-    for i in range(g):
-        unit = [Fraction(1) if j == i else Fraction(0) for j in range(g)]
-        candidate = ExactMatrix(rows + [unit])
-        if candidate.rank() > rank:
-            rows.append(unit)
-            rank += 1
-            kept.append(i)
-        if rank == g:
-            break
+    dropped = {g - 1 - p for p in pivots}
+    kept = tuple(i for i in range(g) if i not in dropped)
     frame_rows = [[Fraction(1) if j == i else Fraction(0) for j in range(g)]
                   for i in kept] + [c1, c2]
     frame = ExactMatrix(frame_rows)
-    return tuple(kept), frame, frame.inverse()
-
-
-def _restrict_to_quotient(poly: Polynomial, substitution: ExactMatrix,
-                          keep: int) -> Polynomial:
-    """Rewrite in the frame coordinates and set the last two to zero."""
-    moved = change_coordinates(poly, substitution)
-    terms = {}
-    for exp, c in moved.terms.items():
-        if any(exp[keep:]):
-            continue
-        terms[exp[:keep]] = c
-    return Polynomial(keep, poly.degree, terms)
+    return kept, frame, frame.inverse()
 
 
 def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
               eta2: Polynomial) -> AlphaResult:
     """Quotient the curve ideal by two hyperplanes and invert the result.
 
-    The graded pieces in degrees 2 and 3 are pushed into coordinates
-    where the hyperplanes are the last two variables and then truncated;
-    the quotient must have Hilbert vector (1, g-2, g-2, 1) to certify the
-    hyperplanes as general, and the surviving pieces pin down a unique
-    cubic in g - 2 variables via the inverse-system construction.
+    Restriction is the ring map x -> L y, with L the frame inverse cut
+    down to the n = g - 2 kept coordinates; one `substitute` call applies
+    it to the degree-2 piece.  The degree-3 inverse system V of the
+    restricted quadrics contains the cubic.  The transposed map lifts V
+    back to g variables as the adjoint of restriction for the apolarity
+    pairing, so the cubics of V that the restricted degree-3 piece
+    annihilates are the kernel of pairing the lifts with `recon.degree3`.
+    Its dimension is h3 = C(n + 2, 3) - dim(restricted degree-3 piece),
+    since degree-1 multiples of restricted quadrics are restricted cubics.
+    Hilbert vector (1, n, n, 1) certifies the hyperplanes as general, and
+    the one-dimensional kernel is then the cubic, normalized.
     """
     g = recon.genus
     kept, frame, substitution = quotient_frame(eta1, eta2, g)
     n = g - 2
-    reduced2 = [_restrict_to_quotient(p, substitution, n)
-                for p in recon.degree2.basis]
-    reduced3 = [_restrict_to_quotient(p, substitution, n)
-                for p in recon.degree3.basis]
+    restriction = ExactMatrix([row[:n] for row in substitution.rows()])
+    reduced2 = substitute(recon.degree2.basis, restriction)
     piece2 = GradedIdealPiece.from_spanning(2, n, [p for p in reduced2 if not p.is_zero()])
-    piece3 = GradedIdealPiece.from_spanning(3, n, [p for p in reduced3 if not p.is_zero()])
+    solutions = inverse_system([piece2], 3)
+    lifts = substitute(solutions, restriction.transpose())
+    conditions = ExactMatrix([[pair(element, lift) for lift in lifts]
+                              for element in recon.degree3.basis])
+    combos = conditions.kernel().rows()
     h2 = comb(n + 1, 2) - piece2.dim
-    h3 = comb(n + 2, 3) - piece3.dim
-    hilbert = (1, n, h2, h3)
-    if h2 != n or h3 != 1:
+    hilbert = (1, n, h2, len(combos))
+    if h2 != n or len(combos) != 1:
         raise AlphaCertificateError(
             hilbert, "quotient algebra does not have the expected Hilbert vector")
-    try:
-        cubic = macaulay_inverse([piece2, piece3], 3)
-    except SocleDimensionError as err:
-        raise AlphaCertificateError(hilbert, str(err)) from err
-    return AlphaResult(g, eta1, eta2, hilbert, cubic, kept, frame, piece2, piece3)
+    cubic = sum((form * c for c, form in zip(combos[0], solutions)),
+                Polynomial.zero(n, 3))
+    return AlphaResult(g, eta1, eta2, hilbert, cubic.normalized(), kept, frame,
+                       piece2)
 
 
 def _linear_form_blocks(scroll: Scroll, eta: Polynomial) -> list[Polynomial]:
@@ -378,8 +364,12 @@ def forms_match(forms_a: Sequence[Sequence], forms_b: Sequence[Sequence],
 
 
 def reduce_to_quotient(alpha: AlphaResult, poly: Polynomial) -> Polynomial:
-    """Push an ambient dual form into the quotient coordinates of `alpha`."""
-    return _restrict_to_quotient(poly, alpha.frame.inverse(), alpha.genus - 2)
+    """Push an ambient dual form into the quotient coordinates of `alpha`:
+    change to the frame coordinates and drop every term in the last two."""
+    n = alpha.genus - 2
+    moved = change_coordinates(poly, alpha.frame.inverse())
+    return Polynomial(n, poly.degree, {exp[:n]: c for exp, c in moved.terms.items()
+                                       if not any(exp[n:])})
 
 
 def _alpha_attempts(curve: CurveSpec, seed: int, eta_retries: int):
@@ -403,8 +393,6 @@ def _alpha_attempts(curve: CurveSpec, seed: int, eta_retries: int):
 
 
 def alpha_for_curve(curve: CurveSpec, seed: int,
-                    precision_bits: int = DEFAULT_PRECISION_BITS,
-                    tolerance: Fraction = DEFAULT_TOLERANCE,
                     eta_retries: int = 5) -> AlphaResult:
     """Sample, reconstruct and quotient a curve with seeded hyperplanes.
 
@@ -444,7 +432,7 @@ def _certify_fermat(curve: CurveSpec, alpha: AlphaResult, seed: int,
         gamma = gamma_points(curve, None, alpha.eta1, alpha.eta2,
                              precision_bits, tolerance)
         certificate = waring_certificate(alpha, gamma, precision_bits, tolerance)
-    except (GammaExtractionError, CertificateError) as err:
+    except (GammaExtractionError, CertificateError, RootFindingError) as err:
         failures.append(f"scheme: {err}")
         return None
     if not forms_match(fermat.forms, certificate.forms):
@@ -478,7 +466,7 @@ def _certify_bound(curve: CurveSpec, alpha: AlphaResult, seed: int,
                                  precision_bits, tolerance)
             certificate = waring_certificate(alpha, gamma,
                                              precision_bits, tolerance)
-        except (GammaExtractionError, CertificateError) as err:
+        except (GammaExtractionError, CertificateError, RootFindingError) as err:
             failures.append(f"surface b={b}: {err}")
             continue
         length = certificate.rank

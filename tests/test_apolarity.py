@@ -7,8 +7,9 @@ import sympy
 
 from apolar_kit.apolarity import (GradedIdealPiece, SocleDimensionError,
                                   apolar_ideal_piece, catalecticant,
-                                  hilbert_function, is_apolar_scheme,
-                                  macaulay_inverse, piece_contains)
+                                  hilbert_function, inverse_system,
+                                  is_apolar_scheme, macaulay_inverse,
+                                  piece_contains)
 from apolar_kit.core import Polynomial, change_coordinates, monomial_basis
 from apolar_kit.seeding import make_rng, random_form, random_invertible_matrix
 
@@ -147,6 +148,40 @@ class TestHilbertFunction:
             profile = hilbert_function(f)
             assert profile.is_symmetric()
             assert profile.socle_dim == 1
+
+
+class TestInverseSystem:
+    def test_fermat_quadrics_leave_the_cubes(self):
+        # the degree-2 annihilator of a Fermat cubic kills exactly the
+        # span of the cubes x_i^3 in degree 3
+        n = 4
+        piece2 = apolar_ideal_piece(fermat(n), 2)
+        solutions = inverse_system([piece2], 3)
+        assert len(solutions) == n
+        span = GradedIdealPiece.from_spanning(3, n, solutions)
+        cubes = GradedIdealPiece.from_spanning(
+            3, n, [Polynomial.monomial(tuple(3 if k == i else 0 for k in range(n)))
+                   for i in range(n)])
+        assert span == cubes
+
+    def test_no_nonempty_piece_gives_the_monomials(self):
+        empty = GradedIdealPiece(2, 2, ())
+        assert inverse_system([empty], 3) == [Polynomial.monomial(e)
+                                              for e in monomial_basis(2, 3)]
+
+    def test_mixed_rings_rejected(self):
+        with pytest.raises(ValueError):
+            inverse_system([apolar_ideal_piece(fermat(2), 2),
+                            apolar_ideal_piece(fermat(3), 2)], 3)
+
+    def test_matches_macaulay_inverse_when_one_dimensional(self):
+        rng = make_rng(27)
+        for _ in range(5):
+            n = rng.randint(2, 4)
+            f = random_form(n, 3, rng)
+            pieces = [apolar_ideal_piece(f, k) for k in (2, 3)]
+            [solution] = inverse_system(pieces, 3)
+            assert solution.normalized() == macaulay_inverse(pieces, 3) == f.normalized()
 
 
 class TestMacaulayInverse:

@@ -115,6 +115,21 @@ class TestCommands:
         assert code == 0 and report["passed"]
         assert report["bound"] == 6
 
+    def test_root_finding_failure_is_a_failed_trial(self, tmp_path):
+        # no float root meets a 1e-50 residual at 128 bits
+        code, report = run(tmp_path, "verify-b", "--g", "6", "--trials", "1",
+                           "--seed", "8", "--tolerance", "1e-50")
+        assert code == 1 and report["passed"] is False
+        failures = report["trials"][0]["failures"]
+        assert failures and all("residual" in f for f in failures)
+
+    @pytest.mark.parametrize("option", [["--tolerance", "1e-9"],
+                                        ["--precision-bits", "64"]])
+    def test_alpha_takes_no_precision_options(self, option):
+        with pytest.raises(SystemExit) as err:
+            main(["alpha", "--g", "5", "--gonality", "3", "--seed", "1", *option])
+        assert err.value.code == 2
+
     def test_nakai(self, tmp_path):
         code, report = run(tmp_path, "nakai", "--k", "3", "--a-max", "20")
         assert code == 0 and report["holds"]

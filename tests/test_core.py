@@ -5,7 +5,7 @@ import pytest
 
 from apolar_kit.core import (ExactMatrix, Polynomial, change_coordinates,
                              coefficient_matrix, contract, monomial_basis,
-                             pair)
+                             pair, substitute)
 from apolar_kit.seeding import make_rng, random_form, random_invertible_matrix
 
 
@@ -77,6 +77,20 @@ class TestPairing:
         with pytest.raises(ValueError):
             pair(mono(2), mono(3))
 
+    def test_equals_full_contraction(self):
+        # the weighted dot product is the degree-0 part of contraction
+        rng = make_rng(14)
+        for _ in range(20):
+            n = rng.randint(1, 4)
+            d = rng.randint(1, 4)
+            f = random_form(n, d, rng) * Fraction(1, rng.randint(1, 7))
+            op = random_form(n, d, rng)
+            assert pair(f, op) == contract(op, f).coefficient((0,) * n)
+
+    def test_variable_count_mismatch(self):
+        with pytest.raises(ValueError):
+            pair(mono(2, 0), mono(2))
+
     @pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
     def test_gram_matrix_full_rank(self, nvars, degree):
@@ -123,6 +137,48 @@ class TestChangeCoordinates:
     def test_singular_matrix_rejected(self):
         with pytest.raises(ValueError):
             change_coordinates(mono(2, 0), ExactMatrix([[1, 1], [1, 1]]))
+
+
+class TestSubstitute:
+    def test_rectangular_is_truncated_change_of_coordinates(self):
+        # substituting with the first k columns of M equals the full change
+        # of coordinates with the remaining variables set to zero
+        rng = make_rng(15)
+        for _ in range(10):
+            n = rng.randint(2, 5)
+            k = rng.randint(1, n)
+            m = random_invertible_matrix(n, rng) @ ExactMatrix(
+                [[Fraction(1, j + 1) if i == j else 0 for j in range(n)] for i in range(n)])
+            forms = [random_form(n, d, rng) * Fraction(1, rng.randint(1, 5))
+                     for d in (1, 2, 3, 3)]
+            columns = ExactMatrix([row[:k] for row in m.rows()])
+            for form, image in zip(forms, substitute(forms, columns)):
+                moved = change_coordinates(form, m)
+                expected = Polynomial(k, form.degree, {
+                    exp[:k]: c for exp, c in moved.terms.items() if not any(exp[k:])})
+                assert image == expected
+
+    def test_transpose_is_adjoint_for_the_pairing(self):
+        # <f(M y), F(y)> = <f(x), F(M^T x)> for an n x k matrix M
+        rng = make_rng(16)
+        for _ in range(10):
+            n, k, d = rng.randint(2, 5), rng.randint(1, 4), rng.randint(1, 3)
+            m = ExactMatrix([[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                              for _ in range(k)] for _ in range(n)])
+            f = random_form(n, d, rng)
+            big = random_form(k, d, rng)
+            [restricted] = substitute([f], m)
+            [lifted] = substitute([big], m.transpose())
+            assert pair(restricted, big) == pair(f, lifted)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            substitute([mono(2, 0)], ExactMatrix.identity(3))
+
+    def test_degree_zero(self):
+        [image] = substitute([Polynomial(2, 0, {(0, 0): Fraction(3, 4)})],
+                             ExactMatrix([[1, 2, 3], [4, 5, 6]]))
+        assert image == Polynomial(3, 0, {(0, 0, 0): Fraction(3, 4)})
 
 
 class TestMonomialBasis:

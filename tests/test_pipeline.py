@@ -1,14 +1,21 @@
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 from mpmath import mp
 
+from apolar_kit.apolarity import (GradedIdealPiece, SocleDimensionError,
+                                  macaulay_inverse)
+from apolar_kit.core import (ExactMatrix, Polynomial, change_coordinates,
+                             monomial_basis)
 from apolar_kit.curvegen import (ideal_pieces, sample_points, tetragonal_curve,
                                  trigonal_curve)
 from apolar_kit.pipeline import (AlphaCertificateError, CertificateError,
                                  GammaScheme, alpha_for_curve,
                                  alpha_map, forms_match, gamma_points,
-                                 quotient_frame, tetragonal_cube_bound,
+                                 quotient_frame, reduce_to_quotient,
+                                 tetragonal_cube_bound,
                                  verify_tetragonal_bound, verify_trigonal_fermat,
                                  waring_certificate)
 from apolar_kit.seeding import make_rng, random_dual_linear
@@ -58,6 +65,28 @@ class TestAlphaMap:
         with pytest.raises(AlphaCertificateError):
             alpha_map(recon, eta, 2 * eta)
 
+    def test_quotient_frame_matches_greedy_choice(self):
+        # small coefficients give zeros, so every dropped pair occurs
+        rng = make_rng(38)
+        for _ in range(200):
+            g = rng.randint(5, 8)
+            eta1 = random_dual_linear(g, rng, bound=1)
+            eta2 = random_dual_linear(g, rng, bound=1)
+            kept = greedy_kept(eta1, eta2, g)
+            if kept is None:
+                with pytest.raises(AlphaCertificateError):
+                    quotient_frame(eta1, eta2, g)
+            else:
+                assert quotient_frame(eta1, eta2, g)[0] == kept
+
+    @pytest.mark.parametrize("g", [5, 6, 7, 8])
+    def test_quotient_frame_on_coordinate_pairs(self, g):
+        for i, j in combinations(range(g), 2):
+            eta1, eta2 = Polynomial.variable(i, g), Polynomial.variable(j, g)
+            kept = greedy_kept(eta1, eta2, g)
+            assert quotient_frame(eta1, eta2, g)[0] == kept
+            assert quotient_frame(eta2, eta1, g)[0] == kept
+
     def test_quotient_frame_inverts(self):
         rng = make_rng(31)
         eta1 = random_dual_linear(6, rng)
@@ -71,12 +100,16 @@ class TestAlphaMap:
     def test_quotient_pieces_equal_cubic_annihilator(self):
         # round trip at pipeline level: the reduced ideal pieces must be
         # exactly the graded annihilator of the produced cubic (equal
-        # dimensions force equality once containment holds)
+        # dimensions force equality once containment holds); the degree-3
+        # piece is restricted here element by element, apart from alpha_map
         from apolar_kit.apolarity import apolar_ideal_piece
         for curve in (trigonal_curve(5, seed=61), tetragonal_curve(6, 0, 1, seed=62)):
             recon = build_recon(curve)
             alpha = alpha_for_curve(curve, seed=63)
-            for k, piece in ((2, alpha.quotient_piece2), (3, alpha.quotient_piece3)):
+            reduced3 = [reduce_to_quotient(alpha, p) for p in recon.degree3.basis]
+            piece3 = GradedIdealPiece.from_spanning(
+                3, curve.genus - 2, [p for p in reduced3 if not p.is_zero()])
+            for k, piece in ((2, alpha.quotient_piece2), (3, piece3)):
                 annihilator = apolar_ideal_piece(alpha.cubic, k)
                 assert annihilator.dim == piece.dim
                 ra, _ = annihilator.matrix().rref()
@@ -96,6 +129,104 @@ class TestAlphaMap:
             cubics.append(alpha.cubic)
         # general quotients differ even though both are sums of 3 cubes
         assert cubics[0] != cubics[1]
+
+
+def greedy_kept(eta1, eta2, g):
+    """Kept coordinates chosen one rank check at a time; None when the
+    hyperplanes are dependent."""
+    basis1 = monomial_basis(g, 1)
+    rows = [eta1.coefficient_vector(basis1), eta2.coefficient_vector(basis1)]
+    if ExactMatrix(rows).rank() < 2:
+        return None
+    kept = []
+    for i in range(g):
+        unit = [1 if j == i else 0 for j in range(g)]
+        if ExactMatrix(rows + [unit]).rank() > len(rows):
+            rows.append(unit)
+            kept.append(i)
+        if len(rows) == g:
+            break
+    return tuple(kept)
+
+
+def elementwise_alpha(recon, eta1, eta2):
+    """The quotient computed element by element: every basis element of
+    the degree-2 and degree-3 ideal pieces through its own change of
+    coordinates, truncated, then both pieces inverted together.  Returns
+    (hilbert, kept, piece2, cubic) or the certificate error's message."""
+    g = recon.genus
+    n = g - 2
+    kept = greedy_kept(eta1, eta2, g)
+    basis1 = monomial_basis(g, 1)
+    frame = ExactMatrix([[1 if j == i else 0 for j in range(g)] for i in kept]
+                        + [eta1.coefficient_vector(basis1),
+                           eta2.coefficient_vector(basis1)])
+    inverse = frame.inverse()
+
+    def restrict(poly):
+        moved = change_coordinates(poly, inverse)
+        return Polynomial(n, poly.degree, {exp[:n]: c for exp, c in moved.terms.items()
+                                           if not any(exp[n:])})
+
+    pieces = [GradedIdealPiece.from_spanning(
+                  piece.degree, n, [q for q in map(restrict, piece.basis) if not q.is_zero()])
+              for piece in (recon.degree2, recon.degree3)]
+    hilbert = (1, n, comb(n + 1, 2) - pieces[0].dim, comb(n + 2, 3) - pieces[1].dim)
+    if hilbert[2:] != (n, 1):
+        return str(AlphaCertificateError(
+            hilbert, "quotient algebra does not have the expected Hilbert vector"))
+    try:
+        cubic = macaulay_inverse(pieces, 3)
+    except SocleDimensionError as err:
+        return str(AlphaCertificateError(hilbert, str(err)))
+    return hilbert, kept, pieces[0], cubic
+
+
+def alpha_outcome(recon, eta1, eta2):
+    try:
+        alpha = alpha_map(recon, eta1, eta2)
+    except AlphaCertificateError as err:
+        return str(err)
+    return alpha.hilbert, alpha.kept_indices, alpha.quotient_piece2, alpha.cubic
+
+
+class TestElementwiseOracle:
+    """alpha_map against the quotient computed element by element."""
+
+    @pytest.mark.parametrize("make_curve", [
+        lambda: trigonal_curve(5, seed=71),
+        lambda: trigonal_curve(6, seed=72),
+        lambda: trigonal_curve(7, seed=73),
+        lambda: tetragonal_curve(6, 0, 1, seed=74),
+        lambda: tetragonal_curve(7, 1, 1, seed=75),
+        lambda: tetragonal_curve(7, 0, 2, seed=76),
+    ], ids=["tri5", "tri6", "tri7", "tet6", "tet7-11", "tet7-02"])
+    def test_random_hyperplanes(self, make_curve):
+        curve = make_curve()
+        recon = build_recon(curve)
+        rng = make_rng(curve.genus)
+        eta1 = random_dual_linear(curve.genus, rng)
+        eta2 = random_dual_linear(curve.genus, rng)
+        expected = elementwise_alpha(recon, eta1, eta2)
+        assert not isinstance(expected, str)
+        assert alpha_outcome(recon, eta1, eta2) == expected
+
+    @pytest.mark.parametrize("make_curve", [
+        lambda: trigonal_curve(6, seed=77),
+        lambda: tetragonal_curve(6, 0, 1, seed=78),
+    ], ids=["tri6", "tet6"])
+    def test_coordinate_hyperplanes(self, make_curve):
+        # coordinate pairs are far from general: many fail the certificate
+        curve = make_curve()
+        recon = build_recon(curve)
+        g = curve.genus
+        failed = []
+        for i, j in combinations(range(g), 2):
+            eta1, eta2 = Polynomial.variable(i, g), Polynomial.variable(j, g)
+            expected = elementwise_alpha(recon, eta1, eta2)
+            assert alpha_outcome(recon, eta1, eta2) == expected
+            failed.append(isinstance(expected, str))
+        assert any(failed)
 
 
 class TestGammaPoints:
