@@ -455,10 +455,6 @@ class ExactMatrix:
     def identity(cls, n: int) -> "ExactMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "ExactMatrix":
-        return cls([[0] * ncols for _ in range(nrows)])
-
     # -- queries ---------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Fraction:

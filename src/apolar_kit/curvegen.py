@@ -11,18 +11,19 @@ Exact rational points on a random curve of genus >= 2 are scarce (only
 finitely many exist at all), so the generators interpolate: a few fibers
 are forced to split rationally by prescribing points on them, and those
 base values are recorded on the curve as sampling hints.  The graded
-pieces of the ideal are computed exactly from the equations: a form of
-degree k vanishes on the curve precisely when its restriction to the
-scroll is a combination of the curve equations with section multipliers,
-which is a finite exact linear system; the sampled points then serve as
-an independent vanishing certificate for every basis element.
+pieces of the ideal are built in closed form from the scroll: restriction
+maps ambient monomials onto section monomials, so the kernel of
+restriction is spanned by binomials, and the rest of a piece is the lifts
+of the curve equations times multiplier sections (Schreyer 1986).  The
+sampled points then serve as an independent vanishing certificate for
+every basis element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, lcm
 from typing import Optional, Sequence
 
 import sympy
@@ -527,7 +528,7 @@ def sample_points(curve: CurveSpec, count: int, seed: int,
 
 
 def _evaluation_matrix(points: Sequence[Sequence[int]],
-                       basis: Sequence[tuple[int, ...]]) -> ExactMatrix:
+                       basis: Sequence[tuple[int, ...]]) -> list[list[int]]:
     rows = []
     for p in points:
         row = []
@@ -538,7 +539,7 @@ def _evaluation_matrix(points: Sequence[Sequence[int]],
                     value *= c
             row.append(value)
         rows.append(row)
-    return ExactMatrix(rows)
+    return rows
 
 
 def _ambient_restriction(scroll: Scroll, exp: tuple[int, ...]):
@@ -558,95 +559,79 @@ def _ambient_restriction(scroll: Scroll, exp: tuple[int, ...]):
     return tuple(fiber), (s_deg, t_deg)
 
 
-def _piece_by_division(curve: CurveSpec, k: int) -> list[list[Fraction]]:
-    """Degree-k graded piece of the curve ideal, by exact division.
+def _piece(curve: CurveSpec, k: int) -> list[list[Fraction]]:
+    """Degree-k graded piece of the curve ideal, in reduced echelon form.
 
-    A degree-k form vanishes on the curve exactly when its restriction to
-    the scroll equals sum_i q_i u_i with u_i a section of kH minus the
-    i-th equation class (an empty product when the fiber degree would be
-    negative, which forces the restriction itself to vanish).  Unknowns
-    are the form coefficients together with all multiplier coefficients;
-    the piece is the projection of the kernel onto the form coordinates.
+    Restriction to the scroll maps the ambient monomials onto the section
+    monomials of kH; lift each section monomial to the first ambient
+    monomial m0 restricting to it.  A degree-k form vanishes on the curve
+    exactly when its restriction is sum_i q_i u_i with u_i a section of
+    kH minus the i-th equation class, so the piece is spanned by the
+    binomials m - m0, which span the kernel of restriction, and the lifts
+    of q_i times every multiplier monomial (none when the H-degree of the
+    multiplier would be negative).
     """
     scroll = curve.scroll
-    n = scroll.N + 1
-    ambient = monomial_basis(n, k)
-    row_index: dict[tuple, int] = {}
-
-    def row_of(fiber_exp, base_exp):
-        key = (fiber_exp, base_exp)
-        if key not in row_index:
-            row_index[key] = len(row_index)
-        return row_index[key]
-
-    columns: list[dict[int, Fraction]] = []
-    for exp in ambient:
-        fiber_exp, base_exp = _ambient_restriction(scroll, exp)
-        columns.append({row_of(fiber_exp, base_exp): Fraction(1)})
-    multiplier_spans = []
+    ambient = monomial_basis(scroll.N + 1, k)
+    lift: dict[tuple, int] = {}
+    rows = []
+    for j, exp in enumerate(ambient):
+        first = lift.setdefault(_ambient_restriction(scroll, exp), j)
+        if first != j:
+            row = [0] * len(ambient)
+            row[j], row[first] = 1, -1
+            rows.append(row)
     for section in curve.equations:
-        cls = section.cls
-        mult_h = k - cls.h
+        mult_h = k - section.cls.h
         if mult_h < 0:
-            multiplier_spans.append(0)
             continue
-        mult_cls = scroll.cls(mult_h, -cls.f)
-        slots = _section_slots(scroll, mult_cls)
-        multiplier_spans.append(len(slots))
-        for mexp, (p, q) in slots:
-            column: dict[int, Fraction] = {}
+        for mexp, (p, q) in _section_slots(scroll, scroll.cls(mult_h, -section.cls.f)):
+            row = [Fraction(0)] * len(ambient)
             for eexp, base_form in section.coeffs.items():
                 fiber_exp = tuple(a + b for a, b in zip(mexp, eexp))
                 for (bp, bq), c in base_form.terms.items():
-                    idx = row_of(fiber_exp, (bp + p, bq + q))
-                    column[idx] = column.get(idx, Fraction(0)) - c
-            columns.append(column)
-    total_cols = len(columns)
-    matrix = [[Fraction(0)] * total_cols for _ in range(len(row_index))]
-    for j, column in enumerate(columns):
-        for i, value in column.items():
-            matrix[i][j] = value
-    kernel = ExactMatrix(matrix).kernel()
-    if kernel.nrows == 0:
-        return []
-    projected = [kernel.row(i)[:len(ambient)] for i in range(kernel.nrows)]
-    reduced, pivots = ExactMatrix(projected).rref()
+                    row[lift[fiber_exp, (bp + p, bq + q)]] += c
+            rows.append(row)
+    reduced, pivots = ExactMatrix(rows).rref()
     return [reduced.row(i) for i in range(len(pivots))]
 
 
-def ideal_pieces(curve: CurveSpec, points: Sequence[Sequence[int]] = (),
-                 allow_deviation: bool = False) -> IdealReconstruction:
+def ideal_pieces(curve: CurveSpec,
+                 points: Sequence[Sequence[int]] = ()) -> IdealReconstruction:
     """Degree-2 and degree-3 graded pieces of the curve ideal.
 
-    The pieces come from the exact division criterion on the scroll; the
-    supplied sampled points are an independent certificate and every
-    basis element must vanish on every one of them exactly.  Dimensions
-    are compared against the canonical-curve counts (g-2)(g-3)/2 and
-    C(g+2, 3) - (5g-5); a mismatch raises unless deviations are allowed.
+    Each piece is built in closed form from the scroll: the kernel of
+    restriction plus the lifts of the curve equations times multiplier
+    sections, in one reduced echelon form.  The supplied sampled points
+    are an independent certificate: every basis element must vanish on
+    every one of them exactly.  Dimensions must equal the canonical-curve
+    counts (g-2)(g-3)/2 and C(g+2, 3) - (5g-5); a mismatch raises
+    IdealDimensionError.
     """
     g = curve.genus
     n = g
-    quad_basis = monomial_basis(n, 2)
-    cubic_basis = monomial_basis(n, 3)
-    quad_vectors = _piece_by_division(curve, 2)
-    cubic_vectors = _piece_by_division(curve, 3)
-    for basis, vectors in ((quad_basis, quad_vectors), (cubic_basis, cubic_vectors)):
+    quad_vectors = _piece(curve, 2)
+    cubic_vectors = _piece(curve, 3)
+    for degree, vectors in ((2, quad_vectors), (3, cubic_vectors)):
         if points and vectors:
-            ev = _evaluation_matrix(points, basis)
-            stacked = ExactMatrix(vectors)
-            if not (ev @ stacked.transpose()).is_zero():
-                raise PointCertificateError(
-                    "an ideal element does not vanish on a sampled point")
+            evaluations = _evaluation_matrix(points, monomial_basis(n, degree))
+            for vector in vectors:
+                # scaled to integers: vanishing does not depend on the scale
+                den = lcm(*(x.denominator for x in vector))
+                scaled = [(j, x.numerator * (den // x.denominator))
+                          for j, x in enumerate(vector) if x]
+                if any(sum(row[j] * c for j, c in scaled) for row in evaluations):
+                    raise PointCertificateError(
+                        "an ideal element does not vanish on a sampled point")
     dims = (len(quad_vectors), len(cubic_vectors))
     expected = (expected_quadric_dim(g), expected_cubic_dim(g))
-    dims_ok = dims == expected
-    if not dims_ok and not allow_deviation:
+    if dims != expected:
         raise IdealDimensionError(dims, expected)
     return IdealReconstruction(
         genus=g,
         degree2=GradedIdealPiece.from_vectors(2, n, quad_vectors),
         degree3=GradedIdealPiece.from_vectors(3, n, cubic_vectors),
         point_count=len(points),
-        rank_saturated=bool(points) and dims_ok,
-        dims_expected=dims_ok,
+        rank_saturated=bool(points),
+        dims_expected=True,
     )

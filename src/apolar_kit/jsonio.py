@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .apolarity import ApolarAlgebraProfile, GradedIdealPiece
+from .apolarity import GradedIdealPiece
 from .core import Polynomial
 from .curvegen import BihomSection, CurveSpec
 from .numerics import format_scalar
@@ -22,7 +22,6 @@ from .waring import Decomposition
 __all__ = [
     "polynomial_to_json", "polynomial_from_json",
     "piece_to_json", "piece_from_json",
-    "profile_to_json",
     "scroll_to_json", "scroll_from_json",
     "divisor_to_json", "divisor_from_json",
     "curve_to_json", "curve_from_json",
@@ -68,10 +67,6 @@ def piece_to_json(piece: GradedIdealPiece) -> dict:
 def piece_from_json(data: dict) -> GradedIdealPiece:
     basis = tuple(polynomial_from_json(p) for p in data["basis"])
     return GradedIdealPiece(int(data["degree"]), int(data["nvars"]), basis)
-
-
-def profile_to_json(profile: ApolarAlgebraProfile) -> dict:
-    return {"hilbert": list(profile.hilbert), "socle_dim": profile.socle_dim}
 
 
 def scroll_to_json(scroll: Scroll) -> dict:

@@ -13,7 +13,6 @@ ambient threefold scroll, case by case in g mod 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
@@ -273,6 +272,12 @@ class NakaiChain:
     def holds(self) -> bool:
         return self.self_intersection > 0 and not self.violations
 
+    @property
+    def tail_applies(self) -> bool:
+        """p > 2q, so L . D <= 0 forces sum b_i >= p a / q > 2a: the
+        hypothesis of the tail argument beyond the enumeration bound."""
+        return self.p > 2 * self.q
+
 
 @dataclass(frozen=True)
 class NakaiReport:
@@ -314,13 +319,13 @@ def nakai_certificate(k: int, a_max: int = 50) -> NakaiReport:
     irreducible class meets the adjoint system nonpositively.  For a
     beyond the enumeration bound the chain
     sum b_i > 2a  =>  sum b_i^2 > a^2  =>  genus constraint < 1 - 5a/2 < 0
-    closes the argument; that inequality holds for every a >= 1.
+    closes the argument; its first step needs p > 2q for both classes.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     ample = _enumerate_chain(2 * k - 1, k - 1, a_max)
     curve = _enumerate_chain(2 * k + 2, k, a_max)
-    # tail: genus constraint < (a^2-3a+2)/2 - (a^2+2a)/2 = 1 - 5a/2,
-    # decreasing in a, so a = 1 decides the whole tail
-    tail_holds = 1 - Fraction(5, 2) < 0
+    # tail: with sum b_i > 2a the genus constraint is below
+    # (a^2-3a+2)/2 - (a^2+2a)/2 = 1 - 5a/2 < 0 for every a >= 1
+    tail_holds =ample.tail_applies and curve.tail_applies
     return NakaiReport(k, ample, curve, "1 - (5/2) a < 0 for a >= 1", tail_holds)

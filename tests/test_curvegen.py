@@ -1,17 +1,63 @@
+from dataclasses import replace
+from fractions import Fraction
 from math import comb
 
 import pytest
 
 from apolar_kit.apolarity import piece_contains
-from apolar_kit.core import monomial_basis
-from apolar_kit.curvegen import (SamplingError,
+from apolar_kit.core import ExactMatrix, Polynomial, monomial_basis
+from apolar_kit.curvegen import (BihomSection, IdealDimensionError,
+                                 PointCertificateError, SamplingError,
                                  balanced_type, expected_cubic_dim,
                                  expected_quadric_dim, genus_adjunction,
                                  ideal_pieces, sample_points, tetragonal_curve,
-                                 trigonal_curve, _evaluation_matrix)
+                                 trigonal_curve, _ambient_restriction,
+                                 _evaluation_matrix, _section_slots)
 from apolar_kit.scroll import (Scroll, canonical_class, chow_product,
                                divisor_degree, scroll_quadrics)
 from apolar_kit.seeding import make_rng, small_rationals
+
+
+def division_piece(curve, k):
+    """Reference degree-k piece by the division criterion.
+
+    A degree-k form vanishes on the curve exactly when its restriction to
+    the scroll equals sum_i q_i u_i with u_i a section of kH minus the
+    i-th equation class.  Unknowns are the form coefficients together
+    with all multiplier coefficients; the piece is the projection of the
+    kernel onto the form coordinates, in reduced echelon form.
+    """
+    scroll = curve.scroll
+    ambient = monomial_basis(scroll.N + 1, k)
+    row_index = {}
+
+    def row_of(key):
+        return row_index.setdefault(key, len(row_index))
+
+    columns = [{row_of(_ambient_restriction(scroll, exp)): Fraction(1)}
+               for exp in ambient]
+    for section in curve.equations:
+        mult_h = k - section.cls.h
+        if mult_h < 0:
+            continue
+        for mexp, (p, q) in _section_slots(scroll, scroll.cls(mult_h, -section.cls.f)):
+            column = {}
+            for eexp, base_form in section.coeffs.items():
+                fiber_exp = tuple(a + b for a, b in zip(mexp, eexp))
+                for (bp, bq), c in base_form.terms.items():
+                    idx = row_of((fiber_exp, (bp + p, bq + q)))
+                    column[idx] = column.get(idx, Fraction(0)) - c
+            columns.append(column)
+    matrix = [[Fraction(0)] * len(columns) for _ in range(len(row_index))]
+    for j, column in enumerate(columns):
+        for i, value in column.items():
+            matrix[i][j] = value
+    kernel = ExactMatrix(matrix).kernel()
+    if kernel.nrows == 0:
+        return []
+    projected = [kernel.row(i)[:len(ambient)] for i in range(kernel.nrows)]
+    reduced, pivots = ExactMatrix(projected).rref()
+    return [reduced.row(i) for i in range(len(pivots))]
 
 
 def chow_oracle(scroll, cls):
@@ -168,12 +214,12 @@ class TestIdealPieces:
 
     def test_degree_two_piece_matches_point_kernel(self):
         # dual route: with enough exact points the evaluation kernel in
-        # degree 2 equals the division-computed piece
+        # degree 2 equals the closed-form piece
         curve = trigonal_curve(5, seed=12)
         pts = sample_points(curve, 15, seed=6)
         recon = ideal_pieces(curve, pts)
         basis = monomial_basis(5, 2)
-        kernel = _evaluation_matrix(pts, basis).kernel()
+        kernel = ExactMatrix(_evaluation_matrix(pts, basis)).kernel()
         assert kernel.nrows == recon.degree2.dim
         reduced_a, _ = kernel.rref()
         reduced_b, _ = recon.degree2.matrix().rref()
@@ -188,6 +234,38 @@ class TestIdealPieces:
                 assert q.evaluate(p) == 0
             for q in recon.degree3.basis:
                 assert q.evaluate(p) == 0
+
+    @pytest.mark.parametrize("g, split, scroll_type", [
+        (5, None, None), (6, None, None), (7, None, None), (8, None, None),
+        (6, (0, 1), None), (7, (1, 1), None), (7, (0, 2), None), (8, (1, 2), None),
+        (8, (1, 2), (1, 1, 3)), (7, (0, 2), (0, 2, 2))])
+    def test_pieces_match_division_criterion(self, g, split, scroll_type):
+        if split is None:
+            curve = trigonal_curve(g, seed=1)
+        else:
+            curve = tetragonal_curve(g, *split, seed=1, scroll_type=scroll_type,
+                                     allow_unbalanced=scroll_type is not None)
+        recon = ideal_pieces(curve)
+        for piece in (recon.degree2, recon.degree3):
+            reference = division_piece(curve, piece.degree)
+            assert piece.matrix().rows() == reference
+
+    def test_points_of_another_curve_fail_the_certificate(self):
+        points = sample_points(trigonal_curve(5, 2), 3, 1)
+        with pytest.raises(PointCertificateError):
+            ideal_pieces(trigonal_curve(5, 1), points)
+
+    def test_zero_equation_fails_the_dimension_check(self):
+        # only the scroll's own ideal is left: 13 cubics instead of 15
+        curve = trigonal_curve(5, 1)
+        (equation,) = curve.equations
+        zero = BihomSection(equation.scroll, equation.cls,
+                            {exp: Polynomial.zero(2, form.degree)
+                             for exp, form in equation.coeffs.items()})
+        with pytest.raises(IdealDimensionError) as err:
+            ideal_pieces(replace(curve, equations=(zero,)))
+        assert err.value.got == (3, 13)
+        assert err.value.expected == (3, 15)
 
     def test_genus_adjunction_rejects_threefolds(self):
         s = Scroll((1, 1, 2))

@@ -1,28 +1,62 @@
-"""Every module-level private function of the package has a caller."""
+"""Every function and method of the package has a caller."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "apolar_kit"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "apolar_kit"
+
+
+def _parse(directories):
+    return {path: ast.parse(path.read_text(), filename=str(path))
+            for directory in directories for path in sorted(directory.glob("*.py"))}
+
+
+def _referenced(trees) -> set:
+    """Names read as a variable or an attribute; a function's references
+    to its own name (recursion) do not count."""
+    found = set()
+
+    def visit(node, own):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            own = own | {node.name}
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else None)
+        if name is not None and name not in own:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    for tree in trees:
+        visit(tree, frozenset())
+    return found
+
+
+def _functions(node):
+    return [f for f in node.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
 
 
 def test_private_functions_are_referenced():
-    defined = {}
-    referenced = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")):
-                defined[node.name] = path.name
-        for top in tree.body:
-            # a function calling itself is not a caller
-            own = getattr(top, "name", None)
-            for node in ast.walk(top):
-                name = (node.id if isinstance(node, ast.Name) else
-                        node.attr if isinstance(node, ast.Attribute) else None)
-                if name is not None and name != own:
-                    referenced.add(name)
-    unused = sorted(f"{module}:{name}" for name, module in defined.items()
-                    if name not in referenced)
+    trees = _parse([PACKAGE])
+    referenced = _referenced(trees.values())
+    unused = sorted(f"{path.name}:{f.name}" for path, tree in trees.items()
+                    for f in _functions(tree)
+                    if f.name.startswith("_") and not f.name.startswith("__")
+                    and f.name not in referenced)
+    assert unused == []
+
+
+def test_public_functions_and_methods_are_referenced():
+    package = _parse([PACKAGE])
+    referenced = _referenced(_parse([PACKAGE, ROOT / "tests", ROOT / "bench"]).values())
+    defined = []
+    for path, tree in package.items():
+        defined += [(path.name, f.name) for f in _functions(tree)
+                    if not f.name.startswith("_")]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                defined += [(path.name, f"{cls.name}.{f.name}") for f in _functions(cls)
+                            if not f.name.startswith("__")]
+    unused = sorted(f"{module}:{name}" for module, name in defined
+                    if name.rpartition(".")[2] not in referenced)
     assert unused == []

@@ -2,7 +2,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from apolar_kit.planemodel import (BlowupClass, GenusError,
+from apolar_kit.planemodel import (BlowupClass, GenusError, NakaiChain,
                                    PlaneModel, adjunction_check, blowup_genus,
                                    blowup_intersect, canonical_blowup_class,
                                    clebsch_genus, higher_gonality_degree,
@@ -206,6 +206,15 @@ class TestNakaiCertificate:
                 report = nakai_certificate(k, a_max=a)
                 assert found == any(v[0] <= a for v in report.ample.violations)
                 assert not found
+
+    def test_tail_needs_p_above_twice_q(self):
+        for k in range(2, 9):
+            report = nakai_certificate(k)
+            assert report.ample.tail_applies and report.curve.tail_applies
+            assert report.tail_holds
+        # p = 2q gives sum b_i >= 2a only, which the tail chain cannot use
+        assert not NakaiChain(4, 2, 0, 50, ()).tail_applies
+        assert not NakaiChain(3, 2, -7, 50, ()).tail_applies
 
     def test_k_must_be_at_least_two(self):
         with pytest.raises(ValueError):
