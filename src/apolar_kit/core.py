@@ -127,7 +127,7 @@ class Polynomial:
             basis = monomial_basis(nvars, degree)
         if len(vector) != len(basis):
             raise ValueError("coefficient vector does not match basis length")
-        return cls(nvars, degree, dict(zip(basis, vector)))
+        return cls(nvars, degree, {exp: c for exp, c in zip(basis, vector) if c})
 
     # -- basic queries -------------------------------------------------
 

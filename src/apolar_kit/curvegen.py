@@ -14,9 +14,12 @@ base values are recorded on the curve as sampling hints.  The graded
 pieces of the ideal are built in closed form from the scroll: restriction
 maps ambient monomials onto section monomials, so the kernel of
 restriction is spanned by binomials, and the rest of a piece is the lifts
-of the curve equations times multiplier sections (Schreyer 1986).  The
-sampled points then serve as an independent vanishing certificate for
-every basis element.
+of the curve equations times multiplier sections (Schreyer 1986), each
+section monomial lifted through the last ambient monomial restricting to
+it.  Only the lifts are eliminated, in one small rref over those
+representative monomials; the rest of the reduced echelon form is written
+down directly as sparse rows.  The sampled points then serve as an
+independent vanishing certificate for every basis element.
 """
 
 from __future__ import annotations
@@ -559,78 +562,100 @@ def _ambient_restriction(scroll: Scroll, exp: tuple[int, ...]):
     return tuple(fiber), (s_deg, t_deg)
 
 
-def _piece(curve: CurveSpec, k: int) -> list[list[Fraction]]:
-    """Degree-k graded piece of the curve ideal, in reduced echelon form.
+def _piece(curve: CurveSpec, k: int) -> list[dict[int, Fraction]]:
+    """Degree-k graded piece of the curve ideal, in reduced echelon form,
+    as sparse rows (ambient monomial index -> coefficient).
 
     Restriction to the scroll maps the ambient monomials onto the section
-    monomials of kH; lift each section monomial to the first ambient
-    monomial m0 restricting to it.  A degree-k form vanishes on the curve
-    exactly when its restriction is sum_i q_i u_i with u_i a section of
-    kH minus the i-th equation class, so the piece is spanned by the
-    binomials m - m0, which span the kernel of restriction, and the lifts
-    of q_i times every multiplier monomial (none when the H-degree of the
-    multiplier would be negative).
+    monomials of kH; group them into classes by their image and lift each
+    section monomial to the last member of its class, rep.  A degree-k
+    form vanishes on the curve exactly when its restriction is
+    sum_i q_i u_i with u_i a section of kH minus the i-th equation class,
+    so the piece is spanned by the binomials m - rep(m) and the lifts of
+    q_i times every multiplier monomial (none when the H-degree of the
+    multiplier would be negative).  Every non-last member is a pivot, so
+    only the lifts are eliminated, over the rep columns: a block row
+    e_c + sum a_f e_f gives that row and e_j + sum a_f e_f for every other
+    member j of c, and a class with no block pivot gives e_j - e_rep.
     """
     scroll = curve.scroll
-    ambient = monomial_basis(scroll.N + 1, k)
-    lift: dict[tuple, int] = {}
-    rows = []
-    for j, exp in enumerate(ambient):
-        first = lift.setdefault(_ambient_restriction(scroll, exp), j)
-        if first != j:
-            row = [0] * len(ambient)
-            row[j], row[first] = 1, -1
-            rows.append(row)
+    classes: dict[tuple, list[int]] = {}
+    for j, exp in enumerate(monomial_basis(scroll.N + 1, k)):
+        classes.setdefault(_ambient_restriction(scroll, exp), []).append(j)
+    block = []
     for section in curve.equations:
         mult_h = k - section.cls.h
         if mult_h < 0:
             continue
         for mexp, (p, q) in _section_slots(scroll, scroll.cls(mult_h, -section.cls.f)):
-            row = [Fraction(0)] * len(ambient)
+            row: dict[int, Fraction] = {}
             for eexp, base_form in section.coeffs.items():
                 fiber_exp = tuple(a + b for a, b in zip(mexp, eexp))
                 for (bp, bq), c in base_form.terms.items():
-                    row[lift[fiber_exp, (bp + p, bq + q)]] += c
-            rows.append(row)
-    reduced, pivots = ExactMatrix(rows).rref()
-    return [reduced.row(i) for i in range(len(pivots))]
+                    rep = classes[fiber_exp, (bp + p, bq + q)][-1]
+                    row[rep] = row.get(rep, 0) + c
+            block.append(row)
+    columns = sorted({j for row in block for j, c in row.items() if c})
+    tails: dict[int, dict[int, Fraction]] = {}
+    if columns:
+        reduced, pivots = ExactMatrix(
+            [[row.get(j, 0) for j in columns] for row in block]).rref()
+        for r, pivot in enumerate(pivots):
+            tails[columns[pivot]] = {columns[f]: x for f, x in enumerate(reduced.row(r))
+                                     if x and f != pivot}
+    rows = []
+    for members in classes.values():
+        rep = members[-1]
+        tail = tails.get(rep)
+        if tail is None:
+            rows.extend({j: 1, rep: -1} for j in members[:-1])
+        else:
+            rows.extend({j: 1, **tail} for j in members)
+    rows.sort(key=min)  # the pivot of each row is its smallest column
+    return rows
 
 
 def ideal_pieces(curve: CurveSpec,
                  points: Sequence[Sequence[int]] = ()) -> IdealReconstruction:
     """Degree-2 and degree-3 graded pieces of the curve ideal.
 
-    Each piece is built in closed form from the scroll: the kernel of
-    restriction plus the lifts of the curve equations times multiplier
-    sections, in one reduced echelon form.  The supplied sampled points
-    are an independent certificate: every basis element must vanish on
-    every one of them exactly.  Dimensions must equal the canonical-curve
-    counts (g-2)(g-3)/2 and C(g+2, 3) - (5g-5); a mismatch raises
-    IdealDimensionError.
+    Each piece is built in closed form from the scroll: the binomials of
+    the kernel of restriction, and the lifts of the curve equations times
+    multiplier sections reduced in one small rref over the representative
+    section monomials (none in degree 2 of a trigonal curve, which has no
+    multipliers there).  The basis polynomials are assembled from sparse
+    rows.  The supplied sampled points are an independent certificate:
+    every basis element must vanish on every one of them exactly.
+    Dimensions must equal the canonical-curve counts (g-2)(g-3)/2 and
+    C(g+2, 3) - (5g-5); a mismatch raises IdealDimensionError.
     """
     g = curve.genus
-    n = g
-    quad_vectors = _piece(curve, 2)
-    cubic_vectors = _piece(curve, 3)
-    for degree, vectors in ((2, quad_vectors), (3, cubic_vectors)):
-        if points and vectors:
-            evaluations = _evaluation_matrix(points, monomial_basis(n, degree))
-            for vector in vectors:
+    pieces = []
+    for degree in (2, 3):
+        basis = monomial_basis(g, degree)
+        rows = _piece(curve, degree)
+        if points and rows:
+            evaluations = _evaluation_matrix(points, basis)
+            for row in rows:
                 # scaled to integers: vanishing does not depend on the scale
-                den = lcm(*(x.denominator for x in vector))
+                den = lcm(*(x.denominator for x in row.values()))
                 scaled = [(j, x.numerator * (den // x.denominator))
-                          for j, x in enumerate(vector) if x]
-                if any(sum(row[j] * c for j, c in scaled) for row in evaluations):
+                          for j, x in row.items()]
+                if any(sum(values[j] * c for j, c in scaled) for values in evaluations):
                     raise PointCertificateError(
                         "an ideal element does not vanish on a sampled point")
-    dims = (len(quad_vectors), len(cubic_vectors))
+        pieces.append(GradedIdealPiece(degree, g, tuple(
+            Polynomial(g, degree, {basis[j]: x for j, x in row.items()})
+            for row in rows)))
+    degree2, degree3 = pieces
+    dims = (degree2.dim, degree3.dim)
     expected = (expected_quadric_dim(g), expected_cubic_dim(g))
     if dims != expected:
         raise IdealDimensionError(dims, expected)
     return IdealReconstruction(
         genus=g,
-        degree2=GradedIdealPiece.from_vectors(2, n, quad_vectors),
-        degree3=GradedIdealPiece.from_vectors(3, n, cubic_vectors),
+        degree2=degree2,
+        degree3=degree3,
         point_count=len(points),
         rank_saturated=bool(points),
         dims_expected=True,

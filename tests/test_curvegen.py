@@ -238,7 +238,8 @@ class TestIdealPieces:
     @pytest.mark.parametrize("g, split, scroll_type", [
         (5, None, None), (6, None, None), (7, None, None), (8, None, None),
         (6, (0, 1), None), (7, (1, 1), None), (7, (0, 2), None), (8, (1, 2), None),
-        (8, (1, 2), (1, 1, 3)), (7, (0, 2), (0, 2, 2))])
+        (8, (1, 2), (1, 1, 3)), (7, (0, 2), (0, 2, 2)),
+        (9, None, None), (9, (2, 2), None), (9, (1, 3), None)])
     def test_pieces_match_division_criterion(self, g, split, scroll_type):
         if split is None:
             curve = trigonal_curve(g, seed=1)
@@ -249,6 +250,44 @@ class TestIdealPieces:
         for piece in (recon.degree2, recon.degree3):
             reference = division_piece(curve, piece.degree)
             assert piece.matrix().rows() == reference
+
+    @pytest.mark.parametrize("g, split", [
+        (6, None), (8, None), (7, (1, 1)), (7, (0, 2)), (8, (1, 2))])
+    def test_only_the_equation_block_is_eliminated(self, g, split, monkeypatch):
+        # the binomials and the degree-2 piece of a trigonal curve need no
+        # elimination; each remaining rref runs over restriction classes
+        if split is None:
+            curve, degrees = trigonal_curve(g, seed=1), (3,)
+        else:
+            curve, degrees = tetragonal_curve(g, *split, seed=1), (2, 3)
+        points = sample_points(curve, curve.guaranteed_point_count, seed=1)
+        calls = []
+        for name in ("rref", "kernel"):
+            original = getattr(ExactMatrix, name)
+
+            def recording(self, name=name, original=original):
+                calls.append((name, self.ncols))
+                return original(self)
+            monkeypatch.setattr(ExactMatrix, name, recording)
+        ideal_pieces(curve, points)
+        assert [name for name, _ in calls] == ["rref"] * len(degrees)
+        for (_, width), degree in zip(calls, degrees):
+            classes = {_ambient_restriction(curve.scroll, exp)
+                       for exp in monomial_basis(g, degree)}
+            assert width <= len(classes)
+
+    @pytest.mark.parametrize("g, split, dims", [
+        (12, None, (45, 309)), (11, (3, 3), (36, 236))])
+    def test_large_genus_pieces_pass_the_point_certificate(self, g, split, dims):
+        # beyond the verify guards: closed-form dimensions, sampled points
+        if split is None:
+            curve = trigonal_curve(g, seed=1)
+        else:
+            curve = tetragonal_curve(g, *split, seed=1)
+        points = sample_points(curve, curve.guaranteed_point_count, seed=1)
+        recon = ideal_pieces(curve, points)
+        assert (recon.degree2.dim, recon.degree3.dim) == dims
+        assert recon.rank_saturated and recon.point_count == len(points) > 0
 
     def test_points_of_another_curve_fail_the_certificate(self):
         points = sample_points(trigonal_curve(5, 2), 3, 1)
