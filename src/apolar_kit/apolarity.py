@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from mpmath import mp
 
-from .core import (ExactMatrix, Polynomial, coefficient_matrix, contract,
+from .core import (ExactMatrix, Polynomial, _falling, coefficient_matrix,
                    monomial_basis)
 from .numerics import (DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE,
                        least_squares, projective_distance, to_mp, workprec)
@@ -110,6 +110,34 @@ class ApolarAlgebraProfile:
         return all(h[k] == h[self.socle_degree - k] for k in range(len(h)))
 
 
+def _contraction_rows(terms: dict, targets: Sequence[tuple[int, ...]],
+                      index: dict, operator: bool) -> list[list]:
+    """Rows of a contraction matrix, one per target monomial t.
+
+    The dual monomial x^a sends x^(a+t) to falling(a + t, a) x^t, so each
+    term c x^e of `terms` puts c * falling(a + t, a) in row t.  With
+    `operator` set the terms belong to an operator (e = a) and the entry
+    goes to the column `index` gives the form monomial a + t; otherwise
+    they belong to a form (e = a + t), and every term divisible by x^t
+    puts its entry in the column of the operator monomial a.
+    """
+    rows = []
+    for t in targets:
+        row = [0] * len(index)
+        for e, c in terms.items():
+            if operator:
+                a = e
+                b = column = tuple(x + y for x, y in zip(e, t))
+            else:
+                b = e
+                a = column = tuple(x - y for x, y in zip(e, t))
+                if min(a) < 0:
+                    continue
+            row[index[column]] = c * _falling(b, a)
+        rows.append(row)
+    return rows
+
+
 def catalecticant(form: Polynomial, k: int) -> ExactMatrix:
     """Matrix of D |-> D . f from degree-k duals to forms of degree d - k.
 
@@ -121,15 +149,9 @@ def catalecticant(form: Polynomial, k: int) -> ExactMatrix:
     if k < 0 or k > d:
         raise ValueError(f"contraction order k={k} outside 0..{d}")
     n = form.nvars
-    cols = monomial_basis(n, k)
-    rows = monomial_basis(n, d - k)
-    row_index = {exp: i for i, exp in enumerate(rows)}
-    matrix = [[Fraction(0)] * len(cols) for _ in rows]
-    for j, a in enumerate(cols):
-        image = contract(Polynomial.monomial(a), form)
-        for exp, c in image.terms.items():
-            matrix[row_index[exp]][j] = c
-    return ExactMatrix(matrix)
+    index = {a: j for j, a in enumerate(monomial_basis(n, k))}
+    return ExactMatrix(_contraction_rows(form.terms, monomial_basis(n, d - k), index,
+                                         operator=False))
 
 
 def apolar_ideal_piece(form: Polynomial, k: int) -> GradedIdealPiece:
@@ -162,20 +184,17 @@ def hilbert_function(form: Polynomial) -> ApolarAlgebraProfile:
 
 
 def _condition_rows(piece: GradedIdealPiece, d: int,
-                    columns: Sequence[tuple[int, ...]]) -> list[list[Fraction]]:
-    """Linear conditions `D . F = 0` on the coefficients of F in degree d."""
-    n = piece.nvars
-    k = piece.degree
-    targets = monomial_basis(n, d - k)
+                    columns: Sequence[tuple[int, ...]]) -> list[list[int]]:
+    """Linear conditions `D . F = 0` on the coefficients of F in degree d.
+
+    One integer row per basis operator D and target monomial t; each D is
+    first scaled to integers, since a row's scale does not move the kernel.
+    """
+    targets = monomial_basis(piece.nvars, d - piece.degree)
+    index = {m: j for j, m in enumerate(columns)}
     rows = []
     for op in piece.basis:
-        by_target: dict[tuple[int, ...], list[Fraction]] = {t: [Fraction(0)] * len(columns)
-                                                            for t in targets}
-        for j, m in enumerate(columns):
-            image = contract(op, Polynomial.monomial(m))
-            for exp, c in image.terms.items():
-                by_target[exp][j] = c
-        rows.extend(by_target[t] for t in targets)
+        rows.extend(_contraction_rows(op.integer_terms()[1], targets, index, operator=True))
     return rows
 
 
@@ -183,10 +202,14 @@ def inverse_system(pieces: Sequence[GradedIdealPiece], d: int) -> list[Polynomia
     """Basis of the degree-d forms annihilated by every given graded piece.
 
     `pieces` hold components of an ideal in degrees between 1 and d, in
-    one dual ring.  The solution space is cut out degree by degree,
-    highest first (the top piece pins the forms down to a low-dimensional
-    space, so the remaining conditions are cheap).  Without a nonempty
-    piece the result is the monomial basis of degree d.
+    one dual ring.  A piece's `basis` may be any spanning set, dependent
+    or zero forms included: the result is the canonical kernel basis of
+    the conditions, so it depends only on the spans.  The conditions are
+    integer rows written down from the contraction rule.  The solution
+    space is cut out degree by degree, highest first (the top piece pins
+    the forms down to a low-dimensional space, so the remaining
+    conditions are cheap).  Without a nonempty piece the result is the
+    monomial basis of degree d.
     """
     if d < 1:
         raise ValueError("socle degree must be >= 1")
@@ -209,11 +232,11 @@ def inverse_system(pieces: Sequence[GradedIdealPiece], d: int) -> list[Polynomia
     for piece in by_degree[1:]:
         if not basis_vectors:
             break
-        conditions = ExactMatrix(_condition_rows(piece, d, columns))
         # express the conditions in coordinates of the current solution space
-        reduced = [[sum(row[j] * vec[j] for j in range(len(columns)) if row[j] and vec[j])
-                    for vec in basis_vectors]
-                   for row in conditions.rows()]
+        reduced = []
+        for row in _condition_rows(piece, d, columns):
+            support = [(j, v) for j, v in enumerate(row) if v]
+            reduced.append([sum(v * vec[j] for j, v in support) for vec in basis_vectors])
         coeffs = ExactMatrix(reduced).kernel().rows()
         basis_vectors = [
             [sum(c * vec[j] for c, vec in zip(combo, basis_vectors)) for j in range(len(columns))]

@@ -92,11 +92,15 @@ class Polynomial:
                 raise ValueError(f"negative exponent in {exp}")
             if sum(exp) != degree:
                 raise ValueError(f"monomial {exp} is not of degree {degree}")
-            acc = clean.get(exp, Fraction(0)) + coef
+            if exp not in clean:
+                if coef:
+                    clean[exp] = coef
+                continue
+            acc = clean[exp] + coef
             if acc:
                 clean[exp] = acc
             else:
-                clean.pop(exp, None)
+                del clean[exp]
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)
@@ -141,6 +145,12 @@ class Polynomial:
         if basis is None:
             basis = monomial_basis(self.nvars, self.degree)
         return [self.terms.get(exp, Fraction(0)) for exp in basis]
+
+    def integer_terms(self) -> tuple[int, dict[tuple[int, ...], int]]:
+        """The least positive s with s * self integral, and the terms of s * self."""
+        scale = lcm(*(c.denominator for c in self.terms.values()))
+        return scale, {exp: c.numerator * (scale // c.denominator)
+                       for exp, c in self.terms.items()}
 
     def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
         """Term whose monomial comes first in graded-lex order."""
@@ -338,10 +348,9 @@ def substitute(forms: Sequence[Polynomial], matrix: "ExactMatrix") -> list[Polyn
     for form in forms:
         if form.nvars != matrix.nrows:
             raise ValueError("matrix shape does not match variable count")
-        scale = lcm(*(c.denominator for c in form.terms.values()))
+        scale, ints = form.integer_terms()
         acc: dict[tuple[int, ...], int] = {}
-        for exp, c in form.terms.items():
-            ci = c.numerator * (scale // c.denominator)
+        for exp, ci in ints.items():
             for mono, v in image(exp).items():
                 acc[mono] = acc.get(mono, 0) + ci * v
         total = scale * den ** form.degree
@@ -373,7 +382,8 @@ def _row_to_int(row: Sequence) -> list[int]:
     for x in row:
         if isinstance(x, Fraction):
             denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) if isinstance(x, Fraction) else int(x) * denom for x in row]
+    ints = [x.numerator * (denom // x.denominator) if isinstance(x, Fraction)
+            else int(x) * denom for x in row]
     g = 0
     for v in ints:
         g = gcd(g, v)
@@ -426,9 +436,12 @@ def _int_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], li
 class ExactMatrix:
     """Dense matrix over Q with exact rank / kernel / solve.
 
-    Internally stores ``Fraction`` entries.  Elimination runs fraction
-    free on gcd-stripped integer rows, so large evaluation matrices stay
-    fast; rational arithmetic only enters during back substitution.
+    Internally stores ``Fraction`` entries.  Each row is scaled to a
+    primitive integer row, and elimination runs fraction free on
+    gcd-stripped integer rows, so large evaluation matrices stay fast.
+    Rational arithmetic only enters afterwards: `rref` divides each pivot
+    row by its pivot and clears the rows above it on that row's nonzero
+    columns, and `kernel` and `solve` back-substitute one vector at a time.
     """
 
     __slots__ = ("_rows", "nrows", "ncols")
@@ -511,17 +524,21 @@ class ExactMatrix:
         """Reduced row echelon form and its pivot columns (canonical)."""
         if self.nrows == 0 or self.ncols == 0:
             return ExactMatrix([]), ()
-        ech, pivots = _int_echelon(self._int_rows(), self.ncols)
-        reduced = [[Fraction(x) for x in row] for row in ech]
+        reduced, pivots = _int_echelon(self._int_rows(), self.ncols)
         for r in range(len(pivots) - 1, -1, -1):
             col = pivots[r]
-            piv = reduced[r][col]
+            row = reduced[r]
+            # entries left of the pivot are zero; rows below never touch column col
+            piv = Fraction(row[col])
+            support = [c for c in range(col, self.ncols) if row[c]]
             if piv != 1:
-                reduced[r] = [x / piv for x in reduced[r]]
-            for i in range(r):
-                f = reduced[i][col]
+                for c in support:
+                    row[c] = row[c] / piv
+            for above in reduced[:r]:
+                f = above[col]
                 if f:
-                    reduced[i] = [a - f * b for a, b in zip(reduced[i], reduced[r])]
+                    for c in support:
+                        above[c] -= f * row[c]
         return ExactMatrix(reduced), tuple(pivots)
 
     def kernel(self) -> "ExactMatrix":

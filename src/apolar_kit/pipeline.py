@@ -21,14 +21,14 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 from typing import Optional, Sequence
 
 from mpmath import mp
 
 from .apolarity import GradedIdealPiece, inverse_system
 from .core import (ExactMatrix, Polynomial, change_coordinates, monomial_basis,
-                   pair, primitive_point, substitute)
+                   primitive_point, substitute)
 from .curvegen import (CurveSpec, IdealReconstruction, ideal_pieces,
                        sample_points, tetragonal_curve, trigonal_curve)
 from .numerics import (DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, format_scalar,
@@ -146,12 +146,17 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
     Restriction is the ring map x -> L y, with L the frame inverse cut
     down to the n = g - 2 kept coordinates; one `substitute` call applies
     it to the degree-2 piece.  The degree-3 inverse system V of the
-    restricted quadrics contains the cubic.  The transposed map lifts V
-    back to g variables as the adjoint of restriction for the apolarity
-    pairing, so the cubics of V that the restricted degree-3 piece
-    annihilates are the kernel of pairing the lifts with `recon.degree3`.
-    Its dimension is h3 = C(n + 2, 3) - dim(restricted degree-3 piece),
-    since degree-1 multiples of restricted quadrics are restricted cubics.
+    restricted quadrics (taken as they come: only their span matters)
+    contains the cubic.  The transposed map lifts V back to g variables
+    as the adjoint of restriction for the apolarity pairing, so the
+    cubics of V that the restricted degree-3 piece annihilates are the
+    kernel of pairing the lifts with `recon.degree3`.  That pairing is an
+    integer dot product: each element of `recon.degree3` is scaled to
+    integers (a row's scale does not move the kernel), each lift too,
+    with the factorial weights of `core.pair` folded in, and each kernel
+    coordinate is multiplied back by its lift's scale.  The kernel's
+    dimension is h3 = C(n + 2, 3) - dim(restricted degree-3 piece), since
+    degree-1 multiples of restricted quadrics are restricted cubics.
     Hilbert vector (1, n, n, 1) certifies the hyperplanes as general, and
     the one-dimensional kernel is then the cubic, normalized.
     """
@@ -159,20 +164,27 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
     kept, frame, substitution = quotient_frame(eta1, eta2, g)
     n = g - 2
     restriction = ExactMatrix([row[:n] for row in substitution.rows()])
-    reduced2 = substitute(recon.degree2.basis, restriction)
-    piece2 = GradedIdealPiece.from_spanning(2, n, [p for p in reduced2 if not p.is_zero()])
-    solutions = inverse_system([piece2], 3)
-    lifts = substitute(solutions, restriction.transpose())
-    conditions = ExactMatrix([[pair(element, lift) for lift in lifts]
-                              for element in recon.degree3.basis])
-    combos = conditions.kernel().rows()
+    quadrics = [p for p in substitute(recon.degree2.basis, restriction) if not p.is_zero()]
+    piece2 = GradedIdealPiece.from_spanning(2, n, quadrics)
+    solutions = inverse_system([GradedIdealPiece(2, n, tuple(quadrics))], 3)
+    lift_scales, weighted = [], []
+    for lift in substitute(solutions, restriction.transpose()):
+        scale, terms = lift.integer_terms()
+        lift_scales.append(scale)
+        weighted.append({exp: c * prod(map(factorial, exp)) for exp, c in terms.items()})
+    conditions = []
+    for element in recon.degree3.basis:
+        terms = element.integer_terms()[1].items()
+        conditions.append([sum(c * lift[exp] for exp, c in terms if exp in lift)
+                           for lift in weighted])
+    combos = ExactMatrix(conditions).kernel().rows()
     h2 = comb(n + 1, 2) - piece2.dim
     hilbert = (1, n, h2, len(combos))
     if h2 != n or len(combos) != 1:
         raise AlphaCertificateError(
             hilbert, "quotient algebra does not have the expected Hilbert vector")
-    cubic = sum((form * c for c, form in zip(combos[0], solutions)),
-                Polynomial.zero(n, 3))
+    cubic = sum((form * (c * scale) for c, scale, form
+                 in zip(combos[0], lift_scales, solutions)), Polynomial.zero(n, 3))
     return AlphaResult(g, eta1, eta2, hilbert, cubic.normalized(), kept, frame,
                        piece2)
 

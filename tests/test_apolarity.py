@@ -5,12 +5,14 @@ from math import comb
 import pytest
 import sympy
 
+from apolar_kit import apolarity
 from apolar_kit.apolarity import (GradedIdealPiece, SocleDimensionError,
                                   apolar_ideal_piece, catalecticant,
                                   hilbert_function, inverse_system,
                                   is_apolar_scheme, macaulay_inverse,
                                   piece_contains)
-from apolar_kit.core import Polynomial, change_coordinates, monomial_basis
+from apolar_kit.core import (ExactMatrix, Polynomial, change_coordinates, contract,
+                             monomial_basis)
 from apolar_kit.seeding import make_rng, random_form, random_invertible_matrix
 
 
@@ -37,6 +39,78 @@ def sympy_catalecticant_ranks(f, n):
                          for m in monomial_basis(n, d - k)])
         ranks.append(sympy.Matrix(rows).rank())
     return ranks
+
+
+def contract_catalecticant(form, k):
+    """Reference construction: one `contract` per dual monomial column."""
+    n, d = form.nvars, form.degree
+    cols = monomial_basis(n, k)
+    row_index = {exp: i for i, exp in enumerate(monomial_basis(n, d - k))}
+    matrix = [[Fraction(0)] * len(cols) for _ in row_index]
+    for j, a in enumerate(cols):
+        for exp, c in contract(Polynomial.monomial(a), form).terms.items():
+            matrix[row_index[exp]][j] = c
+    return ExactMatrix(matrix)
+
+
+def contract_condition_rows(piece, d, columns):
+    """Reference conditions `D . F = 0`: one `contract` per operator and column."""
+    targets = monomial_basis(piece.nvars, d - piece.degree)
+    rows = []
+    for op in piece.basis:
+        by_target = {t: [Fraction(0)] * len(columns) for t in targets}
+        for j, m in enumerate(columns):
+            for exp, c in contract(op, Polynomial.monomial(m)).terms.items():
+                by_target[exp][j] = c
+        rows.extend(by_target[t] for t in targets)
+    return rows
+
+
+def rational_form(n, d, rng):
+    terms = {exp: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+             for exp in monomial_basis(n, d)}
+    return Polynomial(n, d, terms)
+
+
+class TestContractionRows:
+    def test_catalecticant_matches_contract(self):
+        rng = make_rng(41)
+        for n in range(2, 6):
+            for d in (2, 3, 4):
+                for f in (random_form(n, d, rng), rational_form(n, d, rng),
+                          Polynomial(n, d, {(d,) + (0,) * (n - 1): Fraction(2, 3)})):
+                    for k in range(d + 1):
+                        assert catalecticant(f, k) == contract_catalecticant(f, k)
+
+    def test_inverse_system_matches_contract_conditions(self, monkeypatch):
+        rng = make_rng(42)
+        cases = []
+        for _ in range(12):
+            n = rng.randint(2, 4)
+            # a form missing the last variable has a nonzero degree-1 piece
+            f = rational_form(n, 3, rng)
+            f = Polynomial(n, 3, {e: c for e, c in f.terms.items() if not e[-1]})
+            linear = list(apolar_ideal_piece(f, 1).basis)
+            quadrics = list(apolar_ideal_piece(f, 2).basis)
+            kept = rng.sample(quadrics, rng.randint(1, len(quadrics)))
+            extra = [p * Fraction(rng.randint(1, 9), rng.randint(1, 9)) for p in kept]
+            if len(kept) > 1:
+                extra.append(kept[0] * Fraction(1, 3) - kept[1] * 7)
+            spanning2 = kept + extra + [Polynomial.zero(n, 2)]
+            rng.shuffle(spanning2)
+            spanning1 = linear + [linear[0] * Fraction(-5, 4)]
+            cases.append([GradedIdealPiece(1, n, tuple(spanning1)),
+                          GradedIdealPiece(2, n, tuple(spanning2))])
+            random2 = [rational_form(n, 2, rng) for _ in range(rng.randint(1, 2))]
+            cases.append([GradedIdealPiece(2, n, tuple(random2 + [random2[0] * 3]))])
+        found = [inverse_system(pieces, 3) for pieces in cases]
+        canonical = [inverse_system([GradedIdealPiece.from_spanning(p.degree, p.nvars,
+                                                                    p.basis)
+                                     for p in pieces], 3) for pieces in cases]
+        monkeypatch.setattr(apolarity, "_condition_rows", contract_condition_rows)
+        reference = [inverse_system(pieces, 3) for pieces in cases]
+        assert found == reference == canonical
+        assert any(len(solutions) > 1 for solutions in found)
 
 
 class TestCatalecticant:

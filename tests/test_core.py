@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apolar_kit.core import (ExactMatrix, Polynomial, change_coordinates,
                              coefficient_matrix, contract, monomial_basis,
@@ -259,6 +261,51 @@ class TestExactMatrix:
         with pytest.raises(ValueError):
             ExactMatrix([[1, 2], [2, 4]]).inverse()
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rref_matches_naive_gauss_jordan(self, data):
+        shape = data.draw(st.sampled_from(["tall", "wide"]))
+        short, long = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8))
+        nrows, ncols = (long, short) if shape == "tall" else (short, long)
+        entry = st.one_of(st.just(Fraction(0)),
+                          st.fractions(min_value=-30, max_value=30, max_denominator=12))
+        rows = [data.draw(st.lists(entry, min_size=ncols, max_size=ncols))
+                for _ in range(nrows)]
+        for _ in range(data.draw(st.integers(0, 3))):
+            if data.draw(st.booleans()):
+                new = [Fraction(0)] * ncols
+            else:
+                i = data.draw(st.integers(0, len(rows) - 1))
+                j = data.draw(st.integers(0, len(rows) - 1))
+                c = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=7))
+                new = [a + c * b for a, b in zip(rows[i], rows[j])]
+            rows.insert(data.draw(st.integers(0, len(rows))), new)
+        expected, expected_pivots = naive_rref(rows)
+        reduced, pivots = ExactMatrix(rows).rref()
+        assert pivots == expected_pivots
+        assert reduced == ExactMatrix(expected)
+        assert all(isinstance(x, Fraction) for row in reduced.rows() for x in row)
+
+
+def naive_rref(rows):
+    """Textbook Gauss-Jordan elimination in Fraction arithmetic."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        found = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if found is None:
+            continue
+        m[r], m[found] = m[found], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    return m[:len(pivots)], tuple(pivots)
+
 
 class TestPolynomial:
     def test_rational_string_round_trip(self):
@@ -273,6 +320,23 @@ class TestPolynomial:
     def test_zero_coefficients_dropped(self):
         p = Polynomial(2, 2, {(2, 0): 1, (1, 1): 0})
         assert list(p.terms) == [(2, 0)]
+
+    def test_duplicate_exponents_accumulate(self):
+        class TermList(list):
+            """Term pairs whose exponents repeat, once as a list, once as a tuple."""
+
+            def items(self):
+                return iter(self)
+
+        p = Polynomial(2, 2, TermList([([2, 0], 3), ((2, 0), -3), ([1, 1], Fraction(1, 2)),
+                                       ((0, 2), 0), ((1, 1), 1), ([0, 2], 4),
+                                       ((2, 0), Fraction(2, 3))]))
+        assert p.terms == {(1, 1): Fraction(3, 2), (0, 2): Fraction(4),
+                           (2, 0): Fraction(2, 3)}
+        assert list(p.terms) == [(1, 1), (0, 2), (2, 0)]
+        assert all(type(c) is Fraction for c in p.terms.values())
+        cancelled = Polynomial(1, 1, TermList([((1,), 5), ([1], -5)]))
+        assert cancelled.is_zero()
 
     def test_normalized_leading_coefficient(self):
         p = Polynomial(2, 2, {(2, 0): Fraction(-3), (0, 2): 6})

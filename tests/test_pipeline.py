@@ -130,6 +130,29 @@ class TestAlphaMap:
         # general quotients differ even though both are sums of 3 cubes
         assert cubics[0] != cubics[1]
 
+    def test_alpha_map_neither_pairs_nor_contracts(self, monkeypatch):
+        # the quotient pairs and contracts in integer rows written down
+        # directly; `pair` and `contract` stay as the scalar definitions
+        import sys
+        from apolar_kit import core
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("alpha_map called pair or contract")
+
+        curves = (trigonal_curve(6, seed=25), tetragonal_curve(7, 1, 1, seed=26))
+        recons = [build_recon(curve) for curve in curves]
+        for name in ("pair", "contract"):
+            original = getattr(core, name)
+            for module_name, module in list(sys.modules.items()):
+                if (module_name.split(".")[0] == "apolar_kit"
+                        and getattr(module, name, None) is original):
+                    monkeypatch.setattr(module, name, refuse)
+        rng = make_rng(78)
+        for curve, recon in zip(curves, recons):
+            g = curve.genus
+            alpha = alpha_map(recon, random_dual_linear(g, rng), random_dual_linear(g, rng))
+            assert alpha.hilbert == (1, g - 2, g - 2, 1)
+
 
 def greedy_kept(eta1, eta2, g):
     """Kept coordinates chosen one rank check at a time; None when the
