@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 from mpmath import mp
 
-from .core import (ExactMatrix, Polynomial, _falling, coefficient_matrix,
-                   monomial_basis)
+from .core import (ExactMatrix, Polynomial, _falling, _row_to_int,
+                   coefficient_matrix, int_kernel, monomial_basis)
 from .numerics import (DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE,
                        least_squares, projective_distance, to_mp, workprec)
 
@@ -228,7 +228,7 @@ def inverse_system(pieces: Sequence[GradedIdealPiece], d: int) -> list[Polynomia
         return [Polynomial.monomial(m) for m in columns]
     # solution space of the top piece, then intersect downwards
     top = by_degree[0]
-    basis_vectors = ExactMatrix(_condition_rows(top, d, columns)).kernel().rows()
+    basis_vectors = int_kernel(_condition_rows(top, d, columns), len(columns))
     for piece in by_degree[1:]:
         if not basis_vectors:
             break
@@ -236,8 +236,9 @@ def inverse_system(pieces: Sequence[GradedIdealPiece], d: int) -> list[Polynomia
         reduced = []
         for row in _condition_rows(piece, d, columns):
             support = [(j, v) for j, v in enumerate(row) if v]
-            reduced.append([sum(v * vec[j] for j, v in support) for vec in basis_vectors])
-        coeffs = ExactMatrix(reduced).kernel().rows()
+            reduced.append(_row_to_int([sum(v * vec[j] for j, v in support)
+                                        for vec in basis_vectors]))
+        coeffs = int_kernel(reduced, len(basis_vectors))
         basis_vectors = [
             [sum(c * vec[j] for c, vec in zip(combo, basis_vectors)) for j in range(len(columns))]
             for combo in coeffs]

@@ -33,6 +33,7 @@ __all__ = [
     "substitute",
     "coefficient_matrix",
     "primitive_point",
+    "int_kernel",
 ]
 
 
@@ -433,6 +434,40 @@ def _int_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], li
     return mat[:prow], pivots
 
 
+def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[list[Fraction]]:
+    """Basis of the right kernel of integer rows of width `ncols`.
+
+    The basis is the canonical one attached to the reduced echelon form
+    (unit entry at each free column); every vector is scaled so its
+    first nonzero entry is 1.  No rows give the unit vectors.
+    """
+    ech, pivots = _int_echelon(rows, ncols)
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for j in free:
+        v = [Fraction(0)] * ncols
+        v[j] = Fraction(1)
+        # back-substitute bottom pivot row first
+        for r in range(len(pivots) - 1, -1, -1):
+            col = pivots[r]
+            row = ech[r]
+            s = Fraction(0)
+            for c in range(col + 1, ncols):
+                if row[c] and v[c]:
+                    s += Fraction(row[c]) * v[c]
+            if s:
+                v[col] = -s / row[col]
+        # normalize: first nonzero entry 1
+        for x in v:
+            if x:
+                if x != 1:
+                    v = [y / x for y in v]
+                break
+        basis.append(v)
+    return basis
+
+
 class ExactMatrix:
     """Dense matrix over Q with exact rank / kernel / solve.
 
@@ -542,41 +577,8 @@ class ExactMatrix:
         return ExactMatrix(reduced), tuple(pivots)
 
     def kernel(self) -> "ExactMatrix":
-        """Basis of the right kernel, one vector per row.
-
-        The basis is the canonical one attached to the reduced echelon
-        form (unit entry at each free column); every vector is scaled so
-        its first nonzero entry is 1.
-        """
-        if self.ncols == 0:
-            return ExactMatrix([])
-        if self.nrows == 0:
-            return ExactMatrix.identity(self.ncols)
-        ech, pivots = _int_echelon(self._int_rows(), self.ncols)
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = []
-        for j in free:
-            v = [Fraction(0)] * self.ncols
-            v[j] = Fraction(1)
-            # back-substitute bottom pivot row first
-            for r in range(len(pivots) - 1, -1, -1):
-                col = pivots[r]
-                row = ech[r]
-                s = Fraction(0)
-                for c in range(col + 1, self.ncols):
-                    if row[c] and v[c]:
-                        s += Fraction(row[c]) * v[c]
-                if s:
-                    v[col] = -s / row[col]
-            # normalize: first nonzero entry 1
-            for x in v:
-                if x:
-                    if x != 1:
-                        v = [y / x for y in v]
-                    break
-            basis.append(v)
-        return ExactMatrix(basis)
+        """Basis of the right kernel, one vector per row (see `int_kernel`)."""
+        return ExactMatrix(int_kernel(self._int_rows(), self.ncols))
 
     def solve(self, rhs: Sequence) -> Optional[list[Fraction]]:
         """One exact solution of A x = b, or None when inconsistent.

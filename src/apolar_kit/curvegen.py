@@ -29,15 +29,13 @@ from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
 from typing import Optional, Sequence
 
-import sympy
-
 from .apolarity import GradedIdealPiece
 from .core import ExactMatrix, Polynomial, monomial_basis, primitive_point
 from .scroll import (DivisorClass, Scroll, canonical_class, chow_product,
                      coordinate_layout, embed_point, section_count,
                      section_templates)
 from .seeding import derive_seed, make_rng, small_rationals
-from .univariate import affine_chart, rational_roots
+from .univariate import affine_chart, is_squarefree, poly_gcd, rational_roots
 
 __all__ = [
     "BihomSection",
@@ -237,23 +235,23 @@ def genus_adjunction(scroll: Scroll, cls: DivisorClass) -> int:
     return twice // 2 + 1
 
 
-def _binary_to_sympy(form: Polynomial):
-    s, t = sympy.symbols("s t")
-    expr = sympy.Integer(0)
-    for (e0, e1), c in form.terms.items():
-        expr += sympy.Rational(c.numerator, c.denominator) * s ** e0 * t ** e1
-    return expr
-
-
 def _common_base_factor(forms: Sequence[Polynomial]) -> bool:
-    """True when the base coefficient forms share a nonconstant factor."""
-    exprs = [_binary_to_sympy(f) for f in forms if not f.is_zero()]
-    if not exprs:
+    """True when the base coefficient forms share a nonconstant factor.
+
+    The forms share the factor s exactly when every t^d coefficient
+    vanishes; any other common factor divides the gcd of the forms
+    dehomogenized at s = 1.  Forms that are all zero count as sharing one.
+    """
+    nonzero = [f for f in forms if not f.is_zero()]
+    if all(f.coefficient((0, f.degree)) == 0 for f in nonzero):
         return True
-    g = exprs[0]
-    for e in exprs[1:]:
-        g = sympy.gcd(g, e)
-    return sympy.total_degree(g) > 0
+    common: list = []
+    for f in nonzero:
+        common = poly_gcd(common, [f.coefficient((f.degree - j, j))
+                                   for j in range(f.degree + 1)])
+        if len(common) == 1:
+            return False
+    return True
 
 
 def _binary_cubic_discriminant(c0, c1, c2, c3) -> Fraction:
@@ -345,6 +343,14 @@ def _conic_pair_resultant(q1: Polynomial, q2: Polynomial) -> Optional[Polynomial
     s2 = b2 * a1 - b1 * a2                      # linear
     s3 = b1 * c2 - b2 * c1                      # cubic
     return s1 * s1 - s2 * s3
+
+
+def _four_distinct_roots(quartic: Polynomial) -> bool:
+    """True when a binary quartic vanishes at four distinct points: its
+    affine part has degree >= 3 (at most a simple root at s = 0) and is
+    squarefree."""
+    affine, _ = affine_chart([quartic.coefficient((4 - j, j)) for j in range(5)])
+    return len(affine) >= 4 and is_squarefree(affine)
 
 
 def _fraction_sqrt(value: Fraction) -> Optional[Fraction]:
@@ -450,14 +456,7 @@ def tetragonal_curve(g: int, b1: int, b2: int, seed: int,
         for t in test_values:
             base = (t.denominator, t.numerator)
             res = _conic_pair_resultant(sec1.fiber_form(base), sec2.fiber_form(base))
-            if res is None or res.is_zero():
-                good = False
-                break
-            affine = [res.coefficient((4 - j, j)) for j in range(5)]
-            x = sympy.Symbol("x")
-            poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                               for c in reversed(affine)], x)
-            if poly.degree() < 3 or not poly.is_sqf:
+            if res is None or not _four_distinct_roots(res):
                 good = False
                 break
         if good:

@@ -27,8 +27,8 @@ from typing import Optional, Sequence
 from mpmath import mp
 
 from .apolarity import GradedIdealPiece, inverse_system
-from .core import (ExactMatrix, Polynomial, change_coordinates, monomial_basis,
-                   primitive_point, substitute)
+from .core import (ExactMatrix, Polynomial, change_coordinates, int_kernel,
+                   monomial_basis, primitive_point, substitute)
 from .curvegen import (CurveSpec, IdealReconstruction, ideal_pieces,
                        sample_points, tetragonal_curve, trigonal_curve)
 from .numerics import (DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, format_scalar,
@@ -177,7 +177,7 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
         terms = element.integer_terms()[1].items()
         conditions.append([sum(c * lift[exp] for exp, c in terms if exp in lift)
                            for lift in weighted])
-    combos = ExactMatrix(conditions).kernel().rows()
+    combos = int_kernel(conditions, len(weighted))
     h2 = comb(n + 1, 2) - piece2.dim
     hilbert = (1, n, h2, len(combos))
     if h2 != n or len(combos) != 1:

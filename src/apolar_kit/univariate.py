@@ -1,7 +1,8 @@
 """Univariate and binary-form root extraction.
 
-Rational roots are found exactly (factorization over Q) and divided out;
-whatever remains goes to the arbitrary-precision solver.  Every floating
+Rational roots are found exactly, by p-adic lifting and rational
+reconstruction on integer polynomials, and divided out; whatever
+remains goes to the arbitrary-precision solver.  Every floating
 root is certified by a relative backward-error residual, and clusters of
 nearby roots are flagged because downstream consumers require reduced
 (multiplicity-free) point sets.
@@ -11,40 +12,228 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from math import gcd, isqrt, lcm
+from typing import Optional, Sequence
 
-import sympy
 from mpmath import mp
 
 from .core import Polynomial
 from .numerics import DEFAULT_PRECISION_BITS, to_mp, workprec
 
 __all__ = ["RootExtraction", "rational_roots", "certified_roots",
-           "affine_chart", "binary_form_roots", "RootFindingError"]
+           "affine_chart", "binary_form_roots", "poly_gcd", "is_squarefree",
+           "RootFindingError"]
 
 
 class RootFindingError(RuntimeError):
     pass
 
 
-_T = sympy.Symbol("_t")
+# ----------------------------------------------------------------------
+# integer polynomials: coefficient lists, lowest degree first
+# ----------------------------------------------------------------------
+
+def _primitive(coeffs: Sequence) -> list[int]:
+    """The primitive integer multiple of sum_i coeffs[i] t^i with a
+    positive leading coefficient, trailing zeros stripped ([] for 0)."""
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    while ints and ints[-1] == 0:
+        ints.pop()
+    if not ints:
+        return ints
+    content = gcd(*ints)
+    if ints[-1] < 0:
+        content = -content
+    return [c // content for c in ints] if content != 1 else ints
+
+
+def _derivative(f: Sequence[int]) -> list[int]:
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """(a mod b) times a nonzero integer, for deg a >= deg b >= 1."""
+    n = len(b) - 1
+    lead = b[-1]
+    r = list(a)
+    for k in range(len(r) - 1, n - 1, -1):
+        c = r.pop()
+        if c:
+            common = gcd(c, lead)
+            u, v = lead // common, c // common
+            if u != 1:
+                r = [u * x for x in r]
+            shift = k - n
+            for i in range(n):
+                r[shift + i] -= v * b[i]
+    return r
+
+
+def poly_gcd(f: Sequence, g: Sequence) -> list[int]:
+    """Greatest common divisor over Q of sum_i f[i] t^i and sum_i g[i] t^i.
+
+    Coefficients may be integers or Fractions.  The result is the
+    primitive integer polynomial with positive leading coefficient ([1]
+    for coprime inputs, [] when both are zero), by the primitive
+    pseudo-remainder sequence.
+    """
+    a, b = _primitive(f), _primitive(g)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return [1] if b else a
+
+
+def is_squarefree(coeffs: Sequence) -> bool:
+    """True when sum_i coeffs[i] t^i has no repeated factor over Q."""
+    f = _primitive(coeffs)
+    return len(poly_gcd(f, _derivative(f))) == 1
+
+
+def _divide(f: list[int], g: list[int]) -> Optional[list[int]]:
+    """The integer quotient f / g when g divides f in Z[t], else None."""
+    n = len(g) - 1
+    lead = g[-1]
+    r = list(f)
+    q = [0] * (len(f) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + n], lead)
+        if rem:
+            return None
+        q[k] = c
+        if c:
+            for i in range(n):
+                r[k + i] -= c * g[i]
+    return q if not any(r[:n]) else None
+
+
+def _primes(start: int):
+    """The primes from `start` on, without end."""
+    p = start
+    while True:
+        if all(p % d for d in range(2, isqrt(p) + 1)):
+            yield p
+        p += 1
+
+
+def _evaluate_mod(f: Sequence[int], x: int, m: int) -> int:
+    value = 0
+    for c in reversed(f):
+        value = (value * x + c) % m
+    return value
+
+
+def _simple_roots_mod(f: Sequence[int], p: int) -> Optional[list[int]]:
+    """The roots of f mod p, or None when one of them is not simple."""
+    fp = [c % p for c in f]
+    dfp = [c % p for c in _derivative(f)]
+    roots = []
+    for x in range(p):
+        if _evaluate_mod(fp, x, p) == 0:
+            if _evaluate_mod(dfp, x, p) == 0:
+                return None
+            roots.append(x)
+    return roots
+
+
+def _lift_and_reconstruct(f: list[int], root: int, p: int) -> Optional[tuple[int, int]]:
+    """The rational root a / b of f (b > 0) congruent to `root` mod p, if any.
+
+    `root` is a simple root of f mod p.  Newton's iteration lifts it to
+    the p-adic root modulo m > 2 |lead| |const|, carrying the inverse of
+    f'(r) along by its own Newton step; half the extended Euclidean
+    algorithm then finds the only a / b = r mod m with |a| <= |const|
+    and 0 < b <= |lead|, if there is one.
+    """
+    df = _derivative(f)
+    numer_bound, denom_bound = abs(f[0]), abs(f[-1])
+    bound = 2 * numer_bound * denom_bound
+    m = p
+    r = root
+    inverse = pow(_evaluate_mod(df, r, p), -1, p)
+    while m <= bound:
+        m *= m
+        r = (r - _evaluate_mod(f, r, m) * inverse) % m
+        if m <= bound:
+            inverse = inverse * (2 - _evaluate_mod(df, r, m) * inverse) % m
+    r0, r1, s0, s1 = m, r, 0, 1
+    while r1 > numer_bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    a, b = (r1, s1) if s1 > 0 else (-r1, -s1)
+    if b == 0 or b > denom_bound or gcd(a, b) != 1:
+        return None
+    return a, b
+
+
+# a squarefree f has a good prime after finitely many; one with a
+# repeated rational root has none, so the squarefree part takes over
+_BAD_PRIMES_BEFORE_SQUAREFREE = 3
+
+
+def _root_candidates(f: list[int]) -> list[tuple[int, int]]:
+    """Pairs (a, b) among which is every rational root a / b of f.
+
+    f is primitive of degree >= 1 with f(0) != 0.  The primes are walked
+    until one does not divide the leading coefficient and leaves every
+    root of f mod p simple; each such root is lifted and reconstructed.
+    """
+    poly = f
+    bad = 0
+    for p in _primes(3):
+        if len(poly) == 2:
+            return [(-poly[0], poly[1])]
+        if poly[-1] % p == 0:
+            continue
+        roots = _simple_roots_mod(poly, p)
+        if roots is None:
+            bad += 1
+            if bad == _BAD_PRIMES_BEFORE_SQUAREFREE:
+                poly = _divide(poly, poly_gcd(poly, _derivative(poly)))
+            continue
+        found = (_lift_and_reconstruct(poly, x, p) for x in roots)
+        return [ab for ab in found if ab is not None]
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> dict[Fraction, int]:
-    """Exact rational roots (with multiplicity) of sum_i coeffs[i] t^i."""
+    """Exact rational roots (with multiplicity) of sum_i coeffs[i] t^i.
+
+    Zero roots are split off and the rest is made a primitive integer
+    polynomial f.  The result is complete (Loos 1983): in lowest terms a
+    rational root a / b of f, or of its squarefree part, has b dividing
+    the leading and a dividing the constant coefficient.  So modulo a
+    prime p not dividing the leading coefficient it is a root of f mod
+    p, which is simple when p is good (all roots mod p simple), and
+    Newton lifting plus rational reconstruction recover it.  A
+    squarefree polynomial has only finitely many bad primes, so the
+    walk over primes ends; after a few bad primes it runs on the
+    squarefree part f / gcd(f, f').  A candidate is kept only when
+    (b t - a) divides f exactly, and its multiplicity is counted by
+    exact deflation.
+    """
     cleaned = [Fraction(c) for c in coeffs]
     while cleaned and cleaned[-1] == 0:
         cleaned.pop()
     if not cleaned:
         raise ValueError("the zero polynomial has no meaningful root set")
-    if len(cleaned) == 1:
-        return {}
-    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                       for c in reversed(cleaned)], _T, domain="QQ")
-    out = {}
-    for root, mult in poly.ground_roots().items():
-        r = sympy.Rational(root)
-        out[Fraction(int(r.p), int(r.q))] = int(mult)
+    zeros = next(i for i, c in enumerate(cleaned) if c)
+    out = {Fraction(0): zeros} if zeros else {}
+    f = _primitive(cleaned[zeros:])
+    if len(f) == 1:
+        return out
+    for a, b in _root_candidates(f):
+        mult = 0
+        while len(f) > 1:
+            quotient = _divide(f, [-a, b])
+            if quotient is None:
+                break
+            f = quotient
+            mult += 1
+        if mult:
+            out[Fraction(a, b)] = mult
     return out
 
 

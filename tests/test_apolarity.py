@@ -11,8 +11,8 @@ from apolar_kit.apolarity import (GradedIdealPiece, SocleDimensionError,
                                   hilbert_function, inverse_system,
                                   is_apolar_scheme, macaulay_inverse,
                                   piece_contains)
-from apolar_kit.core import (ExactMatrix, Polynomial, change_coordinates, contract,
-                             monomial_basis)
+from apolar_kit.core import (ExactMatrix, Polynomial, _row_to_int,
+                             change_coordinates, contract, monomial_basis)
 from apolar_kit.seeding import make_rng, random_form, random_invertible_matrix
 
 
@@ -54,7 +54,8 @@ def contract_catalecticant(form, k):
 
 
 def contract_condition_rows(piece, d, columns):
-    """Reference conditions `D . F = 0`: one `contract` per operator and column."""
+    """Reference conditions `D . F = 0`: one `contract` per operator and
+    column, each row scaled to integers as `_condition_rows` documents."""
     targets = monomial_basis(piece.nvars, d - piece.degree)
     rows = []
     for op in piece.basis:
@@ -62,7 +63,7 @@ def contract_condition_rows(piece, d, columns):
         for j, m in enumerate(columns):
             for exp, c in contract(op, Polynomial.monomial(m)).terms.items():
                 by_target[exp][j] = c
-        rows.extend(by_target[t] for t in targets)
+        rows.extend(_row_to_int(by_target[t]) for t in targets)
     return rows
 
 

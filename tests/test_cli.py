@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import apolar_kit
 from apolar_kit import jsonio, pipeline
 from apolar_kit.apolarity import apolar_ideal_piece
 from apolar_kit.cli import main
@@ -171,6 +174,15 @@ class TestCommands:
         assert result.returncode == 0
         report = json.loads(result.stdout)
         assert report["degS"] == 9 and report["multiplicities"] == [3, 3, 3, 3]
+
+    def test_import_leaves_out_sympy(self):
+        src = str(Path(apolar_kit.__file__).resolve().parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, apolar_kit.cli; print('sympy' in sys.modules)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestProcessCount:

@@ -3,6 +3,9 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apolar_kit.apolarity import piece_contains
 from apolar_kit.core import ExactMatrix, Polynomial, monomial_basis
@@ -12,7 +15,9 @@ from apolar_kit.curvegen import (BihomSection, IdealDimensionError,
                                  expected_quadric_dim, genus_adjunction,
                                  ideal_pieces, sample_points, tetragonal_curve,
                                  trigonal_curve, _ambient_restriction,
-                                 _evaluation_matrix, _section_slots)
+                                 _common_base_factor, _conic_pair_resultant,
+                                 _evaluation_matrix, _four_distinct_roots,
+                                 _section_slots)
 from apolar_kit.scroll import (Scroll, canonical_class, chow_product,
                                divisor_degree, scroll_quadrics)
 from apolar_kit.seeding import make_rng, small_rationals
@@ -66,6 +71,98 @@ def chow_oracle(scroll, cls):
     c2, d2 = cls.h + k.h, cls.f + k.f
     pairing = cls.h * c2 * scroll.degree + cls.h * d2 + cls.f * c2
     return pairing // 2 + 1
+
+
+_S, _T = sympy.symbols("s t")
+
+
+def sympy_form(form):
+    return sum((sympy.Rational(c.numerator, c.denominator) * _S ** e0 * _T ** e1
+                for (e0, e1), c in form.terms.items()), sympy.Integer(0))
+
+
+def sympy_common_base_factor(forms):
+    """Oracle: the gcd of the nonzero forms over Q, by sympy."""
+    exprs = [sympy_form(f) for f in forms if not f.is_zero()]
+    if not exprs:
+        return True
+    common = exprs[0]
+    for e in exprs[1:]:
+        common = sympy.gcd(common, e)
+    return sympy.total_degree(common) > 0
+
+
+def sympy_four_distinct_roots(quartic):
+    """Oracle: the affine part has degree >= 3 and is squarefree."""
+    affine = [quartic.coefficient((4 - j, j)) for j in range(5)]
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(affine)], _T)
+    return poly.degree() >= 3 and poly.is_sqf
+
+
+def binary_product(*factors):
+    out = Polynomial(2, 0, {(0, 0): 1})
+    for f in factors:
+        out = out * f
+    return out
+
+
+S = Polynomial(2, 1, {(1, 0): 1})
+T = Polynomial(2, 1, {(0, 1): 1})
+binary_forms = st.integers(0, 3).flatmap(lambda d: st.builds(
+    lambda cs: Polynomial(2, d, {(d - j, j): Fraction(c, 3) for j, c in enumerate(cs)}),
+    st.lists(st.integers(-4, 4), min_size=d + 1, max_size=d + 1)))
+
+
+class TestBaseFormChecks:
+    def test_common_base_factor_cases(self):
+        u = Polynomial(2, 1, {(1, 0): 2, (0, 1): -3})       # 2s - 3t
+        q = Polynomial(2, 2, {(2, 0): 1, (0, 2): 1})        # s^2 + t^2
+        cases = {
+            "share s": ([S * q, S * S * u], True),
+            "share t": ([T * q, T * u * u], True),
+            "mixed degrees": ([u, u * q, u * S * T], True),
+            "mixed degrees, coprime": ([q, u * S, T * T * T], False),
+            "single form": ([q], True),
+            "single constant": ([Polynomial(2, 0, {(0, 0): 5})], False),
+            "only zero forms": ([Polynomial.zero(2, 3), Polynomial.zero(2, 1)], True),
+            "no forms": ([], True),
+            "zero and one form": ([Polynomial.zero(2, 2), u], True),
+        }
+        for name, (forms, expected) in cases.items():
+            assert _common_base_factor(forms) == expected, name
+            assert sympy_common_base_factor(forms) == expected, name
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(binary_forms, max_size=4), st.sampled_from([None, "s", "t", "u"]))
+    def test_common_base_factor_against_sympy(self, forms, shared):
+        factor = {None: None, "s": S, "t": T,
+                  "u": Polynomial(2, 1, {(1, 0): 5, (0, 1): 2})}[shared]
+        if factor is not None:
+            forms = [f * factor for f in forms]
+        assert _common_base_factor(forms) == sympy_common_base_factor(forms)
+
+    def test_four_distinct_roots_cases(self):
+        u = Polynomial(2, 1, {(1, 0): 2, (0, 1): -3})
+        v = Polynomial(2, 1, {(1, 0): 1, (0, 1): 7})
+        q = Polynomial(2, 2, {(2, 0): 2, (0, 2): -1})
+        cases = [(binary_product(u, v, q), True), (binary_product(S, u, q), True),
+                 (binary_product(S, S, q), False), (binary_product(u, u, q), False),
+                 (binary_product(q, q), False), (binary_product(T, u, v, S), True),
+                 (binary_product(S, S, S, u), False), (Polynomial.zero(2, 4), False)]
+        for quartic, expected in cases:
+            assert _four_distinct_roots(quartic) == expected
+            assert sympy_four_distinct_roots(quartic) == expected
+
+    def test_four_distinct_roots_on_fibers_against_sympy(self):
+        curve = tetragonal_curve(7, 1, 1, seed=4)
+        stream = small_rationals(make_rng(8))
+        for _ in range(20):
+            t = next(stream)
+            base = (t.denominator, t.numerator)
+            res = _conic_pair_resultant(curve.equations[0].fiber_form(base),
+                                        curve.equations[1].fiber_form(base))
+            assert _four_distinct_roots(res) == sympy_four_distinct_roots(res)
 
 
 class TestBalancedType:

@@ -1,11 +1,46 @@
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
+from apolar_kit import univariate
 from apolar_kit.core import Polynomial
 from apolar_kit.univariate import (binary_form_roots, certified_roots,
-                                   rational_roots)
+                                   is_squarefree, poly_gcd, rational_roots)
+
+_T = sympy.Symbol("t")
+
+
+def _sympy_poly(coeffs):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(coeffs)], _T, domain="QQ")
+
+
+def sympy_rational_roots(coeffs):
+    """Oracle: sympy's ground roots over Q (a full factorization)."""
+    return {Fraction(int(r.p), int(r.q)): int(m)
+            for r, m in _sympy_poly(coeffs).ground_roots().items()}
+
+
+def times(f, g):
+    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+linear_factors = st.lists(st.tuples(st.integers(-60, 60), st.integers(1, 60),
+                                    st.integers(1, 3)), max_size=4)
+integer_factors = st.lists(
+    st.tuples(st.integers(2, 4), st.integers(1, 800)).flatmap(
+        lambda db: st.lists(st.integers(-2 ** db[1], 2 ** db[1]),
+                            min_size=db[0] + 1, max_size=db[0] + 1)
+        .filter(lambda cs: cs[-1] != 0)),
+    max_size=2)
 
 
 class TestRationalRoots:
@@ -26,6 +61,76 @@ class TestRationalRoots:
         # (t - 1/3)(t + 5)
         coeffs = [Fraction(-5, 3), Fraction(14, 3), Fraction(1)]
         assert rational_roots(coeffs) == {Fraction(1, 3): 1, Fraction(-5): 1}
+
+    @settings(max_examples=150, deadline=None)
+    @given(linear_factors, integer_factors, st.integers(0, 2), st.integers(0, 2),
+           st.integers(-99, 99).filter(bool), st.integers(1, 99))
+    def test_against_sympy(self, linear, factors, zero_roots, trailing, num, den):
+        f = [Fraction(num, den)]
+        for a, b, mult in linear:
+            for _ in range(mult):
+                f = times(f, [Fraction(-a), Fraction(b)])
+        for cs in factors:
+            f = times(f, [Fraction(c) for c in cs])
+        coeffs = [Fraction(0)] * zero_roots + f + [Fraction(0)] * trailing
+        if len(f) == 1:
+            expected = {Fraction(0): zero_roots} if zero_roots else {}
+        else:
+            expected = sympy_rational_roots(coeffs)
+        assert rational_roots(coeffs) == expected
+
+    def test_prime_walk_and_squarefree_fallback(self, monkeypatch):
+        # leading coefficient 2*3*5*7*11*13, so the walk starts at 17; the
+        # double root 4 makes every prime bad, and after the switch to the
+        # squarefree part the roots 4 and 903 = 4 + 29*31 still collide
+        # modulo 29 and 31
+        roots = [(4, 1), (4, 1), (903, 1), (1, 2), (1, 3), (2, 5), (-3, 7),
+                 (4, 11), (-6, 13)]
+        f = [Fraction(1)]
+        for a, b in roots:
+            f = times(f, [Fraction(-a), Fraction(b)])
+        assert f[-1] == 30030
+        tried = []
+        simple_roots_mod = univariate._simple_roots_mod
+
+        def spy(poly, p):
+            found = simple_roots_mod(poly, p)
+            tried.append((p, len(poly) - 1, found is not None))
+            return found
+
+        monkeypatch.setattr(univariate, "_simple_roots_mod", spy)
+        result = rational_roots(f)
+        assert tried == [(17, 9, False), (19, 9, False), (23, 9, False),
+                         (29, 8, False), (31, 8, False), (37, 8, True)]
+        assert result == {Fraction(a, b): roots.count((a, b)) for a, b in roots}
+        assert result == sympy_rational_roots(f)
+
+
+class TestPolynomialGcd:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-20, 20), min_size=1, max_size=4),
+           st.lists(st.integers(-20, 20), min_size=1, max_size=5),
+           st.lists(st.integers(-20, 20), min_size=1, max_size=5),
+           st.integers(1, 3))
+    def test_against_sympy(self, common, f, g, power):
+        common_f = [Fraction(c) for c in common]
+        fs = times(times(common_f, common_f) if power > 1 else common_f,
+                   [Fraction(c) for c in f])
+        gs = times(common_f, [Fraction(c, 7) for c in g])
+        result = poly_gcd(fs, gs)
+        if not any(fs) and not any(gs):
+            assert result == []
+            return
+        oracle = sympy.gcd(_sympy_poly(fs), _sympy_poly(gs))
+        expected = [Fraction(c) for c in reversed(oracle.all_coeffs())]
+        assert result and result[-1] > 0
+        assert [Fraction(c) / result[-1] for c in result] == \
+            [c / expected[-1] for c in expected]
+        for poly in (fs, gs):
+            while poly and poly[-1] == 0:
+                poly = poly[:-1]
+            if len(poly) > 1:
+                assert is_squarefree(poly) == _sympy_poly(poly).is_sqf
 
 
 class TestCertifiedRoots:
