@@ -379,15 +379,9 @@ def change_coordinates(form: Polynomial, matrix: "ExactMatrix") -> Polynomial:
 
 def _row_to_int(row: Sequence) -> list[int]:
     """Scale a rational row to a primitive integer row (kernel-safe)."""
-    denom = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [x.numerator * (denom // x.denominator) if isinstance(x, Fraction)
-            else int(x) * denom for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    den = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return ints
@@ -399,7 +393,7 @@ def _int_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], li
     Returns (echelon rows, pivot columns); row i has its pivot in column
     pivots[i].  Rows are gcd-stripped after every elimination to
     keep entries small; the row space is preserved up to scaling, which
-    is all rank/kernel/solve need.
+    is all the back-substitution needs.
     """
     mat = [r[:] for r in rows]
     pivots: list[int] = []
@@ -416,17 +410,17 @@ def _int_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], li
         if best < 0:
             continue
         mat[prow], mat[best] = mat[best], mat[prow]
-        piv = mat[prow][col]
+        tail = mat[prow][col:]
+        piv = tail[0]
         for i in range(prow + 1, len(mat)):
             v = mat[i][col]
             if v:
-                row = [piv * a - v * b for a, b in zip(mat[i], mat[prow])]
-                g = 0
-                for x in row:
-                    g = gcd(g, x)
+                # rows below the pivot row are zero left of col
+                row = [piv * a - v * b for a, b in zip(mat[i][col:], tail)]
+                g = gcd(*row)
                 if g > 1:
                     row = [x // g for x in row]
-                mat[i] = row
+                mat[i][col:] = row
         pivots.append(col)
         prow += 1
         if prow == len(mat):
@@ -434,49 +428,73 @@ def _int_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], li
     return mat[:prow], pivots
 
 
+def _int_back_substitute(ech: list[list[int]], pivots: list[int],
+                         columns: Iterable[int]) -> list[dict[int, int]]:
+    """Primitive integer kernel vectors of an echelon form, as sparse maps.
+
+    For each free column j in `columns` the vector is nonzero at j and
+    zero at every other free column; these are the kernel vectors of the
+    reduced echelon form up to scale.  The pivot rows are walked from the
+    bottom up, scaling the vector by d / gcd(s, d) whenever a row with
+    pivot d leaves a residual s, so no division is ever inexact.
+    """
+    tails = [[(c, row[c]) for c in range(p + 1, len(row)) if row[c]]
+             for row, p in zip(ech, pivots)]
+    out = []
+    for j in columns:
+        v = {j: 1}
+        for r in range(len(pivots) - 1, -1, -1):
+            s = sum(a * v[c] for c, a in tails[r] if c in v)
+            if s:
+                d = ech[r][pivots[r]]
+                g = gcd(s, d)
+                if d != g:
+                    m = d // g
+                    v = {c: x * m for c, x in v.items()}
+                v[pivots[r]] = -s // g
+        out.append(v)
+    return out
+
+
+def _free_columns(pivots: list[int], ncols: int) -> list[int]:
+    pivot_set = set(pivots)
+    return [c for c in range(ncols) if c not in pivot_set]
+
+
+def _scaled(v: dict[int, int], den: int, width: int) -> list[Fraction]:
+    """The dense vector v / den, over the columns before `width`."""
+    out = [Fraction(0)] * width
+    for c, x in v.items():
+        if c < width:
+            out[c] = Fraction(x, den)
+    return out
+
+
 def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[list[Fraction]]:
     """Basis of the right kernel of integer rows of width `ncols`.
 
     The basis is the canonical one attached to the reduced echelon form
-    (unit entry at each free column); every vector is scaled so its
-    first nonzero entry is 1.  No rows give the unit vectors.
+    (unit entry at each free column), read off the integer vectors of the
+    one back-substitution; every vector is scaled so its first nonzero
+    entry is 1.  No rows give the unit vectors.
     """
     ech, pivots = _int_echelon(rows, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for j in free:
-        v = [Fraction(0)] * ncols
-        v[j] = Fraction(1)
-        # back-substitute bottom pivot row first
-        for r in range(len(pivots) - 1, -1, -1):
-            col = pivots[r]
-            row = ech[r]
-            s = Fraction(0)
-            for c in range(col + 1, ncols):
-                if row[c] and v[c]:
-                    s += Fraction(row[c]) * v[c]
-            if s:
-                v[col] = -s / row[col]
-        # normalize: first nonzero entry 1
-        for x in v:
-            if x:
-                if x != 1:
-                    v = [y / x for y in v]
-                break
-        basis.append(v)
-    return basis
+    return [_scaled(v, v[min(v)], ncols)
+            for v in _int_back_substitute(ech, pivots, _free_columns(pivots, ncols))]
 
 
 class ExactMatrix:
-    """Dense matrix over Q with exact rank / kernel / solve.
+    """Dense matrix over Q with exact rank / rref / kernel / solve / inverse.
 
-    Internally stores ``Fraction`` entries.  Each row is scaled to a
-    primitive integer row, and elimination runs fraction free on
-    gcd-stripped integer rows, so large evaluation matrices stay fast.
-    Rational arithmetic only enters afterwards: `rref` divides each pivot
-    row by its pivot and clears the rows above it on that row's nonzero
-    columns, and `kernel` and `solve` back-substitute one vector at a time.
+    Internally stores ``Fraction`` entries.  Every method scales the rows
+    to primitive integer rows and runs the one fraction-free elimination
+    engine: `_int_echelon` for the echelon form, then, except in `rank`,
+    `_int_back_substitute` for one primitive integer kernel vector per
+    free column.  Rational numbers enter only when an answer is read off
+    those vectors, one quotient per entry: the reduced echelon form, the
+    normalised kernel basis, the solution of A x = b (the kernel vector
+    of [A | b] at the right-hand-side column) and the inverse (those of
+    [A | I] at the identity columns).
     """
 
     __slots__ = ("_rows", "nrows", "ncols")
@@ -556,24 +574,23 @@ class ExactMatrix:
         return len(pivots)
 
     def rref(self) -> tuple["ExactMatrix", tuple[int, ...]]:
-        """Reduced row echelon form and its pivot columns (canonical)."""
+        """Reduced row echelon form and its pivot columns (canonical).
+
+        Row r has 1 at its pivot p_r and -v_j[p_r] / v_j[j] at each free
+        column j, where v_j is the integer kernel vector of that column.
+        """
         if self.nrows == 0 or self.ncols == 0:
             return ExactMatrix([]), ()
-        reduced, pivots = _int_echelon(self._int_rows(), self.ncols)
-        for r in range(len(pivots) - 1, -1, -1):
-            col = pivots[r]
-            row = reduced[r]
-            # entries left of the pivot are zero; rows below never touch column col
-            piv = Fraction(row[col])
-            support = [c for c in range(col, self.ncols) if row[c]]
-            if piv != 1:
-                for c in support:
-                    row[c] = row[c] / piv
-            for above in reduced[:r]:
-                f = above[col]
-                if f:
-                    for c in support:
-                        above[c] -= f * row[c]
+        ech, pivots = _int_echelon(self._int_rows(), self.ncols)
+        reduced = [[Fraction(0)] * self.ncols for _ in pivots]
+        for r, col in enumerate(pivots):
+            reduced[r][col] = Fraction(1)
+        row_of = {col: r for r, col in enumerate(pivots)}
+        free = _free_columns(pivots, self.ncols)
+        for j, v in zip(free, _int_back_substitute(ech, pivots, free)):
+            for col, x in v.items():
+                if col != j:
+                    reduced[row_of[col]][j] = Fraction(-x, v[j])
         return ExactMatrix(reduced), tuple(pivots)
 
     def kernel(self) -> "ExactMatrix":
@@ -583,54 +600,42 @@ class ExactMatrix:
     def solve(self, rhs: Sequence) -> Optional[list[Fraction]]:
         """One exact solution of A x = b, or None when inconsistent.
 
-        Free variables are set to zero.
+        Free variables are set to zero: x = -v[:n] / v[n] for the kernel
+        vector v of [A | b] at the right-hand-side column n, which is
+        free exactly when the system is consistent.
         """
         if len(rhs) != self.nrows:
             raise ValueError("right-hand side has wrong length")
-        aug_rows = [list(row) + [_coerce(b)] for row, b in zip(self._rows, rhs)]
-        if not aug_rows:
-            return [Fraction(0)] * self.ncols
-        ech, pivots = _int_echelon([_row_to_int(r) for r in aug_rows], self.ncols + 1)
-        if pivots and pivots[-1] == self.ncols:
+        n = self.ncols
+        if not self._rows:
+            return [Fraction(0)] * n
+        aug = [_row_to_int(row + [_coerce(b)]) for row, b in zip(self._rows, rhs)]
+        ech, pivots = _int_echelon(aug, n + 1)
+        if pivots and pivots[-1] == n:
             return None
-        x = [Fraction(0)] * self.ncols
-        for r in range(len(pivots) - 1, -1, -1):
-            col = pivots[r]
-            row = ech[r]
-            s = Fraction(row[self.ncols])
-            for c in range(col + 1, self.ncols):
-                if row[c] and x[c]:
-                    s -= Fraction(row[c]) * x[c]
-            x[col] = s / row[col]
-        return x
+        [v] = _int_back_substitute(ech, pivots, [n])
+        return _scaled(v, -v[n], n)
 
     def inverse(self) -> "ExactMatrix":
+        """The inverse, read off the kernel vectors of [A | I] at the identity columns."""
         if self.nrows != self.ncols:
             raise ValueError("only square matrices can be inverted")
         n = self.nrows
-        aug = ExactMatrix([list(row) + [1 if i == j else 0 for j in range(n)]
-                           for i, row in enumerate(self._rows)])
-        reduced, pivots = aug.rref()
-        if list(pivots[:n]) != list(range(n)):
+        aug = [_row_to_int(row + [int(i == j) for j in range(n)])
+               for i, row in enumerate(self._rows)]
+        ech, pivots = _int_echelon(aug, 2 * n)
+        if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
-        return ExactMatrix([[reduced.entry(i, n + j) for j in range(n)] for i in range(n)])
+        columns = [_scaled(v, -v[n + k], n) for k, v in
+                   enumerate(_int_back_substitute(ech, pivots, range(n, 2 * n)))]
+        return ExactMatrix(zip(*columns))
 
 
 def primitive_point(coords: Sequence) -> tuple[int, ...]:
     """Scale rational projective coordinates to coprime integers with a
     positive leading entry."""
-    fracs = [c if isinstance(c, Fraction) else Fraction(c) for c in coords]
-    den = 1
-    for c in fracs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v), 1)
-    if lead < 0:
+    ints = _row_to_int(coords)
+    if next((v for v in ints if v), 1) < 0:
         ints = [-v for v in ints]
     return tuple(ints)
 

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm
+from math import comb, isqrt
 from typing import Optional, Sequence
 
 from .apolarity import GradedIdealPiece
-from .core import ExactMatrix, Polynomial, monomial_basis, primitive_point
+from .core import ExactMatrix, Polynomial, _row_to_int, monomial_basis, primitive_point
 from .scroll import (DivisorClass, Scroll, canonical_class, chow_product,
                      coordinate_layout, embed_point, section_count,
                      section_templates)
@@ -378,11 +378,7 @@ def _tetragonal_fiber_points(q1: Polynomial, q2: Polynomial) -> list[tuple]:
         return []
     points = []
     for u, v in _rational_binary_roots([res.coefficient((4 - j, j)) for j in range(5)]):
-        den = (u.denominator * v.denominator) // gcd(u.denominator, v.denominator)
-        ui, vi = int(u * den), int(v * den)
-        common = gcd(ui, vi)
-        if common > 1:
-            ui, vi = ui // common, vi // common
+        ui, vi = _row_to_int((u, v))
         candidates = set()
         for conic in (q1, q2):
             a, b, c = _conic_components(conic)
@@ -637,9 +633,7 @@ def ideal_pieces(curve: CurveSpec,
             evaluations = _evaluation_matrix(points, basis)
             for row in rows:
                 # scaled to integers: vanishing does not depend on the scale
-                den = lcm(*(x.denominator for x in row.values()))
-                scaled = [(j, x.numerator * (den // x.denominator))
-                          for j, x in row.items()]
+                scaled = list(zip(row, _row_to_int(list(row.values()))))
                 if any(sum(values[j] * c for j, c in scaled) for values in evaluations):
                     raise PointCertificateError(
                         "an ideal element does not vanish on a sampled point")

@@ -13,10 +13,9 @@ and the canonical class is -kH + (N - k - 1)F.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Sequence
 
-from .core import Polynomial
+from .core import Polynomial, _row_to_int
 
 __all__ = [
     "Scroll",
@@ -186,15 +185,6 @@ class ScrollPoint:
     image: tuple
 
 
-def _primitive(values: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    if g > 1:
-        return tuple(v // g for v in values)
-    return tuple(values)
-
-
 def embed_point(scroll: Scroll, base: Sequence, fiber: Sequence) -> ScrollPoint:
     """Image of a (base, fiber) pair under the tautological embedding.
 
@@ -221,7 +211,7 @@ def embed_point(scroll: Scroll, base: Sequence, fiber: Sequence) -> ScrollPoint:
                 value = value * t
             image.append(value)
     if all(isinstance(v, int) for v in image):
-        image = _primitive(image)
+        image = _row_to_int(image)
     return ScrollPoint(scroll, tuple(base), tuple(fiber), tuple(image))
 
 

@@ -168,9 +168,10 @@ class TestCommands:
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
     def test_console_script(self):
+        src = str(Path(apolar_kit.__file__).resolve().parent.parent)
         result = subprocess.run(
             [sys.executable, "-m", "apolar_kit.cli", "numerology", "--g", "9"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
         assert result.returncode == 0
         report = json.loads(result.stdout)
         assert report["degS"] == 9 and report["multiplicities"] == [3, 3, 3, 3]

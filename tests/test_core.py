@@ -1,13 +1,13 @@
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apolar_kit.core import (ExactMatrix, Polynomial, change_coordinates,
-                             coefficient_matrix, contract, monomial_basis,
-                             pair, substitute)
+                             coefficient_matrix, contract, int_kernel,
+                             monomial_basis, pair, substitute)
 from apolar_kit.seeding import make_rng, random_form, random_invertible_matrix
 
 
@@ -281,10 +281,58 @@ class TestExactMatrix:
                 new = [a + c * b for a, b in zip(rows[i], rows[j])]
             rows.insert(data.draw(st.integers(0, len(rows))), new)
         expected, expected_pivots = naive_rref(rows)
-        reduced, pivots = ExactMatrix(rows).rref()
+        matrix = ExactMatrix(rows)
+        reduced, pivots = matrix.rref()
         assert pivots == expected_pivots
         assert reduced == ExactMatrix(expected)
         assert all(isinstance(x, Fraction) for row in reduced.rows() for x in row)
+
+        # the kernel: a unit at each free column, first nonzero entry 1
+        basis = naive_kernel(expected, expected_pivots, ncols)
+        assert matrix.kernel().rows() == basis
+        scaled = [[int(x * lcm(*(y.denominator for y in row))) for x in row]
+                  for row in rows]
+        assert int_kernel(scaled, ncols) == basis
+
+        # solve: free variables are 0, None exactly when inconsistent
+        rhs = data.draw(st.lists(entry, min_size=len(rows),
+                                 max_size=len(rows)))
+        if data.draw(st.booleans()):  # a consistent right-hand side
+            x = data.draw(st.lists(entry, min_size=ncols, max_size=ncols))
+            rhs = matrix.apply(x)
+        aug, aug_pivots = naive_rref([row + [b] for row, b in zip(rows, rhs)])
+        if ncols in aug_pivots:
+            assert matrix.solve(rhs) is None
+        else:
+            solution = [Fraction(0)] * ncols
+            for row, col in zip(aug, aug_pivots):
+                solution[col] = row[ncols]
+            assert matrix.solve(rhs) == solution
+
+        # inverse of the leading square block, through [A | I]
+        k = min(len(rows), ncols)
+        square = [row[:k] for row in rows[:k]]
+        aug, aug_pivots = naive_rref([row + [Fraction(int(i == j)) for j in range(k)]
+                                      for i, row in enumerate(square)])
+        if aug_pivots[:k] == tuple(range(k)):
+            assert ExactMatrix(square).inverse() == ExactMatrix(
+                [row[k:] for row in aug])
+        else:
+            with pytest.raises(ValueError):
+                ExactMatrix(square).inverse()
+
+
+def naive_kernel(reduced, pivots, ncols):
+    """Kernel basis of a reduced echelon form, first nonzero entry 1."""
+    basis = []
+    for j in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[j] = Fraction(1)
+        for row, col in zip(reduced, pivots):
+            v[col] = -row[j]
+        lead = next(x for x in v if x)
+        basis.append([x / lead for x in v])
+    return basis
 
 
 def naive_rref(rows):
