@@ -185,9 +185,7 @@ def _cmd_alpha(args) -> dict:
 
 
 def _cmd_verify_a(args) -> dict:
-    return verify_trigonal_fermat(args.g, args.trials, args.seed,
-                                  precision_bits=args.precision_bits,
-                                  tolerance=args.tolerance)
+    return verify_trigonal_fermat(args.g, args.trials, args.seed)
 
 
 def _cmd_verify_b(args) -> dict:
@@ -305,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-a", help="trigonal power-sum verification")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--trials", type=int, default=5)
-    _add_common(p, seed=True, precision=True)
+    _add_common(p, seed=True)
     p.set_defaults(handler=_cmd_verify_a)
 
     p = sub.add_parser("verify-b", help="tetragonal bound verification")

@@ -8,9 +8,9 @@ its ambient scroll cut that quotient in a finite scheme whose points
 give an explicit power-sum presentation of the cubic, and the two
 verifiers below run those constructions at desk scale:
 
-* the trigonal verifier checks that the cubic is always a sum of g - 2
-  cubes (and that the pencil detection and the surface-scheme route
-  agree on the decomposition);
+* the trigonal verifier certifies exactly that the cubic is always a
+  sum of g - 2 cubes: the scheme cut on the scroll, taken over Q in
+  Q[t]/(D) without its roots, is g - 2 independent points apolar to it;
 * the tetragonal verifier checks that the cubic is a sum of at most
   ceil((3g - 7) / 2) cubes, surface by surface, split by split.
 """
@@ -26,17 +26,18 @@ from typing import Optional, Sequence
 
 from mpmath import mp
 
-from .apolarity import GradedIdealPiece, inverse_system
-from .core import (ExactMatrix, Polynomial, change_coordinates, int_kernel,
-                   monomial_basis, primitive_point, substitute)
+from .apolarity import GradedIdealPiece, inverse_system, piece_annihilates
+from .core import (ExactMatrix, Polynomial, _row_to_int, change_coordinates,
+                   int_kernel, monomial_basis, primitive_point, substitute)
 from .curvegen import (CurveSpec, IdealReconstruction, ideal_pieces,
                        sample_points, tetragonal_curve, trigonal_curve)
 from .numerics import (DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, format_scalar,
                        projective_distance, to_mp, workprec)
-from .scroll import Scroll, divisor_degree, embed_point
+from .scroll import Scroll, coordinate_layout, divisor_degree, embed_point
 from .seeding import derive_seed, make_rng, random_dual_linear
-from .univariate import RootFindingError, binary_form_roots
-from .waring import Decomposition, fermat_detect_detail, power_sum_fit, rank_lower_bound
+from .univariate import (RootFindingError, _pseudo_remainder, binary_form_roots,
+                         is_squarefree, poly_gcd)
+from .waring import Decomposition, power_sum_fit, rank_lower_bound
 
 __all__ = [
     "AlphaResult",
@@ -52,7 +53,6 @@ __all__ = [
     "tetragonal_cube_bound",
     "verify_trigonal_fermat",
     "verify_tetragonal_bound",
-    "forms_match",
 ]
 
 
@@ -354,27 +354,6 @@ def waring_certificate(alpha: AlphaResult, gamma: GammaScheme,
     return decomposition
 
 
-def forms_match(forms_a: Sequence[Sequence], forms_b: Sequence[Sequence],
-                tolerance: float = 1e-8) -> bool:
-    """Projective matching of two sets of linear forms up to permutation
-    and scale."""
-    if len(forms_a) != len(forms_b):
-        return False
-    with workprec(200):
-        remaining = [[to_mp(c) for c in f] for f in forms_b]
-        for f in forms_a:
-            u = [to_mp(c) for c in f]
-            best = None
-            for idx, v in enumerate(remaining):
-                dist = mp.sqrt(abs(projective_distance(u, v)))
-                if best is None or dist < best[0]:
-                    best = (dist, idx)
-            if best is None or best[0] > tolerance:
-                return False
-            remaining.pop(best[1])
-    return True
-
-
 def reduce_to_quotient(alpha: AlphaResult, poly: Polynomial) -> Polynomial:
     """Push an ambient dual form into the quotient coordinates of `alpha`:
     change to the frame coordinates and drop every term in the last two."""
@@ -429,41 +408,135 @@ def _random_eta_pair(g: int, rng):
             return eta1, eta2
 
 
-def _certify_fermat(curve: CurveSpec, alpha: AlphaResult, seed: int,
-                    precision_bits: int, tolerance: Fraction,
+def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of integer polynomials, coefficients lowest degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _combine(terms) -> list[int]:
+    """sum c * f over the (c, f) pairs, integer polynomials."""
+    terms = list(terms)
+    out = [0] * max((len(f) for _, f in terms), default=0)
+    for c, f in terms:
+        for i, x in enumerate(f):
+            out[i] += c * x
+    return out
+
+
+def _scroll_scheme(curve: CurveSpec, eta1: Polynomial, eta2: Polynomial,
+                   kept: Sequence[int]) -> tuple[list[int], list[list[int]]]:
+    """The trigonal hyperplane scheme over Q, as (D, phi).
+
+    On the chart s = 1 + k t of the base line, with the smallest k >= 0
+    that keeps every root of the restricted determinant a0 b1 - a1 b0 in
+    the chart, D is that determinant and phi the kept coordinates of the
+    embedded fiber solution, all integer polynomials in t.  The fiber
+    solution is (a1, -a0) when it vanishes at no root of D, else
+    (b1, -b0); check (b) of the certificate raises CertificateError when
+    both vanish at some root, or when a hyperplane does not vanish on the
+    image modulo D.
+    """
+    scroll = curve.scroll
+    n = scroll.degree
+    layout = coordinate_layout(scroll)
+    basis1 = monomial_basis(curve.genus, 1)
+    etas = [_row_to_int(eta.coefficient_vector(basis1)) for eta in (eta1, eta2)]
+    for k in range(n + 1):
+        powers = [[1]]
+        for _ in range(max(scroll.type)):
+            powers.append(_mul(powers[-1], [1, k]))
+        # the base monomial s^(a_i - j) t^j of each ambient coordinate
+        monomials = [[0] * j + powers[scroll.type[i] - j] for i, j in layout]
+        # each hyperplane restricts to one base form per fiber coordinate
+        blocks = [[_combine((c, m) for c, m, (i, _) in zip(eta, monomials, layout) if i == b)
+                   for b in (0, 1)] for eta in etas]
+        (a0, a1), (b0, b1) = blocks
+        determinant = _combine([(1, _mul(a0, b1)), (-1, _mul(a1, b0))])
+        if len(determinant) == n + 1 and determinant[n]:
+            break
+        if not any(determinant):
+            raise CertificateError("hyperplanes restrict dependently to the scroll")
+    for y0, y1 in ((a1, a0), (b1, b0)):
+        if len(poly_gcd(poly_gcd(determinant, y0), y1)) == 1:
+            fiber = (y0, [-c for c in y1])
+            break
+    else:
+        raise CertificateError("(b) degenerate fiber at a root of the determinant")
+    image = [_mul(m, fiber[i]) for m, (i, _) in zip(monomials, layout)]
+    for eta in etas:
+        if any(_pseudo_remainder(_combine(zip(eta, image)), determinant)):
+            raise CertificateError("(b) a hyperplane misses the scheme")
+    return determinant, [image[i] for i in kept]
+
+
+def _certify_scheme(determinant: list[int], phi: Sequence[list[int]],
+                    piece2: GradedIdealPiece, cubic: Polynomial) -> None:
+    """Exact Fermat certificate in A = Q[t]/(D); CertificateError if not.
+
+    The n polynomials phi are the coordinates of a scheme Gamma cut on
+    the scroll, and D its equation.  The checks, lettered as in the
+    failure messages: (a) D is squarefree of degree n and (c) the phi
+    are independent modulo D, so Gamma is n independent points over the
+    algebraic closure and (I_Gamma)_2 has codimension n; (d) `piece2`, a
+    basis of codimension n too, vanishes on Gamma, so it is (I_Gamma)_2;
+    (e) it annihilates the cubic F, which puts I_Gamma, generated by
+    quadrics, inside Ann(F): by the apolarity lemma F is a sum of n
+    cubes; (f) F is concise (contraction rank n), so n is its Waring
+    rank.  Check (b) belongs to the construction of phi.
+    """
+    n = len(phi)
+    if piece2.dim != comb(n + 1, 2) - n:
+        raise CertificateError(f"(d) the quotient quadrics do not have codimension {n}")
+    if len(determinant) != n + 1 or not is_squarefree(determinant):
+        raise CertificateError(f"(a) the scheme equation is not squarefree of degree {n}")
+    residues = [_pseudo_remainder(f, determinant) for f in phi]
+    if ExactMatrix([r + [0] * (n - len(r)) for r in residues]).rank() < n:
+        raise CertificateError("(c) the scheme points are dependent")
+    products = {}
+    for i in range(n):
+        for j in range(i, n):
+            exp = tuple((i == m) + (j == m) for m in range(n))
+            products[exp] = _mul(phi[i], phi[j])
+    for quadric in piece2.basis:
+        value = _combine((c, products[exp])
+                         for exp, c in quadric.integer_terms()[1].items())
+        if any(_pseudo_remainder(value, determinant)):
+            raise CertificateError("(d) a quotient quadric misses the scheme")
+    if not piece_annihilates(piece2, cubic):
+        raise CertificateError("(e) a quotient quadric does not annihilate the cubic")
+    if rank_lower_bound(cubic) != n:
+        raise CertificateError("(f) the cubic is not concise")
+
+
+def _certify_fermat(curve: CurveSpec, alpha: AlphaResult,
                     failures: list) -> Optional[dict]:
-    """Trigonal certificate: pencil detection and the scroll scheme both
-    find g - 2 cubes, and the same ones up to permutation and scale."""
-    fermat, reason = fermat_detect_detail(alpha.cubic, seed=seed,
-                                          precision_bits=precision_bits,
-                                          tolerance=tolerance)
-    if fermat is None or fermat.rank != curve.genus - 2:
-        failures.append(f"detection: {reason}")
-        return None
+    """Trigonal certificate: the scroll scheme, exact over Q, is n = g - 2
+    independent points apolar to the cubic, so its rank is exactly n."""
+    n = curve.genus - 2
     try:
-        gamma = gamma_points(curve, None, alpha.eta1, alpha.eta2,
-                             precision_bits, tolerance)
-        certificate = waring_certificate(alpha, gamma, precision_bits, tolerance)
-    except (GammaExtractionError, CertificateError, RootFindingError) as err:
-        failures.append(f"scheme: {err}")
-        return None
-    if not forms_match(fermat.forms, certificate.forms):
-        failures.append("agreement: detection and scheme decompositions differ")
+        determinant, phi = _scroll_scheme(curve, alpha.eta1, alpha.eta2,
+                                          alpha.kept_indices)
+        _certify_scheme(determinant, phi, alpha.quotient_piece2, alpha.cubic)
+    except CertificateError as err:
+        failures.append(f"certificate: {err}")
         return None
     return {
-        "detected_rank": fermat.rank,
-        "detection_residual": format_scalar(fermat.residual),
-        "scheme_points": gamma.found_length,
-        "scheme_exact_points": gamma.exact_count,
-        "residual": format_scalar(certificate.residual),
+        "certificate": "exact",
+        "detected_rank": n,
+        "rank_interval": [n, n],
+        "scheme_points": len(determinant) - 1,
         "agreement": True,
         "passed": True,
     }
 
 
-def _certify_bound(curve: CurveSpec, alpha: AlphaResult, seed: int,
-                   precision_bits: int, tolerance: Fraction,
-                   failures: list) -> Optional[dict]:
+def _certify_bound(curve: CurveSpec, alpha: AlphaResult, failures: list,
+                   precision_bits: int, tolerance: Fraction) -> Optional[dict]:
     """Tetragonal certificate: a power sum over the scheme cut on one of
     the two surfaces 2H - bF, whose length must stay within the bound."""
     g = curve.genus
@@ -499,8 +572,10 @@ def _certify_bound(curve: CurveSpec, alpha: AlphaResult, seed: int,
 
 def _trial(args: tuple) -> dict:
     """Build a curve (trigonal when `split` is None, else tetragonal) and
-    certify the quotient cubic of the first hyperplane pair that allows it."""
-    g, split, trial_seed, precision_bits, tolerance, eta_retries = args
+    certify the quotient cubic of the first hyperplane pair that allows it.
+    `precision` holds the tetragonal certificate's (precision_bits,
+    tolerance); the trigonal certificate is exact and takes none."""
+    g, split, trial_seed, eta_retries, precision = args
     head: dict = {"trial_seed": trial_seed}
     if split is not None:
         head["split"] = list(split)
@@ -518,8 +593,7 @@ def _trial(args: tuple) -> dict:
         if isinstance(alpha, AlphaCertificateError):
             failures.append(f"alpha: {alpha}")
             continue
-        found = certify(curve, alpha, trial_seed, precision_bits, tolerance,
-                        failures)
+        found = certify(curve, alpha, failures, *precision)
         if found is not None:
             return {**head, "scroll": list(curve.scroll.type),
                     "hilbert": list(alpha.hilbert), "eta_attempts": attempt,
@@ -530,8 +604,7 @@ def _trial(args: tuple) -> dict:
 
 
 def _verify(report: dict, g: int, split: Optional[tuple[int, int]], trials: int,
-            seed: int, precision_bits: int, tolerance: Fraction,
-            eta_retries: int) -> dict:
+            seed: int, eta_retries: int, precision: tuple = ()) -> dict:
     """Run the trials, serially or in a pool of at most one process per
     trial, and finish `report`; raise VerificationError if one failed.
 
@@ -541,8 +614,8 @@ def _verify(report: dict, g: int, split: Optional[tuple[int, int]], trials: int,
     if not raw.isdecimal():
         raise ValueError(f"APOLAR_KIT_THREADS must be a process count, not {raw!r}")
     processes = min(int(raw), trials)
-    arguments = [(g, split, derive_seed(seed, i), precision_bits, tolerance,
-                  eta_retries) for i in range(trials)]
+    arguments = [(g, split, derive_seed(seed, i), eta_retries, precision)
+                 for i in range(trials)]
     if processes > 1:
         with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_trial, arguments))
@@ -557,26 +630,23 @@ def _verify(report: dict, g: int, split: Optional[tuple[int, int]], trials: int,
 
 
 def verify_trigonal_fermat(g: int, trials: int, seed: int,
-                           precision_bits: int = DEFAULT_PRECISION_BITS,
-                           tolerance: Fraction = DEFAULT_TOLERANCE,
                            eta_retries: int = 5) -> dict:
     """Check that trigonal quotient cubics are sums of exactly g - 2 cubes.
 
-    Each trial builds a fresh curve, certifies the quotient algebra,
-    detects the cube decomposition two independent ways (quadric-pencil
-    eigenvectors and the scroll scheme) and insists the two agree up to
-    permutation and scale.  Any trial failure raises VerificationError
-    with the full report attached.
+    Each trial builds a fresh curve, certifies the quotient algebra, and
+    certifies exactly, in Q[t]/(D) and without a root, that the scheme
+    the two hyperplanes cut on the scroll is g - 2 independent points
+    apolar to the cubic (`_certify_scheme`).  Any trial failure raises
+    VerificationError with the full report attached.
     """
-    if not 5 <= g <= 8:
-        raise ValueError("desk-scale verification covers genus 5 through 8")
+    if not 5 <= g <= 12:
+        raise ValueError("desk-scale verification covers genus 5 through 12")
     report = {
         "claim": f"the quotient cubic of a trigonal genus-{g} canonical curve "
                  f"is a sum of exactly {g - 2} cubes",
         "expected_rank": g - 2,
     }
-    return _verify(report, g, None, trials, seed, precision_bits, tolerance,
-                   eta_retries)
+    return _verify(report, g, None, trials, seed, eta_retries)
 
 
 def verify_tetragonal_bound(g: int, split: Optional[tuple[int, int]], trials: int,
@@ -606,5 +676,5 @@ def verify_tetragonal_bound(g: int, split: Optional[tuple[int, int]], trials: in
         "bound": bound,
         "split": [b1, b2],
     }
-    return _verify(report, g, (b1, b2), trials, seed, precision_bits, tolerance,
-                   eta_retries)
+    return _verify(report, g, (b1, b2), trials, seed, eta_retries,
+                   (precision_bits, tolerance))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 from mpmath import mp
@@ -160,10 +161,11 @@ def simultaneous_diagonalize(q1: Polynomial, q2: Polynomial,
 
     Writes the quadrics as symmetric matrices (A, B), requires some
     combination of the pencil to be invertible, and solves the standard
-    eigenproblem of B^-1 A.  With a simple spectrum the eigenvectors v_i
-    are unique up to scale and the images B v_i are the coefficient
-    vectors of the linear forms that diagonalize both quadrics at once;
-    those are returned, normalized.  Raises PencilError('singular') when
+    eigenproblem of B^-1 A, the right block of the reduced echelon form
+    of [B | A].  With a simple spectrum the eigenvectors v_i are unique
+    up to scale and the images B v_i are the coefficient vectors of the
+    linear forms that diagonalize both quadrics at once; those are
+    returned, normalized.  Raises PencilError('singular') when
     no invertible member is found and PencilError('non-simple') when
     eigenvalues collide.
     """
@@ -172,21 +174,20 @@ def simultaneous_diagonalize(q1: Polynomial, q2: Polynomial,
     a = _quadric_matrix(q1)
     b = _quadric_matrix(q2)
     n = q1.nvars
-    base, other = b, a
-    if base.rank() < n:
-        base, other = a, b
-        if base.rank() < n:
-            # generic members of the pencil may still be invertible
-            found = False
-            for j in range(1, 6):
-                cand = ExactMatrix([[a.entry(r, c) + Fraction(j) * b.entry(r, c)
-                                     for c in range(n)] for r in range(n)])
-                if cand.rank() == n:
-                    base, other, found = cand, a, True
-                    break
-            if not found:
-                raise PencilError("singular", "no invertible member of the pencil found")
-    m = base.inverse() @ other
+    # generic members of the pencil may be invertible when b and a are not
+    members = ((ExactMatrix([[a.entry(r, c) + Fraction(j) * b.entry(r, c)
+                              for c in range(n)] for r in range(n)]), a)
+               for j in range(1, 6))
+    for base, other in chain([(b, a), (a, b)], members):
+        # [base | other] reduces to [I | base^-1 other] exactly when base
+        # is invertible, that is when the left block holds n pivots
+        reduced, pivots = ExactMatrix([rb + ro for rb, ro
+                                       in zip(base.rows(), other.rows())]).rref()
+        if pivots[:n] == tuple(range(n)):
+            break
+    else:
+        raise PencilError("singular", "no invertible member of the pencil found")
+    m = ExactMatrix([row[n:] for row in reduced.rows()])
     with workprec(precision_bits):
         mm = mp.matrix([[to_mp(m.entry(i, j)) for j in range(n)] for i in range(n)])
         eigenvalues, eigenvectors = mp.eig(mm)

@@ -80,8 +80,7 @@ def test_macaulay_round_trip():
               "g = 5, 6, 7, five trials each")
 def test_trigonal_verification():
     for g in (5, 6, 7):
-        report = verify_trigonal_fermat(g, trials=5, seed=100 + g,
-                                        tolerance=RESIDUAL_TOLERANCE)
+        report = verify_trigonal_fermat(g, trials=5, seed=100 + g)
         assert report["passed"]
         for trial in report["trials"]:
             assert trial["hilbert"] == [1, g - 2, g - 2, 1]

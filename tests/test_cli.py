@@ -126,11 +126,14 @@ class TestCommands:
         failures = report["trials"][0]["failures"]
         assert failures and all("residual" in f for f in failures)
 
-    @pytest.mark.parametrize("option", [["--tolerance", "1e-9"],
-                                        ["--precision-bits", "64"]])
-    def test_alpha_takes_no_precision_options(self, option):
+    @pytest.mark.parametrize("command, option", [
+        (command, option)
+        for command in (["alpha", "--gonality", "3"], ["verify-a"])
+        for option in (["--tolerance", "1e-9"], ["--precision-bits", "64"])],
+        ids=["option0", "option1", "verify-a-option0", "verify-a-option1"])
+    def test_alpha_takes_no_precision_options(self, command, option):
         with pytest.raises(SystemExit) as err:
-            main(["alpha", "--g", "5", "--gonality", "3", "--seed", "1", *option])
+            main([*command, "--g", "5", "--seed", "1", *option])
         assert err.value.code == 2
 
     def test_nakai(self, tmp_path):

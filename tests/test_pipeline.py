@@ -1,3 +1,6 @@
+import dataclasses
+import json
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -7,18 +10,20 @@ from mpmath import mp
 
 from apolar_kit.apolarity import (GradedIdealPiece, SocleDimensionError,
                                   macaulay_inverse)
+from apolar_kit.cli import main
 from apolar_kit.core import (ExactMatrix, Polynomial, change_coordinates,
                              monomial_basis)
 from apolar_kit.curvegen import (ideal_pieces, sample_points, tetragonal_curve,
                                  trigonal_curve)
 from apolar_kit.pipeline import (AlphaCertificateError, CertificateError,
-                                 GammaScheme, alpha_for_curve,
-                                 alpha_map, forms_match, gamma_points,
+                                 GammaScheme, _certify_fermat, _certify_scheme,
+                                 _linear_form_blocks, alpha_for_curve,
+                                 alpha_map, gamma_points,
                                  quotient_frame, reduce_to_quotient,
                                  tetragonal_cube_bound,
                                  verify_tetragonal_bound, verify_trigonal_fermat,
                                  waring_certificate)
-from apolar_kit.seeding import make_rng, random_dual_linear
+from apolar_kit.seeding import derive_seed, make_rng, random_dual_linear, random_form
 from apolar_kit.waring import fermat_detect
 
 
@@ -345,19 +350,102 @@ class TestWaringCertificate:
         assert dec.residual < mp.mpf(10) ** -20 or dec.residual == 0
 
 
-class TestFormsMatch:
-    def test_permutation_and_scale(self):
-        a = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        b = [(0, 0, 5), (3, 0, 0), (0, -2, 0)]
-        assert forms_match(a, b)
+def certificate_failures(curve, alpha):
+    failures = []
+    found = _certify_fermat(curve, alpha, failures)
+    return found, failures
 
-    def test_mismatch_detected(self):
-        a = [(1, 0), (0, 1)]
-        b = [(1, 0), (1, 1)]
-        assert not forms_match(a, b)
 
-    def test_length_mismatch(self):
-        assert not forms_match([(1, 0)], [(1, 0), (0, 1)])
+class TestExactCertificate:
+    """The trigonal verdict: exact checks in Q[t]/(D), no root and no float."""
+
+    @pytest.mark.parametrize("g", [5, 6, 7, 8])
+    @pytest.mark.parametrize("seed", [81, 82])
+    def test_agrees_with_float_detection_and_scheme_fit(self, g, seed):
+        curve = trigonal_curve(g, seed=seed)
+        alpha = alpha_for_curve(curve, seed=seed)
+        found, failures = certificate_failures(curve, alpha)
+        assert failures == []
+        assert found["certificate"] == "exact"
+        assert found["detected_rank"] == g - 2 and found["rank_interval"] == [g - 2, g - 2]
+        assert fermat_detect(alpha.cubic).rank == g - 2
+        gamma = gamma_points(curve, None, alpha.eta1, alpha.eta2)
+        assert waring_certificate(alpha, gamma).rank == g - 2
+
+    def test_rejects_a_perturbed_cubic(self):
+        curve = trigonal_curve(7, seed=83)
+        alpha = alpha_for_curve(curve, seed=83)
+        n = curve.genus - 2
+        bump = Polynomial.monomial((1, 1, 1) + (0,) * (n - 3))
+        perturbed = dataclasses.replace(alpha, cubic=alpha.cubic + bump)
+        found, failures = certificate_failures(curve, perturbed)
+        assert found is None
+        assert failures == ["certificate: (e) a quotient quadric does not "
+                            "annihilate the cubic"]
+
+    def test_rejects_a_quadric_off_the_scheme(self):
+        curve = trigonal_curve(7, seed=84)
+        alpha = alpha_for_curve(curve, seed=84)
+        piece = alpha.quotient_piece2
+        swapped = GradedIdealPiece(2, piece.nvars,
+                                   (random_form(piece.nvars, 2, make_rng(85)),)
+                                   + piece.basis[1:])
+        found, failures = certificate_failures(
+            curve, dataclasses.replace(alpha, quotient_piece2=swapped))
+        assert found is None
+        assert failures == ["certificate: (d) a quotient quadric misses the scheme"]
+
+    def test_rejects_a_repeated_point(self):
+        # the double point at (1 : 0) has ideal (y1^2), apolar to the
+        # concise cubic x0^2 x1, whose Waring rank is 3, not 2
+        piece = GradedIdealPiece(2, 2, (Polynomial.monomial((0, 2)),))
+        cubic = Polynomial.monomial((2, 1))
+        with pytest.raises(CertificateError, match=r"\(a\)"):
+            _certify_scheme([0, 0, 1], [[1], [0, 1]], piece, cubic)
+
+    def test_rejects_dependent_points(self):
+        # the roots 0, 1, 2 of D go to e0, e1, e0: two distinct points only,
+        # yet every quadric of Ann(x0^3 + x1^3 + x2^3) vanishes on them
+        fermat3 = Polynomial(3, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
+        piece = GradedIdealPiece(2, 3, tuple(
+            Polynomial.monomial(e) for e in ((1, 1, 0), (1, 0, 1), (0, 1, 1))))
+        with pytest.raises(CertificateError, match=r"\(c\)"):
+            _certify_scheme([0, 2, -3, 1], [[1, -2, 1], [0, 2, -1], [0]], piece, fermat3)
+
+    def test_sheared_chart(self):
+        # the first hyperplane pair puts a point of the scheme at (0 : 1),
+        # outside the chart s = 1, so the certificate shears the chart
+        seed = 765804037
+        report = verify_trigonal_fermat(5, trials=1, seed=seed)
+        trial = report["trials"][0]
+        assert trial["passed"] and trial["eta_attempts"] == 1
+        curve = trigonal_curve(5, derive_seed(seed, 0))
+        alpha = alpha_for_curve(curve, derive_seed(seed, 0))
+        (a0, a1), (b0, b1) = (_linear_form_blocks(curve.scroll, eta)
+                              for eta in (alpha.eta1, alpha.eta2))
+        assert (a0 * b1 - a1 * b0).coefficient((0, 3)) == 0
+
+    def test_verify_a_never_goes_through_floats(self, tmp_path, monkeypatch):
+        from apolar_kit import univariate, waring
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a float stage ran on the trigonal verdict path")
+
+        for owner, name in ((waring, "fermat_detect_detail"), (waring, "power_sum_fit"),
+                            (univariate, "binary_form_roots")):
+            original = getattr(owner, name)
+            for module_name, module in list(sys.modules.items()):
+                if (module_name.split(".")[0] == "apolar_kit"
+                        and getattr(module, name, None) is original):
+                    monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(mp, "eig", refuse)
+        for g in (5, 6, 7, 8):
+            out = tmp_path / f"g{g}.json"
+            assert main(["verify-a", "--g", str(g), "--trials", "1", "--seed", "86",
+                         "--out", str(out)]) == 0
+            for trial in json.loads(out.read_text())["trials"]:
+                assert trial["certificate"] == "exact"
+                assert trial["detected_rank"] == g - 2 and trial["agreement"] is True
 
 
 class TestVerifiers:
@@ -382,6 +470,6 @@ class TestVerifiers:
 
     def test_genus_out_of_range(self):
         with pytest.raises(ValueError):
-            verify_trigonal_fermat(9, trials=1, seed=1)
+            verify_trigonal_fermat(13, trials=1, seed=1)
         with pytest.raises(ValueError):
             verify_tetragonal_bound(9, None, trials=1, seed=1)

@@ -129,6 +129,15 @@ class TestSimultaneousDiagonalize:
                         for i in range(4)]
             assert match_up_to_permutation_and_scale(points, expected, tol=1e-25)
 
+    def test_singular_pair_uses_a_generic_member(self):
+        # x0^2 and x1^2 are both singular; their sum is the first
+        # invertible member of the pencil
+        q1 = Polynomial(2, 2, {(2, 0): 1})
+        q2 = Polynomial(2, 2, {(0, 2): 1})
+        points = simultaneous_diagonalize(q1, q2)
+        expected = [(mp.mpf(1), mp.mpf(0)), (mp.mpf(0), mp.mpf(1))]
+        assert match_up_to_permutation_and_scale(points, expected, tol=1e-30)
+
     def test_singular_pencil_reported(self):
         q1 = Polynomial(2, 2, {(2, 0): 1})
         q2 = Polynomial(2, 2, {(2, 0): 3})
