@@ -27,10 +27,9 @@ from .planemodel import (BlowupClass, PlaneModel, adjunction_check,
                          blowup_intersect, clebsch_genus,
                          higher_gonality_degree, nakai_certificate,
                          tetragonal_numerology)
-from .pipeline import (AlphaResult, GammaScheme, alpha_for_curve, alpha_map,
-                       gamma_points, tetragonal_cube_bound,
-                       verify_tetragonal_bound, verify_trigonal_fermat,
-                       waring_certificate)
+from .pipeline import (AlphaResult, alpha_for_curve, alpha_map,
+                       tetragonal_cube_bound, verify_tetragonal_bound,
+                       verify_trigonal_fermat)
 
 __version__ = "0.1.0"
 

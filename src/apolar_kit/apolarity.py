@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from operator import mul
 from typing import Optional, Sequence
 
 from mpmath import mp
@@ -35,7 +34,6 @@ __all__ = [
     "macaulay_inverse",
     "is_apolar_scheme",
     "piece_contains",
-    "piece_annihilates",
     "power_coefficient_vector",
     "power_sum_solve",
 ]
@@ -382,25 +380,3 @@ def piece_contains(piece: GradedIdealPiece, poly: Polynomial) -> bool:
     basis = monomial_basis(piece.nvars, piece.degree)
     system = piece.matrix().transpose()
     return system.solve(poly.coefficient_vector(basis)) is not None
-
-
-def piece_annihilates(piece: GradedIdealPiece, form: Polynomial) -> bool:
-    """Exact test that every operator of a graded piece annihilates a form.
-
-    Row t of the form's contraction map (`catalecticant` in the piece's
-    degree, on the form's integer scaling) dotted with an operator's
-    integer coefficient vector is the coefficient of x^t in op . form.
-    """
-    if piece.nvars != form.nvars or not 0 <= piece.degree <= form.degree:
-        raise ValueError("degree or arity mismatch in annihilation test")
-    n, k = form.nvars, piece.degree
-    columns = monomial_basis(n, k)
-    index = {a: j for j, a in enumerate(columns)}
-    rows = _contraction_rows(form.integer_terms()[1], monomial_basis(n, form.degree - k),
-                             index, operator=False)
-    for op in piece.basis:
-        terms = op.integer_terms()[1]
-        vector = [terms.get(a, 0) for a in columns]
-        if any(sum(map(mul, row, vector)) for row in rows):
-            return False
-    return True

@@ -25,7 +25,7 @@ from .curvegen import (CurveGenerationError, IdealDimensionError,
                        sample_points, tetragonal_curve, trigonal_curve)
 from .numerics import DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE
 from .pipeline import (AlphaCertificateError, CertificateError,
-                       GammaExtractionError, VerificationError, alpha_for_curve,
+                       VerificationError, alpha_for_curve,
                        verify_tetragonal_bound, verify_trigonal_fermat)
 from .planemodel import (higher_gonality_degree, nakai_certificate,
                          tetragonal_numerology)
@@ -34,9 +34,8 @@ from .scroll import (Scroll, canonical_class, chow_product, divisor_degree,
 from .waring import fermat_detect_detail
 
 FAILURE_ERRORS = (VerificationError, CertificateError, AlphaCertificateError,
-                  GammaExtractionError, SocleDimensionError, SamplingError,
-                  CurveGenerationError, IdealDimensionError,
-                  PointCertificateError)
+                  SocleDimensionError, SamplingError, CurveGenerationError,
+                  IdealDimensionError, PointCertificateError)
 
 
 def _read_json(path: str) -> dict:
@@ -190,9 +189,7 @@ def _cmd_verify_a(args) -> dict:
 
 def _cmd_verify_b(args) -> dict:
     split = _parse_int_list(args.split) if args.split else None
-    return verify_tetragonal_bound(args.g, split, args.trials, args.seed,
-                                   precision_bits=args.precision_bits,
-                                   tolerance=args.tolerance)
+    return verify_tetragonal_bound(args.g, split, args.trials, args.seed)
 
 
 def _cmd_numerology(args) -> dict:
@@ -310,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--split", default=None, help="b1,b2 with b1+b2 = g-5")
     p.add_argument("--trials", type=int, default=3)
-    _add_common(p, seed=True, precision=True)
+    _add_common(p, seed=True)
     p.set_defaults(handler=_cmd_verify_b)
 
     p = sub.add_parser("numerology", help="tetragonal plane-model numerology")

@@ -428,6 +428,25 @@ def _int_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], li
     return mat[:prow], pivots
 
 
+def _int_reduce(ech: list[list[int]], pivots: list[int], row: list[int]) -> list[int]:
+    """An integer row reduced against echelon rows from `_int_echelon`.
+
+    Each echelon row clears the row's entry at its pivot; the result is a
+    nonzero multiple of the row minus a combination of the echelon rows,
+    gcd-stripped, and it is zero exactly when the row lies in their span.
+    """
+    for e, p in zip(ech, pivots):
+        c = row[p]
+        if c:
+            g = gcd(c, e[p])
+            u, v = e[p] // g, c // g
+            row = [u * x - v * y for x, y in zip(row, e)]
+            g = gcd(*row)
+            if g > 1:
+                row = [x // g for x in row]
+    return row
+
+
 def _int_back_substitute(ech: list[list[int]], pivots: list[int],
                          columns: Iterable[int]) -> list[dict[int, int]]:
     """Primitive integer kernel vectors of an echelon form, as sparse maps.

@@ -1,9 +1,9 @@
 """Bridge between exact rationals and high-precision floating point.
 
-mpmath enters the package only through this module, `univariate` and the
-eigenvalue / least-squares steps in `waring`; everything upstream of
-those steps stays in exact arithmetic and everything downstream is
-certified by a residual.
+mpmath enters the package only through this module, the eigenvalue and
+least-squares steps of `waring` and the floating power-sum checks of
+`apolarity`; every answer they give is certified by a residual.  Neither
+verifier uses them: both verdicts are exact.
 """
 
 from __future__ import annotations

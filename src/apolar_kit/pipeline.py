@@ -10,9 +10,11 @@ verifiers below run those constructions at desk scale:
 
 * the trigonal verifier certifies exactly that the cubic is always a
   sum of g - 2 cubes: the scheme cut on the scroll, taken over Q in
-  Q[t]/(D) without its roots, is g - 2 independent points apolar to it;
-* the tetragonal verifier checks that the cubic is a sum of at most
-  ceil((3g - 7) / 2) cubes, surface by surface, split by split.
+  Q[t]/(D) without its roots, is g - 2 points whose cubes span it, and
+  the cubic is concise;
+* the tetragonal verifier certifies, in the same way, that the cubic is
+  a sum of at most ceil((3g - 7) / 2) cubes, the points of the scheme cut
+  on one of the two surfaces between the curve and its threefold scroll.
 """
 
 from __future__ import annotations
@@ -21,35 +23,27 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from functools import reduce
+from math import comb, factorial, gcd, lcm, prod
 from typing import Optional, Sequence
 
-from mpmath import mp
-
-from .apolarity import GradedIdealPiece, inverse_system, piece_annihilates
-from .core import (ExactMatrix, Polynomial, _row_to_int, change_coordinates,
-                   int_kernel, monomial_basis, primitive_point, substitute)
+from .apolarity import GradedIdealPiece, inverse_system
+from .core import (ExactMatrix, Polynomial, _int_echelon, _int_reduce, _row_to_int,
+                   change_coordinates, int_kernel, monomial_basis, substitute)
 from .curvegen import (CurveSpec, IdealReconstruction, ideal_pieces,
                        sample_points, tetragonal_curve, trigonal_curve)
-from .numerics import (DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, format_scalar,
-                       projective_distance, to_mp, workprec)
-from .scroll import Scroll, coordinate_layout, divisor_degree, embed_point
+from .scroll import coordinate_layout, divisor_degree
 from .seeding import derive_seed, make_rng, random_dual_linear
-from .univariate import (RootFindingError, _pseudo_remainder, binary_form_roots,
-                         is_squarefree, poly_gcd)
-from .waring import Decomposition, power_sum_fit, rank_lower_bound
+from .univariate import _pseudo_remainder, is_squarefree, poly_gcd
+from .waring import rank_lower_bound
 
 __all__ = [
     "AlphaResult",
-    "GammaScheme",
     "AlphaCertificateError",
-    "GammaExtractionError",
     "CertificateError",
     "VerificationError",
     "alpha_map",
     "alpha_for_curve",
-    "gamma_points",
-    "waring_certificate",
     "tetragonal_cube_bound",
     "verify_trigonal_fermat",
     "verify_tetragonal_bound",
@@ -66,10 +60,6 @@ class AlphaCertificateError(RuntimeError):
     def __init__(self, hilbert: tuple[int, ...], message: str):
         self.hilbert = hilbert
         super().__init__(f"{message}; diagnostic Hilbert vector {hilbert}")
-
-
-class GammaExtractionError(RuntimeError):
-    pass
 
 
 class CertificateError(RuntimeError):
@@ -92,19 +82,6 @@ class AlphaResult:
     kept_indices: tuple[int, ...]
     frame: ExactMatrix          # rows: kept coordinate vectors, then the etas
     quotient_piece2: GradedIdealPiece
-
-
-@dataclass(frozen=True)
-class GammaScheme:
-    points: tuple[tuple, ...]   # dual points in the quotient coordinates
-    expected_length: int
-    found_length: int
-    exact_count: int
-    surface_index: Optional[int]
-
-    @property
-    def complete(self) -> bool:
-        return self.found_length == self.expected_length
 
 
 def tetragonal_cube_bound(g: int) -> int:
@@ -189,171 +166,6 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
                        piece2)
 
 
-def _linear_form_blocks(scroll: Scroll, eta: Polynomial) -> list[Polynomial]:
-    """Restriction of an ambient linear form to the scroll: one binary
-    base form per fiber coordinate."""
-    basis1 = monomial_basis(scroll.N + 1, 1)
-    coeffs = eta.coefficient_vector(basis1)
-    blocks = []
-    offset = 0
-    for i, a in enumerate(scroll.type):
-        terms = {}
-        for j in range(a + 1):
-            c = coeffs[offset + j]
-            if c:
-                terms[(a - j, j)] = c
-        blocks.append(Polynomial(2, a, terms))
-        offset += a + 1
-    return blocks
-
-
-def _dual_point(image: Sequence, kept: Sequence[int], eta1v, eta2v, tol,
-                exact: bool):
-    """Project an ambient point into the quotient coordinates."""
-    if exact:
-        if eta1v != 0 or eta2v != 0:
-            raise GammaExtractionError("exact point misses the hyperplanes")
-        return primitive_point([image[i] for i in kept])
-    scale = max(abs(x) for x in image)
-    if abs(eta1v) > tol * scale or abs(eta2v) > tol * scale:
-        raise GammaExtractionError("floating point misses the hyperplanes")
-    vec = [image[i] for i in kept]
-    biggest = max(abs(c) for c in vec)
-    if biggest == 0:
-        raise GammaExtractionError("point projects to zero in the quotient")
-    lead = next(c for c in vec if abs(c) >= biggest / 2)
-    cleaned = []
-    for c in vec:
-        value = c / lead
-        if abs(mp.im(value)) < tol:
-            value = mp.re(value)
-        cleaned.append(value)
-    return tuple(cleaned)
-
-
-def _points_distinct(points, tol) -> bool:
-    with workprec(200):
-        vecs = [[to_mp(c) for c in p] for p in points]
-        for i in range(len(vecs)):
-            for j in range(i + 1, len(vecs)):
-                if projective_distance(vecs[i], vecs[j]) < tol ** 2:
-                    return False
-    return True
-
-
-def gamma_points(curve: CurveSpec, surface_index: Optional[int],
-                 eta1: Polynomial, eta2: Polynomial,
-                 precision_bits: int = DEFAULT_PRECISION_BITS,
-                 tolerance: Fraction = DEFAULT_TOLERANCE) -> GammaScheme:
-    """Finite scheme cut on a surface by the two hyperplanes, as dual points.
-
-    For a trigonal curve the surface is the scroll itself: the two
-    restricted linear forms give a 2 x 2 system over the base line whose
-    determinant vanishes at deg(S) = g - 2 base points.  For a tetragonal
-    curve the chosen surface Y is a divisor on the threefold scroll: the
-    restricted forms are two linear conditions on the fiber plane, solved
-    by their cross product, and substituting that section into Y's
-    equation leaves one binary form of degree deg(Y) whose roots carry
-    the points.  Rational roots are kept exact; the rest are certified
-    high-precision floats.  Every point is pushed into the quotient
-    coordinates of the hyperplane frame.
-    """
-    scroll = curve.scroll
-    g = curve.genus
-    kept, _, _ = quotient_frame(eta1, eta2, g)
-    blocks1 = _linear_form_blocks(scroll, eta1)
-    blocks2 = _linear_form_blocks(scroll, eta2)
-    if curve.gonality == 3:
-        if surface_index is not None:
-            raise ValueError("the trigonal surface is the scroll itself")
-        expected = scroll.degree
-        a0, a1 = blocks1
-        b0, b1 = blocks2
-        determinant = a0 * b1 - a1 * b0
-        if determinant.is_zero():
-            raise GammaExtractionError("hyperplanes restrict dependently to the scroll")
-
-        def fiber_solution(base, exact):
-            # at a root of the determinant the two rows are proportional;
-            # either nonzero row yields the kernel direction
-            row1 = (a1.evaluate(base), -1 * a0.evaluate(base))
-            row2 = (b1.evaluate(base), -1 * b0.evaluate(base))
-            if exact:
-                return row1 if any(row1) else row2
-            n1 = max(abs(c) for c in row1)
-            n2 = max(abs(c) for c in row2)
-            return row1 if n1 >= n2 else row2
-    else:
-        if surface_index not in (0, 1):
-            raise ValueError("surface_index must pick one of the two surfaces")
-        section = curve.equations[surface_index]
-        expected = divisor_degree(scroll, section.cls)
-        cross = [blocks1[1] * blocks2[2] - blocks1[2] * blocks2[1],
-                 blocks1[2] * blocks2[0] - blocks1[0] * blocks2[2],
-                 blocks1[0] * blocks2[1] - blocks1[1] * blocks2[0]]
-        if all(c.is_zero() for c in cross):
-            raise GammaExtractionError("hyperplanes restrict dependently to the scroll")
-        determinant = None
-        for exp, base_form in section.coeffs.items():
-            term = base_form
-            for c, e in zip(cross, exp):
-                for _ in range(e):
-                    term = term * c
-            determinant = term if determinant is None else determinant + term
-        if determinant is None or determinant.is_zero():
-            raise GammaExtractionError("surface restricts to zero along the section")
-
-        def fiber_solution(base, exact):
-            return tuple(c.evaluate(base) for c in cross)
-
-    if determinant.degree != expected:
-        raise GammaExtractionError(
-            f"restriction degree {determinant.degree} differs from deg S = {expected}")
-    pairs, extraction = binary_form_roots(determinant, precision_bits, tolerance)
-    if extraction.clustered:
-        raise GammaExtractionError("the hyperplane scheme is not reduced")
-    points = []
-    exact_count = 0
-    with workprec(precision_bits):
-        mp_tol = to_mp(tolerance)
-        for s, t in pairs:
-            exact = isinstance(s, Fraction) and isinstance(t, Fraction)
-            if exact:
-                base = primitive_point([s, t])
-            else:
-                base = (to_mp(s), to_mp(t))
-            fiber = fiber_solution(base, exact)
-            if (not any(fiber)) if exact else max(abs(c) for c in fiber) == 0:
-                raise GammaExtractionError("degenerate fiber solution at a root")
-            if exact:
-                fiber = primitive_point(fiber)
-            image = embed_point(scroll, base, fiber).image
-            eta1v = eta1.evaluate(image)
-            eta2v = eta2.evaluate(image)
-            point = _dual_point(image, kept, eta1v, eta2v, mp_tol, exact)
-            points.append(point)
-            if exact:
-                exact_count += 1
-    if not _points_distinct(points, mp.mpf(10) ** -12):
-        raise GammaExtractionError("coincident points in the hyperplane scheme")
-    return GammaScheme(tuple(points), expected, len(points), exact_count,
-                       surface_index)
-
-
-def waring_certificate(alpha: AlphaResult, gamma: GammaScheme,
-                       precision_bits: int = DEFAULT_PRECISION_BITS,
-                       tolerance: Fraction = DEFAULT_TOLERANCE) -> Decomposition:
-    """Fit the quotient cubic as a power sum over the scheme points."""
-    if not gamma.complete:
-        raise CertificateError(
-            f"scheme has {gamma.found_length} of {gamma.expected_length} points")
-    decomposition = power_sum_fit(list(gamma.points), alpha.cubic,
-                                  precision_bits, tolerance)
-    if decomposition is None:
-        raise CertificateError("power-sum fit failed at the requested tolerance")
-    return decomposition
-
-
 def reduce_to_quotient(alpha: AlphaResult, poly: Polynomial) -> Polynomial:
     """Push an ambient dual form into the quotient coordinates of `alpha`:
     change to the frame coordinates and drop every term in the last two."""
@@ -428,100 +240,152 @@ def _combine(terms) -> list[int]:
     return out
 
 
-def _scroll_scheme(curve: CurveSpec, eta1: Polynomial, eta2: Polynomial,
-                   kept: Sequence[int]) -> tuple[list[int], list[list[int]]]:
-    """The trigonal hyperplane scheme over Q, as (D, phi).
+def _scheme(curve: CurveSpec, surface_index: Optional[int], eta1: Polynomial,
+            eta2: Polynomial, kept: Sequence[int]) -> tuple[list[int], list[list[int]]]:
+    """The scheme the two hyperplanes cut on a surface, over Q, as (D, phi).
 
-    On the chart s = 1 + k t of the base line, with the smallest k >= 0
-    that keeps every root of the restricted determinant a0 b1 - a1 b0 in
-    the chart, D is that determinant and phi the kept coordinates of the
-    embedded fiber solution, all integer polynomials in t.  The fiber
-    solution is (a1, -a0) when it vanishes at no root of D, else
-    (b1, -b0); check (b) of the certificate raises CertificateError when
-    both vanish at some root, or when a hyperplane does not vanish on the
-    image modulo D.
+    On a trigonal curve the surface is the scroll (`surface_index` None):
+    the hyperplanes restrict to a 2 x 2 system (a0, a1; b0, b1) of base
+    forms, D is its determinant a0 b1 - a1 b0, and the fiber is (a1, -a0),
+    or (b1, -b0) when that one vanishes at a root of D.  On a tetragonal
+    curve the surface Y is equation `surface_index`: the hyperplanes
+    restrict to two linear conditions on the fiber plane, the fiber is the
+    cross product of the two rows, and D is Y's section at that fiber.
+    Everything is an integer polynomial in t on the chart s = 1 + k t of
+    the base line, with the smallest k >= 0 that gives D the expected
+    degree (deg S, or deg Y on the threefold), so every point of the
+    scheme lies in the chart; phi holds the kept coordinates of the
+    embedded fiber.  CertificateError names check (a) when D vanishes or
+    no chart gives it that degree, and (b) when the fiber vanishes at a
+    root of D or a hyperplane does not vanish on the image modulo D.
     """
     scroll = curve.scroll
-    n = scroll.degree
     layout = coordinate_layout(scroll)
     basis1 = monomial_basis(curve.genus, 1)
     etas = [_row_to_int(eta.coefficient_vector(basis1)) for eta in (eta1, eta2)]
-    for k in range(n + 1):
+    if curve.gonality == 3:
+        if surface_index is not None:
+            raise ValueError("the trigonal surface is the scroll itself")
+        expected, section = scroll.degree, {}
+    else:
+        if surface_index not in (0, 1):
+            raise ValueError("surface_index must pick one of the two surfaces")
+        equation = curve.equations[surface_index]
+        expected = divisor_degree(scroll, equation.cls)
+        scale = lcm(*(c.denominator for form in equation.coeffs.values()
+                      for c in form.terms.values()))
+        section = {exp: {e: int(c * scale) for e, c in form.terms.items()}
+                   for exp, form in equation.coeffs.items()}
+    top = max([*scroll.type, *(sum(e) for terms in section.values() for e in terms)])
+    for k in range(expected + 1):
         powers = [[1]]
-        for _ in range(max(scroll.type)):
+        for _ in range(top):
             powers.append(_mul(powers[-1], [1, k]))
         # the base monomial s^(a_i - j) t^j of each ambient coordinate
         monomials = [[0] * j + powers[scroll.type[i] - j] for i, j in layout]
         # each hyperplane restricts to one base form per fiber coordinate
-        blocks = [[_combine((c, m) for c, m, (i, _) in zip(eta, monomials, layout) if i == b)
-                   for b in (0, 1)] for eta in etas]
-        (a0, a1), (b0, b1) = blocks
-        determinant = _combine([(1, _mul(a0, b1)), (-1, _mul(a1, b0))])
-        if len(determinant) == n + 1 and determinant[n]:
-            break
+        rows = [[_combine((c, m) for c, m, (i, _) in zip(eta, monomials, layout) if i == b)
+                 for b in range(scroll.k)] for eta in etas]
+        if curve.gonality == 3:
+            (a0, a1), (b0, b1) = rows
+            determinant = _combine([(1, _mul(a0, b1)), (-1, _mul(a1, b0))])
+            fibers = [(a1, [-c for c in a0]), (b1, [-c for c in b0])]
+        else:
+            r, q = rows   # the fiber is the cross product r x q
+            fiber = [_combine([(1, _mul(r[i - 2], q[i - 1])), (-1, _mul(r[i - 1], q[i - 2]))])
+                     for i in range(3)]
+            determinant = []
+            for exp, terms in section.items():
+                # Y's base form of the fiber monomial y^exp, times fiber^exp
+                term = _combine((c, [0] * j + powers[i]) for (i, j), c in terms.items())
+                for i, e in enumerate(exp):
+                    for _ in range(e):
+                        term = _mul(term, fiber[i])
+                determinant = _combine([(1, determinant), (1, term)])
+            fibers = [fiber]
         if not any(determinant):
-            raise CertificateError("hyperplanes restrict dependently to the scroll")
-    for y0, y1 in ((a1, a0), (b1, b0)):
-        if len(poly_gcd(poly_gcd(determinant, y0), y1)) == 1:
-            fiber = (y0, [-c for c in y1])
+            raise CertificateError("(a) the scheme equation vanishes identically")
+        if len(determinant) == expected + 1 and determinant[expected]:
             break
     else:
-        raise CertificateError("(b) degenerate fiber at a root of the determinant")
+        raise CertificateError(f"(a) the scheme equation does not have degree {expected}")
+    for fiber in fibers:
+        if len(reduce(poly_gcd, fiber, determinant)) == 1:
+            break
+    else:
+        raise CertificateError("(b) degenerate fiber at a root of the scheme equation")
     image = [_mul(m, fiber[i]) for m, (i, _) in zip(monomials, layout)]
     for eta in etas:
-        if any(_pseudo_remainder(_combine(zip(eta, image)), determinant)):
+        if any(_pseudo_remainder(_combine(zip(eta, image)), determinant)[1]):
             raise CertificateError("(b) a hyperplane misses the scheme")
     return determinant, [image[i] for i in kept]
 
 
 def _certify_scheme(determinant: list[int], phi: Sequence[list[int]],
-                    piece2: GradedIdealPiece, cubic: Polynomial) -> None:
-    """Exact Fermat certificate in A = Q[t]/(D); CertificateError if not.
+                    cubic: Polynomial) -> int:
+    """Exact power-sum certificate in A = Q[t]/(D); returns L = deg D.
 
-    The n polynomials phi are the coordinates of a scheme Gamma cut on
-    the scroll, and D its equation.  The checks, lettered as in the
-    failure messages: (a) D is squarefree of degree n and (c) the phi
-    are independent modulo D, so Gamma is n independent points over the
-    algebraic closure and (I_Gamma)_2 has codimension n; (d) `piece2`, a
-    basis of codimension n too, vanishes on Gamma, so it is (I_Gamma)_2;
-    (e) it annihilates the cubic F, which puts I_Gamma, generated by
-    quadrics, inside Ann(F): by the apolarity lemma F is a sum of n
-    cubes; (f) F is concise (contraction rank n), so n is its Waring
-    rank.  Check (b) belongs to the construction of phi.
+    The polynomials phi are the coordinates of a scheme Gamma with
+    equation D.  (a) D is squarefree, so Gamma is L distinct points p_i
+    (some possibly equal or zero in these coordinates, which only
+    shortens the sum).  (c) The cubic F lies in the span of the cubes of
+    the p_i, that is (I_Gamma)_3 lies in Ann(F), and by the apolarity
+    lemma for reduced schemes (Iarrobino-Kanev 1999, Lemma 1.15) F is a
+    sum of at most L cubes.  The operator x^e pairs with F as e! F_e and
+    with the cube of p_i as 6 (x^e)(p_i), so (c) asks for a functional
+    on A taking x^e(phi) mod D to e! F_e for every cubic monomial: the
+    vector (e! F_e) must lie in the row space of the L x C(n + 2, 3)
+    matrix whose column x^e holds x^e(phi) mod D.  Each column is a
+    primitive integer pseudo-remainder sigma_e (x^e(phi) mod D), built
+    from the residues of phi and of their pairwise products, and the
+    target entry is scaled by the same sigma_e; one echelon of the L rows
+    and one reduction of the target decide it.  CertificateError names
+    the failed check.
     """
+    length = len(determinant) - 1
+    if length < 1 or not is_squarefree(determinant):
+        raise CertificateError(
+            f"(a) the scheme equation is not squarefree of degree {length}")
     n = len(phi)
-    if piece2.dim != comb(n + 1, 2) - n:
-        raise CertificateError(f"(d) the quotient quadrics do not have codimension {n}")
-    if len(determinant) != n + 1 or not is_squarefree(determinant):
-        raise CertificateError(f"(a) the scheme equation is not squarefree of degree {n}")
-    residues = [_pseudo_remainder(f, determinant) for f in phi]
-    if ExactMatrix([r + [0] * (n - len(r)) for r in residues]).rank() < n:
-        raise CertificateError("(c) the scheme points are dependent")
-    products = {}
+
+    def residue(f: list[int], sigma: Fraction) -> tuple[list[int], Fraction]:
+        # f is sigma times the residue of a product of the phi; return
+        # the primitive remainder and its multiple of that residue
+        m, r = _pseudo_remainder(f, determinant)
+        r += [0] * (length - len(r))
+        content = gcd(*r) or 1
+        return [x // content for x in r], sigma * Fraction(m, content)
+
+    linear = [residue(f, Fraction(1)) for f in phi]
+    quadratic = {}
     for i in range(n):
         for j in range(i, n):
-            exp = tuple((i == m) + (j == m) for m in range(n))
-            products[exp] = _mul(phi[i], phi[j])
-    for quadric in piece2.basis:
-        value = _combine((c, products[exp])
-                         for exp, c in quadric.integer_terms()[1].items())
-        if any(_pseudo_remainder(value, determinant)):
-            raise CertificateError("(d) a quotient quadric misses the scheme")
-    if not piece_annihilates(piece2, cubic):
-        raise CertificateError("(e) a quotient quadric does not annihilate the cubic")
-    if rank_lower_bound(cubic) != n:
-        raise CertificateError("(f) the cubic is not concise")
+            (ri, si), (rj, sj) = linear[i], linear[j]
+            quadratic[i, j] = residue(_mul(ri, rj), si * sj)
+    terms = cubic.integer_terms()[1]
+    columns, target = [], []
+    for exp in monomial_basis(n, 3):
+        i, j, k = (v for v, e in enumerate(exp) for _ in range(e))
+        (ri, si), (rq, sq) = linear[i], quadratic[j, k]
+        column, sigma = residue(_mul(ri, rq), si * sq)
+        columns.append(column)
+        target.append(sigma * terms.get(exp, 0) * prod(map(factorial, exp)))
+    ech, pivots = _int_echelon([list(row) for row in zip(*columns)], len(columns))
+    if any(_int_reduce(ech, pivots, _row_to_int(target))):
+        raise CertificateError("(c) the cubic is not in the span of the scheme's cubes")
+    return length
 
 
 def _certify_fermat(curve: CurveSpec, alpha: AlphaResult,
                     failures: list) -> Optional[dict]:
-    """Trigonal certificate: the scroll scheme, exact over Q, is n = g - 2
-    independent points apolar to the cubic, so its rank is exactly n."""
-    n = curve.genus - 2
+    """Trigonal certificate: the cubic is a sum of the cubes of the
+    n = g - 2 points of the scroll scheme, and it is concise, so its rank
+    is exactly n."""
     try:
-        determinant, phi = _scroll_scheme(curve, alpha.eta1, alpha.eta2,
-                                          alpha.kept_indices)
-        _certify_scheme(determinant, phi, alpha.quotient_piece2, alpha.cubic)
+        n = _certify_scheme(*_scheme(curve, None, alpha.eta1, alpha.eta2,
+                                     alpha.kept_indices), alpha.cubic)
+        if rank_lower_bound(alpha.cubic) != n:
+            raise CertificateError("(d) the cubic is not concise")
     except CertificateError as err:
         failures.append(f"certificate: {err}")
         return None
@@ -529,16 +393,17 @@ def _certify_fermat(curve: CurveSpec, alpha: AlphaResult,
         "certificate": "exact",
         "detected_rank": n,
         "rank_interval": [n, n],
-        "scheme_points": len(determinant) - 1,
+        "scheme_points": n,
         "agreement": True,
         "passed": True,
     }
 
 
-def _certify_bound(curve: CurveSpec, alpha: AlphaResult, failures: list,
-                   precision_bits: int, tolerance: Fraction) -> Optional[dict]:
-    """Tetragonal certificate: a power sum over the scheme cut on one of
-    the two surfaces 2H - bF, whose length must stay within the bound."""
+def _certify_bound(curve: CurveSpec, alpha: AlphaResult,
+                   failures: list) -> Optional[dict]:
+    """Tetragonal certificate: the cubic is a sum of the cubes of the
+    points of the scheme cut on one of the two surfaces 2H - bF, whose
+    length must stay within the bound."""
     g = curve.genus
     bound = tetragonal_cube_bound(g)
     lower_bound = rank_lower_bound(alpha.cubic)
@@ -547,24 +412,21 @@ def _certify_bound(curve: CurveSpec, alpha: AlphaResult, failures: list,
     for surface_index in sorted((0, 1), key=lambda i: -bs[i]):
         b = bs[surface_index]
         try:
-            gamma = gamma_points(curve, surface_index, alpha.eta1, alpha.eta2,
-                                 precision_bits, tolerance)
-            certificate = waring_certificate(alpha, gamma,
-                                             precision_bits, tolerance)
-        except (GammaExtractionError, CertificateError, RootFindingError) as err:
+            length = _certify_scheme(*_scheme(curve, surface_index, alpha.eta1,
+                                              alpha.eta2, alpha.kept_indices),
+                                     alpha.cubic)
+        except CertificateError as err:
             failures.append(f"surface b={b}: {err}")
             continue
-        length = certificate.rank
         return {
             "surface": {"h": 2, "f": -b},
             "surface_degree": 2 * g - 6 - b,
+            "certificate": "exact",
             "length": length,
             "bound": bound,
             "within_bound": length <= bound,
             "rank_interval": [lower_bound, length],
             "rank_certified": lower_bound == length,
-            "residual": format_scalar(certificate.residual),
-            "scheme_exact_points": gamma.exact_count,
             "passed": length <= bound,
         }
     return None
@@ -573,9 +435,8 @@ def _certify_bound(curve: CurveSpec, alpha: AlphaResult, failures: list,
 def _trial(args: tuple) -> dict:
     """Build a curve (trigonal when `split` is None, else tetragonal) and
     certify the quotient cubic of the first hyperplane pair that allows it.
-    `precision` holds the tetragonal certificate's (precision_bits,
-    tolerance); the trigonal certificate is exact and takes none."""
-    g, split, trial_seed, eta_retries, precision = args
+    Both certificates are exact."""
+    g, split, trial_seed, eta_retries = args
     head: dict = {"trial_seed": trial_seed}
     if split is not None:
         head["split"] = list(split)
@@ -593,7 +454,7 @@ def _trial(args: tuple) -> dict:
         if isinstance(alpha, AlphaCertificateError):
             failures.append(f"alpha: {alpha}")
             continue
-        found = certify(curve, alpha, failures, *precision)
+        found = certify(curve, alpha, failures)
         if found is not None:
             return {**head, "scroll": list(curve.scroll.type),
                     "hilbert": list(alpha.hilbert), "eta_attempts": attempt,
@@ -604,7 +465,7 @@ def _trial(args: tuple) -> dict:
 
 
 def _verify(report: dict, g: int, split: Optional[tuple[int, int]], trials: int,
-            seed: int, eta_retries: int, precision: tuple = ()) -> dict:
+            seed: int, eta_retries: int) -> dict:
     """Run the trials, serially or in a pool of at most one process per
     trial, and finish `report`; raise VerificationError if one failed.
 
@@ -614,7 +475,7 @@ def _verify(report: dict, g: int, split: Optional[tuple[int, int]], trials: int,
     if not raw.isdecimal():
         raise ValueError(f"APOLAR_KIT_THREADS must be a process count, not {raw!r}")
     processes = min(int(raw), trials)
-    arguments = [(g, split, derive_seed(seed, i), eta_retries, precision)
+    arguments = [(g, split, derive_seed(seed, i), eta_retries)
                  for i in range(trials)]
     if processes > 1:
         with ProcessPoolExecutor(max_workers=processes) as pool:
@@ -634,10 +495,10 @@ def verify_trigonal_fermat(g: int, trials: int, seed: int,
     """Check that trigonal quotient cubics are sums of exactly g - 2 cubes.
 
     Each trial builds a fresh curve, certifies the quotient algebra, and
-    certifies exactly, in Q[t]/(D) and without a root, that the scheme
-    the two hyperplanes cut on the scroll is g - 2 independent points
-    apolar to the cubic (`_certify_scheme`).  Any trial failure raises
-    VerificationError with the full report attached.
+    certifies exactly, in Q[t]/(D) and without a root, that the cubic is
+    a sum of the cubes of the g - 2 points the two hyperplanes cut on the
+    scroll (`_certify_scheme`) and that it is concise.  Any trial failure
+    raises VerificationError with the full report attached.
     """
     if not 5 <= g <= 12:
         raise ValueError("desk-scale verification covers genus 5 through 12")
@@ -650,22 +511,20 @@ def verify_trigonal_fermat(g: int, trials: int, seed: int,
 
 
 def verify_tetragonal_bound(g: int, split: Optional[tuple[int, int]], trials: int,
-                            seed: int,
-                            precision_bits: int = DEFAULT_PRECISION_BITS,
-                            tolerance: Fraction = DEFAULT_TOLERANCE,
-                            eta_retries: int = 5) -> dict:
+                            seed: int, eta_retries: int = 5) -> dict:
     """Check the tetragonal power-sum bound ceil((3g - 7) / 2).
 
     Every trial builds a complete-intersection curve for the requested
-    split of g - 5, runs the quotient construction, and extracts a
-    power-sum decomposition from one of the two surfaces (lower degree
-    first).  The decomposition length must stay within the bound; the
+    split of g - 5 and runs the quotient construction.  It then certifies
+    exactly, in Q[t]/(D) and without a root, that the cubic is a sum of
+    the cubes of the points the two hyperplanes cut on one of the two
+    surfaces 2H - b F (lower degree first; `_certify_scheme`).  That
+    length, the degree of the surface, must stay within the bound.  The
     report also carries the interval between the contraction-rank lower
-    bound and the constructed length, since exact-rank claims in between
-    are not certified here.
+    bound and the length, since ranks in between are not decided here.
     """
-    if not 6 <= g <= 8:
-        raise ValueError("desk-scale verification covers genus 6 through 8")
+    if not 6 <= g <= 11:
+        raise ValueError("desk-scale verification covers genus 6 through 11")
     if split is None:
         split = ((g - 5) // 2, g - 5 - (g - 5) // 2)
     b1, b2 = split
@@ -676,5 +535,4 @@ def verify_tetragonal_bound(g: int, split: Optional[tuple[int, int]], trials: in
         "bound": bound,
         "split": [b1, b2],
     }
-    return _verify(report, g, (b1, b2), trials, seed, eta_retries,
-                   (precision_bits, tolerance))
+    return _verify(report, g, (b1, b2), trials, seed, eta_retries)

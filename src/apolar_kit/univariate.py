@@ -1,32 +1,20 @@
-"""Univariate and binary-form root extraction.
+"""Exact arithmetic on univariate integer polynomials and binary forms.
 
-Rational roots are found exactly, by p-adic lifting and rational
-reconstruction on integer polynomials, and divided out; whatever
-remains goes to the arbitrary-precision solver.  Every floating
-root is certified by a relative backward-error residual, and clusters of
-nearby roots are flagged because downstream consumers require reduced
-(multiplicity-free) point sets.
+Polynomials are integer coefficient lists, lowest degree first.  The
+module finds rational roots by p-adic lifting and rational
+reconstruction, takes greatest common divisors and squarefree tests by
+primitive pseudo-remainder sequences, and reduces modulo a polynomial
+with the integer multiplier of the reduction kept, so residues in
+Q[t]/(D) stay integral.  No root is ever approximated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Optional, Sequence
 
-from mpmath import mp
-
-from .core import Polynomial
-from .numerics import DEFAULT_PRECISION_BITS, to_mp, workprec
-
-__all__ = ["RootExtraction", "rational_roots", "certified_roots",
-           "affine_chart", "binary_form_roots", "poly_gcd", "is_squarefree",
-           "RootFindingError"]
-
-
-class RootFindingError(RuntimeError):
-    pass
+__all__ = ["rational_roots", "affine_chart", "poly_gcd", "is_squarefree"]
 
 
 # ----------------------------------------------------------------------
@@ -52,11 +40,15 @@ def _derivative(f: Sequence[int]) -> list[int]:
     return [i * c for i, c in enumerate(f)][1:]
 
 
-def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """(a mod b) times a nonzero integer, for deg a >= deg b >= 1."""
+def _pseudo_remainder(a: list[int], b: list[int]) -> tuple[int, list[int]]:
+    """(m, r) with r = m (a mod b) for a nonzero integer m; deg b >= 1.
+
+    An a shorter than b comes back unchanged with m = 1; otherwise r has
+    deg b entries, trailing zeros kept."""
     n = len(b) - 1
     lead = b[-1]
     r = list(a)
+    m = 1
     for k in range(len(r) - 1, n - 1, -1):
         c = r.pop()
         if c:
@@ -64,10 +56,11 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
             u, v = lead // common, c // common
             if u != 1:
                 r = [u * x for x in r]
+                m *= u
             shift = k - n
             for i in range(n):
                 r[shift + i] -= v * b[i]
-    return r
+    return m, r
 
 
 def poly_gcd(f: Sequence, g: Sequence) -> list[int]:
@@ -82,7 +75,7 @@ def poly_gcd(f: Sequence, g: Sequence) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
-        a, b = b, _primitive(_pseudo_remainder(a, b))
+        a, b = b, _primitive(_pseudo_remainder(a, b)[1])
     return [1] if b else a
 
 
@@ -237,93 +230,6 @@ def rational_roots(coeffs: Sequence[Fraction]) -> dict[Fraction, int]:
     return out
 
 
-def _deflate(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
-    """Exact synthetic division by (t - root); remainder must vanish."""
-    n = len(coeffs) - 1
-    quotient = [Fraction(0)] * n
-    carry = coeffs[n]
-    for k in range(n - 1, -1, -1):
-        quotient[k] = carry
-        carry = coeffs[k] + root * carry
-    if carry != 0:
-        raise ArithmeticError("deflation by a non-root")
-    return quotient
-
-
-@dataclass
-class RootExtraction:
-    """All roots of a univariate polynomial with certification data."""
-
-    roots: list = field(default_factory=list)   # Fraction | mpf | mpc
-    rational_count: int = 0
-    degree: int = 0
-    max_residual: object = Fraction(0)
-    clustered: bool = False
-
-    @property
-    def count(self) -> int:
-        return len(self.roots)
-
-
-def certified_roots(coeffs: Sequence[Fraction],
-                    precision_bits: int = DEFAULT_PRECISION_BITS,
-                    tolerance: Fraction = Fraction(1, 10**10)) -> RootExtraction:
-    """Roots of sum_i coeffs[i] t^i, rational ones exact, the rest mp floats.
-
-    The residual reported for a floating root r is |p(r)| / sum_i |c_i r^i|
-    (relative backward error); RootFindingError is raised if any root
-    fails its residual check.
-    """
-    cleaned = [Fraction(c) for c in coeffs]
-    while cleaned and cleaned[-1] == 0:
-        cleaned.pop()
-    if len(cleaned) <= 1:
-        raise ValueError("constant or zero polynomial")
-    result = RootExtraction(degree=len(cleaned) - 1)
-    for root, mult in sorted(rational_roots(cleaned).items()):
-        result.roots.extend([root] * mult)
-        result.rational_count += mult
-        if mult > 1:
-            result.clustered = True
-        for _ in range(mult):
-            cleaned = _deflate(cleaned, root)
-    remaining_degree = len(cleaned) - 1
-    if remaining_degree == 0:
-        return result
-    with workprec(precision_bits):
-        mp_coeffs = [to_mp(c) for c in reversed(cleaned)]
-        try:
-            found = mp.polyroots(mp_coeffs, maxsteps=200, extraprec=precision_bits)
-        except mp.NoConvergence as exc:
-            raise RootFindingError("root finder did not converge") from exc
-        cluster_eps = mp.mpf(2) ** (-(precision_bits // 3))
-        max_res = mp.mpf(0)
-        converted = [to_mp(c) for c in cleaned]
-        for r in found:
-            value = mp.mpf(0)
-            scale = mp.mpf(0)
-            power = mp.mpf(1)
-            for c in converted:
-                value += c * power
-                scale += abs(c) * abs(power)
-                power *= r
-            res = abs(value) / scale if scale else abs(value)
-            max_res = max(max_res, res)
-            if res > to_mp(tolerance):
-                raise RootFindingError(
-                    f"residual {mp.nstr(res, 5)} above tolerance for root {r}")
-        for i in range(len(found)):
-            for j in range(i + 1, len(found)):
-                if abs(found[i] - found[j]) < cluster_eps * max(1, abs(found[i])):
-                    result.clustered = True
-            for q in result.roots[:result.rational_count]:
-                if abs(found[i] - to_mp(q)) < cluster_eps * max(1, abs(found[i])):
-                    result.clustered = True
-        result.roots.extend(sorted(found, key=lambda z: (mp.re(z), mp.im(z))))
-        result.max_residual = max_res
-    return result
-
-
 def affine_chart(coeffs: Sequence) -> tuple[list, list[tuple]]:
     """Split sum_j c_j s^(d-j) t^j at the point at infinity.
 
@@ -336,35 +242,3 @@ def affine_chart(coeffs: Sequence) -> tuple[list, list[tuple]]:
         affine.pop()
     at_infinity = [(Fraction(0), Fraction(1))] if len(affine) < len(coeffs) else []
     return affine, at_infinity
-
-
-def binary_form_roots(form: Polynomial,
-                      precision_bits: int = DEFAULT_PRECISION_BITS,
-                      tolerance: Fraction = Fraction(1, 10**10)) -> tuple[list, RootExtraction]:
-    """Projective roots (s : t) of a nonzero binary form.
-
-    Returns pairs (s, t): exact roots as Fraction pairs (1, t0) or (0, 1),
-    floating roots as (1, mp scalar).  The extraction metadata covers the
-    affine part; a vanishing leading coefficient contributes the point at
-    infinity with the corresponding multiplicity.
-    """
-    if form.nvars != 2:
-        raise ValueError("binary forms only")
-    if form.is_zero():
-        raise ValueError("zero form")
-    d = form.degree
-    # form = sum_j c_j s^(d-j) t^j; affine chart s = 1
-    coeffs = [form.coefficient((d - j, j)) for j in range(d + 1)]
-    affine, pairs = affine_chart(coeffs)
-    if len(affine) > 1:
-        extraction = certified_roots(affine, precision_bits, tolerance)
-    else:
-        extraction = RootExtraction(degree=0)
-    if len(coeffs) - len(affine) > 1:
-        extraction.clustered = True
-    for r in extraction.roots:
-        if isinstance(r, Fraction):
-            pairs.append((Fraction(1), r))
-        else:
-            pairs.append((1, r))
-    return pairs, extraction

@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 
 from mpmath import mp
 
-from .apolarity import catalecticant, power_sum_solve
-from .core import ExactMatrix, Polynomial, contract
+from .apolarity import _contraction_rows, power_sum_solve
+from .core import ExactMatrix, Polynomial, contract, monomial_basis
 from .numerics import DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, to_mp, workprec
 from .seeding import make_rng, random_dual_linear
 
@@ -85,11 +85,46 @@ class Decomposition:
         return total
 
 
+# a rank modulo a prime bounds the rank over Q from below
+_RANK_PRIME = 2 ** 61 - 1
+
+
+def _rank_mod_prime(rows: Sequence[Sequence[int]], ncols: int) -> int:
+    """Rank of integer rows modulo `_RANK_PRIME`, by Gaussian elimination."""
+    p = _RANK_PRIME
+    mat = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inverse = pow(mat[rank][col], -1, p)
+        head = [x * inverse % p for x in mat[rank]]
+        for i in range(rank + 1, len(mat)):
+            c = mat[i][col]
+            if c:
+                mat[i] = [(x - c * y) % p for x, y in zip(mat[i], head)]
+        rank += 1
+    return rank
+
+
 def rank_lower_bound(form: Polynomial) -> int:
-    """Rank of the degree-1 contraction matrix; Waring rank is at least this."""
+    """Rank of the degree-1 contraction matrix; Waring rank is at least this.
+
+    The matrix of the form's integer scaling is first ranked modulo a
+    61-bit prime, a lower bound on its rank over Q that is the rank when
+    it is full (n); only otherwise is the rank computed exactly.
+    """
     if form.degree != 3:
         raise ValueError("rank bound implemented for cubics only")
-    return catalecticant(form, 1).rank()
+    n = form.nvars
+    index = {a: j for j, a in enumerate(monomial_basis(n, 1))}
+    rows = _contraction_rows(form.integer_terms()[1], monomial_basis(n, 2), index,
+                             operator=False)
+    if _rank_mod_prime(rows, n) == n:
+        return n
+    return ExactMatrix(rows).rank()
 
 
 def _normalize_point(vec: Sequence, exact: bool):

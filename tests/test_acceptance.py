@@ -7,7 +7,6 @@ the limits on commodity hardware.
 """
 
 import functools
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -25,8 +24,6 @@ from apolar_kit.planemodel import (higher_gonality_degree, nakai_certificate,
 from apolar_kit.scroll import Scroll, chow_product, divisor_degree
 from apolar_kit.seeding import make_rng, random_form, random_invertible_matrix
 from apolar_kit.waring import fermat_detect
-
-RESIDUAL_TOLERANCE = Fraction(1, 10 ** 10)
 
 
 def criterion(number, description):
@@ -96,17 +93,14 @@ def test_tetragonal_verification():
     for g, bound in expectations.items():
         assert tetragonal_cube_bound(g) == bound
     for g, split, trials in [(6, (0, 1), 2), (8, (1, 2), 2)]:
-        report = verify_tetragonal_bound(g, split, trials=trials, seed=200 + g,
-                                         tolerance=RESIDUAL_TOLERANCE)
+        report = verify_tetragonal_bound(g, split, trials=trials, seed=200 + g)
         assert report["passed"]
         for trial in report["trials"]:
             assert trial["length"] <= expectations[g]
             assert trial["rank_interval"][0] <= trial["rank_interval"][1]
-    generic = verify_tetragonal_bound(7, (1, 1), trials=2, seed=207,
-                                      tolerance=RESIDUAL_TOLERANCE)
+    generic = verify_tetragonal_bound(7, (1, 1), trials=2, seed=207)
     assert all(t["length"] == 7 for t in generic["trials"])
-    special = verify_tetragonal_bound(7, (0, 2), trials=2, seed=208,
-                                      tolerance=RESIDUAL_TOLERANCE)
+    special = verify_tetragonal_bound(7, (0, 2), trials=2, seed=208)
     assert all(t["length"] == 6 for t in special["trials"])
     for report in (generic, special):
         for trial in report["trials"]:

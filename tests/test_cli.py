@@ -118,19 +118,26 @@ class TestCommands:
         assert code == 0 and report["passed"]
         assert report["bound"] == 6
 
-    def test_root_finding_failure_is_a_failed_trial(self, tmp_path):
-        # no float root meets a 1e-50 residual at 128 bits
+    def test_failing_certificate_is_a_failed_trial(self, tmp_path, monkeypatch):
+        # every surface of every hyperplane pair fails its certificate
+        def fail(*args):
+            raise pipeline.CertificateError("(c) the cubic is not in the span "
+                                            "of the scheme's cubes")
+
+        monkeypatch.setattr(pipeline, "_certify_scheme", fail)
         code, report = run(tmp_path, "verify-b", "--g", "6", "--trials", "1",
-                           "--seed", "8", "--tolerance", "1e-50")
+                           "--seed", "8")
         assert code == 1 and report["passed"] is False
         failures = report["trials"][0]["failures"]
-        assert failures and all("residual" in f for f in failures)
+        assert len(failures) == 10
+        assert all(f.startswith("surface b=") and "(c)" in f for f in failures)
 
     @pytest.mark.parametrize("command, option", [
         (command, option)
-        for command in (["alpha", "--gonality", "3"], ["verify-a"])
+        for command in (["alpha", "--gonality", "3"], ["verify-a"], ["verify-b"])
         for option in (["--tolerance", "1e-9"], ["--precision-bits", "64"])],
-        ids=["option0", "option1", "verify-a-option0", "verify-a-option1"])
+        ids=["option0", "option1", "verify-a-option0", "verify-a-option1",
+             "verify-b-option0", "verify-b-option1"])
     def test_alpha_takes_no_precision_options(self, command, option):
         with pytest.raises(SystemExit) as err:
             main([*command, "--g", "5", "--seed", "1", *option])

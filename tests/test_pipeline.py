@@ -1,11 +1,13 @@
 import dataclasses
 import json
 import sys
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from apolar_kit.apolarity import (GradedIdealPiece, SocleDimensionError,
@@ -16,15 +18,14 @@ from apolar_kit.core import (ExactMatrix, Polynomial, change_coordinates,
 from apolar_kit.curvegen import (ideal_pieces, sample_points, tetragonal_curve,
                                  trigonal_curve)
 from apolar_kit.pipeline import (AlphaCertificateError, CertificateError,
-                                 GammaScheme, _certify_fermat, _certify_scheme,
-                                 _linear_form_blocks, alpha_for_curve,
-                                 alpha_map, gamma_points,
-                                 quotient_frame, reduce_to_quotient,
-                                 tetragonal_cube_bound,
-                                 verify_tetragonal_bound, verify_trigonal_fermat,
-                                 waring_certificate)
-from apolar_kit.seeding import derive_seed, make_rng, random_dual_linear, random_form
-from apolar_kit.waring import fermat_detect
+                                 _certify_fermat, _certify_scheme, _scheme,
+                                 alpha_for_curve, alpha_map, quotient_frame,
+                                 reduce_to_quotient, tetragonal_cube_bound,
+                                 verify_tetragonal_bound, verify_trigonal_fermat)
+from apolar_kit.seeding import derive_seed, make_rng, random_dual_linear
+from apolar_kit.waring import fermat_detect, power_sum_fit
+
+_T = sympy.Symbol("t")
 
 
 def build_recon(curve, seed=3):
@@ -257,58 +258,98 @@ class TestElementwiseOracle:
         assert any(failed)
 
 
+def scheme_of(curve, surface_index, eta1, eta2):
+    kept = quotient_frame(eta1, eta2, curve.genus)[0]
+    return _scheme(curve, surface_index, eta1, eta2, kept)
+
+
+def oracle_points(determinant, phi):
+    """Float oracle, independent of the package: the points of the scheme
+    (D, phi) at sympy's numerical roots of D, as mp vectors."""
+    roots = sympy.Poly(determinant[::-1], _T).nroots(n=60, maxsteps=200)
+    with mp.workprec(220):
+        points = []
+        for root in roots:
+            re, im = root.as_real_imag()
+            z = mp.mpc(mp.mpf(str(re)), mp.mpf(str(im)))
+            points.append(tuple(mp.polyval(f[::-1], z) for f in phi))
+    return points
+
+
+def oracle_fit(determinant, phi, cubic):
+    """Power-sum fit of the cubic over the oracle's points (None on failure)."""
+    return power_sum_fit(oracle_points(determinant, phi), cubic)
+
+
+def vanishes_on_scheme(poly, determinant, phi):
+    """poly(phi) = 0 modulo D, in sympy's exact arithmetic."""
+    coords = [sympy.Poly(f[::-1], _T, domain="QQ") for f in phi]
+    value = sympy.Poly(0, _T, domain="QQ")
+    for exp, c in poly.terms.items():
+        term = sympy.Poly(sympy.Rational(c.numerator, c.denominator), _T, domain="QQ")
+        for f, e in zip(coords, exp):
+            term = term * f ** e
+        value = value + term
+    return value.rem(sympy.Poly(determinant[::-1], _T, domain="QQ")).is_zero
+
+
+def distinct(points):
+    with mp.workprec(220):
+        for u, v in combinations(points, 2):
+            dot = mp.fsum(a * mp.conj(b) for a, b in zip(u, v))
+            nu = mp.fsum(abs(a) ** 2 for a in u)
+            nv = mp.fsum(abs(b) ** 2 for b in v)
+            if 1 - abs(dot) ** 2 / (nu * nv) < mp.mpf(10) ** -30:
+                return False
+    return True
+
+
 class TestGammaPoints:
+    """The scheme builder against sympy: roots, lengths and vanishing."""
+
     def test_trigonal_point_count(self):
         for g, seed in [(5, 25), (6, 26)]:
             curve = trigonal_curve(g, seed=seed)
             rng = make_rng(seed)
             eta1 = random_dual_linear(g, rng)
             eta2 = random_dual_linear(g, rng)
-            gamma = gamma_points(curve, None, eta1, eta2)
-            assert gamma.expected_length == g - 2
-            assert gamma.found_length == g - 2
-            assert gamma.complete
+            determinant, phi = scheme_of(curve, None, eta1, eta2)
+            assert len(determinant) - 1 == g - 2 and len(phi) == g - 2
+            points = oracle_points(determinant, phi)
+            assert len(points) == g - 2 and distinct(points)
 
     def test_tetragonal_surface_lengths(self):
         curve = tetragonal_curve(7, 0, 2, seed=27)
         rng = make_rng(28)
         eta1 = random_dual_linear(7, rng)
         eta2 = random_dual_linear(7, rng)
-        gamma0 = gamma_points(curve, 0, eta1, eta2)   # b = 0: degree 8
-        gamma1 = gamma_points(curve, 1, eta1, eta2)   # b = 2: degree 6
-        assert gamma0.expected_length == 8 and gamma0.complete
-        assert gamma1.expected_length == 6 and gamma1.complete
+        for surface_index, length in ((0, 8), (1, 6)):   # b = 0, b = 2
+            determinant, phi = scheme_of(curve, surface_index, eta1, eta2)
+            assert len(determinant) - 1 == length
+            points = oracle_points(determinant, phi)
+            assert len(points) == length and distinct(points)
 
     def test_trigonal_rejects_surface_index(self):
         curve = trigonal_curve(5, seed=29)
         rng = make_rng(30)
         with pytest.raises(ValueError):
-            gamma_points(curve, 0, random_dual_linear(5, rng),
-                         random_dual_linear(5, rng))
+            scheme_of(curve, 0, random_dual_linear(5, rng), random_dual_linear(5, rng))
 
     def test_apolarity_containment_degree_two(self):
         # the scheme sits on the scroll, and in degree 2 the trigonal
         # quotient ideal comes entirely from the scroll, so every degree-2
-        # element vanishes at every scheme point; the degree-3 inclusion
-        # runs the other way (scheme ideal inside the annihilator) and is
-        # certified by the power-sum fit instead
+        # element vanishes on the scheme, exactly modulo D
         curve = trigonal_curve(6, seed=31)
         recon = build_recon(curve)
         rng = make_rng(32)
         eta1 = random_dual_linear(6, rng)
         eta2 = random_dual_linear(6, rng)
         alpha = alpha_map(recon, eta1, eta2)
-        gamma = gamma_points(curve, None, eta1, eta2)
-        with mp.workprec(200):
-            for point in gamma.points:
-                values = [mp.mpmathify(c) if not isinstance(c, (int, Fraction))
-                          else mp.mpf(int(c)) for c in point]
-                scale = max(1, max(abs(v) for v in values)) ** 2
-                for op in alpha.quotient_piece2.basis:
-                    assert abs(op.evaluate(values)) <= mp.mpf(10) ** -25 * scale
+        determinant, phi = scheme_of(curve, None, eta1, eta2)
+        for op in alpha.quotient_piece2.basis:
+            assert vanishes_on_scheme(op, determinant, phi)
 
     def test_scroll_quadric_images_vanish_on_tetragonal_scheme(self):
-        from apolar_kit.pipeline import reduce_to_quotient
         from apolar_kit.scroll import scroll_quadrics
         curve = tetragonal_curve(7, 1, 1, seed=36)
         recon = build_recon(curve)
@@ -316,26 +357,22 @@ class TestGammaPoints:
         eta1 = random_dual_linear(7, rng)
         eta2 = random_dual_linear(7, rng)
         alpha = alpha_map(recon, eta1, eta2)
-        gamma = gamma_points(curve, 0, eta1, eta2)
-        with mp.workprec(200):
-            for point in gamma.points:
-                values = [mp.mpmathify(c) if not isinstance(c, (int, Fraction))
-                          else mp.mpf(int(c)) for c in point]
-                scale = max(1, max(abs(v) for v in values)) ** 2
-                for quadric in scroll_quadrics(curve.scroll):
-                    reduced = reduce_to_quotient(alpha, quadric)
-                    assert abs(reduced.evaluate(values)) <= mp.mpf(10) ** -25 * scale
+        determinant, phi = scheme_of(curve, 0, eta1, eta2)
+        for quadric in scroll_quadrics(curve.scroll):
+            assert vanishes_on_scheme(reduce_to_quotient(alpha, quadric),
+                                      determinant, phi)
+
+
+def fermat(n):
+    return Polynomial(n, 3, {tuple(3 if i == j else 0 for j in range(n)): 1
+                             for i in range(n)})
 
 
 class TestWaringCertificate:
     def test_incomplete_scheme_rejected(self):
-        curve = trigonal_curve(5, seed=33)
-        recon = build_recon(curve)
-        alpha = alpha_for_curve(curve, seed=33)
-        fake = GammaScheme(points=((1, 0, 0),), expected_length=3,
-                           found_length=1, exact_count=1, surface_index=None)
-        with pytest.raises(CertificateError):
-            waring_certificate(alpha, fake)
+        # two of the three points of x0^3 + x1^3 + x2^3: e0 and e1 at t = 0, 1
+        with pytest.raises(CertificateError, match=r"\(c\)"):
+            _certify_scheme([0, -1, 1], [[1, -1], [0, 1], [0]], fermat(3))
 
     def test_trigonal_certificate(self):
         curve = trigonal_curve(6, seed=34)
@@ -344,10 +381,11 @@ class TestWaringCertificate:
         eta1 = random_dual_linear(6, rng)
         eta2 = random_dual_linear(6, rng)
         alpha = alpha_map(recon, eta1, eta2)
-        gamma = gamma_points(curve, None, eta1, eta2)
-        dec = waring_certificate(alpha, gamma)
+        determinant, phi = scheme_of(curve, None, eta1, eta2)
+        assert _certify_scheme(determinant, phi, alpha.cubic) == 4
+        dec = oracle_fit(determinant, phi, alpha.cubic)
         assert dec.rank == 4
-        assert dec.residual < mp.mpf(10) ** -20 or dec.residual == 0
+        assert dec.residual < mp.mpf(10) ** -20
 
 
 def certificate_failures(curve, alpha):
@@ -356,8 +394,25 @@ def certificate_failures(curve, alpha):
     return found, failures
 
 
+def refuse_float_stages(monkeypatch):
+    """Make every float stage raise wherever the package imported it."""
+    from apolar_kit import waring
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a float stage ran on a verdict path")
+
+    for name in ("fermat_detect_detail", "power_sum_fit"):
+        original = getattr(waring, name)
+        for module_name, module in list(sys.modules.items()):
+            if (module_name.split(".")[0] == "apolar_kit"
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(mp, "eig", refuse)
+    monkeypatch.setattr(mp, "polyroots", refuse)
+
+
 class TestExactCertificate:
-    """The trigonal verdict: exact checks in Q[t]/(D), no root and no float."""
+    """Both verdicts: exact checks in Q[t]/(D), no root and no float."""
 
     @pytest.mark.parametrize("g", [5, 6, 7, 8])
     @pytest.mark.parametrize("seed", [81, 82])
@@ -369,8 +424,18 @@ class TestExactCertificate:
         assert found["certificate"] == "exact"
         assert found["detected_rank"] == g - 2 and found["rank_interval"] == [g - 2, g - 2]
         assert fermat_detect(alpha.cubic).rank == g - 2
-        gamma = gamma_points(curve, None, alpha.eta1, alpha.eta2)
-        assert waring_certificate(alpha, gamma).rank == g - 2
+        determinant, phi = scheme_of(curve, None, alpha.eta1, alpha.eta2)
+        assert oracle_fit(determinant, phi, alpha.cubic).rank == g - 2
+
+    @pytest.mark.parametrize("surface_index, length", [(0, 8), (1, 6)])
+    def test_tetragonal_agrees_with_scheme_fit(self, surface_index, length):
+        # both surfaces of a g = 7 curve of split (0, 2): b = 0 and b = 2
+        curve = tetragonal_curve(7, 0, 2, seed=87)
+        alpha = alpha_for_curve(curve, seed=87)
+        determinant, phi = scheme_of(curve, surface_index, alpha.eta1, alpha.eta2)
+        assert _certify_scheme(determinant, phi, alpha.cubic) == length
+        dec = oracle_fit(determinant, phi, alpha.cubic)
+        assert dec.rank == length and dec.residual < mp.mpf(10) ** -20
 
     def test_rejects_a_perturbed_cubic(self):
         curve = trigonal_curve(7, seed=83)
@@ -380,37 +445,50 @@ class TestExactCertificate:
         perturbed = dataclasses.replace(alpha, cubic=alpha.cubic + bump)
         found, failures = certificate_failures(curve, perturbed)
         assert found is None
-        assert failures == ["certificate: (e) a quotient quadric does not "
-                            "annihilate the cubic"]
+        assert failures == ["certificate: (c) the cubic is not in the span of "
+                            "the scheme's cubes"]
 
     def test_rejects_a_quadric_off_the_scheme(self):
+        # the cubic of another hyperplane pair is a concise Fermat cubic
+        # too, but the quadrics of its annihilator miss this scheme
         curve = trigonal_curve(7, seed=84)
         alpha = alpha_for_curve(curve, seed=84)
-        piece = alpha.quotient_piece2
-        swapped = GradedIdealPiece(2, piece.nvars,
-                                   (random_form(piece.nvars, 2, make_rng(85)),)
-                                   + piece.basis[1:])
+        rng = make_rng(85)
+        other = alpha_map(build_recon(curve), random_dual_linear(7, rng),
+                          random_dual_linear(7, rng))
         found, failures = certificate_failures(
-            curve, dataclasses.replace(alpha, quotient_piece2=swapped))
+            curve, dataclasses.replace(alpha, cubic=other.cubic))
         assert found is None
-        assert failures == ["certificate: (d) a quotient quadric misses the scheme"]
+        assert failures == ["certificate: (c) the cubic is not in the span of "
+                            "the scheme's cubes"]
 
     def test_rejects_a_repeated_point(self):
         # the double point at (1 : 0) has ideal (y1^2), apolar to the
         # concise cubic x0^2 x1, whose Waring rank is 3, not 2
-        piece = GradedIdealPiece(2, 2, (Polynomial.monomial((0, 2)),))
         cubic = Polynomial.monomial((2, 1))
         with pytest.raises(CertificateError, match=r"\(a\)"):
-            _certify_scheme([0, 0, 1], [[1], [0, 1]], piece, cubic)
+            _certify_scheme([0, 0, 1], [[1], [0, 1]], cubic)
 
     def test_rejects_dependent_points(self):
         # the roots 0, 1, 2 of D go to e0, e1, e0: two distinct points only,
         # yet every quadric of Ann(x0^3 + x1^3 + x2^3) vanishes on them
-        fermat3 = Polynomial(3, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
-        piece = GradedIdealPiece(2, 3, tuple(
-            Polynomial.monomial(e) for e in ((1, 1, 0), (1, 0, 1), (0, 1, 1))))
         with pytest.raises(CertificateError, match=r"\(c\)"):
-            _certify_scheme([0, 2, -3, 1], [[1, -2, 1], [0, 2, -1], [0]], piece, fermat3)
+            _certify_scheme([0, 2, -3, 1], [[1, -2, 1], [0, 2, -1], [0]], fermat(3))
+
+    def test_rejects_a_cubic_that_is_not_concise(self, monkeypatch):
+        # x0^3 + x1^3 is a sum of the cubes of the scheme's points e0, e1
+        # and e0 + e1 (at t = 0, 1, 2), but needs only two variables
+        from apolar_kit import pipeline
+        scheme = ([0, 2, -3, 1], [[2, -4, 2], [0, 3, -1], [0]])
+        monkeypatch.setattr(pipeline, "_scheme", lambda *args: scheme)
+        curve = trigonal_curve(5, seed=88)
+        alpha = alpha_for_curve(curve, seed=88)
+        cubic = Polynomial(3, 3, {(3, 0, 0): 1, (0, 3, 0): 1})
+        assert _certify_scheme(*scheme, cubic) == 3
+        found, failures = certificate_failures(
+            curve, dataclasses.replace(alpha, cubic=cubic))
+        assert found is None
+        assert failures == ["certificate: (d) the cubic is not concise"]
 
     def test_sheared_chart(self):
         # the first hyperplane pair puts a point of the scheme at (0 : 1),
@@ -421,24 +499,12 @@ class TestExactCertificate:
         assert trial["passed"] and trial["eta_attempts"] == 1
         curve = trigonal_curve(5, derive_seed(seed, 0))
         alpha = alpha_for_curve(curve, derive_seed(seed, 0))
-        (a0, a1), (b0, b1) = (_linear_form_blocks(curve.scroll, eta)
+        (a0, a1), (b0, b1) = (linear_form_blocks(curve.scroll, eta)
                               for eta in (alpha.eta1, alpha.eta2))
         assert (a0 * b1 - a1 * b0).coefficient((0, 3)) == 0
 
     def test_verify_a_never_goes_through_floats(self, tmp_path, monkeypatch):
-        from apolar_kit import univariate, waring
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a float stage ran on the trigonal verdict path")
-
-        for owner, name in ((waring, "fermat_detect_detail"), (waring, "power_sum_fit"),
-                            (univariate, "binary_form_roots")):
-            original = getattr(owner, name)
-            for module_name, module in list(sys.modules.items()):
-                if (module_name.split(".")[0] == "apolar_kit"
-                        and getattr(module, name, None) is original):
-                    monkeypatch.setattr(module, name, refuse)
-        monkeypatch.setattr(mp, "eig", refuse)
+        refuse_float_stages(monkeypatch)
         for g in (5, 6, 7, 8):
             out = tmp_path / f"g{g}.json"
             assert main(["verify-a", "--g", str(g), "--trials", "1", "--seed", "86",
@@ -446,6 +512,66 @@ class TestExactCertificate:
             for trial in json.loads(out.read_text())["trials"]:
                 assert trial["certificate"] == "exact"
                 assert trial["detected_rank"] == g - 2 and trial["agreement"] is True
+
+    def test_verify_b_never_goes_through_floats(self, tmp_path, monkeypatch):
+        refuse_float_stages(monkeypatch)
+        for g, split in ((6, "0,1"), (7, "1,1"), (7, "0,2"), (8, "1,2")):
+            out = tmp_path / f"g{g}.json"
+            assert main(["verify-b", "--g", str(g), "--split", split, "--trials", "1",
+                         "--seed", "86", "--out", str(out)]) == 0
+            for trial in json.loads(out.read_text())["trials"]:
+                assert trial["certificate"] == "exact"
+                assert trial["length"] <= trial["bound"]
+
+
+def linear_form_blocks(scroll, eta):
+    """Restriction of an ambient linear form to the scroll: one binary
+    base form per fiber coordinate."""
+    coeffs = eta.coefficient_vector(monomial_basis(scroll.N + 1, 1))
+    blocks, offset = [], 0
+    for a in scroll.type:
+        blocks.append(Polynomial(2, a, {(a - j, j): coeffs[offset + j]
+                                        for j in range(a + 1) if coeffs[offset + j]}))
+        offset += a + 1
+    return blocks
+
+
+@pytest.fixture(scope="module")
+def certified_schemes():
+    """(D, phi, cubic) of a trigonal g = 7 and a tetragonal g = 7 (1, 1) trial."""
+    out = []
+    for curve in (trigonal_curve(7, seed=89), tetragonal_curve(7, 1, 1, seed=89)):
+        alpha = alpha_for_curve(curve, seed=89)
+        index = None if curve.gonality == 3 else 0
+        determinant, phi = scheme_of(curve, index, alpha.eta1, alpha.eta2)
+        assert _certify_scheme(determinant, phi, alpha.cubic) == len(determinant) - 1
+        out.append((determinant, phi, alpha.cubic))
+    return out
+
+
+class TestCertificateRejections:
+    @given(st.integers(0, 1), st.integers(0, 34),
+           st.fractions(min_value=-50, max_value=50, max_denominator=50)
+           .filter(lambda c: c != 0))
+    @settings(max_examples=40, deadline=None)
+    def test_perturbed_cubics_are_rejected(self, certified_schemes, which, index, c):
+        determinant, phi, cubic = certified_schemes[which]
+        exp = monomial_basis(cubic.nvars, 3)[index]
+        with pytest.raises(CertificateError, match=r"\(c\)"):
+            _certify_scheme(determinant, phi, cubic + Polynomial.monomial(exp, c))
+
+    @given(st.integers(0, 1), st.integers(-20, 20), st.integers(1, 20))
+    @settings(max_examples=40, deadline=None)
+    def test_repeated_roots_are_rejected(self, certified_schemes, which, a, b):
+        # D times (b t - a)^2 has a root of multiplicity 2
+        determinant, phi, cubic = certified_schemes[which]
+        square = [a * a, -2 * a * b, b * b]
+        repeated = [0] * (len(determinant) + 2)
+        for i, x in enumerate(determinant):
+            for j, y in enumerate(square):
+                repeated[i + j] += x * y
+        with pytest.raises(CertificateError, match=r"\(a\)"):
+            _certify_scheme(repeated, phi, cubic)
 
 
 class TestVerifiers:
@@ -472,4 +598,4 @@ class TestVerifiers:
         with pytest.raises(ValueError):
             verify_trigonal_fermat(13, trials=1, seed=1)
         with pytest.raises(ValueError):
-            verify_tetragonal_bound(9, None, trials=1, seed=1)
+            verify_tetragonal_bound(12, None, trials=1, seed=1)

@@ -4,12 +4,9 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp
 
 from apolar_kit import univariate
-from apolar_kit.core import Polynomial
-from apolar_kit.univariate import (binary_form_roots, certified_roots,
-                                   is_squarefree, poly_gcd, rational_roots)
+from apolar_kit.univariate import is_squarefree, poly_gcd, rational_roots
 
 _T = sympy.Symbol("t")
 
@@ -133,67 +130,80 @@ class TestPolynomialGcd:
                 assert is_squarefree(poly) == _sympy_poly(poly).is_sqf
 
 
+class TestPseudoRemainder:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=0, max_size=9),
+           st.lists(st.integers(-50, 50), min_size=2, max_size=5)
+           .filter(lambda b: b[-1] != 0))
+    def test_multiplier_against_sympy(self, a, b):
+        m, r = univariate._pseudo_remainder(a, b)
+        assert m != 0
+        assert len(r) == (len(b) - 1 if len(a) >= len(b) else len(a))
+        if not a:
+            return
+        expected = _sympy_poly([Fraction(m * c) for c in a]).rem(_sympy_poly(b))
+        got = _sympy_poly([Fraction(c) for c in r] or [Fraction(0)])
+        assert (got - expected).is_zero
+
+
 class TestCertifiedRoots:
+    """Roots certified exactly: rational ones by `rational_roots`, repeated
+    ones by `is_squarefree`; an irrational root is never approximated."""
+
     def test_mixed_rational_irrational(self):
         # (t - 1)(t^2 - 2)
         coeffs = [Fraction(2), Fraction(-2), Fraction(-1), Fraction(1)]
-        result = certified_roots(coeffs)
-        assert result.rational_count == 1
-        assert result.roots[0] == Fraction(1)
-        floats = sorted(float(r) for r in result.roots[1:])
-        assert abs(floats[0] + 2 ** 0.5) < 1e-12
-        assert abs(floats[1] - 2 ** 0.5) < 1e-12
-        assert not result.clustered
-        assert result.max_residual < mp.mpf(10) ** -30
+        assert rational_roots(coeffs) == {Fraction(1): 1}
+        assert is_squarefree(coeffs)
 
     def test_complex_roots(self):
         coeffs = [Fraction(1), Fraction(0), Fraction(1)]   # t^2 + 1
-        result = certified_roots(coeffs)
-        assert result.rational_count == 0
-        assert sorted(complex(r).imag for r in result.roots) == [-1.0, 1.0]
+        assert rational_roots(coeffs) == {}
+        assert is_squarefree(coeffs)
 
     def test_cluster_flagged(self):
         # (t - 1)^2 (t + 2): double rational root
         coeffs = [Fraction(2), Fraction(-3), Fraction(0), Fraction(1)]
-        result = certified_roots(coeffs)
-        assert result.clustered
+        assert rational_roots(coeffs) == {Fraction(1): 2, Fraction(-2): 1}
+        assert not is_squarefree(coeffs)
 
     def test_degree_accounting(self):
         coeffs = [Fraction(-6), Fraction(11), Fraction(-6), Fraction(1)]
-        result = certified_roots(coeffs)   # (t-1)(t-2)(t-3)
-        assert result.degree == 3
-        assert result.rational_count == 3
-        assert sorted(result.roots) == [1, 2, 3]
+        result = rational_roots(coeffs)   # (t-1)(t-2)(t-3)
+        assert result == {Fraction(1): 1, Fraction(2): 1, Fraction(3): 1}
+        assert sum(result.values()) == len(coeffs) - 1
 
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
-            certified_roots([Fraction(3)])
+            rational_roots([Fraction(0)])
+        assert rational_roots([Fraction(3)]) == {}
 
 
 class TestBinaryFormRoots:
+    """Projective roots of a binary form sum_j c_j s^(d-j) t^j, exactly:
+    `affine_chart` splits off the point at infinity (0 : 1), and
+    `rational_roots` finds the rational roots (1 : t0) of the rest."""
+
     def test_cubic_with_root_at_infinity(self):
-        # s t^2 - t^3 ... written as form c1 s^2 t + ...; use s*t*(s - t)
-        form = Polynomial(2, 3, {(2, 1): 1, (1, 2): -1})
-        pairs, extraction = binary_form_roots(form)
-        assert (Fraction(0), Fraction(1)) in pairs        # s = 0
-        assert (Fraction(1), Fraction(0)) in pairs        # t = 0
-        assert (Fraction(1), Fraction(1)) in pairs        # s = t
-        assert len(pairs) == 3
+        # s t (s - t) = s^2 t - s t^2
+        affine, at_infinity = univariate.affine_chart([0, 1, -1, 0])
+        assert at_infinity == [(Fraction(0), Fraction(1))]      # s = 0
+        assert rational_roots(affine) == {Fraction(0): 1, Fraction(1): 1}
 
     def test_irrational_pair(self):
-        # s^2 - 2 t^2
-        form = Polynomial(2, 2, {(2, 0): 1, (0, 2): -2})
-        pairs, _ = binary_form_roots(form)
-        assert all(p[0] == 1 for p in pairs)
-        values = sorted(float(p[1]) for p in pairs)
-        assert abs(values[0] + 0.5 ** 0.5) < 1e-12
-        assert abs(values[1] - 0.5 ** 0.5) < 1e-12
+        # s^2 - 2 t^2: two distinct irrational roots, none at infinity
+        affine, at_infinity = univariate.affine_chart([1, 0, -2])
+        assert at_infinity == [] and rational_roots(affine) == {}
+        assert is_squarefree(affine)
 
     def test_total_root_count_matches_degree(self):
-        form = Polynomial(2, 4, {(4, 0): 3, (2, 2): -7, (0, 4): 2})
-        pairs, _ = binary_form_roots(form)
-        assert len(pairs) == 4
+        # squarefree of full degree 4: four distinct points, as sympy finds
+        affine, at_infinity = univariate.affine_chart([3, 0, -7, 0, 2])
+        assert at_infinity == [] and is_squarefree(affine)
+        roots = _sympy_poly([Fraction(c) for c in affine]).nroots()
+        assert len(set(roots)) == 4
 
     def test_zero_rejected(self):
+        affine, _ = univariate.affine_chart([0, 0, 0, 0])
         with pytest.raises(ValueError):
-            binary_form_roots(Polynomial.zero(2, 3))
+            rational_roots(affine)

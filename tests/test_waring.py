@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
+from apolar_kit.apolarity import catalecticant
 from apolar_kit.core import Polynomial, change_coordinates, contract
 from apolar_kit.seeding import make_rng, random_form, random_invertible_matrix
 from apolar_kit.waring import (PencilError, fermat_detect,
@@ -69,6 +72,25 @@ class TestRankLowerBound:
     def test_non_cubic_rejected(self):
         with pytest.raises(ValueError):
             rank_lower_bound(Polynomial(2, 2, {(2, 0): 1}))
+
+    @given(st.integers(1, 6), st.integers(0, 6), st.integers(0, 2 ** 32),
+           st.sampled_from([1, 7, 2 ** 200]), st.booleans(), st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_exact_rank(self, n, drop, seed, bound, wrap, denominator):
+        # a cubic in n - drop variables, moved to n variables by a random
+        # change of coordinates, so not concise when drop > 0; with `wrap`
+        # a concise multiple of the prime 2^61 - 1 is added, so the rank
+        # modulo that prime is too small and the exact rank must decide
+        rng = make_rng(seed)
+        m = max(1, n - drop)
+        inner = random_form(m, 3, rng, bound=bound)
+        form = change_coordinates(
+            Polynomial(n, 3, {exp + (0,) * (n - m): Fraction(c, denominator)
+                              for exp, c in inner.terms.items()}),
+            random_invertible_matrix(n, rng))
+        if wrap:
+            form = form + (2 ** 61 - 1) * fermat(n)
+        assert rank_lower_bound(form) == catalecticant(form, 1).rank()
 
 
 class TestPowerSumFit:
