@@ -15,7 +15,7 @@ from .apolarity import (ApolarAlgebraProfile, ApolarityCertificate,
                         apolar_ideal_piece, catalecticant, hilbert_function,
                         is_apolar_scheme, macaulay_inverse, piece_contains)
 from .waring import (Decomposition, PencilError, fermat_detect,
-                     fermat_detect_detail, power_sum_fit, rank_lower_bound,
+                     fermat_detect_detail, rank_lower_bound,
                      simultaneous_diagonalize)
 from .scroll import (DivisorClass, Scroll, ScrollPoint, canonical_class,
                      chow_product, divisor_degree, embed_point, project_type,

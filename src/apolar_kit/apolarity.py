@@ -4,23 +4,21 @@ The graded piece of the annihilator of a form F in degree k is the kernel
 of the contraction map from degree-k dual operators to forms of degree
 d - k; the map in the other direction (recovering F, up to scalar, from
 enough graded pieces) is `inverse_system`, and `macaulay_inverse` when
-that space is one-dimensional.  All of it is plain exact linear algebra
-on the matrices produced by `catalecticant`.
+that space is one-dimensional.  `is_apolar_scheme` tests whether given
+rational dual points realize a form as a power sum.  All of it is plain
+exact linear algebra, mostly on the matrices of `catalecticant`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
 from typing import Optional, Sequence
 
-from mpmath import mp
-
 from .core import (ExactMatrix, Polynomial, _falling, _row_to_int,
                    coefficient_matrix, int_kernel, monomial_basis)
-from .numerics import (DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE,
-                       least_squares, projective_distance, to_mp, workprec)
 
 __all__ = [
     "GradedIdealPiece",
@@ -35,7 +33,6 @@ __all__ = [
     "is_apolar_scheme",
     "piece_contains",
     "power_coefficient_vector",
-    "power_sum_solve",
 ]
 
 
@@ -281,70 +278,24 @@ def power_coefficient_vector(point: Sequence, d: int,
     return out
 
 
-def power_sum_solve(points: Sequence[Sequence], form: Polynomial,
-                    precision_bits: int, tolerance: Fraction):
-    """Weights w with form = sum_i w_i (sum_j p_ij x_j)^d for dual points p_i.
-
-    Returns (points, weights, residual, exact).  Integer and Fraction
-    points are solved exactly: the residual is 0 and the weights are None
-    when the form is outside the span.  Other points become mp scalars
-    and are solved by least squares at `precision_bits`; the weights are
-    None when the residual, relative to the largest coefficient of the
-    form (at least 1), exceeds `tolerance`.  Raises ValueError when the
-    floating system is degenerate.
-    """
-    basis = monomial_basis(form.nvars, form.degree)
-    if _all_exact(points):
-        pts = [tuple(Fraction(c) for c in p) for p in points]
-        columns = [power_coefficient_vector(p, form.degree, basis) for p in pts]
-        weights = ExactMatrix(columns).transpose().solve(form.coefficient_vector(basis))
-        return pts, weights, Fraction(0), True
-    with workprec(precision_bits):
-        pts = [tuple(to_mp(c) for c in p) for p in points]
-        matrix = mp.matrix([[to_mp(x) for x in power_coefficient_vector(p, form.degree, basis)]
-                            for p in pts]).T
-        target = mp.matrix([to_mp(c) for c in form.coefficient_vector(basis)])
-        weights = least_squares(matrix, target)
-        fitted = matrix * weights
-        scale = max(mp.mpf(1), max(abs(x) for x in target))
-        residual = max(abs(fitted[i] - target[i]) for i in range(len(basis))) / scale
-        if residual > to_mp(tolerance):
-            weights = None
-        return pts, weights, residual, False
-
-
 @dataclass(frozen=True)
 class ApolarityCertificate:
-    """Outcome of an apolar-scheme membership test."""
+    """Outcome of an apolar-scheme membership test, with the exact weights."""
 
     apolar: bool
-    weights: Optional[tuple]
-    residual: object  # Fraction(0) on the exact path, mpf otherwise
-    exact: bool
+    weights: Optional[tuple[Fraction, ...]]
 
 
-def _points_coincide_exact(u: Sequence[Fraction], v: Sequence[Fraction]) -> bool:
-    for i in range(len(u)):
-        for j in range(i + 1, len(u)):
-            if u[i] * v[j] != u[j] * v[i]:
-                return False
-    return True
+def is_apolar_scheme(points: Sequence[Sequence], form: Polynomial) -> ApolarityCertificate:
+    """Check whether reduced rational dual points realize f as a power sum.
 
-
-def _all_exact(points: Sequence[Sequence]) -> bool:
-    return all(isinstance(c, (int, Fraction)) for p in points for c in p)
-
-
-def is_apolar_scheme(points: Sequence[Sequence], form: Polynomial,
-                     precision_bits: int = DEFAULT_PRECISION_BITS,
-                     tolerance: Fraction = DEFAULT_TOLERANCE) -> ApolarityCertificate:
-    """Check whether reduced dual points realize f as a power sum.
-
-    `points` are coordinate tuples in the dual space; the point with
-    coordinates c corresponds to the linear form sum_i c_i x_i.  The test
-    succeeds exactly when f lies in the span of the d-th powers of those
-    forms, and the solved weights are returned as the certificate.
-    Coincident points are rejected (only reduced schemes are supported).
+    `points` are coordinate tuples of integers or Fractions in the dual
+    space; the point with coordinates c corresponds to the linear form
+    sum_i c_i x_i.  The test succeeds exactly when f lies in the span of
+    the d-th powers of those forms, and the weights solved for exactly
+    are returned as the certificate.  Coincident points are rejected
+    (only reduced schemes are supported), and so are points with other
+    coordinates: the check is exact.
     """
     if not points:
         raise ValueError("empty point list")
@@ -352,23 +303,20 @@ def is_apolar_scheme(points: Sequence[Sequence], form: Polynomial,
     for p in points:
         if len(p) != n:
             raise ValueError("point arity does not match the form")
+        if not all(isinstance(c, (int, Fraction)) for c in p):
+            raise ValueError("dual points must have rational coordinates")
         if not any(p):
             raise ValueError("zero vector is not a projective point")
-    exact = _all_exact(points)
-    with workprec(precision_bits):
-        pts = points if exact else [[to_mp(c) for c in p] for p in points]
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if exact:
-                    coincide = _points_coincide_exact(pts[i], pts[j])
-                else:
-                    coincide = projective_distance(pts[i], pts[j]) < mp.mpf(10) ** (-16)
-                if coincide:
-                    raise ValueError(f"coincident dual points at indices {i} and {j}")
-    _, weights, residual, exact = power_sum_solve(points, form, precision_bits, tolerance)
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+    for (i, u), (j, v) in combinations(enumerate(pts), 2):
+        # proportional exactly when every 2 x 2 minor of (u, v) vanishes
+        if all(u[a] * v[b] == u[b] * v[a] for a, b in combinations(range(n), 2)):
+            raise ValueError(f"coincident dual points at indices {i} and {j}")
+    basis = monomial_basis(n, form.degree)
+    columns = [power_coefficient_vector(p, form.degree, basis) for p in pts]
+    weights = ExactMatrix(columns).transpose().solve(form.coefficient_vector(basis))
     return ApolarityCertificate(weights is not None,
-                                None if weights is None else tuple(weights),
-                                residual, exact)
+                                None if weights is None else tuple(weights))
 
 
 def piece_contains(piece: GradedIdealPiece, poly: Polynomial) -> bool:

@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from fractions import Fraction
 
 from . import jsonio
 from .apolarity import (SocleDimensionError, apolar_ideal_piece,
@@ -23,15 +22,13 @@ from .apolarity import (SocleDimensionError, apolar_ideal_piece,
 from .curvegen import (CurveGenerationError, IdealDimensionError,
                        PointCertificateError, SamplingError, ideal_pieces,
                        sample_points, tetragonal_curve, trigonal_curve)
-from .numerics import DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE
-from .pipeline import (AlphaCertificateError, CertificateError,
-                       VerificationError, alpha_for_curve,
+from .pipeline import (AlphaCertificateError, VerificationError, alpha_for_curve,
                        verify_tetragonal_bound, verify_trigonal_fermat)
 from .planemodel import (higher_gonality_degree, nakai_certificate,
                          tetragonal_numerology)
 from .scroll import (Scroll, canonical_class, chow_product, divisor_degree,
                      project_type, section_count, section_templates)
-from .waring import fermat_detect_detail
+from .waring import CertificateError, fermat_detect_detail
 
 FAILURE_ERRORS = (VerificationError, CertificateError, AlphaCertificateError,
                   SocleDimensionError, SamplingError, CurveGenerationError,
@@ -82,17 +79,14 @@ def _cmd_inverse(args) -> dict:
 
 def _cmd_fermat(args) -> dict:
     poly = jsonio.polynomial_from_json(_read_json(args.in_path))
-    decomposition, reason = fermat_detect_detail(
-        poly, seed=args.seed, precision_bits=args.precision_bits,
-        tolerance=args.tolerance)
+    decomposition, reason = fermat_detect_detail(poly, seed=args.seed)
     report = {
         "claim": "the form is a sum of cubes of independent linear forms",
         "fermat": decomposition is not None,
         "reason": reason,
     }
     if decomposition is not None:
-        report["decomposition"] = jsonio.decomposition_to_json(
-            decomposition, args.precision_bits)
+        report["decomposition"] = jsonio.decomposition_to_json(decomposition)
     return report
 
 
@@ -234,17 +228,12 @@ def _cmd_gonality_n(args) -> dict:
     }
 
 
-def _add_common(parser, seed=False, precision=False):
+def _add_common(parser, seed=False):
     parser.add_argument("--out", dest="out_path", default=None,
                         help="write the JSON report here instead of stdout")
     if seed:
         parser.add_argument("--seed", type=int, required=True,
                             help="seed for all randomness (mandatory)")
-    if precision:
-        parser.add_argument("--precision-bits", type=int,
-                            default=DEFAULT_PRECISION_BITS)
-        parser.add_argument("--tolerance", type=Fraction,
-                            default=DEFAULT_TOLERANCE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fermat", help="detect and decompose a sum-of-cubes form")
     p.add_argument("--in", dest="in_path", required=True)
-    _add_common(p, seed=True, precision=True)
+    _add_common(p, seed=True)
     p.set_defaults(handler=_cmd_fermat)
 
     p = sub.add_parser("scroll", help="scroll divisor arithmetic")

@@ -208,7 +208,7 @@ class Polynomial:
         return result
 
     def evaluate(self, values: Sequence):
-        """Evaluate at a point; works for Fraction, int or mpmath values."""
+        """Evaluate at a point with integer or Fraction coordinates."""
         if len(values) != self.nvars:
             raise ValueError("point has wrong length")
         total = None

@@ -1,8 +1,11 @@
 """JSON interchange for every value type the command line exposes.
 
-Rational numbers travel as exact "p/q" strings (or "p" for integers);
-floating values as decimal strings tagged with the precision they were
-computed at.  Serialization is deterministic: terms are emitted in
+Rational numbers travel as exact "p/q" strings (or "p" for integers),
+and so do the integer coefficients of a decomposition's scheme.  Reading
+is strict: counts, degrees and exponents must be JSON integers, a
+coefficient a string or an integer (never a boolean), and a polynomial
+may list each exponent once; anything else raises ValueError instead of
+being coerced.  Serialization is deterministic: terms are emitted in
 graded-lex order and dictionaries are written with sorted keys by the
 callers that dump them.
 """
@@ -10,12 +13,10 @@ callers that dump them.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from .apolarity import GradedIdealPiece
 from .core import Polynomial
 from .curvegen import BihomSection, CurveSpec
-from .numerics import format_scalar
 from .scroll import DivisorClass, Scroll
 from .waring import Decomposition
 
@@ -34,11 +35,15 @@ def _coef_to_str(c: Fraction) -> str:
 
 
 def _coef_from_str(raw) -> Fraction:
-    if isinstance(raw, str):
-        return Fraction(raw)
-    if isinstance(raw, int):
+    if isinstance(raw, str) or (isinstance(raw, int) and not isinstance(raw, bool)):
         return Fraction(raw)
     raise ValueError(f"coefficients must be strings or integers, got {raw!r}")
+
+
+def _int(raw) -> int:
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    raise ValueError(f"expected an integer, got {raw!r}")
 
 
 def polynomial_to_json(poly: Polynomial) -> dict:
@@ -51,8 +56,13 @@ def polynomial_to_json(poly: Polynomial) -> dict:
 
 
 def polynomial_from_json(data: dict) -> Polynomial:
-    terms = {tuple(t["exp"]): _coef_from_str(t["coef"]) for t in data["terms"]}
-    return Polynomial(int(data["nvars"]), int(data["degree"]), terms)
+    terms = {}
+    for t in data["terms"]:
+        exp = tuple(_int(e) for e in t["exp"])
+        if exp in terms:
+            raise ValueError(f"exponent {list(exp)} is listed twice")
+        terms[exp] = _coef_from_str(t["coef"])
+    return Polynomial(_int(data["nvars"]), _int(data["degree"]), terms)
 
 
 def piece_to_json(piece: GradedIdealPiece) -> dict:
@@ -66,7 +76,7 @@ def piece_to_json(piece: GradedIdealPiece) -> dict:
 
 def piece_from_json(data: dict) -> GradedIdealPiece:
     basis = tuple(polynomial_from_json(p) for p in data["basis"])
-    return GradedIdealPiece(int(data["degree"]), int(data["nvars"]), basis)
+    return GradedIdealPiece(_int(data["degree"]), _int(data["nvars"]), basis)
 
 
 def scroll_to_json(scroll: Scroll) -> dict:
@@ -74,7 +84,7 @@ def scroll_to_json(scroll: Scroll) -> dict:
 
 
 def scroll_from_json(data: dict) -> Scroll:
-    return Scroll(tuple(int(a) for a in data["type"]))
+    return Scroll(tuple(_int(a) for a in data["type"]))
 
 
 def divisor_to_json(cls: DivisorClass) -> dict:
@@ -82,7 +92,7 @@ def divisor_to_json(cls: DivisorClass) -> dict:
 
 
 def divisor_from_json(data: dict, scroll: Scroll) -> DivisorClass:
-    return DivisorClass(int(data["h"]), int(data["f"]), scroll)
+    return DivisorClass(_int(data["h"]), _int(data["f"]), scroll)
 
 
 def _section_to_json(section: BihomSection) -> dict:
@@ -95,7 +105,7 @@ def _section_to_json(section: BihomSection) -> dict:
 
 def _section_from_json(data: dict, scroll: Scroll) -> BihomSection:
     cls = divisor_from_json(data["class"], scroll)
-    coeffs = {tuple(t["fiber_exp"]): polynomial_from_json(t["base"])
+    coeffs = {tuple(_int(e) for e in t["fiber_exp"]): polynomial_from_json(t["base"])
               for t in data["terms"]}
     return BihomSection(scroll, cls, coeffs)
 
@@ -117,20 +127,16 @@ def curve_from_json(data: dict) -> CurveSpec:
     classes = tuple(divisor_from_json(c, scroll) for c in data["classes"])
     equations = tuple(_section_from_json(s, scroll) for s in data["equations"])
     hints = tuple(Fraction(t) for t in data.get("rational_fiber_hints", []))
-    return CurveSpec(int(data["genus"]), int(data["gonality"]), scroll,
-                     classes, equations, int(data["seed"]), hints)
+    return CurveSpec(_int(data["genus"]), _int(data["gonality"]), scroll,
+                     classes, equations, _int(data["seed"]), hints)
 
 
-def decomposition_to_json(dec: Decomposition,
-                          precision_bits: Optional[int] = None) -> dict:
-    out = {
+def decomposition_to_json(dec: Decomposition) -> dict:
+    return {
         "rank": dec.rank,
         "nvars": dec.nvars,
-        "exact": dec.exact,
-        "forms": [[format_scalar(c) for c in vec] for vec in dec.forms],
-        "weights": [format_scalar(w) for w in dec.weights],
-        "residual": format_scalar(dec.residual),
+        "certificate": "exact",
+        "residual": "0",
+        "scheme_equation": [str(c) for c in dec.scheme_equation],
+        "points": [[str(c) for c in f] for f in dec.points],
     }
-    if not dec.exact and precision_bits is not None:
-        out["precision_bits"] = precision_bits
-    return out

@@ -24,23 +24,22 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, lcm, prod
 from typing import Optional, Sequence
 
 from .apolarity import GradedIdealPiece, inverse_system
-from .core import (ExactMatrix, Polynomial, _int_echelon, _int_reduce, _row_to_int,
-                   change_coordinates, int_kernel, monomial_basis, substitute)
+from .core import (ExactMatrix, Polynomial, _row_to_int, change_coordinates,
+                   int_kernel, monomial_basis, substitute)
 from .curvegen import (CurveSpec, IdealReconstruction, ideal_pieces,
                        sample_points, tetragonal_curve, trigonal_curve)
 from .scroll import coordinate_layout, divisor_degree
 from .seeding import derive_seed, make_rng, random_dual_linear
-from .univariate import _pseudo_remainder, is_squarefree, poly_gcd
-from .waring import rank_lower_bound
+from .univariate import _pseudo_remainder, poly_gcd
+from .waring import CertificateError, _certify_scheme, _mul, rank_lower_bound
 
 __all__ = [
     "AlphaResult",
     "AlphaCertificateError",
-    "CertificateError",
     "VerificationError",
     "alpha_map",
     "alpha_for_curve",
@@ -60,10 +59,6 @@ class AlphaCertificateError(RuntimeError):
     def __init__(self, hilbert: tuple[int, ...], message: str):
         self.hilbert = hilbert
         super().__init__(f"{message}; diagnostic Hilbert vector {hilbert}")
-
-
-class CertificateError(RuntimeError):
-    pass
 
 
 class VerificationError(RuntimeError):
@@ -220,16 +215,6 @@ def _random_eta_pair(g: int, rng):
             return eta1, eta2
 
 
-def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Product of integer polynomials, coefficients lowest degree first."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _combine(terms) -> list[int]:
     """sum c * f over the (c, f) pairs, integer polynomials."""
     terms = list(terms)
@@ -319,61 +304,6 @@ def _scheme(curve: CurveSpec, surface_index: Optional[int], eta1: Polynomial,
         if any(_pseudo_remainder(_combine(zip(eta, image)), determinant)[1]):
             raise CertificateError("(b) a hyperplane misses the scheme")
     return determinant, [image[i] for i in kept]
-
-
-def _certify_scheme(determinant: list[int], phi: Sequence[list[int]],
-                    cubic: Polynomial) -> int:
-    """Exact power-sum certificate in A = Q[t]/(D); returns L = deg D.
-
-    The polynomials phi are the coordinates of a scheme Gamma with
-    equation D.  (a) D is squarefree, so Gamma is L distinct points p_i
-    (some possibly equal or zero in these coordinates, which only
-    shortens the sum).  (c) The cubic F lies in the span of the cubes of
-    the p_i, that is (I_Gamma)_3 lies in Ann(F), and by the apolarity
-    lemma for reduced schemes (Iarrobino-Kanev 1999, Lemma 1.15) F is a
-    sum of at most L cubes.  The operator x^e pairs with F as e! F_e and
-    with the cube of p_i as 6 (x^e)(p_i), so (c) asks for a functional
-    on A taking x^e(phi) mod D to e! F_e for every cubic monomial: the
-    vector (e! F_e) must lie in the row space of the L x C(n + 2, 3)
-    matrix whose column x^e holds x^e(phi) mod D.  Each column is a
-    primitive integer pseudo-remainder sigma_e (x^e(phi) mod D), built
-    from the residues of phi and of their pairwise products, and the
-    target entry is scaled by the same sigma_e; one echelon of the L rows
-    and one reduction of the target decide it.  CertificateError names
-    the failed check.
-    """
-    length = len(determinant) - 1
-    if length < 1 or not is_squarefree(determinant):
-        raise CertificateError(
-            f"(a) the scheme equation is not squarefree of degree {length}")
-    n = len(phi)
-
-    def residue(f: list[int], sigma: Fraction) -> tuple[list[int], Fraction]:
-        # f is sigma times the residue of a product of the phi; return
-        # the primitive remainder and its multiple of that residue
-        m, r = _pseudo_remainder(f, determinant)
-        r += [0] * (length - len(r))
-        content = gcd(*r) or 1
-        return [x // content for x in r], sigma * Fraction(m, content)
-
-    linear = [residue(f, Fraction(1)) for f in phi]
-    quadratic = {}
-    for i in range(n):
-        for j in range(i, n):
-            (ri, si), (rj, sj) = linear[i], linear[j]
-            quadratic[i, j] = residue(_mul(ri, rj), si * sj)
-    terms = cubic.integer_terms()[1]
-    columns, target = [], []
-    for exp in monomial_basis(n, 3):
-        i, j, k = (v for v, e in enumerate(exp) for _ in range(e))
-        (ri, si), (rq, sq) = linear[i], quadratic[j, k]
-        column, sigma = residue(_mul(ri, rq), si * sq)
-        columns.append(column)
-        target.append(sigma * terms.get(exp, 0) * prod(map(factorial, exp)))
-    ech, pivots = _int_echelon([list(row) for row in zip(*columns)], len(columns))
-    if any(_int_reduce(ech, pivots, _row_to_int(target))):
-        raise CertificateError("(c) the cubic is not in the span of the scheme's cubes")
-    return length
 
 
 def _certify_fermat(curve: CurveSpec, alpha: AlphaResult,
@@ -471,6 +401,8 @@ def _verify(report: dict, g: int, split: Optional[tuple[int, int]], trials: int,
 
     APOLAR_KIT_THREADS is the process count; unset, empty or 0 is serial.
     """
+    if trials < 1:
+        raise ValueError(f"the number of trials must be at least 1, not {trials}")
     raw = os.environ.get("APOLAR_KIT_THREADS") or "0"
     if not raw.isdecimal():
         raise ValueError(f"APOLAR_KIT_THREADS must be a process count, not {raw!r}")
@@ -527,6 +459,9 @@ def verify_tetragonal_bound(g: int, split: Optional[tuple[int, int]], trials: in
         raise ValueError("desk-scale verification covers genus 6 through 11")
     if split is None:
         split = ((g - 5) // 2, g - 5 - (g - 5) // 2)
+    if len(split) != 2 or min(split) < 0 or sum(split) != g - 5:
+        raise ValueError(f"the split must be two non-negative integers summing to "
+                         f"g - 5 = {g - 5}, not {tuple(split)}")
     b1, b2 = split
     bound = tetragonal_cube_bound(g)
     report = {

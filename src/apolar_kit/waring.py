@@ -1,45 +1,57 @@
-"""Waring-rank analysis of cubic forms.
+"""Waring-rank analysis of cubic forms, in exact arithmetic.
 
-A cubic is a Fermat cubic when it is a sum of cubes of n independent
-linear forms in its n variables.  Detection contracts the cubic against
-two generic dual directions, which turns the question into a generalized
-eigenproblem for a pencil of quadrics: for an actual sum of cubes both
-quadrics are diagonal in the (unknown) dual basis, so a simple-spectrum
-pencil hands back the linear forms.  Eigenvalues are computed in
-high-precision floating point and every candidate decomposition is
-validated by an explicit power-sum fit with a residual check; nothing is
-ever reported on the strength of the eigenproblem alone.
+A cubic in n variables is a Fermat cubic when it is a sum of cubes of n
+independent linear forms l_i.  Contracting F = sum_i w_i l_i^3 with a
+dual direction gives a quadric that is diagonal in the basis l_i, so for
+an invertible such quadric B and two others A and C, the matrices
+M = B^-1 A and N = B^-1 C commute and share eigenvectors v_i, and B v_i
+is the coefficient vector of l_i.  Detection reads those points off over
+Q without computing a root: the characteristic polynomial chi of M is
+the equation of a scheme of n points, and phi = B adj(t - M) r is its
+point at every root of chi (`simultaneous_diagonalize`).  The verdict is
+the power-sum certificate the verifiers use (`_certify_scheme`): F lies
+in the span of the cubes of those points, decided in Q[t]/(chi), which
+together with conciseness proves that F is a sum of exactly n cubes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
+from math import factorial, gcd, lcm, prod
 from typing import Optional, Sequence
 
-from mpmath import mp
-
-from .apolarity import _contraction_rows, power_sum_solve
-from .core import ExactMatrix, Polynomial, contract, monomial_basis
-from .numerics import DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, to_mp, workprec
+from .apolarity import _contraction_rows
+from .core import (ExactMatrix, Polynomial, _int_echelon, _int_reduce, _row_to_int,
+                   contract, monomial_basis)
 from .seeding import make_rng, random_dual_linear
+from .univariate import _pseudo_remainder, is_squarefree, poly_gcd
 
 __all__ = [
+    "CertificateError",
     "Decomposition",
     "PencilError",
     "rank_lower_bound",
-    "power_sum_fit",
     "simultaneous_diagonalize",
     "fermat_detect",
     "fermat_detect_detail",
 ]
 
 
+class CertificateError(RuntimeError):
+    """A check of the exact power-sum certificate failed; the message
+    names the check by its letter."""
+
+
 class PencilError(RuntimeError):
     """Failure of the quadric-pencil step; `kind` is one of
-    'singular' (every combination tried is degenerate) or
-    'non-simple' (repeated eigenvalues, no unique eigenbasis)."""
+    'singular' (every member of the pencil tried is degenerate),
+    'non-simple' (the characteristic polynomial has a repeated root, or
+    the point vanishes at one of its roots) or 'non-commuting' (two
+    matrices of the family do not commute, which no sum of independent
+    cubes allows)."""
 
     def __init__(self, kind: str, message: str):
         self.kind = kind
@@ -48,41 +60,21 @@ class PencilError(RuntimeError):
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A certified power-sum presentation f = sum_i w_i l_i^3.
+    """A certified presentation of a cubic as a sum of cubes, over Q.
 
-    `forms` holds the coefficient vectors of the linear forms l_i; on
-    the exact path everything is Fraction and the residual is exactly
-    zero, otherwise entries are mp floats (possibly complex) and the
-    residual is the coefficientwise sup distance between f and the sum,
-    relative to the largest coefficient of f.
+    The cubic is a sum of the cubes of the linear forms whose coefficient
+    vectors are the `points` phi(t) at the roots of the squarefree
+    `scheme_equation` chi(t); both are integer polynomials, coefficients
+    lowest degree first.
     """
 
     nvars: int
-    forms: tuple[tuple, ...]
-    weights: tuple
-    residual: object
-    exact: bool
+    scheme_equation: tuple[int, ...]
+    points: tuple[tuple[int, ...], ...]
 
     @property
     def rank(self) -> int:
-        return len(self.forms)
-
-    def form_polynomials(self) -> list[Polynomial]:
-        if not self.exact:
-            raise ValueError("only exact decompositions convert to Polynomial")
-        return [Polynomial(self.nvars, 1,
-                           {tuple(1 if j == i else 0 for j in range(self.nvars)): c
-                            for i, c in enumerate(vec)})
-                for vec in self.forms]
-
-    def reconstruct(self) -> Polynomial:
-        """Exact sum of weighted cubes; only available on the exact path."""
-        if not self.exact:
-            raise ValueError("only exact decompositions reconstruct exactly")
-        total = Polynomial.zero(self.nvars, 3)
-        for w, ell in zip(self.weights, self.form_polynomials()):
-            total = total + w * (ell ** 3)
-        return total
+        return len(self.scheme_equation) - 1
 
 
 # a rank modulo a prime bounds the rank over Q from below
@@ -127,53 +119,73 @@ def rank_lower_bound(form: Polynomial) -> int:
     return ExactMatrix(rows).rank()
 
 
-def _normalize_point(vec: Sequence, exact: bool):
-    if exact:
-        lead = next((c for c in vec if c), None)
-        if lead is None:
-            raise ValueError("zero dual point")
-        return tuple(Fraction(c) / lead for c in vec)
-    biggest = max(abs(c) for c in vec)
-    if biggest == 0:
-        raise ValueError("zero dual point")
-    lead = next(c for c in vec if abs(c) >= biggest / 2)
-    return tuple(c / lead for c in vec)
+def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of integer polynomials, coefficients lowest degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
-def _sort_key_float(vec):
-    return tuple((mp.re(c), mp.im(c)) for c in vec)
+def _certify_scheme(determinant: list[int], phi: Sequence[list[int]],
+                    cubic: Polynomial) -> int:
+    """Exact power-sum certificate in A = Q[t]/(D); returns L = deg D.
 
-
-def power_sum_fit(points: Sequence[Sequence], form: Polynomial,
-                  precision_bits: int = DEFAULT_PRECISION_BITS,
-                  tolerance: Fraction = DEFAULT_TOLERANCE) -> Optional[Decomposition]:
-    """Solve f = sum_i w_i l_i^3 for the weights, given the dual points.
-
-    Exact inputs run through exact linear algebra and return a residual
-    of literally zero or None; floating inputs are solved by least
-    squares at the requested precision and accepted only when the
-    relative residual stays below the tolerance.
+    The polynomials phi are the coordinates of a scheme Gamma with
+    equation D.  (a) D is squarefree, so Gamma is L distinct points p_i
+    (some possibly equal or zero in these coordinates, which only
+    shortens the sum).  (c) The cubic F lies in the span of the cubes of
+    the p_i, that is (I_Gamma)_3 lies in Ann(F), and by the apolarity
+    lemma for reduced schemes (Iarrobino-Kanev 1999, Lemma 1.15) F is a
+    sum of at most L cubes.  The operator x^e pairs with F as e! F_e and
+    with the cube of p_i as 6 (x^e)(p_i), so (c) asks for a functional
+    on A taking x^e(phi) mod D to e! F_e for every cubic monomial: the
+    vector (e! F_e) must lie in the row space of the L x C(n + 2, 3)
+    matrix whose column x^e holds x^e(phi) mod D.  Each column is a
+    primitive integer pseudo-remainder sigma_e (x^e(phi) mod D), built
+    from the residues of phi and of their pairwise products, and the
+    target entry is scaled by the same sigma_e; one echelon of the L rows
+    and one reduction of the target decide it.  CertificateError names
+    the failed check.
     """
-    if form.degree != 3:
-        raise ValueError("power-sum fitting implemented for cubics only")
-    if not points:
-        raise ValueError("no dual points given")
-    n = form.nvars
-    for p in points:
-        if len(p) != n:
-            raise ValueError("point arity does not match the form")
-    try:
-        pts, weights, residual, exact = power_sum_solve(points, form,
-                                                        precision_bits, tolerance)
-    except ValueError:
-        return None
-    if weights is None:
-        return None
-    return Decomposition(n, tuple(pts), tuple(weights), residual, exact)
+    length = len(determinant) - 1
+    if length < 1 or not is_squarefree(determinant):
+        raise CertificateError(
+            f"(a) the scheme equation is not squarefree of degree {length}")
+    n = len(phi)
+
+    def residue(f: list[int], sigma: Fraction) -> tuple[list[int], Fraction]:
+        # f is sigma times the residue of a product of the phi; return
+        # the primitive remainder and its multiple of that residue
+        m, r = _pseudo_remainder(f, determinant)
+        r += [0] * (length - len(r))
+        content = gcd(*r) or 1
+        return [x // content for x in r], sigma * Fraction(m, content)
+
+    linear = [residue(f, Fraction(1)) for f in phi]
+    quadratic = {}
+    for i in range(n):
+        for j in range(i, n):
+            (ri, si), (rj, sj) = linear[i], linear[j]
+            quadratic[i, j] = residue(_mul(ri, rj), si * sj)
+    terms = cubic.integer_terms()[1]
+    columns, target = [], []
+    for exp in monomial_basis(n, 3):
+        i, j, k = (v for v, e in enumerate(exp) for _ in range(e))
+        (ri, si), (rq, sq) = linear[i], quadratic[j, k]
+        column, sigma = residue(_mul(ri, rq), si * sq)
+        columns.append(column)
+        target.append(sigma * terms.get(exp, 0) * prod(map(factorial, exp)))
+    ech, pivots = _int_echelon([list(row) for row in zip(*columns)], len(columns))
+    if any(_int_reduce(ech, pivots, _row_to_int(target))):
+        raise CertificateError("(c) the cubic is not in the span of the scheme's cubes")
+    return length
 
 
-def _quadric_matrix(q: Polynomial) -> ExactMatrix:
-    """Symmetric matrix A with q(x) = x^T A x."""
+def _quadric_matrix(q: Polynomial) -> list[list[Fraction]]:
+    """Rows of the symmetric matrix A with q(x) = x^T A x."""
     if q.degree != 2:
         raise ValueError("not a quadric")
     n = q.nvars
@@ -187,129 +199,126 @@ def _quadric_matrix(q: Polynomial) -> ExactMatrix:
             i, j = support
             rows[i][j] = c / 2
             rows[j][i] = c / 2
-    return ExactMatrix(rows)
+    return rows
 
 
-def simultaneous_diagonalize(q1: Polynomial, q2: Polynomial,
-                             precision_bits: int = DEFAULT_PRECISION_BITS) -> list[tuple]:
-    """Common diagonalizing dual points of a pencil of quadrics.
+def _integer_multiple(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    """The rational matrix times the lcm of its entries' denominators."""
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
 
-    Writes the quadrics as symmetric matrices (A, B), requires some
-    combination of the pencil to be invertible, and solves the standard
-    eigenproblem of B^-1 A, the right block of the reduced echelon form
-    of [B | A].  With a simple spectrum the eigenvectors v_i are unique
-    up to scale and the images B v_i are the coefficient vectors of the
-    linear forms that diagonalize both quadrics at once; those are
-    returned, normalized.  Raises PencilError('singular') when
-    no invertible member is found and PencilError('non-simple') when
-    eigenvalues collide.
+
+def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def simultaneous_diagonalize(quadrics: Sequence[Polynomial], r: Sequence[int]
+                             ) -> tuple[list[int], list[list[int]]]:
+    """Common diagonalizing points of a family of quadrics, as a scheme over Q.
+
+    The first two quadrics span a pencil; its first invertible member B
+    among (q2, q1), (q1, q2) and q1 + j q2 (j = 1..5, with A = q1) gives
+    M = B^-1 A and, for each further quadric C, B^-1 C, all read off one
+    reduced echelon form of [B | A | C ...].  Those matrices must commute
+    with M.  With M scaled to an integer matrix (its eigenvectors do not
+    move), Faddeev-LeVerrier gives chi(t) = det(t - M) and
+    adj(t - M) = sum_k M_k t^(n - k), in integers.  When chi is
+    squarefree, adj(t_i - M) has rank one at each root t_i and its
+    columns span the eigenvector v_i there, so phi(t) = B adj(t - M) r is
+    a multiple of B v_i at t_i, and gcd(phi, chi) = 1 says that multiple
+    is never zero.  Returns (chi, phi) with integer coefficients, lowest
+    degree first; chi is monic and phi primitive.  Raises PencilError
+    ('singular', 'non-commuting' or 'non-simple') otherwise.
     """
-    if q1.nvars != q2.nvars:
-        raise ValueError("quadrics in different variable sets")
-    a = _quadric_matrix(q1)
-    b = _quadric_matrix(q2)
-    n = q1.nvars
-    # generic members of the pencil may be invertible when b and a are not
-    members = ((ExactMatrix([[a.entry(r, c) + Fraction(j) * b.entry(r, c)
-                              for c in range(n)] for r in range(n)]), a)
+    if len(quadrics) < 2 or len({q.nvars for q in quadrics}) != 1:
+        raise ValueError("need at least two quadrics in one variable set")
+    n = quadrics[0].nvars
+    if len(r) != n:
+        raise ValueError("the vector r has the wrong length")
+    a, b, *others = (_quadric_matrix(q) for q in quadrics)
+    members = ([[x + j * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
                for j in range(1, 6))
-    for base, other in chain([(b, a), (a, b)], members):
-        # [base | other] reduces to [I | base^-1 other] exactly when base
-        # is invertible, that is when the left block holds n pivots
-        reduced, pivots = ExactMatrix([rb + ro for rb, ro
-                                       in zip(base.rows(), other.rows())]).rref()
+    for base, other in chain([(b, a), (a, b)], ((m, a) for m in members)):
+        # [B | A | C ...] reduces to [I | B^-1 A | B^-1 C ...] exactly
+        # when B is invertible, that is when the left block holds n pivots
+        reduced, pivots = ExactMatrix([list(chain(*rows)) for rows
+                                       in zip(base, other, *others)]).rref()
         if pivots[:n] == tuple(range(n)):
             break
     else:
         raise PencilError("singular", "no invertible member of the pencil found")
-    m = ExactMatrix([row[n:] for row in reduced.rows()])
-    with workprec(precision_bits):
-        mm = mp.matrix([[to_mp(m.entry(i, j)) for j in range(n)] for i in range(n)])
-        eigenvalues, eigenvectors = mp.eig(mm)
-        sep_tol = mp.mpf(2) ** (-(precision_bits // 3))
-        scale = max(mp.mpf(1), max(abs(e) for e in eigenvalues))
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(eigenvalues[i] - eigenvalues[j]) < sep_tol * scale:
-                    raise PencilError(
-                        "non-simple",
-                        f"eigenvalues {i} and {j} coincide at this precision")
-        base_mp = mp.matrix([[to_mp(base.entry(i, j)) for j in range(n)] for i in range(n)])
-        other_mp = mp.matrix([[to_mp(other.entry(i, j)) for j in range(n)] for i in range(n)])
-        points = []
-        for i in range(n):
-            v = eigenvectors[:, i]
-            image = base_mp * v
-            norm = mp.sqrt(mp.fsum(abs(x) ** 2 for x in image))
-            vnorm = mp.sqrt(mp.fsum(abs(x) ** 2 for x in v))
-            if norm < sep_tol * vnorm:
-                image = other_mp * v
-            point = _normalize_point([image[r] for r in range(n)], exact=False)
-            # drop negligible imaginary dust so real pencils give real points
-            cleaned = []
-            real_scale = max(abs(c) for c in point)
-            for c in point:
-                if abs(mp.im(c)) < sep_tol * real_scale:
-                    cleaned.append(mp.re(c))
-                else:
-                    cleaned.append(c)
-            points.append(tuple(cleaned))
-        points.sort(key=_sort_key_float)
-        return points
+    blocks = [_integer_multiple([row[k * n:(k + 1) * n] for row in reduced.rows()])
+              for k in range(1, 2 + len(others))]
+    m = blocks[0]
+    for block in blocks[1:]:
+        if _matmul(m, block) != _matmul(block, m):
+            raise PencilError("non-commuting", "the pencil matrices do not commute")
+    chi = [0] * n + [1]
+    adjugate = []
+    product = [[0] * n for _ in range(n)]   # M M_0, with M_0 = 0
+    for k in range(1, n + 1):
+        mk = [[x + chi[n - k + 1] * (i == j) for j, x in enumerate(row)]
+              for i, row in enumerate(product)]
+        adjugate.append(mk)
+        product = _matmul(m, mk)
+        chi[n - k] = -sum(product[i][i] for i in range(n)) // k
+    if not is_squarefree(chi):
+        raise PencilError("non-simple", "the characteristic polynomial has a repeated root")
+    # coefficient j of adj(t - M) r is M_(n-j) r
+    columns = [[sum(x * y for x, y in zip(row, r)) for row in mk]
+               for mk in reversed(adjugate)]
+    phi = _matmul(_integer_multiple(base), list(zip(*columns)))
+    if len(reduce(poly_gcd, phi, chi)) != 1:
+        raise PencilError("non-simple", "the point vanishes at a root")
+    content = gcd(*chain(*phi))
+    return chi, [[x // content for x in f] for f in phi]
 
 
-def fermat_detect_detail(form: Polynomial, seed: int = 0,
-                         precision_bits: int = DEFAULT_PRECISION_BITS,
-                         tolerance: Fraction = DEFAULT_TOLERANCE
+def fermat_detect_detail(form: Polynomial, seed: int = 0
                          ) -> tuple[Optional[Decomposition], str]:
     """Fermat-cubic detection with an explanation of any failure.
 
-    Returns (decomposition, 'ok') on success.  Failure reasons:
-    'rank-deficient'   the degree-1 contraction rank is below n, so the
-                       form cannot be a sum of n independent cubes;
-    'singular-pencil'  every seeded choice of contraction directions gave
-                       a degenerate pencil;
-    'non-simple-pencil' eigenvalues collide, so no unique eigenbasis;
-    'fit-failed'       the candidate points do not reproduce the form.
+    Each of up to five seeded draws takes three contraction directions
+    and a vector r for `simultaneous_diagonalize`; the first draw that
+    yields a scheme decides, by `_certify_scheme`.  Returns
+    (decomposition, 'ok') on success.  Failure reasons:
+    'rank-deficient'    the degree-1 contraction rank is below n, so the
+                        form cannot be a sum of n independent cubes;
+    'singular-pencil'   every draw gave a degenerate pencil;
+    'non-simple-pencil' no draw gave a squarefree characteristic
+                        polynomial with a point at each of its roots (the
+                        reason of the last draw, if every draw failed
+                        there or on the pencil);
+    'fit-failed'        the form is not the sum of the points' cubes: the
+                        pencil matrices do not commute, or check (c) of
+                        the certificate fails.
     """
     if form.degree != 3:
         raise ValueError("Fermat detection needs a cubic")
     n = form.nvars
     if rank_lower_bound(form) < n:
         return None, "rank-deficient"
-    if n == 1:
-        coef = form.coefficient((3,))
-        return Decomposition(1, ((Fraction(1),),), (coef,), Fraction(0), True), "ok"
     rng = make_rng(seed)
-    last_kind = "singular"
+    kind = "singular"
     for _ in range(5):
-        eta1 = random_dual_linear(n, rng)
-        eta2 = random_dual_linear(n, rng)
-        quad1 = contract(eta1, form)
-        quad2 = contract(eta2, form)
+        quadrics = [contract(random_dual_linear(n, rng), form) for _ in range(3)]
+        r = [rng.randint(-9, 9) for _ in range(n)]
         try:
-            points = simultaneous_diagonalize(quad1, quad2, precision_bits)
+            chi, phi = simultaneous_diagonalize(quadrics, r)
         except PencilError as err:
-            last_kind = err.kind
+            if err.kind == "non-commuting":
+                return None, "fit-failed"
+            kind = err.kind
             continue
-        decomposition = power_sum_fit(points, form, precision_bits, tolerance)
-        if decomposition is None:
+        try:
+            _certify_scheme(chi, phi, form)
+        except CertificateError:
             return None, "fit-failed"
-        order = sorted(range(len(points)), key=lambda i: _sort_key_float(decomposition.forms[i]))
-        ordered = Decomposition(
-            n,
-            tuple(decomposition.forms[i] for i in order),
-            tuple(decomposition.weights[i] for i in order),
-            decomposition.residual,
-            decomposition.exact,
-        )
-        return ordered, "ok"
-    return None, f"{last_kind}-pencil"
+        return Decomposition(n, tuple(chi), tuple(tuple(f) for f in phi)), "ok"
+    return None, f"{kind}-pencil"
 
 
-def fermat_detect(form: Polynomial, seed: int = 0,
-                  precision_bits: int = DEFAULT_PRECISION_BITS,
-                  tolerance: Fraction = DEFAULT_TOLERANCE) -> Optional[Decomposition]:
+def fermat_detect(form: Polynomial, seed: int = 0) -> Optional[Decomposition]:
     """Decompose a Fermat cubic into n cubes, or return None."""
-    decomposition, _ = fermat_detect_detail(form, seed, precision_bits, tolerance)
+    decomposition, _ = fermat_detect_detail(form, seed)
     return decomposition

@@ -319,9 +319,30 @@ class TestIsApolarScheme:
     def test_coordinate_points_fermat(self):
         points = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
         cert = is_apolar_scheme(points, fermat(3))
-        assert cert.apolar and cert.exact
+        assert cert.apolar
         assert cert.weights == (Fraction(1), Fraction(1), Fraction(1))
-        assert cert.residual == 0
+
+    def test_coordinate_points_exact(self):
+        # a zero weight: the third point is not needed
+        f = Polynomial(3, 3, {(3, 0, 0): 1, (0, 3, 0): 2})
+        cert = is_apolar_scheme([(1, 0, 0), (0, 1, 0), (0, 0, 1)], f)
+        assert cert.apolar
+        assert cert.weights == (Fraction(1), Fraction(2), Fraction(0))
+
+    def test_insufficient_points(self):
+        cert = is_apolar_scheme([(1, 0, 0), (0, 1, 0)], fermat(3))
+        assert not cert.apolar and cert.weights is None
+
+    def test_exact_nontrivial_points(self):
+        # f = (x0 + x1)^3 + (x0 - x1)^3 from the matching dual points
+        ell1 = Polynomial(2, 1, {(1, 0): 1, (0, 1): 1})
+        ell2 = Polynomial(2, 1, {(1, 0): 1, (0, 1): -1})
+        f = ell1 ** 3 + ell2 ** 3
+        cert = is_apolar_scheme([(1, 1), (1, -1)], f)
+        assert cert.apolar and cert.weights == (Fraction(1), Fraction(1))
+        rebuilt = sum((w * ell ** 3 for w, ell in zip(cert.weights, (ell1, ell2))),
+                      Polynomial.zero(2, 3))
+        assert rebuilt == f
 
     def test_single_point_fails(self):
         f = Polynomial(2, 3, {(3, 0): 1, (0, 3): 1})
@@ -337,12 +358,14 @@ class TestIsApolarScheme:
             is_apolar_scheme([], fermat(3))
 
     def test_floating_path(self):
+        # the check is exact: floating coordinates are refused, not fitted
         from mpmath import mpf
         points = [(mpf(1), mpf(0), mpf(0)), (mpf(0), mpf(1), mpf(0)),
                   (mpf(0), mpf(0), mpf(1))]
-        cert = is_apolar_scheme(points, fermat(3))
-        assert cert.apolar and not cert.exact
-        assert cert.residual < 1e-20
+        with pytest.raises(ValueError, match="rational"):
+            is_apolar_scheme(points, fermat(3))
+        with pytest.raises(ValueError, match="rational"):
+            is_apolar_scheme([(1.0, 0), (0, 1)], Polynomial(2, 3, {(3, 0): 1}))
 
     def test_general_degree(self):
         # x0^4 + x1^4 from two coordinate points

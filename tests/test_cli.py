@@ -46,9 +46,59 @@ class TestJsonRoundTrips:
 
     def test_decomposition(self):
         dec = fermat_detect(jsonio.polynomial_from_json(fermat_json(3)), seed=1)
-        data = jsonio.decomposition_to_json(dec, 128)
-        assert data["rank"] == 3 and not data["exact"]
-        assert data["precision_bits"] == 128
+        data = jsonio.decomposition_to_json(dec)
+        assert set(data) == {"rank", "nvars", "certificate", "residual",
+                             "scheme_equation", "points"}
+        assert data["rank"] == 3 and data["nvars"] == 3
+        assert data["certificate"] == "exact" and data["residual"] == "0"
+        assert [int(c) for c in data["scheme_equation"]] == list(dec.scheme_equation)
+        assert [[int(c) for c in f] for f in data["points"]] == [list(f) for f in dec.points]
+
+
+def write_polynomial(tmp_path, data):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+class TestStrictPolynomialJson:
+    """Malformed polynomials are input errors (exit 2), never coerced."""
+
+    def test_repeated_exponent_is_input_error(self, tmp_path):
+        data = {"nvars": 2, "degree": 3, "terms": [{"exp": [3, 0], "coef": "1"},
+                                                   {"exp": [3, 0], "coef": "2"}]}
+        with pytest.raises(ValueError, match="twice"):
+            jsonio.polynomial_from_json(data)
+        assert main(["apolar", "--in", write_polynomial(tmp_path, data)]) == 2
+
+    @pytest.mark.parametrize("key", ["nvars", "degree", "exp"])
+    def test_non_integer_is_input_error(self, tmp_path, key):
+        data = {"nvars": 2, "degree": 3, "terms": [{"exp": [3, 0], "coef": "1"}]}
+        if key == "exp":
+            data["terms"] = [{"exp": [1.5, 1.5], "coef": "1"}]
+        else:
+            data[key] = data[key] + 0.7
+        with pytest.raises(ValueError, match="integer"):
+            jsonio.polynomial_from_json(data)
+        assert main(["apolar", "--in", write_polynomial(tmp_path, data)]) == 2
+
+    def test_non_integer_piece_and_curve_fields_are_input_errors(self, tmp_path):
+        piece = jsonio.piece_to_json(apolar_ideal_piece(
+            jsonio.polynomial_from_json(fermat_json(3)), 2))
+        with pytest.raises(ValueError, match="integer"):
+            jsonio.piece_from_json({**piece, "degree": 2.0})
+        curve = jsonio.curve_to_json(trigonal_curve(5, seed=3))
+        with pytest.raises(ValueError, match="integer"):
+            jsonio.curve_from_json({**curve, "genus": "5"})
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps({**curve, "scroll": {"type": [1.0, 2]}}))
+        assert main(["alpha", "--in", str(path), "--seed", "1"]) == 2
+
+    def test_boolean_coefficient_is_input_error(self, tmp_path):
+        data = {"nvars": 2, "degree": 3, "terms": [{"exp": [3, 0], "coef": True}]}
+        with pytest.raises(ValueError, match="coefficients"):
+            jsonio.polynomial_from_json(data)
+        assert main(["apolar", "--in", write_polynomial(tmp_path, data)]) == 2
 
 
 class TestCommands:
@@ -74,8 +124,35 @@ class TestCommands:
         poly_path.write_text(json.dumps(fermat_json(4)))
         code, report = run(tmp_path, "fermat", "--in", str(poly_path),
                            "--seed", "1")
-        assert code == 0 and report["fermat"]
-        assert report["decomposition"]["rank"] == 4
+        assert code == 0 and report["fermat"] and report["reason"] == "ok"
+        dec = report["decomposition"]
+        assert dec["rank"] == 4 and dec["certificate"] == "exact"
+        assert dec["residual"] == "0" and len(dec["scheme_equation"]) == 5
+        assert len(dec["points"]) == 4
+
+    @pytest.mark.parametrize("option", [["--precision-bits", "64"], ["--tolerance", "1e-9"]],
+                             ids=["precision-bits", "tolerance"])
+    def test_fermat_takes_no_precision_options(self, tmp_path, option):
+        poly_path = tmp_path / "cubic.json"
+        poly_path.write_text(json.dumps(fermat_json(3)))
+        with pytest.raises(SystemExit) as err:
+            main(["fermat", "--in", str(poly_path), "--seed", "1", *option])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["verify-a", "--g", "5"], ["verify-b", "--g", "6"]],
+                             ids=["verify-a", "verify-b"])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_are_input_errors(self, argv, trials):
+        assert main([*argv, "--trials", trials, "--seed", "1"]) == 2
+
+    @pytest.mark.parametrize("split", ["0,3", "-1,3", "2", "0,1,1"])
+    def test_bad_split_is_input_error_before_any_trial(self, monkeypatch, split):
+        def no_trial(args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(pipeline, "_trial", no_trial)
+        assert main(["verify-b", "--g", "7", f"--split={split}", "--trials", "1",
+                     "--seed", "1"]) == 2
 
     def test_apolar_command(self, tmp_path):
         poly_path = tmp_path / "cubic.json"
@@ -185,6 +262,20 @@ class TestCommands:
         assert result.returncode == 0
         report = json.loads(result.stdout)
         assert report["degS"] == 9 and report["multiplicities"] == [3, 3, 3, 3]
+
+    def test_fermat_leaves_out_mpmath(self, tmp_path):
+        poly_path = tmp_path / "cubic.json"
+        poly_path.write_text(json.dumps(fermat_json(3)))
+        src = str(Path(apolar_kit.__file__).resolve().parent.parent)
+        script = ("import sys\n"
+                  "from apolar_kit.cli import main\n"
+                  f"code = main(['fermat', '--in', {str(poly_path)!r}, '--seed', '1',"
+                  f" '--out', {str(tmp_path / 'out.json')!r}])\n"
+                  "print(code, 'mpmath' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, env={**os.environ, "PYTHONPATH": src})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["0", "False"]
 
     def test_import_leaves_out_sympy(self):
         src = str(Path(apolar_kit.__file__).resolve().parent.parent)

@@ -23,7 +23,8 @@ from apolar_kit.pipeline import (AlphaCertificateError, CertificateError,
                                  reduce_to_quotient, tetragonal_cube_bound,
                                  verify_tetragonal_bound, verify_trigonal_fermat)
 from apolar_kit.seeding import derive_seed, make_rng, random_dual_linear
-from apolar_kit.waring import fermat_detect, power_sum_fit
+from apolar_kit.waring import fermat_detect
+from oracles import oracle_fit, oracle_points
 
 _T = sympy.Symbol("t")
 
@@ -263,24 +264,6 @@ def scheme_of(curve, surface_index, eta1, eta2):
     return _scheme(curve, surface_index, eta1, eta2, kept)
 
 
-def oracle_points(determinant, phi):
-    """Float oracle, independent of the package: the points of the scheme
-    (D, phi) at sympy's numerical roots of D, as mp vectors."""
-    roots = sympy.Poly(determinant[::-1], _T).nroots(n=60, maxsteps=200)
-    with mp.workprec(220):
-        points = []
-        for root in roots:
-            re, im = root.as_real_imag()
-            z = mp.mpc(mp.mpf(str(re)), mp.mpf(str(im)))
-            points.append(tuple(mp.polyval(f[::-1], z) for f in phi))
-    return points
-
-
-def oracle_fit(determinant, phi, cubic):
-    """Power-sum fit of the cubic over the oracle's points (None on failure)."""
-    return power_sum_fit(oracle_points(determinant, phi), cubic)
-
-
 def vanishes_on_scheme(poly, determinant, phi):
     """poly(phi) = 0 modulo D, in sympy's exact arithmetic."""
     coords = [sympy.Poly(f[::-1], _T, domain="QQ") for f in phi]
@@ -395,18 +378,18 @@ def certificate_failures(curve, alpha):
 
 
 def refuse_float_stages(monkeypatch):
-    """Make every float stage raise wherever the package imported it."""
+    """Make the standalone Fermat detection raise wherever the package
+    imported it, and mpmath's eigenvalue and root solvers everywhere."""
     from apolar_kit import waring
 
     def refuse(*args, **kwargs):
         raise AssertionError("a float stage ran on a verdict path")
 
-    for name in ("fermat_detect_detail", "power_sum_fit"):
-        original = getattr(waring, name)
-        for module_name, module in list(sys.modules.items()):
-            if (module_name.split(".")[0] == "apolar_kit"
-                    and getattr(module, name, None) is original):
-                monkeypatch.setattr(module, name, refuse)
+    original = waring.fermat_detect_detail
+    for module_name, module in list(sys.modules.items()):
+        if (module_name.split(".")[0] == "apolar_kit"
+                and getattr(module, "fermat_detect_detail", None) is original):
+            monkeypatch.setattr(module, "fermat_detect_detail", refuse)
     monkeypatch.setattr(mp, "eig", refuse)
     monkeypatch.setattr(mp, "polyroots", refuse)
 

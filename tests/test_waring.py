@@ -1,16 +1,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from apolar_kit.apolarity import catalecticant
-from apolar_kit.core import Polynomial, change_coordinates, contract
+from apolar_kit.apolarity import catalecticant, is_apolar_scheme
+from apolar_kit.core import Polynomial, change_coordinates, contract, monomial_basis
 from apolar_kit.seeding import make_rng, random_form, random_invertible_matrix
-from apolar_kit.waring import (PencilError, fermat_detect,
-                               fermat_detect_detail, power_sum_fit,
+from apolar_kit.waring import (CertificateError, PencilError, _certify_scheme,
+                               fermat_detect, fermat_detect_detail,
                                rank_lower_bound, simultaneous_diagonalize)
+from oracles import oracle_fit, oracle_points
 
 
 def fermat(n):
@@ -37,6 +38,10 @@ def projective_distance(u, v):
     nv = mp.fsum(abs(b) ** 2 for b in v)
     val = 1 - abs(dot) ** 2 / (nu * nv)
     return mp.sqrt(abs(val))
+
+
+def decomposition_points(dec):
+    return oracle_points(dec.scheme_equation, dec.points)
 
 
 def match_up_to_permutation_and_scale(forms_a, forms_b, tol=1e-8):
@@ -93,43 +98,15 @@ class TestRankLowerBound:
         assert rank_lower_bound(form) == catalecticant(form, 1).rank()
 
 
-class TestPowerSumFit:
-    def test_coordinate_points_exact(self):
-        f = Polynomial(3, 3, {(3, 0, 0): 1, (0, 3, 0): 2})
-        dec = power_sum_fit([(1, 0, 0), (0, 1, 0), (0, 0, 1)], f)
-        assert dec is not None and dec.exact
-        assert dec.weights == (Fraction(1), Fraction(2), Fraction(0))
-        assert dec.residual == 0
-        assert dec.reconstruct() == f
-
-    def test_insufficient_points(self):
-        assert power_sum_fit([(1, 0, 0), (0, 1, 0)], fermat(3)) is None
-
-    def test_exact_nontrivial_points(self):
-        # f = (x0 + x1)^3 + (x0 - x1)^3 from the matching dual points
-        ell1 = Polynomial(2, 1, {(1, 0): 1, (0, 1): 1})
-        ell2 = Polynomial(2, 1, {(1, 0): 1, (0, 1): -1})
-        f = ell1 ** 3 + ell2 ** 3
-        dec = power_sum_fit([(1, 1), (1, -1)], f)
-        assert dec is not None and dec.weights == (Fraction(1), Fraction(1))
-        assert dec.reconstruct() == f
-
-    def test_floating_points(self):
-        pts = [(mp.mpf(1), mp.mpf(0)), (mp.mpf(0), mp.mpf(1))]
-        f = Polynomial(2, 3, {(3, 0): 2, (0, 3): -5})
-        dec = power_sum_fit(pts, f)
-        assert dec is not None and not dec.exact
-        assert dec.residual < mp.mpf(10) ** -25
-        assert abs(dec.weights[0] - 2) < mp.mpf(10) ** -25
-
-
 class TestSimultaneousDiagonalize:
     def test_orthogonal_pencil(self):
         q1 = Polynomial(2, 2, {(2, 0): 1, (0, 2): 1})
         q2 = Polynomial(2, 2, {(2, 0): 1, (0, 2): -1})
-        points = simultaneous_diagonalize(q1, q2)
+        chi, phi = simultaneous_diagonalize([q1, q2], (1, 1))
+        assert len(chi) == 3 and chi[-1] == 1
         expected = [(mp.mpf(1), mp.mpf(0)), (mp.mpf(0), mp.mpf(1))]
-        assert match_up_to_permutation_and_scale(points, expected, tol=1e-30)
+        assert match_up_to_permutation_and_scale(oracle_points(chi, phi), expected,
+                                                 tol=1e-30)
 
     def test_jordan_pencil_fails(self):
         # q1 = x0^2, q2 = x0 x1 has a non-diagonalizable pencil: the
@@ -137,35 +114,70 @@ class TestSimultaneousDiagonalize:
         q1 = Polynomial(2, 2, {(2, 0): 1})
         q2 = Polynomial(2, 2, {(1, 1): 1})
         with pytest.raises(PencilError) as err:
-            simultaneous_diagonalize(q1, q2)
+            simultaneous_diagonalize([q1, q2], (1, 1))
         assert err.value.kind == "non-simple"
 
     def test_fermat_pencil_recovers_coordinates(self):
         rng = make_rng(42)
         f = fermat(4)
         for _ in range(5):
-            eta1 = random_form(4, 1, rng)
-            eta2 = random_form(4, 1, rng)
-            points = simultaneous_diagonalize(contract(eta1, f), contract(eta2, f))
+            quadrics = [contract(random_form(4, 1, rng), f) for _ in range(3)]
+            chi, phi = simultaneous_diagonalize(quadrics, (1, 2, 3, 4))
             expected = [tuple(mp.mpf(1 if i == j else 0) for j in range(4))
                         for i in range(4)]
-            assert match_up_to_permutation_and_scale(points, expected, tol=1e-25)
+            assert match_up_to_permutation_and_scale(oracle_points(chi, phi), expected,
+                                                     tol=1e-25)
 
     def test_singular_pair_uses_a_generic_member(self):
         # x0^2 and x1^2 are both singular; their sum is the first
         # invertible member of the pencil
         q1 = Polynomial(2, 2, {(2, 0): 1})
         q2 = Polynomial(2, 2, {(0, 2): 1})
-        points = simultaneous_diagonalize(q1, q2)
+        chi, phi = simultaneous_diagonalize([q1, q2], (1, 1))
         expected = [(mp.mpf(1), mp.mpf(0)), (mp.mpf(0), mp.mpf(1))]
-        assert match_up_to_permutation_and_scale(points, expected, tol=1e-30)
+        assert match_up_to_permutation_and_scale(oracle_points(chi, phi), expected,
+                                                 tol=1e-30)
 
     def test_singular_pencil_reported(self):
         q1 = Polynomial(2, 2, {(2, 0): 1})
         q2 = Polynomial(2, 2, {(2, 0): 3})
         with pytest.raises(PencilError) as err:
-            simultaneous_diagonalize(q1, q2)
+            simultaneous_diagonalize([q1, q2], (1, 1))
         assert err.value.kind == "singular"
+
+    def test_non_commuting_family_reported(self):
+        # the contraction quadrics of a generic ternary cubic (rank 5)
+        # give pencil matrices that do not commute
+        rng = make_rng(47)
+        f = random_form(3, 3, rng)
+        quadrics = [contract(random_form(3, 1, rng), f) for _ in range(3)]
+        with pytest.raises(PencilError) as err:
+            simultaneous_diagonalize(quadrics, (1, 2, 3))
+        assert err.value.kind == "non-commuting"
+
+    def test_point_vanishing_at_a_root_is_non_simple(self):
+        # M = diag(1, -1) and adj(t - M) r = (t + 1, 0) for r = (1, 0):
+        # the point at the root t = -1 is zero, so gcd(phi, chi) != 1
+        q1 = Polynomial(2, 2, {(2, 0): 1, (0, 2): 1})
+        q2 = Polynomial(2, 2, {(2, 0): 1, (0, 2): -1})
+        with pytest.raises(PencilError) as err:
+            simultaneous_diagonalize([q1, q2], (1, 0))
+        assert err.value.kind == "non-simple"
+
+
+# (name, terms, reason): cubics at the edge of the pencil and the certificate
+EDGE_CUBICS = [
+    # Re((x0 + i x1)^3): two complex conjugate points
+    ("real_part_of_complex_cube", {(3, 0): 1, (1, 2): -3}, "ok"),
+    # a double root: no simple pencil
+    ("x0_squared_x1", {(2, 1): 1}, "non-simple-pencil"),
+    # 3 (x^3 + y^3 + z^3) + 18 xyz = sum_k (x + w^k y + w^2k z)^3, w^3 = 1
+    ("hesse_t6", {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1, 1): 6}, "ok"),
+    # a smooth cubic that is not Fermat
+    ("hesse_t1", {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1, 1): 1}, "fit-failed"),
+    # one variable
+    ("two_x0_cubed", {(3,): 2}, "ok"),
+]
 
 
 class TestFermatDetect:
@@ -173,8 +185,9 @@ class TestFermatDetect:
         dec = fermat_detect(fermat(3), seed=1)
         assert dec is not None and dec.rank == 3
         expected = [tuple(mp.mpf(1 if i == j else 0) for j in range(3)) for i in range(3)]
-        assert match_up_to_permutation_and_scale(dec.forms, expected, tol=1e-25)
-        assert dec.residual < mp.mpf(10) ** -25
+        assert match_up_to_permutation_and_scale(decomposition_points(dec), expected,
+                                                 tol=1e-25)
+        assert _certify_scheme(list(dec.scheme_equation), dec.points, fermat(3)) == 3
 
     def test_gl_orbit_oracle(self):
         # the expected dual points of f = Fermat o M are the rows of M
@@ -186,10 +199,73 @@ class TestFermatDetect:
             dec = fermat_detect(f, seed=trial)
             assert dec is not None, f"trial {trial} in {n} variables"
             assert dec.rank == n
-            assert dec.residual < mp.mpf(10) ** -10
             expected = [tuple(mp.mpf(int(m.entry(i, j))) for j in range(n))
                         for i in range(n)]
-            assert match_up_to_permutation_and_scale(dec.forms, expected)
+            assert match_up_to_permutation_and_scale(decomposition_points(dec), expected)
+
+    @given(st.integers(1, 6), st.integers(0, 2 ** 32),
+           st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=5)
+                    .filter(lambda c: c != 0), min_size=6, max_size=6),
+           st.integers(0, 10 ** 6),
+           st.fractions(min_value=-20, max_value=20, max_denominator=5)
+           .filter(lambda c: c != 0))
+    # x0^3 added to this sum of three cubes lands on another Fermat cubic
+    @example(n=3, seed=183, weights=[Fraction(1)] * 6, index=0, c=Fraction(1))
+    @settings(max_examples=40, deadline=None)
+    def test_weighted_orbit_detected_and_perturbation_rejected(
+            self, n, seed, weights, index, c):
+        m = random_invertible_matrix(n, make_rng(seed))
+        rows = [m.row(i) for i in range(n)]
+        f = change_coordinates(
+            Polynomial(n, 3, {tuple(3 if i == j else 0 for j in range(n)): w
+                              for i, w in enumerate(weights[:n])}), m)
+        dec = fermat_detect(f, seed=seed)
+        assert dec is not None and dec.rank == n
+        # the scheme's points are the rows of m
+        expected = [tuple(mp.mpf(int(x)) for x in row) for row in rows]
+        assert match_up_to_permutation_and_scale(decomposition_points(dec), expected)
+        basis = monomial_basis(n, 3)
+        perturbed = f + Polynomial.monomial(basis[index % len(basis)], c)
+        # the certificate of f's scheme rejects the perturbation unless it
+        # stays in the span of the same cubes
+        if not is_apolar_scheme(rows, perturbed).apolar:
+            with pytest.raises(CertificateError, match=r"\(c\)"):
+                _certify_scheme(list(dec.scheme_equation), dec.points, perturbed)
+        # detection may still find other cubes (the example above); the
+        # float oracle must then confirm them
+        found = fermat_detect(perturbed, seed=seed)
+        if found is not None:
+            fit = oracle_fit(found.scheme_equation, found.points, perturbed)
+            assert fit is not None and fit.rank == n
+
+    @pytest.mark.parametrize("name, terms, reason", EDGE_CUBICS,
+                             ids=[case[0] for case in EDGE_CUBICS])
+    def test_edge_cubics(self, name, terms, reason):
+        n = len(next(iter(terms)))
+        f = Polynomial(n, 3, terms)
+        for seed in (1, 2, 3):
+            dec, got = fermat_detect_detail(f, seed=seed)
+            assert got == reason
+            assert (dec is not None) == (reason == "ok")
+            if dec is not None:
+                assert dec.rank == n
+
+    def test_hesse_points_are_the_cube_roots_of_unity(self):
+        f = Polynomial(3, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1, 1): 6})
+        dec = fermat_detect(f, seed=1)
+        with mp.workprec(160):
+            w = mp.expjpi(mp.mpf(2) / 3)
+            expected = [(mp.mpf(1), w ** k, w ** (2 * k)) for k in range(3)]
+        assert match_up_to_permutation_and_scale(decomposition_points(dec), expected,
+                                                 tol=1e-20)
+
+    def test_certificate_decides_the_verdict(self, monkeypatch):
+        # a pencil step that hands back the wrong scheme (e0, e1 and e0 + e1
+        # at t = 0, 1, 2) must not pass: x2^3 is outside their cubes' span
+        from apolar_kit import waring
+        scheme = ([0, 2, -3, 1], [[2, -4, 2], [0, 3, -1], [0]])
+        monkeypatch.setattr(waring, "simultaneous_diagonalize", lambda *args: scheme)
+        assert fermat_detect_detail(fermat(3), seed=1) == (None, "fit-failed")
 
     def test_binary_non_fermat(self):
         # x0^2 x1 is not a sum of two independent cubes: the distinct-roots
@@ -210,15 +286,11 @@ class TestFermatDetect:
         assert dec is None and reason == "rank-deficient"
 
     def test_generic_cubic_not_fermat(self):
-        # random cubics in >= 3 variables have rank above n, so the fit fails
+        # random cubics in >= 3 variables have rank above n, so no fit
         rng = make_rng(44)
-        failures = 0
         for trial in range(20):
             f = random_form(4, 3, rng)
-            dec, reason = fermat_detect_detail(f, seed=trial)
-            if dec is None:
-                failures += 1
-        assert failures == 20
+            assert fermat_detect_detail(f, seed=trial) == (None, "fit-failed")
 
     def test_detection_is_gl_invariant(self):
         rng = make_rng(45)
@@ -240,18 +312,21 @@ class TestFermatDetect:
 
     def test_complex_fermat_over_reals(self):
         # x0^3 - 3 x0 x1^2 = ((x0 + i x1)^3 + (x0 - i x1)^3) / 2 needs
-        # complex points; detection succeeds with conjugate forms
+        # complex points; the scheme equation has no real root
         f = Polynomial(2, 3, {(3, 0): 1, (1, 2): -3})
         dec = fermat_detect(f, seed=4)
         assert dec is not None and dec.rank == 2
-        assert dec.residual < mp.mpf(10) ** -20
-        assert any(abs(mp.im(c)) > 0.1 for vec in dec.forms for c in vec)
+        expected = [(mp.mpf(1), mp.mpc(0, 1)), (mp.mpf(1), mp.mpc(0, -1))]
+        assert match_up_to_permutation_and_scale(decomposition_points(dec), expected,
+                                                 tol=1e-20)
 
     def test_weighted_fermat(self):
         f = Polynomial(3, 3, {(3, 0, 0): 5, (0, 3, 0): -7, (0, 0, 3): Fraction(1, 3)})
         dec = fermat_detect(f, seed=5)
         assert dec is not None and dec.rank == 3
-        assert dec.residual < mp.mpf(10) ** -20
+        expected = [tuple(mp.mpf(1 if i == j else 0) for j in range(3)) for i in range(3)]
+        assert match_up_to_permutation_and_scale(decomposition_points(dec), expected,
+                                                 tol=1e-25)
 
     def test_uniqueness_of_point_set(self):
         # two different seeds must return the same projective point set
@@ -259,4 +334,6 @@ class TestFermatDetect:
         d1 = fermat_detect(f, seed=7)
         d2 = fermat_detect(f, seed=8)
         assert d1 is not None and d2 is not None
-        assert match_up_to_permutation_and_scale(d1.forms, d2.forms, tol=1e-20)
+        assert d1.scheme_equation != d2.scheme_equation
+        assert match_up_to_permutation_and_scale(decomposition_points(d1),
+                                                 decomposition_points(d2), tol=1e-20)
