@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
+from operator import add, sub
 from typing import Optional, Sequence
 
-from .core import (ExactMatrix, Polynomial, _falling, _row_to_int,
+from .core import (ExactMatrix, Polynomial, _falling, _monomial_value, _row_to_int,
                    coefficient_matrix, int_kernel, monomial_basis)
 
 __all__ = [
@@ -115,24 +116,27 @@ def _contraction_rows(terms: dict, targets: Sequence[tuple[int, ...]],
     term c x^e of `terms` puts c * falling(a + t, a) in row t.  With
     `operator` set the terms belong to an operator (e = a) and the entry
     goes to the column `index` gives the form monomial a + t; otherwise
-    they belong to a form (e = a + t), and every term divisible by x^t
-    puts its entry in the column of the operator monomial a.
+    they belong to a form (e = a + t), and each split of e into a column
+    monomial a and a target t puts its entry in the column of a.  The
+    splits are found by walking the smaller of the two bases.
     """
-    rows = []
-    for t in targets:
-        row = [0] * len(index)
-        for e, c in terms.items():
-            if operator:
-                a = e
-                b = column = tuple(x + y for x, y in zip(e, t))
-            else:
-                b = e
-                a = column = tuple(x - y for x, y in zip(e, t))
-                if min(a) < 0:
-                    continue
-            row[index[column]] = c * _falling(b, a)
-        rows.append(row)
-    return rows
+    rows = {t: [0] * len(index) for t in targets}
+    for e, c in terms.items():
+        if operator:
+            for t, row in rows.items():
+                b = tuple(map(add, e, t))
+                row[index[b]] = c * _falling(b, e)
+        elif len(index) < len(rows):
+            for a, column in index.items():
+                t = tuple(map(sub, e, a))
+                if t in rows:
+                    rows[t][column] = c * _falling(e, a)
+        else:
+            for t, row in rows.items():
+                a = tuple(map(sub, e, t))
+                if a in index:
+                    row[index[a]] = c * _falling(e, a)
+    return list(rows.values())
 
 
 def catalecticant(form: Polynomial, k: int) -> ExactMatrix:
@@ -270,11 +274,7 @@ def power_coefficient_vector(point: Sequence, d: int,
         m = factorial(d)
         for e in exp:
             m //= factorial(e)
-        val = m
-        for p, e in zip(point, exp):
-            for _ in range(e):
-                val = val * p
-        out.append(val)
+        out.append(m * _monomial_value(point, exp))
     return out
 
 

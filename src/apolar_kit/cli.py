@@ -20,8 +20,9 @@ from . import jsonio
 from .apolarity import (SocleDimensionError, apolar_ideal_piece,
                         hilbert_function, macaulay_inverse)
 from .curvegen import (CurveGenerationError, IdealDimensionError,
-                       PointCertificateError, SamplingError, ideal_pieces,
-                       sample_points, tetragonal_curve, trigonal_curve)
+                       PointCertificateError, SamplingError, balanced_type,
+                       ideal_pieces, sample_points, tetragonal_curve,
+                       trigonal_curve)
 from .pipeline import (AlphaCertificateError, VerificationError, alpha_for_curve,
                        verify_tetragonal_bound, verify_trigonal_fermat)
 from .planemodel import (higher_gonality_degree, nakai_certificate,
@@ -70,7 +71,7 @@ def _cmd_apolar(args) -> dict:
 def _cmd_inverse(args) -> dict:
     data = _read_json(args.in_path)
     pieces = [jsonio.piece_from_json(p) for p in data["pieces"]]
-    form = macaulay_inverse(pieces, int(data["d"]))
+    form = macaulay_inverse(pieces, jsonio._int(data["d"]))
     return {
         "claim": "unique form annihilated by the given graded pieces",
         "form": jsonio.polynomial_to_json(form),
@@ -135,8 +136,7 @@ def _make_curve(args):
     if args.split:
         b1, b2 = _parse_int_list(args.split)
     else:
-        b1 = (args.g - 5) // 2
-        b2 = args.g - 5 - b1
+        b1, b2 = balanced_type(args.g - 5, 2)
     return tetragonal_curve(args.g, b1, b2, args.seed)
 
 

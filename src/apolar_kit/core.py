@@ -40,9 +40,18 @@ __all__ = [
 def _coerce(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected an integer or Fraction coefficient, got {value!r}")
+
+
+def _monomial_value(point: Sequence, exp: Sequence[int]):
+    """The monomial x^exp at an exact point: the product of v ** e."""
+    value = 1
+    for v, e in zip(point, exp):
+        if e:  # a power of a Fraction builds a new one, even for e = 0 or 1
+            value *= v if e == 1 else v ** e
+    return value
 
 
 def monomial_basis(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -89,8 +98,8 @@ class Polynomial:
             coef = _coerce(coef)
             if len(exp) != nvars:
                 raise ValueError(f"exponent {exp} has wrong arity for nvars={nvars}")
-            if any(e < 0 for e in exp):
-                raise ValueError(f"negative exponent in {exp}")
+            if any(type(e) is not int or e < 0 for e in exp):
+                raise ValueError(f"exponents must be non-negative integers, got {exp}")
             if sum(exp) != degree:
                 raise ValueError(f"monomial {exp} is not of degree {degree}")
             if exp not in clean:
@@ -211,16 +220,8 @@ class Polynomial:
         """Evaluate at a point with integer or Fraction coordinates."""
         if len(values) != self.nvars:
             raise ValueError("point has wrong length")
-        total = None
-        for exp, coef in self.sorted_terms():
-            prod = coef
-            for v, e in zip(values, exp):
-                for _ in range(e):
-                    prod = prod * v
-            total = prod if total is None else total + prod
-        if total is None:
-            return Fraction(0)
-        return total
+        return sum((coef * _monomial_value(values, exp) for exp, coef in self.terms.items()),
+                   Fraction(0))
 
     def _check_compatible(self, other: "Polynomial") -> None:
         if not isinstance(other, Polynomial):

@@ -30,7 +30,8 @@ from math import comb, isqrt
 from typing import Optional, Sequence
 
 from .apolarity import GradedIdealPiece
-from .core import ExactMatrix, Polynomial, _row_to_int, monomial_basis, primitive_point
+from .core import (ExactMatrix, Polynomial, _monomial_value, _row_to_int, monomial_basis,
+                   primitive_point)
 from .scroll import (DivisorClass, Scroll, canonical_class, chow_product,
                      coordinate_layout, embed_point, section_count,
                      section_templates)
@@ -117,14 +118,7 @@ class BihomSection:
         return Polynomial(k, self.cls.h, terms)
 
     def evaluate(self, base: Sequence, fiber: Sequence):
-        total = Fraction(0)
-        for exp, base_form in self.coeffs.items():
-            value = base_form.evaluate(base)
-            for y, e in zip(fiber, exp):
-                for _ in range(e):
-                    value = value * y
-            total = total + value
-        return total
+        return self.fiber_form(base).evaluate(fiber)
 
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self.coeffs.values())
@@ -149,19 +143,6 @@ def _section_from_vector(scroll: Scroll, cls: DivisorClass, slots, vector) -> Bi
     return BihomSection(scroll, cls, forms)
 
 
-def _slot_value(slot, base, fiber):
-    (exp, (p, q)) = slot
-    value = Fraction(1)
-    for _ in range(p):
-        value *= base[0]
-    for _ in range(q):
-        value *= base[1]
-    for y, e in zip(fiber, exp):
-        for _ in range(e):
-            value = value * y
-    return value
-
-
 def random_section(scroll: Scroll, cls: DivisorClass, rng, bound: int = 9,
                    through: Sequence[tuple] = ()) -> BihomSection:
     """Random section, optionally constrained to vanish at (base, fiber) pairs.
@@ -180,8 +161,8 @@ def random_section(scroll: Scroll, cls: DivisorClass, rng, bound: int = 9,
             if not section.is_zero():
                 return section
         raise CurveGenerationError("random section degenerated to zero")
-    conditions = ExactMatrix([[_slot_value(slot, base, fiber) for slot in slots]
-                              for base, fiber in through])
+    conditions = ExactMatrix([[_monomial_value(base, bexp) * _monomial_value(fiber, exp)
+                               for exp, bexp in slots] for base, fiber in through])
     kernel = conditions.kernel()
     if kernel.nrows == 0:
         raise CurveGenerationError("point constraints admit no section")
@@ -247,16 +228,10 @@ def _common_base_factor(forms: Sequence[Polynomial]) -> bool:
         return True
     common: list = []
     for f in nonzero:
-        common = poly_gcd(common, [f.coefficient((f.degree - j, j))
-                                   for j in range(f.degree + 1)])
+        common = poly_gcd(common, f.coefficient_vector())
         if len(common) == 1:
             return False
     return True
-
-
-def _binary_cubic_discriminant(c0, c1, c2, c3) -> Fraction:
-    return (c1 * c1 * c2 * c2 - 4 * c0 * c2 ** 3 - 4 * c1 ** 3 * c3
-            + 18 * c0 * c1 * c2 * c3 - 27 * c0 * c0 * c3 * c3)
 
 
 def _distinct_small_rationals(rng, count: int, avoid=()) -> list[Fraction]:
@@ -278,8 +253,8 @@ def trigonal_curve(g: int, seed: int, max_attempts: int = 10) -> CurveSpec:
     rational points on each (the third root is then rational as well);
     their base values are stored as sampling hints.  Candidates are
     rejected when the base forms share a factor (the curve would contain
-    a fiber) or when any forced or test fiber is degenerate or carries a
-    repeated root.
+    a fiber) or when any forced or test fiber does not cut three distinct
+    points.
     """
     if g < 5:
         raise ValueError("trigonal construction needs genus >= 5")
@@ -303,13 +278,7 @@ def trigonal_curve(g: int, seed: int, max_attempts: int = 10) -> CurveSpec:
         good = True
         test_values = hints + _distinct_small_rationals(rng, 5, avoid=hints)
         for t in test_values:
-            base = (t.denominator, t.numerator)
-            cubic = section.fiber_form(base)
-            coeffs = [cubic.coefficient((3 - j, j)) for j in range(4)]
-            if all(c == 0 for c in coeffs):
-                good = False
-                break
-            if _binary_cubic_discriminant(*coeffs) == 0:
+            if not _distinct_roots(section.fiber_form((t.denominator, t.numerator))):
                 good = False
                 break
         if good:
@@ -345,12 +314,12 @@ def _conic_pair_resultant(q1: Polynomial, q2: Polynomial) -> Optional[Polynomial
     return s1 * s1 - s2 * s3
 
 
-def _four_distinct_roots(quartic: Polynomial) -> bool:
-    """True when a binary quartic vanishes at four distinct points: its
-    affine part has degree >= 3 (at most a simple root at s = 0) and is
-    squarefree."""
-    affine, _ = affine_chart([quartic.coefficient((4 - j, j)) for j in range(5)])
-    return len(affine) >= 4 and is_squarefree(affine)
+def _distinct_roots(form: Polynomial) -> bool:
+    """True when a binary form of degree d vanishes at d distinct points:
+    its affine part has degree >= d - 1 (at most a simple root at s = 0)
+    and is squarefree."""
+    affine, _ = affine_chart(form.coefficient_vector())
+    return len(affine) >= form.degree and is_squarefree(affine)
 
 
 def _fraction_sqrt(value: Fraction) -> Optional[Fraction]:
@@ -377,7 +346,7 @@ def _tetragonal_fiber_points(q1: Polynomial, q2: Polynomial) -> list[tuple]:
     if res is None or res.is_zero():
         return []
     points = []
-    for u, v in _rational_binary_roots([res.coefficient((4 - j, j)) for j in range(5)]):
+    for u, v in _rational_binary_roots(res.coefficient_vector()):
         ui, vi = _row_to_int((u, v))
         candidates = set()
         for conic in (q1, q2):
@@ -452,7 +421,7 @@ def tetragonal_curve(g: int, b1: int, b2: int, seed: int,
         for t in test_values:
             base = (t.denominator, t.numerator)
             res = _conic_pair_resultant(sec1.fiber_form(base), sec2.fiber_form(base))
-            if res is None or not _four_distinct_roots(res):
+            if res is None or not _distinct_roots(res):
                 good = False
                 break
         if good:
@@ -465,10 +434,9 @@ def tetragonal_curve(g: int, b1: int, b2: int, seed: int,
 def _fiber_rational_points(curve: CurveSpec, base) -> list[tuple]:
     if curve.gonality == 3:
         cubic = curve.equations[0].fiber_form(base)
-        coeffs = [cubic.coefficient((3 - j, j)) for j in range(4)]
-        if all(c == 0 for c in coeffs):
+        if cubic.is_zero():
             return []
-        return _rational_binary_roots(coeffs)
+        return _rational_binary_roots(cubic.coefficient_vector())
     q1 = curve.equations[0].fiber_form(base)
     q2 = curve.equations[1].fiber_form(base)
     return _tetragonal_fiber_points(q1, q2)
@@ -527,17 +495,7 @@ def sample_points(curve: CurveSpec, count: int, seed: int,
 
 def _evaluation_matrix(points: Sequence[Sequence[int]],
                        basis: Sequence[tuple[int, ...]]) -> list[list[int]]:
-    rows = []
-    for p in points:
-        row = []
-        for exp in basis:
-            value = 1
-            for c, e in zip(p, exp):
-                for _ in range(e):
-                    value *= c
-            row.append(value)
-        rows.append(row)
-    return rows
+    return [[_monomial_value(p, exp) for exp in basis] for p in points]
 
 
 def _ambient_restriction(scroll: Scroll, exp: tuple[int, ...]):

@@ -30,12 +30,12 @@ from typing import Optional, Sequence
 from .apolarity import GradedIdealPiece, inverse_system
 from .core import (ExactMatrix, Polynomial, _row_to_int, change_coordinates,
                    int_kernel, monomial_basis, substitute)
-from .curvegen import (CurveSpec, IdealReconstruction, ideal_pieces,
+from .curvegen import (CurveSpec, IdealReconstruction, balanced_type, ideal_pieces,
                        sample_points, tetragonal_curve, trigonal_curve)
 from .scroll import coordinate_layout, divisor_degree
 from .seeding import derive_seed, make_rng, random_dual_linear
-from .univariate import _pseudo_remainder, poly_gcd
-from .waring import CertificateError, _certify_scheme, _mul, rank_lower_bound
+from .univariate import _combine, _mul, _pseudo_remainder, poly_gcd
+from .waring import CertificateError, _certify_scheme, rank_lower_bound
 
 __all__ = [
     "AlphaResult",
@@ -170,9 +170,13 @@ def reduce_to_quotient(alpha: AlphaResult, poly: Polynomial) -> Polynomial:
                                        if not any(exp[n:])})
 
 
-def _alpha_attempts(curve: CurveSpec, seed: int, eta_retries: int):
+# seeded hyperplane pairs tried per curve before giving up
+_ETA_RETRIES = 5
+
+
+def _alpha_attempts(curve: CurveSpec, seed: int):
     """Sample and reconstruct a curve now; return an iterator that yields,
-    for each of up to `eta_retries` seeded hyperplane pairs, its
+    for each of up to `_ETA_RETRIES` seeded hyperplane pairs, its
     AlphaResult or the AlphaCertificateError it raised.  The pair stream
     is salted by gonality, so `alpha` and the verifiers draw alike."""
     points = sample_points(curve, curve.guaranteed_point_count, seed)
@@ -180,7 +184,7 @@ def _alpha_attempts(curve: CurveSpec, seed: int, eta_retries: int):
     rng = make_rng(derive_seed(seed, 271 if curve.gonality == 3 else 577))
 
     def attempts():
-        for _ in range(eta_retries):
+        for _ in range(_ETA_RETRIES):
             eta1, eta2 = _random_eta_pair(curve.genus, rng)
             try:
                 alpha = alpha_map(recon, eta1, eta2)
@@ -190,16 +194,15 @@ def _alpha_attempts(curve: CurveSpec, seed: int, eta_retries: int):
     return attempts()
 
 
-def alpha_for_curve(curve: CurveSpec, seed: int,
-                    eta_retries: int = 5) -> AlphaResult:
+def alpha_for_curve(curve: CurveSpec, seed: int) -> AlphaResult:
     """Sample, reconstruct and quotient a curve with seeded hyperplanes.
 
     Hyperplane pairs failing the Hilbert certificate are redrawn up to
-    `eta_retries` times; the last certificate error propagates if all of
+    `_ETA_RETRIES` times; the last certificate error propagates if all of
     them fail.
     """
     alpha = AlphaCertificateError((1,), "no hyperplane pair tried")
-    for alpha in _alpha_attempts(curve, seed, eta_retries):
+    for alpha in _alpha_attempts(curve, seed):
         if isinstance(alpha, AlphaResult):
             return alpha
     raise alpha
@@ -213,16 +216,6 @@ def _random_eta_pair(g: int, rng):
         if ExactMatrix([eta1.coefficient_vector(basis1),
                         eta2.coefficient_vector(basis1)]).rank() == 2:
             return eta1, eta2
-
-
-def _combine(terms) -> list[int]:
-    """sum c * f over the (c, f) pairs, integer polynomials."""
-    terms = list(terms)
-    out = [0] * max((len(f) for _, f in terms), default=0)
-    for c, f in terms:
-        for i, x in enumerate(f):
-            out[i] += c * x
-    return out
 
 
 def _scheme(curve: CurveSpec, surface_index: Optional[int], eta1: Polynomial,
@@ -366,7 +359,7 @@ def _trial(args: tuple) -> dict:
     """Build a curve (trigonal when `split` is None, else tetragonal) and
     certify the quotient cubic of the first hyperplane pair that allows it.
     Both certificates are exact."""
-    g, split, trial_seed, eta_retries = args
+    g, split, trial_seed = args
     head: dict = {"trial_seed": trial_seed}
     if split is not None:
         head["split"] = list(split)
@@ -375,7 +368,7 @@ def _trial(args: tuple) -> dict:
             curve = trigonal_curve(g, trial_seed)
         else:
             curve = tetragonal_curve(g, *split, trial_seed)
-        attempts = _alpha_attempts(curve, trial_seed, eta_retries)
+        attempts = _alpha_attempts(curve, trial_seed)
     except Exception as err:
         return {**head, "failures": [f"construction: {err}"], "passed": False}
     certify = _certify_fermat if split is None else _certify_bound
@@ -395,7 +388,7 @@ def _trial(args: tuple) -> dict:
 
 
 def _verify(report: dict, g: int, split: Optional[tuple[int, int]], trials: int,
-            seed: int, eta_retries: int) -> dict:
+            seed: int) -> dict:
     """Run the trials, serially or in a pool of at most one process per
     trial, and finish `report`; raise VerificationError if one failed.
 
@@ -407,8 +400,7 @@ def _verify(report: dict, g: int, split: Optional[tuple[int, int]], trials: int,
     if not raw.isdecimal():
         raise ValueError(f"APOLAR_KIT_THREADS must be a process count, not {raw!r}")
     processes = min(int(raw), trials)
-    arguments = [(g, split, derive_seed(seed, i), eta_retries)
-                 for i in range(trials)]
+    arguments = [(g, split, derive_seed(seed, i)) for i in range(trials)]
     if processes > 1:
         with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_trial, arguments))
@@ -422,8 +414,7 @@ def _verify(report: dict, g: int, split: Optional[tuple[int, int]], trials: int,
     return report
 
 
-def verify_trigonal_fermat(g: int, trials: int, seed: int,
-                           eta_retries: int = 5) -> dict:
+def verify_trigonal_fermat(g: int, trials: int, seed: int) -> dict:
     """Check that trigonal quotient cubics are sums of exactly g - 2 cubes.
 
     Each trial builds a fresh curve, certifies the quotient algebra, and
@@ -439,11 +430,11 @@ def verify_trigonal_fermat(g: int, trials: int, seed: int,
                  f"is a sum of exactly {g - 2} cubes",
         "expected_rank": g - 2,
     }
-    return _verify(report, g, None, trials, seed, eta_retries)
+    return _verify(report, g, None, trials, seed)
 
 
 def verify_tetragonal_bound(g: int, split: Optional[tuple[int, int]], trials: int,
-                            seed: int, eta_retries: int = 5) -> dict:
+                            seed: int) -> dict:
     """Check the tetragonal power-sum bound ceil((3g - 7) / 2).
 
     Every trial builds a complete-intersection curve for the requested
@@ -458,7 +449,7 @@ def verify_tetragonal_bound(g: int, split: Optional[tuple[int, int]], trials: in
     if not 6 <= g <= 11:
         raise ValueError("desk-scale verification covers genus 6 through 11")
     if split is None:
-        split = ((g - 5) // 2, g - 5 - (g - 5) // 2)
+        split = balanced_type(g - 5, 2)
     if len(split) != 2 or min(split) < 0 or sum(split) != g - 5:
         raise ValueError(f"the split must be two non-negative integers summing to "
                          f"g - 5 = {g - 5}, not {tuple(split)}")
@@ -470,4 +461,4 @@ def verify_tetragonal_bound(g: int, split: Optional[tuple[int, int]], trials: in
         "bound": bound,
         "split": [b1, b2],
     }
-    return _verify(report, g, (b1, b2), trials, seed, eta_retries)
+    return _verify(report, g, (b1, b2), trials, seed)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Polynomial, _row_to_int
+from .core import Polynomial, _monomial_value, _row_to_int
 
 __all__ = [
     "Scroll",
@@ -188,8 +188,8 @@ class ScrollPoint:
 def embed_point(scroll: Scroll, base: Sequence, fiber: Sequence) -> ScrollPoint:
     """Image of a (base, fiber) pair under the tautological embedding.
 
-    Coordinates are the monomials s^(a_i - j) t^j y_i in the fixed layout;
-    works for exact integer data as well as mp scalars.
+    Coordinates are the monomials s^(a_i - j) t^j y_i in the fixed layout,
+    scaled to a primitive integer vector when they are all integers.
     """
     if len(base) != 2:
         raise ValueError("base point must have two coordinates")
@@ -199,17 +199,8 @@ def embed_point(scroll: Scroll, base: Sequence, fiber: Sequence) -> ScrollPoint:
         raise ValueError("zero base vector")
     if not any(fiber):
         raise ValueError("zero fiber vector")
-    s, t = base
-    image = []
-    for i, a in enumerate(scroll.type):
-        y = fiber[i]
-        for j in range(a + 1):
-            value = y
-            for _ in range(a - j):
-                value = value * s
-            for _ in range(j):
-                value = value * t
-            image.append(value)
+    image = [y * _monomial_value(base, (a - j, j))
+             for y, a in zip(fiber, scroll.type) for j in range(a + 1)]
     if all(isinstance(v, int) for v in image):
         image = _row_to_int(image)
     return ScrollPoint(scroll, tuple(base), tuple(fiber), tuple(image))

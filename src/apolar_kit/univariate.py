@@ -1,11 +1,11 @@
 """Exact arithmetic on univariate integer polynomials and binary forms.
 
 Polynomials are integer coefficient lists, lowest degree first.  The
-module finds rational roots by p-adic lifting and rational
-reconstruction, takes greatest common divisors and squarefree tests by
-primitive pseudo-remainder sequences, and reduces modulo a polynomial
-with the integer multiplier of the reduction kept, so residues in
-Q[t]/(D) stay integral.  No root is ever approximated.
+module multiplies and combines them, finds rational roots by p-adic
+lifting and rational reconstruction, takes greatest common divisors and
+squarefree tests by primitive pseudo-remainder sequences, and reduces
+modulo a polynomial with the integer multiplier of the reduction kept,
+so residues in Q[t]/(D) stay integral.  No root is ever approximated.
 """
 
 from __future__ import annotations
@@ -38,6 +38,26 @@ def _primitive(coeffs: Sequence) -> list[int]:
 
 def _derivative(f: Sequence[int]) -> list[int]:
     return [i * c for i, c in enumerate(f)][1:]
+
+
+def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _combine(terms) -> list[int]:
+    """sum c * f over the (c, f) pairs, integer polynomials."""
+    terms = list(terms)
+    out = [0] * max((len(f) for _, f in terms), default=0)
+    for c, f in terms:
+        for i, x in enumerate(f):
+            out[i] += c * x
+    return out
 
 
 def _pseudo_remainder(a: list[int], b: list[int]) -> tuple[int, list[int]]:

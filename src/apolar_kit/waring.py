@@ -23,11 +23,11 @@ from itertools import chain
 from math import factorial, gcd, lcm, prod
 from typing import Optional, Sequence
 
-from .apolarity import _contraction_rows
+from .apolarity import _contraction_rows, catalecticant
 from .core import (ExactMatrix, Polynomial, _int_echelon, _int_reduce, _row_to_int,
                    contract, monomial_basis)
 from .seeding import make_rng, random_dual_linear
-from .univariate import _pseudo_remainder, is_squarefree, poly_gcd
+from .univariate import _mul, _pseudo_remainder, is_squarefree, poly_gcd
 
 __all__ = [
     "CertificateError",
@@ -119,16 +119,6 @@ def rank_lower_bound(form: Polynomial) -> int:
     return ExactMatrix(rows).rank()
 
 
-def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Product of integer polynomials, coefficients lowest degree first."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _certify_scheme(determinant: list[int], phi: Sequence[list[int]],
                     cubic: Polynomial) -> int:
     """Exact power-sum certificate in A = Q[t]/(D); returns L = deg D.
@@ -184,24 +174,6 @@ def _certify_scheme(determinant: list[int], phi: Sequence[list[int]],
     return length
 
 
-def _quadric_matrix(q: Polynomial) -> list[list[Fraction]]:
-    """Rows of the symmetric matrix A with q(x) = x^T A x."""
-    if q.degree != 2:
-        raise ValueError("not a quadric")
-    n = q.nvars
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for exp, c in q.terms.items():
-        support = [i for i, e in enumerate(exp) if e]
-        if len(support) == 1:
-            i = support[0]
-            rows[i][i] = c
-        else:
-            i, j = support
-            rows[i][j] = c / 2
-            rows[j][i] = c / 2
-    return rows
-
-
 def _integer_multiple(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     """The rational matrix times the lcm of its entries' denominators."""
     scale = lcm(*(x.denominator for row in rows for x in row))
@@ -216,6 +188,8 @@ def simultaneous_diagonalize(quadrics: Sequence[Polynomial], r: Sequence[int]
                              ) -> tuple[list[int], list[list[int]]]:
     """Common diagonalizing points of a family of quadrics, as a scheme over Q.
 
+    Each quadric is taken as its Hessian `catalecticant(q, 1)`, twice its
+    matrix, which moves neither the echelon form nor the primitive phi.
     The first two quadrics span a pencil; its first invertible member B
     among (q2, q1), (q1, q2) and q1 + j q2 (j = 1..5, with A = q1) gives
     M = B^-1 A and, for each further quadric C, B^-1 C, all read off one
@@ -230,12 +204,12 @@ def simultaneous_diagonalize(quadrics: Sequence[Polynomial], r: Sequence[int]
     degree first; chi is monic and phi primitive.  Raises PencilError
     ('singular', 'non-commuting' or 'non-simple') otherwise.
     """
-    if len(quadrics) < 2 or len({q.nvars for q in quadrics}) != 1:
+    if len(quadrics) < 2 or {(q.nvars, q.degree) for q in quadrics} != {(quadrics[0].nvars, 2)}:
         raise ValueError("need at least two quadrics in one variable set")
     n = quadrics[0].nvars
     if len(r) != n:
         raise ValueError("the vector r has the wrong length")
-    a, b, *others = (_quadric_matrix(q) for q in quadrics)
+    a, b, *others = (catalecticant(q, 1).rows() for q in quadrics)
     members = ([[x + j * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
                for j in range(1, 6))
     for base, other in chain([(b, a), (a, b)], ((m, a) for m in members)):

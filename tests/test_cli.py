@@ -93,6 +93,10 @@ class TestStrictPolynomialJson:
         path = tmp_path / "curve.json"
         path.write_text(json.dumps({**curve, "scroll": {"type": [1.0, 2]}}))
         assert main(["alpha", "--in", str(path), "--seed", "1"]) == 2
+        for d in (3.7, True):
+            path = tmp_path / "pieces.json"
+            path.write_text(json.dumps({"d": d, "pieces": [piece]}))
+            assert main(["inverse", "--in", str(path)]) == 2
 
     def test_boolean_coefficient_is_input_error(self, tmp_path):
         data = {"nvars": 2, "degree": 3, "terms": [{"exp": [3, 0], "coef": True}]}

@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -403,3 +404,32 @@ class TestPolynomial:
     def test_evaluate(self):
         f = Polynomial(2, 2, {(2, 0): 1, (1, 1): Fraction(1, 2)})
         assert f.evaluate([2, 4]) == 4 + 4
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_evaluate_matches_sympy(self, data):
+        nvars = data.draw(st.integers(1, 4))
+        degree = data.draw(st.integers(0, 4))
+        fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+        exps = data.draw(st.lists(st.sampled_from(monomial_basis(nvars, degree)),
+                                  max_size=6, unique=True))
+        form = Polynomial(nvars, degree, {e: data.draw(fractions) for e in exps})
+        point = data.draw(st.lists(fractions, min_size=nvars, max_size=nvars))
+        xs = sympy.symbols(f"x0:{nvars}")
+        expr = sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.prod([x ** e for x, e in zip(xs, exp)])
+                    for exp, c in form.terms.items()), sympy.Integer(0))
+        value = expr.subs({x: sympy.Rational(v.numerator, v.denominator)
+                           for x, v in zip(xs, point)})
+        assert form.evaluate(point) == Fraction(int(value.p), int(value.q))
+
+    @pytest.mark.parametrize("exp", [(1.5, 1.5), (True, 2), (3.0, 0)])
+    def test_non_integer_exponent_rejected(self, exp):
+        with pytest.raises(ValueError, match="exponents"):
+            Polynomial(2, 3, {exp: 1})
+
+    def test_boolean_coefficient_rejected(self):
+        with pytest.raises(TypeError, match="coefficient"):
+            Polynomial(2, 3, {(1, 2): True})
+        with pytest.raises(TypeError, match="coefficient"):
+            ExactMatrix([[1, False]])

@@ -16,7 +16,7 @@ from apolar_kit.curvegen import (BihomSection, IdealDimensionError,
                                  ideal_pieces, sample_points, tetragonal_curve,
                                  trigonal_curve, _ambient_restriction,
                                  _common_base_factor, _conic_pair_resultant,
-                                 _evaluation_matrix, _four_distinct_roots,
+                                 _distinct_roots, _evaluation_matrix,
                                  _section_slots)
 from apolar_kit.scroll import (Scroll, canonical_class, chow_product,
                                divisor_degree, scroll_quadrics)
@@ -100,6 +100,20 @@ def sympy_four_distinct_roots(quartic):
     return poly.degree() >= 3 and poly.is_sqf
 
 
+_C = sympy.symbols("c0:4")
+# the discriminant of c0 s^3 + c1 s^2 t + c2 s t^2 + c3 t^3, as a polynomial
+# in its coefficients: it vanishes exactly on cubics with a repeated root
+# in P^1, the zero cubic included
+_CUBIC_DISCRIMINANT = sympy.discriminant(sum(c * _S ** (3 - j) for j, c in enumerate(_C)), _S)
+
+
+def sympy_cubic_has_distinct_roots(cubic):
+    """Oracle: the binary discriminant of the cubic is nonzero."""
+    values = {c: sympy.Rational(x.numerator, x.denominator)
+              for c, x in zip(_C, cubic.coefficient_vector())}
+    return _CUBIC_DISCRIMINANT.subs(values) != 0
+
+
 def binary_product(*factors):
     out = Polynomial(2, 0, {(0, 0): 1})
     for f in factors:
@@ -142,17 +156,30 @@ class TestBaseFormChecks:
             forms = [f * factor for f in forms]
         assert _common_base_factor(forms) == sympy_common_base_factor(forms)
 
-    def test_four_distinct_roots_cases(self):
+    def test_distinct_roots_cases(self):
         u = Polynomial(2, 1, {(1, 0): 2, (0, 1): -3})
         v = Polynomial(2, 1, {(1, 0): 1, (0, 1): 7})
         q = Polynomial(2, 2, {(2, 0): 2, (0, 2): -1})
-        cases = [(binary_product(u, v, q), True), (binary_product(S, u, q), True),
-                 (binary_product(S, S, q), False), (binary_product(u, u, q), False),
-                 (binary_product(q, q), False), (binary_product(T, u, v, S), True),
-                 (binary_product(S, S, S, u), False), (Polynomial.zero(2, 4), False)]
-        for quartic, expected in cases:
-            assert _four_distinct_roots(quartic) == expected
+        quartics = [(binary_product(u, v, q), True), (binary_product(S, u, q), True),
+                    (binary_product(S, S, q), False), (binary_product(u, u, q), False),
+                    (binary_product(q, q), False), (binary_product(T, u, v, S), True),
+                    (binary_product(S, S, S, u), False), (Polynomial.zero(2, 4), False)]
+        for quartic, expected in quartics:
+            assert _distinct_roots(quartic) == expected
             assert sympy_four_distinct_roots(quartic) == expected
+        cubics = {
+            "simple roots": (binary_product(u, q), True),
+            "root at s = 0": (binary_product(S, u, v), True),
+            "double root": (binary_product(u, u, v), False),
+            "double root at s = 0": (binary_product(S, S, u), False),
+            "root at t = 0": (binary_product(T, u, v), True),
+            "double root at t = 0": (binary_product(T, T, u), False),
+            "triple root": (binary_product(v, v, v), False),
+            "zero cubic": (Polynomial.zero(2, 3), False),
+        }
+        for name, (cubic, expected) in cubics.items():
+            assert _distinct_roots(cubic) == expected, name
+            assert sympy_cubic_has_distinct_roots(cubic) == expected, name
 
     def test_four_distinct_roots_on_fibers_against_sympy(self):
         curve = tetragonal_curve(7, 1, 1, seed=4)
@@ -162,7 +189,16 @@ class TestBaseFormChecks:
             base = (t.denominator, t.numerator)
             res = _conic_pair_resultant(curve.equations[0].fiber_form(base),
                                         curve.equations[1].fiber_form(base))
-            assert _four_distinct_roots(res) == sympy_four_distinct_roots(res)
+            assert _distinct_roots(res) == sympy_four_distinct_roots(res)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_distinct_roots_on_trigonal_fibers_against_discriminant(self, seed):
+        curve = trigonal_curve(8, seed)
+        stream = small_rationals(make_rng(9))
+        for _ in range(20):
+            t = next(stream)
+            cubic = curve.equations[0].fiber_form((t.denominator, t.numerator))
+            assert _distinct_roots(cubic) == sympy_cubic_has_distinct_roots(cubic)
 
 
 class TestBalancedType:

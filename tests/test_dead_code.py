@@ -60,3 +60,20 @@ def test_public_functions_and_methods_are_referenced():
     unused = sorted(f"{module}:{name}" for module, name in defined
                     if name.rpartition(".")[2] not in referenced)
     assert unused == []
+
+
+def test_imports_are_used():
+    """Every name a package module imports at top level is read in it."""
+    unused = []
+    for path, tree in _parse([PACKAGE]).items():
+        if path.name == "__init__.py":
+            continue
+        imported = [alias.asname or alias.name.partition(".")[0]
+                    for node in tree.body
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.name}:{name}" for name in imported if name not in read]
+    assert unused == []
