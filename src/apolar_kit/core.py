@@ -429,6 +429,30 @@ def _int_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], li
     return mat[:prow], pivots
 
 
+# a rank modulo a prime bounds the rank over Q from below
+_RANK_PRIME = 2 ** 61 - 1
+
+
+def _rank_mod_prime(rows: Sequence[Sequence[int]], ncols: int) -> int:
+    """Rank of integer rows modulo `_RANK_PRIME`, by Gaussian elimination."""
+    p = _RANK_PRIME
+    mat = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inverse = pow(mat[rank][col], -1, p)
+        head = [x * inverse % p for x in mat[rank]]
+        for i in range(rank + 1, len(mat)):
+            c = mat[i][col]
+            if c:
+                mat[i] = [(x - c * y) % p for x, y in zip(mat[i], head)]
+        rank += 1
+    return rank
+
+
 def _int_reduce(ech: list[list[int]], pivots: list[int], row: list[int]) -> list[int]:
     """An integer row reduced against echelon rows from `_int_echelon`.
 

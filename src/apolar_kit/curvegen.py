@@ -16,9 +16,10 @@ maps ambient monomials onto section monomials, so the kernel of
 restriction is spanned by binomials, and the rest of a piece is the lifts
 of the curve equations times multiplier sections (Schreyer 1986), each
 section monomial lifted through the last ambient monomial restricting to
-it.  Only the lifts are eliminated, in one small rref over those
-representative monomials; the rest of the reduced echelon form is written
-down directly as sparse rows.  The sampled points then serve as an
+it.  Each piece is kept as that spanning basis, binomials and primitive
+integer lifts at the height of the equations; a rank modulo a 61-bit
+prime proves it independent, with an exact echelon fallback, and no
+reduced echelon form is built.  The sampled points then serve as an
 independent vanishing certificate for every basis element.
 """
 
@@ -30,8 +31,8 @@ from math import comb, isqrt
 from typing import Optional, Sequence
 
 from .apolarity import GradedIdealPiece
-from .core import (ExactMatrix, Polynomial, _monomial_value, _row_to_int, monomial_basis,
-                   primitive_point)
+from .core import (ExactMatrix, Polynomial, _int_echelon, _monomial_value, _rank_mod_prime,
+                   _row_to_int, monomial_basis, primitive_point)
 from .scroll import (DivisorClass, Scroll, canonical_class, chow_product,
                      coordinate_layout, embed_point, section_count,
                      section_templates)
@@ -515,21 +516,25 @@ def _ambient_restriction(scroll: Scroll, exp: tuple[int, ...]):
     return tuple(fiber), (s_deg, t_deg)
 
 
-def _piece(curve: CurveSpec, k: int) -> list[dict[int, Fraction]]:
-    """Degree-k graded piece of the curve ideal, in reduced echelon form,
-    as sparse rows (ambient monomial index -> coefficient).
+def _piece(curve: CurveSpec, k: int) -> list[dict[int, int]]:
+    """Basis of the degree-k graded piece of the curve ideal, as sparse
+    primitive integer rows (ambient monomial index -> coefficient).
 
     Restriction to the scroll maps the ambient monomials onto the section
     monomials of kH; group them into classes by their image and lift each
     section monomial to the last member of its class, rep.  A degree-k
     form vanishes on the curve exactly when its restriction is
     sum_i q_i u_i with u_i a section of kH minus the i-th equation class,
-    so the piece is spanned by the binomials m - rep(m) and the lifts of
-    q_i times every multiplier monomial (none when the H-degree of the
-    multiplier would be negative).  Every non-last member is a pivot, so
-    only the lifts are eliminated, over the rep columns: a block row
-    e_c + sum a_f e_f gives that row and e_j + sum a_f e_f for every other
-    member j of c, and a class with no block pivot gives e_j - e_rep.
+    so the piece is spanned by the binomials e_j - e_rep, one for every
+    non-last member j of a class, and the block of lifts of q_i times
+    every multiplier monomial (none when the H-degree of the multiplier
+    would be negative), each lift scaled once to a primitive integer row.
+    A non-rep column appears only in its own binomial and the lifts live
+    on rep columns, so the basis is independent exactly when the block
+    is.  A full rank of the block modulo `_RANK_PRIME` proves that; any
+    other rank falls back to the block's fraction-free echelon rows.  No
+    reduced echelon form is built, so the entries keep the height of the
+    equations.
     """
     scroll = curve.scroll
     classes: dict[tuple, list[int]] = {}
@@ -540,31 +545,20 @@ def _piece(curve: CurveSpec, k: int) -> list[dict[int, Fraction]]:
         mult_h = k - section.cls.h
         if mult_h < 0:
             continue
+        # distinct equation terms land in distinct classes, so every lift
+        # is the equation's own primitive integer row, moved
+        terms = [(eexp, bexp) for eexp, form in section.coeffs.items() for bexp in form.terms]
+        values = _row_to_int([section.coeffs[eexp].terms[bexp] for eexp, bexp in terms])
         for mexp, (p, q) in _section_slots(scroll, scroll.cls(mult_h, -section.cls.f)):
-            row: dict[int, Fraction] = {}
-            for eexp, base_form in section.coeffs.items():
-                fiber_exp = tuple(a + b for a, b in zip(mexp, eexp))
-                for (bp, bq), c in base_form.terms.items():
-                    rep = classes[fiber_exp, (bp + p, bq + q)][-1]
-                    row[rep] = row.get(rep, 0) + c
-            block.append(row)
-    columns = sorted({j for row in block for j, c in row.items() if c})
-    tails: dict[int, dict[int, Fraction]] = {}
-    if columns:
-        reduced, pivots = ExactMatrix(
-            [[row.get(j, 0) for j in columns] for row in block]).rref()
-        for r, pivot in enumerate(pivots):
-            tails[columns[pivot]] = {columns[f]: x for f, x in enumerate(reduced.row(r))
-                                     if x and f != pivot}
-    rows = []
-    for members in classes.values():
-        rep = members[-1]
-        tail = tails.get(rep)
-        if tail is None:
-            rows.extend({j: 1, rep: -1} for j in members[:-1])
-        else:
-            rows.extend({j: 1, **tail} for j in members)
-    rows.sort(key=min)  # the pivot of each row is its smallest column
+            block.append({classes[tuple(a + b for a, b in zip(mexp, eexp)),
+                                  (bp + p, bq + q)][-1]: c
+                          for (eexp, (bp, bq)), c in zip(terms, values)})
+    columns = sorted({j for row in block for j in row})
+    lifts = [[row.get(j, 0) for j in columns] for row in block]
+    if _rank_mod_prime(lifts, len(columns)) < len(lifts):
+        lifts = _int_echelon(lifts, len(columns))[0]
+    rows = [{j: 1, members[-1]: -1} for members in classes.values() for j in members[:-1]]
+    rows.extend({columns[f]: x for f, x in enumerate(lift) if x} for lift in lifts)
     return rows
 
 
@@ -572,13 +566,15 @@ def ideal_pieces(curve: CurveSpec,
                  points: Sequence[Sequence[int]] = ()) -> IdealReconstruction:
     """Degree-2 and degree-3 graded pieces of the curve ideal.
 
-    Each piece is built in closed form from the scroll: the binomials of
-    the kernel of restriction, and the lifts of the curve equations times
-    multiplier sections reduced in one small rref over the representative
-    section monomials (none in degree 2 of a trigonal curve, which has no
-    multipliers there).  The basis polynomials are assembled from sparse
-    rows.  The supplied sampled points are an independent certificate:
-    every basis element must vanish on every one of them exactly.
+    Each piece is built in closed form from the scroll by `_piece`: the
+    binomials of the kernel of restriction, and the lifts of the curve
+    equations times multiplier sections (none in degree 2 of a trigonal
+    curve, which has no multipliers there), each a primitive integer row
+    no taller than the equation it moves.  The basis spans the piece but is
+    not in reduced echelon form; its independence is proved by a rank
+    modulo a 61-bit prime, with an exact echelon fallback.  The supplied
+    sampled points are an independent certificate: every basis element
+    must vanish on every one of them exactly, evaluated in integers.
     Dimensions must equal the canonical-curve counts (g-2)(g-3)/2 and
     C(g+2, 3) - (5g-5); a mismatch raises IdealDimensionError.
     """
@@ -590,9 +586,7 @@ def ideal_pieces(curve: CurveSpec,
         if points and rows:
             evaluations = _evaluation_matrix(points, basis)
             for row in rows:
-                # scaled to integers: vanishing does not depend on the scale
-                scaled = list(zip(row, _row_to_int(list(row.values()))))
-                if any(sum(values[j] * c for j, c in scaled) for values in evaluations):
+                if any(sum(values[j] * c for j, c in row.items()) for values in evaluations):
                     raise PointCertificateError(
                         "an ideal element does not vanish on a sampled point")
         pieces.append(GradedIdealPiece(degree, g, tuple(

@@ -130,7 +130,9 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
     dimension is h3 = C(n + 2, 3) - dim(restricted degree-3 piece), since
     degree-1 multiples of restricted quadrics are restricted cubics.
     Hilbert vector (1, n, n, 1) certifies the hyperplanes as general, and
-    the one-dimensional kernel is then the cubic, normalized.
+    the one-dimensional kernel is then the cubic: its coordinates, with
+    the lift scales, become integer weights on the integer terms of V's
+    basis, and the one sum is normalized.
     """
     g = recon.genus
     kept, frame, substitution = quotient_frame(eta1, eta2, g)
@@ -155,10 +157,16 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
     if h2 != n or len(combos) != 1:
         raise AlphaCertificateError(
             hilbert, "quotient algebra does not have the expected Hilbert vector")
-    cubic = sum((form * (c * scale) for c, scale, form
-                 in zip(combos[0], lift_scales, solutions)), Polynomial.zero(n, 3))
-    return AlphaResult(g, eta1, eta2, hilbert, cubic.normalized(), kept, frame,
-                       piece2)
+    scaled = [form.integer_terms() for form in solutions]
+    weights = _row_to_int([c * lift_scale / scale for c, lift_scale, (scale, _)
+                           in zip(combos[0], lift_scales, scaled)])
+    terms: dict[tuple[int, ...], int] = {}
+    for w, (_, form_terms) in zip(weights, scaled):
+        if w:
+            for exp, x in form_terms.items():
+                terms[exp] = terms.get(exp, 0) + w * x
+    cubic = Polynomial(n, 3, terms).normalized()
+    return AlphaResult(g, eta1, eta2, hilbert, cubic, kept, frame, piece2)
 
 
 def reduce_to_quotient(alpha: AlphaResult, poly: Polynomial) -> Polynomial:

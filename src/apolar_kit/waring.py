@@ -24,8 +24,8 @@ from math import factorial, gcd, lcm, prod
 from typing import Optional, Sequence
 
 from .apolarity import _contraction_rows, catalecticant
-from .core import (ExactMatrix, Polynomial, _int_echelon, _int_reduce, _row_to_int,
-                   contract, monomial_basis)
+from .core import (ExactMatrix, Polynomial, _int_echelon, _int_reduce, _rank_mod_prime,
+                   _row_to_int, contract, monomial_basis)
 from .seeding import make_rng, random_dual_linear
 from .univariate import _mul, _pseudo_remainder, is_squarefree, poly_gcd
 
@@ -75,30 +75,6 @@ class Decomposition:
     @property
     def rank(self) -> int:
         return len(self.scheme_equation) - 1
-
-
-# a rank modulo a prime bounds the rank over Q from below
-_RANK_PRIME = 2 ** 61 - 1
-
-
-def _rank_mod_prime(rows: Sequence[Sequence[int]], ncols: int) -> int:
-    """Rank of integer rows modulo `_RANK_PRIME`, by Gaussian elimination."""
-    p = _RANK_PRIME
-    mat = [[x % p for x in row] for row in rows]
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inverse = pow(mat[rank][col], -1, p)
-        head = [x * inverse % p for x in mat[rank]]
-        for i in range(rank + 1, len(mat)):
-            c = mat[i][col]
-            if c:
-                mat[i] = [(x - c * y) % p for x, y in zip(mat[i], head)]
-        rank += 1
-    return rank
 
 
 def rank_lower_bound(form: Polynomial) -> int:

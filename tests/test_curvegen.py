@@ -7,8 +7,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apolar_kit import curvegen
 from apolar_kit.apolarity import piece_contains
-from apolar_kit.core import ExactMatrix, Polynomial, monomial_basis
+from apolar_kit.core import (ExactMatrix, Polynomial, _rank_mod_prime, _row_to_int,
+                             monomial_basis)
 from apolar_kit.curvegen import (BihomSection, IdealDimensionError,
                                  PointCertificateError, SamplingError,
                                  balanced_type, expected_cubic_dim,
@@ -382,32 +384,76 @@ class TestIdealPieces:
         recon = ideal_pieces(curve)
         for piece in (recon.degree2, recon.degree3):
             reference = division_piece(curve, piece.degree)
-            assert piece.matrix().rows() == reference
+            reduced, pivots = piece.matrix().rref()
+            assert [reduced.row(i) for i in range(len(pivots))] == reference
+            assert len(piece.basis) == len(reference)
 
     @pytest.mark.parametrize("g, split", [
         (6, None), (8, None), (7, (1, 1)), (7, (0, 2)), (8, (1, 2))])
     def test_only_the_equation_block_is_eliminated(self, g, split, monkeypatch):
-        # the binomials and the degree-2 piece of a trigonal curve need no
-        # elimination; each remaining rref runs over restriction classes
+        # the pieces are written down as binomials and lifted equations;
+        # only the equation block is ranked, modulo a prime, and no
+        # reduced echelon form or kernel is taken over Q
         if split is None:
-            curve, degrees = trigonal_curve(g, seed=1), (3,)
+            curve = trigonal_curve(g, seed=1)
         else:
-            curve, degrees = tetragonal_curve(g, *split, seed=1), (2, 3)
+            curve = tetragonal_curve(g, *split, seed=1)
         points = sample_points(curve, curve.guaranteed_point_count, seed=1)
         calls = []
         for name in ("rref", "kernel"):
             original = getattr(ExactMatrix, name)
 
             def recording(self, name=name, original=original):
-                calls.append((name, self.ncols))
+                calls.append(name)
                 return original(self)
             monkeypatch.setattr(ExactMatrix, name, recording)
         ideal_pieces(curve, points)
-        assert [name for name, _ in calls] == ["rref"] * len(degrees)
-        for (_, width), degree in zip(calls, degrees):
-            classes = {_ambient_restriction(curve.scroll, exp)
-                       for exp in monomial_basis(g, degree)}
-            assert width <= len(classes)
+        assert calls == []
+
+    @pytest.mark.parametrize("g, split", [(8, None), (8, (1, 2))])
+    def test_pieces_keep_equation_height(self, g, split):
+        # every entry is an integer no taller than the equations scaled
+        # to primitive integer rows
+        if split is None:
+            curve = trigonal_curve(g, seed=1)
+        else:
+            curve = tetragonal_curve(g, *split, seed=1)
+        tallest = max(abs(c) for eq in curve.equations for c in _row_to_int(
+            [c for form in eq.coeffs.values() for c in form.terms.values()]))
+        recon = ideal_pieces(curve)
+        for piece in (recon.degree2, recon.degree3):
+            for element in piece.basis:
+                for c in element.terms.values():
+                    assert c.denominator == 1 and abs(c) <= tallest
+
+    @pytest.mark.parametrize("g, split", [(6, None), (8, None), (7, (0, 2)), (8, (1, 2))])
+    def test_modular_rank_shortfall_falls_back_exactly(self, g, split, monkeypatch):
+        # an under-reported rank mod p sends the lifts through the exact
+        # echelon: same span, same dimensions
+        if split is None:
+            curve = trigonal_curve(g, seed=1)
+        else:
+            curve = tetragonal_curve(g, *split, seed=1)
+        points = sample_points(curve, curve.guaranteed_point_count, seed=1)
+        expected = ideal_pieces(curve, points)
+        monkeypatch.setattr(curvegen, "_rank_mod_prime",
+                            lambda rows, ncols: _rank_mod_prime(rows, ncols) - 1)
+        fallback = ideal_pieces(curve, points)
+        for a, b in ((expected.degree2, fallback.degree2),
+                     (expected.degree3, fallback.degree3)):
+            assert a.dim == b.dim
+            assert a.matrix().rref() == b.matrix().rref()
+
+    def test_dropped_lift_row_fails_the_dimension_check(self, monkeypatch):
+        # a lost lift still vanishes on the points; only the count sees it
+        curve = tetragonal_curve(7, 1, 1, seed=1)
+        points = sample_points(curve, curve.guaranteed_point_count, seed=1)
+        original = curvegen._piece
+        monkeypatch.setattr(curvegen, "_piece", lambda c, k: original(c, k)[:-1])
+        with pytest.raises(IdealDimensionError) as err:
+            ideal_pieces(curve, points)
+        assert err.value.got == (9, 53)
+        assert err.value.expected == (10, 54)
 
     @pytest.mark.parametrize("g, split, dims", [
         (12, None, (45, 309)), (11, (3, 3), (36, 236))])
