@@ -132,6 +132,8 @@ def _make_curve(args):
     if args.g is None or args.gonality is None:
         raise ValueError("--g and --gonality are required when no curve file is given")
     if args.gonality == 3:
+        if args.split:
+            raise ValueError("--split applies to gonality 4 only")
         return trigonal_curve(args.g, args.seed)
     if args.split:
         b1, b2 = _parse_int_list(args.split)

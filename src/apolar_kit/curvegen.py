@@ -10,13 +10,22 @@ g - 3.
 Exact rational points on a random curve of genus >= 2 are scarce (only
 finitely many exist at all), so the generators interpolate: a few fibers
 are forced to split rationally by prescribing points on them, and those
-base values are recorded on the curve as sampling hints.  The graded
-pieces of the ideal are built in closed form from the scroll: restriction
-maps ambient monomials onto section monomials, so the kernel of
-restriction is spanned by binomials, and the rest of a piece is the lifts
-of the curve equations times multiplier sections (Schreyer 1986), each
-section monomial lifted through the last ambient monomial restricting to
-it.  Each piece is kept as that spanning basis, binomials and primitive
+base values are recorded on the curve as sampling hints.  Every section,
+forced or free, is one small-integer draw from the kernel of its point
+conditions (the unit vectors when there are none).  Sampling restricts
+the equations to each fiber once: a trigonal fiber is the rational roots
+of one binary cubic, and a tetragonal fiber is the base locus of a pencil
+of two conics, whose common point over a rational root of their
+resultant is the root of Bezout's combination a2 q1 - a1 q2, linear in
+the last coordinate; no square root is taken, and a root where that
+combination vanishes identically is a repeated root and is skipped.
+
+The graded pieces of the ideal are built in closed form from the scroll:
+restriction maps ambient monomials onto section monomials, so the kernel
+of restriction is spanned by binomials, and the rest of a piece is the
+lifts of the curve equations times multiplier sections (Schreyer 1986),
+each section monomial lifted through the last ambient monomial
+restricting to it.  Each piece is kept as that spanning basis, binomials and primitive
 integer lifts at the height of the equations; a rank modulo a 61-bit
 prime proves it independent, with an exact echelon fallback, and no
 reduced echelon form is built.  The sampled points then serve as an
@@ -27,12 +36,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from itertools import chain, islice
+from math import comb
 from typing import Optional, Sequence
 
 from .apolarity import GradedIdealPiece
-from .core import (ExactMatrix, Polynomial, _int_echelon, _monomial_value, _rank_mod_prime,
-                   _row_to_int, monomial_basis, primitive_point)
+from .core import (Polynomial, _int_echelon, _monomial_value, _rank_mod_prime, _row_to_int,
+                   int_kernel, monomial_basis, primitive_point)
 from .scroll import (DivisorClass, Scroll, canonical_class, chow_product,
                      coordinate_layout, embed_point, section_count,
                      section_templates)
@@ -57,6 +67,12 @@ __all__ = [
     "expected_quadric_dim",
     "expected_cubic_dim",
 ]
+
+
+# a random section combines its kernel basis with integer weights in
+# [-9, 9], and a constructor draws at most 10 candidate curves
+_SECTION_BOUND = 9
+_CURVE_ATTEMPTS = 10
 
 
 class CurveGenerationError(RuntimeError):
@@ -110,16 +126,8 @@ class BihomSection:
 
     def fiber_form(self, base: Sequence) -> Polynomial:
         """Restriction to the fiber over an exact base point (s0, t0)."""
-        k = self.scroll.k
-        terms = {}
-        for exp, base_form in self.coeffs.items():
-            value = base_form.evaluate(base)
-            if value:
-                terms[exp] = value
-        return Polynomial(k, self.cls.h, terms)
-
-    def evaluate(self, base: Sequence, fiber: Sequence):
-        return self.fiber_form(base).evaluate(fiber)
+        return Polynomial(self.scroll.k, self.cls.h,
+                          {exp: form.evaluate(base) for exp, form in self.coeffs.items()})
 
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self.coeffs.values())
@@ -127,54 +135,43 @@ class BihomSection:
 
 def _section_slots(scroll: Scroll, cls: DivisorClass) -> list[tuple[tuple[int, ...], tuple[int, int]]]:
     """Flat list of coefficient slots (fiber exponent, base exponent)."""
-    slots = []
-    for exp, degree in section_templates(scroll, cls):
-        for j in range(degree + 1):
-            slots.append((exp, (degree - j, j)))
-    return slots
+    return [(exp, (degree - j, j)) for exp, degree in section_templates(scroll, cls)
+            for j in range(degree + 1)]
 
 
 def _section_from_vector(scroll: Scroll, cls: DivisorClass, slots, vector) -> BihomSection:
     coeffs: dict[tuple[int, ...], dict] = {}
     for (exp, bexp), value in zip(slots, vector):
         coeffs.setdefault(exp, {})[bexp] = value
-    forms = {}
-    for exp, degree in section_templates(scroll, cls):
-        forms[exp] = Polynomial(2, degree, coeffs.get(exp, {}))
-    return BihomSection(scroll, cls, forms)
+    return BihomSection(scroll, cls, {exp: Polynomial(2, degree, coeffs.get(exp, {}))
+                                      for exp, degree in section_templates(scroll, cls)})
 
 
-def random_section(scroll: Scroll, cls: DivisorClass, rng, bound: int = 9,
+def random_section(scroll: Scroll, cls: DivisorClass, rng,
                    through: Sequence[tuple] = ()) -> BihomSection:
-    """Random section, optionally constrained to vanish at (base, fiber) pairs.
+    """Random section vanishing at the given (base, fiber) pairs.
 
-    The constrained section is a random small-integer combination of a
-    kernel basis of the point conditions, so coefficients stay rational
-    and reproducible.
+    The section is a random small-integer combination of the kernel basis
+    of the point conditions, one primitive integer row per point, so
+    coefficients stay rational and reproducible.  With no points the
+    kernel basis is the unit vectors, and the combination is the
+    coefficient vector itself.
     """
     slots = _section_slots(scroll, cls)
     if not slots:
         raise CurveGenerationError(f"class {cls} has no sections on {scroll}")
-    if not through:
-        for _ in range(10):
-            vector = [rng.randint(-bound, bound) for _ in slots]
-            section = _section_from_vector(scroll, cls, slots, vector)
-            if not section.is_zero():
-                return section
-        raise CurveGenerationError("random section degenerated to zero")
-    conditions = ExactMatrix([[_monomial_value(base, bexp) * _monomial_value(fiber, exp)
-                               for exp, bexp in slots] for base, fiber in through])
-    kernel = conditions.kernel()
-    if kernel.nrows == 0:
+    conditions = [_row_to_int([_monomial_value(base, bexp) * _monomial_value(fiber, exp)
+                               for exp, bexp in slots]) for base, fiber in through]
+    kernel = int_kernel(conditions, len(slots))
+    if not kernel:
         raise CurveGenerationError("point constraints admit no section")
     for _ in range(10):
-        combo = [rng.randint(-bound, bound) for _ in range(kernel.nrows)]
-        vector = [sum(c * kernel.entry(i, j) for i, c in enumerate(combo))
-                  for j in range(len(slots))]
+        combo = [rng.randint(-_SECTION_BOUND, _SECTION_BOUND) for _ in kernel]
+        vector = [sum(c * v[j] for c, v in zip(combo, kernel)) for j in range(len(slots))]
         section = _section_from_vector(scroll, cls, slots, vector)
         if not section.is_zero():
             return section
-    raise CurveGenerationError("constrained section degenerated to zero")
+    raise CurveGenerationError("random section degenerated to zero")
 
 
 @dataclass(frozen=True)
@@ -236,18 +233,12 @@ def _common_base_factor(forms: Sequence[Polynomial]) -> bool:
 
 
 def _distinct_small_rationals(rng, count: int, avoid=()) -> list[Fraction]:
-    stream = small_rationals(rng)
-    out: list[Fraction] = []
-    banned = set(avoid)
-    while len(out) < count:
-        t = next(stream)
-        if t not in banned:
-            banned.add(t)
-            out.append(t)
-    return out
+    """The first `count` values of a fresh `small_rationals` stream that
+    are not in `avoid` (the stream itself never repeats)."""
+    return list(islice((t for t in small_rationals(rng) if t not in avoid), count))
 
 
-def trigonal_curve(g: int, seed: int, max_attempts: int = 10) -> CurveSpec:
+def trigonal_curve(g: int, seed: int) -> CurveSpec:
     """Random trigonal canonical curve of genus g with split sample fibers.
 
     A handful of fibers are forced to split over Q by prescribing two
@@ -264,7 +255,7 @@ def trigonal_curve(g: int, seed: int, max_attempts: int = 10) -> CurveSpec:
     if genus_adjunction(scroll, cls) != g:
         raise CurveGenerationError("adjunction sanity check failed")
     forced_fibers = min((section_count(scroll, cls) - 8) // 2, 7)
-    for attempt in range(max_attempts):
+    for attempt in range(_CURVE_ATTEMPTS):
         rng = make_rng(derive_seed(seed, attempt))
         hints = _distinct_small_rationals(rng, forced_fibers)
         through = []
@@ -276,16 +267,12 @@ def trigonal_curve(g: int, seed: int, max_attempts: int = 10) -> CurveSpec:
         section = random_section(scroll, cls, rng, through=through)
         if _common_base_factor(list(section.coeffs.values())):
             continue
-        good = True
         test_values = hints + _distinct_small_rationals(rng, 5, avoid=hints)
-        for t in test_values:
-            if not _distinct_roots(section.fiber_form((t.denominator, t.numerator))):
-                good = False
-                break
-        if good:
+        if all(_distinct_roots(section.fiber_form((t.denominator, t.numerator)))
+               for t in test_values):
             return CurveSpec(g, 3, scroll, (cls,), (section,), seed, tuple(hints))
     raise CurveGenerationError(
-        f"no acceptable trigonal section after {max_attempts} attempts")
+        f"no acceptable trigonal section after {_CURVE_ATTEMPTS} attempts")
 
 
 def _conic_components(conic: Polynomial):
@@ -299,20 +286,28 @@ def _conic_components(conic: Polynomial):
     return a, b, c
 
 
-def _conic_pair_resultant(q1: Polynomial, q2: Polynomial) -> Optional[Polynomial]:
-    """Resultant of two fiber conics with respect to y2, a binary quartic.
+def _conic_pencil(q1: Polynomial, q2: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """Bezout forms of two fiber conics q_i = a_i y2^2 + b_i y2 + c_i.
 
-    Returns None when both conics are independent of y2 (the projection
-    from (0:0:1) degenerates; callers skip such fibers).
+    Returns (s1, s2, resultant): with s1 = a1 c2 - a2 c1 (quadratic),
+    s2 = a1 b2 - a2 b1 (linear) and s3 = b1 c2 - b2 c1 (cubic), the
+    combination a2 q1 - a1 q2 is -(s2 y2 + s1) and the resultant with
+    respect to y2 is the binary quartic s1^2 - s2 s3.  When both conics
+    are independent of y2 (a1 = a2 = 0, so the projection from (0:0:1)
+    degenerates), s1, s2 and the resultant are zero.
     """
     a1, b1, c1 = _conic_components(q1)
     a2, b2, c2 = _conic_components(q2)
-    if a1 == 0 and a2 == 0:
-        return None
-    s1 = c2 * a1 - c1 * a2                      # quadratic
-    s2 = b2 * a1 - b1 * a2                      # linear
-    s3 = b1 * c2 - b2 * c1                      # cubic
-    return s1 * s1 - s2 * s3
+    s1 = c2 * a1 - c1 * a2
+    s2 = b2 * a1 - b1 * a2
+    s3 = b1 * c2 - b2 * c1
+    return s1, s2, s1 * s1 - s2 * s3
+
+
+def _conic_pair_resultant(q1: Polynomial, q2: Polynomial) -> Polynomial:
+    """Resultant of two fiber conics with respect to y2, a binary quartic;
+    zero when both conics are independent of y2 (see `_conic_pencil`)."""
+    return _conic_pencil(q1, q2)[2]
 
 
 def _distinct_roots(form: Polynomial) -> bool:
@@ -321,16 +316,6 @@ def _distinct_roots(form: Polynomial) -> bool:
     and is squarefree."""
     affine, _ = affine_chart(form.coefficient_vector())
     return len(affine) >= form.degree and is_squarefree(affine)
-
-
-def _fraction_sqrt(value: Fraction) -> Optional[Fraction]:
-    if value < 0:
-        return None
-    num, den = value.numerator, value.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return None
-    return Fraction(rn, rd)
 
 
 def _rational_binary_roots(coeffs: Sequence[Fraction]) -> list[tuple]:
@@ -342,38 +327,33 @@ def _rational_binary_roots(coeffs: Sequence[Fraction]) -> list[tuple]:
 
 
 def _tetragonal_fiber_points(q1: Polynomial, q2: Polynomial) -> list[tuple]:
-    """Exact rational intersection points of two fiber conics."""
-    res = _conic_pair_resultant(q1, q2)
-    if res is None or res.is_zero():
+    """Exact rational intersection points of two fiber conics, in closed form.
+
+    Every common point (u : v : y2) lies over a root (u : v) of the
+    resultant and solves a2 q1 - a1 q2 = -(s2 y2 + s1) (`_conic_pencil`).
+    Where s2(u, v) != 0 that fixes y2 = -s1(u, v) / s2(u, v), and the
+    point is the only common one on the line through (0:0:1) and
+    (u : v : 0).  A root with s2(u, v) = 0 has s1(u, v)^2 = 0 as well;
+    as a1 and a2 are not both zero, the conics are then proportional on
+    that line, so s3(u, v) = 0 too and (u : v) is at least a double root
+    of s1^2 - s2 s3.  Such roots are skipped: the constructors require
+    four distinct roots on every hinted fiber, so they never occur there.
+    """
+    s1, s2, res = _conic_pencil(q1, q2)
+    if res.is_zero():
         return []
     points = []
     for u, v in _rational_binary_roots(res.coefficient_vector()):
         ui, vi = _row_to_int((u, v))
-        candidates = set()
-        for conic in (q1, q2):
-            a, b, c = _conic_components(conic)
-            alpha = a
-            beta = b.evaluate((ui, vi))
-            gamma = c.evaluate((ui, vi))
-            if alpha != 0:
-                root = _fraction_sqrt(beta * beta - 4 * alpha * gamma)
-                if root is None:
-                    continue
-                candidates.add((-beta + root) / (2 * alpha))
-                candidates.add((-beta - root) / (2 * alpha))
-            elif beta != 0:
-                candidates.add(-gamma / beta)
-        for y2 in candidates:
-            fiber = (Fraction(ui), Fraction(vi), y2)
-            if q1.evaluate(fiber) == 0 and q2.evaluate(fiber) == 0:
-                points.append(fiber)
+        denominator = s2.evaluate((ui, vi))
+        if denominator:
+            points.append((Fraction(ui), Fraction(vi), -s1.evaluate((ui, vi)) / denominator))
     return points
 
 
 def tetragonal_curve(g: int, b1: int, b2: int, seed: int,
                      scroll_type: Optional[tuple[int, ...]] = None,
-                     allow_unbalanced: bool = False,
-                     max_attempts: int = 10) -> CurveSpec:
+                     allow_unbalanced: bool = False) -> CurveSpec:
     """Random tetragonal canonical curve as a complete intersection.
 
     The split (b1, b2) of g - 5 fixes the two surface classes 2H - b_i F.
@@ -402,7 +382,7 @@ def tetragonal_curve(g: int, b1: int, b2: int, seed: int,
     if min(counts) == 0:
         raise CurveGenerationError(f"class with no sections among {cls1}, {cls2}")
     forced_fibers = max(0, min(min(counts) - 6, 6))
-    for attempt in range(max_attempts):
+    for attempt in range(_CURVE_ATTEMPTS):
         rng = make_rng(derive_seed(seed, attempt + 101))
         hints = _distinct_small_rationals(rng, forced_fibers)
         through = []
@@ -413,34 +393,28 @@ def tetragonal_curve(g: int, b1: int, b2: int, seed: int,
                 # (0:0:1) is the center of the resultant projection and
                 # would be invisible to the fiber solver
                 pair = (rng.randint(-5, 5), rng.randint(-5, 5))
-            fiber = (Fraction(pair[0]), Fraction(pair[1]), Fraction(1))
-            through.append((base, fiber))
+            through.append((base, (Fraction(pair[0]), Fraction(pair[1]), Fraction(1))))
         sec1 = random_section(scroll, cls1, rng, through=through)
         sec2 = random_section(scroll, cls2, rng, through=through)
-        good = True
         test_values = hints + _distinct_small_rationals(rng, 5, avoid=hints)
-        for t in test_values:
-            base = (t.denominator, t.numerator)
-            res = _conic_pair_resultant(sec1.fiber_form(base), sec2.fiber_form(base))
-            if res is None or not _distinct_roots(res):
-                good = False
-                break
-        if good:
+        bases = [(t.denominator, t.numerator) for t in test_values]
+        if all(_distinct_roots(_conic_pair_resultant(sec1.fiber_form(b), sec2.fiber_form(b)))
+               for b in bases):
             return CurveSpec(g, 4, scroll, (cls1, cls2), (sec1, sec2), seed,
                              tuple(hints))
     raise CurveGenerationError(
-        f"no acceptable tetragonal sections after {max_attempts} attempts")
+        f"no acceptable tetragonal sections after {_CURVE_ATTEMPTS} attempts")
 
 
-def _fiber_rational_points(curve: CurveSpec, base) -> list[tuple]:
-    if curve.gonality == 3:
-        cubic = curve.equations[0].fiber_form(base)
-        if cubic.is_zero():
-            return []
-        return _rational_binary_roots(cubic.coefficient_vector())
-    q1 = curve.equations[0].fiber_form(base)
-    q2 = curve.equations[1].fiber_form(base)
-    return _tetragonal_fiber_points(q1, q2)
+def _fiber_rational_points(forms: Sequence[Polynomial]) -> list[tuple]:
+    """Exact rational points of one fiber, from the equations restricted to
+    it: the roots of a trigonal cubic, or the common points of two conics."""
+    if len(forms) == 2:
+        return _tetragonal_fiber_points(*forms)
+    (cubic,) = forms
+    if cubic.is_zero():
+        return []
+    return _rational_binary_roots(cubic.coefficient_vector())
 
 
 def sample_points(curve: CurveSpec, count: int, seed: int,
@@ -449,49 +423,37 @@ def sample_points(curve: CurveSpec, count: int, seed: int,
 
     The curve's hinted base values (fibers forced to split rationally at
     generation time) are tried first, then a seeded stream of fresh small
-    rationals; fibers without rational solutions are skipped.  Points of
+    rationals; fibers without rational solutions are skipped.  Each
+    equation is restricted to a fiber once, and every point found there
+    is checked exactly against those restrictions.  Points of
     genus >= 2 curves over Q are finite, so large requests are expected
     to exhaust the budget and raise SamplingError, which reports how many
-    points were found.
+    points were found.  A negative count is a ValueError.
     """
-    if count == 0:
-        return []
+    if count < 0:
+        raise ValueError(f"point count must be >= 0, got {count}")
     if max_attempts is None:
         max_attempts = max(200, 20 * count)
-    rng = make_rng(derive_seed(seed, 7))
-    stream = small_rationals(rng)
-    points: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    attempts = 0
-    queue = list(curve.rational_fiber_hints)
+    points: dict[tuple[int, ...], None] = {}    # ordered set
     tried: set[Fraction] = set()
-    while len(points) < count and attempts < max_attempts:
-        if queue:
-            t = queue.pop(0)
-        else:
-            t = next(stream)
+    for t in chain(curve.rational_fiber_hints, small_rationals(make_rng(derive_seed(seed, 7)))):
+        if len(points) == count or len(tried) == max_attempts:
+            break
         if t in tried:
             continue
         tried.add(t)
-        attempts += 1
         base = (t.denominator, t.numerator)
-        for fiber in sorted(_fiber_rational_points(curve, base)):
-            for eq in curve.equations:
-                if eq.evaluate(base, fiber) != 0:
-                    raise CurveGenerationError(
-                        "sampled fiber point fails the curve equations")
-            image = embed_point(curve.scroll, base, primitive_point(
-                [Fraction(c) for c in fiber])).image
-            point = primitive_point([Fraction(c) for c in image])
-            if point in seen:
-                continue
-            seen.add(point)
-            points.append(point)
+        forms = [eq.fiber_form(base) for eq in curve.equations]
+        for fiber in sorted(_fiber_rational_points(forms)):
+            if any(form.evaluate(fiber) for form in forms):
+                raise CurveGenerationError("sampled fiber point fails the curve equations")
+            image = embed_point(curve.scroll, base, primitive_point(fiber)).image
+            points[primitive_point(image)] = None
             if len(points) == count:
                 break
     if len(points) < count:
-        raise SamplingError(len(points), count, attempts)
-    return points
+        raise SamplingError(len(points), count, len(tried))
+    return list(points)
 
 
 def _evaluation_matrix(points: Sequence[Sequence[int]],

@@ -323,6 +323,8 @@ def nakai_certificate(k: int, a_max: int = 50) -> NakaiReport:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
+    if a_max < 1:
+        raise ValueError(f"a_max must be >= 1, got {a_max}")
     ample = _enumerate_chain(2 * k - 1, k - 1, a_max)
     curve = _enumerate_chain(2 * k + 2, k, a_max)
     # tail: with sum b_i > 2a the genus constraint is below

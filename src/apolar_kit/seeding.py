@@ -32,9 +32,13 @@ def derive_seed(seed: int, index: int) -> int:
     return seed * 1000003 + index * 7919 + 1
 
 
-def small_rationals(rng: random.Random, max_denominator: int = 6) -> Iterator[Fraction]:
+_MAX_DENOMINATOR = 6
+
+
+def small_rationals(rng: random.Random) -> Iterator[Fraction]:
     """Endless stream of distinct small-height rationals, shuffled per band.
 
+    Band h holds the new p/q with q <= `_MAX_DENOMINATOR` and |p/q| <= h.
     Height bands grow without bound, so the stream never dries up; within
     a band the order is determined by the rng.
     """
@@ -42,7 +46,7 @@ def small_rationals(rng: random.Random, max_denominator: int = 6) -> Iterator[Fr
     height = 1
     while True:
         band = []
-        for q in range(1, max_denominator + 1):
+        for q in range(1, _MAX_DENOMINATOR + 1):
             for p in range(-height * q, height * q + 1):
                 f = Fraction(p, q)
                 if f not in seen:

@@ -23,7 +23,7 @@ from itertools import chain
 from math import factorial, gcd, lcm, prod
 from typing import Optional, Sequence
 
-from .apolarity import _contraction_rows, catalecticant
+from .apolarity import _contraction_rows
 from .core import (ExactMatrix, Polynomial, _int_echelon, _int_reduce, _rank_mod_prime,
                    _row_to_int, contract, monomial_basis)
 from .seeding import make_rng, random_dual_linear
@@ -164,8 +164,9 @@ def simultaneous_diagonalize(quadrics: Sequence[Polynomial], r: Sequence[int]
                              ) -> tuple[list[int], list[list[int]]]:
     """Common diagonalizing points of a family of quadrics, as a scheme over Q.
 
-    Each quadric is taken as its Hessian `catalecticant(q, 1)`, twice its
-    matrix, which moves neither the echelon form nor the primitive phi.
+    Each quadric is taken as its Hessian, the rows of its degree-1
+    catalecticant read off `_contraction_rows`: twice its matrix, which
+    moves neither the echelon form nor the primitive phi.
     The first two quadrics span a pencil; its first invertible member B
     among (q2, q1), (q1, q2) and q1 + j q2 (j = 1..5, with A = q1) gives
     M = B^-1 A and, for each further quadric C, B^-1 C, all read off one
@@ -185,7 +186,9 @@ def simultaneous_diagonalize(quadrics: Sequence[Polynomial], r: Sequence[int]
     n = quadrics[0].nvars
     if len(r) != n:
         raise ValueError("the vector r has the wrong length")
-    a, b, *others = (catalecticant(q, 1).rows() for q in quadrics)
+    index = {e: j for j, e in enumerate(monomial_basis(n, 1))}
+    a, b, *others = (_contraction_rows(q.terms, list(index), index, operator=False)
+                     for q in quadrics)
     members = ([[x + j * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
                for j in range(1, 6))
     for base, other in chain([(b, a), (a, b)], ((m, a) for m in members)):

@@ -149,6 +149,19 @@ class TestCommands:
     def test_trials_below_one_are_input_errors(self, argv, trials):
         assert main([*argv, "--trials", trials, "--seed", "1"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["curve-gen", "--g", "5", "--gonality", "3", "--points", "-3", "--seed", "1"],
+        ["curve-gen", "--g", "5", "--gonality", "3", "--split", "9,9", "--seed", "1"],
+        ["alpha", "--g", "5", "--gonality", "3", "--split", "9,9", "--seed", "1"],
+        ["nakai", "--k", "3", "--a-max", "-5"]],
+        ids=["negative-points", "curve-gen-trigonal-split", "alpha-trigonal-split",
+             "negative-a-max"])
+    def test_values_out_of_range_are_input_errors(self, argv, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "input error" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("split", ["0,3", "-1,3", "2", "0,1,1"])
     def test_bad_split_is_input_error_before_any_trial(self, monkeypatch, split):
         def no_trial(args):

@@ -15,14 +15,16 @@ from apolar_kit.curvegen import (BihomSection, IdealDimensionError,
                                  PointCertificateError, SamplingError,
                                  balanced_type, expected_cubic_dim,
                                  expected_quadric_dim, genus_adjunction,
-                                 ideal_pieces, sample_points, tetragonal_curve,
-                                 trigonal_curve, _ambient_restriction,
-                                 _common_base_factor, _conic_pair_resultant,
-                                 _distinct_roots, _evaluation_matrix,
-                                 _section_slots)
+                                 ideal_pieces, random_section, sample_points,
+                                 tetragonal_curve, trigonal_curve,
+                                 _ambient_restriction, _common_base_factor,
+                                 _conic_pair_resultant, _conic_pencil, _distinct_roots,
+                                 _evaluation_matrix, _section_from_vector,
+                                 _section_slots, _tetragonal_fiber_points)
 from apolar_kit.scroll import (Scroll, canonical_class, chow_product,
                                divisor_degree, scroll_quadrics)
 from apolar_kit.seeding import make_rng, small_rationals
+from oracles import quadratic_fiber_points
 
 
 def division_piece(curve, k):
@@ -292,10 +294,106 @@ class TestTetragonalCurve:
             assert res is not None and res.degree == 4 and not res.is_zero()
 
 
+class TestConicPencil:
+    @pytest.mark.parametrize("g, split", [
+        (6, (0, 1)), (7, (1, 1)), (7, (0, 2)), (8, (1, 2)), (9, (2, 2)), (9, (1, 3))])
+    def test_closed_form_matches_quadratic_formula(self, g, split):
+        # every hinted fiber (at least one point each) and ten stream
+        # fibers per curve, 60 over the six curves
+        curve = tetragonal_curve(g, *split, seed=g)
+        stream = small_rationals(make_rng(g + 100))
+        hinted = list(curve.rational_fiber_hints)
+        for t in hinted + [next(stream) for _ in range(10)]:
+            base = (t.denominator, t.numerator)
+            q1, q2 = (eq.fiber_form(base) for eq in curve.equations)
+            points = sorted(_tetragonal_fiber_points(q1, q2))
+            assert points == sorted(quadratic_fiber_points(q1, q2))
+            assert points or t not in hinted
+
+    def test_repeated_root_with_two_points_on_one_line_is_skipped(self):
+        # q1 = y2^2 - y0^2 and q2 = q1 + y1 y2 agree on the line y1 = 0
+        # through (0:0:1), where they meet twice, at (1:0:1) and (1:0:-1);
+        # s1 = 0, s2 = y1 and the resultant is -y0^2 y1^2, so (1:0) is a
+        # double root with s2 = 0 and only (0:1:0) is found
+        q1 = Polynomial(3, 2, {(0, 0, 2): 1, (2, 0, 0): -1})
+        q2 = Polynomial(3, 2, {(0, 0, 2): 1, (2, 0, 0): -1, (0, 1, 1): 1})
+        assert _conic_pair_resultant(q1, q2) == Polynomial(2, 4, {(2, 2): -1})
+        assert _tetragonal_fiber_points(q1, q2) == [(0, 1, 0)]
+        assert sorted(quadratic_fiber_points(q1, q2)) == [(0, 1, 0), (1, 0, -1), (1, 0, 1)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-2, 2), min_size=12, max_size=12))
+    def test_closed_form_on_random_conic_pairs(self, coeffs):
+        # the closed form finds every point of the quadratic formula except
+        # those over a root where s2 vanishes, and each point it finds is
+        # common to both conics
+        basis = monomial_basis(3, 2)
+        q1 = Polynomial(3, 2, dict(zip(basis, coeffs[:6])))
+        q2 = Polynomial(3, 2, dict(zip(basis, coeffs[6:])))
+        closed = set(_tetragonal_fiber_points(q1, q2))
+        reference = set(quadratic_fiber_points(q1, q2))
+        s2 = _conic_pencil(q1, q2)[1]
+        assert closed <= reference
+        assert all(s2.evaluate(p[:2]) == 0 for p in reference - closed)
+        assert all(q1.evaluate(p) == 0 == q2.evaluate(p) for p in closed)
+
+    def test_conics_free_of_y2_give_a_zero_resultant_and_no_points(self):
+        q1 = Polynomial(3, 2, {(2, 0, 0): 1, (0, 2, 0): -1})
+        q2 = Polynomial(3, 2, {(1, 1, 0): 1, (1, 0, 1): 2})
+        assert _conic_pair_resultant(q1, q2).is_zero()
+        assert _tetragonal_fiber_points(q1, q2) == []
+
+
+class TestRandomSection:
+    @pytest.mark.parametrize("scroll_type, h, f", [
+        ((2, 2), 3, -2), ((1, 2), 3, -1), ((1, 1, 2), 2, -1), ((2, 2, 2), 2, 0)])
+    def test_free_section_is_the_per_slot_draw(self, scroll_type, h, f):
+        # no points: the kernel is the unit vectors, so the draws are the
+        # coefficients themselves, in slot order
+        scroll = Scroll(scroll_type)
+        cls = scroll.cls(h, f)
+        rng, reference = make_rng(3), make_rng(3)
+        section = random_section(scroll, cls, rng)
+        slots = _section_slots(scroll, cls)
+        vector = [reference.randint(-9, 9) for _ in slots]
+        assert section == _section_from_vector(scroll, cls, slots, vector)
+        assert rng.random() == reference.random()
+
+    def test_section_vanishes_at_its_points(self):
+        scroll = Scroll((1, 1, 2))
+        through = [((1, 2), (Fraction(1), Fraction(-1), Fraction(1))),
+                   ((3, -1), (Fraction(2), Fraction(0), Fraction(1)))]
+        section = random_section(scroll, scroll.cls(2, -1), make_rng(4), through=through)
+        assert not section.is_zero()
+        for base, fiber in through:
+            assert section.fiber_form(base).evaluate(fiber) == 0
+
+
 class TestSamplePoints:
     def test_zero_count(self):
         curve = trigonal_curve(5, seed=5)
         assert sample_points(curve, 0, seed=1) == []
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            sample_points(trigonal_curve(5, seed=5), -3, seed=1)
+
+    @pytest.mark.parametrize("make_curve", [lambda: trigonal_curve(6, seed=2),
+                                            lambda: tetragonal_curve(7, 1, 1, seed=2)],
+                             ids=["trigonal", "tetragonal"])
+    def test_each_equation_is_restricted_once_per_fiber(self, make_curve, monkeypatch):
+        curve = make_curve()
+        calls = []
+        original = BihomSection.fiber_form
+
+        def counting(self, base):
+            calls.append((id(self), tuple(base)))
+            return original(self, base)
+        monkeypatch.setattr(BihomSection, "fiber_form", counting)
+        with pytest.raises(SamplingError) as err:
+            sample_points(curve, 200, seed=1, max_attempts=30)
+        assert err.value.attempts == 30
+        assert len(calls) == len(set(calls)) == 30 * len(curve.equations)
 
     def test_points_satisfy_scroll_and_curve(self):
         curve = trigonal_curve(5, seed=6)

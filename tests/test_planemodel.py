@@ -183,6 +183,11 @@ class TestNakaiCertificate:
             assert report.ample.self_intersection == 4 * k - 3
             assert report.curve.self_intersection == 8 * k + 4
 
+    @pytest.mark.parametrize("a_max", [0, -5])
+    def test_empty_enumeration_rejected(self, a_max):
+        with pytest.raises(ValueError):
+            nakai_certificate(3, a_max=a_max)
+
     def test_no_violations_small_k(self):
         for k in range(2, 9):
             report = nakai_certificate(k, a_max=50)
