@@ -163,6 +163,11 @@ def _cmd_curve_gen(args) -> dict:
 
 def _cmd_alpha(args) -> dict:
     if args.in_path:
+        given = [flag for flag, value in (("--g", args.g), ("--gonality", args.gonality),
+                                          ("--split", args.split)) if value is not None]
+        if given:
+            raise ValueError(f"{', '.join(given)} cannot be combined with --in: "
+                             "the curve file fixes the curve")
         curve = jsonio.curve_from_json(_read_json(args.in_path))
     else:
         curve = _make_curve(args)

@@ -12,13 +12,16 @@ finitely many exist at all), so the generators interpolate: a few fibers
 are forced to split rationally by prescribing points on them, and those
 base values are recorded on the curve as sampling hints.  Every section,
 forced or free, is one small-integer draw from the kernel of its point
-conditions (the unit vectors when there are none).  Sampling restricts
-the equations to each fiber once: a trigonal fiber is the rational roots
-of one binary cubic, and a tetragonal fiber is the base locus of a pencil
-of two conics, whose common point over a rational root of their
-resultant is the root of Bezout's combination a2 q1 - a1 q2, linear in
-the last coordinate; no square root is taken, and a root where that
-combination vanishes identically is a repeated root and is skipped.
+conditions (the unit vectors when there are none).  Each section keeps
+one integer image, the section times a positive scale, so fiber work
+runs in Python integers: every fiber lies over an integer base point,
+and sampling restricts each image to it once.  A trigonal fiber is the
+rational roots of one binary cubic, and a tetragonal fiber is the base
+locus of a pencil of two conics, whose common point over a rational root
+of their resultant is the root of Bezout's combination a2 q1 - a1 q2,
+linear in the last coordinate; the point is an integer triple, no square
+root is taken, and a root where that combination vanishes identically
+is a repeated root and is skipped.
 
 The graded pieces of the ideal are built in closed form from the scroll:
 restriction maps ambient monomials onto section monomials, so the kernel
@@ -34,20 +37,21 @@ independent vanishing certificate for every basis element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
-from math import comb
+from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
 from .apolarity import GradedIdealPiece
-from .core import (Polynomial, _int_echelon, _monomial_value, _rank_mod_prime, _row_to_int,
-                   int_kernel, monomial_basis, primitive_point)
+from .core import (Polynomial, _free_columns, _int_back_substitute, _int_echelon,
+                   _monomial_value, _rank_mod_prime, _row_to_int, monomial_basis,
+                   primitive_point)
 from .scroll import (DivisorClass, Scroll, canonical_class, chow_product,
                      coordinate_layout, embed_point, section_count,
                      section_templates)
 from .seeding import derive_seed, make_rng, small_rationals
-from .univariate import affine_chart, is_squarefree, poly_gcd, rational_roots
+from .univariate import _combine, _mul, affine_chart, is_squarefree, poly_gcd, rational_roots
 
 __all__ = [
     "BihomSection",
@@ -118,19 +122,42 @@ def expected_cubic_dim(g: int) -> int:
 
 @dataclass(frozen=True)
 class BihomSection:
-    """Section of O(cH + mF): one base binary form per fiber monomial."""
+    """Section of O(cH + mF): one base binary form per fiber monomial.
+
+    `image` is the section times a positive scale, as one primitive
+    integer vector, built once: a pair (fiber exponent, (c_0, ..., c_d))
+    for every fiber monomial of degree c in `monomial_basis` order, c_j
+    the coefficient of s^(d - j) t^j in its base form (empty when the
+    monomial has none).  A positive scale moves no root, so every fiber
+    computation runs on the image, in integers.
+    """
 
     scroll: Scroll
     cls: DivisorClass
     coeffs: dict  # fiber exponent tuple -> Polynomial in (s, t)
+    image: tuple = field(init=False, repr=False, compare=False)
 
-    def fiber_form(self, base: Sequence) -> Polynomial:
-        """Restriction to the fiber over an exact base point (s0, t0)."""
-        return Polynomial(self.scroll.k, self.cls.h,
-                          {exp: form.evaluate(base) for exp, form in self.coeffs.items()})
+    def __post_init__(self):
+        monomials = monomial_basis(self.scroll.k, self.cls.h)
+        forms = [self.coeffs.get(exp) for exp in monomials]
+        flat = iter(_row_to_int([c for form in forms if form is not None
+                                 for c in form.coefficient_vector()]))
+        object.__setattr__(self, "image", tuple(
+            (exp, tuple(islice(flat, form.degree + 1)) if form is not None else ())
+            for exp, form in zip(monomials, forms)))
 
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for f in self.coeffs.values())
+    def restrict(self, base: tuple[int, int]) -> list[int]:
+        """The image restricted to the fiber over an integer base point
+        (s0, t0): the integer coefficients of a form of degree c on the
+        fiber, in `monomial_basis` order."""
+        s0, t0 = base
+        top = max(len(row) for _, row in self.image)
+        s_powers, t_powers = [1], [1]
+        for _ in range(1, top):
+            s_powers.append(s_powers[-1] * s0)
+            t_powers.append(t_powers[-1] * t0)
+        return [sum(c * s_powers[len(row) - 1 - j] * t_powers[j] for j, c in enumerate(row) if c)
+                for _, row in self.image]
 
 
 def _section_slots(scroll: Scroll, cls: DivisorClass) -> list[tuple[tuple[int, ...], tuple[int, int]]]:
@@ -149,28 +176,36 @@ def _section_from_vector(scroll: Scroll, cls: DivisorClass, slots, vector) -> Bi
 
 def random_section(scroll: Scroll, cls: DivisorClass, rng,
                    through: Sequence[tuple] = ()) -> BihomSection:
-    """Random section vanishing at the given (base, fiber) pairs.
+    """Random section vanishing at the given integer (base, fiber) pairs.
 
     The section is a random small-integer combination of the kernel basis
     of the point conditions, one primitive integer row per point, so
-    coefficients stay rational and reproducible.  With no points the
-    kernel basis is the unit vectors, and the combination is the
-    coefficient vector itself.
+    coefficients stay rational and reproducible.  The basis is the
+    canonical one (first nonzero entry 1): the integer vectors of one
+    back-substitution, each divided by its lead, combined here over the
+    lcm of the leads.  With no points the basis is the unit vectors, and
+    the combination is the coefficient vector itself.
     """
     slots = _section_slots(scroll, cls)
     if not slots:
         raise CurveGenerationError(f"class {cls} has no sections on {scroll}")
     conditions = [_row_to_int([_monomial_value(base, bexp) * _monomial_value(fiber, exp)
                                for exp, bexp in slots]) for base, fiber in through]
-    kernel = int_kernel(conditions, len(slots))
+    ech, pivots = _int_echelon(conditions, len(slots))
+    kernel = _int_back_substitute(ech, pivots, _free_columns(pivots, len(slots)))
     if not kernel:
         raise CurveGenerationError("point constraints admit no section")
+    leads = [v[min(v)] for v in kernel]
+    den = lcm(*leads)
+    kernel = [{j: x * (den // lead) for j, x in v.items()} for v, lead in zip(kernel, leads)]
     for _ in range(10):
         combo = [rng.randint(-_SECTION_BOUND, _SECTION_BOUND) for _ in kernel]
-        vector = [sum(c * v[j] for c, v in zip(combo, kernel)) for j in range(len(slots))]
-        section = _section_from_vector(scroll, cls, slots, vector)
-        if not section.is_zero():
-            return section
+        vector = [0] * len(slots)
+        for c, v in zip(combo, kernel):
+            for j, x in v.items():
+                vector[j] += c * x
+        if any(vector):
+            return _section_from_vector(scroll, cls, slots, [Fraction(x, den) for x in vector])
     raise CurveGenerationError("random section degenerated to zero")
 
 
@@ -258,96 +293,86 @@ def trigonal_curve(g: int, seed: int) -> CurveSpec:
     for attempt in range(_CURVE_ATTEMPTS):
         rng = make_rng(derive_seed(seed, attempt))
         hints = _distinct_small_rationals(rng, forced_fibers)
-        through = []
-        for t in hints:
-            base = (t.denominator, t.numerator)
-            y1, y2 = _distinct_small_rationals(rng, 2)
-            through.append((base, (Fraction(1), y1)))
-            through.append((base, (Fraction(1), y2)))
+        # two points (1 : y) on each forced fiber, as integer pairs
+        through = [((t.denominator, t.numerator), (y.denominator, y.numerator))
+                   for t in hints for y in _distinct_small_rationals(rng, 2)]
         section = random_section(scroll, cls, rng, through=through)
         if _common_base_factor(list(section.coeffs.values())):
             continue
         test_values = hints + _distinct_small_rationals(rng, 5, avoid=hints)
-        if all(_distinct_roots(section.fiber_form((t.denominator, t.numerator)))
+        if all(_distinct_roots(section.restrict((t.denominator, t.numerator)))
                for t in test_values):
             return CurveSpec(g, 3, scroll, (cls,), (section,), seed, tuple(hints))
     raise CurveGenerationError(
         f"no acceptable trigonal section after {_CURVE_ATTEMPTS} attempts")
 
 
-def _conic_components(conic: Polynomial):
-    """Split a fiber conic as a*y2^2 + b(y0,y1)*y2 + c(y0,y1)."""
-    a = conic.coefficient((0, 0, 2))
-    b = Polynomial(2, 1, {(1, 0): conic.coefficient((1, 0, 1)),
-                          (0, 1): conic.coefficient((0, 1, 1))})
-    c = Polynomial(2, 2, {(2, 0): conic.coefficient((2, 0, 0)),
-                          (1, 1): conic.coefficient((1, 1, 0)),
-                          (0, 2): conic.coefficient((0, 2, 0))})
-    return a, b, c
+def _conic_pencil(q1: Sequence[int], q2: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """Bezout forms of two integer fiber conics q_i = a_i y2^2 + b_i y2 + c_i.
 
-
-def _conic_pencil(q1: Polynomial, q2: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """Bezout forms of two fiber conics q_i = a_i y2^2 + b_i y2 + c_i.
-
-    Returns (s1, s2, resultant): with s1 = a1 c2 - a2 c1 (quadratic),
-    s2 = a1 b2 - a2 b1 (linear) and s3 = b1 c2 - b2 c1 (cubic), the
-    combination a2 q1 - a1 q2 is -(s2 y2 + s1) and the resultant with
-    respect to y2 is the binary quartic s1^2 - s2 s3.  When both conics
-    are independent of y2 (a1 = a2 = 0, so the projection from (0:0:1)
-    degenerates), s1, s2 and the resultant are zero.
+    A conic is its coefficient list in `monomial_basis(3, 2)` order: y0^2,
+    y0 y1, y0 y2, y1^2, y1 y2, y2^2.  Returns (s1, s2, resultant) as
+    integer binary forms in (y0, y1), coefficient j on y0^(d - j) y1^j:
+    with s1 = a1 c2 - a2 c1 (quadratic), s2 = a1 b2 - a2 b1 (linear) and
+    s3 = b1 c2 - b2 c1 (cubic), the combination a2 q1 - a1 q2 is
+    -(s2 y2 + s1) and the resultant with respect to y2 is the binary
+    quartic s1^2 - s2 s3.  When both conics are independent of y2
+    (a1 = a2 = 0, so the projection from (0:0:1) degenerates), s1, s2 and
+    the resultant are zero.
     """
-    a1, b1, c1 = _conic_components(q1)
-    a2, b2, c2 = _conic_components(q2)
-    s1 = c2 * a1 - c1 * a2
-    s2 = b2 * a1 - b1 * a2
-    s3 = b1 * c2 - b2 * c1
-    return s1, s2, s1 * s1 - s2 * s3
+    (c10, c11, b10, c12, b11, a1), (c20, c21, b20, c22, b21, a2) = q1, q2
+    b1, c1, b2, c2 = [b10, b11], [c10, c11, c12], [b20, b21], [c20, c21, c22]
+    s1 = _combine([(a1, c2), (-a2, c1)])
+    s2 = _combine([(a1, b2), (-a2, b1)])
+    s3 = _combine([(1, _mul(b1, c2)), (-1, _mul(b2, c1))])
+    return s1, s2, _combine([(1, _mul(s1, s1)), (-1, _mul(s2, s3))])
 
 
-def _conic_pair_resultant(q1: Polynomial, q2: Polynomial) -> Polynomial:
-    """Resultant of two fiber conics with respect to y2, a binary quartic;
-    zero when both conics are independent of y2 (see `_conic_pencil`)."""
-    return _conic_pencil(q1, q2)[2]
+def _distinct_roots(form: Sequence[int]) -> bool:
+    """True when the binary form sum_j c_j s^(d-j) t^j of degree d
+    vanishes at d distinct points: its affine part has degree >= d - 1
+    (at most a simple root at s = 0) and is squarefree."""
+    affine, _ = affine_chart(form)
+    return len(affine) >= len(form) - 1 and is_squarefree(affine)
 
 
-def _distinct_roots(form: Polynomial) -> bool:
-    """True when a binary form of degree d vanishes at d distinct points:
-    its affine part has degree >= d - 1 (at most a simple root at s = 0)
-    and is squarefree."""
-    affine, _ = affine_chart(form.coefficient_vector())
-    return len(affine) >= form.degree and is_squarefree(affine)
-
-
-def _rational_binary_roots(coeffs: Sequence[Fraction]) -> list[tuple]:
-    """Rational roots (s : t) of sum_j c_j s^(d-j) t^j, each listed once."""
-    affine, roots = affine_chart(coeffs)
+def _rational_binary_roots(form: Sequence[int]) -> list[tuple[int, int]]:
+    """Rational roots (u : v) of sum_j c_j s^(d-j) t^j, each listed once as
+    a coprime integer pair with u >= 0: (0 : 1) first when it is a root,
+    then the affine roots (1 : v/u) in ascending order of v/u."""
+    affine, roots = affine_chart(form)
     if len(affine) > 1:
-        roots.extend((Fraction(1), root) for root in rational_roots(affine))
+        roots.extend((r.denominator, r.numerator) for r in sorted(rational_roots(affine)))
     return roots
 
 
-def _tetragonal_fiber_points(q1: Polynomial, q2: Polynomial) -> list[tuple]:
-    """Exact rational intersection points of two fiber conics, in closed form.
+def _tetragonal_fiber_points(q1: Sequence[int], q2: Sequence[int]) -> list[tuple[int, ...]]:
+    """Exact rational intersection points of two integer fiber conics, in
+    closed form, as primitive integer triples in ascending order of their
+    root (u, v).
 
     Every common point (u : v : y2) lies over a root (u : v) of the
     resultant and solves a2 q1 - a1 q2 = -(s2 y2 + s1) (`_conic_pencil`).
     Where s2(u, v) != 0 that fixes y2 = -s1(u, v) / s2(u, v), and the
-    point is the only common one on the line through (0:0:1) and
-    (u : v : 0).  A root with s2(u, v) = 0 has s1(u, v)^2 = 0 as well;
-    as a1 and a2 are not both zero, the conics are then proportional on
-    that line, so s3(u, v) = 0 too and (u : v) is at least a double root
-    of s1^2 - s2 s3.  Such roots are skipped: the constructors require
-    four distinct roots on every hinted fiber, so they never occur there.
+    point (u s2(u, v) : v s2(u, v) : -s1(u, v)) is the only common one on
+    the line through (0:0:1) and (u : v : 0).  A root with s2(u, v) = 0
+    has s1(u, v)^2 = 0 as well; as a1 and a2 are not both zero, the conics
+    are then proportional on that line, so s3(u, v) = 0 too and (u : v)
+    is at least a double root of s1^2 - s2 s3.  Such roots are skipped:
+    the constructors require four distinct roots on every hinted fiber, so
+    they never occur there.
     """
     s1, s2, res = _conic_pencil(q1, q2)
-    if res.is_zero():
+    if not any(res):
         return []
     points = []
-    for u, v in _rational_binary_roots(res.coefficient_vector()):
-        ui, vi = _row_to_int((u, v))
-        denominator = s2.evaluate((ui, vi))
+    for u, v in sorted(_rational_binary_roots(res)):
+        denominator = s2[0] * u + s2[1] * v
         if denominator:
-            points.append((Fraction(ui), Fraction(vi), -s1.evaluate((ui, vi)) / denominator))
+            point = (u * denominator, v * denominator,
+                     -(s1[0] * u * u + s1[1] * u * v + s1[2] * v * v))
+            common = gcd(*point)
+            points.append(tuple(x // common for x in point))
     return points
 
 
@@ -393,12 +418,12 @@ def tetragonal_curve(g: int, b1: int, b2: int, seed: int,
                 # (0:0:1) is the center of the resultant projection and
                 # would be invisible to the fiber solver
                 pair = (rng.randint(-5, 5), rng.randint(-5, 5))
-            through.append((base, (Fraction(pair[0]), Fraction(pair[1]), Fraction(1))))
+            through.append((base, (*pair, 1)))
         sec1 = random_section(scroll, cls1, rng, through=through)
         sec2 = random_section(scroll, cls2, rng, through=through)
         test_values = hints + _distinct_small_rationals(rng, 5, avoid=hints)
         bases = [(t.denominator, t.numerator) for t in test_values]
-        if all(_distinct_roots(_conic_pair_resultant(sec1.fiber_form(b), sec2.fiber_form(b)))
+        if all(_distinct_roots(_conic_pencil(sec1.restrict(b), sec2.restrict(b))[2])
                for b in bases):
             return CurveSpec(g, 4, scroll, (cls1, cls2), (sec1, sec2), seed,
                              tuple(hints))
@@ -406,15 +431,24 @@ def tetragonal_curve(g: int, b1: int, b2: int, seed: int,
         f"no acceptable tetragonal sections after {_CURVE_ATTEMPTS} attempts")
 
 
-def _fiber_rational_points(forms: Sequence[Polynomial]) -> list[tuple]:
-    """Exact rational points of one fiber, from the equations restricted to
-    it: the roots of a trigonal cubic, or the common points of two conics."""
+def _fiber_rational_points(forms: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Exact rational points of one fiber, as integer tuples, from the
+    equations restricted to it: the roots of a trigonal cubic, or the
+    common points of two conics.  The order is that of the rational
+    points before they were integers, which `sample_points` keeps: a
+    trigonal fiber's (0 : 1) first, then ascending affine root; a
+    tetragonal fiber's ascending integer root pair."""
     if len(forms) == 2:
         return _tetragonal_fiber_points(*forms)
     (cubic,) = forms
-    if cubic.is_zero():
+    if not any(cubic):
         return []
-    return _rational_binary_roots(cubic.coefficient_vector())
+    return _rational_binary_roots(cubic)
+
+
+def _form_value(form: Sequence[int], image: tuple, point: Sequence[int]) -> int:
+    """A restricted form (`BihomSection.restrict`) at an integer fiber point."""
+    return sum(c * _monomial_value(point, exp) for c, (exp, _) in zip(form, image) if c)
 
 
 def sample_points(curve: CurveSpec, count: int, seed: int,
@@ -424,11 +458,12 @@ def sample_points(curve: CurveSpec, count: int, seed: int,
     The curve's hinted base values (fibers forced to split rationally at
     generation time) are tried first, then a seeded stream of fresh small
     rationals; fibers without rational solutions are skipped.  Each
-    equation is restricted to a fiber once, and every point found there
-    is checked exactly against those restrictions.  Points of
-    genus >= 2 curves over Q are finite, so large requests are expected
-    to exhaust the budget and raise SamplingError, which reports how many
-    points were found.  A negative count is a ValueError.
+    equation's integer image is restricted to a fiber once, and every
+    point found there is checked exactly against those restrictions and
+    embedded, all in integers.  Points of genus >= 2 curves over Q are
+    finite, so large requests are expected to exhaust the budget and
+    raise SamplingError, which reports how many points were found.  A
+    negative count is a ValueError.
     """
     if count < 0:
         raise ValueError(f"point count must be >= 0, got {count}")
@@ -443,12 +478,11 @@ def sample_points(curve: CurveSpec, count: int, seed: int,
             continue
         tried.add(t)
         base = (t.denominator, t.numerator)
-        forms = [eq.fiber_form(base) for eq in curve.equations]
-        for fiber in sorted(_fiber_rational_points(forms)):
-            if any(form.evaluate(fiber) for form in forms):
+        forms = [eq.restrict(base) for eq in curve.equations]
+        for fiber in _fiber_rational_points(forms):
+            if any(_form_value(form, eq.image, fiber) for form, eq in zip(forms, curve.equations)):
                 raise CurveGenerationError("sampled fiber point fails the curve equations")
-            image = embed_point(curve.scroll, base, primitive_point(fiber)).image
-            points[primitive_point(image)] = None
+            points[primitive_point(embed_point(curve.scroll, base, fiber).image)] = None
             if len(points) == count:
                 break
     if len(points) < count:
@@ -456,9 +490,22 @@ def sample_points(curve: CurveSpec, count: int, seed: int,
     return list(points)
 
 
-def _evaluation_matrix(points: Sequence[Sequence[int]],
+def _evaluation_matrix(points: Sequence[Sequence[int]], lower: Sequence[Sequence[int]],
+                       lower_basis: Sequence[tuple[int, ...]],
                        basis: Sequence[tuple[int, ...]]) -> list[list[int]]:
-    return [[_monomial_value(p, exp) for exp in basis] for p in points]
+    """Values of the monomials of `basis` at integer points, from `lower`,
+    the values of `lower_basis` (one degree less) at the same points.
+
+    Each value is one product x^e = x^(e - u_i) x_i, with x_i the first
+    variable of x^e: the same integers as `_monomial_value`, one
+    multiplication each.
+    """
+    index = {exp: j for j, exp in enumerate(lower_basis)}
+    steps = []
+    for exp in basis:
+        i = next(i for i, e in enumerate(exp) if e)
+        steps.append((index[exp[:i] + (exp[i] - 1,) + exp[i + 1:]], i))
+    return [[values[j] * p[i] for j, i in steps] for p, values in zip(points, lower)]
 
 
 def _ambient_restriction(scroll: Scroll, exp: tuple[int, ...]):
@@ -490,7 +537,7 @@ def _piece(curve: CurveSpec, k: int) -> list[dict[int, int]]:
     so the piece is spanned by the binomials e_j - e_rep, one for every
     non-last member j of a class, and the block of lifts of q_i times
     every multiplier monomial (none when the H-degree of the multiplier
-    would be negative), each lift scaled once to a primitive integer row.
+    would be negative), each lift the equation's integer image, moved.
     A non-rep column appears only in its own binomial and the lifts live
     on rep columns, so the basis is independent exactly when the block
     is.  A full rank of the block modulo `_RANK_PRIME` proves that; any
@@ -508,13 +555,13 @@ def _piece(curve: CurveSpec, k: int) -> list[dict[int, int]]:
         if mult_h < 0:
             continue
         # distinct equation terms land in distinct classes, so every lift
-        # is the equation's own primitive integer row, moved
-        terms = [(eexp, bexp) for eexp, form in section.coeffs.items() for bexp in form.terms]
-        values = _row_to_int([section.coeffs[eexp].terms[bexp] for eexp, bexp in terms])
+        # is the equation's primitive integer image, moved
+        terms = [(eexp, len(row) - 1 - j, j, c) for eexp, row in section.image
+                 for j, c in enumerate(row) if c]
         for mexp, (p, q) in _section_slots(scroll, scroll.cls(mult_h, -section.cls.f)):
             block.append({classes[tuple(a + b for a, b in zip(mexp, eexp)),
                                   (bp + p, bq + q)][-1]: c
-                          for (eexp, (bp, bq)), c in zip(terms, values)})
+                          for eexp, bp, bq, c in terms})
     columns = sorted({j for row in block for j in row})
     lifts = [[row.get(j, 0) for j in columns] for row in block]
     if _rank_mod_prime(lifts, len(columns)) < len(lifts):
@@ -542,11 +589,12 @@ def ideal_pieces(curve: CurveSpec,
     """
     g = curve.genus
     pieces = []
+    evaluations, lower = points, monomial_basis(g, 1)
     for degree in (2, 3):
         basis = monomial_basis(g, degree)
+        evaluations, lower = _evaluation_matrix(points, evaluations, lower, basis), basis
         rows = _piece(curve, degree)
         if points and rows:
-            evaluations = _evaluation_matrix(points, basis)
             for row in rows:
                 if any(sum(values[j] * c for j, c in row.items()) for values in evaluations):
                     raise PointCertificateError(

@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 from typing import Optional, Sequence
 
 from .apolarity import GradedIdealPiece, inverse_system
@@ -252,17 +252,16 @@ def _scheme(curve: CurveSpec, surface_index: Optional[int], eta1: Polynomial,
     if curve.gonality == 3:
         if surface_index is not None:
             raise ValueError("the trigonal surface is the scroll itself")
-        expected, section = scroll.degree, {}
+        expected, section = scroll.degree, []
     else:
         if surface_index not in (0, 1):
             raise ValueError("surface_index must pick one of the two surfaces")
         equation = curve.equations[surface_index]
         expected = divisor_degree(scroll, equation.cls)
-        scale = lcm(*(c.denominator for form in equation.coeffs.values()
-                      for c in form.terms.values()))
-        section = {exp: {e: int(c * scale) for e, c in form.terms.items()}
-                   for exp, form in equation.coeffs.items()}
-    top = max([*scroll.type, *(sum(e) for terms in section.values() for e in terms)])
+        # Y's integer image: a positive multiple of Y, so D moves by a
+        # positive constant only
+        section = [(exp, row) for exp, row in equation.image if row]
+    top = max([*scroll.type, *(len(row) - 1 for _, row in section)])
     for k in range(expected + 1):
         powers = [[1]]
         for _ in range(top):
@@ -281,9 +280,10 @@ def _scheme(curve: CurveSpec, surface_index: Optional[int], eta1: Polynomial,
             fiber = [_combine([(1, _mul(r[i - 2], q[i - 1])), (-1, _mul(r[i - 1], q[i - 2]))])
                      for i in range(3)]
             determinant = []
-            for exp, terms in section.items():
+            for exp, row in section:
                 # Y's base form of the fiber monomial y^exp, times fiber^exp
-                term = _combine((c, [0] * j + powers[i]) for (i, j), c in terms.items())
+                term = _combine((c, [0] * j + powers[len(row) - 1 - j])
+                                for j, c in enumerate(row) if c)
                 for i, e in enumerate(exp):
                     for _ in range(e):
                         term = _mul(term, fiber[i])

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
+from math import gcd
 from typing import Iterator
 
 from .core import ExactMatrix, Polynomial, monomial_basis
@@ -35,23 +37,27 @@ def derive_seed(seed: int, index: int) -> int:
 _MAX_DENOMINATOR = 6
 
 
+@cache
+def _band(height: int) -> tuple[Fraction, ...]:
+    """Band h = `height` (from 1), built once on first use: the p/q in
+    lowest terms with q <= `_MAX_DENOMINATOR` and h - 1 < |p/q| <= h (0
+    included in band 1), by ascending q, then p."""
+    return tuple(Fraction(p, q) for q in range(1, _MAX_DENOMINATOR + 1)
+                 for p in range(-height * q, height * q + 1)
+                 if gcd(p, q) == 1 and (height == 1 or abs(p) > (height - 1) * q))
+
+
 def small_rationals(rng: random.Random) -> Iterator[Fraction]:
     """Endless stream of distinct small-height rationals, shuffled per band.
 
     Band h holds the new p/q with q <= `_MAX_DENOMINATOR` and |p/q| <= h.
     Height bands grow without bound, so the stream never dries up; within
-    a band the order is determined by the rng.
+    a band the order is determined by the rng, which shuffles a fresh copy
+    of the band for each stream.
     """
-    seen: set[Fraction] = set()
     height = 1
     while True:
-        band = []
-        for q in range(1, _MAX_DENOMINATOR + 1):
-            for p in range(-height * q, height * q + 1):
-                f = Fraction(p, q)
-                if f not in seen:
-                    seen.add(f)
-                    band.append(f)
+        band = list(_band(height))
         rng.shuffle(band)
         yield from band
         height += 1

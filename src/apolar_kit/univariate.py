@@ -260,5 +260,5 @@ def affine_chart(coeffs: Sequence) -> tuple[list, list[tuple]]:
     affine = list(coeffs)
     while affine and affine[-1] == 0:
         affine.pop()
-    at_infinity = [(Fraction(0), Fraction(1))] if len(affine) < len(coeffs) else []
+    at_infinity = [(0, 1)] if len(affine) < len(coeffs) else []
     return affine, at_infinity

@@ -4,9 +4,16 @@
 coefficient lists lowest degree first, at sympy's numerical roots of D;
 `oracle_fit` fits a cubic by least squares to the cubes of those points
 in mpmath.  Both are independent of the package's arithmetic.
-`quadratic_fiber_points` is the quadratic-formula solver for the common
-points of two fiber conics that the closed form of
-`curvegen._tetragonal_fiber_points` replaced.
+
+The curve layer runs its fiber work on integer images of the equations;
+the references here are the rational `Polynomial` computations it
+replaced.  `fiber_form` restricts a section to a fiber, `conic_pencil`
+forms the Bezout combinations of two fiber conics, `binary_roots` lists
+the rational roots of a binary form, and `quadratic_fiber_points` is the
+quadratic-formula solver for the common points of two conics that the
+closed form of `curvegen._tetragonal_fiber_points` replaced.
+`small_rationals` is the stream of `seeding.small_rationals` as it was
+written before its bands were built once.
 """
 
 from collections import namedtuple
@@ -16,9 +23,8 @@ from math import factorial, isqrt, prod
 import sympy
 from mpmath import mp
 
-from apolar_kit.core import _row_to_int, monomial_basis
-from apolar_kit.curvegen import (_conic_components, _conic_pair_resultant,
-                                 _rational_binary_roots)
+from apolar_kit.core import Polynomial, _row_to_int, monomial_basis
+from apolar_kit.univariate import affine_chart, rational_roots
 
 _T = sympy.Symbol("t")
 
@@ -57,6 +63,64 @@ def oracle_fit(determinant, phi, cubic):
     return Fit(len(points), residual) if residual < mp.mpf(10) ** -10 else None
 
 
+def small_rationals(rng):
+    """Endless stream of distinct small-height rationals, shuffled per band:
+    band h holds the new p/q with q <= 6 and |p/q| <= h, rebuilt here on
+    every call against the set of values already seen."""
+    seen = set()
+    height = 1
+    while True:
+        band = []
+        for q in range(1, 7):
+            for p in range(-height * q, height * q + 1):
+                f = Fraction(p, q)
+                if f not in seen:
+                    seen.add(f)
+                    band.append(f)
+        rng.shuffle(band)
+        yield from band
+        height += 1
+
+
+def fiber_form(section, base):
+    """Restriction of a `BihomSection` to the fiber over an exact base
+    point (s0, t0), as a rational `Polynomial` in the fiber variables."""
+    return Polynomial(section.scroll.k, section.cls.h,
+                      {exp: form.evaluate(base) for exp, form in section.coeffs.items()})
+
+
+def conic_components(conic):
+    """Split a fiber conic as a*y2^2 + b(y0,y1)*y2 + c(y0,y1)."""
+    a = conic.coefficient((0, 0, 2))
+    b = Polynomial(2, 1, {(1, 0): conic.coefficient((1, 0, 1)),
+                          (0, 1): conic.coefficient((0, 1, 1))})
+    c = Polynomial(2, 2, {(2, 0): conic.coefficient((2, 0, 0)),
+                          (1, 1): conic.coefficient((1, 1, 0)),
+                          (0, 2): conic.coefficient((0, 2, 0))})
+    return a, b, c
+
+
+def conic_pencil(q1, q2):
+    """(s1, s2, resultant) of two fiber conics, as binary `Polynomial`s:
+    s1 = a1 c2 - a2 c1, s2 = a1 b2 - a2 b1 and s1^2 - s2 s3 with
+    s3 = b1 c2 - b2 c1."""
+    a1, b1, c1 = conic_components(q1)
+    a2, b2, c2 = conic_components(q2)
+    s1 = c2 * a1 - c1 * a2
+    s2 = b2 * a1 - b1 * a2
+    s3 = b1 * c2 - b2 * c1
+    return s1, s2, s1 * s1 - s2 * s3
+
+
+def binary_roots(form):
+    """Rational roots (s : t) of a binary `Polynomial`, each listed once."""
+    affine, roots = affine_chart(form.coefficient_vector())
+    roots = [(Fraction(u), Fraction(v)) for u, v in roots]
+    if len(affine) > 1:
+        roots.extend((Fraction(1), root) for root in rational_roots(affine))
+    return roots
+
+
 def _fraction_sqrt(value):
     if value < 0:
         return None
@@ -73,15 +137,15 @@ def quadratic_fiber_points(q1, q2):
     every rational root y2 of either conic on the line y0 : y1 = u : v
     (an exact square root, or the one root of a conic linear there) is a
     candidate, kept when both conics vanish at (u : v : y2)."""
-    res = _conic_pair_resultant(q1, q2)
+    res = conic_pencil(q1, q2)[2]
     if res.is_zero():
         return []
     points = []
-    for u, v in _rational_binary_roots(res.coefficient_vector()):
+    for u, v in binary_roots(res):
         ui, vi = _row_to_int((u, v))
         candidates = set()
         for conic in (q1, q2):
-            alpha, b, c = _conic_components(conic)
+            alpha, b, c = conic_components(conic)
             beta, gamma = b.evaluate((ui, vi)), c.evaluate((ui, vi))
             if alpha != 0:
                 root = _fraction_sqrt(beta * beta - 4 * alpha * gamma)

@@ -162,6 +162,19 @@ class TestCommands:
         assert "input error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option", [["--g", "9"], ["--gonality", "4"], ["--split", "9,9"]],
+                             ids=["g", "gonality", "split"])
+    def test_curve_options_with_a_curve_file_are_input_errors(self, option, tmp_path, capsys):
+        # the file fixes the curve; a flag that would choose another one is
+        # rejected, not ignored
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(jsonio.curve_to_json(trigonal_curve(5, seed=3))))
+        out = tmp_path / "report.json"
+        assert main(["alpha", "--in", str(path), *option, "--seed", "1",
+                     "--out", str(out)]) == 2
+        assert "input error" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("split", ["0,3", "-1,3", "2", "0,1,1"])
     def test_bad_split_is_input_error_before_any_trial(self, monkeypatch, split):
         def no_trial(args):

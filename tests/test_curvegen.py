@@ -1,6 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 import sympy
@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from apolar_kit import curvegen
 from apolar_kit.apolarity import piece_contains
-from apolar_kit.core import (ExactMatrix, Polynomial, _rank_mod_prime, _row_to_int,
-                             monomial_basis)
+from apolar_kit.core import (ExactMatrix, Polynomial, _monomial_value, _rank_mod_prime,
+                             _row_to_int, int_kernel, monomial_basis, primitive_point)
 from apolar_kit.curvegen import (BihomSection, IdealDimensionError,
                                  PointCertificateError, SamplingError,
                                  balanced_type, expected_cubic_dim,
@@ -18,13 +18,13 @@ from apolar_kit.curvegen import (BihomSection, IdealDimensionError,
                                  ideal_pieces, random_section, sample_points,
                                  tetragonal_curve, trigonal_curve,
                                  _ambient_restriction, _common_base_factor,
-                                 _conic_pair_resultant, _conic_pencil, _distinct_roots,
-                                 _evaluation_matrix, _section_from_vector,
+                                 _conic_pencil, _distinct_roots, _evaluation_matrix,
+                                 _fiber_rational_points, _form_value, _section_from_vector,
                                  _section_slots, _tetragonal_fiber_points)
 from apolar_kit.scroll import (Scroll, canonical_class, chow_product,
                                divisor_degree, scroll_quadrics)
 from apolar_kit.seeding import make_rng, small_rationals
-from oracles import quadratic_fiber_points
+from oracles import binary_roots, conic_pencil, fiber_form, quadratic_fiber_points
 
 
 def division_piece(curve, k):
@@ -118,6 +118,34 @@ def sympy_cubic_has_distinct_roots(cubic):
     return _CUBIC_DISCRIMINANT.subs(values) != 0
 
 
+def coefficients(form):
+    """The coefficient list of a binary form with integer coefficients."""
+    assert all(c.denominator == 1 for c in form.terms.values())
+    return [int(c) for c in form.coefficient_vector()]
+
+
+def conic(coeffs):
+    """The fiber conic of an integer list in `monomial_basis(3, 2)` order."""
+    return Polynomial(3, 2, dict(zip(monomial_basis(3, 2), coeffs)))
+
+
+def image_scale(section):
+    """The positive scale with image = scale * coefficients, checked on
+    every entry, for an image that must be primitive."""
+    assert set(section.coeffs) <= {exp for exp, _ in section.image}
+    pairs = []
+    for exp, row in section.image:
+        form = section.coeffs.get(exp)
+        reference = form.coefficient_vector() if form is not None else []
+        assert len(row) == len(reference)
+        pairs.extend(zip(reference, row))
+    c0, x0 = next((c, x) for c, x in pairs if c)
+    scale = x0 / c0
+    assert scale > 0 and all(x == scale * c for c, x in pairs)
+    assert gcd(*(x for _, x in pairs)) == 1
+    return scale
+
+
 def binary_product(*factors):
     out = Polynomial(2, 0, {(0, 0): 1})
     for f in factors:
@@ -169,7 +197,7 @@ class TestBaseFormChecks:
                     (binary_product(q, q), False), (binary_product(T, u, v, S), True),
                     (binary_product(S, S, S, u), False), (Polynomial.zero(2, 4), False)]
         for quartic, expected in quartics:
-            assert _distinct_roots(quartic) == expected
+            assert _distinct_roots(coefficients(quartic)) == expected
             assert sympy_four_distinct_roots(quartic) == expected
         cubics = {
             "simple roots": (binary_product(u, q), True),
@@ -182,7 +210,7 @@ class TestBaseFormChecks:
             "zero cubic": (Polynomial.zero(2, 3), False),
         }
         for name, (cubic, expected) in cubics.items():
-            assert _distinct_roots(cubic) == expected, name
+            assert _distinct_roots(coefficients(cubic)) == expected, name
             assert sympy_cubic_has_distinct_roots(cubic) == expected, name
 
     def test_four_distinct_roots_on_fibers_against_sympy(self):
@@ -191,9 +219,9 @@ class TestBaseFormChecks:
         for _ in range(20):
             t = next(stream)
             base = (t.denominator, t.numerator)
-            res = _conic_pair_resultant(curve.equations[0].fiber_form(base),
-                                        curve.equations[1].fiber_form(base))
-            assert _distinct_roots(res) == sympy_four_distinct_roots(res)
+            res = conic_pencil(*(fiber_form(eq, base) for eq in curve.equations))[2]
+            integer = _conic_pencil(*(eq.restrict(base) for eq in curve.equations))[2]
+            assert _distinct_roots(integer) == sympy_four_distinct_roots(res)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_distinct_roots_on_trigonal_fibers_against_discriminant(self, seed):
@@ -201,8 +229,10 @@ class TestBaseFormChecks:
         stream = small_rationals(make_rng(9))
         for _ in range(20):
             t = next(stream)
-            cubic = curve.equations[0].fiber_form((t.denominator, t.numerator))
-            assert _distinct_roots(cubic) == sympy_cubic_has_distinct_roots(cubic)
+            base = (t.denominator, t.numerator)
+            cubic = fiber_form(curve.equations[0], base)
+            assert (_distinct_roots(curve.equations[0].restrict(base))
+                    == sympy_cubic_has_distinct_roots(cubic))
 
 
 class TestBalancedType:
@@ -240,9 +270,8 @@ class TestTrigonalCurve:
         stream = small_rationals(rng)
         for _ in range(10):
             t = next(stream)
-            cubic = curve.equations[0].fiber_form((t.denominator, t.numerator))
-            assert cubic.degree == 3
-            assert not cubic.is_zero()
+            cubic = curve.equations[0].restrict((t.denominator, t.numerator))
+            assert len(cubic) == 4 and any(cubic)
 
     def test_small_genus_rejected(self):
         with pytest.raises(ValueError):
@@ -282,16 +311,59 @@ class TestTetragonalCurve:
             tetragonal_curve(9, 2, 2, seed=1, scroll_type=(1, 2, 3))
 
     def test_fiber_length_four(self):
-        from apolar_kit.curvegen import _conic_pair_resultant
         curve = tetragonal_curve(7, 1, 1, seed=4)
         rng = make_rng(7)
         stream = small_rationals(rng)
         for _ in range(10):
             t = next(stream)
             base = (t.denominator, t.numerator)
-            res = _conic_pair_resultant(curve.equations[0].fiber_form(base),
-                                        curve.equations[1].fiber_form(base))
-            assert res is not None and res.degree == 4 and not res.is_zero()
+            res = _conic_pencil(*(eq.restrict(base) for eq in curve.equations))[2]
+            assert len(res) == 5 and any(res)
+
+
+class TestIntegerImage:
+    @pytest.mark.parametrize("g, split", [
+        (5, None), (6, None), (7, None), (8, None),
+        (6, (0, 1)), (7, (0, 2)), (7, (1, 1)), (8, (0, 3)), (8, (1, 2)),
+        (9, (0, 4)), (9, (1, 3)), (9, (2, 2))])
+    def test_restriction_is_the_scaled_fiber_form(self, g, split):
+        # every hinted fiber and 60 stream fibers per curve
+        if split is None:
+            curve = trigonal_curve(g, seed=g)
+        else:
+            curve = tetragonal_curve(g, *split, seed=g)
+        scales = [image_scale(eq) for eq in curve.equations]
+        stream = small_rationals(make_rng(g + 200))
+        for t in list(curve.rational_fiber_hints) + [next(stream) for _ in range(60)]:
+            base = (t.denominator, t.numerator)
+            for eq, scale in zip(curve.equations, scales):
+                reference = fiber_form(eq, base).coefficient_vector(
+                    monomial_basis(curve.scroll.k, eq.cls.h))
+                assert eq.restrict(base) == [scale * c for c in reference]
+
+    @pytest.mark.parametrize("g", [5, 6, 7, 8])
+    def test_trigonal_fiber_points_keep_the_rational_order(self, g):
+        # (0 : 1) first, then ascending affine root, as the sorted rational
+        # points were; sorting the integer pairs would put 3 before 1/2
+        curve = trigonal_curve(g, seed=g)
+        (equation,) = curve.equations
+        stream = small_rationals(make_rng(g + 300))
+        for t in list(curve.rational_fiber_hints) + [next(stream) for _ in range(60)]:
+            base = (t.denominator, t.numerator)
+            points = _fiber_rational_points([equation.restrict(base)])
+            reference = sorted(binary_roots(fiber_form(equation, base)))
+            assert [primitive_point(p) for p in points] == [
+                primitive_point(p) for p in reference]
+        cubic = [3, -7, 2, 0]       # s (2t - s) (t - 3s): roots (0 : 1), 1/2 and 3
+        assert _fiber_rational_points([cubic]) == [(0, 1), (2, 1), (1, 3)]
+
+    def test_zero_section_has_a_zero_image(self):
+        scroll = Scroll((1, 2))
+        cls = scroll.cls(3, -1)
+        section = _section_from_vector(scroll, cls, _section_slots(scroll, cls),
+                                       [0] * len(_section_slots(scroll, cls)))
+        assert not any(any(row) for _, row in section.image)
+        assert section.restrict((2, 3)) == [0, 0, 0, 0]
 
 
 class TestConicPencil:
@@ -299,15 +371,21 @@ class TestConicPencil:
         (6, (0, 1)), (7, (1, 1)), (7, (0, 2)), (8, (1, 2)), (9, (2, 2)), (9, (1, 3))])
     def test_closed_form_matches_quadratic_formula(self, g, split):
         # every hinted fiber (at least one point each) and ten stream
-        # fibers per curve, 60 over the six curves
+        # fibers per curve, 60 over the six curves; the integer pencil
+        # equals the rational reference on the same conics
         curve = tetragonal_curve(g, *split, seed=g)
         stream = small_rationals(make_rng(g + 100))
         hinted = list(curve.rational_fiber_hints)
         for t in hinted + [next(stream) for _ in range(10)]:
             base = (t.denominator, t.numerator)
-            q1, q2 = (eq.fiber_form(base) for eq in curve.equations)
-            points = sorted(_tetragonal_fiber_points(q1, q2))
-            assert points == sorted(quadratic_fiber_points(q1, q2))
+            q1, q2 = (eq.restrict(base) for eq in curve.equations)
+            reference = conic_pencil(conic(q1), conic(q2))
+            assert list(_conic_pencil(q1, q2)) == [f.coefficient_vector() for f in reference]
+            # the same points in the same order as the sorted rational ones
+            points = _tetragonal_fiber_points(q1, q2)
+            reference = quadratic_fiber_points(*(fiber_form(eq, base) for eq in curve.equations))
+            assert [primitive_point(p) for p in points] == [
+                primitive_point(p) for p in sorted(reference)]
             assert points or t not in hinted
 
     def test_repeated_root_with_two_points_on_one_line_is_skipped(self):
@@ -315,32 +393,38 @@ class TestConicPencil:
         # through (0:0:1), where they meet twice, at (1:0:1) and (1:0:-1);
         # s1 = 0, s2 = y1 and the resultant is -y0^2 y1^2, so (1:0) is a
         # double root with s2 = 0 and only (0:1:0) is found
-        q1 = Polynomial(3, 2, {(0, 0, 2): 1, (2, 0, 0): -1})
-        q2 = Polynomial(3, 2, {(0, 0, 2): 1, (2, 0, 0): -1, (0, 1, 1): 1})
-        assert _conic_pair_resultant(q1, q2) == Polynomial(2, 4, {(2, 2): -1})
+        q1 = [-1, 0, 0, 0, 0, 1]
+        q2 = [-1, 0, 0, 0, 1, 1]
+        assert _conic_pencil(q1, q2) == ([0, 0, 0], [0, 1], [0, 0, -1, 0, 0])
         assert _tetragonal_fiber_points(q1, q2) == [(0, 1, 0)]
-        assert sorted(quadratic_fiber_points(q1, q2)) == [(0, 1, 0), (1, 0, -1), (1, 0, 1)]
+        assert sorted(quadratic_fiber_points(conic(q1), conic(q2))) == [
+            (0, 1, 0), (1, 0, -1), (1, 0, 1)]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(-2, 2), min_size=12, max_size=12))
     def test_closed_form_on_random_conic_pairs(self, coeffs):
-        # the closed form finds every point of the quadratic formula except
-        # those over a root where s2 vanishes, and each point it finds is
-        # common to both conics
-        basis = monomial_basis(3, 2)
-        q1 = Polynomial(3, 2, dict(zip(basis, coeffs[:6])))
-        q2 = Polynomial(3, 2, dict(zip(basis, coeffs[6:])))
-        closed = set(_tetragonal_fiber_points(q1, q2))
-        reference = set(quadratic_fiber_points(q1, q2))
-        s2 = _conic_pencil(q1, q2)[1]
+        # the integer pencil equals the rational one; the closed form finds
+        # every point of the quadratic formula except those over a root
+        # where s2 vanishes, in the order of the sorted rational points,
+        # and each point it finds is common to both conics
+        q1, q2 = coeffs[:6], coeffs[6:]
+        reference_pencil = conic_pencil(conic(q1), conic(q2))
+        s1, s2, res = _conic_pencil(q1, q2)
+        assert [s1, s2, res] == [f.coefficient_vector() for f in reference_pencil]
+        found = [primitive_point(p) for p in _tetragonal_fiber_points(q1, q2)]
+        closed = set(found)
+        ordered = [primitive_point(p) for p in sorted(quadratic_fiber_points(conic(q1), conic(q2)))]
+        reference = set(ordered)
+        assert found == [p for p in ordered if p in closed]
         assert closed <= reference
-        assert all(s2.evaluate(p[:2]) == 0 for p in reference - closed)
-        assert all(q1.evaluate(p) == 0 == q2.evaluate(p) for p in closed)
+        assert all(s2[0] * p[0] + s2[1] * p[1] == 0 for p in reference - closed)
+        assert all(conic(q1).evaluate(p) == 0 == conic(q2).evaluate(p) for p in closed)
 
     def test_conics_free_of_y2_give_a_zero_resultant_and_no_points(self):
-        q1 = Polynomial(3, 2, {(2, 0, 0): 1, (0, 2, 0): -1})
-        q2 = Polynomial(3, 2, {(1, 1, 0): 1, (1, 0, 1): 2})
-        assert _conic_pair_resultant(q1, q2).is_zero()
+        q1 = [1, 0, 0, -1, 0, 0]     # y0^2 - y1^2
+        q2 = [0, 1, 2, 0, 0, 0]      # y0 y1 + 2 y0 y2
+        assert not any(_conic_pencil(q1, q2)[2])
+        assert conic_pencil(conic(q1), conic(q2))[2].is_zero()
         assert _tetragonal_fiber_points(q1, q2) == []
 
 
@@ -361,12 +445,31 @@ class TestRandomSection:
 
     def test_section_vanishes_at_its_points(self):
         scroll = Scroll((1, 1, 2))
-        through = [((1, 2), (Fraction(1), Fraction(-1), Fraction(1))),
-                   ((3, -1), (Fraction(2), Fraction(0), Fraction(1)))]
+        through = [((1, 2), (1, -1, 1)), ((3, -1), (2, 0, 1))]
         section = random_section(scroll, scroll.cls(2, -1), make_rng(4), through=through)
-        assert not section.is_zero()
+        assert any(any(row) for _, row in section.image)
         for base, fiber in through:
-            assert section.fiber_form(base).evaluate(fiber) == 0
+            assert fiber_form(section, base).evaluate(fiber) == 0
+            assert _form_value(section.restrict(base), section.image, fiber) == 0
+
+    @pytest.mark.parametrize("scroll_type, h, f, through", [
+        ((1, 2), 3, -1, [((1, 2), (1, -1)), ((1, 2), (3, 1)), ((2, -1), (1, 4))]),
+        ((1, 1, 2), 2, -1, [((1, 2), (1, -1, 1)), ((3, -1), (2, 0, 1)), ((1, 0), (0, 1, 1))])])
+    def test_constrained_section_is_the_canonical_kernel_combination(
+            self, scroll_type, h, f, through):
+        # the same draws combine the normalised rational kernel basis of
+        # the point conditions into exactly the same coefficients
+        scroll = Scroll(scroll_type)
+        cls = scroll.cls(h, f)
+        slots = _section_slots(scroll, cls)
+        rng, reference = make_rng(5), make_rng(5)
+        section = random_section(scroll, cls, rng, through=through)
+        rows = [_row_to_int([_monomial_value(base, bexp) * _monomial_value(fiber, exp)
+                             for exp, bexp in slots]) for base, fiber in through]
+        kernel = int_kernel(rows, len(slots))
+        combo = [reference.randint(-9, 9) for _ in kernel]
+        vector = [sum(c * v[j] for c, v in zip(combo, kernel)) for j in range(len(slots))]
+        assert section == _section_from_vector(scroll, cls, slots, vector)
 
 
 class TestSamplePoints:
@@ -384,16 +487,33 @@ class TestSamplePoints:
     def test_each_equation_is_restricted_once_per_fiber(self, make_curve, monkeypatch):
         curve = make_curve()
         calls = []
-        original = BihomSection.fiber_form
+        original = BihomSection.restrict
 
         def counting(self, base):
             calls.append((id(self), tuple(base)))
             return original(self, base)
-        monkeypatch.setattr(BihomSection, "fiber_form", counting)
+        monkeypatch.setattr(BihomSection, "restrict", counting)
         with pytest.raises(SamplingError) as err:
             sample_points(curve, 200, seed=1, max_attempts=30)
         assert err.value.attempts == 30
         assert len(calls) == len(set(calls)) == 30 * len(curve.equations)
+
+    @pytest.mark.parametrize("make_curve", [lambda: trigonal_curve(7, seed=2),
+                                            lambda: tetragonal_curve(8, 1, 2, seed=2)],
+                             ids=["trigonal", "tetragonal"])
+    def test_constructs_no_polynomial(self, make_curve, monkeypatch):
+        # restriction, fiber points, the point check and the embedding all
+        # run on integers, on hinted fibers and on 60 stream fibers
+        curve = make_curve()
+        expected = sample_points(curve, curve.guaranteed_point_count, seed=3)
+
+        def forbidden(self, *args):
+            raise AssertionError("sample_points built a Polynomial")
+        monkeypatch.setattr(Polynomial, "__init__", forbidden)
+        assert sample_points(curve, curve.guaranteed_point_count, seed=3) == expected
+        with pytest.raises(SamplingError) as err:
+            sample_points(curve, 500, seed=3, max_attempts=60)
+        assert err.value.attempts == 60 and err.value.found >= len(expected)
 
     def test_points_satisfy_scroll_and_curve(self):
         curve = trigonal_curve(5, seed=6)
@@ -452,11 +572,21 @@ class TestIdealPieces:
         pts = sample_points(curve, 15, seed=6)
         recon = ideal_pieces(curve, pts)
         basis = monomial_basis(5, 2)
-        kernel = ExactMatrix(_evaluation_matrix(pts, basis)).kernel()
+        kernel = ExactMatrix(_evaluation_matrix(pts, pts, monomial_basis(5, 1), basis)).kernel()
         assert kernel.nrows == recon.degree2.dim
         reduced_a, _ = kernel.rref()
         reduced_b, _ = recon.degree2.matrix().rref()
         assert reduced_a == reduced_b
+
+    def test_evaluation_matrix_is_the_monomial_values(self):
+        # one multiplication per value, from the degree below
+        curve = tetragonal_curve(7, 1, 1, seed=3)
+        pts = sample_points(curve, curve.guaranteed_point_count, seed=3)
+        values, lower = pts, monomial_basis(7, 1)
+        for degree in (2, 3, 4):
+            basis = monomial_basis(7, degree)
+            values, lower = _evaluation_matrix(pts, values, lower, basis), basis
+            assert values == [[_monomial_value(p, exp) for exp in basis] for p in pts]
 
     def test_ideal_elements_vanish_on_points(self):
         curve = tetragonal_curve(6, 0, 1, seed=13)

@@ -1,6 +1,8 @@
-"""Every function and method of the package has a caller."""
+"""Every function and method of the package has a caller, and the package
+imports nothing outside the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,3 +79,20 @@ def test_imports_are_used():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unused += [f"{path.name}:{name}" for name in imported if name not in read]
     assert unused == []
+
+
+def test_package_imports_only_stdlib():
+    """Every import in the package is relative or from the standard
+    library; sympy and mpmath are test-only oracles."""
+    foreign = []
+    for path, tree in _parse([PACKAGE]).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{m}" for m in modules
+                        if m.partition(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []
