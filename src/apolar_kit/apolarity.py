@@ -18,8 +18,8 @@ from math import comb, factorial
 from operator import add, sub
 from typing import Optional, Sequence
 
-from .core import (ExactMatrix, Polynomial, _falling, _monomial_value, _row_to_int,
-                   coefficient_matrix, int_kernel, monomial_basis)
+from .core import (ExactMatrix, Polynomial, _combination, _falling, _kernel_vectors,
+                   _monomial_value, coefficient_matrix, monomial_basis)
 
 __all__ = [
     "GradedIdealPiece",
@@ -80,16 +80,6 @@ class GradedIdealPiece:
         basis = monomial_basis(nvars, degree)
         polys = tuple(Polynomial.from_vector(nvars, degree, v, basis) for v in vectors)
         return cls(degree, nvars, polys)
-
-    @classmethod
-    def from_spanning(cls, degree: int, nvars: int, polys: Sequence[Polynomial]) -> "GradedIdealPiece":
-        """Canonical piece spanned by possibly dependent polynomials."""
-        if not polys:
-            return cls(degree, nvars, ())
-        reduced, pivots = coefficient_matrix(
-            polys, monomial_basis(nvars, degree)).rref()
-        vectors = [reduced.row(i) for i in range(len(pivots))]
-        return cls.from_vectors(degree, nvars, vectors)
 
 
 @dataclass(frozen=True)
@@ -184,19 +174,42 @@ def hilbert_function(form: Polynomial) -> ApolarAlgebraProfile:
     return ApolarAlgebraProfile(socle_degree=d, hilbert=hilbert)
 
 
-def _condition_rows(piece: GradedIdealPiece, d: int,
+def _condition_rows(ops: Sequence[dict], degree: int, d: int,
                     columns: Sequence[tuple[int, ...]]) -> list[list[int]]:
-    """Linear conditions `D . F = 0` on the coefficients of F in degree d.
-
-    One integer row per basis operator D and target monomial t; each D is
-    first scaled to integers, since a row's scale does not move the kernel.
-    """
-    targets = monomial_basis(piece.nvars, d - piece.degree)
+    """Linear conditions `D . F = 0` on the coefficients of F in degree d:
+    one integer row per operator D (an integer term map of the given
+    degree) and target monomial t."""
+    targets = monomial_basis(len(columns[0]), d - degree)
     index = {m: j for j, m in enumerate(columns)}
     rows = []
-    for op in piece.basis:
-        rows.extend(_contraction_rows(op.integer_terms()[1], targets, index, operator=True))
+    for op in ops:
+        rows.extend(_contraction_rows(op, targets, index, operator=True))
     return rows
+
+
+def _inverse_vectors(pieces: Sequence[tuple[int, Sequence[dict]]], d: int,
+                     columns: Sequence[tuple[int, ...]]) -> tuple[list[dict], list[int]]:
+    """The integer core of `inverse_system`, on (degree, operators as
+    integer term maps) pairs, highest degree first, and the degree-d
+    monomials `columns`.  The top piece's condition kernel is cut down by
+    each further piece's conditions, written in its coordinates.  Returns
+    sparse integer vectors over `columns` and one scale each: vector /
+    scale is the `inverse_system` vector, whose kernel bases lead with 1.
+    A kernel vector w over solutions u_i / s_i gives sum_i w_i u_i over
+    s_i0 w_i0, at the first index i0 of w.
+    """
+    (degree, ops), *rest = pieces
+    vectors = _kernel_vectors(_condition_rows(ops, degree, d, columns), len(columns))
+    scales = [v[min(v)] for v in vectors]
+    for degree, ops in rest:
+        if not vectors:
+            break
+        combos = _kernel_vectors([[sum(row[j] * x for j, x in v.items()) for v in vectors]
+                                  for row in _condition_rows(ops, degree, d, columns)],
+                                 len(vectors))
+        scales = [scales[min(w)] * w[min(w)] for w in combos]
+        vectors = [_combination(w, vectors) for w in combos]
+    return vectors, scales
 
 
 def inverse_system(pieces: Sequence[GradedIdealPiece], d: int) -> list[Polynomial]:
@@ -206,11 +219,12 @@ def inverse_system(pieces: Sequence[GradedIdealPiece], d: int) -> list[Polynomia
     one dual ring.  A piece's `basis` may be any spanning set, dependent
     or zero forms included: the result is the canonical kernel basis of
     the conditions, so it depends only on the spans.  The conditions are
-    integer rows written down from the contraction rule.  The solution
-    space is cut out degree by degree, highest first (the top piece pins
-    the forms down to a low-dimensional space, so the remaining
-    conditions are cheap).  Without a nonempty piece the result is the
-    monomial basis of degree d.
+    integer rows written down from the contraction rule, each operator
+    scaled to integers (which moves no kernel), and `_inverse_vectors`
+    solves them degree by degree, highest first (the top piece pins the
+    forms down to a low-dimensional space, so the remaining conditions
+    are cheap).  Without a nonempty piece the result is the monomial
+    basis of degree d.
     """
     if d < 1:
         raise ValueError("socle degree must be >= 1")
@@ -227,23 +241,10 @@ def inverse_system(pieces: Sequence[GradedIdealPiece], d: int) -> list[Polynomia
     columns = monomial_basis(n, d)
     if not by_degree:
         return [Polynomial.monomial(m) for m in columns]
-    # solution space of the top piece, then intersect downwards
-    top = by_degree[0]
-    basis_vectors = int_kernel(_condition_rows(top, d, columns), len(columns))
-    for piece in by_degree[1:]:
-        if not basis_vectors:
-            break
-        # express the conditions in coordinates of the current solution space
-        reduced = []
-        for row in _condition_rows(piece, d, columns):
-            support = [(j, v) for j, v in enumerate(row) if v]
-            reduced.append(_row_to_int([sum(v * vec[j] for j, v in support)
-                                        for vec in basis_vectors]))
-        coeffs = int_kernel(reduced, len(basis_vectors))
-        basis_vectors = [
-            [sum(c * vec[j] for c, vec in zip(combo, basis_vectors)) for j in range(len(columns))]
-            for combo in coeffs]
-    return [Polynomial.from_vector(n, d, v, columns) for v in basis_vectors]
+    vectors, scales = _inverse_vectors(
+        [(p.degree, [op.integer_terms()[1] for op in p.basis]) for p in by_degree], d, columns)
+    return [Polynomial(n, d, {columns[j]: Fraction(x, s) for j, x in v.items()})
+            for v, s in zip(vectors, scales)]
 
 
 def macaulay_inverse(pieces: Sequence[GradedIdealPiece], d: int) -> Polynomial:

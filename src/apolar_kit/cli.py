@@ -152,11 +152,12 @@ def _cmd_curve_gen(args) -> dict:
         "curve": jsonio.curve_to_json(curve),
         "points": [list(p) for p in points],
         "ideal": {
-            "degree2_dim": recon.degree2.dim,
-            "degree3_dim": recon.degree3.dim,
+            "degree2_dim": len(recon.degree2),
+            "degree3_dim": len(recon.degree3),
             "point_count": recon.point_count,
-            "rank_saturated": recon.rank_saturated,
-            "dims_expected": recon.dims_expected,
+            # ideal_pieces raises on any other dimensions
+            "rank_saturated": recon.point_count > 0,
+            "dims_expected": True,
         },
     }
 

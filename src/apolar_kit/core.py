@@ -323,42 +323,54 @@ def pair(form: Polynomial, op: Polynomial) -> Fraction:
     return total
 
 
-def substitute(forms: Sequence[Polynomial], matrix: "ExactMatrix") -> list[Polynomial]:
-    """Substitute x_i -> sum_j M[i][j] y_j in forms of M.nrows variables.
+def _combination(weights: dict, vectors) -> dict:
+    """sum_i weights[i] vectors[i] of sparse integer vectors, without zeros."""
+    total: dict = {}
+    for i, w in weights.items():
+        for key, x in vectors[i].items():
+            total[key] = total.get(key, 0) + w * x
+    return {key: x for key, x in total.items() if x}
 
-    M may be rectangular; the images are forms of the same degree in
-    M.ncols variables.  The forms share one cache of monomial images,
-    kept in integers over the common denominator of M, so a whole graded
-    piece costs one product per monomial rather than one per term.
-    """
-    entries = matrix.rows()
-    den = lcm(*(x.denominator for row in entries for x in row))
-    rows = [[(j, int(x * den)) for j, x in enumerate(row) if x] for row in entries]
-    images = {(0,) * matrix.nrows: {(0,) * matrix.ncols: 1}}
+
+def _int_substitute(forms: Sequence[dict], rows: Sequence[Sequence[int]],
+                    ncols: int) -> list[dict]:
+    """Substitute x_i -> sum_j M[i][j] y_j in integer term maps, M the
+    integer matrix with these rows and `ncols` columns.  The forms share
+    one cache of monomial images, so a whole graded piece costs one
+    product per monomial rather than one per term."""
+    sparse = [[(j, a) for j, a in enumerate(row) if a] for row in rows]
+    images = {(0,) * len(rows): {(0,) * ncols: 1}}
 
     def image(exp: tuple[int, ...]) -> dict:
         if exp not in images:
             i = next(i for i, e in enumerate(exp) if e)
             found = images[exp] = {}
             for mono, c in image(exp[:i] + (exp[i] - 1,) + exp[i + 1:]).items():
-                for j, a in rows[i]:
+                for j, a in sparse[i]:
                     key = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
                     found[key] = found.get(key, 0) + c * a
         return images[exp]
 
-    out = []
-    for form in forms:
-        if form.nvars != matrix.nrows:
-            raise ValueError("matrix shape does not match variable count")
-        scale, ints = form.integer_terms()
-        acc: dict[tuple[int, ...], int] = {}
-        for exp, ci in ints.items():
-            for mono, v in image(exp).items():
-                acc[mono] = acc.get(mono, 0) + ci * v
-        total = scale * den ** form.degree
-        out.append(Polynomial(matrix.ncols, form.degree,
-                              {mono: Fraction(v, total) for mono, v in acc.items()}))
-    return out
+    return [_combination(terms, {exp: image(exp) for exp in terms}) for terms in forms]
+
+
+def substitute(forms: Sequence[Polynomial], matrix: "ExactMatrix") -> list[Polynomial]:
+    """Substitute x_i -> sum_j M[i][j] y_j in forms of M.nrows variables.
+
+    M may be rectangular; the images are forms of the same degree in
+    M.ncols variables, from one `_int_substitute` call on the forms and
+    M scaled to integers.
+    """
+    if any(form.nvars != matrix.nrows for form in forms):
+        raise ValueError("matrix shape does not match variable count")
+    entries = matrix.rows()
+    den = lcm(*(x.denominator for row in entries for x in row))
+    scaled = [form.integer_terms() for form in forms]
+    images = _int_substitute([terms for _, terms in scaled],
+                             [[int(x * den) for x in row] for row in entries], matrix.ncols)
+    return [Polynomial(matrix.ncols, form.degree,
+                       {mono: Fraction(v, scale * den ** form.degree) for mono, v in image.items()})
+            for form, (scale, _), image in zip(forms, scaled, images)]
 
 
 def change_coordinates(form: Polynomial, matrix: "ExactMatrix") -> Polynomial:
@@ -514,17 +526,22 @@ def _scaled(v: dict[int, int], den: int, width: int) -> list[Fraction]:
     return out
 
 
+def _kernel_vectors(rows: Sequence[Sequence[int]], ncols: int) -> list[dict[int, int]]:
+    """Integer kernel vectors of integer rows of width `ncols`, as sparse
+    maps: those of `_int_back_substitute`, one per free column (no rows
+    give the unit vectors)."""
+    ech, pivots = _int_echelon(rows, ncols)
+    return _int_back_substitute(ech, pivots, _free_columns(pivots, ncols))
+
+
 def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[list[Fraction]]:
     """Basis of the right kernel of integer rows of width `ncols`.
 
     The basis is the canonical one attached to the reduced echelon form
-    (unit entry at each free column), read off the integer vectors of the
-    one back-substitution; every vector is scaled so its first nonzero
-    entry is 1.  No rows give the unit vectors.
+    (unit entry at each free column): the vectors of `_kernel_vectors`,
+    each scaled so its first nonzero entry is 1.
     """
-    ech, pivots = _int_echelon(rows, ncols)
-    return [_scaled(v, v[min(v)], ncols)
-            for v in _int_back_substitute(ech, pivots, _free_columns(pivots, ncols))]
+    return [_scaled(v, v[min(v)], ncols) for v in _kernel_vectors(rows, ncols)]
 
 
 class ExactMatrix:

@@ -23,16 +23,9 @@ linear in the last coordinate; the point is an integer triple, no square
 root is taken, and a root where that combination vanishes identically
 is a repeated root and is skipped.
 
-The graded pieces of the ideal are built in closed form from the scroll:
-restriction maps ambient monomials onto section monomials, so the kernel
-of restriction is spanned by binomials, and the rest of a piece is the
-lifts of the curve equations times multiplier sections (Schreyer 1986),
-each section monomial lifted through the last ambient monomial
-restricting to it.  Each piece is kept as that spanning basis, binomials and primitive
-integer lifts at the height of the equations; a rank modulo a 61-bit
-prime proves it independent, with an exact echelon fallback, and no
-reduced echelon form is built.  The sampled points then serve as an
-independent vanishing certificate for every basis element.
+The graded pieces of the ideal are built in closed form from the scroll
+(Schreyer 1986; `_piece`) and handed on as sparse integer rows at the
+height of the equations, certified by the sampled points.
 """
 
 from __future__ import annotations
@@ -43,8 +36,7 @@ from itertools import chain, islice
 from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
-from .apolarity import GradedIdealPiece
-from .core import (Polynomial, _free_columns, _int_back_substitute, _int_echelon,
+from .core import (Polynomial, _combination, _int_echelon, _kernel_vectors,
                    _monomial_value, _rank_mod_prime, _row_to_int, monomial_basis,
                    primitive_point)
 from .scroll import (DivisorClass, Scroll, canonical_class, chow_product,
@@ -191,21 +183,18 @@ def random_section(scroll: Scroll, cls: DivisorClass, rng,
         raise CurveGenerationError(f"class {cls} has no sections on {scroll}")
     conditions = [_row_to_int([_monomial_value(base, bexp) * _monomial_value(fiber, exp)
                                for exp, bexp in slots]) for base, fiber in through]
-    ech, pivots = _int_echelon(conditions, len(slots))
-    kernel = _int_back_substitute(ech, pivots, _free_columns(pivots, len(slots)))
+    kernel = _kernel_vectors(conditions, len(slots))
     if not kernel:
         raise CurveGenerationError("point constraints admit no section")
     leads = [v[min(v)] for v in kernel]
     den = lcm(*leads)
     kernel = [{j: x * (den // lead) for j, x in v.items()} for v, lead in zip(kernel, leads)]
     for _ in range(10):
-        combo = [rng.randint(-_SECTION_BOUND, _SECTION_BOUND) for _ in kernel]
-        vector = [0] * len(slots)
-        for c, v in zip(combo, kernel):
-            for j, x in v.items():
-                vector[j] += c * x
-        if any(vector):
-            return _section_from_vector(scroll, cls, slots, [Fraction(x, den) for x in vector])
+        combo = {i: rng.randint(-_SECTION_BOUND, _SECTION_BOUND) for i in range(len(kernel))}
+        vector = _combination(combo, kernel)
+        if vector:
+            return _section_from_vector(scroll, cls, slots, [Fraction(vector.get(j, 0), den)
+                                                             for j in range(len(slots))])
     raise CurveGenerationError("random section degenerated to zero")
 
 
@@ -230,12 +219,14 @@ class CurveSpec:
 
 @dataclass(frozen=True)
 class IdealReconstruction:
+    """The degree-2 and degree-3 pieces of a curve ideal, each a basis of
+    sparse primitive integer rows (`_piece`): index into
+    `monomial_basis(genus, degree)` -> coefficient."""
+
     genus: int
-    degree2: GradedIdealPiece
-    degree3: GradedIdealPiece
+    degree2: tuple[dict[int, int], ...]
+    degree3: tuple[dict[int, int], ...]
     point_count: int
-    rank_saturated: bool
-    dims_expected: bool
 
 
 def genus_adjunction(scroll: Scroll, cls: DivisorClass) -> int:
@@ -573,17 +564,11 @@ def _piece(curve: CurveSpec, k: int) -> list[dict[int, int]]:
 
 def ideal_pieces(curve: CurveSpec,
                  points: Sequence[Sequence[int]] = ()) -> IdealReconstruction:
-    """Degree-2 and degree-3 graded pieces of the curve ideal.
+    """Degree-2 and degree-3 graded pieces of the curve ideal, as the
+    sparse primitive integer rows of `_piece`.
 
-    Each piece is built in closed form from the scroll by `_piece`: the
-    binomials of the kernel of restriction, and the lifts of the curve
-    equations times multiplier sections (none in degree 2 of a trigonal
-    curve, which has no multipliers there), each a primitive integer row
-    no taller than the equation it moves.  The basis spans the piece but is
-    not in reduced echelon form; its independence is proved by a rank
-    modulo a 61-bit prime, with an exact echelon fallback.  The supplied
-    sampled points are an independent certificate: every basis element
-    must vanish on every one of them exactly, evaluated in integers.
+    The supplied sampled points are an independent certificate: every
+    row must vanish on every one of them exactly, evaluated in integers.
     Dimensions must equal the canonical-curve counts (g-2)(g-3)/2 and
     C(g+2, 3) - (5g-5); a mismatch raises IdealDimensionError.
     """
@@ -593,25 +578,13 @@ def ideal_pieces(curve: CurveSpec,
     for degree in (2, 3):
         basis = monomial_basis(g, degree)
         evaluations, lower = _evaluation_matrix(points, evaluations, lower, basis), basis
-        rows = _piece(curve, degree)
-        if points and rows:
-            for row in rows:
-                if any(sum(values[j] * c for j, c in row.items()) for values in evaluations):
-                    raise PointCertificateError(
-                        "an ideal element does not vanish on a sampled point")
-        pieces.append(GradedIdealPiece(degree, g, tuple(
-            Polynomial(g, degree, {basis[j]: x for j, x in row.items()})
-            for row in rows)))
-    degree2, degree3 = pieces
-    dims = (degree2.dim, degree3.dim)
+        rows = tuple(_piece(curve, degree))
+        for row in rows:
+            if any(sum(values[j] * c for j, c in row.items()) for values in evaluations):
+                raise PointCertificateError("an ideal element does not vanish on a sampled point")
+        pieces.append(rows)
+    dims = tuple(map(len, pieces))
     expected = (expected_quadric_dim(g), expected_cubic_dim(g))
     if dims != expected:
         raise IdealDimensionError(dims, expected)
-    return IdealReconstruction(
-        genus=g,
-        degree2=degree2,
-        degree3=degree3,
-        point_count=len(points),
-        rank_saturated=bool(points),
-        dims_expected=True,
-    )
+    return IdealReconstruction(g, *pieces, point_count=len(points))

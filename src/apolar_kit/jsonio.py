@@ -3,11 +3,12 @@
 Rational numbers travel as exact "p/q" strings (or "p" for integers),
 and so do the integer coefficients of a decomposition's scheme.  Reading
 is strict: counts, degrees and exponents must be JSON integers, a
-coefficient a string or an integer (never a boolean), and a polynomial
-may list each exponent once; anything else raises ValueError instead of
-being coerced.  Serialization is deterministic: terms are emitted in
-graded-lex order and dictionaries are written with sorted keys by the
-callers that dump them.
+coefficient a string or an integer (never a boolean) naming a rational,
+and a polynomial may list each exponent once.  A curve must be one the
+generators could have built (`curve_from_json`).  Anything else raises
+ValueError instead of being coerced.  Serialization is deterministic:
+terms are emitted in graded-lex order and dictionaries are written with
+sorted keys by the callers that dump them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from .apolarity import GradedIdealPiece
 from .core import Polynomial
 from .curvegen import BihomSection, CurveSpec
-from .scroll import DivisorClass, Scroll
+from .scroll import DivisorClass, Scroll, section_templates
 from .waring import Decomposition
 
 __all__ = [
@@ -36,7 +37,10 @@ def _coef_to_str(c: Fraction) -> str:
 
 def _coef_from_str(raw) -> Fraction:
     if isinstance(raw, str) or (isinstance(raw, int) and not isinstance(raw, bool)):
-        return Fraction(raw)
+        try:
+            return Fraction(raw)
+        except ZeroDivisionError:
+            raise ValueError(f"{raw!r} has a zero denominator") from None
     raise ValueError(f"coefficients must be strings or integers, got {raw!r}")
 
 
@@ -104,9 +108,23 @@ def _section_to_json(section: BihomSection) -> dict:
 
 
 def _section_from_json(data: dict, scroll: Scroll) -> BihomSection:
+    """A section whose every term is a template of its class (the fiber
+    monomial of a `section_templates` pair), listed once, with a binary
+    base form of the template's degree."""
     cls = divisor_from_json(data["class"], scroll)
-    coeffs = {tuple(_int(e) for e in t["fiber_exp"]): polynomial_from_json(t["base"])
-              for t in data["terms"]}
+    templates = dict(section_templates(scroll, cls))
+    coeffs = {}
+    for t in data["terms"]:
+        exp = tuple(_int(e) for e in t["fiber_exp"])
+        if exp not in templates:
+            raise ValueError(f"fiber exponent {list(exp)} is not a template of class {cls}")
+        if exp in coeffs:
+            raise ValueError(f"fiber exponent {list(exp)} is listed twice")
+        base = polynomial_from_json(t["base"])
+        if (base.nvars, base.degree) != (2, templates[exp]):
+            raise ValueError(f"the base form of fiber exponent {list(exp)} must be a "
+                             f"binary form of degree {templates[exp]}")
+        coeffs[exp] = base
     return BihomSection(scroll, cls, coeffs)
 
 
@@ -123,12 +141,35 @@ def curve_to_json(curve: CurveSpec) -> dict:
 
 
 def curve_from_json(data: dict) -> CurveSpec:
+    """A trigonal or tetragonal curve of the generators' shape: gonality
+    3 or 4, gonality - 2 classes and equations, a scroll of dimension
+    gonality - 1 and degree g - gonality + 1, the class 3H + (4 - g)F or
+    the classes 2H - b_i F with b_i >= 0 and b1 + b2 = g - 5, each
+    equation of its class (`_section_from_json`), and rational hints."""
+    genus, gonality = _int(data["genus"]), _int(data["gonality"])
+    if gonality not in (3, 4):
+        raise ValueError(f"the gonality must be 3 or 4, not {gonality}")
     scroll = scroll_from_json(data["scroll"])
+    if (scroll.k, scroll.degree) != (gonality - 1, genus - gonality + 1):
+        raise ValueError(f"scroll {list(scroll.type)} does not carry a gonality-{gonality} "
+                         f"curve of genus {genus}")
     classes = tuple(divisor_from_json(c, scroll) for c in data["classes"])
     equations = tuple(_section_from_json(s, scroll) for s in data["equations"])
-    hints = tuple(Fraction(t) for t in data.get("rational_fiber_hints", []))
-    return CurveSpec(_int(data["genus"]), _int(data["gonality"]), scroll,
-                     classes, equations, _int(data["seed"]), hints)
+    if len(classes) != gonality - 2 or len(equations) != gonality - 2:
+        raise ValueError(f"a gonality-{gonality} curve has {gonality - 2} classes "
+                         f"and equations")
+    if gonality == 3:
+        expected = classes == (scroll.cls(3, 4 - genus),)
+    else:
+        expected = (all(c.h == 2 and c.f <= 0 for c in classes)
+                    and -sum(c.f for c in classes) == genus - 5)
+    if not expected:
+        raise ValueError(f"classes {', '.join(map(str, classes))} are not those of a "
+                         f"gonality-{gonality} curve of genus {genus}")
+    if tuple(eq.cls for eq in equations) != classes:
+        raise ValueError("every equation must have its curve class")
+    hints = tuple(_coef_from_str(t) for t in data.get("rational_fiber_hints", []))
+    return CurveSpec(genus, gonality, scroll, classes, equations, _int(data["seed"]), hints)
 
 
 def decomposition_to_json(dec: Decomposition) -> dict:

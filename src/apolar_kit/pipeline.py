@@ -27,9 +27,9 @@ from functools import reduce
 from math import comb, factorial, prod
 from typing import Optional, Sequence
 
-from .apolarity import GradedIdealPiece, inverse_system
-from .core import (ExactMatrix, Polynomial, _row_to_int, change_coordinates,
-                   int_kernel, monomial_basis, substitute)
+from .apolarity import _inverse_vectors
+from .core import (ExactMatrix, Polynomial, _combination, _int_echelon, _int_substitute,
+                   _kernel_vectors, _row_to_int, change_coordinates, monomial_basis)
 from .curvegen import (CurveSpec, IdealReconstruction, balanced_type, ideal_pieces,
                        sample_points, tetragonal_curve, trigonal_curve)
 from .scroll import coordinate_layout, divisor_degree
@@ -75,8 +75,6 @@ class AlphaResult:
     hilbert: tuple[int, ...]
     cubic: Polynomial
     kept_indices: tuple[int, ...]
-    frame: ExactMatrix          # rows: kept coordinate vectors, then the etas
-    quotient_piece2: GradedIdealPiece
 
 
 def tetragonal_cube_bound(g: int) -> int:
@@ -86,94 +84,103 @@ def tetragonal_cube_bound(g: int) -> int:
     return -(-(3 * g - 7) // 2)
 
 
-def quotient_frame(eta1: Polynomial, eta2: Polynomial, g: int):
-    """Coordinate frame sending the two hyperplanes to the last two slots.
+def _hyperplane_rows(eta1: Polynomial, eta2: Polynomial) -> list[list[int]]:
+    """The two hyperplanes as primitive integer coefficient rows."""
+    basis1 = monomial_basis(eta1.nvars, 1)
+    return [_row_to_int(eta.coefficient_vector(basis1)) for eta in (eta1, eta2)]
 
-    Returns (kept coordinate indices, R, L) where the rows of R are the
-    kept unit vectors followed by the two hyperplane coefficient rows and
-    L is the inverse substitution matrix.  Coordinate i is dropped when
-    some combination of the hyperplanes has its last nonzero entry at i:
-    those are the pivots of the hyperplane rows read from the right.
+
+def _dropped_pair(c1: Sequence[int], c2: Sequence[int]) -> Optional[tuple[int, int, int]]:
+    """(j1, j2, delta) for two hyperplane rows, None when they are dependent:
+    j1 is the last column where either row is nonzero, j2 the last column
+    before it whose minor with j1, delta = c1[j2] c2[j1] - c1[j1] c2[j2],
+    is nonzero."""
+    j1 = max((j for j, column in enumerate(zip(c1, c2)) if any(column)), default=0)
+    for j2 in reversed(range(j1)):
+        delta = c1[j2] * c2[j1] - c1[j1] * c2[j2]
+        if delta:
+            return j1, j2, delta
+    return None
+
+
+def quotient_frame(eta1: Polynomial, eta2: Polynomial, g: int):
+    """The kept coordinates and the restriction to the two hyperplanes.
+
+    Returns (kept, R): the coordinates other than the `_dropped_pair` of
+    the hyperplanes' primitive integer rows c1, c2, and the g x n integer
+    matrix R = delta L, L sending y to the point of both hyperplanes with
+    kept coordinates y.  By Cramer's rule, with m(p, q) = c1[p] c2[q] -
+    c1[q] c2[p], the row of the i-th kept coordinate is delta e_i, the
+    row of j2 is m(j1, k) and the row of j1 is m(k, j2), over kept k.
     """
     if eta1.nvars != g or eta2.nvars != g or eta1.degree != 1 or eta2.degree != 1:
         raise ValueError("hyperplanes must be linear forms in g variables")
-    basis1 = monomial_basis(g, 1)
-    c1 = eta1.coefficient_vector(basis1)
-    c2 = eta2.coefficient_vector(basis1)
-    _, pivots = ExactMatrix([c1[::-1], c2[::-1]]).rref()
-    if len(pivots) < 2:
+    c1, c2 = _hyperplane_rows(eta1, eta2)
+    dropped = _dropped_pair(c1, c2)
+    if dropped is None:
         raise AlphaCertificateError((1,), "the two hyperplanes are dependent")
-    dropped = {g - 1 - p for p in pivots}
-    kept = tuple(i for i in range(g) if i not in dropped)
-    frame_rows = [[Fraction(1) if j == i else Fraction(0) for j in range(g)]
-                  for i in kept] + [c1, c2]
-    frame = ExactMatrix(frame_rows)
-    return kept, frame, frame.inverse()
+    j1, j2, delta = dropped
+    kept = tuple(i for i in range(g) if i not in (j1, j2))
+    restriction = [[delta if k == i else 0 for k in kept] for i in range(g)]
+    restriction[j2] = [c1[j1] * c2[k] - c1[k] * c2[j1] for k in kept]
+    restriction[j1] = [c1[k] * c2[j2] - c1[j2] * c2[k] for k in kept]
+    return kept, restriction
 
 
 def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
               eta2: Polynomial) -> AlphaResult:
     """Quotient the curve ideal by two hyperplanes and invert the result.
 
-    Restriction is the ring map x -> L y, with L the frame inverse cut
-    down to the n = g - 2 kept coordinates; one `substitute` call applies
-    it to the degree-2 piece.  The degree-3 inverse system V of the
-    restricted quadrics (taken as they come: only their span matters)
-    contains the cubic.  The transposed map lifts V back to g variables
-    as the adjoint of restriction for the apolarity pairing, so the
-    cubics of V that the restricted degree-3 piece annihilates are the
-    kernel of pairing the lifts with `recon.degree3`.  That pairing is an
-    integer dot product: each element of `recon.degree3` is scaled to
-    integers (a row's scale does not move the kernel), each lift too,
-    with the factorial weights of `core.pair` folded in, and each kernel
-    coordinate is multiplied back by its lift's scale.  The kernel's
-    dimension is h3 = C(n + 2, 3) - dim(restricted degree-3 piece), since
-    degree-1 multiples of restricted quadrics are restricted cubics.
-    Hilbert vector (1, n, n, 1) certifies the hyperplanes as general, and
-    the one-dimensional kernel is then the cubic: its coordinates, with
-    the lift scales, become integer weights on the integer terms of V's
-    basis, and the one sum is normalized.
+    Everything runs on integer term maps and rows.  One `_int_substitute`
+    call restricts the quadric rows of `recon` through x -> R y
+    (`quotient_frame`), and h2 comes from the exact rank of the images.
+    Their degree-3 inverse system V (`_inverse_vectors`; only their span
+    matters) contains the cubic.  The transposed map lifts V back to g
+    variables as the adjoint of restriction for the apolarity pairing, so
+    the cubics of V that the restricted degree-3 piece annihilates are
+    the kernel of pairing the lifts with the cubic rows of `recon` (the
+    factorial weights of `core.pair` folded into the lifts).  No scale
+    (of R, a lift or a row) moves a kernel, so none is divided out.  The
+    kernel has dimension h3, since degree-1 multiples of restricted
+    quadrics are restricted cubics.  Hilbert vector (1, n, n, 1)
+    certifies the hyperplanes as general, and the one kernel vector then
+    weighs V's basis into the cubic, the one `Polynomial` built.
     """
     g = recon.genus
-    kept, frame, substitution = quotient_frame(eta1, eta2, g)
     n = g - 2
-    restriction = ExactMatrix([row[:n] for row in substitution.rows()])
-    quadrics = [p for p in substitute(recon.degree2.basis, restriction) if not p.is_zero()]
-    piece2 = GradedIdealPiece.from_spanning(2, n, quadrics)
-    solutions = inverse_system([GradedIdealPiece(2, n, tuple(quadrics))], 3)
-    lift_scales, weighted = [], []
-    for lift in substitute(solutions, restriction.transpose()):
-        scale, terms = lift.integer_terms()
-        lift_scales.append(scale)
-        weighted.append({exp: c * prod(map(factorial, exp)) for exp, c in terms.items()})
-    conditions = []
-    for element in recon.degree3.basis:
-        terms = element.integer_terms()[1].items()
-        conditions.append([sum(c * lift[exp] for exp, c in terms if exp in lift)
-                           for lift in weighted])
-    combos = int_kernel(conditions, len(weighted))
-    h2 = comb(n + 1, 2) - piece2.dim
-    hilbert = (1, n, h2, len(combos))
-    if h2 != n or len(combos) != 1:
+    kept, restriction = quotient_frame(eta1, eta2, g)
+    basis2, basis3 = monomial_basis(g, 2), monomial_basis(g, 3)
+    quadrics = [q for q in _int_substitute([{basis2[j]: c for j, c in row.items()}
+                                            for row in recon.degree2], restriction, n) if q]
+    columns2, columns3 = monomial_basis(n, 2), monomial_basis(n, 3)
+    rank2 = len(_int_echelon([[q.get(m, 0) for m in columns2] for q in quadrics],
+                             len(columns2))[1])
+    solutions = [{columns3[j]: x for j, x in v.items()}
+                 for v in _inverse_vectors([(2, quadrics)], 3, columns3)[0]]
+    index3 = {exp: j for j, exp in enumerate(basis3)}
+    weighted = [{index3[exp]: c * prod(map(factorial, exp)) for exp, c in lift.items()}
+                for lift in _int_substitute(solutions, list(zip(*restriction)), g)]
+    conditions = [[sum(c * lift[j] for j, c in row.items() if j in lift) for lift in weighted]
+                  for row in recon.degree3]
+    combos = _kernel_vectors(conditions, len(weighted))
+    hilbert = (1, n, comb(n + 1, 2) - rank2, len(combos))
+    if hilbert[2:] != (n, 1):
         raise AlphaCertificateError(
             hilbert, "quotient algebra does not have the expected Hilbert vector")
-    scaled = [form.integer_terms() for form in solutions]
-    weights = _row_to_int([c * lift_scale / scale for c, lift_scale, (scale, _)
-                           in zip(combos[0], lift_scales, scaled)])
-    terms: dict[tuple[int, ...], int] = {}
-    for w, (_, form_terms) in zip(weights, scaled):
-        if w:
-            for exp, x in form_terms.items():
-                terms[exp] = terms.get(exp, 0) + w * x
-    cubic = Polynomial(n, 3, terms).normalized()
-    return AlphaResult(g, eta1, eta2, hilbert, cubic, kept, frame, piece2)
+    terms = _combination(combos[0], solutions)
+    lead = terms[max(terms)]
+    cubic = Polynomial(n, 3, {exp: Fraction(c, lead) for exp, c in terms.items()})
+    return AlphaResult(g, eta1, eta2, hilbert, cubic, kept)
 
 
 def reduce_to_quotient(alpha: AlphaResult, poly: Polynomial) -> Polynomial:
     """Push an ambient dual form into the quotient coordinates of `alpha`:
-    change to the frame coordinates and drop every term in the last two."""
-    n = alpha.genus - 2
-    moved = change_coordinates(poly, alpha.frame.inverse())
+    change to the frame coordinates (the kept unit vectors, then the two
+    hyperplanes) and drop every term in the last two."""
+    g, n = alpha.genus, alpha.genus - 2
+    frame = ExactMatrix([[int(j == i) for j in range(g)] for i in alpha.kept_indices]
+                        + _hyperplane_rows(alpha.eta1, alpha.eta2))
+    moved = change_coordinates(poly, frame.inverse())
     return Polynomial(n, poly.degree, {exp[:n]: c for exp, c in moved.terms.items()
                                        if not any(exp[n:])})
 
@@ -217,12 +224,11 @@ def alpha_for_curve(curve: CurveSpec, seed: int) -> AlphaResult:
 
 
 def _random_eta_pair(g: int, rng):
+    """Seeded hyperplane pairs, redrawn while `_dropped_pair` finds them dependent."""
     while True:
         eta1 = random_dual_linear(g, rng)
         eta2 = random_dual_linear(g, rng)
-        basis1 = monomial_basis(g, 1)
-        if ExactMatrix([eta1.coefficient_vector(basis1),
-                        eta2.coefficient_vector(basis1)]).rank() == 2:
+        if _dropped_pair(*_hyperplane_rows(eta1, eta2)) is not None:
             return eta1, eta2
 
 
@@ -247,8 +253,7 @@ def _scheme(curve: CurveSpec, surface_index: Optional[int], eta1: Polynomial,
     """
     scroll = curve.scroll
     layout = coordinate_layout(scroll)
-    basis1 = monomial_basis(curve.genus, 1)
-    etas = [_row_to_int(eta.coefficient_vector(basis1)) for eta in (eta1, eta2)]
+    etas = _hyperplane_rows(eta1, eta2)
     if curve.gonality == 3:
         if surface_index is not None:
             raise ValueError("the trigonal surface is the scroll itself")

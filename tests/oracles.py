@@ -14,16 +14,27 @@ quadratic-formula solver for the common points of two conics that the
 closed form of `curvegen._tetragonal_fiber_points` replaced.
 `small_rationals` is the stream of `seeding.small_rationals` as it was
 written before its bands were built once.
+
+The quotient runs on integer rows with a closed-form hyperplane frame;
+`quotient_frame` and `alpha_map` here are the `Fraction` computations it
+replaced: a frame found by one rref of the hyperplane rows and inverted
+whole, and a quotient through the public `substitute`, `inverse_system`
+and `int_kernel` on `Polynomial` pieces.  `recon_piece` reads an integer
+ideal piece of `ideal_pieces` as a `GradedIdealPiece`, and `from_spanning`
+puts a spanning set in the one reduced echelon form of its span.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial, isqrt, prod
+from math import comb, factorial, isqrt, prod
 
 import sympy
 from mpmath import mp
 
-from apolar_kit.core import Polynomial, _row_to_int, monomial_basis
+from apolar_kit.apolarity import GradedIdealPiece, inverse_system
+from apolar_kit.core import (ExactMatrix, Polynomial, _row_to_int, coefficient_matrix,
+                             int_kernel, monomial_basis, substitute)
+from apolar_kit.pipeline import AlphaCertificateError
 from apolar_kit.univariate import affine_chart, rational_roots
 
 _T = sympy.Symbol("t")
@@ -159,3 +170,87 @@ def quadratic_fiber_points(q1, q2):
             if q1.evaluate(fiber) == 0 and q2.evaluate(fiber) == 0:
                 points.append(fiber)
     return points
+
+
+def recon_piece(recon, degree):
+    """The degree-2 or degree-3 piece of an `IdealReconstruction` as a
+    `GradedIdealPiece` of `Polynomial`s."""
+    basis = monomial_basis(recon.genus, degree)
+    rows = recon.degree2 if degree == 2 else recon.degree3
+    return GradedIdealPiece(degree, recon.genus, tuple(
+        Polynomial(recon.genus, degree, {basis[j]: c for j, c in row.items()})
+        for row in rows))
+
+
+def from_spanning(degree, nvars, polys):
+    """The piece spanned by possibly dependent polynomials, in reduced
+    echelon form: one canonical basis per span."""
+    if not polys:
+        return GradedIdealPiece(degree, nvars, ())
+    reduced, pivots = coefficient_matrix(polys, monomial_basis(nvars, degree)).rref()
+    return GradedIdealPiece.from_vectors(degree, nvars,
+                                         [reduced.row(i) for i in range(len(pivots))])
+
+
+Quotient = namedtuple("Quotient", "hilbert kept_indices cubic frame quotient_piece2")
+
+
+def quotient_frame(eta1, eta2, g):
+    """(kept, frame, frame inverse): the frame rows are the kept unit
+    vectors, then the two hyperplane rows; a coordinate is dropped when
+    it is a pivot of the hyperplane rows read from the right."""
+    if eta1.nvars != g or eta2.nvars != g or eta1.degree != 1 or eta2.degree != 1:
+        raise ValueError("hyperplanes must be linear forms in g variables")
+    basis1 = monomial_basis(g, 1)
+    c1 = eta1.coefficient_vector(basis1)
+    c2 = eta2.coefficient_vector(basis1)
+    _, pivots = ExactMatrix([c1[::-1], c2[::-1]]).rref()
+    if len(pivots) < 2:
+        raise AlphaCertificateError((1,), "the two hyperplanes are dependent")
+    dropped = {g - 1 - p for p in pivots}
+    kept = tuple(i for i in range(g) if i not in dropped)
+    frame = ExactMatrix([[Fraction(int(j == i)) for j in range(g)] for i in kept]
+                        + [c1, c2])
+    return kept, frame, frame.inverse()
+
+
+def alpha_map(recon, eta1, eta2):
+    """The quotient in `Fraction` polynomials: restrict the quadrics by
+    the frame inverse cut to the kept coordinates, invert them in degree
+    3, lift the solutions back by the transpose, pair the lifts with the
+    scaled degree-3 piece, and sum the kernel combination with its lift
+    scales.  Raises `AlphaCertificateError` like `pipeline.alpha_map`."""
+    g = recon.genus
+    kept, frame, substitution = quotient_frame(eta1, eta2, g)
+    n = g - 2
+    restriction = ExactMatrix([row[:n] for row in substitution.rows()])
+    quadrics = [p for p in substitute(recon_piece(recon, 2).basis, restriction)
+                if not p.is_zero()]
+    piece2 = from_spanning(2, n, quadrics)
+    solutions = inverse_system([GradedIdealPiece(2, n, tuple(quadrics))], 3)
+    lift_scales, weighted = [], []
+    for lift in substitute(solutions, restriction.transpose()):
+        scale, terms = lift.integer_terms()
+        lift_scales.append(scale)
+        weighted.append({exp: c * prod(map(factorial, exp)) for exp, c in terms.items()})
+    conditions = []
+    for element in recon_piece(recon, 3).basis:
+        terms = element.integer_terms()[1].items()
+        conditions.append([sum(c * lift[exp] for exp, c in terms if exp in lift)
+                           for lift in weighted])
+    combos = int_kernel(conditions, len(weighted))
+    h2 = comb(n + 1, 2) - piece2.dim
+    hilbert = (1, n, h2, len(combos))
+    if h2 != n or len(combos) != 1:
+        raise AlphaCertificateError(
+            hilbert, "quotient algebra does not have the expected Hilbert vector")
+    scaled = [form.integer_terms() for form in solutions]
+    weights = _row_to_int([c * lift_scale / scale for c, lift_scale, (scale, _)
+                           in zip(combos[0], lift_scales, scaled)])
+    terms = {}
+    for w, (_, form_terms) in zip(weights, scaled):
+        if w:
+            for exp, x in form_terms.items():
+                terms[exp] = terms.get(exp, 0) + w * x
+    cubic = Polynomial(n, 3, terms).normalized()
+    return Quotient(hilbert, kept, cubic, frame, piece2)

@@ -22,6 +22,7 @@ from apolar_kit.planemodel import (higher_gonality_degree, nakai_certificate,
 from apolar_kit.scroll import Scroll, chow_product, divisor_degree
 from apolar_kit.seeding import make_rng, random_form, random_invertible_matrix
 from apolar_kit.waring import fermat_detect
+from oracles import recon_piece
 
 
 def criterion(number, description):
@@ -213,7 +214,7 @@ def test_property_suites():
         points = sample_points(curve, curve.guaranteed_point_count, seed=g)
         recon = ideal_pieces(curve, points)
         for p in points:
-            for op in recon.degree2.basis + recon.degree3.basis:
+            for op in recon_piece(recon, 2).basis + recon_piece(recon, 3).basis:
                 assert op.evaluate(p) == 0
             checked += 1
     assert checked >= 20

@@ -14,6 +14,7 @@ from apolar_kit.apolarity import (GradedIdealPiece, SocleDimensionError,
 from apolar_kit.core import (ExactMatrix, Polynomial, _row_to_int,
                              change_coordinates, contract, monomial_basis)
 from apolar_kit.seeding import make_rng, random_form, random_invertible_matrix
+from oracles import from_spanning
 
 
 def fermat(n):
@@ -53,12 +54,13 @@ def contract_catalecticant(form, k):
     return ExactMatrix(matrix)
 
 
-def contract_condition_rows(piece, d, columns):
-    """Reference conditions `D . F = 0`: one `contract` per operator and
-    column, each row scaled to integers as `_condition_rows` documents."""
-    targets = monomial_basis(piece.nvars, d - piece.degree)
+def contract_condition_rows(ops, degree, d, columns):
+    """Reference conditions `D . F = 0`: one `contract` per operator (an
+    integer term map) and column, each row scaled to integers."""
+    nvars = len(columns[0])
+    targets = monomial_basis(nvars, d - degree)
     rows = []
-    for op in piece.basis:
+    for op in (Polynomial(nvars, degree, terms) for terms in ops):
         by_target = {t: [Fraction(0)] * len(columns) for t in targets}
         for j, m in enumerate(columns):
             for exp, c in contract(op, Polynomial.monomial(m)).terms.items():
@@ -105,8 +107,7 @@ class TestContractionRows:
             random2 = [rational_form(n, 2, rng) for _ in range(rng.randint(1, 2))]
             cases.append([GradedIdealPiece(2, n, tuple(random2 + [random2[0] * 3]))])
         found = [inverse_system(pieces, 3) for pieces in cases]
-        canonical = [inverse_system([GradedIdealPiece.from_spanning(p.degree, p.nvars,
-                                                                    p.basis)
+        canonical = [inverse_system([from_spanning(p.degree, p.nvars, p.basis)
                                      for p in pieces], 3) for pieces in cases]
         monkeypatch.setattr(apolarity, "_condition_rows", contract_condition_rows)
         reference = [inverse_system(pieces, 3) for pieces in cases]
@@ -233,8 +234,8 @@ class TestInverseSystem:
         piece2 = apolar_ideal_piece(fermat(n), 2)
         solutions = inverse_system([piece2], 3)
         assert len(solutions) == n
-        span = GradedIdealPiece.from_spanning(3, n, solutions)
-        cubes = GradedIdealPiece.from_spanning(
+        span = from_spanning(3, n, solutions)
+        cubes = from_spanning(
             3, n, [Polynomial.monomial(tuple(3 if k == i else 0 for k in range(n)))
                    for i in range(n)])
         assert span == cubes
@@ -274,12 +275,12 @@ class TestMacaulayInverse:
         n = 3
         quad = [Polynomial.monomial(tuple(1 if k in (i, j) else 0 for k in range(n)))
                 for i, j in combinations(range(n), 2)]
-        piece2 = GradedIdealPiece.from_spanning(2, n, quad)
+        piece2 = from_spanning(2, n, quad)
         cubics = [Polynomial.variable(i, n) * q for q in quad for i in range(n)]
         for i, j in combinations(range(n), 2):
             cubics.append(Polynomial(n, 3, {tuple(3 if k == i else 0 for k in range(n)): 1,
                                             tuple(3 if k == j else 0 for k in range(n)): -1}))
-        piece3 = GradedIdealPiece.from_spanning(3, n, cubics)
+        piece3 = from_spanning(3, n, cubics)
         result = macaulay_inverse([piece2, piece3], 3)
         assert result == fermat(n).normalized()
 

@@ -11,7 +11,7 @@ from apolar_kit import jsonio, pipeline
 from apolar_kit.apolarity import apolar_ideal_piece
 from apolar_kit.cli import main
 from apolar_kit.core import Polynomial
-from apolar_kit.curvegen import trigonal_curve
+from apolar_kit.curvegen import tetragonal_curve, trigonal_curve
 from apolar_kit.waring import fermat_detect
 
 
@@ -43,6 +43,11 @@ class TestJsonRoundTrips:
         curve = trigonal_curve(5, seed=3)
         back = jsonio.curve_from_json(jsonio.curve_to_json(curve))
         assert back == curve
+
+    @pytest.mark.parametrize("split", [(1, 1), (0, 2)])
+    def test_tetragonal_curve(self, split):
+        curve = tetragonal_curve(7, *split, seed=3)
+        assert jsonio.curve_from_json(jsonio.curve_to_json(curve)) == curve
 
     def test_decomposition(self):
         dec = fermat_detect(jsonio.polynomial_from_json(fermat_json(3)), seed=1)
@@ -103,6 +108,70 @@ class TestStrictPolynomialJson:
         with pytest.raises(ValueError, match="coefficients"):
             jsonio.polynomial_from_json(data)
         assert main(["apolar", "--in", write_polynomial(tmp_path, data)]) == 2
+
+
+def _set(*path_and_value):
+    """An edit of a curve file: the value at the given path of keys."""
+    *path, key, value = path_and_value
+
+    def edit(data):
+        for step in path:
+            data = data[step]
+        data[key] = value
+    return edit
+
+
+MALFORMED_CURVES = {
+    "gonality-4": _set("gonality", 4),
+    "gonality-7": _set("gonality", 7),
+    "fiber-exp-not-a-template": _set("equations", 0, "terms", 0, "fiber_exp", [9, 9]),
+    "class-2H": _set("classes", 0, "h", 2),
+    "genus-9": _set("genus", 9),
+    "hint-1/0": _set("rational_fiber_hints", 0, "1/0"),
+}
+
+
+class TestStrictCurveJson:
+    """A curve file must be a curve the generators could have built."""
+
+    @pytest.fixture(scope="class")
+    def curve(self):
+        return jsonio.curve_to_json(trigonal_curve(6, seed=1))
+
+    @pytest.mark.parametrize("edit", MALFORMED_CURVES.values(), ids=MALFORMED_CURVES)
+    def test_malformed_curve_is_input_error(self, curve, edit, tmp_path, capsys):
+        data = json.loads(json.dumps(curve))
+        edit(data)
+        with pytest.raises(ValueError):
+            jsonio.curve_from_json(data)
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "report.json"
+        assert main(["alpha", "--in", str(path), "--seed", "1", "--out", str(out)]) == 2
+        assert "input error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sections_must_fit_their_class(self, curve):
+        data = json.loads(json.dumps(curve))
+        terms = data["equations"][0]["terms"]
+        terms.append(terms[0])
+        with pytest.raises(ValueError, match="twice"):
+            jsonio.curve_from_json(data)
+        terms.pop()
+        terms[0]["base"]["terms"] = [{"exp": [1, 0], "coef": "1"}]
+        terms[0]["base"]["degree"] = 1
+        with pytest.raises(ValueError, match="degree"):
+            jsonio.curve_from_json(data)
+
+    def test_tetragonal_classes_must_split_g_minus_5(self):
+        data = jsonio.curve_to_json(tetragonal_curve(7, 0, 2, seed=1))
+        for edit, match in ((_set("classes", 0, "f", 1), "not those"),
+                            (_set("classes", 1, "f", -3), "not those"),
+                            (lambda d: d["equations"].reverse(), "its curve class")):
+            bad = json.loads(json.dumps(data))
+            edit(bad)
+            with pytest.raises(ValueError, match=match):
+                jsonio.curve_from_json(bad)
 
 
 class TestCommands:

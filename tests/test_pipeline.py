@@ -10,21 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from apolar_kit.apolarity import (GradedIdealPiece, SocleDimensionError,
+from apolar_kit import pipeline as pipeline_module
+from apolar_kit.apolarity import (SocleDimensionError, apolar_ideal_piece,
                                   macaulay_inverse)
 from apolar_kit.cli import main
-from apolar_kit.core import (ExactMatrix, Polynomial, change_coordinates,
+from apolar_kit.core import (ExactMatrix, Polynomial, _row_to_int, change_coordinates,
                              monomial_basis)
 from apolar_kit.curvegen import (ideal_pieces, sample_points, tetragonal_curve,
                                  trigonal_curve)
 from apolar_kit.pipeline import (AlphaCertificateError, CertificateError,
-                                 _certify_fermat, _certify_scheme, _scheme,
-                                 alpha_for_curve, alpha_map, quotient_frame,
+                                 _certify_fermat, _certify_scheme, _random_eta_pair,
+                                 _scheme, alpha_for_curve, alpha_map, quotient_frame,
                                  reduce_to_quotient, tetragonal_cube_bound,
                                  verify_tetragonal_bound, verify_trigonal_fermat)
 from apolar_kit.seeding import derive_seed, make_rng, random_dual_linear
 from apolar_kit.waring import fermat_detect
-from oracles import oracle_fit, oracle_points
+import oracles
+from oracles import from_spanning, oracle_fit, oracle_points, recon_piece
 
 _T = sympy.Symbol("t")
 
@@ -94,15 +96,58 @@ class TestAlphaMap:
             assert quotient_frame(eta1, eta2, g)[0] == kept
             assert quotient_frame(eta2, eta1, g)[0] == kept
 
+    def test_quotient_frame_matches_the_inverted_frame(self):
+        # entries in [-1, 1] give zeros, so every dropped pair occurs, and
+        # so do dependent pairs; the restriction is delta L[:, :n], with L
+        # the inverse of the rref frame and delta the minor of the
+        # primitive hyperplane rows at the dropped pair
+        rng = make_rng(39)
+        dependent = 0
+        for _ in range(2400):
+            g = rng.randint(5, 12)
+            eta1 = random_dual_linear(g, rng, bound=1)
+            eta2 = random_dual_linear(g, rng, bound=1)
+            try:
+                kept, _, inverse = oracles.quotient_frame(eta1, eta2, g)
+            except AlphaCertificateError as expected:
+                with pytest.raises(AlphaCertificateError) as err:
+                    quotient_frame(eta1, eta2, g)
+                assert str(err.value) == str(expected)
+                dependent += 1
+                continue
+            found, restriction = quotient_frame(eta1, eta2, g)
+            assert found == kept
+            a, b = sorted(set(range(g)) - set(kept))
+            c1, c2 = (_row_to_int(eta.coefficient_vector(monomial_basis(g, 1)))
+                      for eta in (eta1, eta2))
+            delta = c1[a] * c2[b] - c1[b] * c2[a]
+            assert all(type(x) is int for row in restriction for x in row)
+            assert restriction == [[delta * x for x in row[:g - 2]] for row in inverse.rows()]
+        assert dependent > 0
+
     def test_quotient_frame_inverts(self):
+        # frame rows: the kept unit vectors, then the two hyperplanes; the
+        # restriction is delta times the first n columns of the inverse
         rng = make_rng(31)
-        eta1 = random_dual_linear(6, rng)
-        eta2 = random_dual_linear(6, rng)
-        kept, frame, inverse = quotient_frame(eta1, eta2, 6)
-        assert len(kept) == 4
-        product = frame @ inverse
-        from apolar_kit.core import ExactMatrix
-        assert product == ExactMatrix.identity(6)
+        for g in range(5, 13):
+            eta1, eta2 = random_dual_linear(g, rng), random_dual_linear(g, rng)
+            kept, restriction = quotient_frame(eta1, eta2, g)
+            assert len(kept) == g - 2
+            frame = ([[int(j == i) for j in range(g)] for i in kept]
+                     + [eta.coefficient_vector(monomial_basis(g, 1)) for eta in (eta1, eta2)])
+            product = [[sum(a * r[k] for a, r in zip(row, restriction)) for k in range(g - 2)]
+                       for row in frame]
+            delta = product[0][0]
+            assert delta != 0
+            assert product == [[delta * (i == k) for k in range(g - 2)] for i in range(g)]
+
+    def test_random_pairs_skip_dependent_ones(self, monkeypatch):
+        # the second draw is a multiple of the first; the next pair is kept
+        etas = iter([Polynomial.variable(0, 5), Polynomial.variable(0, 5) * 3,
+                     Polynomial.variable(1, 5), Polynomial.variable(4, 5)])
+        monkeypatch.setattr(pipeline_module, "random_dual_linear", lambda g, rng: next(etas))
+        assert _random_eta_pair(5, None) == (Polynomial.variable(1, 5),
+                                             Polynomial.variable(4, 5))
 
     def test_quotient_pieces_equal_cubic_annihilator(self):
         # round trip at pipeline level: the reduced ideal pieces must be
@@ -113,10 +158,10 @@ class TestAlphaMap:
         for curve in (trigonal_curve(5, seed=61), tetragonal_curve(6, 0, 1, seed=62)):
             recon = build_recon(curve)
             alpha = alpha_for_curve(curve, seed=63)
-            reduced3 = [reduce_to_quotient(alpha, p) for p in recon.degree3.basis]
-            piece3 = GradedIdealPiece.from_spanning(
-                3, curve.genus - 2, [p for p in reduced3 if not p.is_zero()])
-            for k, piece in ((2, alpha.quotient_piece2), (3, piece3)):
+            reduced3 = [reduce_to_quotient(alpha, p) for p in recon_piece(recon, 3).basis]
+            piece3 = from_spanning(3, curve.genus - 2, [p for p in reduced3 if not p.is_zero()])
+            piece2 = oracles.alpha_map(recon, alpha.eta1, alpha.eta2).quotient_piece2
+            for k, piece in ((2, piece2), (3, piece3)):
                 annihilator = apolar_ideal_piece(alpha.cubic, k)
                 assert annihilator.dim == piece.dim
                 ra, _ = annihilator.matrix().rref()
@@ -198,9 +243,9 @@ def elementwise_alpha(recon, eta1, eta2):
         return Polynomial(n, poly.degree, {exp[:n]: c for exp, c in moved.terms.items()
                                            if not any(exp[n:])})
 
-    pieces = [GradedIdealPiece.from_spanning(
-                  piece.degree, n, [q for q in map(restrict, piece.basis) if not q.is_zero()])
-              for piece in (recon.degree2, recon.degree3)]
+    pieces = [from_spanning(piece.degree, n,
+                            [q for q in map(restrict, piece.basis) if not q.is_zero()])
+              for piece in (recon_piece(recon, 2), recon_piece(recon, 3))]
     hilbert = (1, n, comb(n + 1, 2) - pieces[0].dim, comb(n + 2, 3) - pieces[1].dim)
     if hilbert[2:] != (n, 1):
         return str(AlphaCertificateError(
@@ -212,12 +257,16 @@ def elementwise_alpha(recon, eta1, eta2):
     return hilbert, kept, pieces[0], cubic
 
 
-def alpha_outcome(recon, eta1, eta2):
+def alpha_outcome(recon, eta1, eta2, quotient=alpha_map):
+    """(hilbert, kept, Ann(cubic)_2 in reduced echelon form, cubic), or the
+    certificate error's message."""
     try:
-        alpha = alpha_map(recon, eta1, eta2)
+        alpha = quotient(recon, eta1, eta2)
     except AlphaCertificateError as err:
         return str(err)
-    return alpha.hilbert, alpha.kept_indices, alpha.quotient_piece2, alpha.cubic
+    piece2 = apolar_ideal_piece(alpha.cubic, 2)
+    return (alpha.hilbert, alpha.kept_indices,
+            from_spanning(2, piece2.nvars, piece2.basis), alpha.cubic)
 
 
 class TestElementwiseOracle:
@@ -254,9 +303,83 @@ class TestElementwiseOracle:
         for i, j in combinations(range(g), 2):
             eta1, eta2 = Polynomial.variable(i, g), Polynomial.variable(j, g)
             expected = elementwise_alpha(recon, eta1, eta2)
-            assert alpha_outcome(recon, eta1, eta2) == expected
+            assert (alpha_outcome(recon, eta1, eta2) == expected
+                    == alpha_outcome(recon, eta1, eta2, oracles.alpha_map))
             failed.append(isinstance(expected, str))
         assert any(failed)
+
+
+def quotient_curves():
+    """Trigonal g = 5..10 and tetragonal g = 6..9 at every split, seeds 1-3."""
+    for seed in (1, 2, 3):
+        for g in range(5, 11):
+            yield pytest.param(g, None, seed, id=f"tri{g}-s{seed}")
+        for g in range(6, 10):
+            for b1 in range(0, (g - 5) // 2 + 1):
+                split = (b1, g - 5 - b1)
+                yield pytest.param(g, split, seed, id=f"tet{g}-{b1}{split[1]}-s{seed}")
+
+
+class TestFractionOracle:
+    """alpha_map against the Fraction quotient it replaced."""
+
+    @pytest.mark.parametrize("g, split, seed", quotient_curves())
+    def test_same_result_or_error(self, g, split, seed):
+        # one general pair, and one with entries in [-1, 1], which drops
+        # other coordinates and now and then fails the certificate
+        curve = trigonal_curve(g, seed) if split is None else tetragonal_curve(g, *split, seed)
+        recon = build_recon(curve, seed)
+        rng = make_rng(derive_seed(seed, g))
+        pairs = [_random_eta_pair(g, rng),
+                 (random_dual_linear(g, rng, bound=1), random_dual_linear(g, rng, bound=1))]
+        for eta1, eta2 in pairs:
+            try:
+                expected = oracles.alpha_map(recon, eta1, eta2)[:3]
+            except AlphaCertificateError as err:
+                expected = str(err)
+            try:
+                alpha = alpha_map(recon, eta1, eta2)
+                found = (alpha.hilbert, alpha.kept_indices, alpha.cubic)
+            except AlphaCertificateError as err:
+                found = str(err)
+            assert found == expected
+
+
+class TestIntegerQuotient:
+    """The quotient runs without the generic solver and builds one Polynomial."""
+
+    @pytest.fixture(scope="class")
+    def recons(self):
+        return [build_recon(curve) for curve in (trigonal_curve(7, seed=91),
+                                                 tetragonal_curve(8, 1, 2, seed=92))]
+
+    def test_no_exact_matrix(self, recons, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an ExactMatrix was built")
+        monkeypatch.setattr(ExactMatrix, "__init__", refuse)
+        rng = make_rng(93)
+        for recon in recons:
+            g = recon.genus
+            eta1, eta2 = _random_eta_pair(g, rng)
+            assert quotient_frame(eta1, eta2, g)[0] == alpha_map(recon, eta1, eta2).kept_indices
+            with pytest.raises(AlphaCertificateError, match="dependent"):
+                quotient_frame(eta1, eta1 * 2, g)
+
+    def test_builds_only_the_cubic(self, recons, monkeypatch):
+        built = []
+        original = Polynomial.__init__
+
+        def recording(self, nvars, degree, terms):
+            built.append((nvars, degree))
+            original(self, nvars, degree, terms)
+        rng = make_rng(94)
+        for recon in recons:
+            eta1, eta2 = _random_eta_pair(recon.genus, rng)
+            monkeypatch.setattr(Polynomial, "__init__", recording)
+            alpha_map(recon, eta1, eta2)
+            monkeypatch.undo()
+            assert built == [(recon.genus - 2, 3)]
+            built.clear()
 
 
 def scheme_of(curve, surface_index, eta1, eta2):
@@ -329,7 +452,7 @@ class TestGammaPoints:
         eta2 = random_dual_linear(6, rng)
         alpha = alpha_map(recon, eta1, eta2)
         determinant, phi = scheme_of(curve, None, eta1, eta2)
-        for op in alpha.quotient_piece2.basis:
+        for op in apolar_ideal_piece(alpha.cubic, 2).basis:
             assert vanishes_on_scheme(op, determinant, phi)
 
     def test_scroll_quadric_images_vanish_on_tetragonal_scheme(self):
