@@ -6,7 +6,8 @@ d - k; the map in the other direction (recovering F, up to scalar, from
 enough graded pieces) is `inverse_system`, and `macaulay_inverse` when
 that space is one-dimensional.  `is_apolar_scheme` tests whether given
 rational dual points realize a form as a power sum.  All of it is plain
-exact linear algebra, mostly on the matrices of `catalecticant`.
+exact linear algebra, on the integer catalecticant rows of the form's
+integer scaling (`_catalecticant_rows`) wherever a form is given.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from math import comb, factorial
 from operator import add, sub
 from typing import Optional, Sequence
 
-from .core import (ExactMatrix, Polynomial, _combination, _falling, _kernel_vectors,
-                   _monomial_value, coefficient_matrix, monomial_basis)
+from .core import (ExactMatrix, Polynomial, _combination, _falling, _int_echelon,
+                   _int_rank, _int_reduce, _kernel_vectors, _monomial_value, int_kernel,
+                   monomial_basis)
 
 __all__ = [
     "GradedIdealPiece",
@@ -72,9 +74,6 @@ class GradedIdealPiece:
     def ambient_dim(self) -> int:
         return comb(self.nvars + self.degree - 1, self.degree)
 
-    def matrix(self) -> ExactMatrix:
-        return coefficient_matrix(self.basis, monomial_basis(self.nvars, self.degree))
-
     @classmethod
     def from_vectors(cls, degree: int, nvars: int, vectors: Sequence[Sequence]) -> "GradedIdealPiece":
         basis = monomial_basis(nvars, degree)
@@ -98,25 +97,15 @@ class ApolarAlgebraProfile:
         return all(h[k] == h[self.socle_degree - k] for k in range(len(h)))
 
 
-def _contraction_rows(terms: dict, targets: Sequence[tuple[int, ...]],
-                      index: dict, operator: bool) -> list[list]:
-    """Rows of a contraction matrix, one per target monomial t.
-
-    The dual monomial x^a sends x^(a+t) to falling(a + t, a) x^t, so each
-    term c x^e of `terms` puts c * falling(a + t, a) in row t.  With
-    `operator` set the terms belong to an operator (e = a) and the entry
-    goes to the column `index` gives the form monomial a + t; otherwise
-    they belong to a form (e = a + t), and each split of e into a column
-    monomial a and a target t puts its entry in the column of a.  The
-    splits are found by walking the smaller of the two bases.
-    """
-    rows = {t: [0] * len(index) for t in targets}
+def _catalecticant_rows(terms: dict, n: int, d: int, k: int) -> list[list]:
+    """The rows of `catalecticant` for a degree-d form with these terms:
+    x^a sends x^e, e = a + t, to falling(e, a) x^t, so c x^e puts
+    c * falling(e, a) in row t and column a for each such split of e,
+    found by walking the smaller of the two bases."""
+    index = {a: j for j, a in enumerate(monomial_basis(n, k))}
+    rows = {t: [0] * len(index) for t in monomial_basis(n, d - k)}
     for e, c in terms.items():
-        if operator:
-            for t, row in rows.items():
-                b = tuple(map(add, e, t))
-                row[index[b]] = c * _falling(b, e)
-        elif len(index) < len(rows):
+        if len(index) < len(rows):
             for a, column in index.items():
                 t = tuple(map(sub, e, a))
                 if t in rows:
@@ -130,19 +119,14 @@ def _contraction_rows(terms: dict, targets: Sequence[tuple[int, ...]],
 
 
 def catalecticant(form: Polynomial, k: int) -> ExactMatrix:
-    """Matrix of D |-> D . f from degree-k duals to forms of degree d - k.
-
-    Rows are indexed by the degree-(d-k) monomial basis, columns by the
-    degree-k dual monomial basis, both in graded-lex order; the kernel is
-    the degree-k piece of the annihilator of f.
-    """
+    """Matrix of D |-> D . f from degree-k duals to forms of degree d - k:
+    rows by the degree-(d - k) monomials, columns by the degree-k dual
+    monomials, both in graded-lex order; its kernel is the degree-k piece
+    of the annihilator of f."""
     d = form.degree
     if k < 0 or k > d:
         raise ValueError(f"contraction order k={k} outside 0..{d}")
-    n = form.nvars
-    index = {a: j for j, a in enumerate(monomial_basis(n, k))}
-    return ExactMatrix(_contraction_rows(form.terms, monomial_basis(n, d - k), index,
-                                         operator=False))
+    return ExactMatrix(_catalecticant_rows(form.terms, form.nvars, d, k))
 
 
 def apolar_ideal_piece(form: Polynomial, k: int) -> GradedIdealPiece:
@@ -158,32 +142,43 @@ def apolar_ideal_piece(form: Polynomial, k: int) -> GradedIdealPiece:
         raise ValueError(f"piece degree {k} exceeds socle degree + 1")
     n = form.nvars
     if k == d + 1:
-        basis = monomial_basis(n, k)
-        return GradedIdealPiece.from_vectors(
-            k, n, ExactMatrix.identity(len(basis)).rows())
-    kernel = catalecticant(form, k).kernel()
-    return GradedIdealPiece.from_vectors(k, n, kernel.rows())
+        return GradedIdealPiece(k, n, tuple(map(Polynomial.monomial, monomial_basis(n, k))))
+    rows = _catalecticant_rows(form.integer_terms()[1], n, d, k)
+    return GradedIdealPiece.from_vectors(k, n, int_kernel(rows, comb(n + k - 1, k)))
 
 
 def hilbert_function(form: Polynomial) -> ApolarAlgebraProfile:
-    """Hilbert function of the apolar quotient algebra of a nonzero form."""
+    """Hilbert function of the apolar quotient algebra of a nonzero form.
+
+    h_k is the rank of the catalecticant C_k, whose entry at (t, a) is
+    (a + t)! F_(a+t) / t!: C_(d-k) is C_k transposed between invertible
+    factorial diagonals, so only k <= d/2 is ranked and the rest mirrored.
+    """
     if form.is_zero():
         raise ValueError("the zero form has no apolar algebra profile")
-    d = form.degree
-    hilbert = tuple(catalecticant(form, k).rank() for k in range(d + 1))
-    return ApolarAlgebraProfile(socle_degree=d, hilbert=hilbert)
+    d, n = form.degree, form.nvars
+    terms = form.integer_terms()[1]
+    ranks = [_int_rank(_catalecticant_rows(terms, n, d, k), comb(n + k - 1, k))
+             for k in range(d // 2 + 1)]
+    return ApolarAlgebraProfile(d, tuple(ranks[min(k, d - k)] for k in range(d + 1)))
 
 
 def _condition_rows(ops: Sequence[dict], degree: int, d: int,
                     columns: Sequence[tuple[int, ...]]) -> list[list[int]]:
     """Linear conditions `D . F = 0` on the coefficients of F in degree d:
     one integer row per operator D (an integer term map of the given
-    degree) and target monomial t."""
-    targets = monomial_basis(len(columns[0]), d - degree)
+    degree) and target monomial t, where each term c x^a of D puts
+    c * falling(a + t, a) in the column of the form monomial a + t."""
     index = {m: j for j, m in enumerate(columns)}
+    targets = monomial_basis(len(columns[0]), d - degree)
     rows = []
     for op in ops:
-        rows.extend(_contraction_rows(op, targets, index, operator=True))
+        for t in targets:
+            row = [0] * len(columns)
+            for a, c in op.items():
+                b = tuple(map(add, a, t))
+                row[index[b]] = c * _falling(b, a)
+            rows.append(row)
     return rows
 
 
@@ -321,11 +316,12 @@ def is_apolar_scheme(points: Sequence[Sequence], form: Polynomial) -> ApolarityC
 
 
 def piece_contains(piece: GradedIdealPiece, poly: Polynomial) -> bool:
-    """Exact membership of a dual form in the span of a graded piece."""
-    if piece.dim == 0:
-        return poly.is_zero()
+    """Exact membership of a dual form in the span of a graded piece: its
+    integer row reduces to zero against the echelon form of the basis rows."""
     if poly.degree != piece.degree or poly.nvars != piece.nvars:
         raise ValueError("degree or arity mismatch in membership test")
     basis = monomial_basis(piece.nvars, piece.degree)
-    system = piece.matrix().transpose()
-    return system.solve(poly.coefficient_vector(basis)) is not None
+    *rows, row = ([t.get(m, 0) for m in basis]
+                  for t in (p.integer_terms()[1] for p in piece.basis + (poly,)))
+    ech, pivots = _int_echelon(rows, len(basis))
+    return not any(_int_reduce(ech, pivots, row))

@@ -465,6 +465,13 @@ def _rank_mod_prime(rows: Sequence[Sequence[int]], ncols: int) -> int:
     return rank
 
 
+def _int_rank(rows: list[list[int]], ncols: int) -> int:
+    """Rank over Q of integer rows of width `ncols`: the rank modulo
+    `_RANK_PRIME` when that is full, otherwise that of `_int_echelon`."""
+    rank = _rank_mod_prime(rows, ncols)
+    return rank if rank == min(len(rows), ncols) else len(_int_echelon(rows, ncols)[1])
+
+
 def _int_reduce(ech: list[list[int]], pivots: list[int], row: list[int]) -> list[int]:
     """An integer row reduced against echelon rows from `_int_echelon`.
 
@@ -549,7 +556,7 @@ class ExactMatrix:
 
     Internally stores ``Fraction`` entries.  Every method scales the rows
     to primitive integer rows and runs the one fraction-free elimination
-    engine: `_int_echelon` for the echelon form, then, except in `rank`,
+    engine: `rank` is `_int_rank`; the others take `_int_echelon`, then
     `_int_back_substitute` for one primitive integer kernel vector per
     free column.  Rational numbers enter only when an answer is read off
     those vectors, one quotient per entry: the reduced echelon form, the
@@ -629,10 +636,7 @@ class ExactMatrix:
         return [_row_to_int(row) for row in self._rows]
 
     def rank(self) -> int:
-        if self.nrows == 0 or self.ncols == 0:
-            return 0
-        _, pivots = _int_echelon(self._int_rows(), self.ncols)
-        return len(pivots)
+        return _int_rank(self._int_rows(), self.ncols)
 
     def rref(self) -> tuple["ExactMatrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns (canonical).

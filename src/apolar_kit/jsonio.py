@@ -80,6 +80,8 @@ def piece_to_json(piece: GradedIdealPiece) -> dict:
 
 def piece_from_json(data: dict) -> GradedIdealPiece:
     basis = tuple(polynomial_from_json(p) for p in data["basis"])
+    if _int(data["dim"]) != len(basis):
+        raise ValueError(f"dim {data['dim']} is not the length {len(basis)} of the basis")
     return GradedIdealPiece(_int(data["degree"]), _int(data["nvars"]), basis)
 
 

@@ -28,7 +28,7 @@ from math import comb, factorial, prod
 from typing import Optional, Sequence
 
 from .apolarity import _inverse_vectors
-from .core import (ExactMatrix, Polynomial, _combination, _int_echelon, _int_substitute,
+from .core import (ExactMatrix, Polynomial, _combination, _int_rank, _int_substitute,
                    _kernel_vectors, _row_to_int, change_coordinates, monomial_basis)
 from .curvegen import (CurveSpec, IdealReconstruction, balanced_type, ideal_pieces,
                        sample_points, tetragonal_curve, trigonal_curve)
@@ -133,7 +133,8 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
 
     Everything runs on integer term maps and rows.  One `_int_substitute`
     call restricts the quadric rows of `recon` through x -> R y
-    (`quotient_frame`), and h2 comes from the exact rank of the images.
+    (`quotient_frame`), and h2 comes from `_int_rank` of the images (full
+    row rank, so read modulo a prime, when the Hilbert vector is right).
     Their degree-3 inverse system V (`_inverse_vectors`; only their span
     matters) contains the cubic.  The transposed map lifts V back to g
     variables as the adjoint of restriction for the apolarity pairing, so
@@ -153,8 +154,7 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
     quadrics = [q for q in _int_substitute([{basis2[j]: c for j, c in row.items()}
                                             for row in recon.degree2], restriction, n) if q]
     columns2, columns3 = monomial_basis(n, 2), monomial_basis(n, 3)
-    rank2 = len(_int_echelon([[q.get(m, 0) for m in columns2] for q in quadrics],
-                             len(columns2))[1])
+    rank2 = _int_rank([[q.get(m, 0) for m in columns2] for q in quadrics], len(columns2))
     solutions = [{columns3[j]: x for j, x in v.items()}
                  for v in _inverse_vectors([(2, quadrics)], 3, columns3)[0]]
     index3 = {exp: j for j, exp in enumerate(basis3)}

@@ -12,6 +12,7 @@ point at every root of chi (`simultaneous_diagonalize`).  The verdict is
 the power-sum certificate the verifiers use (`_certify_scheme`): F lies
 in the span of the cubes of those points, decided in Q[t]/(chi), which
 together with conciseness proves that F is a sum of exactly n cubes.
+It runs in integers: one Faddeev-LeVerrier loop gives adj(B) and chi.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
-from math import factorial, gcd, lcm, prod
+from itertools import chain, permutations
+from math import factorial, gcd, prod
 from typing import Optional, Sequence
 
-from .apolarity import _contraction_rows
-from .core import (ExactMatrix, Polynomial, _int_echelon, _int_reduce, _rank_mod_prime,
-                   _row_to_int, contract, monomial_basis)
+from .apolarity import _catalecticant_rows
+from .core import (Polynomial, _int_echelon, _int_rank, _int_reduce, _row_to_int,
+                   monomial_basis)
 from .seeding import make_rng, random_dual_linear
 from .univariate import _mul, _pseudo_remainder, is_squarefree, poly_gcd
 
@@ -80,19 +81,13 @@ class Decomposition:
 def rank_lower_bound(form: Polynomial) -> int:
     """Rank of the degree-1 contraction matrix; Waring rank is at least this.
 
-    The matrix of the form's integer scaling is first ranked modulo a
-    61-bit prime, a lower bound on its rank over Q that is the rank when
-    it is full (n); only otherwise is the rank computed exactly.
+    The catalecticant rows of the form's integer scaling go to `_int_rank`,
+    which ranks them modulo a 61-bit prime (the rank when it is full, n)
+    and only otherwise exactly.
     """
     if form.degree != 3:
         raise ValueError("rank bound implemented for cubics only")
-    n = form.nvars
-    index = {a: j for j, a in enumerate(monomial_basis(n, 1))}
-    rows = _contraction_rows(form.integer_terms()[1], monomial_basis(n, 2), index,
-                             operator=False)
-    if _rank_mod_prime(rows, n) == n:
-        return n
-    return ExactMatrix(rows).rank()
+    return _int_rank(_catalecticant_rows(form.integer_terms()[1], form.nvars, 3, 1), form.nvars)
 
 
 def _certify_scheme(determinant: list[int], phi: Sequence[list[int]],
@@ -150,62 +145,15 @@ def _certify_scheme(determinant: list[int], phi: Sequence[list[int]],
     return length
 
 
-def _integer_multiple(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """The rational matrix times the lcm of its entries' denominators."""
-    scale = lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
-
-
 def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-def simultaneous_diagonalize(quadrics: Sequence[Polynomial], r: Sequence[int]
-                             ) -> tuple[list[int], list[list[int]]]:
-    """Common diagonalizing points of a family of quadrics, as a scheme over Q.
-
-    Each quadric is taken as its Hessian, the rows of its degree-1
-    catalecticant read off `_contraction_rows`: twice its matrix, which
-    moves neither the echelon form nor the primitive phi.
-    The first two quadrics span a pencil; its first invertible member B
-    among (q2, q1), (q1, q2) and q1 + j q2 (j = 1..5, with A = q1) gives
-    M = B^-1 A and, for each further quadric C, B^-1 C, all read off one
-    reduced echelon form of [B | A | C ...].  Those matrices must commute
-    with M.  With M scaled to an integer matrix (its eigenvectors do not
-    move), Faddeev-LeVerrier gives chi(t) = det(t - M) and
-    adj(t - M) = sum_k M_k t^(n - k), in integers.  When chi is
-    squarefree, adj(t_i - M) has rank one at each root t_i and its
-    columns span the eigenvector v_i there, so phi(t) = B adj(t - M) r is
-    a multiple of B v_i at t_i, and gcd(phi, chi) = 1 says that multiple
-    is never zero.  Returns (chi, phi) with integer coefficients, lowest
-    degree first; chi is monic and phi primitive.  Raises PencilError
-    ('singular', 'non-commuting' or 'non-simple') otherwise.
-    """
-    if len(quadrics) < 2 or {(q.nvars, q.degree) for q in quadrics} != {(quadrics[0].nvars, 2)}:
-        raise ValueError("need at least two quadrics in one variable set")
-    n = quadrics[0].nvars
-    if len(r) != n:
-        raise ValueError("the vector r has the wrong length")
-    index = {e: j for j, e in enumerate(monomial_basis(n, 1))}
-    a, b, *others = (_contraction_rows(q.terms, list(index), index, operator=False)
-                     for q in quadrics)
-    members = ([[x + j * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-               for j in range(1, 6))
-    for base, other in chain([(b, a), (a, b)], ((m, a) for m in members)):
-        # [B | A | C ...] reduces to [I | B^-1 A | B^-1 C ...] exactly
-        # when B is invertible, that is when the left block holds n pivots
-        reduced, pivots = ExactMatrix([list(chain(*rows)) for rows
-                                       in zip(base, other, *others)]).rref()
-        if pivots[:n] == tuple(range(n)):
-            break
-    else:
-        raise PencilError("singular", "no invertible member of the pencil found")
-    blocks = [_integer_multiple([row[k * n:(k + 1) * n] for row in reduced.rows()])
-              for k in range(1, 2 + len(others))]
-    m = blocks[0]
-    for block in blocks[1:]:
-        if _matmul(m, block) != _matmul(block, m):
-            raise PencilError("non-commuting", "the pencil matrices do not commute")
+def _faddeev_leverrier(m: Sequence[Sequence[int]]) -> tuple[list[int], list]:
+    """(chi, [M_1, ..., M_n]) of an integer n x n matrix M, in integers:
+    chi(t) = det(t - M), monic, lowest degree first, and adj(t - M) =
+    sum_k M_k t^(n - k), so chi(0) = det(-M) and M_n = adj(-M)."""
+    n = len(m)
     chi = [0] * n + [1]
     adjugate = []
     product = [[0] * n for _ in range(n)]   # M M_0, with M_0 = 0
@@ -215,12 +163,54 @@ def simultaneous_diagonalize(quadrics: Sequence[Polynomial], r: Sequence[int]
         adjugate.append(mk)
         product = _matmul(m, mk)
         chi[n - k] = -sum(product[i][i] for i in range(n)) // k
+    return chi, adjugate
+
+
+def simultaneous_diagonalize(hessians: Sequence[Sequence[Sequence[int]]], r: Sequence[int]
+                             ) -> tuple[list[int], list[list[int]]]:
+    """Common diagonalizing points of a family of quadrics, as a scheme over Q.
+
+    The quadrics come as integer symmetric Hessians (one positive scale of
+    them all moves nothing).  The first two span a pencil; its first
+    invertible member B among (q2, q1), (q1, q2) and q1 + j q2 (j = 1..5,
+    with A = q1) gives M = B^-1 A scaled to the least integer matrix:
+    sgn(det B) adj(B) A over its gcd with det B, read off
+    `_faddeev_leverrier` on B.  Each further adj(B) C must commute with M.
+    Faddeev-LeVerrier on M gives chi(t) = det(t - M) and adj(t - M).  When
+    chi is squarefree, adj(t_i - M) has rank one at each root t_i and its
+    columns span the eigenvector v_i there, so phi(t) = B adj(t - M) r is
+    a multiple of B v_i at t_i, and gcd(phi, chi) = 1 says that multiple
+    is never zero.  Returns (chi, phi) with integer coefficients, lowest
+    degree first; chi is monic and phi primitive.  Raises PencilError
+    ('singular', 'non-commuting' or 'non-simple') otherwise.
+    """
+    n = len(r)
+    if len(hessians) < 2 or any(len(h) != n or any(len(row) != n for row in h) for h in hessians):
+        raise ValueError("need at least two n x n matrices, n the length of r")
+    a, b, *others = hessians
+    members = ([[x + j * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+               for j in range(1, 6))
+    for base, other in chain([(b, a), (a, b)], ((m, a) for m in members)):
+        (chi0, *_), adjugate = _faddeev_leverrier(base)
+        if chi0:
+            break
+    else:
+        raise PencilError("singular", "no invertible member of the pencil found")
+    # chi0 = det(-B) and M_n = adj(-B), so -sgn(chi0) M_n A = |det B| B^-1 A
+    adj, scaled = adjugate[-1], _matmul(adjugate[-1], other)
+    scale = gcd(chi0, *chain(*scaled)) * (-1 if chi0 > 0 else 1)
+    m = [[x // scale for x in row] for row in scaled]
+    for c in others:
+        block = _matmul(adj, c)
+        if _matmul(m, block) != _matmul(block, m):
+            raise PencilError("non-commuting", "the pencil matrices do not commute")
+    chi, adjugate = _faddeev_leverrier(m)
     if not is_squarefree(chi):
         raise PencilError("non-simple", "the characteristic polynomial has a repeated root")
     # coefficient j of adj(t - M) r is M_(n-j) r
     columns = [[sum(x * y for x, y in zip(row, r)) for row in mk]
                for mk in reversed(adjugate)]
-    phi = _matmul(_integer_multiple(base), list(zip(*columns)))
+    phi = _matmul(base, list(zip(*columns)))
     if len(reduce(poly_gcd, phi, chi)) != 1:
         raise PencilError("non-simple", "the point vanishes at a root")
     content = gcd(*chain(*phi))
@@ -231,8 +221,9 @@ def fermat_detect_detail(form: Polynomial, seed: int = 0
                          ) -> tuple[Optional[Decomposition], str]:
     """Fermat-cubic detection with an explanation of any failure.
 
-    Each of up to five seeded draws takes three contraction directions
-    and a vector r for `simultaneous_diagonalize`; the first draw that
+    Each of up to five seeded draws takes three contraction directions l,
+    whose Hessians sum_i l_i T[i] (T[i][j][k] = e! F_e, e = u_i + u_j + u_k)
+    go with a vector r to `simultaneous_diagonalize`; the first draw that
     yields a scheme decides, by `_certify_scheme`.  Returns
     (decomposition, 'ok') on success.  Failure reasons:
     'rank-deficient'    the degree-1 contraction rank is below n, so the
@@ -251,13 +242,20 @@ def fermat_detect_detail(form: Polynomial, seed: int = 0
     n = form.nvars
     if rank_lower_bound(form) < n:
         return None, "rank-deficient"
+    tensor = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for e, c in form.integer_terms()[1].items():
+        for i, j, k in permutations([v for v, x in enumerate(e) for _ in range(x)]):
+            tensor[i][j][k] = c * prod(map(factorial, e))
     rng = make_rng(seed)
     kind = "singular"
     for _ in range(5):
-        quadrics = [contract(random_dual_linear(n, rng), form) for _ in range(3)]
+        directions = [[int(c) for c in random_dual_linear(n, rng).coefficient_vector()]
+                      for _ in range(3)]   # integer coefficients
+        hessians = [[[sum(x * t[j][k] for x, t in zip(l, tensor)) for k in range(n)]
+                     for j in range(n)] for l in directions]
         r = [rng.randint(-9, 9) for _ in range(n)]
         try:
-            chi, phi = simultaneous_diagonalize(quadrics, r)
+            chi, phi = simultaneous_diagonalize(hessians, r)
         except PencilError as err:
             if err.kind == "non-commuting":
                 return None, "fit-failed"

@@ -22,20 +22,34 @@ whole, and a quotient through the public `substitute`, `inverse_system`
 and `int_kernel` on `Polynomial` pieces.  `recon_piece` reads an integer
 ideal piece of `ideal_pieces` as a `GradedIdealPiece`, and `from_spanning`
 puts a spanning set in the one reduced echelon form of its span.
+
+The forms layer runs on integer rows from the form's integer scaling.
+The `Fraction` computations it replaced are kept here: `pencil` is the
+Fermat pencil on `Polynomial` quadrics, with B^-1 A read off one rref of
+[B | A | C ...] and scaled by `integer_multiple`, `fermat_detect_detail`
+drives it with the quadrics of `contract`, `hilbert_vector` takes the
+exact rank of every catalecticant, and `annihilator_piece` reads a piece
+off `ExactMatrix.kernel`.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, factorial, isqrt, prod
+from functools import reduce
+from itertools import chain
+from math import comb, factorial, gcd, isqrt, lcm, prod
 
 import sympy
 from mpmath import mp
 
-from apolar_kit.apolarity import GradedIdealPiece, inverse_system
+from apolar_kit.apolarity import (ApolarAlgebraProfile, GradedIdealPiece, catalecticant,
+                                  inverse_system)
 from apolar_kit.core import (ExactMatrix, Polynomial, _row_to_int, coefficient_matrix,
-                             int_kernel, monomial_basis, substitute)
+                             contract, int_kernel, monomial_basis, substitute)
 from apolar_kit.pipeline import AlphaCertificateError
-from apolar_kit.univariate import affine_chart, rational_roots
+from apolar_kit.seeding import make_rng, random_dual_linear
+from apolar_kit.univariate import affine_chart, is_squarefree, poly_gcd, rational_roots
+from apolar_kit.waring import (CertificateError, Decomposition, PencilError,
+                               _certify_scheme)
 
 _T = sympy.Symbol("t")
 
@@ -254,3 +268,100 @@ def alpha_map(recon, eta1, eta2):
                 terms[exp] = terms.get(exp, 0) + w * x
     cubic = Polynomial(n, 3, terms).normalized()
     return Quotient(hilbert, kept, cubic, frame, piece2)
+
+
+def integer_multiple(rows):
+    """The rational matrix times the lcm of its entries' denominators."""
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def pencil(quadrics, r):
+    """`waring.simultaneous_diagonalize` on `Polynomial` quadrics: the
+    first invertible member B of the pencil is found by one rref of
+    [B | A | C ...] per candidate, M is B^-1 A scaled by
+    `integer_multiple`, and phi = B adj(t - M) r."""
+    if len(quadrics) < 2 or {(q.nvars, q.degree) for q in quadrics} != {(quadrics[0].nvars, 2)}:
+        raise ValueError("need at least two quadrics in one variable set")
+    n = quadrics[0].nvars
+    a, b, *others = (catalecticant(q, 1).rows() for q in quadrics)
+    members = ([[x + j * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+               for j in range(1, 6))
+    for base, other in chain([(b, a), (a, b)], ((m, a) for m in members)):
+        reduced, pivots = ExactMatrix([list(chain(*rows)) for rows
+                                       in zip(base, other, *others)]).rref()
+        if pivots[:n] == tuple(range(n)):
+            break
+    else:
+        raise PencilError("singular", "no invertible member of the pencil found")
+    blocks = [integer_multiple([row[k * n:(k + 1) * n] for row in reduced.rows()])
+              for k in range(1, 2 + len(others))]
+    m = blocks[0]
+    for block in blocks[1:]:
+        if _matmul(m, block) != _matmul(block, m):
+            raise PencilError("non-commuting", "the pencil matrices do not commute")
+    chi = [0] * n + [1]
+    adjugate = []
+    product = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        mk = [[x + chi[n - k + 1] * (i == j) for j, x in enumerate(row)]
+              for i, row in enumerate(product)]
+        adjugate.append(mk)
+        product = _matmul(m, mk)
+        chi[n - k] = -sum(product[i][i] for i in range(n)) // k
+    if not is_squarefree(chi):
+        raise PencilError("non-simple", "the characteristic polynomial has a repeated root")
+    columns = [[sum(x * y for x, y in zip(row, r)) for row in mk]
+               for mk in reversed(adjugate)]
+    phi = _matmul(integer_multiple(base), list(zip(*columns)))
+    if len(reduce(poly_gcd, phi, chi)) != 1:
+        raise PencilError("non-simple", "the point vanishes at a root")
+    content = gcd(*chain(*phi))
+    return chi, [[x // content for x in f] for f in phi]
+
+
+def fermat_detect_detail(form, seed=0):
+    """`waring.fermat_detect_detail` through `pencil`, with the quadrics
+    of `contract` and the exact rank of the degree-1 catalecticant."""
+    n = form.nvars
+    if len(catalecticant(form, 1).rref()[1]) < n:
+        return None, "rank-deficient"
+    rng = make_rng(seed)
+    kind = "singular"
+    for _ in range(5):
+        quadrics = [contract(random_dual_linear(n, rng), form) for _ in range(3)]
+        r = [rng.randint(-9, 9) for _ in range(n)]
+        try:
+            chi, phi = pencil(quadrics, r)
+        except PencilError as err:
+            if err.kind == "non-commuting":
+                return None, "fit-failed"
+            kind = err.kind
+            continue
+        try:
+            _certify_scheme(chi, phi, form)
+        except CertificateError:
+            return None, "fit-failed"
+        return Decomposition(n, tuple(chi), tuple(tuple(f) for f in phi)), "ok"
+    return None, f"{kind}-pencil"
+
+
+def hilbert_vector(form):
+    """The apolar profile from the exact rank (one rref) of every catalecticant."""
+    d = form.degree
+    return ApolarAlgebraProfile(d, tuple(len(catalecticant(form, k).rref()[1])
+                                         for k in range(d + 1)))
+
+
+def annihilator_piece(form, k):
+    """The degree-k annihilator piece off `ExactMatrix.kernel`, the monomial
+    basis in degree d + 1."""
+    n, d = form.nvars, form.degree
+    if k == d + 1:
+        return GradedIdealPiece.from_vectors(
+            k, n, ExactMatrix.identity(comb(n + k - 1, k)).rows())
+    return GradedIdealPiece.from_vectors(k, n, catalecticant(form, k).kernel().rows())

@@ -14,7 +14,7 @@ from apolar_kit.apolarity import (GradedIdealPiece, SocleDimensionError,
 from apolar_kit.core import (ExactMatrix, Polynomial, _row_to_int,
                              change_coordinates, contract, monomial_basis)
 from apolar_kit.seeding import make_rng, random_form, random_invertible_matrix
-from oracles import from_spanning
+from oracles import annihilator_piece, from_spanning, hilbert_vector
 
 
 def fermat(n):
@@ -186,6 +186,72 @@ class TestApolarIdealPiece:
             eta = random_form(n, 1, rng)
             d = piece2.basis[rng.randrange(piece2.dim)]
             assert piece_contains(piece3, eta * d)
+
+
+class TestPieceContains:
+    def test_shape_is_checked_before_emptiness(self):
+        empty = GradedIdealPiece(2, 3, ())
+        nonempty = apolar_ideal_piece(fermat(3), 2)
+        for poly in (Polynomial.zero(3, 3), Polynomial.zero(2, 2)):
+            for piece in (empty, nonempty):
+                with pytest.raises(ValueError, match="mismatch"):
+                    piece_contains(piece, poly)
+        assert piece_contains(empty, Polynomial.zero(3, 2))
+        assert not piece_contains(empty, Polynomial.monomial((1, 1, 0)))
+
+    def test_membership_is_the_span(self):
+        # a dependent, rational spanning set: sums of its elements are in,
+        # and a perturbation outside the span is out
+        rng = make_rng(29)
+        for _ in range(10):
+            n = rng.randint(2, 4)
+            piece = apolar_ideal_piece(random_form(n, 3, rng), 2)
+            if piece.dim == 0:
+                continue
+            spanning = GradedIdealPiece(2, n, piece.basis + (piece.basis[0] * Fraction(3, 7),))
+            combination = Polynomial.zero(n, 2)
+            for q in piece.basis:
+                combination = combination + q * Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            assert piece_contains(spanning, combination)
+            outside = monomial_basis(n, 2)[0]
+            reference = from_spanning(2, n, list(piece.basis) + [Polynomial.monomial(outside)])
+            assert piece_contains(spanning, Polynomial.monomial(outside)) == (
+                reference.dim == piece.dim)
+
+
+def oracle_forms():
+    """Forms of degree 1..6 in 1..4 variables: dense random ones with
+    integer and with rational coefficients, and ones that are not concise
+    (a form in fewer variables moved by a change of coordinates)."""
+    rng = make_rng(28)
+    forms = []
+    for d in range(1, 7):
+        for n in range(1, 5 if d < 5 else 4):
+            f = random_form(n, d, rng)
+            forms.append(f)
+            forms.append(Polynomial(n, d, {e: Fraction(c, rng.randint(1, 6))
+                                           for e, c in f.terms.items()}))
+            if n > 1:
+                inner = random_form(n - 1, d, rng)
+                forms.append(change_coordinates(
+                    Polynomial(n, d, {e + (0,): c for e, c in inner.terms.items()}),
+                    random_invertible_matrix(n, rng)))
+    return forms
+
+
+class TestAgainstRationalOracle:
+    """The integer catalecticant path gives what the rational matrices gave."""
+
+    @pytest.mark.parametrize("form", oracle_forms())
+    def test_hilbert_function_and_every_piece(self, form):
+        assert hilbert_function(form) == hilbert_vector(form)
+        for k in range(form.degree + 2):
+            assert apolar_ideal_piece(form, k) == annihilator_piece(form, k)
+
+    def test_zero_form_pieces(self):
+        zero = Polynomial.zero(3, 3)
+        for k in range(5):
+            assert apolar_ideal_piece(zero, k) == annihilator_piece(zero, k)
 
 
 class TestHilbertFunction:

@@ -103,6 +103,19 @@ class TestStrictPolynomialJson:
             path.write_text(json.dumps({"d": d, "pieces": [piece]}))
             assert main(["inverse", "--in", str(path)]) == 2
 
+    def test_piece_dim_must_match_its_basis(self, tmp_path):
+        # "dim" 7 over a one-element basis used to run and fail on the socle (exit 1)
+        piece = jsonio.piece_to_json(apolar_ideal_piece(
+            jsonio.polynomial_from_json(fermat_json(3)), 2))
+        short = {**piece, "dim": 7, "basis": piece["basis"][:1]}
+        with pytest.raises(ValueError, match="dim 7"):
+            jsonio.piece_from_json(short)
+        no_dim = {k: v for k, v in piece.items() if k != "dim"}
+        for bad in (short, {**piece, "dim": 3.0}, {**piece, "dim": True}, no_dim):
+            path = tmp_path / "pieces.json"
+            path.write_text(json.dumps({"d": 3, "pieces": [bad]}))
+            assert main(["inverse", "--in", str(path)]) == 2
+
     def test_boolean_coefficient_is_input_error(self, tmp_path):
         data = {"nvars": 2, "degree": 3, "terms": [{"exp": [3, 0], "coef": True}]}
         with pytest.raises(ValueError, match="coefficients"):

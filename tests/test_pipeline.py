@@ -15,7 +15,7 @@ from apolar_kit.apolarity import (SocleDimensionError, apolar_ideal_piece,
                                   macaulay_inverse)
 from apolar_kit.cli import main
 from apolar_kit.core import (ExactMatrix, Polynomial, _row_to_int, change_coordinates,
-                             monomial_basis)
+                             coefficient_matrix, monomial_basis)
 from apolar_kit.curvegen import (ideal_pieces, sample_points, tetragonal_curve,
                                  trigonal_curve)
 from apolar_kit.pipeline import (AlphaCertificateError, CertificateError,
@@ -23,7 +23,8 @@ from apolar_kit.pipeline import (AlphaCertificateError, CertificateError,
                                  _scheme, alpha_for_curve, alpha_map, quotient_frame,
                                  reduce_to_quotient, tetragonal_cube_bound,
                                  verify_tetragonal_bound, verify_trigonal_fermat)
-from apolar_kit.seeding import derive_seed, make_rng, random_dual_linear
+from apolar_kit.seeding import (derive_seed, make_rng, random_dual_linear, random_form,
+                                random_invertible_matrix)
 from apolar_kit.waring import fermat_detect
 import oracles
 from oracles import from_spanning, oracle_fit, oracle_points, recon_piece
@@ -164,8 +165,8 @@ class TestAlphaMap:
             for k, piece in ((2, piece2), (3, piece3)):
                 annihilator = apolar_ideal_piece(alpha.cubic, k)
                 assert annihilator.dim == piece.dim
-                ra, _ = annihilator.matrix().rref()
-                rb, _ = piece.matrix().rref()
+                ra, _ = coefficient_matrix(annihilator.basis).rref()
+                rb, _ = coefficient_matrix(piece.basis).rref()
                 assert ra == rb
 
     def test_independent_eta_pairs_both_work(self):
@@ -380,6 +381,48 @@ class TestIntegerQuotient:
             monkeypatch.undo()
             assert built == [(recon.genus - 2, 3)]
             built.clear()
+
+
+class TestIntegerFormsLayer:
+    """The forms layer runs on integer rows from the form's integer terms."""
+
+    def test_no_exact_matrix_and_no_contract(self, monkeypatch):
+        from apolar_kit import core
+        from apolar_kit.apolarity import hilbert_function
+        from apolar_kit.waring import fermat_detect_detail, rank_lower_bound
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an ExactMatrix was built or contract was called")
+
+        rng = make_rng(95)
+        hesse = Polynomial(3, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1, 1): 6})
+        cubics = [change_coordinates(fermat(4), random_invertible_matrix(4, rng)), hesse,
+                  random_form(3, 3, rng), Polynomial(2, 3, {(2, 1): 1}),
+                  # not concise, and concise only past the 2^61 - 1 wrap
+                  Polynomial(3, 3, {(3, 0, 0): 1, (0, 3, 0): 1}),
+                  hesse * (2 ** 61 - 1) + Polynomial(3, 3, {(2, 1, 0): 1})]
+        forms = cubics + [random_form(3, 4, rng), random_form(2, 5, rng)]
+        # the rational oracles build matrices and contract, so they run first
+        expected = [(oracles.fermat_detect_detail(f, 1) if f.degree == 3 else None,
+                     oracles.hilbert_vector(f),
+                     [oracles.annihilator_piece(f, k) for k in range(f.degree + 2)])
+                    for f in forms]
+        recon = build_recon(trigonal_curve(6, seed=96))
+        eta1, eta2 = _random_eta_pair(6, rng)
+        monkeypatch.setattr(ExactMatrix, "__init__", refuse)
+        for module_name, module in list(sys.modules.items()):
+            if (module_name.split(".")[0] == "apolar_kit"
+                    and getattr(module, "contract", None) is core.contract):
+                monkeypatch.setattr(module, "contract", refuse)
+        for f, (detected, profile, pieces) in zip(forms, expected):
+            if f.degree == 3:
+                assert fermat_detect_detail(f, seed=1) == detected
+                assert rank_lower_bound(f) == profile.hilbert[1]
+            assert hilbert_function(f) == profile
+            assert [apolar_ideal_piece(f, k) for k in range(f.degree + 2)] == pieces
+        assert [detected[1] for detected, _, _ in expected[:6]] == [
+            "ok", "ok", "fit-failed", "non-simple-pencil", "rank-deficient", "ok"]
+        assert alpha_map(recon, eta1, eta2).hilbert == (1, 4, 4, 1)
 
 
 def scheme_of(curve, surface_index, eta1, eta2):

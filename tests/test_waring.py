@@ -1,11 +1,13 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from apolar_kit.apolarity import catalecticant, is_apolar_scheme
+import oracles
+from apolar_kit.apolarity import catalecticant, hilbert_function, is_apolar_scheme
 from apolar_kit.core import Polynomial, change_coordinates, contract, monomial_basis
 from apolar_kit.seeding import make_rng, random_form, random_invertible_matrix
 from apolar_kit.waring import (CertificateError, PencilError, _certify_scheme,
@@ -17,6 +19,28 @@ from oracles import oracle_fit, oracle_points
 def fermat(n):
     return Polynomial(n, 3, {tuple(3 if i == j else 0 for j in range(n)): 1
                              for i in range(n)})
+
+
+def hessians(*quadrics):
+    """The quadrics' Hessians (their degree-1 catalecticants), scaled to
+    integers by one common positive factor."""
+    scale = lcm(*(q.integer_terms()[0] for q in quadrics))
+    return [[[int(x * scale) for x in row] for row in catalecticant(q, 1).rows()]
+            for q in quadrics]
+
+
+def diagonalize(quadrics, r):
+    """`simultaneous_diagonalize` on the quadrics' Hessians, checked to
+    give the rational oracle's scheme or to raise its PencilError kind."""
+    try:
+        expected = oracles.pencil(quadrics, r)
+    except PencilError as err:
+        with pytest.raises(PencilError) as got:
+            simultaneous_diagonalize(hessians(*quadrics), r)
+        assert got.value.kind == err.kind
+        raise
+    assert simultaneous_diagonalize(hessians(*quadrics), r) == expected
+    return expected
 
 
 def as_mp_vector(vec):
@@ -95,14 +119,17 @@ class TestRankLowerBound:
             random_invertible_matrix(n, rng))
         if wrap:
             form = form + (2 ** 61 - 1) * fermat(n)
-        assert rank_lower_bound(form) == catalecticant(form, 1).rank()
+        expected = oracles.hilbert_vector(form)
+        assert rank_lower_bound(form) == expected.hilbert[1]
+        assert hilbert_function(form) == expected
+        assert fermat_detect_detail(form, seed) == oracles.fermat_detect_detail(form, seed)
 
 
 class TestSimultaneousDiagonalize:
     def test_orthogonal_pencil(self):
         q1 = Polynomial(2, 2, {(2, 0): 1, (0, 2): 1})
         q2 = Polynomial(2, 2, {(2, 0): 1, (0, 2): -1})
-        chi, phi = simultaneous_diagonalize([q1, q2], (1, 1))
+        chi, phi = diagonalize([q1, q2], (1, 1))
         assert len(chi) == 3 and chi[-1] == 1
         expected = [(mp.mpf(1), mp.mpf(0)), (mp.mpf(0), mp.mpf(1))]
         assert match_up_to_permutation_and_scale(oracle_points(chi, phi), expected,
@@ -114,7 +141,7 @@ class TestSimultaneousDiagonalize:
         q1 = Polynomial(2, 2, {(2, 0): 1})
         q2 = Polynomial(2, 2, {(1, 1): 1})
         with pytest.raises(PencilError) as err:
-            simultaneous_diagonalize([q1, q2], (1, 1))
+            diagonalize([q1, q2], (1, 1))
         assert err.value.kind == "non-simple"
 
     def test_fermat_pencil_recovers_coordinates(self):
@@ -122,7 +149,7 @@ class TestSimultaneousDiagonalize:
         f = fermat(4)
         for _ in range(5):
             quadrics = [contract(random_form(4, 1, rng), f) for _ in range(3)]
-            chi, phi = simultaneous_diagonalize(quadrics, (1, 2, 3, 4))
+            chi, phi = diagonalize(quadrics, (1, 2, 3, 4))
             expected = [tuple(mp.mpf(1 if i == j else 0) for j in range(4))
                         for i in range(4)]
             assert match_up_to_permutation_and_scale(oracle_points(chi, phi), expected,
@@ -133,7 +160,7 @@ class TestSimultaneousDiagonalize:
         # invertible member of the pencil
         q1 = Polynomial(2, 2, {(2, 0): 1})
         q2 = Polynomial(2, 2, {(0, 2): 1})
-        chi, phi = simultaneous_diagonalize([q1, q2], (1, 1))
+        chi, phi = diagonalize([q1, q2], (1, 1))
         expected = [(mp.mpf(1), mp.mpf(0)), (mp.mpf(0), mp.mpf(1))]
         assert match_up_to_permutation_and_scale(oracle_points(chi, phi), expected,
                                                  tol=1e-30)
@@ -142,7 +169,7 @@ class TestSimultaneousDiagonalize:
         q1 = Polynomial(2, 2, {(2, 0): 1})
         q2 = Polynomial(2, 2, {(2, 0): 3})
         with pytest.raises(PencilError) as err:
-            simultaneous_diagonalize([q1, q2], (1, 1))
+            diagonalize([q1, q2], (1, 1))
         assert err.value.kind == "singular"
 
     def test_non_commuting_family_reported(self):
@@ -152,7 +179,7 @@ class TestSimultaneousDiagonalize:
         f = random_form(3, 3, rng)
         quadrics = [contract(random_form(3, 1, rng), f) for _ in range(3)]
         with pytest.raises(PencilError) as err:
-            simultaneous_diagonalize(quadrics, (1, 2, 3))
+            diagonalize(quadrics, (1, 2, 3))
         assert err.value.kind == "non-commuting"
 
     def test_point_vanishing_at_a_root_is_non_simple(self):
@@ -161,8 +188,45 @@ class TestSimultaneousDiagonalize:
         q1 = Polynomial(2, 2, {(2, 0): 1, (0, 2): 1})
         q2 = Polynomial(2, 2, {(2, 0): 1, (0, 2): -1})
         with pytest.raises(PencilError) as err:
-            simultaneous_diagonalize([q1, q2], (1, 0))
+            diagonalize([q1, q2], (1, 0))
         assert err.value.kind == "non-simple"
+
+
+    def test_shapes_are_checked(self):
+        square = [[1, 0], [0, 1]]
+        for args in (([square], (1, 1)), ([square, [[1, 0]]], (1, 1)),
+                     ([square, [[1], [0]]], (1, 1)), ([square, square], (1, 1, 1))):
+            with pytest.raises(ValueError):
+                simultaneous_diagonalize(*args)
+
+
+def seeded_cubics(n):
+    """A random cubic with 10-bit integer coefficients, one with rational
+    coefficients, a Fermat cubic moved by an integer matrix, and a
+    weighted one with rational weights, all in n variables."""
+    rng = make_rng(600 + n)
+    dense = random_form(n, 3, rng, bound=2 ** 10)
+    units = [tuple(3 if i == j else 0 for j in range(n)) for i in range(n)]
+    weighted = Polynomial(n, 3, {u: Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                                 for u in units})
+    return [dense,
+            Polynomial(n, 3, {e: Fraction(c, rng.randint(1, 6)) for e, c in dense.terms.items()}),
+            change_coordinates(fermat(n), random_invertible_matrix(n, rng)),
+            change_coordinates(weighted, random_invertible_matrix(n, rng))]
+
+
+class TestAgainstRationalOracle:
+    """Detection from the integer tensor gives what the rational pencil gave."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_seeded_random_and_fermat_cubics(self, n):
+        for i, form in enumerate(seeded_cubics(n)):
+            assert rank_lower_bound(form) == oracles.hilbert_vector(form).hilbert[1]
+            for seed in (1, 2):
+                found = fermat_detect_detail(form, seed)
+                assert found == oracles.fermat_detect_detail(form, seed)
+                # a binary cubic with distinct roots is a sum of two cubes
+                assert (found[1] == "ok") == (i >= 2 or n <= 2)
 
 
 # (name, terms, reason): cubics at the edge of the pencil and the certificate
@@ -245,6 +309,7 @@ class TestFermatDetect:
         f = Polynomial(n, 3, terms)
         for seed in (1, 2, 3):
             dec, got = fermat_detect_detail(f, seed=seed)
+            assert (dec, got) == oracles.fermat_detect_detail(f, seed)
             assert got == reason
             assert (dec is not None) == (reason == "ok")
             if dec is not None:
