@@ -20,7 +20,7 @@ from operator import add, sub
 from typing import Optional, Sequence
 
 from .core import (ExactMatrix, Polynomial, _combination, _falling, _int_echelon,
-                   _int_rank, _int_reduce, _kernel_vectors, _monomial_value, int_kernel,
+                   _int_rank, _int_reduce, _kernel_vectors, _monomial_value,
                    monomial_basis)
 
 __all__ = [
@@ -132,8 +132,10 @@ def catalecticant(form: Polynomial, k: int) -> ExactMatrix:
 def apolar_ideal_piece(form: Polynomial, k: int) -> GradedIdealPiece:
     """Degree-k graded piece of the annihilator ideal of a form.
 
-    For k up to deg f this is the catalecticant kernel; the piece in
-    degree deg f + 1 is the whole dual space.
+    For k up to deg f this is the catalecticant kernel, one basis form per
+    integer kernel vector of the catalecticant rows, scaled so that its
+    first nonzero coefficient is 1; the piece in degree deg f + 1 is the
+    whole dual space.
     """
     d = form.degree
     if k < 0:
@@ -141,10 +143,15 @@ def apolar_ideal_piece(form: Polynomial, k: int) -> GradedIdealPiece:
     if k > d + 1:
         raise ValueError(f"piece degree {k} exceeds socle degree + 1")
     n = form.nvars
+    columns = monomial_basis(n, k)
     if k == d + 1:
-        return GradedIdealPiece(k, n, tuple(map(Polynomial.monomial, monomial_basis(n, k))))
-    rows = _catalecticant_rows(form.integer_terms()[1], n, d, k)
-    return GradedIdealPiece.from_vectors(k, n, int_kernel(rows, comb(n + k - 1, k)))
+        return GradedIdealPiece(k, n, tuple(map(Polynomial.monomial, columns)))
+    basis = []
+    for v in _kernel_vectors(_catalecticant_rows(form.integer_terms()[1], n, d, k),
+                             len(columns)):
+        lead = v[min(v)]
+        basis.append(Polynomial(n, k, {columns[j]: Fraction(x, lead) for j, x in v.items()}))
+    return GradedIdealPiece(k, n, tuple(basis))
 
 
 def hilbert_function(form: Polynomial) -> ApolarAlgebraProfile:

@@ -244,93 +244,77 @@ def _add_common(parser, seed=False):
                             help="seed for all randomness (mandatory)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+_IN = ("--in", {"dest": "in_path", "required": True})
+
+# name: (help, handler, takes --seed, its own options as (flag, keywords))
+_COMMANDS = {
+    "apolar": ("Hilbert vector and graded annihilator pieces", _cmd_apolar, False,
+               (_IN, ("--k", {"type": int, "default": None}))),
+    "inverse": ("recover a form from graded ideal pieces", _cmd_inverse, False, (_IN,)),
+    "fermat": ("detect and decompose a sum-of-cubes form", _cmd_fermat, True, (_IN,)),
+    "scroll": ("scroll divisor arithmetic", _cmd_scroll, False, (
+        ("--type", {"required": True, "help": "comma-separated type, e.g. 1,1,2"}),
+        ("--class", {"dest": "cls", "default": None, "help": "h,f"}),
+        ("--classes", {"default": None, "help": "semicolon-separated h,f list"}),
+        ("--index", {"type": int, "default": 0}),
+        ("--op", {"required": True,
+                  "choices": ["degree", "canonical", "chow", "sections", "project"]}))),
+    "curve-gen": ("generate a curve and reconstruct its ideal", _cmd_curve_gen, True, (
+        ("--g", {"type": int, "required": True}),
+        ("--gonality", {"type": int, "choices": [3, 4], "required": True}),
+        ("--split", {"default": None, "help": "b1,b2 for gonality 4"}),
+        ("--points", {"type": int, "default": None}))),
+    "alpha": ("quotient construction down to the cubic", _cmd_alpha, True, (
+        ("--in", {"dest": "in_path", "default": None,
+                  "help": "curve JSON from curve-gen (otherwise generate)"}),
+        ("--g", {"type": int, "default": None}),
+        ("--gonality", {"type": int, "choices": [3, 4], "default": None}),
+        ("--split", {"default": None}))),
+    "verify-a": ("trigonal power-sum verification", _cmd_verify_a, True, (
+        ("--g", {"type": int, "required": True}),
+        ("--trials", {"type": int, "default": 5}))),
+    "verify-b": ("tetragonal bound verification", _cmd_verify_b, True, (
+        ("--g", {"type": int, "required": True}),
+        ("--split", {"default": None, "help": "b1,b2 with b1+b2 = g-5"}),
+        ("--trials", {"type": int, "default": 3}))),
+    "numerology": ("tetragonal plane-model numerology", _cmd_numerology, False, (
+        ("--g", {"type": int, "required": True}),)),
+    "nakai": ("blow-up positivity certificates", _cmd_nakai, False, (
+        ("--k", {"type": int, "required": True}),
+        ("--a-max", {"type": int, "default": 50}))),
+    "gonality-n": ("higher-gonality surface degrees", _cmd_gonality_n, False, (
+        ("--n", {"type": int, "required": True}),
+        ("--k", {"type": int, "required": True}),
+        ("--excess", {"type": int, "default": 0}))),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, or only of `command` when it names
+    one; the latter lists every command in its usage all the same, so
+    both print the same usage and errors for any arguments after it."""
     parser = argparse.ArgumentParser(
         prog="apolar-kit",
         description="exact apolarity, inverse systems and power-sum "
                     "decompositions for canonical-curve cubics")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("apolar", help="Hilbert vector and graded annihilator pieces")
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--k", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_apolar)
-
-    p = sub.add_parser("inverse", help="recover a form from graded ideal pieces")
-    p.add_argument("--in", dest="in_path", required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_inverse)
-
-    p = sub.add_parser("fermat", help="detect and decompose a sum-of-cubes form")
-    p.add_argument("--in", dest="in_path", required=True)
-    _add_common(p, seed=True)
-    p.set_defaults(handler=_cmd_fermat)
-
-    p = sub.add_parser("scroll", help="scroll divisor arithmetic")
-    p.add_argument("--type", required=True, help="comma-separated type, e.g. 1,1,2")
-    p.add_argument("--class", dest="cls", default=None, help="h,f")
-    p.add_argument("--classes", default=None, help="semicolon-separated h,f list")
-    p.add_argument("--index", type=int, default=0)
-    p.add_argument("--op", required=True,
-                   choices=["degree", "canonical", "chow", "sections", "project"])
-    _add_common(p)
-    p.set_defaults(handler=_cmd_scroll)
-
-    p = sub.add_parser("curve-gen", help="generate a curve and reconstruct its ideal")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--gonality", type=int, choices=[3, 4], required=True)
-    p.add_argument("--split", default=None, help="b1,b2 for gonality 4")
-    p.add_argument("--points", type=int, default=None)
-    _add_common(p, seed=True)
-    p.set_defaults(handler=_cmd_curve_gen)
-
-    p = sub.add_parser("alpha", help="quotient construction down to the cubic")
-    p.add_argument("--in", dest="in_path", default=None,
-                   help="curve JSON from curve-gen (otherwise generate)")
-    p.add_argument("--g", type=int, default=None)
-    p.add_argument("--gonality", type=int, choices=[3, 4], default=None)
-    p.add_argument("--split", default=None)
-    _add_common(p, seed=True)
-    p.set_defaults(handler=_cmd_alpha)
-
-    p = sub.add_parser("verify-a", help="trigonal power-sum verification")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--trials", type=int, default=5)
-    _add_common(p, seed=True)
-    p.set_defaults(handler=_cmd_verify_a)
-
-    p = sub.add_parser("verify-b", help="tetragonal bound verification")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--split", default=None, help="b1,b2 with b1+b2 = g-5")
-    p.add_argument("--trials", type=int, default=3)
-    _add_common(p, seed=True)
-    p.set_defaults(handler=_cmd_verify_b)
-
-    p = sub.add_parser("numerology", help="tetragonal plane-model numerology")
-    p.add_argument("--g", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_numerology)
-
-    p = sub.add_parser("nakai", help="blow-up positivity certificates")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--a-max", type=int, default=50)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_nakai)
-
-    p = sub.add_parser("gonality-n", help="higher-gonality surface degrees")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--excess", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_gonality_n)
-
+    # a metavar on the full parser would rename the command argument in its errors
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, handler, seed, options) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for flag, keywords in options:
+                p.add_argument(flag, **keywords)
+            _add_common(p, seed)
+            # the module attribute, so that a handler replaced on the module runs
+            p.set_defaults(handler=globals()[handler.__name__])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         report = args.handler(args)
     except FAILURE_ERRORS as err:

@@ -445,10 +445,13 @@ def _int_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], li
 _RANK_PRIME = 2 ** 61 - 1
 
 
-def _rank_mod_prime(rows: Sequence[Sequence[int]], ncols: int) -> int:
-    """Rank of integer rows modulo `_RANK_PRIME`, by Gaussian elimination."""
+def _pivots_mod_prime(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
+    """Pivot columns of integer rows modulo `_RANK_PRIME`, by Gaussian
+    elimination: in order, each column independent mod p of the columns
+    before it, up to the rank."""
     p = _RANK_PRIME
     mat = [[x % p for x in row] for row in rows]
+    pivots: list[int] = []
     rank = 0
     for col in range(ncols):
         pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
@@ -461,8 +464,16 @@ def _rank_mod_prime(rows: Sequence[Sequence[int]], ncols: int) -> int:
             c = mat[i][col]
             if c:
                 mat[i] = [(x - c * y) % p for x, y in zip(mat[i], head)]
+        pivots.append(col)
         rank += 1
-    return rank
+        if rank == len(mat):
+            break
+    return pivots
+
+
+def _rank_mod_prime(rows: Sequence[Sequence[int]], ncols: int) -> int:
+    """Rank of integer rows modulo `_RANK_PRIME`."""
+    return len(_pivots_mod_prime(rows, ncols))
 
 
 def _int_rank(rows: list[list[int]], ncols: int) -> int:

@@ -375,7 +375,8 @@ def tetragonal_curve(g: int, b1: int, b2: int, seed: int,
     The split (b1, b2) of g - 5 fixes the two surface classes 2H - b_i F.
     A few fibers are forced to contain a rational intersection point and
     recorded as sampling hints; candidates are rejected when a forced or
-    test fiber fails to cut four distinct points.
+    test fiber fails to cut four distinct points.  A split with a class
+    that has no sections on the scroll is an input error (ValueError).
     """
     if g < 6:
         raise ValueError("tetragonal construction needs genus >= 6")
@@ -396,7 +397,7 @@ def tetragonal_curve(g: int, b1: int, b2: int, seed: int,
         raise CurveGenerationError("intersection-degree sanity check failed")
     counts = [section_count(scroll, c) for c in (cls1, cls2)]
     if min(counts) == 0:
-        raise CurveGenerationError(f"class with no sections among {cls1}, {cls2}")
+        raise ValueError(f"class with no sections among {cls1}, {cls2}")
     forced_fibers = max(0, min(min(counts) - 6, 6))
     for attempt in range(_CURVE_ATTEMPTS):
         rng = make_rng(derive_seed(seed, attempt + 101))

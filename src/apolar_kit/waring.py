@@ -18,15 +18,14 @@ It runs in integers: one Faddeev-LeVerrier loop gives adj(B) and chi.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import chain, permutations
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 from typing import Optional, Sequence
 
 from .apolarity import _catalecticant_rows
-from .core import (Polynomial, _int_echelon, _int_rank, _int_reduce, _row_to_int,
-                   monomial_basis)
+from .core import (Polynomial, _int_echelon, _int_rank, _int_reduce, _kernel_vectors,
+                   _pivots_mod_prime, monomial_basis)
 from .seeding import make_rng, random_dual_linear
 from .univariate import _mul, _pseudo_remainder, is_squarefree, poly_gcd
 
@@ -102,14 +101,23 @@ def _certify_scheme(determinant: list[int], phi: Sequence[list[int]],
     lemma for reduced schemes (Iarrobino-Kanev 1999, Lemma 1.15) F is a
     sum of at most L cubes.  The operator x^e pairs with F as e! F_e and
     with the cube of p_i as 6 (x^e)(p_i), so (c) asks for a functional
-    on A taking x^e(phi) mod D to e! F_e for every cubic monomial: the
-    vector (e! F_e) must lie in the row space of the L x C(n + 2, 3)
-    matrix whose column x^e holds x^e(phi) mod D.  Each column is a
-    primitive integer pseudo-remainder sigma_e (x^e(phi) mod D), built
-    from the residues of phi and of their pairwise products, and the
-    target entry is scaled by the same sigma_e; one echelon of the L rows
-    and one reduction of the target decide it.  CertificateError names
-    the failed check.
+    lambda on A taking x^e(phi) mod D to t_e = e! F_e for every cubic
+    monomial: the vector (t_e) must lie in the row space of the
+    L x C(n + 2, 3) matrix whose column x^e holds x^e(phi) mod D.
+
+    Each column col_e is a primitive integer pseudo-remainder
+    (num_e / den_e) (x^e(phi) mod D), built from the residues of phi and
+    of their pairwise products, so (c) reads den_e (lambda . col_e) =
+    num_e t_e.  One elimination modulo `core._RANK_PRIME`, in monomial
+    order, keeps the first L columns independent mod p, hence over Q; the
+    integer kernel vector (lambda, w) of the L x (L + 1) system
+    [den_e col_e | -num_e t_e] on them has w != 0, and (c) holds exactly
+    when den_e (lambda . col_e) = w num_e t_e for every e, a dot product
+    per column: the equalities prove the span, and the L independent
+    columns fix lambda, so one failure disproves it.  Only when fewer
+    than L columns are independent mod p (equal or zero points) is the
+    target reduced against one echelon of the L rows instead.
+    CertificateError names the failed check.
     """
     length = len(determinant) - 1
     if length < 1 or not is_squarefree(determinant):
@@ -117,30 +125,44 @@ def _certify_scheme(determinant: list[int], phi: Sequence[list[int]],
             f"(a) the scheme equation is not squarefree of degree {length}")
     n = len(phi)
 
-    def residue(f: list[int], sigma: Fraction) -> tuple[list[int], Fraction]:
-        # f is sigma times the residue of a product of the phi; return
+    def residue(f: list[int], num: int, den: int) -> tuple[list[int], int, int]:
+        # f is num / den times the residue of a product of the phi; return
         # the primitive remainder and its multiple of that residue
         m, r = _pseudo_remainder(f, determinant)
         r += [0] * (length - len(r))
         content = gcd(*r) or 1
-        return [x // content for x in r], sigma * Fraction(m, content)
+        num, den = num * m, den * content
+        common = gcd(num, den)
+        return [x // content for x in r], num // common, den // common
 
-    linear = [residue(f, Fraction(1)) for f in phi]
+    linear = [residue(f, 1, 1) for f in phi]
     quadratic = {}
     for i in range(n):
         for j in range(i, n):
-            (ri, si), (rj, sj) = linear[i], linear[j]
-            quadratic[i, j] = residue(_mul(ri, rj), si * sj)
+            (ri, ni, di), (rj, nj, dj) = linear[i], linear[j]
+            quadratic[i, j] = residue(_mul(ri, rj), ni * nj, di * dj)
     terms = cubic.integer_terms()[1]
-    columns, target = [], []
+    columns = []
     for exp in monomial_basis(n, 3):
         i, j, k = (v for v, e in enumerate(exp) for _ in range(e))
-        (ri, si), (rq, sq) = linear[i], quadratic[j, k]
-        column, sigma = residue(_mul(ri, rq), si * sq)
-        columns.append(column)
-        target.append(sigma * terms.get(exp, 0) * prod(map(factorial, exp)))
-    ech, pivots = _int_echelon([list(row) for row in zip(*columns)], len(columns))
-    if any(_int_reduce(ech, pivots, _row_to_int(target))):
+        (ri, ni, di), (rq, nq, dq) = linear[i], quadratic[j, k]
+        column, num, den = residue(_mul(ri, rq), ni * nq, di * dq)
+        columns.append((column, num * terms.get(exp, 0) * prod(map(factorial, exp)), den))
+    rows = [list(row) for row in zip(*(column for column, _, _ in columns))]
+    chosen = _pivots_mod_prime(rows, len(columns))
+    if len(chosen) == length:
+        system = [[den * x for x in column] + [-target]
+                  for column, target, den in (columns[e] for e in chosen)]
+        (solution,) = _kernel_vectors(system, length + 1)
+        weight = solution.pop(length)
+        in_span = all(den * sum(x * column[i] for i, x in solution.items()) == weight * target
+                      for column, target, den in columns)
+    else:
+        scale = lcm(*(den for _, _, den in columns))
+        ech, pivots = _int_echelon(rows, len(columns))
+        in_span = not any(_int_reduce(ech, pivots, [target * (scale // den)
+                                                    for _, target, den in columns]))
+    if not in_span:
         raise CertificateError("(c) the cubic is not in the span of the scheme's cubes")
     return length
 

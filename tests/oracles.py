@@ -30,6 +30,11 @@ Fermat pencil on `Polynomial` quadrics, with B^-1 A read off one rref of
 drives it with the quadrics of `contract`, `hilbert_vector` takes the
 exact rank of every catalecticant, and `annihilator_piece` reads a piece
 off `ExactMatrix.kernel`.
+
+The power-sum certificate finds one functional on L columns and checks
+it against the rest; `echelon_certificate` is the certificate it
+replaced, which reduces the target against one echelon of the whole
+L x C(n + 2, 3) residue matrix, with each column's scale a `Fraction`.
 """
 
 from collections import namedtuple
@@ -43,11 +48,13 @@ from mpmath import mp
 
 from apolar_kit.apolarity import (ApolarAlgebraProfile, GradedIdealPiece, catalecticant,
                                   inverse_system)
-from apolar_kit.core import (ExactMatrix, Polynomial, _row_to_int, coefficient_matrix,
-                             contract, int_kernel, monomial_basis, substitute)
+from apolar_kit.core import (ExactMatrix, Polynomial, _int_echelon, _int_reduce, _row_to_int,
+                             coefficient_matrix, contract, int_kernel, monomial_basis,
+                             substitute)
 from apolar_kit.pipeline import AlphaCertificateError
 from apolar_kit.seeding import make_rng, random_dual_linear
-from apolar_kit.univariate import affine_chart, is_squarefree, poly_gcd, rational_roots
+from apolar_kit.univariate import (_mul, _pseudo_remainder, affine_chart, is_squarefree,
+                                   poly_gcd, rational_roots)
 from apolar_kit.waring import (CertificateError, Decomposition, PencilError,
                                _certify_scheme)
 
@@ -365,3 +372,40 @@ def annihilator_piece(form, k):
         return GradedIdealPiece.from_vectors(
             k, n, ExactMatrix.identity(comb(n + k - 1, k)).rows())
     return GradedIdealPiece.from_vectors(k, n, catalecticant(form, k).kernel().rows())
+
+
+def echelon_certificate(determinant, phi, cubic):
+    """`waring._certify_scheme` by one echelon of the L x C(n + 2, 3)
+    matrix whose column x^e holds sigma_e (x^e(phi) mod D), against which
+    the target (sigma_e e! F_e) is reduced; returns L = deg D, or raises
+    the same CertificateError."""
+    length = len(determinant) - 1
+    if length < 1 or not is_squarefree(determinant):
+        raise CertificateError(
+            f"(a) the scheme equation is not squarefree of degree {length}")
+    n = len(phi)
+
+    def residue(f, sigma):
+        m, r = _pseudo_remainder(f, determinant)
+        r += [0] * (length - len(r))
+        content = gcd(*r) or 1
+        return [x // content for x in r], sigma * Fraction(m, content)
+
+    linear = [residue(f, Fraction(1)) for f in phi]
+    quadratic = {}
+    for i in range(n):
+        for j in range(i, n):
+            (ri, si), (rj, sj) = linear[i], linear[j]
+            quadratic[i, j] = residue(_mul(ri, rj), si * sj)
+    terms = cubic.integer_terms()[1]
+    columns, target = [], []
+    for exp in monomial_basis(n, 3):
+        i, j, k = (v for v, e in enumerate(exp) for _ in range(e))
+        (ri, si), (rq, sq) = linear[i], quadratic[j, k]
+        column, sigma = residue(_mul(ri, rq), si * sq)
+        columns.append(column)
+        target.append(sigma * terms.get(exp, 0) * prod(map(factorial, exp)))
+    ech, pivots = _int_echelon([list(row) for row in zip(*columns)], len(columns))
+    if any(_int_reduce(ech, pivots, _row_to_int(target))):
+        raise CertificateError("(c) the cubic is not in the span of the scheme's cubes")
+    return length

@@ -9,7 +9,7 @@ import pytest
 import apolar_kit
 from apolar_kit import jsonio, pipeline
 from apolar_kit.apolarity import apolar_ideal_piece
-from apolar_kit.cli import main
+from apolar_kit.cli import _COMMANDS, build_parser, main
 from apolar_kit.core import Polynomial
 from apolar_kit.curvegen import tetragonal_curve, trigonal_curve
 from apolar_kit.waring import fermat_detect
@@ -235,9 +235,10 @@ class TestCommands:
         ["curve-gen", "--g", "5", "--gonality", "3", "--points", "-3", "--seed", "1"],
         ["curve-gen", "--g", "5", "--gonality", "3", "--split", "9,9", "--seed", "1"],
         ["alpha", "--g", "5", "--gonality", "3", "--split", "9,9", "--seed", "1"],
-        ["nakai", "--k", "3", "--a-max", "-5"]],
+        ["nakai", "--k", "3", "--a-max", "-5"],
+        ["curve-gen", "--g", "12", "--gonality", "4", "--split", "0,7", "--seed", "1"]],
         ids=["negative-points", "curve-gen-trigonal-split", "alpha-trigonal-split",
-             "negative-a-max"])
+             "negative-a-max", "curve-gen-split-without-sections"])
     def test_values_out_of_range_are_input_errors(self, argv, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main([*argv, "--out", str(out)]) == 2
@@ -397,6 +398,27 @@ class TestCommands:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+
+def parse_outcome(parse, argv, capsys):
+    """Exit code, stdout and stderr of a parse that ends the program."""
+    with pytest.raises(SystemExit) as stop:
+        parse(argv)
+    return (stop.value.code, *capsys.readouterr())
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ["--help"], [], ["bogus"], *([name, "-h"] for name in _COMMANDS),
+        ["fermat", "--seed", "1"], ["fermat", "--in", "x", "--seed", "1", "extra"]],
+        ids=["help", "empty", "bogus", *(f"{name}-h" for name in _COMMANDS),
+             "missing-required", "extra"])
+    def test_main_prints_what_the_full_parser_prints(self, argv, capsys):
+        # main builds only the parser of a command it is given
+        full = parse_outcome(build_parser().parse_args, argv, capsys)
+        assert parse_outcome(main, argv, capsys) == full
+        if argv[-1:] == ["extra"]:
+            assert ",".join(_COMMANDS) in full[2]
 
 
 class TestProcessCount:

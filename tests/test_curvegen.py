@@ -307,6 +307,11 @@ class TestTetragonalCurve:
         with pytest.raises(ValueError):
             tetragonal_curve(7, 1, 3, seed=1)
 
+    def test_split_without_sections_rejected(self):
+        # on the g = 12 scroll (3, 3, 3) no fiber quadric reaches base degree 7
+        with pytest.raises(ValueError, match="no sections"):
+            tetragonal_curve(12, 0, 7, seed=1)
+
     def test_unbalanced_scroll_needs_flag(self):
         # the balanced type for g = 9 is (2, 2, 2); (1, 2, 3) is unbalanced
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
 import dataclasses
 import json
 import sys
+from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 import sympy
@@ -10,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from apolar_kit import core, waring
 from apolar_kit import pipeline as pipeline_module
 from apolar_kit.apolarity import (SocleDimensionError, apolar_ideal_piece,
                                   macaulay_inverse)
 from apolar_kit.cli import main
-from apolar_kit.core import (ExactMatrix, Polynomial, _row_to_int, change_coordinates,
-                             coefficient_matrix, monomial_basis)
+from apolar_kit.core import (ExactMatrix, Polynomial, _int_echelon, _row_to_int,
+                             change_coordinates, coefficient_matrix, monomial_basis)
 from apolar_kit.curvegen import (ideal_pieces, sample_points, tetragonal_curve,
                                  trigonal_curve)
 from apolar_kit.pipeline import (AlphaCertificateError, CertificateError,
@@ -27,7 +29,8 @@ from apolar_kit.seeding import (derive_seed, make_rng, random_dual_linear, rando
                                 random_invertible_matrix)
 from apolar_kit.waring import fermat_detect
 import oracles
-from oracles import from_spanning, oracle_fit, oracle_points, recon_piece
+from oracles import (echelon_certificate, from_spanning, oracle_fit, oracle_points,
+                     recon_piece)
 
 _T = sympy.Symbol("t")
 
@@ -624,6 +627,17 @@ class TestExactCertificate:
         with pytest.raises(CertificateError, match=r"\(c\)"):
             _certify_scheme([0, 2, -3, 1], [[1, -2, 1], [0, 2, -1], [0]], fermat(3))
 
+    def test_dependent_points_with_a_cubic_in_their_span(self, monkeypatch):
+        # the points e0, e1, e0 of test_rejects_dependent_points span only
+        # two cubes, fewer than L = 3, so the echelon decides, and passes
+        # x0^3 + x1^3
+        calls = []
+        monkeypatch.setattr(waring, "_int_echelon",
+                            lambda *args: calls.append(args) or _int_echelon(*args))
+        cubic = Polynomial(3, 3, {(3, 0, 0): 1, (0, 3, 0): 1})
+        assert _certify_scheme([0, 2, -3, 1], [[1, -2, 1], [0, 2, -1], [0]], cubic) == 3
+        assert len(calls) == 1
+
     def test_rejects_a_cubic_that_is_not_concise(self, monkeypatch):
         # x0^3 + x1^3 is a sum of the cubes of the scheme's points e0, e1
         # and e0 + e1 (at t = 0, 1, 2), but needs only two variables
@@ -696,6 +710,80 @@ def certified_schemes():
         assert _certify_scheme(determinant, phi, alpha.cubic) == len(determinant) - 1
         out.append((determinant, phi, alpha.cubic))
     return out
+
+
+SPLITS = {6: [(0, 1)], 7: [(0, 2), (1, 1)], 8: [(0, 3), (1, 2)], 9: [(0, 4), (1, 3), (2, 2)]}
+
+
+@pytest.fixture(scope="module")
+def seeded_schemes():
+    """(D, phi, cubic) of trigonal g = 5..8 and, on both surfaces,
+    tetragonal g = 6..9 curves at every split, at seeds 1-3: the first
+    hyperplane pair `alpha_for_curve` accepts."""
+    curves = [trigonal_curve(g, seed) for g in range(5, 9) for seed in (1, 2, 3)]
+    curves += [tetragonal_curve(g, *split, seed) for g, splits in SPLITS.items()
+               for split in splits for seed in (1, 2, 3)]
+    out = []
+    for curve in curves:
+        alpha = alpha_for_curve(curve, curve.seed)
+        for index in ((None,) if curve.gonality == 3 else (0, 1)):
+            scheme = _scheme(curve, index, alpha.eta1, alpha.eta2, alpha.kept_indices)
+            out.append((*scheme, alpha.cubic))
+    return out
+
+
+def verdict(certify, determinant, phi, cubic):
+    """A certificate's length, or the text of its CertificateError."""
+    try:
+        return certify(determinant, phi, cubic)
+    except CertificateError as err:
+        return str(err)
+
+
+def mutations(determinant, phi, cubic):
+    """Inputs the certificate of a certified (D, phi, cubic) must refuse:
+    the integer target e! F_e off by one at the first and the last cubic
+    monomial, and the constant coefficient of the last coordinate of phi
+    moved by one, which moves the columns of its monomials."""
+    scale = cubic.integer_terms()[0]
+    basis = monomial_basis(cubic.nvars, 3)
+    for exp in (basis[0], basis[-1]):
+        off = Fraction(1, scale * prod(map(factorial, exp)))
+        yield determinant, phi, cubic + Polynomial.monomial(exp, off)
+    last = (phi[-1] or [0])[:]
+    last[0] += 1
+    yield determinant, [*phi[:-1], last], cubic
+
+
+class TestWitnessCertificate:
+    """The functional on L independent columns decides as the echelon did."""
+
+    def test_agrees_with_the_echelon_certificate(self, seeded_schemes):
+        for scheme in seeded_schemes:
+            assert _certify_scheme(*scheme) == echelon_certificate(*scheme) == len(scheme[0]) - 1
+
+    def test_refuses_mutations_without_an_echelon(self, seeded_schemes, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the echelon fallback ran")
+
+        monkeypatch.setattr(waring, "_int_echelon", refuse)
+        for scheme in seeded_schemes:
+            assert _certify_scheme(*scheme) == len(scheme[0]) - 1
+            for mutated in mutations(*scheme):
+                with pytest.raises(CertificateError, match=r"\(c\)"):
+                    _certify_scheme(*mutated)
+
+    def test_modular_shortfall_falls_back_to_the_echelon(self, seeded_schemes, monkeypatch):
+        # modulo 2 some L columns independent over Q are dependent
+        calls = []
+        monkeypatch.setattr(core, "_RANK_PRIME", 2)
+        monkeypatch.setattr(waring, "_int_echelon",
+                            lambda *args: calls.append(args) or _int_echelon(*args))
+        for scheme in seeded_schemes[::3]:
+            for inputs in (scheme, next(mutations(*scheme))):
+                assert verdict(_certify_scheme, *inputs) == verdict(echelon_certificate,
+                                                                    *inputs)
+        assert calls
 
 
 class TestCertificateRejections:

@@ -8,7 +8,9 @@ from mpmath import mp
 
 import oracles
 from apolar_kit.apolarity import catalecticant, hilbert_function, is_apolar_scheme
-from apolar_kit.core import Polynomial, change_coordinates, contract, monomial_basis
+from apolar_kit import waring
+from apolar_kit.core import (ExactMatrix, Polynomial, change_coordinates, contract,
+                             monomial_basis)
 from apolar_kit.seeding import make_rng, random_form, random_invertible_matrix
 from apolar_kit.waring import (CertificateError, PencilError, _certify_scheme,
                                fermat_detect, fermat_detect_detail,
@@ -227,6 +229,42 @@ class TestAgainstRationalOracle:
                 assert found == oracles.fermat_detect_detail(form, seed)
                 # a binary cubic with distinct roots is a sum of two cubes
                 assert (found[1] == "ok") == (i >= 2 or n <= 2)
+
+
+def bench_style_fermat(n, rng):
+    """x_1^3 + ... + x_n^3 under a random invertible matrix with entries
+    in -3..3, as the benchmark draws its Fermat forms."""
+    while True:
+        m = ExactMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        if m.rank() == n:
+            return change_coordinates(fermat(n), m)
+
+
+class TestWitnessCertificate:
+    """The certificate of detected schemes decides as the echelon did."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_agrees_with_the_echelon_certificate(self, n, monkeypatch):
+        form = bench_style_fermat(n, make_rng(900 + n))
+        schemes = []
+        for seed in (1, 2, 3):
+            dec = fermat_detect(form, seed)
+            assert dec is not None and dec.rank == n
+            schemes.append((list(dec.scheme_equation), [list(f) for f in dec.points]))
+        bumped = form + Polynomial.monomial((1, 1, 1) + (0,) * (n - 3))
+        for scheme in schemes:
+            assert oracles.echelon_certificate(*scheme, form) == n
+            with pytest.raises(CertificateError, match=r"\(c\)"):
+                oracles.echelon_certificate(*scheme, bumped)
+
+        def refuse(*args):
+            raise AssertionError("the echelon fallback ran")
+
+        monkeypatch.setattr(waring, "_int_echelon", refuse)
+        for scheme in schemes:
+            assert _certify_scheme(*scheme, form) == n
+            with pytest.raises(CertificateError, match=r"\(c\)"):
+                _certify_scheme(*scheme, bumped)
 
 
 # (name, terms, reason): cubics at the edge of the pencil and the certificate
