@@ -7,19 +7,14 @@ construction to a cubic in g - 2 variables, and certifies power-sum
 decompositions of that cubic.
 """
 
-from .core import (ExactMatrix, Polynomial, change_coordinates,
-                   coefficient_matrix, contract, monomial_basis, pair,
-                   primitive_point)
-from .apolarity import (ApolarAlgebraProfile, ApolarityCertificate,
-                        GradedIdealPiece, SocleDimensionError,
-                        apolar_ideal_piece, catalecticant, hilbert_function,
-                        is_apolar_scheme, macaulay_inverse, piece_contains)
-from .waring import (Decomposition, PencilError, fermat_detect,
-                     fermat_detect_detail, rank_lower_bound,
-                     simultaneous_diagonalize)
+from .core import Polynomial, monomial_basis, primitive_point
+from .apolarity import (ApolarAlgebraProfile, GradedIdealPiece, SocleDimensionError,
+                        apolar_ideal_piece, hilbert_function, macaulay_inverse)
+from .waring import (Decomposition, PencilError, fermat_detect_detail,
+                     rank_lower_bound, simultaneous_diagonalize)
 from .scroll import (DivisorClass, Scroll, ScrollPoint, canonical_class,
                      chow_product, divisor_degree, embed_point, project_type,
-                     scroll_new, scroll_quadrics, section_templates)
+                     section_templates)
 from .curvegen import (BihomSection, CurveSpec, IdealReconstruction,
                        balanced_type, genus_adjunction, ideal_pieces,
                        sample_points, tetragonal_curve, trigonal_curve)

@@ -4,38 +4,30 @@ The graded piece of the annihilator of a form F in degree k is the kernel
 of the contraction map from degree-k dual operators to forms of degree
 d - k; the map in the other direction (recovering F, up to scalar, from
 enough graded pieces) is `inverse_system`, and `macaulay_inverse` when
-that space is one-dimensional.  `is_apolar_scheme` tests whether given
-rational dual points realize a form as a power sum.  All of it is plain
-exact linear algebra, on the integer catalecticant rows of the form's
-integer scaling (`_catalecticant_rows`) wherever a form is given.
+that space is one-dimensional.  All of it is integer linear algebra, on
+the catalecticant rows of the form's integer scaling
+(`_catalecticant_rows`) wherever a form is given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb, factorial
+from math import comb
 from operator import add, sub
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .core import (ExactMatrix, Polynomial, _combination, _falling, _int_echelon,
-                   _int_rank, _int_reduce, _kernel_vectors, _monomial_value,
+from .core import (Polynomial, _combination, _falling, _int_rank, _kernel_vectors,
                    monomial_basis)
 
 __all__ = [
     "GradedIdealPiece",
     "ApolarAlgebraProfile",
-    "ApolarityCertificate",
     "SocleDimensionError",
-    "catalecticant",
     "apolar_ideal_piece",
     "hilbert_function",
     "inverse_system",
     "macaulay_inverse",
-    "is_apolar_scheme",
-    "piece_contains",
-    "power_coefficient_vector",
 ]
 
 
@@ -74,12 +66,6 @@ class GradedIdealPiece:
     def ambient_dim(self) -> int:
         return comb(self.nvars + self.degree - 1, self.degree)
 
-    @classmethod
-    def from_vectors(cls, degree: int, nvars: int, vectors: Sequence[Sequence]) -> "GradedIdealPiece":
-        basis = monomial_basis(nvars, degree)
-        polys = tuple(Polynomial.from_vector(nvars, degree, v, basis) for v in vectors)
-        return cls(degree, nvars, polys)
-
 
 @dataclass(frozen=True)
 class ApolarAlgebraProfile:
@@ -98,10 +84,14 @@ class ApolarAlgebraProfile:
 
 
 def _catalecticant_rows(terms: dict, n: int, d: int, k: int) -> list[list]:
-    """The rows of `catalecticant` for a degree-d form with these terms:
-    x^a sends x^e, e = a + t, to falling(e, a) x^t, so c x^e puts
-    c * falling(e, a) in row t and column a for each such split of e,
-    found by walking the smaller of the two bases."""
+    """The catalecticant of a degree-d form with these terms: the matrix
+    of D |-> D . f from degree-k duals to forms of degree d - k, rows by
+    the degree-(d - k) monomials and columns by the degree-k dual
+    monomials, both in graded-lex order, whose kernel is the degree-k
+    piece of the annihilator of f.  x^a sends x^e, e = a + t, to
+    falling(e, a) x^t, so c x^e puts c * falling(e, a) in row t and
+    column a for each such split of e, found by walking the smaller of
+    the two bases."""
     index = {a: j for j, a in enumerate(monomial_basis(n, k))}
     rows = {t: [0] * len(index) for t in monomial_basis(n, d - k)}
     for e, c in terms.items():
@@ -116,17 +106,6 @@ def _catalecticant_rows(terms: dict, n: int, d: int, k: int) -> list[list]:
                 if a in index:
                     row[index[a]] = c * _falling(e, a)
     return list(rows.values())
-
-
-def catalecticant(form: Polynomial, k: int) -> ExactMatrix:
-    """Matrix of D |-> D . f from degree-k duals to forms of degree d - k:
-    rows by the degree-(d - k) monomials, columns by the degree-k dual
-    monomials, both in graded-lex order; its kernel is the degree-k piece
-    of the annihilator of f."""
-    d = form.degree
-    if k < 0 or k > d:
-        raise ValueError(f"contraction order k={k} outside 0..{d}")
-    return ExactMatrix(_catalecticant_rows(form.terms, form.nvars, d, k))
 
 
 def apolar_ideal_piece(form: Polynomial, k: int) -> GradedIdealPiece:
@@ -267,68 +246,3 @@ def macaulay_inverse(pieces: Sequence[GradedIdealPiece], d: int) -> Polynomial:
                                for k in range(1, d + 1))
         raise SocleDimensionError(len(solutions), hilbert)
     return solutions[0].normalized()
-
-
-def power_coefficient_vector(point: Sequence, d: int,
-                             basis: Sequence[tuple[int, ...]]):
-    """Coefficient vector of (sum_i p_i x_i)^d over the degree-d basis."""
-    out = []
-    for exp in basis:
-        m = factorial(d)
-        for e in exp:
-            m //= factorial(e)
-        out.append(m * _monomial_value(point, exp))
-    return out
-
-
-@dataclass(frozen=True)
-class ApolarityCertificate:
-    """Outcome of an apolar-scheme membership test, with the exact weights."""
-
-    apolar: bool
-    weights: Optional[tuple[Fraction, ...]]
-
-
-def is_apolar_scheme(points: Sequence[Sequence], form: Polynomial) -> ApolarityCertificate:
-    """Check whether reduced rational dual points realize f as a power sum.
-
-    `points` are coordinate tuples of integers or Fractions in the dual
-    space; the point with coordinates c corresponds to the linear form
-    sum_i c_i x_i.  The test succeeds exactly when f lies in the span of
-    the d-th powers of those forms, and the weights solved for exactly
-    are returned as the certificate.  Coincident points are rejected
-    (only reduced schemes are supported), and so are points with other
-    coordinates: the check is exact.
-    """
-    if not points:
-        raise ValueError("empty point list")
-    n = form.nvars
-    for p in points:
-        if len(p) != n:
-            raise ValueError("point arity does not match the form")
-        if not all(isinstance(c, (int, Fraction)) for c in p):
-            raise ValueError("dual points must have rational coordinates")
-        if not any(p):
-            raise ValueError("zero vector is not a projective point")
-    pts = [tuple(Fraction(c) for c in p) for p in points]
-    for (i, u), (j, v) in combinations(enumerate(pts), 2):
-        # proportional exactly when every 2 x 2 minor of (u, v) vanishes
-        if all(u[a] * v[b] == u[b] * v[a] for a, b in combinations(range(n), 2)):
-            raise ValueError(f"coincident dual points at indices {i} and {j}")
-    basis = monomial_basis(n, form.degree)
-    columns = [power_coefficient_vector(p, form.degree, basis) for p in pts]
-    weights = ExactMatrix(columns).transpose().solve(form.coefficient_vector(basis))
-    return ApolarityCertificate(weights is not None,
-                                None if weights is None else tuple(weights))
-
-
-def piece_contains(piece: GradedIdealPiece, poly: Polynomial) -> bool:
-    """Exact membership of a dual form in the span of a graded piece: its
-    integer row reduces to zero against the echelon form of the basis rows."""
-    if poly.degree != piece.degree or poly.nvars != piece.nvars:
-        raise ValueError("degree or arity mismatch in membership test")
-    basis = monomial_basis(piece.nvars, piece.degree)
-    *rows, row = ([t.get(m, 0) for m in basis]
-                  for t in (p.integer_terms()[1] for p in piece.basis + (poly,)))
-    ech, pivots = _int_echelon(rows, len(basis))
-    return not any(_int_reduce(ech, pivots, row))

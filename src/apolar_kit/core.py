@@ -1,10 +1,16 @@
 """Exact arithmetic core.
 
-Sparse homogeneous polynomials over Q, the contraction action of
-constant-coefficient differential operators on forms, and exact rational
-linear algebra (rank / kernel / solve).  No floating point enters this
+Sparse homogeneous polynomials over Q, the falling factorials of the
+contraction action of dual operators on monomials, and one fraction-free
+integer elimination engine (echelon, rank, kernel vectors), with ranks
+read modulo a prime where that is a proof.  No floating point enters this
 module; every value is immutable after construction, so everything here
 can be shared freely between workers.
+
+`ExactMatrix`, `substitute` and `change_coordinates` are the rational
+layer the integer engine replaced; no verifier or command calls them.
+They stay only because the bench tracer (`bench/tracer.py`) wraps them
+by name, and they leave with that tracer.
 
 Conventions used throughout the package:
 
@@ -20,20 +26,16 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
     "Polynomial",
     "ExactMatrix",
     "monomial_basis",
-    "contract",
-    "pair",
     "change_coordinates",
     "substitute",
-    "coefficient_matrix",
     "primitive_point",
-    "int_kernel",
 ]
 
 
@@ -281,48 +283,6 @@ def _falling(b: Sequence[int], a: Sequence[int]) -> int:
     return out
 
 
-def contract(op: Polynomial, form: Polynomial) -> Polynomial:
-    """Apply a dual operator of degree a to a form of degree b.
-
-    On monomials the action is a! * C(b, a) * x^(b-a) when b >= a and 0
-    otherwise (the multi-index factorial and binomial), extended
-    bilinearly; this is literal repeated partial differentiation.  The
-    result is homogeneous of degree b - a, the zero form when every term
-    dies, and the zero form of degree 0 when a > b.
-    """
-    if op.nvars != form.nvars:
-        raise ValueError(
-            f"variable count mismatch: operator has {op.nvars}, form has {form.nvars}")
-    if op.degree > form.degree:
-        return Polynomial.zero(form.nvars, 0)
-    out_degree = form.degree - op.degree
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for a, ca in op.terms.items():
-        for b, cb in form.terms.items():
-            factor = _falling(b, a)
-            if factor:
-                exp = tuple(bi - ai for bi, ai in zip(b, a))
-                terms[exp] = terms.get(exp, Fraction(0)) + ca * cb * factor
-    return Polynomial(form.nvars, out_degree, terms)
-
-
-def pair(form: Polynomial, op: Polynomial) -> Fraction:
-    """The perfect pairing between degree-d forms and degree-d operators.
-
-    On monomial bases its Gram matrix is diagonal with entries the
-    multi-index factorials, hence invertible: the pairing is the dot
-    product of coefficient vectors weighted by those factorials.
-    """
-    if form.nvars != op.nvars or form.degree != op.degree:
-        raise ValueError(f"shape mismatch in pairing: ({form.nvars},{form.degree}) "
-                         f"vs ({op.nvars},{op.degree})")
-    total = Fraction(0)
-    for exp, c in form.terms.items():
-        if exp in op.terms:
-            total += c * op.terms[exp] * prod(map(factorial, exp))
-    return total
-
-
 def _combination(weights: dict, vectors) -> dict:
     """sum_i weights[i] vectors[i] of sparse integer vectors, without zeros."""
     total: dict = {}
@@ -552,16 +512,6 @@ def _kernel_vectors(rows: Sequence[Sequence[int]], ncols: int) -> list[dict[int,
     return _int_back_substitute(ech, pivots, _free_columns(pivots, ncols))
 
 
-def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel of integer rows of width `ncols`.
-
-    The basis is the canonical one attached to the reduced echelon form
-    (unit entry at each free column): the vectors of `_kernel_vectors`,
-    each scaled so its first nonzero entry is 1.
-    """
-    return [_scaled(v, v[min(v)], ncols) for v in _kernel_vectors(rows, ncols)]
-
-
 class ExactMatrix:
     """Dense matrix over Q with exact rank / rref / kernel / solve / inverse.
 
@@ -670,8 +620,10 @@ class ExactMatrix:
         return ExactMatrix(reduced), tuple(pivots)
 
     def kernel(self) -> "ExactMatrix":
-        """Basis of the right kernel, one vector per row (see `int_kernel`)."""
-        return ExactMatrix(int_kernel(self._int_rows(), self.ncols))
+        """Basis of the right kernel, one vector per row: the vectors of
+        `_kernel_vectors`, each scaled so its first nonzero entry is 1."""
+        return ExactMatrix([_scaled(v, v[min(v)], self.ncols)
+                            for v in _kernel_vectors(self._int_rows(), self.ncols)])
 
     def solve(self, rhs: Sequence) -> Optional[list[Fraction]]:
         """One exact solution of A x = b, or None when inconsistent.
@@ -714,20 +666,3 @@ def primitive_point(coords: Sequence) -> tuple[int, ...]:
     if next((v for v in ints if v), 1) < 0:
         ints = [-v for v in ints]
     return tuple(ints)
-
-
-def coefficient_matrix(polys: Sequence[Polynomial],
-                       basis: Optional[Sequence[tuple[int, ...]]] = None) -> ExactMatrix:
-    """Stack coefficient vectors of polynomials of one (nvars, degree)."""
-    polys = list(polys)
-    if not polys:
-        return ExactMatrix([])
-    nvars, degree = polys[0].nvars, polys[0].degree
-    if basis is None:
-        basis = monomial_basis(nvars, degree)
-    rows = []
-    for p in polys:
-        if p.nvars != nvars or p.degree != degree:
-            raise ValueError("mixed shapes in coefficient matrix")
-        rows.append(p.coefficient_vector(basis))
-    return ExactMatrix(rows)

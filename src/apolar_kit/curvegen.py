@@ -56,6 +56,7 @@ __all__ = [
     "balanced_type",
     "random_section",
     "trigonal_curve",
+    "tetragonal_surfaces",
     "tetragonal_curve",
     "sample_points",
     "ideal_pieces",
@@ -367,16 +368,41 @@ def _tetragonal_fiber_points(q1: Sequence[int], q2: Sequence[int]) -> list[tuple
     return points
 
 
-def tetragonal_curve(g: int, b1: int, b2: int, seed: int,
-                     scroll_type: Optional[tuple[int, ...]] = None,
-                     allow_unbalanced: bool = False) -> CurveSpec:
+def tetragonal_surfaces(g: int, b1: int, b2: int) -> tuple[Scroll, DivisorClass, DivisorClass]:
+    """The balanced threefold scroll S(e1, e2, e3) of degree g - 3 and the
+    classes 2H - b1 F, 2H - b2 F of a split, checked to cut irreducible
+    surfaces.
+
+    The fiber conic of a section of 2H - bF has the monomial y_i y_j
+    only when e_i + e_j >= b.  With b > 2 e2 every monomial left has y3,
+    and with b > e1 + e3 none has y1, a cone; either way every section is
+    reducible, while the construction (Schreyer 1986) needs fiber conics
+    of rank 3.  A class with no sections, or only such sections, is an
+    input error (ValueError).
+    """
+    scroll = Scroll(balanced_type(g - 3, 3))
+    classes = scroll.cls(2, -b1), scroll.cls(2, -b2)
+    if min(section_count(scroll, c) for c in classes) == 0:
+        raise ValueError(f"class with no sections among {classes[0]}, {classes[1]}")
+    e1, e2, e3 = scroll.type
+    for cls in classes:
+        if -cls.f > min(e1 + e3, 2 * e2):
+            raise ValueError(
+                f"class {cls} cuts only reducible surfaces on the scroll {scroll.type}: "
+                f"its fiber conics never reach rank 3, since {-cls.f} > "
+                f"min(e1 + e3, 2 e2) = {min(e1 + e3, 2 * e2)}")
+    return (scroll, *classes)
+
+
+def tetragonal_curve(g: int, b1: int, b2: int, seed: int) -> CurveSpec:
     """Random tetragonal canonical curve as a complete intersection.
 
-    The split (b1, b2) of g - 5 fixes the two surface classes 2H - b_i F.
-    A few fibers are forced to contain a rational intersection point and
-    recorded as sampling hints; candidates are rejected when a forced or
-    test fiber fails to cut four distinct points.  A split with a class
-    that has no sections on the scroll is an input error (ValueError).
+    The split (b1, b2) of g - 5 fixes the two surface classes 2H - b_i F
+    (`tetragonal_surfaces`, which rejects a split whose surfaces are all
+    reducible or absent).  A few fibers are forced to contain a rational
+    intersection point and recorded as sampling hints; candidates are
+    rejected when a forced or test fiber fails to cut four distinct
+    points.
     """
     if g < 6:
         raise ValueError("tetragonal construction needs genus >= 6")
@@ -384,20 +410,10 @@ def tetragonal_curve(g: int, b1: int, b2: int, seed: int,
         raise ValueError(f"split ({b1}, {b2}) does not sum to g - 5 = {g - 5}")
     if b1 < 0 or b2 < 0:
         raise ValueError("negative split entries are not supported")
-    if scroll_type is None:
-        scroll_type = balanced_type(g - 3, 3)
-    scroll = Scroll(tuple(scroll_type))
-    if scroll.degree != g - 3 or scroll.k != 3:
-        raise ValueError(f"scroll type {scroll_type} is not a threefold of degree g - 3")
-    balanced = scroll.min_type == g // 3 - 1
-    if not balanced and not allow_unbalanced:
-        raise ValueError(f"scroll type {scroll_type} is not balanced for genus {g}")
-    cls1, cls2 = scroll.cls(2, -b1), scroll.cls(2, -b2)
+    scroll, cls1, cls2 = tetragonal_surfaces(g, b1, b2)
     if chow_product([cls1, cls2, scroll.H]) != 2 * g - 2:
         raise CurveGenerationError("intersection-degree sanity check failed")
     counts = [section_count(scroll, c) for c in (cls1, cls2)]
-    if min(counts) == 0:
-        raise ValueError(f"class with no sections among {cls1}, {cls2}")
     forced_fibers = max(0, min(min(counts) - 6, 6))
     for attempt in range(_CURVE_ATTEMPTS):
         rng = make_rng(derive_seed(seed, attempt + 101))

@@ -31,7 +31,8 @@ from .apolarity import _inverse_vectors
 from .core import (ExactMatrix, Polynomial, _combination, _int_rank, _int_substitute,
                    _kernel_vectors, _row_to_int, change_coordinates, monomial_basis)
 from .curvegen import (CurveSpec, IdealReconstruction, balanced_type, ideal_pieces,
-                       sample_points, tetragonal_curve, trigonal_curve)
+                       sample_points, tetragonal_curve, tetragonal_surfaces,
+                       trigonal_curve)
 from .scroll import coordinate_layout, divisor_degree
 from .seeding import derive_seed, make_rng, random_dual_linear
 from .univariate import _combine, _mul, _pseudo_remainder, poly_gcd
@@ -140,7 +141,7 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
     variables as the adjoint of restriction for the apolarity pairing, so
     the cubics of V that the restricted degree-3 piece annihilates are
     the kernel of pairing the lifts with the cubic rows of `recon` (the
-    factorial weights of `core.pair` folded into the lifts).  No scale
+    pairing's factorial weights e! folded into the lifts).  No scale
     (of R, a lift or a row) moves a kernel, so none is divided out.  The
     kernel has dimension h3, since degree-1 multiples of restricted
     quadrics are restricted cubics.  Hilbert vector (1, n, n, 1)
@@ -458,6 +459,8 @@ def verify_tetragonal_bound(g: int, split: Optional[tuple[int, int]], trials: in
     length, the degree of the surface, must stay within the bound.  The
     report also carries the interval between the contraction-rank lower
     bound and the length, since ranks in between are not decided here.
+    A split with a class that cuts only reducible surfaces is an input
+    error before any trial (`tetragonal_surfaces`).
     """
     if not 6 <= g <= 11:
         raise ValueError("desk-scale verification covers genus 6 through 11")
@@ -467,6 +470,7 @@ def verify_tetragonal_bound(g: int, split: Optional[tuple[int, int]], trials: in
         raise ValueError(f"the split must be two non-negative integers summing to "
                          f"g - 5 = {g - 5}, not {tuple(split)}")
     b1, b2 = split
+    tetragonal_surfaces(g, b1, b2)
     bound = tetragonal_cube_bound(g)
     report = {
         "claim": f"the quotient cubic of a tetragonal genus-{g} canonical curve "

@@ -15,13 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Polynomial, _monomial_value, _row_to_int
+from .core import _monomial_value, _row_to_int, monomial_basis
 
 __all__ = [
     "Scroll",
     "DivisorClass",
     "ScrollPoint",
-    "scroll_new",
     "chow_product",
     "canonical_class",
     "divisor_degree",
@@ -29,7 +28,6 @@ __all__ = [
     "section_count",
     "embed_point",
     "project_type",
-    "scroll_quadrics",
     "coordinate_layout",
 ]
 
@@ -62,10 +60,6 @@ class Scroll:
     def smooth(self) -> bool:
         return all(a > 0 for a in self.type)
 
-    @property
-    def min_type(self) -> int:
-        return min(self.type)
-
     def cls(self, h: int, f: int) -> "DivisorClass":
         return DivisorClass(h, f, self)
 
@@ -76,10 +70,6 @@ class Scroll:
     @property
     def F(self) -> "DivisorClass":
         return self.cls(0, 1)
-
-
-def scroll_new(*type_entries: int) -> Scroll:
-    return Scroll(tuple(type_entries))
 
 
 @dataclass(frozen=True)
@@ -158,7 +148,6 @@ def section_templates(scroll: Scroll, cls: DivisorClass) -> list[tuple[tuple[int
         raise ValueError("class lives on a different scroll")
     if cls.h < 0:
         raise ValueError("need a nonnegative H-coefficient")
-    from .core import monomial_basis
     out = []
     for exp in monomial_basis(scroll.k, cls.h):
         base_degree = sum(e * a for e, a in zip(exp, scroll.type)) + cls.f
@@ -218,32 +207,3 @@ def project_type(scroll: Scroll, index: int) -> Scroll:
     if entries[index] < 0:
         entries.pop(index)
     return Scroll(tuple(entries))
-
-
-def scroll_quadrics(scroll: Scroll) -> list[Polynomial]:
-    """The 2x2 minors cutting out the scroll in its ambient space.
-
-    Columns of the underlying 2-row matrix are the consecutive coordinate
-    pairs inside each block; all minors together span the degree-2 part
-    of the scroll's ideal.
-    """
-    layout = coordinate_layout(scroll)
-    position = {pair: idx for idx, pair in enumerate(layout)}
-    columns = []
-    for i, a in enumerate(scroll.type):
-        for j in range(a):
-            columns.append((position[(i, j)], position[(i, j + 1)]))
-    nvars = scroll.N + 1
-    minors = []
-    for c1 in range(len(columns)):
-        for c2 in range(c1 + 1, len(columns)):
-            top1, bot1 = columns[c1]
-            top2, bot2 = columns[c2]
-            exp_a = [0] * nvars
-            exp_a[top1] += 1
-            exp_a[bot2] += 1
-            exp_b = [0] * nvars
-            exp_b[bot1] += 1
-            exp_b[top2] += 1
-            minors.append(Polynomial(nvars, 2, {tuple(exp_a): 1, tuple(exp_b): -1}))
-    return minors

@@ -13,7 +13,7 @@ from functools import cache
 from math import gcd
 from typing import Iterator
 
-from .core import ExactMatrix, Polynomial, monomial_basis
+from .core import Polynomial, monomial_basis
 
 __all__ = [
     "make_rng",
@@ -21,7 +21,6 @@ __all__ = [
     "small_rationals",
     "random_form",
     "random_dual_linear",
-    "random_invertible_matrix",
 ]
 
 
@@ -74,15 +73,3 @@ def random_form(nvars: int, degree: int, rng: random.Random, bound: int = 9) -> 
 
 def random_dual_linear(nvars: int, rng: random.Random, bound: int = 9) -> Polynomial:
     return random_form(nvars, 1, rng, bound)
-
-
-def random_invertible_matrix(n: int, rng: random.Random, bound: int = 3) -> ExactMatrix:
-    """Unit lower * unit upper * permutation; always has determinant +-1."""
-    lower = [[1 if i == j else (rng.randint(-bound, bound) if i > j else 0)
-              for j in range(n)] for i in range(n)]
-    upper = [[1 if i == j else (rng.randint(-bound, bound) if i < j else 0)
-              for j in range(n)] for i in range(n)]
-    perm = list(range(n))
-    rng.shuffle(perm)
-    pmat = [[1 if j == perm[i] else 0 for j in range(n)] for i in range(n)]
-    return ExactMatrix(lower) @ ExactMatrix(upper) @ ExactMatrix(pmat)

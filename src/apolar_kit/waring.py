@@ -35,7 +35,6 @@ __all__ = [
     "PencilError",
     "rank_lower_bound",
     "simultaneous_diagonalize",
-    "fermat_detect",
     "fermat_detect_detail",
 ]
 
@@ -289,9 +288,3 @@ def fermat_detect_detail(form: Polynomial, seed: int = 0
             return None, "fit-failed"
         return Decomposition(n, tuple(chi), tuple(tuple(f) for f in phi)), "ok"
     return None, f"{kind}-pencil"
-
-
-def fermat_detect(form: Polynomial, seed: int = 0) -> Optional[Decomposition]:
-    """Decompose a Fermat cubic into n cubes, or return None."""
-    decomposition, _ = fermat_detect_detail(form, seed)
-    return decomposition

@@ -5,6 +5,17 @@ coefficient lists lowest degree first, at sympy's numerical roots of D;
 `oracle_fit` fits a cubic by least squares to the cubes of those points
 in mpmath.  Both are independent of the package's arithmetic.
 
+The package runs one integer path; the rational helpers it once
+exported are the references here, checked against the integer code by
+the tests: `contract` and `pair` (the contraction action and the
+apolarity pairing on `Polynomial`s), `coefficient_matrix`, `int_kernel`
+(the normalised kernel basis of `core._kernel_vectors`), `catalecticant`
+as an `ExactMatrix`, `is_apolar_scheme` (the power-sum membership test
+with exact weights, built from `power_coefficient_vector`),
+`piece_contains` and `piece_from_vectors` on `GradedIdealPiece`s,
+`random_invertible_matrix` (determinant +-1) and `scroll_quadrics` (the
+2 x 2 minors that cut out a scroll).
+
 The curve layer runs its fiber work on integer images of the equations;
 the references here are the rational `Polynomial` computations it
 replaced.  `fiber_form` restricts a section to a fiber, `conic_pencil`
@@ -37,21 +48,26 @@ replaced, which reduces the target against one echelon of the whole
 L x C(n + 2, 3) residue matrix, with each column's scale a `Fraction`.
 """
 
+import sys
 from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
+from itertools import chain, combinations
 from math import comb, factorial, gcd, isqrt, lcm, prod
+from typing import Optional
 
 import sympy
 from mpmath import mp
 
-from apolar_kit.apolarity import (ApolarAlgebraProfile, GradedIdealPiece, catalecticant,
+from apolar_kit import core
+from apolar_kit.apolarity import (ApolarAlgebraProfile, GradedIdealPiece, _catalecticant_rows,
                                   inverse_system)
-from apolar_kit.core import (ExactMatrix, Polynomial, _int_echelon, _int_reduce, _row_to_int,
-                             coefficient_matrix, contract, int_kernel, monomial_basis,
-                             substitute)
+from apolar_kit.core import (ExactMatrix, Polynomial, _falling, _int_echelon, _int_reduce,
+                             _kernel_vectors, _monomial_value, _row_to_int, _scaled,
+                             monomial_basis, substitute)
 from apolar_kit.pipeline import AlphaCertificateError
+from apolar_kit.scroll import coordinate_layout
 from apolar_kit.seeding import make_rng, random_dual_linear
 from apolar_kit.univariate import (_mul, _pseudo_remainder, affine_chart, is_squarefree,
                                    poly_gcd, rational_roots)
@@ -59,6 +75,178 @@ from apolar_kit.waring import (CertificateError, Decomposition, PencilError,
                                _certify_scheme)
 
 _T = sympy.Symbol("t")
+
+
+def refuse_rational_layer(monkeypatch):
+    """Make `core.ExactMatrix`, `core.change_coordinates` and
+    `core.substitute` raise AssertionError, in every package module that
+    holds them.  The package keeps them only for the bench tracer, so
+    nothing it runs may reach them."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rational layer was called")
+
+    monkeypatch.setattr(ExactMatrix, "__init__", refuse)
+    for name in ("change_coordinates", "substitute"):
+        original = getattr(core, name)
+        for module_name, module in list(sys.modules.items()):
+            if (module_name.split(".")[0] == "apolar_kit"
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, refuse)
+
+
+def contract(op, form):
+    """Apply a dual operator of degree a to a form of degree b.
+
+    On monomials the action is a! * C(b, a) * x^(b-a) when b >= a and 0
+    otherwise (the multi-index factorial and binomial), extended
+    bilinearly; this is literal repeated partial differentiation.  The
+    result is homogeneous of degree b - a, the zero form when every term
+    dies, and the zero form of degree 0 when a > b.
+    """
+    if op.nvars != form.nvars:
+        raise ValueError(
+            f"variable count mismatch: operator has {op.nvars}, form has {form.nvars}")
+    if op.degree > form.degree:
+        return Polynomial.zero(form.nvars, 0)
+    terms = {}
+    for a, ca in op.terms.items():
+        for b, cb in form.terms.items():
+            factor = _falling(b, a)
+            if factor:
+                exp = tuple(bi - ai for bi, ai in zip(b, a))
+                terms[exp] = terms.get(exp, Fraction(0)) + ca * cb * factor
+    return Polynomial(form.nvars, form.degree - op.degree, terms)
+
+
+def pair(form, op):
+    """The perfect pairing between degree-d forms and degree-d operators:
+    the dot product of coefficient vectors weighted by the multi-index
+    factorials, the diagonal Gram matrix on monomial bases."""
+    if form.nvars != op.nvars or form.degree != op.degree:
+        raise ValueError(f"shape mismatch in pairing: ({form.nvars},{form.degree}) "
+                         f"vs ({op.nvars},{op.degree})")
+    return sum((c * op.terms[exp] * prod(map(factorial, exp))
+                for exp, c in form.terms.items() if exp in op.terms), Fraction(0))
+
+
+def coefficient_matrix(polys, basis=None):
+    """The coefficient vectors of polynomials of one (nvars, degree), stacked."""
+    polys = list(polys)
+    if not polys:
+        return ExactMatrix([])
+    nvars, degree = polys[0].nvars, polys[0].degree
+    if basis is None:
+        basis = monomial_basis(nvars, degree)
+    if any(p.nvars != nvars or p.degree != degree for p in polys):
+        raise ValueError("mixed shapes in coefficient matrix")
+    return ExactMatrix([p.coefficient_vector(basis) for p in polys])
+
+
+def int_kernel(rows, ncols):
+    """The kernel basis of integer rows with a unit entry at each free
+    column: the vectors of `core._kernel_vectors`, each scaled so its
+    first nonzero entry is 1."""
+    return [_scaled(v, v[min(v)], ncols) for v in _kernel_vectors(rows, ncols)]
+
+
+def catalecticant(form, k):
+    """The catalecticant of a form as an `ExactMatrix`, from
+    `apolarity._catalecticant_rows` of its rational terms."""
+    d = form.degree
+    if k < 0 or k > d:
+        raise ValueError(f"contraction order k={k} outside 0..{d}")
+    return ExactMatrix(_catalecticant_rows(form.terms, form.nvars, d, k))
+
+
+def piece_from_vectors(degree, nvars, vectors):
+    """The `GradedIdealPiece` whose basis has these coefficient vectors."""
+    basis = monomial_basis(nvars, degree)
+    return GradedIdealPiece(degree, nvars, tuple(
+        Polynomial.from_vector(nvars, degree, v, basis) for v in vectors))
+
+
+def piece_contains(piece, poly):
+    """Exact membership of a dual form in the span of a graded piece: its
+    integer row reduces to zero against the echelon form of the basis rows."""
+    if poly.degree != piece.degree or poly.nvars != piece.nvars:
+        raise ValueError("degree or arity mismatch in membership test")
+    basis = monomial_basis(piece.nvars, piece.degree)
+    *rows, row = ([t.get(m, 0) for m in basis]
+                  for t in (p.integer_terms()[1] for p in piece.basis + (poly,)))
+    ech, pivots = _int_echelon(rows, len(basis))
+    return not any(_int_reduce(ech, pivots, row))
+
+
+def power_coefficient_vector(point, d, basis):
+    """Coefficient vector of (sum_i p_i x_i)^d over the degree-d basis."""
+    return [factorial(d) // prod(map(factorial, exp)) * _monomial_value(point, exp)
+            for exp in basis]
+
+
+@dataclass(frozen=True)
+class ApolarityCertificate:
+    """Outcome of an apolar-scheme membership test, with the exact weights."""
+
+    apolar: bool
+    weights: Optional[tuple]
+
+
+def is_apolar_scheme(points, form):
+    """Whether reduced rational dual points realize f as a power sum: f in
+    the span of the d-th powers of the linear forms sum_i c_i x_i, with
+    the weights solved for exactly.  Coincident, zero and non-rational
+    points are rejected."""
+    if not points:
+        raise ValueError("empty point list")
+    n = form.nvars
+    for p in points:
+        if len(p) != n:
+            raise ValueError("point arity does not match the form")
+        if not all(isinstance(c, (int, Fraction)) for c in p):
+            raise ValueError("dual points must have rational coordinates")
+        if not any(p):
+            raise ValueError("zero vector is not a projective point")
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+    for (i, u), (j, v) in combinations(enumerate(pts), 2):
+        # proportional exactly when every 2 x 2 minor of (u, v) vanishes
+        if all(u[a] * v[b] == u[b] * v[a] for a, b in combinations(range(n), 2)):
+            raise ValueError(f"coincident dual points at indices {i} and {j}")
+    basis = monomial_basis(n, form.degree)
+    columns = [power_coefficient_vector(p, form.degree, basis) for p in pts]
+    weights = ExactMatrix(columns).transpose().solve(form.coefficient_vector(basis))
+    return ApolarityCertificate(weights is not None,
+                                None if weights is None else tuple(weights))
+
+
+def random_invertible_matrix(n, rng, bound=3):
+    """Unit lower * unit upper * permutation; always has determinant +-1."""
+    lower = [[1 if i == j else (rng.randint(-bound, bound) if i > j else 0)
+              for j in range(n)] for i in range(n)]
+    upper = [[1 if i == j else (rng.randint(-bound, bound) if i < j else 0)
+              for j in range(n)] for i in range(n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pmat = [[1 if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    return ExactMatrix(lower) @ ExactMatrix(upper) @ ExactMatrix(pmat)
+
+
+def scroll_quadrics(scroll):
+    """The 2 x 2 minors of the 2-row matrix whose columns are the
+    consecutive coordinate pairs inside each block of the scroll; they
+    span the degree-2 part of its ideal."""
+    position = {slot: idx for idx, slot in enumerate(coordinate_layout(scroll))}
+    columns = [(position[i, j], position[i, j + 1])
+               for i, a in enumerate(scroll.type) for j in range(a)]
+    nvars = scroll.N + 1
+    minors = []
+    for (top1, bot1), (top2, bot2) in combinations(columns, 2):
+        exp_a, exp_b = [0] * nvars, [0] * nvars
+        exp_a[top1] += 1
+        exp_a[bot2] += 1
+        exp_b[bot1] += 1
+        exp_b[top2] += 1
+        minors.append(Polynomial(nvars, 2, {tuple(exp_a): 1, tuple(exp_b): -1}))
+    return minors
 
 Fit = namedtuple("Fit", "rank residual")
 
@@ -209,7 +397,7 @@ def from_spanning(degree, nvars, polys):
     if not polys:
         return GradedIdealPiece(degree, nvars, ())
     reduced, pivots = coefficient_matrix(polys, monomial_basis(nvars, degree)).rref()
-    return GradedIdealPiece.from_vectors(degree, nvars,
+    return piece_from_vectors(degree, nvars,
                                          [reduced.row(i) for i in range(len(pivots))])
 
 
@@ -369,9 +557,9 @@ def annihilator_piece(form, k):
     basis in degree d + 1."""
     n, d = form.nvars, form.degree
     if k == d + 1:
-        return GradedIdealPiece.from_vectors(
+        return piece_from_vectors(
             k, n, ExactMatrix.identity(comb(n + k - 1, k)).rows())
-    return GradedIdealPiece.from_vectors(k, n, catalecticant(form, k).kernel().rows())
+    return piece_from_vectors(k, n, catalecticant(form, k).kernel().rows())
 
 
 def echelon_certificate(determinant, phi, cubic):

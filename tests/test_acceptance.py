@@ -10,19 +10,18 @@ import functools
 from itertools import combinations
 from math import comb
 
-from apolar_kit.apolarity import (apolar_ideal_piece, catalecticant,
-                                  macaulay_inverse, piece_contains)
-from apolar_kit.core import (ExactMatrix, Polynomial, change_coordinates,
-                             contract, monomial_basis, pair)
+from apolar_kit.apolarity import apolar_ideal_piece, macaulay_inverse
+from apolar_kit.core import ExactMatrix, Polynomial, change_coordinates, monomial_basis
 from apolar_kit.curvegen import sample_points, tetragonal_curve, trigonal_curve
 from apolar_kit.pipeline import (tetragonal_cube_bound, verify_tetragonal_bound,
                                  verify_trigonal_fermat)
 from apolar_kit.planemodel import (higher_gonality_degree, nakai_certificate,
                                    tetragonal_numerology)
 from apolar_kit.scroll import Scroll, chow_product, divisor_degree
-from apolar_kit.seeding import make_rng, random_form, random_invertible_matrix
-from apolar_kit.waring import fermat_detect
-from oracles import recon_piece
+from apolar_kit.seeding import make_rng, random_form
+from apolar_kit.waring import fermat_detect_detail
+from oracles import (catalecticant, contract, pair, piece_contains, random_invertible_matrix,
+                     recon_piece)
 
 
 def criterion(number, description):
@@ -203,7 +202,7 @@ def test_property_suites():
         n = rng.randint(2, 5)
         m = random_invertible_matrix(n, rng)
         f = change_coordinates(fermat(n), m)
-        dec = fermat_detect(f, seed=trial)
+        dec = fermat_detect_detail(f, seed=trial)[0]
         assert dec is not None and dec.rank == n
         assert len(dec.points) == n and dec.scheme_equation[-1] == 1
     # sampled points satisfy every equation and ideal element exactly

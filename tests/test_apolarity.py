@@ -7,14 +7,14 @@ import sympy
 
 from apolar_kit import apolarity
 from apolar_kit.apolarity import (GradedIdealPiece, SocleDimensionError,
-                                  apolar_ideal_piece, catalecticant,
-                                  hilbert_function, inverse_system,
-                                  is_apolar_scheme, macaulay_inverse,
-                                  piece_contains)
-from apolar_kit.core import (ExactMatrix, Polynomial, _row_to_int,
-                             change_coordinates, contract, monomial_basis)
-from apolar_kit.seeding import make_rng, random_form, random_invertible_matrix
-from oracles import annihilator_piece, from_spanning, hilbert_vector
+                                  apolar_ideal_piece, hilbert_function, inverse_system,
+                                  macaulay_inverse)
+from apolar_kit.core import (ExactMatrix, Polynomial, _row_to_int, change_coordinates,
+                             monomial_basis)
+from apolar_kit.seeding import make_rng, random_form
+from oracles import (annihilator_piece, catalecticant, contract, from_spanning,
+                     hilbert_vector, is_apolar_scheme, piece_contains,
+                     random_invertible_matrix)
 
 
 def fermat(n):

@@ -12,7 +12,8 @@ from apolar_kit.apolarity import apolar_ideal_piece
 from apolar_kit.cli import _COMMANDS, build_parser, main
 from apolar_kit.core import Polynomial
 from apolar_kit.curvegen import tetragonal_curve, trigonal_curve
-from apolar_kit.waring import fermat_detect
+from apolar_kit.waring import fermat_detect_detail
+import oracles
 
 
 def fermat_json(n):
@@ -50,7 +51,7 @@ class TestJsonRoundTrips:
         assert jsonio.curve_from_json(jsonio.curve_to_json(curve)) == curve
 
     def test_decomposition(self):
-        dec = fermat_detect(jsonio.polynomial_from_json(fermat_json(3)), seed=1)
+        dec, _ = fermat_detect_detail(jsonio.polynomial_from_json(fermat_json(3)), seed=1)
         data = jsonio.decomposition_to_json(dec)
         assert set(data) == {"rank", "nvars", "certificate", "residual",
                              "scheme_equation", "points"}
@@ -236,9 +237,12 @@ class TestCommands:
         ["curve-gen", "--g", "5", "--gonality", "3", "--split", "9,9", "--seed", "1"],
         ["alpha", "--g", "5", "--gonality", "3", "--split", "9,9", "--seed", "1"],
         ["nakai", "--k", "3", "--a-max", "-5"],
-        ["curve-gen", "--g", "12", "--gonality", "4", "--split", "0,7", "--seed", "1"]],
+        ["curve-gen", "--g", "12", "--gonality", "4", "--split", "0,7", "--seed", "1"],
+        ["curve-gen", "--g", "13", "--gonality", "4", "--split", "0,8", "--seed", "1"],
+        ["alpha", "--g", "10", "--gonality", "4", "--split", "0,5", "--seed", "1"]],
         ids=["negative-points", "curve-gen-trigonal-split", "alpha-trigonal-split",
-             "negative-a-max", "curve-gen-split-without-sections"])
+             "negative-a-max", "curve-gen-split-without-sections",
+             "curve-gen-reducible-split", "alpha-reducible-split"])
     def test_values_out_of_range_are_input_errors(self, argv, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main([*argv, "--out", str(out)]) == 2
@@ -266,6 +270,17 @@ class TestCommands:
         monkeypatch.setattr(pipeline, "_trial", no_trial)
         assert main(["verify-b", "--g", "7", f"--split={split}", "--trials", "1",
                      "--seed", "1"]) == 2
+
+    @pytest.mark.parametrize("g, split", [(10, "0,5"), (11, "0,6"), (11, "6,0")])
+    def test_reducible_split_is_input_error_before_any_trial(self, monkeypatch, capsys,
+                                                             g, split):
+        def no_trial(args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(pipeline, "_trial", no_trial)
+        assert main(["verify-b", "--g", str(g), "--split", split, "--trials", "1",
+                     "--seed", "1"]) == 2
+        assert "only reducible surfaces" in capsys.readouterr().err
 
     def test_apolar_command(self, tmp_path):
         poly_path = tmp_path / "cubic.json"
@@ -464,3 +479,48 @@ class TestProcessCount:
             assert main(argv + ["--out", str(out)]) == 0
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
+
+
+# one small case of every command; `{name}` is an input file made below
+GUARDED = {
+    "apolar": ["apolar", "--in", "{cubic}"],
+    "apolar-k": ["apolar", "--in", "{cubic}", "--k", "2"],
+    "inverse": ["inverse", "--in", "{pieces}"],
+    "fermat": ["fermat", "--in", "{cubic}", "--seed", "1"],
+    "scroll": ["scroll", "--type", "1,1,2", "--op", "sections", "--class", "2,-1"],
+    "curve-gen-3": ["curve-gen", "--g", "5", "--gonality", "3", "--seed", "1"],
+    "curve-gen-4": ["curve-gen", "--g", "6", "--gonality", "4", "--seed", "1"],
+    "alpha": ["alpha", "--g", "6", "--gonality", "3", "--seed", "1"],
+    "alpha-in": ["alpha", "--in", "{curve}", "--seed", "1"],
+    "verify-a": ["verify-a", "--g", "5", "--trials", "1", "--seed", "1"],
+    "verify-b": ["verify-b", "--g", "6", "--trials", "1", "--seed", "1"],
+    "numerology": ["numerology", "--g", "9"],
+    "nakai": ["nakai", "--k", "3", "--a-max", "10"],
+    "gonality-n": ["gonality-n", "--n", "5", "--k", "2"],
+}
+
+
+class TestRationalLayerIsDead:
+    """`core.ExactMatrix`, `change_coordinates` and `substitute` stay in the
+    package only for the bench tracer; no command reaches them."""
+
+    def test_every_command_is_guarded(self):
+        assert {argv[0] for argv in GUARDED.values()} == set(_COMMANDS)
+
+    @pytest.mark.parametrize("argv", GUARDED.values(), ids=GUARDED)
+    def test_command_runs_without_it(self, argv, tmp_path, monkeypatch):
+        cubic = jsonio.polynomial_from_json(fermat_json(3))
+        inputs = {"cubic": fermat_json(3),
+                  "pieces": {"d": 3, "pieces": [jsonio.piece_to_json(apolar_ideal_piece(cubic, k))
+                                                for k in (1, 2, 3)]},
+                  "curve": jsonio.curve_to_json(tetragonal_curve(6, 0, 1, seed=3))}
+        paths = {}
+        for name, data in inputs.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(data))
+        argv = [arg.format(**paths) for arg in argv]
+        monkeypatch.delenv("APOLAR_KIT_THREADS", raising=False)
+        expected = run(tmp_path, *argv)
+        oracles.refuse_rational_layer(monkeypatch)
+        assert run(tmp_path, *argv) == expected
+        assert expected[0] == 0

@@ -6,10 +6,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apolar_kit.core import (ExactMatrix, Polynomial, change_coordinates,
-                             coefficient_matrix, contract, int_kernel,
-                             monomial_basis, pair, substitute)
-from apolar_kit.seeding import make_rng, random_form, random_invertible_matrix
+from apolar_kit.core import (ExactMatrix, Polynomial, change_coordinates, monomial_basis,
+                             substitute)
+from apolar_kit.seeding import make_rng, random_form
+from oracles import (catalecticant, coefficient_matrix, contract, int_kernel, pair,
+                     random_invertible_matrix)
 
 
 def mono(*exp):
@@ -208,7 +209,6 @@ class TestExactMatrix:
     def test_generic_cubic_catalecticant_rank(self):
         # degree-1 catalecticant of a dense random cubic in 4 variables:
         # rows are the partial derivatives, full rank generically
-        from apolar_kit.apolarity import catalecticant
         rng = make_rng(14)
         for _ in range(20):
             f = random_form(4, 3, rng)

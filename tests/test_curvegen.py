@@ -8,25 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apolar_kit import curvegen
-from apolar_kit.apolarity import piece_contains
 from apolar_kit.core import (ExactMatrix, Polynomial, _monomial_value, _rank_mod_prime,
-                             _row_to_int, coefficient_matrix, int_kernel, monomial_basis,
-                             primitive_point)
-from apolar_kit.curvegen import (BihomSection, IdealDimensionError,
+                             _row_to_int, monomial_basis, primitive_point)
+from apolar_kit.curvegen import (BihomSection, CurveSpec, IdealDimensionError,
                                  PointCertificateError, SamplingError,
                                  balanced_type, expected_cubic_dim,
                                  expected_quadric_dim, genus_adjunction,
                                  ideal_pieces, random_section, sample_points,
-                                 tetragonal_curve, trigonal_curve,
+                                 tetragonal_curve, tetragonal_surfaces, trigonal_curve,
                                  _ambient_restriction, _common_base_factor,
                                  _conic_pencil, _distinct_roots, _evaluation_matrix,
                                  _fiber_rational_points, _form_value, _section_from_vector,
                                  _section_slots, _tetragonal_fiber_points)
-from apolar_kit.scroll import (Scroll, canonical_class, chow_product,
-                               divisor_degree, scroll_quadrics)
+from apolar_kit.scroll import (Scroll, canonical_class, chow_product, divisor_degree,
+                               section_count)
 from apolar_kit.seeding import make_rng, small_rationals
-from oracles import (binary_roots, conic_pencil, fiber_form, quadratic_fiber_points,
-                     recon_piece)
+from oracles import (binary_roots, coefficient_matrix, conic_pencil, fiber_form, int_kernel,
+                     piece_contains, quadratic_fiber_points, recon_piece, scroll_quadrics)
 
 
 def division_piece(curve, k):
@@ -312,10 +310,39 @@ class TestTetragonalCurve:
         with pytest.raises(ValueError, match="no sections"):
             tetragonal_curve(12, 0, 7, seed=1)
 
-    def test_unbalanced_scroll_needs_flag(self):
-        # the balanced type for g = 9 is (2, 2, 2); (1, 2, 3) is unbalanced
-        with pytest.raises(ValueError):
-            tetragonal_curve(9, 2, 2, seed=1, scroll_type=(1, 2, 3))
+    @pytest.mark.parametrize("g, split, scroll_type", [
+        (10, (0, 5), (2, 2, 3)), (11, (0, 6), (2, 3, 3)), (13, (0, 8), (3, 3, 4))])
+    def test_split_with_only_reducible_surfaces_rejected(self, g, split, scroll_type):
+        # 2H - bF with b > min(e1 + e3, 2 e2): every fiber conic has a
+        # common factor or misses y1, so the surface is reducible
+        assert balanced_type(g - 3, 3) == scroll_type
+        scroll = Scroll(scroll_type)
+        assert section_count(scroll, scroll.cls(2, -split[1])) > 0
+        with pytest.raises(ValueError, match="only reducible surfaces"):
+            tetragonal_surfaces(g, *split)
+        with pytest.raises(ValueError, match="only reducible surfaces"):
+            tetragonal_curve(g, *split, seed=1)
+
+    @pytest.mark.parametrize("g, b", [(10, 5), (11, 6), (13, 8)])
+    def test_rejected_classes_have_only_reducible_sections(self, g, b):
+        # b > 2 e2 puts y2 (0-based) in every term, b > e1 + e3 leaves y0 out
+        scroll = Scroll(balanced_type(g - 3, 3))
+        e1, e2, e3 = scroll.type
+        conic = fiber_form(random_section(scroll, scroll.cls(2, -b), make_rng(g)), (1, 2))
+        assert not conic.is_zero()
+        if b > 2 * e2:
+            assert all(exp[2] for exp in conic.terms)
+        if b > e1 + e3:
+            assert not any(exp[0] for exp in conic.terms)
+
+    def test_other_splits_inside_the_guard_accepted(self):
+        for g in range(6, 12):
+            for b1 in range(g - 4):
+                split = (b1, g - 5 - b1)
+                if (g, max(split)) in ((10, 5), (11, 6)):
+                    continue
+                _, *classes = tetragonal_surfaces(g, *split)
+                assert [-c.f for c in classes] == list(split)
 
     def test_fiber_length_four(self):
         curve = tetragonal_curve(7, 1, 1, seed=4)
@@ -611,9 +638,15 @@ class TestIdealPieces:
     def test_pieces_match_division_criterion(self, g, split, scroll_type):
         if split is None:
             curve = trigonal_curve(g, seed=1)
+        elif scroll_type is None:
+            curve = tetragonal_curve(g, *split, seed=1)
         else:
-            curve = tetragonal_curve(g, *split, seed=1, scroll_type=scroll_type,
-                                     allow_unbalanced=scroll_type is not None)
+            # `_piece` on an unbalanced scroll: two free sections, no hints
+            scroll = Scroll(scroll_type)
+            classes = tuple(scroll.cls(2, -b) for b in split)
+            rng = make_rng(1)
+            curve = CurveSpec(g, 4, scroll, classes,
+                              tuple(random_section(scroll, c, rng) for c in classes), 1)
         recon = ideal_pieces(curve)
         for piece in (recon_piece(recon, 2), recon_piece(recon, 3)):
             reference = division_piece(curve, piece.degree)

@@ -64,6 +64,44 @@ def test_public_functions_and_methods_are_referenced():
     assert unused == []
 
 
+# Module-level public names that no package code reads, kept because the
+# bench names them: each cites the bench line that pins it.
+BENCH_PINNED = {
+    "core.py:ExactMatrix": "bench/tracer.py:163 wraps ExactMatrix's elimination methods",
+    "core.py:change_coordinates": "bench/tracer.py:147 wraps core.change_coordinates",
+    "core.py:substitute": "bench/tracer.py:147 wraps change_coordinates, which calls it",
+    "pipeline.py:reduce_to_quotient": "bench/test_bench.py:61 reads "
+                                      "pipeline.change_coordinates, imported for it",
+}
+
+LIBRARY_MODULES = ("core", "apolarity", "seeding", "waring", "pipeline", "scroll")
+
+
+def test_public_names_are_read_by_the_package():
+    """Every module-level public function and class of the library modules
+    is read by package code: the CLI counts, a re-export in `__init__`
+    does not, nor does a definition reading its own name.  Reads from
+    inside a bench-pinned definition do not count either, so the
+    allow-list holds exactly the names the bench keeps alive."""
+    defined, readers = [], []
+    for path, tree in _parse([PACKAGE]).items():
+        if path.name == "__init__.py":
+            continue
+        for node in tree.body:
+            key = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                key = f"{path.name}:{node.name}"
+                if path.stem in LIBRARY_MODULES and not node.name.startswith("_"):
+                    defined.append((key, node.name))
+            if key not in BENCH_PINNED:
+                readers.append((key, {n.id if isinstance(n, ast.Name) else n.attr
+                                      for n in ast.walk(node)
+                                      if isinstance(n, (ast.Name, ast.Attribute))}))
+    unread = sorted(key for key, name in defined
+                    if not any(name in names for reader, names in readers if reader != key))
+    assert unread == sorted(BENCH_PINNED)
+
+
 def test_imports_are_used():
     """Every name a package module imports at top level is read in it."""
     unused = []

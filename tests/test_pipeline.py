@@ -17,7 +17,7 @@ from apolar_kit.apolarity import (SocleDimensionError, apolar_ideal_piece,
                                   macaulay_inverse)
 from apolar_kit.cli import main
 from apolar_kit.core import (ExactMatrix, Polynomial, _int_echelon, _row_to_int,
-                             change_coordinates, coefficient_matrix, monomial_basis)
+                             change_coordinates, monomial_basis)
 from apolar_kit.curvegen import (ideal_pieces, sample_points, tetragonal_curve,
                                  trigonal_curve)
 from apolar_kit.pipeline import (AlphaCertificateError, CertificateError,
@@ -25,12 +25,11 @@ from apolar_kit.pipeline import (AlphaCertificateError, CertificateError,
                                  _scheme, alpha_for_curve, alpha_map, quotient_frame,
                                  reduce_to_quotient, tetragonal_cube_bound,
                                  verify_tetragonal_bound, verify_trigonal_fermat)
-from apolar_kit.seeding import (derive_seed, make_rng, random_dual_linear, random_form,
-                                random_invertible_matrix)
-from apolar_kit.waring import fermat_detect
+from apolar_kit.seeding import derive_seed, make_rng, random_dual_linear, random_form
+from apolar_kit.waring import fermat_detect_detail
 import oracles
-from oracles import (echelon_certificate, from_spanning, oracle_fit, oracle_points,
-                     recon_piece)
+from oracles import (coefficient_matrix, echelon_certificate, from_spanning, oracle_fit,
+                     oracle_points, random_invertible_matrix, recon_piece, scroll_quadrics)
 
 _T = sympy.Symbol("t")
 
@@ -181,28 +180,19 @@ class TestAlphaMap:
             eta1 = random_dual_linear(5, rng)
             eta2 = random_dual_linear(5, rng)
             alpha = alpha_map(recon, eta1, eta2)
-            assert fermat_detect(alpha.cubic, seed=1) is not None
+            assert fermat_detect_detail(alpha.cubic, seed=1)[0] is not None
             cubics.append(alpha.cubic)
         # general quotients differ even though both are sums of 3 cubes
         assert cubics[0] != cubics[1]
 
-    def test_alpha_map_neither_pairs_nor_contracts(self, monkeypatch):
+    def test_alpha_map_neither_pairs_nor_contracts(self):
         # the quotient pairs and contracts in integer rows written down
-        # directly; `pair` and `contract` stay as the scalar definitions
-        import sys
-        from apolar_kit import core
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("alpha_map called pair or contract")
-
+        # directly; `pair` and `contract` live on only as test oracles
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "apolar_kit":
+                assert not {"pair", "contract"} & set(vars(module)), module_name
         curves = (trigonal_curve(6, seed=25), tetragonal_curve(7, 1, 1, seed=26))
         recons = [build_recon(curve) for curve in curves]
-        for name in ("pair", "contract"):
-            original = getattr(core, name)
-            for module_name, module in list(sys.modules.items()):
-                if (module_name.split(".")[0] == "apolar_kit"
-                        and getattr(module, name, None) is original):
-                    monkeypatch.setattr(module, name, refuse)
         rng = make_rng(78)
         for curve, recon in zip(curves, recons):
             g = curve.genus
@@ -358,9 +348,7 @@ class TestIntegerQuotient:
                                                  tetragonal_curve(8, 1, 2, seed=92))]
 
     def test_no_exact_matrix(self, recons, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("an ExactMatrix was built")
-        monkeypatch.setattr(ExactMatrix, "__init__", refuse)
+        oracles.refuse_rational_layer(monkeypatch)
         rng = make_rng(93)
         for recon in recons:
             g = recon.genus
@@ -390,12 +378,10 @@ class TestIntegerFormsLayer:
     """The forms layer runs on integer rows from the form's integer terms."""
 
     def test_no_exact_matrix_and_no_contract(self, monkeypatch):
-        from apolar_kit import core
+        # `contract` is an oracle only; the rational remainder of `core`
+        # refuses to run while the integer forms layer is compared to it
         from apolar_kit.apolarity import hilbert_function
-        from apolar_kit.waring import fermat_detect_detail, rank_lower_bound
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("an ExactMatrix was built or contract was called")
+        from apolar_kit.waring import rank_lower_bound
 
         rng = make_rng(95)
         hesse = Polynomial(3, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1, 1): 6})
@@ -412,11 +398,8 @@ class TestIntegerFormsLayer:
                     for f in forms]
         recon = build_recon(trigonal_curve(6, seed=96))
         eta1, eta2 = _random_eta_pair(6, rng)
-        monkeypatch.setattr(ExactMatrix, "__init__", refuse)
-        for module_name, module in list(sys.modules.items()):
-            if (module_name.split(".")[0] == "apolar_kit"
-                    and getattr(module, "contract", None) is core.contract):
-                monkeypatch.setattr(module, "contract", refuse)
+        assert not hasattr(core, "contract")
+        oracles.refuse_rational_layer(monkeypatch)
         for f, (detected, profile, pieces) in zip(forms, expected):
             if f.degree == 3:
                 assert fermat_detect_detail(f, seed=1) == detected
@@ -502,7 +485,6 @@ class TestGammaPoints:
             assert vanishes_on_scheme(op, determinant, phi)
 
     def test_scroll_quadric_images_vanish_on_tetragonal_scheme(self):
-        from apolar_kit.scroll import scroll_quadrics
         curve = tetragonal_curve(7, 1, 1, seed=36)
         recon = build_recon(curve)
         rng = make_rng(37)
@@ -575,7 +557,7 @@ class TestExactCertificate:
         assert failures == []
         assert found["certificate"] == "exact"
         assert found["detected_rank"] == g - 2 and found["rank_interval"] == [g - 2, g - 2]
-        assert fermat_detect(alpha.cubic).rank == g - 2
+        assert fermat_detect_detail(alpha.cubic)[0].rank == g - 2
         determinant, phi = scheme_of(curve, None, alpha.eta1, alpha.eta2)
         assert oracle_fit(determinant, phi, alpha.cubic).rank == g - 2
 

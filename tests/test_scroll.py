@@ -1,33 +1,32 @@
 import pytest
 
-from apolar_kit.scroll import (Scroll, canonical_class,
-                               chow_product, coordinate_layout, divisor_degree,
-                               embed_point, project_type, scroll_new,
-                               scroll_quadrics, section_count,
+from apolar_kit.scroll import (Scroll, canonical_class, chow_product, coordinate_layout,
+                               divisor_degree, embed_point, project_type, section_count,
                                section_templates)
 from apolar_kit.seeding import make_rng
+from oracles import scroll_quadrics
 
 
 class TestScrollBasics:
     def test_quartic_threefold(self):
-        s = scroll_new(1, 1, 2)
+        s = Scroll((1, 1, 2))
         assert (s.N, s.degree, s.k) == (6, 4, 3)
 
     def test_cubic_surface(self):
-        s = scroll_new(1, 2)
+        s = Scroll((1, 2))
         assert (s.N, s.degree) == (4, 3)
 
     def test_balanced_sextic(self):
-        s = scroll_new(2, 2, 2)
+        s = Scroll((2, 2, 2))
         assert (s.N, s.degree) == (8, 6)
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
-            scroll_new(0, 0)
+            Scroll((0, 0))
 
     def test_smoothness_flag(self):
-        assert scroll_new(1, 2).smooth
-        assert not scroll_new(0, 2).smooth
+        assert Scroll((1, 2)).smooth
+        assert not Scroll((0, 2)).smooth
 
     def test_degree_identity_random_types(self):
         rng = make_rng(31)
@@ -43,11 +42,11 @@ class TestScrollBasics:
 
 class TestChowProduct:
     def test_hyperplane_cube(self):
-        s = scroll_new(1, 1, 2)
+        s = Scroll((1, 1, 2))
         assert chow_product([s.H, s.H, s.H]) == 4
 
     def test_special_surface_degree(self):
-        s = scroll_new(1, 1, 2)
+        s = Scroll((1, 1, 2))
         assert chow_product([s.cls(2, -2), s.H, s.H]) == 6
 
     def test_curve_degree_identity(self):
@@ -63,41 +62,41 @@ class TestChowProduct:
                 assert prod == 4 * (g - 3) - 2 * (b1 + b2) == 2 * g - 2
 
     def test_arity_enforced(self):
-        s = scroll_new(1, 2)
+        s = Scroll((1, 2))
         with pytest.raises(ValueError):
             chow_product([s.H])
 
     def test_context_enforced(self):
-        s1, s2 = scroll_new(1, 2), scroll_new(2, 2)
+        s1, s2 = Scroll((1, 2)), Scroll((2, 2))
         with pytest.raises(ValueError):
             chow_product([s1.H, s2.H])
 
 
 class TestCanonicalClass:
     def test_cubic_surface(self):
-        k = canonical_class(scroll_new(1, 2))
+        k = canonical_class(Scroll((1, 2)))
         assert (k.h, k.f) == (-2, 1)
 
     def test_quartic_threefold(self):
-        k = canonical_class(scroll_new(1, 1, 2))
+        k = canonical_class(Scroll((1, 1, 2)))
         assert (k.h, k.f) == (-3, 2)
 
     def test_quadric_surface(self):
-        k = canonical_class(scroll_new(1, 1))
+        k = canonical_class(Scroll((1, 1)))
         assert (k.h, k.f) == (-2, 0)
 
 
 class TestDivisorDegree:
     def test_generic_tetragonal_surface(self):
-        s = scroll_new(1, 1, 2)   # degree 4, the g = 7 threefold
+        s = Scroll((1, 1, 2))   # degree 4, the g = 7 threefold
         assert divisor_degree(s, s.cls(2, -1)) == 7
 
     def test_special_tetragonal_surface(self):
-        s = scroll_new(1, 1, 2)
+        s = Scroll((1, 1, 2))
         assert divisor_degree(s, s.cls(2, -2)) == 6
 
     def test_scroll_itself(self):
-        s = scroll_new(1, 2)
+        s = Scroll((1, 2))
         assert divisor_degree(s, s.H) == 3
 
     def test_degree_matches_formula(self):
@@ -110,25 +109,25 @@ class TestDivisorDegree:
 
 class TestSectionTemplates:
     def test_trigonal_genus_five_class(self):
-        s = scroll_new(1, 2)
+        s = Scroll((1, 2))
         pairs = section_templates(s, s.cls(3, -1))
         degrees = {exp: d for exp, d in pairs}
         assert degrees == {(3, 0): 2, (2, 1): 3, (1, 2): 4, (0, 3): 5}
         assert section_count(s, s.cls(3, -1)) == 18
 
     def test_hyperplanes(self):
-        s = scroll_new(1, 1, 2)
+        s = Scroll((1, 1, 2))
         assert section_count(s, s.H) == s.N + 1 == 7
 
     def test_special_surface_class(self):
-        s = scroll_new(1, 1, 2)
+        s = Scroll((1, 1, 2))
         pairs = section_templates(s, s.cls(2, -2))
         degrees = sorted(d for _, d in pairs)
         assert degrees == [0, 0, 0, 1, 1, 2]
         assert section_count(s, s.cls(2, -2)) == 10
 
     def test_negative_degrees_omitted(self):
-        s = scroll_new(1, 2)
+        s = Scroll((1, 2))
         pairs = section_templates(s, s.cls(2, -4))
         assert all(d >= 0 for _, d in pairs)
         assert ((2, 0), 0) not in pairs  # 2*1 - 4 < 0 drops the y0^2 slot
@@ -136,18 +135,18 @@ class TestSectionTemplates:
 
 class TestEmbedPoint:
     def test_block_origin(self):
-        p = embed_point(scroll_new(1, 2), (1, 0), (1, 0))
+        p = embed_point(Scroll((1, 2)), (1, 0), (1, 0))
         assert p.image == (1, 0, 0, 0, 0)
 
     def test_second_block(self):
-        p = embed_point(scroll_new(1, 2), (1, 1), (0, 1))
+        p = embed_point(Scroll((1, 2)), (1, 1), (0, 1))
         assert p.image == (0, 0, 1, 1, 1)
 
     def test_zero_inputs_rejected(self):
         with pytest.raises(ValueError):
-            embed_point(scroll_new(1, 2), (0, 0), (1, 0))
+            embed_point(Scroll((1, 2)), (0, 0), (1, 0))
         with pytest.raises(ValueError):
-            embed_point(scroll_new(1, 2), (1, 0), (0, 0))
+            embed_point(Scroll((1, 2)), (1, 0), (0, 0))
 
     def test_images_satisfy_scroll_quadrics(self):
         rng = make_rng(32)
@@ -168,33 +167,33 @@ class TestEmbedPoint:
 
 class TestProjectType:
     def test_projection_balances_type(self):
-        assert project_type(scroll_new(1, 1, 2), 2).type == (1, 1, 1)
+        assert project_type(Scroll((1, 1, 2)), 2).type == (1, 1, 1)
 
     def test_drop_convention(self):
-        assert project_type(scroll_new(0, 2), 0).type == (2,)
+        assert project_type(Scroll((0, 2)), 0).type == (2,)
 
     def test_iterated(self):
-        s = scroll_new(2, 2, 2)
+        s = Scroll((2, 2, 2))
         s = project_type(s, 2)
         s = project_type(s, 2)
         assert s.type == (2, 2, 0)
 
     def test_bad_index(self):
         with pytest.raises(ValueError):
-            project_type(scroll_new(1, 2), 5)
+            project_type(Scroll((1, 2)), 5)
 
 
 class TestLayout:
     def test_layout_blocks(self):
-        assert coordinate_layout(scroll_new(1, 2)) == [(0, 0), (0, 1),
+        assert coordinate_layout(Scroll((1, 2))) == [(0, 0), (0, 1),
                                                        (1, 0), (1, 1), (1, 2)]
 
     def test_quadric_count(self):
         # one column per block step; all 2x2 minors
-        s = scroll_new(1, 2)
+        s = Scroll((1, 2))
         assert len(scroll_quadrics(s)) == 3
 
     def test_divisor_arithmetic(self):
-        s = scroll_new(1, 2)
+        s = Scroll((1, 2))
         c = 2 * s.H - 3 * s.F + s.cls(0, 1)
         assert (c.h, c.f) == (2, -2)

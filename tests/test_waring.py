@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import oracles
-from apolar_kit.apolarity import catalecticant, hilbert_function, is_apolar_scheme
+from apolar_kit.apolarity import hilbert_function
 from apolar_kit import waring
-from apolar_kit.core import (ExactMatrix, Polynomial, change_coordinates, contract,
-                             monomial_basis)
-from apolar_kit.seeding import make_rng, random_form, random_invertible_matrix
+from apolar_kit.core import ExactMatrix, Polynomial, change_coordinates, monomial_basis
+from apolar_kit.seeding import make_rng, random_form
 from apolar_kit.waring import (CertificateError, PencilError, _certify_scheme,
-                               fermat_detect, fermat_detect_detail,
-                               rank_lower_bound, simultaneous_diagonalize)
-from oracles import oracle_fit, oracle_points
+                               fermat_detect_detail, rank_lower_bound,
+                               simultaneous_diagonalize)
+from oracles import (catalecticant, contract, is_apolar_scheme, oracle_fit, oracle_points,
+                     random_invertible_matrix)
 
 
 def fermat(n):
@@ -248,7 +248,7 @@ class TestWitnessCertificate:
         form = bench_style_fermat(n, make_rng(900 + n))
         schemes = []
         for seed in (1, 2, 3):
-            dec = fermat_detect(form, seed)
+            dec = fermat_detect_detail(form, seed)[0]
             assert dec is not None and dec.rank == n
             schemes.append((list(dec.scheme_equation), [list(f) for f in dec.points]))
         bumped = form + Polynomial.monomial((1, 1, 1) + (0,) * (n - 3))
@@ -284,7 +284,7 @@ EDGE_CUBICS = [
 
 class TestFermatDetect:
     def test_plain_fermat(self):
-        dec = fermat_detect(fermat(3), seed=1)
+        dec = fermat_detect_detail(fermat(3), seed=1)[0]
         assert dec is not None and dec.rank == 3
         expected = [tuple(mp.mpf(1 if i == j else 0) for j in range(3)) for i in range(3)]
         assert match_up_to_permutation_and_scale(decomposition_points(dec), expected,
@@ -298,7 +298,7 @@ class TestFermatDetect:
             n = rng.randint(2, 6)
             m = random_invertible_matrix(n, rng)
             f = change_coordinates(fermat(n), m)
-            dec = fermat_detect(f, seed=trial)
+            dec = fermat_detect_detail(f, seed=trial)[0]
             assert dec is not None, f"trial {trial} in {n} variables"
             assert dec.rank == n
             expected = [tuple(mp.mpf(int(m.entry(i, j))) for j in range(n))
@@ -321,7 +321,7 @@ class TestFermatDetect:
         f = change_coordinates(
             Polynomial(n, 3, {tuple(3 if i == j else 0 for j in range(n)): w
                               for i, w in enumerate(weights[:n])}), m)
-        dec = fermat_detect(f, seed=seed)
+        dec = fermat_detect_detail(f, seed=seed)[0]
         assert dec is not None and dec.rank == n
         # the scheme's points are the rows of m
         expected = [tuple(mp.mpf(int(x)) for x in row) for row in rows]
@@ -335,7 +335,7 @@ class TestFermatDetect:
                 _certify_scheme(list(dec.scheme_equation), dec.points, perturbed)
         # detection may still find other cubes (the example above); the
         # float oracle must then confirm them
-        found = fermat_detect(perturbed, seed=seed)
+        found = fermat_detect_detail(perturbed, seed=seed)[0]
         if found is not None:
             fit = oracle_fit(found.scheme_equation, found.points, perturbed)
             assert fit is not None and fit.rank == n
@@ -355,7 +355,7 @@ class TestFermatDetect:
 
     def test_hesse_points_are_the_cube_roots_of_unity(self):
         f = Polynomial(3, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1, 1): 6})
-        dec = fermat_detect(f, seed=1)
+        dec = fermat_detect_detail(f, seed=1)[0]
         with mp.workprec(160):
             w = mp.expjpi(mp.mpf(2) / 3)
             expected = [(mp.mpf(1), w ** k, w ** (2 * k)) for k in range(3)]
@@ -405,19 +405,19 @@ class TestFermatDetect:
                 expect = True
             else:
                 f = random_form(n + 1, 3, rng)
-                f_det = fermat_detect(f, seed=trial) is not None
-                g_det = fermat_detect(
+                f_det = fermat_detect_detail(f, seed=trial)[0] is not None
+                g_det = fermat_detect_detail(
                     change_coordinates(f, random_invertible_matrix(n + 1, rng)),
-                    seed=trial) is not None
+                    seed=trial)[0] is not None
                 assert f_det == g_det
                 continue
-            assert (fermat_detect(f, seed=trial) is not None) == expect
+            assert (fermat_detect_detail(f, seed=trial)[0] is not None) == expect
 
     def test_complex_fermat_over_reals(self):
         # x0^3 - 3 x0 x1^2 = ((x0 + i x1)^3 + (x0 - i x1)^3) / 2 needs
         # complex points; the scheme equation has no real root
         f = Polynomial(2, 3, {(3, 0): 1, (1, 2): -3})
-        dec = fermat_detect(f, seed=4)
+        dec = fermat_detect_detail(f, seed=4)[0]
         assert dec is not None and dec.rank == 2
         expected = [(mp.mpf(1), mp.mpc(0, 1)), (mp.mpf(1), mp.mpc(0, -1))]
         assert match_up_to_permutation_and_scale(decomposition_points(dec), expected,
@@ -425,7 +425,7 @@ class TestFermatDetect:
 
     def test_weighted_fermat(self):
         f = Polynomial(3, 3, {(3, 0, 0): 5, (0, 3, 0): -7, (0, 0, 3): Fraction(1, 3)})
-        dec = fermat_detect(f, seed=5)
+        dec = fermat_detect_detail(f, seed=5)[0]
         assert dec is not None and dec.rank == 3
         expected = [tuple(mp.mpf(1 if i == j else 0) for j in range(3)) for i in range(3)]
         assert match_up_to_permutation_and_scale(decomposition_points(dec), expected,
@@ -434,8 +434,8 @@ class TestFermatDetect:
     def test_uniqueness_of_point_set(self):
         # two different seeds must return the same projective point set
         f = change_coordinates(fermat(4), random_invertible_matrix(4, make_rng(46)))
-        d1 = fermat_detect(f, seed=7)
-        d2 = fermat_detect(f, seed=8)
+        d1 = fermat_detect_detail(f, seed=7)[0]
+        d2 = fermat_detect_detail(f, seed=8)[0]
         assert d1 is not None and d2 is not None
         assert d1.scheme_equation != d2.scheme_equation
         assert match_up_to_permutation_and_scale(decomposition_points(d1),
