@@ -50,8 +50,12 @@ def _emit(report: dict, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _parse_int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in raw.split(",") if part != "")
+def _parse_int_list(raw: str, flag: str) -> tuple[int, ...]:
+    """A flag's comma-separated integers; an empty value or part is an input error."""
+    try:
+        return tuple(int(part) for part in raw.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} takes comma-separated integers, not {raw!r}") from None
 
 
 def _cmd_apolar(args) -> dict:
@@ -92,7 +96,7 @@ def _cmd_fermat(args) -> dict:
 
 
 def _cmd_scroll(args) -> dict:
-    scroll = Scroll(_parse_int_list(args.type))
+    scroll = Scroll(_parse_int_list(args.type, "--type"))
     report = {
         "claim": "divisor arithmetic on a rational normal scroll",
         "scroll": jsonio.scroll_to_json(scroll),
@@ -105,18 +109,18 @@ def _cmd_scroll(args) -> dict:
     if args.op == "chow" and args.classes is None:
         raise ValueError("--classes is required for op 'chow'")
     if args.op == "degree":
-        cls = scroll.cls(*_parse_int_list(args.cls))
+        cls = scroll.cls(*_parse_int_list(args.cls, "--class"))
         report["class"] = jsonio.divisor_to_json(cls)
         report["result"] = divisor_degree(scroll, cls)
     elif args.op == "canonical":
         report["result"] = jsonio.divisor_to_json(canonical_class(scroll))
     elif args.op == "chow":
-        classes = [scroll.cls(*_parse_int_list(part))
+        classes = [scroll.cls(*_parse_int_list(part, "--classes"))
                    for part in args.classes.split(";")]
         report["classes"] = [jsonio.divisor_to_json(c) for c in classes]
         report["result"] = chow_product(classes)
     elif args.op == "sections":
-        cls = scroll.cls(*_parse_int_list(args.cls))
+        cls = scroll.cls(*_parse_int_list(args.cls, "--class"))
         report["class"] = jsonio.divisor_to_json(cls)
         report["templates"] = [{"fiber_exp": list(exp), "base_degree": d}
                                for exp, d in section_templates(scroll, cls)]
@@ -132,11 +136,11 @@ def _make_curve(args):
     if args.g is None or args.gonality is None:
         raise ValueError("--g and --gonality are required when no curve file is given")
     if args.gonality == 3:
-        if args.split:
+        if args.split is not None:
             raise ValueError("--split applies to gonality 4 only")
         return trigonal_curve(args.g, args.seed)
-    if args.split:
-        b1, b2 = _parse_int_list(args.split)
+    if args.split is not None:
+        b1, b2 = _parse_int_list(args.split, "--split")
     else:
         b1, b2 = balanced_type(args.g - 5, 2)
     return tetragonal_curve(args.g, b1, b2, args.seed)
@@ -190,7 +194,7 @@ def _cmd_verify_a(args) -> dict:
 
 
 def _cmd_verify_b(args) -> dict:
-    split = _parse_int_list(args.split) if args.split else None
+    split = _parse_int_list(args.split, "--split") if args.split is not None else None
     return verify_tetragonal_bound(args.g, split, args.trials, args.seed)
 
 

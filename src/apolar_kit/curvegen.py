@@ -368,49 +368,50 @@ def _tetragonal_fiber_points(q1: Sequence[int], q2: Sequence[int]) -> list[tuple
     return points
 
 
-def tetragonal_surfaces(g: int, b1: int, b2: int) -> tuple[Scroll, DivisorClass, DivisorClass]:
-    """The balanced threefold scroll S(e1, e2, e3) of degree g - 3 and the
-    classes 2H - b1 F, 2H - b2 F of a split, checked to cut irreducible
-    surfaces.
+def tetragonal_surfaces(scroll: Scroll, b1: int, b2: int) -> tuple[DivisorClass, DivisorClass]:
+    """The classes 2H - b_i F of a split, b_i >= 0 and b1 + b2 = deg S - 2
+    (= g - 5), on a threefold scroll S(e1, e2, e3), e1 <= e2 <= e3,
+    checked to cut irreducible surfaces.
 
-    The fiber conic of a section of 2H - bF has the monomial y_i y_j
-    only when e_i + e_j >= b.  With b > 2 e2 every monomial left has y3,
-    and with b > e1 + e3 none has y1, a cone; either way every section is
-    reducible, while the construction (Schreyer 1986) needs fiber conics
-    of rank 3.  A class with no sections, or only such sections, is an
+    The fiber conic of a section of 2H - bF has the monomial y_i y_j only
+    when e_i + e_j >= b.  With b > 2 e3 there is no section.  With b > 2 e2
+    every monomial left has y3, and with b > e1 + e3 none has y1, a cone;
+    either way every section is reducible, while the construction
+    (Schreyer 1986) needs fiber conics of rank 3.  Any other split is an
     input error (ValueError).
     """
-    scroll = Scroll(balanced_type(g - 3, 3))
+    if b1 < 0 or b2 < 0:
+        raise ValueError(f"the split ({b1}, {b2}) has a negative entry")
+    if b1 + b2 != scroll.degree - 2:
+        raise ValueError(f"the split ({b1}, {b2}) does not sum to deg S - 2 = g - 5 = "
+                         f"{scroll.degree - 2}")
     classes = scroll.cls(2, -b1), scroll.cls(2, -b2)
     if min(section_count(scroll, c) for c in classes) == 0:
         raise ValueError(f"class with no sections among {classes[0]}, {classes[1]}")
-    e1, e2, e3 = scroll.type
+    e1, e2, e3 = sorted(scroll.type)
     for cls in classes:
         if -cls.f > min(e1 + e3, 2 * e2):
             raise ValueError(
                 f"class {cls} cuts only reducible surfaces on the scroll {scroll.type}: "
                 f"its fiber conics never reach rank 3, since {-cls.f} > "
                 f"min(e1 + e3, 2 e2) = {min(e1 + e3, 2 * e2)}")
-    return (scroll, *classes)
+    return classes
 
 
 def tetragonal_curve(g: int, b1: int, b2: int, seed: int) -> CurveSpec:
     """Random tetragonal canonical curve as a complete intersection.
 
     The split (b1, b2) of g - 5 fixes the two surface classes 2H - b_i F
-    (`tetragonal_surfaces`, which rejects a split whose surfaces are all
-    reducible or absent).  A few fibers are forced to contain a rational
+    on the balanced scroll (`tetragonal_surfaces`, which rejects any
+    other split).  A few fibers are forced to contain a rational
     intersection point and recorded as sampling hints; candidates are
     rejected when a forced or test fiber fails to cut four distinct
     points.
     """
     if g < 6:
         raise ValueError("tetragonal construction needs genus >= 6")
-    if b1 + b2 != g - 5:
-        raise ValueError(f"split ({b1}, {b2}) does not sum to g - 5 = {g - 5}")
-    if b1 < 0 or b2 < 0:
-        raise ValueError("negative split entries are not supported")
-    scroll, cls1, cls2 = tetragonal_surfaces(g, b1, b2)
+    scroll = Scroll(balanced_type(g - 3, 3))
+    cls1, cls2 = tetragonal_surfaces(scroll, b1, b2)
     if chow_product([cls1, cls2, scroll.H]) != 2 * g - 2:
         raise CurveGenerationError("intersection-degree sanity check failed")
     counts = [section_count(scroll, c) for c in (cls1, cls2)]

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .apolarity import GradedIdealPiece
 from .core import Polynomial
-from .curvegen import BihomSection, CurveSpec
+from .curvegen import BihomSection, CurveSpec, _common_base_factor, tetragonal_surfaces
 from .scroll import DivisorClass, Scroll, section_templates
 from .waring import Decomposition
 
@@ -143,11 +143,12 @@ def curve_to_json(curve: CurveSpec) -> dict:
 
 
 def curve_from_json(data: dict) -> CurveSpec:
-    """A trigonal or tetragonal curve of the generators' shape: gonality
-    3 or 4, gonality - 2 classes and equations, a scroll of dimension
-    gonality - 1 and degree g - gonality + 1, the class 3H + (4 - g)F or
-    the classes 2H - b_i F with b_i >= 0 and b1 + b2 = g - 5, each
-    equation of its class (`_section_from_json`), and rational hints."""
+    """A trigonal or tetragonal curve the generators' rules allow:
+    gonality 3 or 4, gonality - 2 classes and equations, a scroll of
+    dimension gonality - 1 and degree g - gonality + 1, the class
+    3H + (4 - g)F with base forms that share no factor, or the classes of
+    a split that `tetragonal_surfaces` accepts, each equation of its
+    class (`_section_from_json`), and rational hints."""
     genus, gonality = _int(data["genus"]), _int(data["gonality"])
     if gonality not in (3, 4):
         raise ValueError(f"the gonality must be 3 or 4, not {gonality}")
@@ -160,16 +161,20 @@ def curve_from_json(data: dict) -> CurveSpec:
     if len(classes) != gonality - 2 or len(equations) != gonality - 2:
         raise ValueError(f"a gonality-{gonality} curve has {gonality - 2} classes "
                          f"and equations")
-    if gonality == 3:
-        expected = classes == (scroll.cls(3, 4 - genus),)
-    else:
-        expected = (all(c.h == 2 and c.f <= 0 for c in classes)
-                    and -sum(c.f for c in classes) == genus - 5)
-    if not expected:
-        raise ValueError(f"classes {', '.join(map(str, classes))} are not those of a "
-                         f"gonality-{gonality} curve of genus {genus}")
+    wrong = (f"classes {', '.join(map(str, classes))} are not those of a "
+             f"gonality-{gonality} curve of genus {genus}")
+    try:
+        expected = ((scroll.cls(3, 4 - genus),) if gonality == 3
+                    else tetragonal_surfaces(scroll, *(-c.f for c in classes)))
+    except ValueError as err:
+        raise ValueError(f"{wrong}: {err}") from None
+    if classes != expected:
+        raise ValueError(wrong)
     if tuple(eq.cls for eq in equations) != classes:
         raise ValueError("every equation must have its curve class")
+    if gonality == 3 and _common_base_factor(list(equations[0].coeffs.values())):
+        raise ValueError("the base forms of the equation share a factor, so the curve "
+                         "contains a fiber")
     hints = tuple(_coef_from_str(t) for t in data.get("rational_fiber_hints", []))
     return CurveSpec(genus, gonality, scroll, classes, equations, _int(data["seed"]), hints)
 

@@ -24,6 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import count
 from math import comb, factorial, prod
 from typing import Optional, Sequence
 
@@ -33,7 +34,7 @@ from .core import (ExactMatrix, Polynomial, _combination, _int_rank, _int_substi
 from .curvegen import (CurveSpec, IdealReconstruction, balanced_type, ideal_pieces,
                        sample_points, tetragonal_curve, tetragonal_surfaces,
                        trigonal_curve)
-from .scroll import coordinate_layout, divisor_degree
+from .scroll import Scroll, coordinate_layout
 from .seeding import derive_seed, make_rng, random_dual_linear
 from .univariate import _combine, _mul, _pseudo_remainder, poly_gcd
 from .waring import CertificateError, _certify_scheme, rank_lower_bound
@@ -233,80 +234,68 @@ def _random_eta_pair(g: int, rng):
             return eta1, eta2
 
 
+def _chart(form: Sequence[int], k: int) -> list[int]:
+    """The binary form sum_j c_j s^(d - j) t^j on the chart s = 1 + k t:
+    its d + 1 integer coefficients in t, lowest first (Horner's rule)."""
+    out: list[int] = []
+    for c in form:
+        out = _mul(out, [1, k])
+        out[-1] += c
+    return out
+
+
 def _scheme(curve: CurveSpec, surface_index: Optional[int], eta1: Polynomial,
             eta2: Polynomial, kept: Sequence[int]) -> tuple[list[int], list[list[int]]]:
     """The scheme the two hyperplanes cut on a surface, over Q, as (D, phi).
 
-    On a trigonal curve the surface is the scroll (`surface_index` None):
-    the hyperplanes restrict to a 2 x 2 system (a0, a1; b0, b1) of base
-    forms, D is its determinant a0 b1 - a1 b0, and the fiber is (a1, -a0),
-    or (b1, -b0) when that one vanishes at a root of D.  On a tetragonal
-    curve the surface Y is equation `surface_index`: the hyperplanes
-    restrict to two linear conditions on the fiber plane, the fiber is the
-    cross product of the two rows, and D is Y's section at that fiber.
-    Everything is an integer polynomial in t on the chart s = 1 + k t of
-    the base line, with the smallest k >= 0 that gives D the expected
-    degree (deg S, or deg Y on the threefold), so every point of the
-    scheme lies in the chart; phi holds the kept coordinates of the
-    embedded fiber.  CertificateError names check (a) when D vanishes or
-    no chart gives it that degree, and (b) when the fiber vanishes at a
-    root of D or a hyperplane does not vanish on the image modulo D.
+    Each piece is first a binary form, coefficient j on s^(d - j) t^j: a
+    hyperplane restricts on fiber coordinate b to its primitive row over
+    b's block of `coordinate_layout`, a surface to the rows of its image.
+    On the scroll of a trigonal curve (`surface_index` None) D is the
+    determinant a0 b1 - a1 b0 of the 2 x 2 system, and the fiber is
+    (a1, -a0), or (b1, -b0) when that one vanishes at a root of D.  On a
+    tetragonal curve the fiber is the cross product of the two rows, and
+    D is the section there of Y, equation `surface_index`.  D(1 + k t, t)
+    leads with D(k, 1), so on the chart s = 1 + k t with the first k >= 0
+    where D(k, 1) != 0 (one of 0, ..., deg D) every point of the scheme
+    is affine; `_chart` moves D, the fiber and its embedding there, and
+    phi is the kept coordinates.  CertificateError names check (a) when D
+    vanishes, and (b) when the fiber vanishes at a root of D or a
+    hyperplane does not vanish on the image modulo D.
     """
     scroll = curve.scroll
     layout = coordinate_layout(scroll)
     etas = _hyperplane_rows(eta1, eta2)
+    r, q = [[[c for c, (i, _) in zip(eta, layout) if i == b] for b in range(scroll.k)]
+            for eta in etas]
     if curve.gonality == 3:
         if surface_index is not None:
             raise ValueError("the trigonal surface is the scroll itself")
-        expected, section = scroll.degree, []
+        (a0, a1), (b0, b1) = r, q
+        determinant = _combine([(1, _mul(a0, b1)), (-1, _mul(a1, b0))])
+        fibers = [(a1, [-c for c in a0]), (b1, [-c for c in b0])]
     else:
         if surface_index not in (0, 1):
             raise ValueError("surface_index must pick one of the two surfaces")
-        equation = curve.equations[surface_index]
-        expected = divisor_degree(scroll, equation.cls)
-        # Y's integer image: a positive multiple of Y, so D moves by a
-        # positive constant only
-        section = [(exp, row) for exp, row in equation.image if row]
-    top = max([*scroll.type, *(len(row) - 1 for _, row in section)])
-    for k in range(expected + 1):
-        powers = [[1]]
-        for _ in range(top):
-            powers.append(_mul(powers[-1], [1, k]))
-        # the base monomial s^(a_i - j) t^j of each ambient coordinate
-        monomials = [[0] * j + powers[scroll.type[i] - j] for i, j in layout]
-        # each hyperplane restricts to one base form per fiber coordinate
-        rows = [[_combine((c, m) for c, m, (i, _) in zip(eta, monomials, layout) if i == b)
-                 for b in range(scroll.k)] for eta in etas]
-        if curve.gonality == 3:
-            (a0, a1), (b0, b1) = rows
-            determinant = _combine([(1, _mul(a0, b1)), (-1, _mul(a1, b0))])
-            fibers = [(a1, [-c for c in a0]), (b1, [-c for c in b0])]
-        else:
-            r, q = rows   # the fiber is the cross product r x q
-            fiber = [_combine([(1, _mul(r[i - 2], q[i - 1])), (-1, _mul(r[i - 1], q[i - 2]))])
-                     for i in range(3)]
-            determinant = []
-            for exp, row in section:
-                # Y's base form of the fiber monomial y^exp, times fiber^exp
-                term = _combine((c, [0] * j + powers[len(row) - 1 - j])
-                                for j, c in enumerate(row) if c)
-                for i, e in enumerate(exp):
-                    for _ in range(e):
-                        term = _mul(term, fiber[i])
-                determinant = _combine([(1, determinant), (1, term)])
-            fibers = [fiber]
-        if not any(determinant):
-            raise CertificateError("(a) the scheme equation vanishes identically")
-        if len(determinant) == expected + 1 and determinant[expected]:
-            break
-    else:
-        raise CertificateError(f"(a) the scheme equation does not have degree {expected}")
+        # the fiber is the cross product r x q
+        fiber = [_combine([(1, _mul(r[i - 2], q[i - 1])), (-1, _mul(r[i - 1], q[i - 2]))])
+                 for i in range(3)]
+        # Y's base form of each fiber monomial y^exp, times fiber^exp; the
+        # image is a positive multiple of Y, so D moves by a constant > 0
+        determinant = _combine(
+            (1, reduce(_mul, [fiber[i] for i, e in enumerate(exp) for _ in range(e)], row))
+            for exp, row in curve.equations[surface_index].image if row)
+        fibers = [fiber]
+    if not any(determinant):
+        raise CertificateError("(a) the scheme equation vanishes identically")
+    k = next(k for k in count() if reduce(lambda value, c: value * k + c, determinant, 0))
+    determinant = _chart(determinant, k)
     for fiber in fibers:
-        if len(reduce(poly_gcd, fiber, determinant)) == 1:
+        if len(reduce(poly_gcd, (_chart(f, k) for f in fiber), determinant)) == 1:
             break
     else:
         raise CertificateError("(b) degenerate fiber at a root of the scheme equation")
-    image = [_mul(m, fiber[i]) for m, (i, _) in zip(monomials, layout)]
+    image = [_chart([0] * j + fiber[i] + [0] * (scroll.type[i] - j), k) for i, j in layout]
     for eta in etas:
         if any(_pseudo_remainder(_combine(zip(eta, image)), determinant)[1]):
             raise CertificateError("(b) a hyperplane misses the scheme")
@@ -459,18 +448,17 @@ def verify_tetragonal_bound(g: int, split: Optional[tuple[int, int]], trials: in
     length, the degree of the surface, must stay within the bound.  The
     report also carries the interval between the contraction-rank lower
     bound and the length, since ranks in between are not decided here.
-    A split with a class that cuts only reducible surfaces is an input
-    error before any trial (`tetragonal_surfaces`).
+    A split that `tetragonal_surfaces` rejects is an input error before
+    any trial.
     """
     if not 6 <= g <= 11:
         raise ValueError("desk-scale verification covers genus 6 through 11")
     if split is None:
         split = balanced_type(g - 5, 2)
-    if len(split) != 2 or min(split) < 0 or sum(split) != g - 5:
-        raise ValueError(f"the split must be two non-negative integers summing to "
-                         f"g - 5 = {g - 5}, not {tuple(split)}")
+    if len(split) != 2:
+        raise ValueError(f"the split must be two integers, not {tuple(split)}")
     b1, b2 = split
-    tetragonal_surfaces(g, b1, b2)
+    tetragonal_surfaces(Scroll(balanced_type(g - 3, 3)), b1, b2)
     bound = tetragonal_cube_bound(g)
     report = {
         "claim": f"the quotient cubic of a tetragonal genus-{g} canonical curve "

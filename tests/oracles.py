@@ -46,6 +46,12 @@ The power-sum certificate finds one functional on L columns and checks
 it against the rest; `echelon_certificate` is the certificate it
 replaced, which reduces the target against one echelon of the whole
 L x C(n + 2, 3) residue matrix, with each column's scale a `Fraction`.
+
+The hyperplane scheme is built once on binary forms, on a chart picked
+in closed form; `chart_search_scheme` is the builder it replaced, which
+tries the charts s = 1 + k t for k = 0, 1, ... and restricts both
+hyperplanes and the surface again on each, until D has the expected
+degree.
 """
 
 import sys
@@ -67,9 +73,9 @@ from apolar_kit.core import (ExactMatrix, Polynomial, _falling, _int_echelon, _i
                              _kernel_vectors, _monomial_value, _row_to_int, _scaled,
                              monomial_basis, substitute)
 from apolar_kit.pipeline import AlphaCertificateError
-from apolar_kit.scroll import coordinate_layout
+from apolar_kit.scroll import coordinate_layout, divisor_degree
 from apolar_kit.seeding import make_rng, random_dual_linear
-from apolar_kit.univariate import (_mul, _pseudo_remainder, affine_chart, is_squarefree,
+from apolar_kit.univariate import (_combine, _mul, _pseudo_remainder, affine_chart, is_squarefree,
                                    poly_gcd, rational_roots)
 from apolar_kit.waring import (CertificateError, Decomposition, PencilError,
                                _certify_scheme)
@@ -597,3 +603,83 @@ def echelon_certificate(determinant, phi, cubic):
     if any(_int_reduce(ech, pivots, _row_to_int(target))):
         raise CertificateError("(c) the cubic is not in the span of the scheme's cubes")
     return length
+
+
+def chart_search_scheme(curve, surface_index, eta1, eta2, kept):
+    """The scheme the two hyperplanes cut on a surface, over Q, as (D, phi).
+
+    On a trigonal curve the surface is the scroll (`surface_index` None):
+    the hyperplanes restrict to a 2 x 2 system (a0, a1; b0, b1) of base
+    forms, D is its determinant a0 b1 - a1 b0, and the fiber is (a1, -a0),
+    or (b1, -b0) when that one vanishes at a root of D.  On a tetragonal
+    curve the surface Y is equation `surface_index`: the hyperplanes
+    restrict to two linear conditions on the fiber plane, the fiber is the
+    cross product of the two rows, and D is Y's section at that fiber.
+    Everything is an integer polynomial in t on the chart s = 1 + k t of
+    the base line, with the smallest k >= 0 that gives D the expected
+    degree (deg S, or deg Y on the threefold), so every point of the
+    scheme lies in the chart; phi holds the kept coordinates of the
+    embedded fiber.  CertificateError names check (a) when D vanishes or
+    no chart gives it that degree, and (b) when the fiber vanishes at a
+    root of D or a hyperplane does not vanish on the image modulo D.
+    """
+    scroll = curve.scroll
+    layout = coordinate_layout(scroll)
+    basis1 = monomial_basis(eta1.nvars, 1)
+    etas = [_row_to_int(eta.coefficient_vector(basis1)) for eta in (eta1, eta2)]
+    if curve.gonality == 3:
+        if surface_index is not None:
+            raise ValueError("the trigonal surface is the scroll itself")
+        expected, section = scroll.degree, []
+    else:
+        if surface_index not in (0, 1):
+            raise ValueError("surface_index must pick one of the two surfaces")
+        equation = curve.equations[surface_index]
+        expected = divisor_degree(scroll, equation.cls)
+        # Y's integer image: a positive multiple of Y, so D moves by a
+        # positive constant only
+        section = [(exp, row) for exp, row in equation.image if row]
+    top = max([*scroll.type, *(len(row) - 1 for _, row in section)])
+    for k in range(expected + 1):
+        powers = [[1]]
+        for _ in range(top):
+            powers.append(_mul(powers[-1], [1, k]))
+        # the base monomial s^(a_i - j) t^j of each ambient coordinate
+        monomials = [[0] * j + powers[scroll.type[i] - j] for i, j in layout]
+        # each hyperplane restricts to one base form per fiber coordinate
+        rows = [[_combine((c, m) for c, m, (i, _) in zip(eta, monomials, layout) if i == b)
+                 for b in range(scroll.k)] for eta in etas]
+        if curve.gonality == 3:
+            (a0, a1), (b0, b1) = rows
+            determinant = _combine([(1, _mul(a0, b1)), (-1, _mul(a1, b0))])
+            fibers = [(a1, [-c for c in a0]), (b1, [-c for c in b0])]
+        else:
+            r, q = rows   # the fiber is the cross product r x q
+            fiber = [_combine([(1, _mul(r[i - 2], q[i - 1])), (-1, _mul(r[i - 1], q[i - 2]))])
+                     for i in range(3)]
+            determinant = []
+            for exp, row in section:
+                # Y's base form of the fiber monomial y^exp, times fiber^exp
+                term = _combine((c, [0] * j + powers[len(row) - 1 - j])
+                                for j, c in enumerate(row) if c)
+                for i, e in enumerate(exp):
+                    for _ in range(e):
+                        term = _mul(term, fiber[i])
+                determinant = _combine([(1, determinant), (1, term)])
+            fibers = [fiber]
+        if not any(determinant):
+            raise CertificateError("(a) the scheme equation vanishes identically")
+        if len(determinant) == expected + 1 and determinant[expected]:
+            break
+    else:
+        raise CertificateError(f"(a) the scheme equation does not have degree {expected}")
+    for fiber in fibers:
+        if len(reduce(poly_gcd, fiber, determinant)) == 1:
+            break
+    else:
+        raise CertificateError("(b) degenerate fiber at a root of the scheme equation")
+    image = [_mul(m, fiber[i]) for m, (i, _) in zip(monomials, layout)]
+    for eta in etas:
+        if any(_pseudo_remainder(_combine(zip(eta, image)), determinant)[1]):
+            raise CertificateError("(b) a hyperplane misses the scheme")
+    return determinant, [image[i] for i in kept]

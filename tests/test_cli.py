@@ -11,7 +11,10 @@ from apolar_kit import jsonio, pipeline
 from apolar_kit.apolarity import apolar_ideal_piece
 from apolar_kit.cli import _COMMANDS, build_parser, main
 from apolar_kit.core import Polynomial
-from apolar_kit.curvegen import tetragonal_curve, trigonal_curve
+from apolar_kit.curvegen import (BihomSection, CurveSpec, random_section, tetragonal_curve,
+                                 trigonal_curve)
+from apolar_kit.scroll import Scroll
+from apolar_kit.seeding import make_rng
 from apolar_kit.waring import fermat_detect_detail
 import oracles
 
@@ -188,6 +191,44 @@ class TestStrictCurveJson:
                 jsonio.curve_from_json(bad)
 
 
+    def _alpha_on(self, tmp_path, curve):
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(jsonio.curve_to_json(curve)))
+        out = tmp_path / "report.json"
+        code = main(["alpha", "--in", str(path), "--seed", "1", "--out", str(out)])
+        assert not out.exists()
+        return code
+
+    def test_tetragonal_file_with_only_reducible_surfaces_is_input_error(self, tmp_path,
+                                                                         capsys):
+        # 2H - 5F on S(2, 2, 3): 5 > min(e1 + e3, 2 e2) = 4, so every
+        # section is reducible; `tetragonal_curve` refuses the split (0, 5)
+        scroll = Scroll((2, 2, 3))
+        classes = scroll.cls(2, 0), scroll.cls(2, -5)
+        rng = make_rng(1)
+        curve = CurveSpec(10, 4, scroll, classes,
+                          tuple(random_section(scroll, c, rng) for c in classes), 1)
+        with pytest.raises(ValueError, match="only reducible surfaces"):
+            jsonio.curve_from_json(jsonio.curve_to_json(curve))
+        assert self._alpha_on(tmp_path, curve) == 2
+        assert "only reducible surfaces" in capsys.readouterr().err
+
+    def test_trigonal_file_containing_a_fiber_is_input_error(self, tmp_path, capsys):
+        # s times a section of 3H - 4F on S(2, 3): every base form has the
+        # factor s, so the curve contains the fiber s = 0
+        scroll = Scroll((2, 3))
+        residual = random_section(scroll, scroll.cls(3, -4), make_rng(1))
+        cls = scroll.cls(3, -3)
+        coeffs = {exp: Polynomial(2, form.degree + 1, {(a + 1, b): c
+                                                       for (a, b), c in form.terms.items()})
+                  for exp, form in residual.coeffs.items()}
+        curve = CurveSpec(7, 3, scroll, (cls,), (BihomSection(scroll, cls, coeffs),), 1)
+        with pytest.raises(ValueError, match="contains a fiber"):
+            jsonio.curve_from_json(jsonio.curve_to_json(curve))
+        assert self._alpha_on(tmp_path, curve) == 2
+        assert "contains a fiber" in capsys.readouterr().err
+
+
 class TestCommands:
     def test_numerology_genus_seven(self, tmp_path):
         code, report = run(tmp_path, "numerology", "--g", "7")
@@ -247,6 +288,31 @@ class TestCommands:
         out = tmp_path / "report.json"
         assert main([*argv, "--out", str(out)]) == 2
         assert "input error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["scroll", "--type", "1,,2", "--class", "2,-2", "--op", "degree"], "--type"),
+        (["scroll", "--type", "", "--op", "canonical"], "--type"),
+        (["scroll", "--type", "1,1,2", "--class", "2,", "--op", "degree"], "--class"),
+        (["scroll", "--type", "1,1,2", "--classes", "1,0;1,0;", "--op", "chow"], "--classes"),
+        (["verify-b", "--g", "7", "--split", "1,1,", "--trials", "1", "--seed", "1"],
+         "--split"),
+        (["verify-b", "--g", "7", "--split", "", "--trials", "1", "--seed", "1"], "--split"),
+        (["curve-gen", "--g", "7", "--gonality", "4", "--split", "", "--seed", "1"],
+         "--split"),
+        (["alpha", "--g", "5", "--gonality", "3", "--split", "", "--seed", "1"], "--split")],
+        ids=["empty-type-part", "empty-type", "empty-class-part", "empty-classes-part",
+             "trailing-split-comma", "empty-split", "empty-curve-gen-split",
+             "empty-trigonal-split"])
+    def test_malformed_integer_lists_are_input_errors(self, argv, flag, tmp_path, capsys,
+                                                      monkeypatch):
+        def no_trial(args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(pipeline, "_trial", no_trial)
+        out = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("option", [["--g", "9"], ["--gonality", "4"], ["--split", "9,9"]],

@@ -305,6 +305,16 @@ class TestTetragonalCurve:
         with pytest.raises(ValueError):
             tetragonal_curve(7, 1, 3, seed=1)
 
+    @pytest.mark.parametrize("scroll_type, split, match", [
+        ((1, 1, 2), (-1, 3), "negative"), ((1, 1, 2), (1, 2), "does not sum"),
+        ((3, 3, 3), (0, 7), "no sections"), ((3, 2, 2), (0, 5), "only reducible"),
+        ((2, 3, 2), (5, 0), "only reducible")])
+    def test_split_rules_on_any_scroll(self, scroll_type, split, match):
+        # the rules read the sorted type, so a file's unsorted scroll
+        # meets the same ones as the balanced scroll of the generators
+        with pytest.raises(ValueError, match=match):
+            tetragonal_surfaces(Scroll(scroll_type), *split)
+
     def test_split_without_sections_rejected(self):
         # on the g = 12 scroll (3, 3, 3) no fiber quadric reaches base degree 7
         with pytest.raises(ValueError, match="no sections"):
@@ -319,7 +329,7 @@ class TestTetragonalCurve:
         scroll = Scroll(scroll_type)
         assert section_count(scroll, scroll.cls(2, -split[1])) > 0
         with pytest.raises(ValueError, match="only reducible surfaces"):
-            tetragonal_surfaces(g, *split)
+            tetragonal_surfaces(scroll, *split)
         with pytest.raises(ValueError, match="only reducible surfaces"):
             tetragonal_curve(g, *split, seed=1)
 
@@ -341,7 +351,7 @@ class TestTetragonalCurve:
                 split = (b1, g - 5 - b1)
                 if (g, max(split)) in ((10, 5), (11, 6)):
                     continue
-                _, *classes = tetragonal_surfaces(g, *split)
+                classes = tetragonal_surfaces(Scroll(balanced_type(g - 3, 3)), *split)
                 assert [-c.f for c in classes] == list(split)
 
     def test_fiber_length_four(self):

@@ -74,7 +74,10 @@ BENCH_PINNED = {
                                       "pipeline.change_coordinates, imported for it",
 }
 
-LIBRARY_MODULES = ("core", "apolarity", "seeding", "waring", "pipeline", "scroll")
+# `planemodel` is left out: only tests read some of its names until the
+# plane-model verifier (`verify-c`) gives them a package caller.
+LIBRARY_MODULES = ("core", "apolarity", "seeding", "waring", "pipeline", "scroll",
+                   "curvegen", "univariate", "jsonio", "cli")
 
 
 def test_public_names_are_read_by_the_package():

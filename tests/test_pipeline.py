@@ -714,10 +714,11 @@ def seeded_schemes():
     return out
 
 
-def verdict(certify, determinant, phi, cubic):
-    """A certificate's length, or the text of its CertificateError."""
+def verdict(check, *inputs):
+    """What a certificate or a scheme builder returns, or the text of its
+    CertificateError."""
     try:
-        return certify(determinant, phi, cubic)
+        return check(*inputs)
     except CertificateError as err:
         return str(err)
 
@@ -791,6 +792,57 @@ class TestCertificateRejections:
                 repeated[i + j] += x * y
         with pytest.raises(CertificateError, match=r"\(a\)"):
             _certify_scheme(repeated, phi, cubic)
+
+
+CHART_CASES = [(g, None) for g in range(5, 11)] + [
+    (6, (0, 1)), (7, (1, 1)), (7, (0, 2)), (8, (1, 2)), (9, (2, 2)), (9, (1, 3)), (10, (2, 3))]
+
+
+def drawn_pairs(curve, seed):
+    """(eta1, eta2, kept) of every hyperplane pair `_alpha_attempts` draws
+    for the curve, accepted by `alpha_map` or not: the quotient itself is
+    replaced by its frame."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline_module, "alpha_map", lambda recon, eta1, eta2:
+                      (eta1, eta2, quotient_frame(eta1, eta2, recon.genus)[0]))
+        return list(pipeline_module._alpha_attempts(curve, seed))
+
+
+class TestClosedFormChart:
+    """The scheme built once on binary forms, on the chart s = 1 + k t with
+    the first k where D(k, 1) != 0, against the chart search it replaced."""
+
+    @pytest.mark.parametrize("g, split", CHART_CASES)
+    def test_same_scheme_as_the_chart_search(self, g, split):
+        for seed in (1, 2, 3):
+            curve = trigonal_curve(g, seed) if split is None else tetragonal_curve(g, *split, seed)
+            for eta1, eta2, kept in drawn_pairs(curve, seed):
+                for index in ((None,) if split is None else (0, 1)):
+                    args = (curve, index, eta1, eta2, kept)
+                    assert (verdict(_scheme, *args)
+                            == verdict(oracles.chart_search_scheme, *args))
+
+    def test_same_scheme_on_a_sheared_chart(self):
+        # the first pair of `test_sheared_chart`: D(0, 1) = 0, so k > 0
+        seed = derive_seed(765804037, 0)
+        curve = trigonal_curve(5, seed)
+        alpha = alpha_for_curve(curve, seed)
+        args = (curve, None, alpha.eta1, alpha.eta2, alpha.kept_indices)
+        determinant, phi = _scheme(*args)
+        assert (determinant, phi) == oracles.chart_search_scheme(*args)
+        assert len(determinant) == 4 and determinant[-1]
+
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=7), st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_chart_substitutes_the_base_line(self, form, k):
+        s, t = sympy.symbols("s t")
+        d = len(form) - 1
+        expected = sympy.Poly(sum(c * s ** (d - j) * t ** j for j, c in enumerate(form))
+                              .subs(s, 1 + k * t), t)
+        chart = pipeline_module._chart(form, k)
+        assert len(chart) == d + 1
+        assert chart == [int(expected.coeff_monomial(t ** i)) for i in range(d + 1)]
+        assert chart[-1] == sum(c * k ** (d - j) for j, c in enumerate(form))
 
 
 class TestVerifiers:
