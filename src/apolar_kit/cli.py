@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from typing import Optional
 
 from . import jsonio
 from .apolarity import (SocleDimensionError, apolar_ideal_piece,
@@ -50,12 +51,16 @@ def _emit(report: dict, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _parse_int_list(raw: str, flag: str) -> tuple[int, ...]:
-    """A flag's comma-separated integers; an empty value or part is an input error."""
+def _parse_int_list(raw: str, flag: str, count: Optional[int] = None) -> tuple[int, ...]:
+    """A flag's comma-separated integers, `count` of them when given; an
+    empty value or part, or another count, is an input error."""
     try:
-        return tuple(int(part) for part in raw.split(","))
+        values = tuple(int(part) for part in raw.split(","))
     except ValueError:
         raise ValueError(f"{flag} takes comma-separated integers, not {raw!r}") from None
+    if count is not None and len(values) != count:
+        raise ValueError(f"{flag} takes {count} comma-separated integers, not {raw!r}")
+    return values
 
 
 def _cmd_apolar(args) -> dict:
@@ -109,18 +114,18 @@ def _cmd_scroll(args) -> dict:
     if args.op == "chow" and args.classes is None:
         raise ValueError("--classes is required for op 'chow'")
     if args.op == "degree":
-        cls = scroll.cls(*_parse_int_list(args.cls, "--class"))
+        cls = scroll.cls(*_parse_int_list(args.cls, "--class", 2))
         report["class"] = jsonio.divisor_to_json(cls)
         report["result"] = divisor_degree(scroll, cls)
     elif args.op == "canonical":
         report["result"] = jsonio.divisor_to_json(canonical_class(scroll))
     elif args.op == "chow":
-        classes = [scroll.cls(*_parse_int_list(part, "--classes"))
+        classes = [scroll.cls(*_parse_int_list(part, "--classes", 2))
                    for part in args.classes.split(";")]
         report["classes"] = [jsonio.divisor_to_json(c) for c in classes]
         report["result"] = chow_product(classes)
     elif args.op == "sections":
-        cls = scroll.cls(*_parse_int_list(args.cls, "--class"))
+        cls = scroll.cls(*_parse_int_list(args.cls, "--class", 2))
         report["class"] = jsonio.divisor_to_json(cls)
         report["templates"] = [{"fiber_exp": list(exp), "base_degree": d}
                                for exp, d in section_templates(scroll, cls)]
@@ -140,7 +145,7 @@ def _make_curve(args):
             raise ValueError("--split applies to gonality 4 only")
         return trigonal_curve(args.g, args.seed)
     if args.split is not None:
-        b1, b2 = _parse_int_list(args.split, "--split")
+        b1, b2 = _parse_int_list(args.split, "--split", 2)
     else:
         b1, b2 = balanced_type(args.g - 5, 2)
     return tetragonal_curve(args.g, b1, b2, args.seed)
@@ -194,7 +199,7 @@ def _cmd_verify_a(args) -> dict:
 
 
 def _cmd_verify_b(args) -> dict:
-    split = _parse_int_list(args.split, "--split") if args.split is not None else None
+    split = _parse_int_list(args.split, "--split", 2) if args.split is not None else None
     return verify_tetragonal_bound(args.g, split, args.trials, args.seed)
 
 

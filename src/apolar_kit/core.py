@@ -408,7 +408,8 @@ _RANK_PRIME = 2 ** 61 - 1
 def _pivots_mod_prime(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
     """Pivot columns of integer rows modulo `_RANK_PRIME`, by Gaussian
     elimination: in order, each column independent mod p of the columns
-    before it, up to the rank."""
+    before it, up to the rank.  A pivot row updates the rows below it
+    only right of its column, the only entries read again."""
     p = _RANK_PRIME
     mat = [[x % p for x in row] for row in rows]
     pivots: list[int] = []
@@ -419,11 +420,11 @@ def _pivots_mod_prime(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
         inverse = pow(mat[rank][col], -1, p)
-        head = [x * inverse % p for x in mat[rank]]
+        head = [x * inverse % p for x in mat[rank][col + 1:]]
         for i in range(rank + 1, len(mat)):
             c = mat[i][col]
             if c:
-                mat[i] = [(x - c * y) % p for x, y in zip(mat[i], head)]
+                mat[i][col + 1:] = [(x - c * y) % p for x, y in zip(mat[i][col + 1:], head)]
         pivots.append(col)
         rank += 1
         if rank == len(mat):

@@ -222,12 +222,14 @@ class CurveSpec:
 class IdealReconstruction:
     """The degree-2 and degree-3 pieces of a curve ideal, each a basis of
     sparse primitive integer rows (`_piece`): index into
-    `monomial_basis(genus, degree)` -> coefficient."""
+    `monomial_basis(genus, degree)` -> coefficient; and the scroll the
+    curve lies on, in the coordinates of those rows."""
 
     genus: int
     degree2: tuple[dict[int, int], ...]
     degree3: tuple[dict[int, int], ...]
     point_count: int
+    scroll: Scroll
 
 
 def genus_adjunction(scroll: Scroll, cls: DivisorClass) -> int:
@@ -605,4 +607,4 @@ def ideal_pieces(curve: CurveSpec,
     expected = (expected_quadric_dim(g), expected_cubic_dim(g))
     if dims != expected:
         raise IdealDimensionError(dims, expected)
-    return IdealReconstruction(g, *pieces, point_count=len(points))
+    return IdealReconstruction(g, *pieces, point_count=len(points), scroll=curve.scroll)

@@ -29,8 +29,9 @@ from math import comb, factorial, prod
 from typing import Optional, Sequence
 
 from .apolarity import _inverse_vectors
-from .core import (ExactMatrix, Polynomial, _combination, _int_rank, _int_substitute,
-                   _kernel_vectors, _row_to_int, change_coordinates, monomial_basis)
+from .core import (ExactMatrix, Polynomial, _combination, _int_echelon, _int_rank,
+                   _int_substitute, _kernel_vectors, _row_to_int, change_coordinates,
+                   monomial_basis)
 from .curvegen import (CurveSpec, IdealReconstruction, balanced_type, ideal_pieces,
                        sample_points, tetragonal_curve, tetragonal_surfaces,
                        trigonal_curve)
@@ -129,6 +130,76 @@ def quotient_frame(eta1: Polynomial, eta2: Polynomial, g: int):
     return kept, restriction
 
 
+def _blocks(scroll: Scroll, etas: Sequence[Sequence[int]]) -> list[list[list[int]]]:
+    """Each hyperplane row split into its blocks of `coordinate_layout`:
+    on fiber coordinate b a binary form of degree e_b, coefficient j on
+    s^(e_b - j) t^j."""
+    layout = coordinate_layout(scroll)
+    return [[[c for c, (i, _) in zip(eta, layout) if i == b] for b in range(scroll.k)]
+            for eta in etas]
+
+
+def _cross(r: Sequence[Sequence[int]], q: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The cross product r x q of two hyperplanes' blocks on a threefold
+    scroll: the point of each fiber plane on both hyperplanes."""
+    return [_combine([(1, _mul(r[i - 2], q[i - 1])), (-1, _mul(r[i - 1], q[i - 2]))])
+            for i in range(3)]
+
+
+def _embed(scroll: Scroll, fiber: Sequence[Sequence[int]]) -> list[list[int]]:
+    """A section of the fiber coordinates, as binary forms, embedded: the
+    form s^(e_i - j) t^j fiber_i at each ambient coordinate (i, j)."""
+    return [[0] * j + fiber[i] + [0] * (scroll.type[i] - j)
+            for i, j in coordinate_layout(scroll)]
+
+
+def _section_inverse_system(scroll: Scroll, etas: Sequence[Sequence[int]],
+                            kept: Sequence[int], quadrics: Sequence[dict],
+                            rank2: int) -> Optional[list[dict]]:
+    """The degree-3 inverse system V of the restricted quadrics J2, read
+    off the curve C0 the two hyperplanes cut on a threefold scroll, or
+    None when the scroll is not a threefold or a check below fails.
+
+    C0 is the embedded fiber r x q, phi its n = g - 2 binary forms of
+    degree n - 1 at the kept coordinates.  (i) When phi's n x n
+    coefficient matrix has full rank, C0 is a rational normal curve, so
+    the products phi^e span the forms of degree 3n - 3 and its ideal is
+    generated by its (n - 1)(n - 2)/2 quadrics.  (ii) The quadrics of J2
+    that vanish on C0, the kernel of q -> q(phi), must be all of them:
+    rank2 - rank of the images q(phi) = (n - 1)(n - 2)/2.  Then V lies in
+    I(C0)_3^perp, the cubics F_lambda with (F_lambda)_e = (6 / e!)
+    lambda(phi^e) for a functional lambda on forms of degree 3n - 3, one
+    to one.  As q . l^3 = 6 q(l) l, F_lambda is in V exactly when lambda
+    kills h m for every echelon row h of the images and every monomial m
+    of degree n - 1; lambda is one kernel vector of those 3n - 2 columns.
+    """
+    if scroll.k != 3:
+        return None
+    n = len(kept)
+    image = _embed(scroll, _cross(*_blocks(scroll, etas)))
+    phi = [image[i] for i in kept]
+    if _int_rank(phi, n) < n:
+        return None
+    # each product phi^e is one lower product times phi at its first variable
+    powers = {(0,) * n: [1]}
+    for degree in (1, 2, 3):
+        for exp in monomial_basis(n, degree):
+            i = next(i for i, e in enumerate(exp) if e)
+            powers[exp] = _mul(powers[exp[:i] + (exp[i] - 1,) + exp[i + 1:]], phi[i])
+    images = [_combine((c, powers[exp]) for exp, c in q.items()) for q in quadrics]
+    echelon = _int_echelon(images, 2 * n - 1)[0]
+    if rank2 - len(echelon) != (n - 1) * (n - 2) // 2:
+        return None
+    conditions = [[0] * a + h + [0] * (n - 1 - a) for h in echelon for a in range(n)]
+    solutions = []
+    for lam in _kernel_vectors(conditions, 3 * n - 2):
+        terms = {exp: 6 // prod(map(factorial, exp)) * sum(x * powers[exp][j]
+                                                            for j, x in lam.items())
+                 for exp in monomial_basis(n, 3)}
+        solutions.append({exp: c for exp, c in terms.items() if c})
+    return solutions
+
+
 def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
               eta2: Polynomial) -> AlphaResult:
     """Quotient the curve ideal by two hyperplanes and invert the result.
@@ -137,17 +208,21 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
     call restricts the quadric rows of `recon` through x -> R y
     (`quotient_frame`), and h2 comes from `_int_rank` of the images (full
     row rank, so read modulo a prime, when the Hilbert vector is right).
-    Their degree-3 inverse system V (`_inverse_vectors`; only their span
-    matters) contains the cubic.  The transposed map lifts V back to g
-    variables as the adjoint of restriction for the apolarity pairing, so
-    the cubics of V that the restricted degree-3 piece annihilates are
-    the kernel of pairing the lifts with the cubic rows of `recon` (the
-    pairing's factorial weights e! folded into the lifts).  No scale
-    (of R, a lift or a row) moves a kernel, so none is divided out.  The
-    kernel has dimension h3, since degree-1 multiples of restricted
-    quadrics are restricted cubics.  Hilbert vector (1, n, n, 1)
-    certifies the hyperplanes as general, and the one kernel vector then
-    weighs V's basis into the cubic, the one `Polynomial` built.
+    Their degree-3 inverse system V (only its span matters) contains the
+    cubic.  On a threefold scroll V is read off the rational normal
+    curve the hyperplanes cut on it (`_section_inverse_system`); where
+    that curve degenerates, and on a surface scroll, V is the kernel of
+    the conditions on all cubics (`_inverse_vectors`).  The transposed
+    map lifts V back to g variables as the adjoint of restriction for
+    the apolarity pairing, so the cubics of V that the restricted
+    degree-3 piece annihilates are the kernel of pairing the lifts with
+    the cubic rows of `recon` (the pairing's factorial weights e! folded
+    into the lifts).  No scale (of R, a lift or a row) moves a kernel, so
+    none is divided out.  The kernel has dimension h3, since degree-1
+    multiples of restricted quadrics are restricted cubics.  Hilbert
+    vector (1, n, n, 1) certifies the hyperplanes as general, and the one
+    kernel vector then weighs V's basis into the cubic, the one
+    `Polynomial` built.
     """
     g = recon.genus
     n = g - 2
@@ -157,8 +232,11 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
                                             for row in recon.degree2], restriction, n) if q]
     columns2, columns3 = monomial_basis(n, 2), monomial_basis(n, 3)
     rank2 = _int_rank([[q.get(m, 0) for m in columns2] for q in quadrics], len(columns2))
-    solutions = [{columns3[j]: x for j, x in v.items()}
-                 for v in _inverse_vectors([(2, quadrics)], 3, columns3)[0]]
+    solutions = _section_inverse_system(recon.scroll, _hyperplane_rows(eta1, eta2), kept,
+                                        quadrics, rank2)
+    if solutions is None:
+        solutions = [{columns3[j]: x for j, x in v.items()}
+                     for v in _inverse_vectors([(2, quadrics)], 3, columns3)[0]]
     index3 = {exp: j for j, exp in enumerate(basis3)}
     weighted = [{index3[exp]: c * prod(map(factorial, exp)) for exp, c in lift.items()}
                 for lift in _int_substitute(solutions, list(zip(*restriction)), g)]
@@ -264,10 +342,8 @@ def _scheme(curve: CurveSpec, surface_index: Optional[int], eta1: Polynomial,
     hyperplane does not vanish on the image modulo D.
     """
     scroll = curve.scroll
-    layout = coordinate_layout(scroll)
     etas = _hyperplane_rows(eta1, eta2)
-    r, q = [[[c for c, (i, _) in zip(eta, layout) if i == b] for b in range(scroll.k)]
-            for eta in etas]
+    r, q = _blocks(scroll, etas)
     if curve.gonality == 3:
         if surface_index is not None:
             raise ValueError("the trigonal surface is the scroll itself")
@@ -277,9 +353,7 @@ def _scheme(curve: CurveSpec, surface_index: Optional[int], eta1: Polynomial,
     else:
         if surface_index not in (0, 1):
             raise ValueError("surface_index must pick one of the two surfaces")
-        # the fiber is the cross product r x q
-        fiber = [_combine([(1, _mul(r[i - 2], q[i - 1])), (-1, _mul(r[i - 1], q[i - 2]))])
-                 for i in range(3)]
+        fiber = _cross(r, q)
         # Y's base form of each fiber monomial y^exp, times fiber^exp; the
         # image is a positive multiple of Y, so D moves by a constant > 0
         determinant = _combine(
@@ -295,7 +369,7 @@ def _scheme(curve: CurveSpec, surface_index: Optional[int], eta1: Polynomial,
             break
     else:
         raise CertificateError("(b) degenerate fiber at a root of the scheme equation")
-    image = [_chart([0] * j + fiber[i] + [0] * (scroll.type[i] - j), k) for i, j in layout]
+    image = [_chart(form, k) for form in _embed(scroll, fiber)]
     for eta in etas:
         if any(_pseudo_remainder(_combine(zip(eta, image)), determinant)[1]):
             raise CertificateError("(b) a hyperplane misses the scheme")

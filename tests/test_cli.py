@@ -315,6 +315,30 @@ class TestCommands:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["curve-gen", "--g", "7", "--gonality", "4", "--split", "1,1,0", "--seed", "1"],
+         "--split"),
+        (["alpha", "--g", "7", "--gonality", "4", "--split", "2", "--seed", "1"], "--split"),
+        (["verify-b", "--g", "7", "--split", "2", "--trials", "1", "--seed", "1"], "--split"),
+        (["verify-b", "--g", "7", "--split", "0,1,1", "--trials", "1", "--seed", "1"],
+         "--split"),
+        (["scroll", "--type", "1,1,2", "--class", "2", "--op", "degree"], "--class"),
+        (["scroll", "--type", "1,1,2", "--class", "2,-1,0", "--op", "sections"], "--class"),
+        (["scroll", "--type", "1,1,2", "--classes", "1;1,0;1,0", "--op", "chow"], "--classes"),
+        (["scroll", "--type", "1,1,2", "--classes", "1,0;1,0;1,0,0", "--op", "chow"],
+         "--classes")],
+        ids=["curve-gen-split-3", "alpha-split-1", "verify-b-split-1", "verify-b-split-3",
+             "class-1", "class-3", "first-classes-part-1", "last-classes-part-3"])
+    def test_wrong_counts_name_the_flag(self, argv, flag, tmp_path, capsys, monkeypatch):
+        def no_trial(args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(pipeline, "_trial", no_trial)
+        out = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"input error: {flag} takes 2 comma-separated integers" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("option", [["--g", "9"], ["--gonality", "4"], ["--split", "9,9"]],
                              ids=["g", "gonality", "split"])
     def test_curve_options_with_a_curve_file_are_input_errors(self, option, tmp_path, capsys):

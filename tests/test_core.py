@@ -6,8 +6,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apolar_kit.core import (ExactMatrix, Polynomial, change_coordinates, monomial_basis,
-                             substitute)
+from sympy.polys.matrices import DomainMatrix
+
+from apolar_kit.core import (_RANK_PRIME, ExactMatrix, Polynomial, _pivots_mod_prime,
+                             change_coordinates, monomial_basis, substitute)
 from apolar_kit.seeding import make_rng, random_form
 from oracles import (catalecticant, coefficient_matrix, contract, int_kernel, pair,
                      random_invertible_matrix)
@@ -321,6 +323,30 @@ class TestExactMatrix:
         else:
             with pytest.raises(ValueError):
                 ExactMatrix(square).inverse()
+
+
+class TestPivotsModPrime:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_pivots_match_sympy_over_the_prime_field(self, data):
+        # entries past the prime, multiples of it, and rows dependent only
+        # modulo it; the pivots are those of the reduced echelon form over
+        # GF(p), where only the columns right of a pivot are updated
+        p = _RANK_PRIME
+        nrows, ncols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 7))
+        entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-4 * p, 4 * p),
+                          st.integers(-3, 3).map(lambda k: k * p))
+        rows = [data.draw(st.lists(entry, min_size=ncols, max_size=ncols))
+                for _ in range(nrows)]
+        for _ in range(data.draw(st.integers(0, 2))):
+            i = data.draw(st.integers(0, len(rows) - 1))
+            c = data.draw(st.integers(-5, 5))
+            lift = data.draw(st.integers(-2, 2)) * p
+            rows.append([c * x + lift for x in rows[i]])
+        field = sympy.GF(p)
+        matrix = DomainMatrix([[field(x) for x in row] for row in rows],
+                              (len(rows), ncols), field)
+        assert _pivots_mod_prime(rows, ncols) == list(matrix.rref()[1])
 
 
 def naive_kernel(reduced, pivots, ncols):

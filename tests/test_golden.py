@@ -51,3 +51,16 @@ def test_verify_golden(name, argv, tmp_path, monkeypatch):
     monkeypatch.delenv("APOLAR_KIT_THREADS", raising=False)
     recorded = (GOLDEN / f"{name}.json").read_text()
     assert fresh_report(argv, tmp_path) == recorded
+
+
+@pytest.mark.parametrize("name, argv", [
+    # the quotient read off the section curve, from a curve file
+    ("alpha_in_g7_split11", ["alpha", "--in", str(GOLDEN / "curve_g7_split11.json"),
+                             "--seed", "9"]),
+    # a pair whose section curve degenerates, so the generic kernel runs
+    ("alpha_g7_split02", ["alpha", "--g", "7", "--gonality", "4", "--split", "0,2",
+                          "--seed", "1262656446957978"]),
+])
+def test_alpha_golden(name, argv, tmp_path):
+    recorded = (GOLDEN / f"{name}.json").read_text()
+    assert fresh_report(argv, tmp_path) == recorded

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import json
+import pathlib
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -18,13 +20,14 @@ from apolar_kit.apolarity import (SocleDimensionError, apolar_ideal_piece,
 from apolar_kit.cli import main
 from apolar_kit.core import (ExactMatrix, Polynomial, _int_echelon, _row_to_int,
                              change_coordinates, monomial_basis)
-from apolar_kit.curvegen import (ideal_pieces, sample_points, tetragonal_curve,
-                                 trigonal_curve)
-from apolar_kit.pipeline import (AlphaCertificateError, CertificateError,
+from apolar_kit.curvegen import (balanced_type, ideal_pieces, sample_points,
+                                 tetragonal_curve, tetragonal_surfaces, trigonal_curve)
+from apolar_kit.pipeline import (AlphaCertificateError, AlphaResult, CertificateError,
                                  _certify_fermat, _certify_scheme, _random_eta_pair,
                                  _scheme, alpha_for_curve, alpha_map, quotient_frame,
                                  reduce_to_quotient, tetragonal_cube_bound,
                                  verify_tetragonal_bound, verify_trigonal_fermat)
+from apolar_kit.scroll import Scroll
 from apolar_kit.seeding import derive_seed, make_rng, random_dual_linear, random_form
 from apolar_kit.waring import fermat_detect_detail
 import oracles
@@ -372,6 +375,154 @@ class TestIntegerQuotient:
             monkeypatch.undo()
             assert built == [(recon.genus - 2, 3)]
             built.clear()
+
+
+def admissible_splits(g):
+    """The splits b1 <= b2 of g - 5 whose surfaces `tetragonal_surfaces` accepts."""
+    scroll = Scroll(balanced_type(g - 3, 3))
+    for b1 in range((g - 5) // 2 + 1):
+        try:
+            tetragonal_surfaces(scroll, b1, g - 5 - b1)
+        except ValueError:
+            continue
+        yield b1, g - 5 - b1
+
+
+def section_curves():
+    """Tetragonal g = 6..11 at every admissible split, seeds 1-3."""
+    for seed in (1, 2, 3):
+        for g in range(6, 12):
+            for split in admissible_splits(g):
+                yield pytest.param(g, split, seed, id=f"tet{g}-{split[0]}{split[1]}-s{seed}")
+
+
+def drawn_quotients(curve, seed, every=True):
+    """The (recon, eta1, eta2, accepted) of each pair `_alpha_attempts`
+    draws for a curve: all of them, or up to the first accepted one."""
+    drawn = []
+    original = pipeline_module.alpha_map
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline_module, "alpha_map",
+                      lambda *args: drawn.append(args) or original(*args))
+        for alpha in pipeline_module._alpha_attempts(curve, seed):
+            drawn[-1] += (isinstance(alpha, AlphaResult),)
+            if drawn[-1][-1] and not every:
+                break
+    return tuple(drawn)
+
+
+@functools.lru_cache(maxsize=None)
+def tetragonal_pairs(g, split, seed):
+    """`drawn_quotients` of a tetragonal curve: every pair up to g = 9, and up
+    to the first accepted one beyond, where the generic kernel that the
+    pairs are compared with costs about half a second a pair."""
+    return drawn_quotients(tetragonal_curve(g, *split, seed), seed, every=g <= 9)
+
+
+def quotient_and_inverse_system(recon, eta1, eta2, section=True):
+    """alpha_map's (hilbert, kept, cubic) or error text, and the span of the
+    inverse system V it used, read off the section curve where that path
+    applies, or always through the generic kernel when `section` is False."""
+    used = []
+    read_off = pipeline_module._section_inverse_system
+    generic = pipeline_module._inverse_vectors
+
+    def section_path(*args):
+        used.append(read_off(*args) if section else None)
+        return used[-1]
+
+    def generic_path(pieces, d, columns):
+        found = generic(pieces, d, columns)
+        used.append([{columns[j]: x for j, x in v.items()} for v in found[0]])
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline_module, "_section_inverse_system", section_path)
+        patch.setattr(pipeline_module, "_inverse_vectors", generic_path)
+        try:
+            alpha = alpha_map(recon, eta1, eta2)
+            outcome = (alpha.hilbert, alpha.kept_indices, alpha.cubic)
+        except AlphaCertificateError as err:
+            outcome = str(err)
+    n = recon.genus - 2
+    span = from_spanning(3, n, [Polynomial(n, 3, v) for v in used[-1]])
+    return outcome, span, used[0] is not None
+
+
+class TestSectionInverseSystem:
+    """V read off the rational normal curve the hyperplanes cut on the
+    threefold scroll, against the generic kernel it replaces."""
+
+    @pytest.mark.parametrize("g, split, seed", section_curves())
+    def test_same_span_cubic_and_hilbert_vector(self, g, split, seed):
+        for recon, eta1, eta2, _ in tetragonal_pairs(g, split, seed):
+            outcome, span, read_off = quotient_and_inverse_system(recon, eta1, eta2)
+            assert (outcome, span) == quotient_and_inverse_system(recon, eta1, eta2,
+                                                                  section=False)[:2]
+            assert read_off
+
+    @pytest.mark.parametrize("g, split, seed", section_curves())
+    def test_eliminations_stay_within_the_section_functionals(self, g, split, seed,
+                                                             monkeypatch):
+        # a work count, not a time: every exact elimination of the accepted
+        # pair has at most 3n - 2 columns, the functionals on forms of
+        # degree 3n - 3; the generic kernel has C(n + 2, 3)
+        widths = []
+        echelon = core._int_echelon
+
+        def recording(rows, ncols):
+            widths.append(ncols)
+            return echelon(rows, ncols)
+
+        monkeypatch.setattr(core, "_int_echelon", recording)
+        monkeypatch.setattr(pipeline_module, "_int_echelon", recording)
+        recon, eta1, eta2, _ = next(pair for pair in tetragonal_pairs(g, split, seed) if pair[3])
+        alpha_map(recon, eta1, eta2)
+        n = g - 2
+        assert widths and max(widths) <= 3 * n - 2 < comb(n + 2, 3)
+
+    @pytest.mark.parametrize("name, argv", [
+        ("verify_b_g8", ["verify-b", "--g", "8", "--trials", "2", "--seed", "42"]),
+        ("verify_b_g11", ["verify-b", "--g", "11", "--trials", "1", "--seed", "41"]),
+        ("verify_b_g7_split02", ["verify-b", "--g", "7", "--split", "0,2",
+                                 "--trials", "1", "--seed", "42"])])
+    def test_goldens_pass_without_the_generic_kernel(self, name, argv, tmp_path,
+                                                      monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the generic inverse system ran")
+
+        monkeypatch.setattr(pipeline_module, "_inverse_vectors", refuse)
+        monkeypatch.delenv("APOLAR_KIT_THREADS", raising=False)
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        golden = pathlib.Path(__file__).parent / "golden" / f"{name}.json"
+        assert out.read_text() == golden.read_text()
+
+    def test_degenerate_section_falls_back(self):
+        # the first pair of this seed makes the two hyperplanes
+        # proportional on the fiber over (1 : -1): phi has rank 4, not 5
+        seed = 1262656446957978
+        curve = tetragonal_curve(7, 0, 2, seed)
+        [(recon, eta1, eta2, accepted)] = drawn_quotients(curve, seed, every=False)
+        assert accepted
+        blocks = pipeline_module._blocks(curve.scroll,
+                                         pipeline_module._hyperplane_rows(eta1, eta2))
+        fiber = pipeline_module._cross(*blocks)
+        assert not any(sum(c * (-1) ** j for j, c in enumerate(f)) for f in fiber)
+        image = pipeline_module._embed(curve.scroll, fiber)
+        kept = quotient_frame(eta1, eta2, 7)[0]
+        assert ExactMatrix([image[i] for i in kept]).rank() == 4
+        outcome, _, read_off = quotient_and_inverse_system(recon, eta1, eta2)
+        assert not read_off
+        expected = oracles.alpha_map(recon, eta1, eta2)
+        assert outcome == tuple(expected[:3])
+
+    @pytest.mark.parametrize("g", [5, 6, 7, 8])
+    def test_trigonal_curves_take_the_generic_kernel(self, g):
+        for seed in (1, 2, 3):
+            curve = trigonal_curve(g, seed)
+            for recon, eta1, eta2, _ in drawn_quotients(curve, seed, every=False):
+                assert not quotient_and_inverse_system(recon, eta1, eta2)[2]
 
 
 class TestIntegerFormsLayer:
