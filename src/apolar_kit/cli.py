@@ -325,20 +325,18 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        report = args.handler(args)
-    except FAILURE_ERRORS as err:
-        payload = getattr(err, "report", None) or {"error": str(err)}
-        payload = dict(payload)
-        payload.setdefault("error", str(err))
-        payload["passed"] = False
-        _emit(payload, args.out_path)
-        return 1
-    except (json.JSONDecodeError, FileNotFoundError, KeyError, TypeError,
-            ValueError) as err:
+        try:
+            report, code = args.handler(args), 0
+        except FAILURE_ERRORS as err:
+            report, code = dict(getattr(err, "report", None) or {}), 1
+            report.setdefault("error", str(err))
+            report["passed"] = False
+        # an unwritable --out is an input error, like an unreadable --in
+        _emit(report, args.out_path)
+    except (json.JSONDecodeError, OSError, KeyError, TypeError, ValueError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
-    _emit(report, args.out_path)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -25,13 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import count
-from math import comb, factorial, prod
+from math import factorial, prod
 from typing import Optional, Sequence
 
-from .apolarity import _inverse_vectors
 from .core import (ExactMatrix, Polynomial, _combination, _int_echelon, _int_rank,
-                   _int_substitute, _kernel_vectors, _row_to_int, change_coordinates,
-                   monomial_basis)
+                   _int_reduce, _int_substitute, _kernel_vectors, _row_to_int,
+                   change_coordinates, monomial_basis)
 from .curvegen import (CurveSpec, IdealReconstruction, balanced_type, ideal_pieces,
                        sample_points, tetragonal_curve, tetragonal_surfaces,
                        trigonal_curve)
@@ -130,22 +129,6 @@ def quotient_frame(eta1: Polynomial, eta2: Polynomial, g: int):
     return kept, restriction
 
 
-def _blocks(scroll: Scroll, etas: Sequence[Sequence[int]]) -> list[list[list[int]]]:
-    """Each hyperplane row split into its blocks of `coordinate_layout`:
-    on fiber coordinate b a binary form of degree e_b, coefficient j on
-    s^(e_b - j) t^j."""
-    layout = coordinate_layout(scroll)
-    return [[[c for c, (i, _) in zip(eta, layout) if i == b] for b in range(scroll.k)]
-            for eta in etas]
-
-
-def _cross(r: Sequence[Sequence[int]], q: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The cross product r x q of two hyperplanes' blocks on a threefold
-    scroll: the point of each fiber plane on both hyperplanes."""
-    return [_combine([(1, _mul(r[i - 2], q[i - 1])), (-1, _mul(r[i - 1], q[i - 2]))])
-            for i in range(3)]
-
-
 def _embed(scroll: Scroll, fiber: Sequence[Sequence[int]]) -> list[list[int]]:
     """A section of the fiber coordinates, as binary forms, embedded: the
     form s^(e_i - j) t^j fiber_i at each ambient coordinate (i, j)."""
@@ -153,51 +136,89 @@ def _embed(scroll: Scroll, fiber: Sequence[Sequence[int]]) -> list[list[int]]:
             for i, j in coordinate_layout(scroll)]
 
 
-def _section_inverse_system(scroll: Scroll, etas: Sequence[Sequence[int]],
-                            kept: Sequence[int], quadrics: Sequence[dict],
-                            rank2: int) -> Optional[list[dict]]:
-    """The degree-3 inverse system V of the restricted quadrics J2, read
-    off the curve C0 the two hyperplanes cut on a threefold scroll, or
-    None when the scroll is not a threefold or a check below fails.
+def _section(scroll: Scroll, etas: Sequence[Sequence[int]]
+             ) -> tuple[list[list[list[int]]], Optional[list[int]]]:
+    """What the two hyperplanes cut on the scroll, as (fibers, D).  Each
+    hyperplane row restricts to fiber coordinate b as its block of
+    `coordinate_layout`, a binary form (coefficient j on s^(e_b - j) t^j):
+    r for one hyperplane, q for the other.  On a threefold the one fiber
+    is the cross product r x q, the point of each fiber plane on both,
+    and D is None.  On a surface, with r = (a0, a1) and q = (b0, b1), the
+    fibers are each hyperplane's point on the fiber line, (a1, -a0) and
+    (b1, -b0), and both hyperplanes meet it where D = a0 b1 - a1 b0 = 0."""
+    layout = coordinate_layout(scroll)
+    r, q = ([[c for c, (i, _) in zip(eta, layout) if i == b] for b in range(scroll.k)]
+            for eta in etas)
+    if scroll.k == 3:
+        return [[_combine([(1, _mul(r[i - 2], q[i - 1])), (-1, _mul(r[i - 1], q[i - 2]))])
+                 for i in range(3)]], None
+    (a0, a1), (b0, b1) = r, q
+    return ([[a1, [-c for c in a0]], [b1, [-c for c in b0]]],
+            _combine([(1, _mul(a0, b1)), (-1, _mul(a1, b0))]))
 
-    C0 is the embedded fiber r x q, phi its n = g - 2 binary forms of
-    degree n - 1 at the kept coordinates.  (i) When phi's n x n
-    coefficient matrix has full rank, C0 is a rational normal curve, so
-    the products phi^e span the forms of degree 3n - 3 and its ideal is
-    generated by its (n - 1)(n - 2)/2 quadrics.  (ii) The quadrics of J2
-    that vanish on C0, the kernel of q -> q(phi), must be all of them:
-    rank2 - rank of the images q(phi) = (n - 1)(n - 2)/2.  Then V lies in
-    I(C0)_3^perp, the cubics F_lambda with (F_lambda)_e = (6 / e!)
-    lambda(phi^e) for a functional lambda on forms of degree 3n - 3, one
-    to one.  As q . l^3 = 6 q(l) l, F_lambda is in V exactly when lambda
-    kills h m for every echelon row h of the images and every monomial m
-    of degree n - 1; lambda is one kernel vector of those 3n - 2 columns.
+
+def _section_inverse_system(scroll: Scroll, etas: Sequence[Sequence[int]],
+                            kept: Sequence[int], quadrics: Sequence[dict]) -> list[dict]:
+    """The degree-3 inverse system V of the restricted quadrics J2, given
+    h2 = n, read off what the two hyperplanes cut on the scroll.
+
+    phi is an embedded fiber of `_section` at the kept coordinates: n
+    binary forms of degree m, the curve C0 (m = n - 1) on a threefold;
+    on a surface (m = n) the scheme Gamma is D = 0 on phi.  The cubic
+    F_lambda, (F_lambda)_e = (6 / e!) lambda(phi^e) for a functional
+    lambda on forms of degree 3m, pairs with an operator P as
+    6 lambda(P(phi)).  (i) phi's coefficients (and D's) are independent:
+    C0 is a rational normal curve, or Gamma spans P^(n-1).  (ii) On a
+    threefold the relations, the echelon rows of the images q(phi), are
+    n - 1, so J2 holds I(C0)_2, which generates I(C0): V lies in
+    I(C0)_3^perp, all F_lambda.  On a surface the relation is D, and each
+    image is a multiple of it: J2 lies in I(Gamma)_2, and is all of it,
+    which generates I(Gamma) (2-regular, as its Hilbert function is n
+    from degree 1), so V is I(Gamma)_3^perp.  Either way V is the
+    F_lambda whose lambda kills every relation times every monomial
+    carrying it to degree 3m, one kernel over 3m + 1 columns.
     """
-    if scroll.k != 3:
-        return None
     n = len(kept)
-    image = _embed(scroll, _cross(*_blocks(scroll, etas)))
-    phi = [image[i] for i in kept]
-    if _int_rank(phi, n) < n:
-        return None
-    # each product phi^e is one lower product times phi at its first variable
-    powers = {(0,) * n: [1]}
-    for degree in (1, 2, 3):
-        for exp in monomial_basis(n, degree):
-            i = next(i for i, e in enumerate(exp) if e)
-            powers[exp] = _mul(powers[exp[:i] + (exp[i] - 1,) + exp[i + 1:]], phi[i])
-    images = [_combine((c, powers[exp]) for exp, c in q.items()) for q in quadrics]
-    echelon = _int_echelon(images, 2 * n - 1)[0]
-    if rank2 - len(echelon) != (n - 1) * (n - 2) // 2:
-        return None
-    conditions = [[0] * a + h + [0] * (n - 1 - a) for h in echelon for a in range(n)]
-    solutions = []
-    for lam in _kernel_vectors(conditions, 3 * n - 2):
-        terms = {exp: 6 // prod(map(factorial, exp)) * sum(x * powers[exp][j]
-                                                            for j, x in lam.items())
-                 for exp in monomial_basis(n, 3)}
-        solutions.append({exp: c for exp, c in terms.items() if c})
-    return solutions
+    fibers, determinant = _section(scroll, etas)
+    threefold = determinant is None
+    m = n - 1 if threefold else n
+    failed = []
+    for fiber in fibers:
+        image = _embed(scroll, fiber)
+        phi = [image[i] for i in kept]
+        if _int_rank(phi if threefold else phi + [determinant], m + 1) <= m:
+            failed.append("(i) the section's coordinates are dependent")
+            continue
+        # each product phi^e is one lower product times phi at its first variable
+        powers = {(0,) * n: [1]}
+        for degree in (1, 2, 3):
+            for exp in monomial_basis(n, degree):
+                i = next(i for i, e in enumerate(exp) if e)
+                powers[exp] = _mul(powers[exp[:i] + (exp[i] - 1,) + exp[i + 1:]], phi[i])
+        images = [_combine((c, powers[exp]) for exp, c in q.items()) for q in quadrics]
+        if threefold:
+            relations = _int_echelon(images, 2 * m + 1)[0]
+            passed = len(relations) == n - 1
+        else:
+            relations = [determinant]
+            low = next(j for j, c in enumerate(determinant) if c)
+            multiples = [[0] * a + determinant + [0] * (n - a) for a in range(n + 1)]
+            pivots = range(low, low + n + 1)
+            passed = not any(any(_int_reduce(multiples, pivots, q)) for q in images)
+        if not passed:
+            failed.append("(ii) J2 and the section's quadrics differ")
+            continue
+        width = 3 * m + 1
+        conditions = [[0] * a + h + [0] * (width - len(h) - a)
+                      for h in relations for a in range(width - len(h) + 1)]
+        solutions = []
+        for lam in _kernel_vectors(conditions, width):
+            terms = {exp: 6 // prod(map(factorial, exp)) * sum(x * powers[exp][j]
+                                                                for j, x in lam.items())
+                     for exp in monomial_basis(n, 3)}
+            solutions.append({exp: c for exp, c in terms.items() if c})
+        return solutions
+    raise AlphaCertificateError((1, n, n), "degenerate section: " + "; ".join(failed))
 
 
 def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
@@ -207,21 +228,19 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
     Everything runs on integer term maps and rows.  One `_int_substitute`
     call restricts the quadric rows of `recon` through x -> R y
     (`quotient_frame`), and h2 comes from `_int_rank` of the images (full
-    row rank, so read modulo a prime, when the Hilbert vector is right).
-    Their degree-3 inverse system V (only its span matters) contains the
-    cubic.  On a threefold scroll V is read off the rational normal
-    curve the hyperplanes cut on it (`_section_inverse_system`); where
-    that curve degenerates, and on a surface scroll, V is the kernel of
-    the conditions on all cubics (`_inverse_vectors`).  The transposed
-    map lifts V back to g variables as the adjoint of restriction for
-    the apolarity pairing, so the cubics of V that the restricted
-    degree-3 piece annihilates are the kernel of pairing the lifts with
-    the cubic rows of `recon` (the pairing's factorial weights e! folded
-    into the lifts).  No scale (of R, a lift or a row) moves a kernel, so
-    none is divided out.  The kernel has dimension h3, since degree-1
-    multiples of restricted quadrics are restricted cubics.  Hilbert
-    vector (1, n, n, 1) certifies the hyperplanes as general, and the one
-    kernel vector then weighs V's basis into the cubic, the one
+    row rank, so read modulo a prime, when the Hilbert vector is right);
+    h2 != n fails the certificate at once.  Their degree-3 inverse system
+    V (only its span matters) contains the cubic, and is read off what
+    the hyperplanes cut on the scroll (`_section_inverse_system`).  The
+    transposed map lifts V back to g variables as the adjoint of
+    restriction for the apolarity pairing, so the cubics of V that the
+    restricted degree-3 piece annihilates are the kernel of pairing the
+    lifts with the cubic rows of `recon` (the pairing's factorial weights
+    e! folded into the lifts).  No scale (of R, a lift or a row) moves a
+    kernel, so none is divided out.  The kernel has dimension h3, since
+    degree-1 multiples of restricted quadrics are restricted cubics.
+    Hilbert vector (1, n, n, 1) certifies the hyperplanes as general, and
+    the one kernel vector then weighs V's basis into the cubic, the one
     `Polynomial` built.
     """
     g = recon.genus
@@ -230,21 +249,22 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
     basis2, basis3 = monomial_basis(g, 2), monomial_basis(g, 3)
     quadrics = [q for q in _int_substitute([{basis2[j]: c for j, c in row.items()}
                                             for row in recon.degree2], restriction, n) if q]
-    columns2, columns3 = monomial_basis(n, 2), monomial_basis(n, 3)
-    rank2 = _int_rank([[q.get(m, 0) for m in columns2] for q in quadrics], len(columns2))
+    columns2 = monomial_basis(n, 2)
+    h2 = len(columns2) - _int_rank([[q.get(m, 0) for m in columns2] for q in quadrics],
+                                   len(columns2))
+    if h2 != n:
+        raise AlphaCertificateError(
+            (1, n, h2), "quotient algebra does not have the expected Hilbert vector")
     solutions = _section_inverse_system(recon.scroll, _hyperplane_rows(eta1, eta2), kept,
-                                        quadrics, rank2)
-    if solutions is None:
-        solutions = [{columns3[j]: x for j, x in v.items()}
-                     for v in _inverse_vectors([(2, quadrics)], 3, columns3)[0]]
+                                        quadrics)
     index3 = {exp: j for j, exp in enumerate(basis3)}
     weighted = [{index3[exp]: c * prod(map(factorial, exp)) for exp, c in lift.items()}
                 for lift in _int_substitute(solutions, list(zip(*restriction)), g)]
     conditions = [[sum(c * lift[j] for j, c in row.items() if j in lift) for lift in weighted]
                   for row in recon.degree3]
     combos = _kernel_vectors(conditions, len(weighted))
-    hilbert = (1, n, comb(n + 1, 2) - rank2, len(combos))
-    if hilbert[2:] != (n, 1):
+    hilbert = (1, n, n, len(combos))
+    if len(combos) != 1:
         raise AlphaCertificateError(
             hilbert, "quotient algebra does not have the expected Hilbert vector")
     terms = _combination(combos[0], solutions)
@@ -326,14 +346,12 @@ def _scheme(curve: CurveSpec, surface_index: Optional[int], eta1: Polynomial,
             eta2: Polynomial, kept: Sequence[int]) -> tuple[list[int], list[list[int]]]:
     """The scheme the two hyperplanes cut on a surface, over Q, as (D, phi).
 
-    Each piece is first a binary form, coefficient j on s^(d - j) t^j: a
-    hyperplane restricts on fiber coordinate b to its primitive row over
-    b's block of `coordinate_layout`, a surface to the rows of its image.
-    On the scroll of a trigonal curve (`surface_index` None) D is the
-    determinant a0 b1 - a1 b0 of the 2 x 2 system, and the fiber is
-    (a1, -a0), or (b1, -b0) when that one vanishes at a root of D.  On a
-    tetragonal curve the fiber is the cross product of the two rows, and
-    D is the section there of Y, equation `surface_index`.  D(1 + k t, t)
+    Each piece is first a binary form, coefficient j on s^(d - j) t^j.
+    `_section` gives the fibers, and D on the scroll of a trigonal curve
+    (`surface_index` None), where the fiber is (a1, -a0), or (b1, -b0)
+    when that one vanishes at a root of D.  On a tetragonal curve D is Y,
+    equation `surface_index`, on the one fiber, from the rows of Y's
+    image.  D(1 + k t, t)
     leads with D(k, 1), so on the chart s = 1 + k t with the first k >= 0
     where D(k, 1) != 0 (one of 0, ..., deg D) every point of the scheme
     is affine; `_chart` moves D, the fiber and its embedding there, and
@@ -343,23 +361,19 @@ def _scheme(curve: CurveSpec, surface_index: Optional[int], eta1: Polynomial,
     """
     scroll = curve.scroll
     etas = _hyperplane_rows(eta1, eta2)
-    r, q = _blocks(scroll, etas)
+    fibers, determinant = _section(scroll, etas)
     if curve.gonality == 3:
         if surface_index is not None:
             raise ValueError("the trigonal surface is the scroll itself")
-        (a0, a1), (b0, b1) = r, q
-        determinant = _combine([(1, _mul(a0, b1)), (-1, _mul(a1, b0))])
-        fibers = [(a1, [-c for c in a0]), (b1, [-c for c in b0])]
     else:
         if surface_index not in (0, 1):
             raise ValueError("surface_index must pick one of the two surfaces")
-        fiber = _cross(r, q)
+        (fiber,) = fibers
         # Y's base form of each fiber monomial y^exp, times fiber^exp; the
         # image is a positive multiple of Y, so D moves by a constant > 0
         determinant = _combine(
             (1, reduce(_mul, [fiber[i] for i, e in enumerate(exp) for _ in range(e)], row))
             for exp, row in curve.equations[surface_index].image if row)
-        fibers = [fiber]
     if not any(determinant):
         raise CertificateError("(a) the scheme equation vanishes identically")
     k = next(k for k in count() if reduce(lambda value, c: value * k + c, determinant, 0))
@@ -500,8 +514,8 @@ def verify_trigonal_fermat(g: int, trials: int, seed: int) -> dict:
     scroll (`_certify_scheme`) and that it is concise.  Any trial failure
     raises VerificationError with the full report attached.
     """
-    if not 5 <= g <= 12:
-        raise ValueError("desk-scale verification covers genus 5 through 12")
+    if not 5 <= g <= 16:
+        raise ValueError("desk-scale verification covers genus 5 through 16")
     report = {
         "claim": f"the quotient cubic of a trigonal genus-{g} canonical curve "
                  f"is a sum of exactly {g - 2} cubes",

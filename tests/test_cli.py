@@ -457,6 +457,28 @@ class TestCommands:
         code = main(["apolar", "--in", str(tmp_path / "absent.json")])
         assert code == 2
 
+    def test_directory_as_input_is_input_error(self, tmp_path, capsys):
+        assert main(["apolar", "--in", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+
+    @pytest.mark.parametrize("failing", [False, True], ids=["success", "failure"])
+    def test_directory_as_output_is_input_error(self, tmp_path, capsys, failing):
+        # the report is written after the command ran: its success report,
+        # or the failure payload of exit code 1, cannot land in a directory
+        if failing:
+            piece = jsonio.piece_to_json(apolar_ideal_piece(
+                jsonio.polynomial_from_json(fermat_json(3)), 2))
+            in_path = tmp_path / "pieces.json"
+            in_path.write_text(json.dumps({"d": 3, "pieces": [piece]}))
+            argv = ["inverse", "--in", str(in_path)]
+        else:
+            argv = ["scroll", "--type", "1,2", "--op", "canonical"]
+        assert run(tmp_path, *argv)[0] == int(failing)
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: ") and captured.out == ""
+
     def test_socle_failure_is_exit_one(self, tmp_path):
         # a single degree-2 piece with a huge solution space
         piece = jsonio.piece_to_json(apolar_ideal_piece(

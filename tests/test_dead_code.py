@@ -137,3 +137,13 @@ def test_package_imports_only_stdlib():
             foreign += [f"{path.name}:{m}" for m in modules
                         if m.partition(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_pipeline_imports_nothing_from_apolarity():
+    """The quotient reads its inverse system off the scroll; the generic
+    kernel over all cubics serves only the `inverse` command."""
+    tree = ast.parse((PACKAGE / "pipeline.py").read_text())
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    modules |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    assert not {m for m in modules if m and m.rpartition(".")[2] == "apolarity"}

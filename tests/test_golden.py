@@ -5,9 +5,19 @@ from pathlib import Path
 
 import pytest
 
+from apolar_kit import apolarity
 from apolar_kit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def refuse_the_generic_kernel(monkeypatch):
+    """The quotient reads its inverse system off the scroll; the kernel
+    over all cubics serves only `inverse_system`."""
+    def refuse(*args):
+        raise AssertionError("the generic inverse system ran")
+
+    monkeypatch.setattr(apolarity, "_inverse_vectors", refuse)
 
 
 def fresh_report(argv, tmp_path):
@@ -46,9 +56,11 @@ def test_golden_values_spot_check():
     ("verify_a_g12", ["verify-a", "--g", "12", "--trials", "1", "--seed", "41"]),
     ("verify_b_g8", ["verify-b", "--g", "8", "--trials", "2", "--seed", "42"]),
     ("verify_b_g11", ["verify-b", "--g", "11", "--trials", "1", "--seed", "41"]),
+    ("verify_a_g16", ["verify-a", "--g", "16", "--trials", "1", "--seed", "41"]),
 ])
 def test_verify_golden(name, argv, tmp_path, monkeypatch):
     monkeypatch.delenv("APOLAR_KIT_THREADS", raising=False)
+    refuse_the_generic_kernel(monkeypatch)
     recorded = (GOLDEN / f"{name}.json").read_text()
     assert fresh_report(argv, tmp_path) == recorded
 
@@ -57,10 +69,11 @@ def test_verify_golden(name, argv, tmp_path, monkeypatch):
     # the quotient read off the section curve, from a curve file
     ("alpha_in_g7_split11", ["alpha", "--in", str(GOLDEN / "curve_g7_split11.json"),
                              "--seed", "9"]),
-    # a pair whose section curve degenerates, so the generic kernel runs
+    # the first pair's section curve degenerates, so the second pair is drawn
     ("alpha_g7_split02", ["alpha", "--g", "7", "--gonality", "4", "--split", "0,2",
                           "--seed", "1262656446957978"]),
 ])
-def test_alpha_golden(name, argv, tmp_path):
+def test_alpha_golden(name, argv, tmp_path, monkeypatch):
+    refuse_the_generic_kernel(monkeypatch)
     recorded = (GOLDEN / f"{name}.json").read_text()
     assert fresh_report(argv, tmp_path) == recorded

@@ -1,7 +1,6 @@
 import dataclasses
 import functools
 import json
-import pathlib
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -15,17 +14,17 @@ from mpmath import mp
 
 from apolar_kit import core, waring
 from apolar_kit import pipeline as pipeline_module
-from apolar_kit.apolarity import (SocleDimensionError, apolar_ideal_piece,
-                                  macaulay_inverse)
+from apolar_kit.apolarity import (SocleDimensionError, _inverse_vectors,
+                                  apolar_ideal_piece, macaulay_inverse)
 from apolar_kit.cli import main
 from apolar_kit.core import (ExactMatrix, Polynomial, _int_echelon, _row_to_int,
                              change_coordinates, monomial_basis)
 from apolar_kit.curvegen import (balanced_type, ideal_pieces, sample_points,
                                  tetragonal_curve, tetragonal_surfaces, trigonal_curve)
 from apolar_kit.pipeline import (AlphaCertificateError, AlphaResult, CertificateError,
-                                 _certify_fermat, _certify_scheme, _random_eta_pair,
-                                 _scheme, alpha_for_curve, alpha_map, quotient_frame,
-                                 reduce_to_quotient, tetragonal_cube_bound,
+                                 _certify_bound, _certify_fermat, _certify_scheme,
+                                 _random_eta_pair, _scheme, alpha_for_curve, alpha_map,
+                                 quotient_frame, reduce_to_quotient, tetragonal_cube_bound,
                                  verify_tetragonal_bound, verify_trigonal_fermat)
 from apolar_kit.scroll import Scroll
 from apolar_kit.seeding import derive_seed, make_rng, random_dual_linear, random_form
@@ -254,6 +253,38 @@ def elementwise_alpha(recon, eta1, eta2):
     return hilbert, kept, pieces[0], cubic
 
 
+def against_the_oracle(curve, recon, eta1, eta2):
+    """alpha_map against `oracles.alpha_map` on one pair; returns whether
+    alpha_map accepted it.  Where both accept, the Hilbert vector, kept
+    coordinates and cubic agree; where both reject, alpha_map's diagnostic
+    is the oracle's cut to its length (the text too when h2 != n).  A pair
+    only alpha_map rejects has a degenerate section (h2 = n), and the
+    oracle's cubic fails the scheme certificate on it."""
+    n = curve.genus - 2
+    try:
+        expected = oracles.alpha_map(recon, eta1, eta2)
+    except AlphaCertificateError as err:
+        expected = err
+    try:
+        alpha = alpha_map(recon, eta1, eta2)
+    except AlphaCertificateError as err:
+        if isinstance(expected, AlphaCertificateError):
+            assert err.hilbert == expected.hilbert[:len(err.hilbert)]
+            if err.hilbert[2:] != (n,):
+                assert str(err) == str(expected).replace(str(expected.hilbert),
+                                                         str(err.hilbert))
+        else:
+            assert err.hilbert == (1, n, n) and "degenerate section" in str(err)
+            certify = _certify_fermat if curve.gonality == 3 else _certify_bound
+            hilbert, kept, cubic = expected[:3]
+            assert certify(curve, AlphaResult(curve.genus, eta1, eta2, hilbert, cubic, kept),
+                           []) is None
+        return False
+    assert not isinstance(expected, AlphaCertificateError), expected
+    assert (alpha.hilbert, alpha.kept_indices, alpha.cubic) == tuple(expected[:3])
+    return True
+
+
 def alpha_outcome(recon, eta1, eta2, quotient=alpha_map):
     """(hilbert, kept, Ann(cubic)_2 in reduced echelon form, cubic), or the
     certificate error's message."""
@@ -300,9 +331,8 @@ class TestElementwiseOracle:
         for i, j in combinations(range(g), 2):
             eta1, eta2 = Polynomial.variable(i, g), Polynomial.variable(j, g)
             expected = elementwise_alpha(recon, eta1, eta2)
-            assert (alpha_outcome(recon, eta1, eta2) == expected
-                    == alpha_outcome(recon, eta1, eta2, oracles.alpha_map))
-            failed.append(isinstance(expected, str))
+            assert expected == alpha_outcome(recon, eta1, eta2, oracles.alpha_map)
+            failed.append(not against_the_oracle(curve, recon, eta1, eta2))
         assert any(failed)
 
 
@@ -329,17 +359,8 @@ class TestFractionOracle:
         rng = make_rng(derive_seed(seed, g))
         pairs = [_random_eta_pair(g, rng),
                  (random_dual_linear(g, rng, bound=1), random_dual_linear(g, rng, bound=1))]
-        for eta1, eta2 in pairs:
-            try:
-                expected = oracles.alpha_map(recon, eta1, eta2)[:3]
-            except AlphaCertificateError as err:
-                expected = str(err)
-            try:
-                alpha = alpha_map(recon, eta1, eta2)
-                found = (alpha.hilbert, alpha.kept_indices, alpha.cubic)
-            except AlphaCertificateError as err:
-                found = str(err)
-            assert found == expected
+        assert against_the_oracle(curve, recon, *pairs[0])
+        against_the_oracle(curve, recon, *pairs[1])
 
 
 class TestIntegerQuotient:
@@ -389,11 +410,18 @@ def admissible_splits(g):
 
 
 def section_curves():
-    """Tetragonal g = 6..11 at every admissible split, seeds 1-3."""
+    """Trigonal g = 5..10 and tetragonal g = 6..11 at every admissible
+    split, seeds 1-3."""
     for seed in (1, 2, 3):
+        for g in range(5, 11):
+            yield pytest.param(g, None, seed, id=f"tri{g}-s{seed}")
         for g in range(6, 12):
             for split in admissible_splits(g):
                 yield pytest.param(g, split, seed, id=f"tet{g}-{split[0]}{split[1]}-s{seed}")
+
+
+def section_curve(g, split, seed):
+    return trigonal_curve(g, seed) if split is None else tetragonal_curve(g, *split, seed)
 
 
 def drawn_quotients(curve, seed, every=True):
@@ -412,61 +440,52 @@ def drawn_quotients(curve, seed, every=True):
 
 
 @functools.lru_cache(maxsize=None)
-def tetragonal_pairs(g, split, seed):
-    """`drawn_quotients` of a tetragonal curve: every pair up to g = 9, and up
-    to the first accepted one beyond, where the generic kernel that the
-    pairs are compared with costs about half a second a pair."""
-    return drawn_quotients(tetragonal_curve(g, *split, seed), seed, every=g <= 9)
-
-
-def quotient_and_inverse_system(recon, eta1, eta2, section=True):
-    """alpha_map's (hilbert, kept, cubic) or error text, and the span of the
-    inverse system V it used, read off the section curve where that path
-    applies, or always through the generic kernel when `section` is False."""
-    used = []
-    read_off = pipeline_module._section_inverse_system
-    generic = pipeline_module._inverse_vectors
-
-    def section_path(*args):
-        used.append(read_off(*args) if section else None)
-        return used[-1]
-
-    def generic_path(pieces, d, columns):
-        found = generic(pieces, d, columns)
-        used.append([{columns[j]: x for j, x in v.items()} for v in found[0]])
-        return found
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pipeline_module, "_section_inverse_system", section_path)
-        patch.setattr(pipeline_module, "_inverse_vectors", generic_path)
-        try:
-            alpha = alpha_map(recon, eta1, eta2)
-            outcome = (alpha.hilbert, alpha.kept_indices, alpha.cubic)
-        except AlphaCertificateError as err:
-            outcome = str(err)
-    n = recon.genus - 2
-    span = from_spanning(3, n, [Polynomial(n, 3, v) for v in used[-1]])
-    return outcome, span, used[0] is not None
+def section_pairs(g, split, seed):
+    """`drawn_quotients` of a `section_curve`: every pair up to g = 9, and
+    up to the first accepted one beyond, where the oracle's generic
+    kernel costs about half a second a pair."""
+    return drawn_quotients(section_curve(g, split, seed), seed, every=g <= 9)
 
 
 class TestSectionInverseSystem:
-    """V read off the rational normal curve the hyperplanes cut on the
-    threefold scroll, against the generic kernel it replaces."""
+    """V read off what the hyperplanes cut on the scroll, against the
+    oracle's generic kernel over all cubics."""
 
     @pytest.mark.parametrize("g, split, seed", section_curves())
-    def test_same_span_cubic_and_hilbert_vector(self, g, split, seed):
-        for recon, eta1, eta2, _ in tetragonal_pairs(g, split, seed):
-            outcome, span, read_off = quotient_and_inverse_system(recon, eta1, eta2)
-            assert (outcome, span) == quotient_and_inverse_system(recon, eta1, eta2,
-                                                                  section=False)[:2]
-            assert read_off
+    def test_same_quotient_as_the_oracle(self, g, split, seed):
+        curve = section_curve(g, split, seed)
+        pairs = section_pairs(g, split, seed)
+        for recon, eta1, eta2, accepted in pairs:
+            assert against_the_oracle(curve, recon, eta1, eta2) == accepted
+        assert pairs[-1][3] or len(pairs) == pipeline_module._ETA_RETRIES
+
+    @pytest.mark.parametrize("g, split", [(5, None), (8, None), (7, (1, 1)), (8, (1, 2))],
+                             ids=["tri5", "tri8", "tet7", "tet8"])
+    def test_same_span_as_the_generic_kernel(self, g, split, monkeypatch):
+        read_off = []
+        original = pipeline_module._section_inverse_system
+        monkeypatch.setattr(pipeline_module, "_section_inverse_system",
+                            lambda *args: read_off.append((args, original(*args)))
+                            or read_off[-1][1])
+        recon, eta1, eta2, _ = next(pair for pair in section_pairs(g, split, 1) if pair[3])
+        alpha_map(recon, eta1, eta2)
+        [((_, _, _, quadrics), solutions)] = read_off
+        n = g - 2
+        columns3 = monomial_basis(n, 3)
+        generic = _inverse_vectors([(2, quadrics)], 3, columns3)[0]
+        assert len(solutions) == len(generic)
+        span = [from_spanning(3, n, [Polynomial(n, 3, v) for v in vectors]).basis
+                for vectors in (solutions,
+                                [{columns3[j]: x for j, x in v.items()} for v in generic])]
+        assert span[0] == span[1]
 
     @pytest.mark.parametrize("g, split, seed", section_curves())
     def test_eliminations_stay_within_the_section_functionals(self, g, split, seed,
                                                              monkeypatch):
         # a work count, not a time: every exact elimination of the accepted
-        # pair has at most 3n - 2 columns, the functionals on forms of
-        # degree 3n - 3; the generic kernel has C(n + 2, 3)
+        # pair has at most 3m + 1 columns, the functionals on forms of
+        # degree 3m (m = n - 1 on a threefold, n on a surface); the
+        # generic kernel has C(n + 2, 3)
         widths = []
         echelon = core._int_echelon
 
@@ -476,53 +495,49 @@ class TestSectionInverseSystem:
 
         monkeypatch.setattr(core, "_int_echelon", recording)
         monkeypatch.setattr(pipeline_module, "_int_echelon", recording)
-        recon, eta1, eta2, _ = next(pair for pair in tetragonal_pairs(g, split, seed) if pair[3])
+        recon, eta1, eta2, _ = next(pair for pair in section_pairs(g, split, seed) if pair[3])
         alpha_map(recon, eta1, eta2)
         n = g - 2
-        assert widths and max(widths) <= 3 * n - 2 < comb(n + 2, 3)
+        m = n if split is None else n - 1
+        assert widths and max(widths) <= 3 * m + 1 <= comb(n + 2, 3)
 
-    @pytest.mark.parametrize("name, argv", [
-        ("verify_b_g8", ["verify-b", "--g", "8", "--trials", "2", "--seed", "42"]),
-        ("verify_b_g11", ["verify-b", "--g", "11", "--trials", "1", "--seed", "41"]),
-        ("verify_b_g7_split02", ["verify-b", "--g", "7", "--split", "0,2",
-                                 "--trials", "1", "--seed", "42"])])
-    def test_goldens_pass_without_the_generic_kernel(self, name, argv, tmp_path,
-                                                      monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the generic inverse system ran")
-
-        monkeypatch.setattr(pipeline_module, "_inverse_vectors", refuse)
-        monkeypatch.delenv("APOLAR_KIT_THREADS", raising=False)
-        out = tmp_path / "report.json"
-        assert main(argv + ["--out", str(out)]) == 0
-        golden = pathlib.Path(__file__).parent / "golden" / f"{name}.json"
-        assert out.read_text() == golden.read_text()
-
-    def test_degenerate_section_falls_back(self):
+    def test_degenerate_section_is_redrawn(self):
         # the first pair of this seed makes the two hyperplanes
-        # proportional on the fiber over (1 : -1): phi has rank 4, not 5
+        # proportional on the fiber over (1 : -1): phi has rank 4, not 5;
+        # the generic kernel accepts it, but its cubic has no certificate
         seed = 1262656446957978
         curve = tetragonal_curve(7, 0, 2, seed)
-        [(recon, eta1, eta2, accepted)] = drawn_quotients(curve, seed, every=False)
-        assert accepted
-        blocks = pipeline_module._blocks(curve.scroll,
-                                         pipeline_module._hyperplane_rows(eta1, eta2))
-        fiber = pipeline_module._cross(*blocks)
+        (recon, eta1, eta2, accepted), (*_, redrawn) = drawn_quotients(curve, seed,
+                                                                       every=False)
+        assert not accepted and redrawn
+        etas = pipeline_module._hyperplane_rows(eta1, eta2)
+        [fiber], _ = pipeline_module._section(curve.scroll, etas)
         assert not any(sum(c * (-1) ** j for j, c in enumerate(f)) for f in fiber)
         image = pipeline_module._embed(curve.scroll, fiber)
         kept = quotient_frame(eta1, eta2, 7)[0]
         assert ExactMatrix([image[i] for i in kept]).rank() == 4
-        outcome, _, read_off = quotient_and_inverse_system(recon, eta1, eta2)
-        assert not read_off
-        expected = oracles.alpha_map(recon, eta1, eta2)
-        assert outcome == tuple(expected[:3])
+        with pytest.raises(AlphaCertificateError, match=r"\(i\) the section's coordinates"):
+            alpha_map(recon, eta1, eta2)
+        assert not against_the_oracle(curve, recon, eta1, eta2)
 
-    @pytest.mark.parametrize("g", [5, 6, 7, 8])
-    def test_trigonal_curves_take_the_generic_kernel(self, g):
-        for seed in (1, 2, 3):
-            curve = trigonal_curve(g, seed)
-            for recon, eta1, eta2, _ in drawn_quotients(curve, seed, every=False):
-                assert not quotient_and_inverse_system(recon, eta1, eta2)[2]
+    def test_h2_is_checked_before_the_section(self, monkeypatch):
+        # coordinate pairs on a trigonal sextic: where h2 != n no section
+        # is read, and the diagnostic stops at h2
+        recon = build_recon(trigonal_curve(6, seed=77))
+        read = []
+        original = pipeline_module._section_inverse_system
+        monkeypatch.setattr(pipeline_module, "_section_inverse_system",
+                            lambda *args: read.append(args) or original(*args))
+        short = 0
+        for i, j in combinations(range(6), 2):
+            before = len(read)
+            try:
+                alpha_map(recon, Polynomial.variable(i, 6), Polynomial.variable(j, 6))
+            except AlphaCertificateError as err:
+                if err.hilbert[2] != 4:
+                    assert len(err.hilbert) == 3 and len(read) == before
+                    short += 1
+        assert short
 
 
 class TestIntegerFormsLayer:
@@ -1018,6 +1033,6 @@ class TestVerifiers:
 
     def test_genus_out_of_range(self):
         with pytest.raises(ValueError):
-            verify_trigonal_fermat(13, trials=1, seed=1)
+            verify_trigonal_fermat(17, trials=1, seed=1)
         with pytest.raises(ValueError):
             verify_tetragonal_bound(12, None, trials=1, seed=1)
