@@ -26,6 +26,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -60,12 +61,19 @@ def monomial_basis(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """All exponent tuples of the given total degree, in graded-lex order.
 
     The list has exactly ``comb(nvars + degree - 1, degree)`` entries and
-    starts with ``(degree, 0, ..., 0)``.
+    starts with ``(degree, 0, ..., 0)``.  Each call returns a new list of
+    the tuples `_monomials` builds once per (nvars, degree).
     """
     if nvars < 1:
         raise ValueError(f"nvars must be >= 1, got {nvars}")
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
+    return list(_monomials(nvars, degree))
+
+
+@cache
+def _monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """The exponent tuples of `monomial_basis`, built once."""
     out: list[tuple[int, ...]] = []
 
     def rec(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
@@ -76,7 +84,7 @@ def monomial_basis(nvars: int, degree: int) -> list[tuple[int, ...]]:
             rec(prefix + (e,), remaining - e, slots - 1)
 
     rec((), degree, nvars)
-    return out
+    return tuple(out)
 
 
 class Polynomial:

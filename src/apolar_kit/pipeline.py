@@ -12,9 +12,12 @@ verifiers below run those constructions at desk scale:
   sum of g - 2 cubes: the scheme cut on the scroll, taken over Q in
   Q[t]/(D) without its roots, is g - 2 points whose cubes span it, and
   the cubic is concise;
-* the tetragonal verifier certifies, in the same way, that the cubic is
-  a sum of at most ceil((3g - 7) / 2) cubes, the points of the scheme cut
-  on one of the two surfaces between the curve and its threefold scroll.
+* the tetragonal verifier certifies that the cubic is a sum of at most
+  ceil((3g - 7) / 2) cubes, the points of the scheme cut on one of the
+  two surfaces between the curve and its threefold scroll: on the
+  rational normal curve C0 the hyperplanes cut on the scroll, the
+  surface is a squarefree binary form that kills the cubic's functional
+  (Sylvester's theorem, `waring._certify_functional`).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .curvegen import (CurveSpec, IdealReconstruction, balanced_type, ideal_piec
 from .scroll import Scroll, coordinate_layout
 from .seeding import derive_seed, make_rng, random_dual_linear
 from .univariate import _combine, _mul, _pseudo_remainder, poly_gcd
-from .waring import CertificateError, _certify_scheme, rank_lower_bound
+from .waring import CertificateError, _certify_functional, _certify_scheme, rank_lower_bound
 
 __all__ = [
     "AlphaResult",
@@ -71,12 +74,22 @@ class VerificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class AlphaResult:
+    """The quotient of a curve by two hyperplanes.
+
+    `functional` is the cubic's functional lambda on the binary forms of
+    degree 3m that `_section_inverse_system` reads off the scroll,
+    lambda_k = lambda(s^(3m - k) t^k): 3n - 2 integers on a tetragonal
+    curve (m = n - 1), 3n + 1 on a trigonal one (m = n).  The cubic is
+    F_lambda, (F_lambda)_e = (6 / e!) lambda(phi^e), divided by its lead.
+    """
+
     genus: int
     eta1: Polynomial
     eta2: Polynomial
     hilbert: tuple[int, ...]
     cubic: Polynomial
     kept_indices: tuple[int, ...]
+    functional: tuple[int, ...]
 
 
 def tetragonal_cube_bound(g: int) -> int:
@@ -176,7 +189,9 @@ def _section_inverse_system(scroll: Scroll, etas: Sequence[Sequence[int]],
     which generates I(Gamma) (2-regular, as its Hilbert function is n
     from degree 1), so V is I(Gamma)_3^perp.  Either way V is the
     F_lambda whose lambda kills every relation times every monomial
-    carrying it to degree 3m, one kernel over 3m + 1 columns.
+    carrying it to degree 3m, one kernel over 3m + 1 columns.  Returns
+    the pairs (lambda, F_lambda) of V's basis, lambda as its 3m + 1
+    values lambda(s^(3m - k) t^k).
     """
     n = len(kept)
     fibers, determinant = _section(scroll, etas)
@@ -216,7 +231,8 @@ def _section_inverse_system(scroll: Scroll, etas: Sequence[Sequence[int]],
             terms = {exp: 6 // prod(map(factorial, exp)) * sum(x * powers[exp][j]
                                                                 for j, x in lam.items())
                      for exp in monomial_basis(n, 3)}
-            solutions.append({exp: c for exp, c in terms.items() if c})
+            solutions.append(([lam.get(j, 0) for j in range(width)],
+                              {exp: c for exp, c in terms.items() if c}))
         return solutions
     raise AlphaCertificateError((1, n, n), "degenerate section: " + "; ".join(failed))
 
@@ -241,7 +257,8 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
     degree-1 multiples of restricted quadrics are restricted cubics.
     Hilbert vector (1, n, n, 1) certifies the hyperplanes as general, and
     the one kernel vector then weighs V's basis into the cubic, the one
-    `Polynomial` built.
+    `Polynomial` built; weighing the basis functionals alike gives the
+    cubic's functional.
     """
     g = recon.genus
     n = g - 2
@@ -255,8 +272,8 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
     if h2 != n:
         raise AlphaCertificateError(
             (1, n, h2), "quotient algebra does not have the expected Hilbert vector")
-    solutions = _section_inverse_system(recon.scroll, _hyperplane_rows(eta1, eta2), kept,
-                                        quadrics)
+    functionals, solutions = zip(*_section_inverse_system(
+        recon.scroll, _hyperplane_rows(eta1, eta2), kept, quadrics))
     index3 = {exp: j for j, exp in enumerate(basis3)}
     weighted = [{index3[exp]: c * prod(map(factorial, exp)) for exp, c in lift.items()}
                 for lift in _int_substitute(solutions, list(zip(*restriction)), g)]
@@ -270,7 +287,8 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
     terms = _combination(combos[0], solutions)
     lead = terms[max(terms)]
     cubic = Polynomial(n, 3, {exp: Fraction(c, lead) for exp, c in terms.items()})
-    return AlphaResult(g, eta1, eta2, hilbert, cubic, kept)
+    functional = tuple(_combine((c, functionals[i]) for i, c in combos[0].items()))
+    return AlphaResult(g, eta1, eta2, hilbert, cubic, kept, functional)
 
 
 def reduce_to_quotient(alpha: AlphaResult, poly: Polynomial) -> Polynomial:
@@ -342,38 +360,24 @@ def _chart(form: Sequence[int], k: int) -> list[int]:
     return out
 
 
-def _scheme(curve: CurveSpec, surface_index: Optional[int], eta1: Polynomial,
-            eta2: Polynomial, kept: Sequence[int]) -> tuple[list[int], list[list[int]]]:
-    """The scheme the two hyperplanes cut on a surface, over Q, as (D, phi).
+def _scheme(curve: CurveSpec, eta1: Polynomial, eta2: Polynomial,
+            kept: Sequence[int]) -> tuple[list[int], list[list[int]]]:
+    """The scheme the two hyperplanes cut on a trigonal curve's scroll,
+    over Q, as (D, phi).
 
     Each piece is first a binary form, coefficient j on s^(d - j) t^j.
-    `_section` gives the fibers, and D on the scroll of a trigonal curve
-    (`surface_index` None), where the fiber is (a1, -a0), or (b1, -b0)
-    when that one vanishes at a root of D.  On a tetragonal curve D is Y,
-    equation `surface_index`, on the one fiber, from the rows of Y's
-    image.  D(1 + k t, t)
-    leads with D(k, 1), so on the chart s = 1 + k t with the first k >= 0
-    where D(k, 1) != 0 (one of 0, ..., deg D) every point of the scheme
-    is affine; `_chart` moves D, the fiber and its embedding there, and
-    phi is the kept coordinates.  CertificateError names check (a) when D
-    vanishes, and (b) when the fiber vanishes at a root of D or a
-    hyperplane does not vanish on the image modulo D.
+    `_section` gives D and the fiber (a1, -a0), or (b1, -b0) when that
+    one vanishes at a root of D.  D(1 + k t, t) leads with D(k, 1), so on
+    the chart s = 1 + k t with the first k >= 0 where D(k, 1) != 0 (one
+    of 0, ..., deg D) every point of the scheme is affine; `_chart` moves
+    D, the fiber and its embedding there, and phi is the kept
+    coordinates.  CertificateError names check (a) when D vanishes, and
+    (b) when the fiber vanishes at a root of D or a hyperplane does not
+    vanish on the image modulo D.
     """
     scroll = curve.scroll
     etas = _hyperplane_rows(eta1, eta2)
     fibers, determinant = _section(scroll, etas)
-    if curve.gonality == 3:
-        if surface_index is not None:
-            raise ValueError("the trigonal surface is the scroll itself")
-    else:
-        if surface_index not in (0, 1):
-            raise ValueError("surface_index must pick one of the two surfaces")
-        (fiber,) = fibers
-        # Y's base form of each fiber monomial y^exp, times fiber^exp; the
-        # image is a positive multiple of Y, so D moves by a constant > 0
-        determinant = _combine(
-            (1, reduce(_mul, [fiber[i] for i, e in enumerate(exp) for _ in range(e)], row))
-            for exp, row in curve.equations[surface_index].image if row)
     if not any(determinant):
         raise CertificateError("(a) the scheme equation vanishes identically")
     k = next(k for k in count() if reduce(lambda value, c: value * k + c, determinant, 0))
@@ -396,8 +400,8 @@ def _certify_fermat(curve: CurveSpec, alpha: AlphaResult,
     n = g - 2 points of the scroll scheme, and it is concise, so its rank
     is exactly n."""
     try:
-        n = _certify_scheme(*_scheme(curve, None, alpha.eta1, alpha.eta2,
-                                     alpha.kept_indices), alpha.cubic)
+        n = _certify_scheme(*_scheme(curve, alpha.eta1, alpha.eta2, alpha.kept_indices),
+                            alpha.cubic)
         if rank_lower_bound(alpha.cubic) != n:
             raise CertificateError("(d) the cubic is not concise")
     except CertificateError as err:
@@ -413,22 +417,42 @@ def _certify_fermat(curve: CurveSpec, alpha: AlphaResult,
     }
 
 
+def _surface_form(curve: CurveSpec, surface_index: int,
+                  fiber: Sequence[Sequence[int]]) -> list[int]:
+    """The binary form D that surface Y, equation `surface_index`,
+    restricts to on C0: Y's base form of each fiber monomial y^exp, from
+    the rows of Y's image, times fiber^exp.  The image is a positive
+    multiple of Y, so D moves by a constant > 0."""
+    return _combine(
+        (1, reduce(_mul, [fiber[i] for i, e in enumerate(exp) for _ in range(e)], row))
+        for exp, row in curve.equations[surface_index].image if row)
+
+
 def _certify_bound(curve: CurveSpec, alpha: AlphaResult,
                    failures: list) -> Optional[dict]:
     """Tetragonal certificate: the cubic is a sum of the cubes of the
     points of the scheme cut on one of the two surfaces 2H - bF, whose
-    length must stay within the bound."""
+    length must stay within the bound.
+
+    The hyperplanes cut the threefold scroll in the rational normal curve
+    C0 (`_section`), on which the cubic's functional lambda lives; each
+    surface restricts to a binary form D of degree L = 2g - 6 - b there
+    (`_surface_form`), with no chart.  `_certify_functional` checks that
+    D is squarefree and kills lambda, so by Sylvester's theorem lambda is
+    a weighted sum of evaluations at the L roots of D, and the cubic the
+    sum of the cubes of C0's points there.
+    """
     g = curve.genus
     bound = tetragonal_cube_bound(g)
     lower_bound = rank_lower_bound(alpha.cubic)
     bs = [-cls.f for cls in curve.classes]
+    [fiber], _ = _section(curve.scroll, _hyperplane_rows(alpha.eta1, alpha.eta2))
     # prefer the lower-degree surface: larger b first
     for surface_index in sorted((0, 1), key=lambda i: -bs[i]):
         b = bs[surface_index]
         try:
-            length = _certify_scheme(*_scheme(curve, surface_index, alpha.eta1,
-                                              alpha.eta2, alpha.kept_indices),
-                                     alpha.cubic)
+            length = _certify_functional(_surface_form(curve, surface_index, fiber),
+                                         alpha.functional)
         except CertificateError as err:
             failures.append(f"surface b={b}: {err}")
             continue
@@ -530,17 +554,18 @@ def verify_tetragonal_bound(g: int, split: Optional[tuple[int, int]], trials: in
 
     Every trial builds a complete-intersection curve for the requested
     split of g - 5 and runs the quotient construction.  It then certifies
-    exactly, in Q[t]/(D) and without a root, that the cubic is a sum of
-    the cubes of the points the two hyperplanes cut on one of the two
-    surfaces 2H - b F (lower degree first; `_certify_scheme`).  That
+    exactly, by Sylvester's theorem on binary forms and without a root,
+    that the cubic is a sum of the cubes of the points the two
+    hyperplanes cut on one of the two surfaces 2H - b F (lower degree
+    first; `_certify_bound`).  That
     length, the degree of the surface, must stay within the bound.  The
     report also carries the interval between the contraction-rank lower
     bound and the length, since ranks in between are not decided here.
     A split that `tetragonal_surfaces` rejects is an input error before
     any trial.
     """
-    if not 6 <= g <= 11:
-        raise ValueError("desk-scale verification covers genus 6 through 11")
+    if not 6 <= g <= 15:
+        raise ValueError("desk-scale verification covers genus 6 through 15")
     if split is None:
         split = balanced_type(g - 5, 2)
     if len(split) != 2:

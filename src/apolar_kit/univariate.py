@@ -3,7 +3,8 @@
 Polynomials are integer coefficient lists, lowest degree first.  The
 module multiplies and combines them, finds rational roots by p-adic
 lifting and rational reconstruction, takes greatest common divisors and
-squarefree tests by primitive pseudo-remainder sequences, and reduces
+squarefree tests by primitive pseudo-remainder sequences (after one
+gcd modulo a prime, which settles most squarefree inputs), and reduces
 modulo a polynomial with the integer multiplier of the reduction kept,
 so residues in Q[t]/(D) stay integral.  No root is ever approximated.
 """
@@ -13,6 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Optional, Sequence
+
+from . import core
 
 __all__ = ["rational_roots", "affine_chart", "poly_gcd", "is_squarefree"]
 
@@ -99,10 +102,40 @@ def poly_gcd(f: Sequence, g: Sequence) -> list[int]:
     return [1] if b else a
 
 
+def _coprime_mod(f: Sequence[int], g: Sequence[int], p: int) -> bool:
+    """Whether f and g are coprime modulo the prime p: Euclid's algorithm
+    over GF(p) ends on a nonzero constant."""
+    a, b = [c % p for c in f], [c % p for c in g]
+    while True:
+        while b and not b[-1]:
+            b.pop()
+        if not b:
+            return len(a) == 1
+        inverse = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c = a.pop() * inverse % p
+            if c:
+                shift = len(a) - len(b) + 1
+                for i, x in enumerate(b[:-1]):
+                    a[shift + i] = (a[shift + i] - c * x) % p
+        a, b = b, a
+
+
 def is_squarefree(coeffs: Sequence) -> bool:
-    """True when sum_i coeffs[i] t^i has no repeated factor over Q."""
+    """True when sum_i coeffs[i] t^i has no repeated factor over Q.
+
+    The primitive f is first tested modulo p = `core._RANK_PRIME`: when p
+    does not divide f's leading coefficient and f, f' are coprime mod p,
+    f is squarefree, since a square h^2 dividing f in Z[t] (Gauss's
+    lemma) keeps its degree mod p and h divides f and f' there too.
+    Otherwise the primitive pseudo-remainder sequence decides exactly.
+    """
     f = _primitive(coeffs)
-    return len(poly_gcd(f, _derivative(f))) == 1
+    df = _derivative(f)
+    p = core._RANK_PRIME
+    if f and f[-1] % p and _coprime_mod(f, df, p):
+        return True
+    return len(poly_gcd(f, df)) == 1
 
 
 def _divide(f: list[int], g: list[int]) -> Optional[list[int]]:

@@ -13,6 +13,8 @@ the power-sum certificate the verifiers use (`_certify_scheme`): F lies
 in the span of the cubes of those points, decided in Q[t]/(chi), which
 together with conciseness proves that F is a sum of exactly n cubes.
 It runs in integers: one Faddeev-LeVerrier loop gives adj(B) and chi.
+The tetragonal verifier certifies a functional on binary forms instead
+(`_certify_functional`, Sylvester's theorem), with no residue at all.
 """
 
 from __future__ import annotations
@@ -162,6 +164,36 @@ def _certify_scheme(determinant: list[int], phi: Sequence[list[int]],
         in_span = not any(_int_reduce(ech, pivots, [target * (scale // den)
                                                     for _, target, den in columns]))
     if not in_span:
+        raise CertificateError("(c) the cubic is not in the span of the scheme's cubes")
+    return length
+
+
+def _certify_functional(determinant: Sequence[int], functional: Sequence[int]) -> int:
+    """Exact power-sum certificate of a functional on binary forms, by
+    Sylvester's theorem; returns L = deg D.
+
+    D is a binary form of degree L, coefficient j on s^(L - j) t^j, and
+    lambda a functional on the forms of degree d, given by its values
+    lambda_k = lambda(s^(d - k) t^k).  (a) D is squarefree: its
+    dehomogenization has no repeated factor and drops at most one degree,
+    so D has L distinct roots p_i in P^1, at most one of them (0 : 1).
+    (c') lambda kills the multiples D s^(d - L - j) t^j, j = 0..d - L, a
+    dot product each: sum_i D_i lambda_(i + j) = 0.  The functionals that
+    kill the degree-d multiples of D form a space of dimension L (for
+    L <= d + 1), and the L evaluations at the p_i are independent in it,
+    so by the binary apolarity lemma (Iarrobino-Kanev 1999, Lemma 1.15)
+    lambda(h) = sum_i w_i h(p_i) for every form h of degree d.
+    CertificateError names the failed check.
+    """
+    length = len(determinant) - 1
+    if not any(determinant):
+        raise CertificateError("(a) the scheme equation vanishes identically")
+    at_infinity = length - max(j for j, c in enumerate(determinant) if c)
+    if length < 1 or at_infinity > 1 or not is_squarefree(determinant):
+        raise CertificateError(
+            f"(a) the scheme equation is not squarefree of degree {length}")
+    if any(sum(c * x for c, x in zip(determinant, functional[j:]))
+           for j in range(len(functional) - length)):
         raise CertificateError("(c) the cubic is not in the span of the scheme's cubes")
     return length
 

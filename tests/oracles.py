@@ -52,6 +52,12 @@ in closed form; `chart_search_scheme` is the builder it replaced, which
 tries the charts s = 1 + k t for k = 0, 1, ... and restricts both
 hyperplanes and the surface again on each, until D has the expected
 degree.
+
+The tetragonal certificate checks by Sylvester's theorem that the
+surface's binary form on C0 kills the cubic's functional;
+`surface_scheme` and `scheme_certify_bound` are the certificate it
+replaced: the scheme a surface cuts, on the closed-form chart, and the
+span check of `waring._certify_scheme` in Q[t]/(D) on it.
 """
 
 import sys
@@ -72,13 +78,14 @@ from apolar_kit.apolarity import (ApolarAlgebraProfile, GradedIdealPiece, _catal
 from apolar_kit.core import (ExactMatrix, Polynomial, _falling, _int_echelon, _int_reduce,
                              _kernel_vectors, _monomial_value, _row_to_int, _scaled,
                              monomial_basis, substitute)
-from apolar_kit.pipeline import AlphaCertificateError
+from apolar_kit.pipeline import (AlphaCertificateError, _chart, _embed, _hyperplane_rows,
+                                 _section, _surface_form, tetragonal_cube_bound)
 from apolar_kit.scroll import coordinate_layout, divisor_degree
 from apolar_kit.seeding import make_rng, random_dual_linear
 from apolar_kit.univariate import (_combine, _mul, _pseudo_remainder, affine_chart, is_squarefree,
                                    poly_gcd, rational_roots)
 from apolar_kit.waring import (CertificateError, Decomposition, PencilError,
-                               _certify_scheme)
+                               _certify_scheme, rank_lower_bound)
 
 _T = sympy.Symbol("t")
 
@@ -683,3 +690,61 @@ def chart_search_scheme(curve, surface_index, eta1, eta2, kept):
         if any(_pseudo_remainder(_combine(zip(eta, image)), determinant)[1]):
             raise CertificateError("(b) a hyperplane misses the scheme")
     return determinant, [image[i] for i in kept]
+
+
+def surface_scheme(curve, surface_index, eta1, eta2, kept):
+    """The scheme the two hyperplanes cut on surface Y of a tetragonal
+    curve, equation `surface_index`, over Q, as (D, phi): D is Y's binary
+    form on the fiber of `pipeline._section`, moved with the fiber and
+    its embedding to the chart s = 1 + k t of the first k >= 0 where
+    D(k, 1) != 0; phi is the kept coordinates.  CertificateError names
+    check (a) when D vanishes, and (b) when the fiber vanishes at a root
+    of D or a hyperplane does not vanish on the image modulo D."""
+    if surface_index not in (0, 1):
+        raise ValueError("surface_index must pick one of the two surfaces")
+    etas = _hyperplane_rows(eta1, eta2)
+    [fiber], _ = _section(curve.scroll, etas)
+    determinant = _surface_form(curve, surface_index, fiber)
+    if not any(determinant):
+        raise CertificateError("(a) the scheme equation vanishes identically")
+    k = next(k for k in range(len(determinant))
+             if reduce(lambda value, c: value * k + c, determinant, 0))
+    determinant = _chart(determinant, k)
+    if len(reduce(poly_gcd, (_chart(f, k) for f in fiber), determinant)) != 1:
+        raise CertificateError("(b) degenerate fiber at a root of the scheme equation")
+    image = [_chart(form, k) for form in _embed(curve.scroll, fiber)]
+    for eta in etas:
+        if any(_pseudo_remainder(_combine(zip(eta, image)), determinant)[1]):
+            raise CertificateError("(b) a hyperplane misses the scheme")
+    return determinant, [image[i] for i in kept]
+
+
+def scheme_certify_bound(curve, alpha, failures):
+    """`pipeline._certify_bound` by the span check in Q[t]/(D): the cubic
+    is a sum of the cubes of the points of `surface_scheme` on one of the
+    two surfaces, larger b first.  Reads the cubic, not the functional."""
+    g = curve.genus
+    bound = tetragonal_cube_bound(g)
+    lower_bound = rank_lower_bound(alpha.cubic)
+    bs = [-cls.f for cls in curve.classes]
+    for surface_index in sorted((0, 1), key=lambda i: -bs[i]):
+        b = bs[surface_index]
+        try:
+            length = _certify_scheme(*surface_scheme(curve, surface_index, alpha.eta1,
+                                                     alpha.eta2, alpha.kept_indices),
+                                     alpha.cubic)
+        except CertificateError as err:
+            failures.append(f"surface b={b}: {err}")
+            continue
+        return {
+            "surface": {"h": 2, "f": -b},
+            "surface_degree": 2 * g - 6 - b,
+            "certificate": "exact",
+            "length": length,
+            "bound": bound,
+            "within_bound": length <= bound,
+            "rank_interval": [lower_bound, length],
+            "rank_certified": lower_bound == length,
+            "passed": length <= bound,
+        }
+    return None

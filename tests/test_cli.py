@@ -414,18 +414,23 @@ class TestCommands:
         assert report["bound"] == 6
 
     def test_failing_certificate_is_a_failed_trial(self, tmp_path, monkeypatch):
-        # every surface of every hyperplane pair fails its certificate
+        # every certificate of every hyperplane pair fails: the scheme's
+        # span check on a trigonal curve, and on a tetragonal one the
+        # functional's check on each surface
         def fail(*args):
             raise pipeline.CertificateError("(c) the cubic is not in the span "
                                             "of the scheme's cubes")
 
         monkeypatch.setattr(pipeline, "_certify_scheme", fail)
-        code, report = run(tmp_path, "verify-b", "--g", "6", "--trials", "1",
-                           "--seed", "8")
-        assert code == 1 and report["passed"] is False
-        failures = report["trials"][0]["failures"]
-        assert len(failures) == 10
-        assert all(f.startswith("surface b=") and "(c)" in f for f in failures)
+        monkeypatch.setattr(pipeline, "_certify_functional", fail)
+        for command, per_pair, prefix in (("verify-a", 1, "certificate: "),
+                                          ("verify-b", 2, "surface b=")):
+            code, report = run(tmp_path, command, "--g", "6", "--trials", "1",
+                               "--seed", "8")
+            assert code == 1 and report["passed"] is False
+            failures = report["trials"][0]["failures"]
+            assert len(failures) == 5 * per_pair
+            assert all(f.startswith(prefix) and "(c)" in f for f in failures)
 
     @pytest.mark.parametrize("command, option", [
         (command, option)

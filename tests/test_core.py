@@ -200,6 +200,20 @@ class TestMonomialBasis:
         assert basis == sorted(basis, reverse=True)
         assert all(sum(e) == 3 for e in basis)
 
+    def test_each_call_returns_a_new_list(self):
+        # the tuples are built once; a caller's changes to its list stay its own
+        basis = monomial_basis(3, 2)
+        basis.append((9, 9, 9))
+        basis.pop(0)
+        assert monomial_basis(3, 2) == [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0),
+                                        (0, 1, 1), (0, 0, 2)]
+        assert monomial_basis(3, 2) is not monomial_basis(3, 2)
+
+    def test_invalid_arguments(self):
+        for nvars, degree in ((0, 2), (2, -1)):
+            with pytest.raises(ValueError):
+                monomial_basis(nvars, degree)
+
 
 class TestExactMatrix:
     def test_kernel_of_difference_row(self):

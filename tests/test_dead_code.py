@@ -147,3 +147,23 @@ def test_pipeline_imports_nothing_from_apolarity():
     modules |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                 for alias in node.names}
     assert not {m for m in modules if m and m.rpartition(".")[2] == "apolarity"}
+
+
+def test_tetragonal_certificate_reaches_no_span_check():
+    """`pipeline._certify_bound` certifies by Sylvester's theorem on C0: no
+    package function it reads, directly or through the functions those
+    read, is the span check in Q[t]/(D) (`waring._certify_scheme`) or the
+    scheme builder it runs on (`pipeline._scheme`)."""
+    functions = {}
+    for tree in _parse([PACKAGE]).values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions.setdefault(node.name, []).append(node)
+    reached, todo = set(), ["_certify_bound"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [n for n in _referenced(functions[name]) if n in functions]
+    assert {"_certify_functional", "_surface_form", "_section"} <= reached
+    assert not {"_scheme", "_certify_scheme"} & reached

@@ -275,9 +275,11 @@ def against_the_oracle(curve, recon, eta1, eta2):
                                                          str(err.hilbert))
         else:
             assert err.hilbert == (1, n, n) and "degenerate section" in str(err)
-            certify = _certify_fermat if curve.gonality == 3 else _certify_bound
+            # the oracle's generic kernel gives no functional, so a
+            # tetragonal cubic is checked by the span certificate
+            certify = _certify_fermat if curve.gonality == 3 else oracles.scheme_certify_bound
             hilbert, kept, cubic = expected[:3]
-            assert certify(curve, AlphaResult(curve.genus, eta1, eta2, hilbert, cubic, kept),
+            assert certify(curve, AlphaResult(curve.genus, eta1, eta2, hilbert, cubic, kept, ()),
                            []) is None
         return False
     assert not isinstance(expected, AlphaCertificateError), expected
@@ -469,7 +471,8 @@ class TestSectionInverseSystem:
                             or read_off[-1][1])
         recon, eta1, eta2, _ = next(pair for pair in section_pairs(g, split, 1) if pair[3])
         alpha_map(recon, eta1, eta2)
-        [((_, _, _, quadrics), solutions)] = read_off
+        [((_, _, _, quadrics), pairs)] = read_off
+        solutions = [terms for _, terms in pairs]
         n = g - 2
         columns3 = monomial_basis(n, 3)
         generic = _inverse_vectors([(2, quadrics)], 3, columns3)[0]
@@ -540,6 +543,180 @@ class TestSectionInverseSystem:
         assert short
 
 
+def tetragonal_section_curves():
+    """Tetragonal g = 6..11 at every admissible split, seeds 1-3."""
+    return [param for param in section_curves() if param.values[1] is not None]
+
+
+BENCH_CURVES = [(g, None) for g in (5, 6, 7, 8)] + [(6, (0, 1)), (7, (1, 1)), (7, (0, 2)),
+                                                    (8, (1, 2))]
+
+
+def accepted_alphas(g, split, seed):
+    """(curve, AlphaResult) of every pair of `section_pairs` that
+    `alpha_map` accepts."""
+    curve = section_curve(g, split, seed)
+    return [(curve, alpha_map(recon, eta1, eta2))
+            for recon, eta1, eta2, accepted in section_pairs(g, split, seed) if accepted]
+
+
+def cubic_of_functional(curve, alpha, functional):
+    """F_lambda divided by its lead, in sympy: (F_lambda)_e = (6 / e!)
+    lambda(phi^e), phi the kept coordinates of the first fiber of
+    `_section`, embedded and dehomogenized at s = 1."""
+    etas = pipeline_module._hyperplane_rows(alpha.eta1, alpha.eta2)
+    fiber = pipeline_module._section(curve.scroll, etas)[0][0]
+    image = pipeline_module._embed(curve.scroll, fiber)
+    phi = [sympy.Poly(image[i][::-1], _T, domain="ZZ") for i in alpha.kept_indices]
+    n = len(phi)
+    terms = {}
+    for exp in monomial_basis(n, 3):
+        power = functools.reduce(lambda a, b: a * b,
+                                 [f ** e for f, e in zip(phi, exp)], sympy.Poly(1, _T))
+        coeffs = power.all_coeffs()[::-1]
+        value = sum(x * int(c) for x, c in zip(functional, coeffs))
+        if value:
+            terms[exp] = 6 // prod(map(factorial, exp)) * value
+    lead = terms[max(terms)]
+    return Polynomial(n, 3, {exp: Fraction(c, lead) for exp, c in terms.items()})
+
+
+def certified_surface(curve, alpha):
+    """(D, L) of the surface `_certify_bound` certifies."""
+    found = _certify_bound(curve, alpha, [])
+    index = next(i for i, cls in enumerate(curve.classes) if cls.f == found["surface"]["f"])
+    etas = pipeline_module._hyperplane_rows(alpha.eta1, alpha.eta2)
+    [fiber], _ = pipeline_module._section(curve.scroll, etas)
+    return pipeline_module._surface_form(curve, index, fiber), found["length"]
+
+
+def hankel(functional, k):
+    """H_k(lambda): rows b = 0..d - k, columns i = 0..k, entry lambda_(i + b)."""
+    d = len(functional) - 1
+    return [list(functional[b:b + k + 1]) for b in range(d - k + 1)]
+
+
+class TestSylvesterCertificate:
+    """The tetragonal bound certified on C0: the surface's binary form D is
+    squarefree and kills the cubic's functional lambda."""
+
+    @pytest.mark.parametrize("g, split, seed", tetragonal_section_curves())
+    def test_agrees_with_the_span_certificate(self, g, split, seed):
+        # every accepted pair of `section_pairs`, and the same pair with one
+        # entry of lambda moved, the span check then given F_lambda
+        for curve, alpha in accepted_alphas(g, split, seed):
+            moved = list(alpha.functional)
+            moved[len(moved) // 2] += 1
+            for functional in (alpha.functional, tuple(moved)):
+                cubic = cubic_of_functional(curve, alpha, functional)
+                mutated = dataclasses.replace(alpha, cubic=cubic, functional=functional)
+                failures, expected_failures = [], []
+                found = _certify_bound(curve, mutated, failures)
+                assert found == oracles.scheme_certify_bound(curve, mutated, expected_failures)
+                assert failures == expected_failures
+                assert (found is None) == (functional != alpha.functional)
+
+    @pytest.mark.parametrize("g, split", BENCH_CURVES)
+    def test_the_cubic_is_the_functional_over_its_lead(self, g, split):
+        n = g - 2
+        for seed in (1, 2, 3):
+            for curve, alpha in accepted_alphas(g, split, seed):
+                assert len(alpha.functional) == (3 * n + 1 if split is None else 3 * n - 2)
+                assert all(type(x) is int for x in alpha.functional)
+                assert alpha.cubic == cubic_of_functional(curve, alpha, alpha.functional)
+
+    @pytest.mark.parametrize("g, split", BENCH_CURVES[4:])
+    def test_moving_lambda_or_d_fails_the_functional_check(self, g, split):
+        curve, alpha = accepted_alphas(g, split, 1)[0]
+        determinant, length = certified_surface(curve, alpha)
+        functional = list(alpha.functional)
+        assert waring._certify_functional(determinant, functional) == length
+        for k in range(len(functional)):
+            moved = functional[:k] + [functional[k] + 1] + functional[k + 1:]
+            with pytest.raises(CertificateError, match=r"^\(c\)"):
+                waring._certify_functional(determinant, moved)
+        for i in range(length + 1):
+            moved = determinant[:i] + [determinant[i] - 1] + determinant[i + 1:]
+            with pytest.raises(CertificateError, match=r"^\(c\)"):
+                waring._certify_functional(moved, functional)
+        failures = []
+        assert _certify_bound(curve, dataclasses.replace(alpha, functional=tuple(
+            x + (k == 0) for k, x in enumerate(functional))), failures) is None
+        assert [f.partition(": ")[2] for f in failures] == [
+            "(c) the cubic is not in the span of the scheme's cubes"] * 2
+
+    @pytest.mark.parametrize("g, split", BENCH_CURVES[4:])
+    def test_repeated_roots_fail_the_squarefree_check(self, g, split):
+        curve, alpha = accepted_alphas(g, split, 1)[0]
+        determinant, length = certified_surface(curve, alpha)
+        functional = alpha.functional
+        assert determinant[-1]   # no root at (0 : 1) on these curves
+        for a, b in ((0, 1), (1, 0), (3, -2)):
+            # D (b t - a s)^2, coefficient j on s^(L + 2 - j) t^j
+            square = [a * a, -2 * a * b, b * b]
+            repeated = [sum(determinant[j - i] * c for i, c in enumerate(square)
+                            if 0 <= j - i <= length) for j in range(length + 3)]
+            with pytest.raises(CertificateError, match=r"^\(a\) .* degree %d" % (length + 2)):
+                waring._certify_functional(repeated, functional)
+        # one root at (0 : 1) is a simple root: D s still kills lambda
+        assert waring._certify_functional(determinant + [0], functional) == length + 1
+        with pytest.raises(CertificateError, match=r"^\(a\)"):
+            waring._certify_functional(determinant + [0, 0], functional)
+        with pytest.raises(CertificateError, match=r"^\(a\) .* vanishes"):
+            waring._certify_functional([0] * (length + 1), functional)
+
+    def test_evaluations_at_the_roots(self):
+        # lambda = ev(1 : 1) + 2 ev(1 : 2) - ev(0 : 1) on forms of degree 6
+        # is killed by s (t - s)(t - 2s), with a root at (0 : 1), and not by
+        # s (t - s)(t - 3s), t (t - s)(t - 2s) or (t - s)(t - 2s)
+        functional = [1 + 2 * 2 ** k - (k == 6) for k in range(7)]
+        assert waring._certify_functional([2, -3, 1, 0], functional) == 3
+        for wrong in ([3, -4, 1, 0], [0, 2, -3, 1], [2, -3, 1]):
+            with pytest.raises(CertificateError, match=r"^\(c\)"):
+                waring._certify_functional(wrong, functional)
+
+    @pytest.mark.parametrize("g, split, seed", tetragonal_section_curves())
+    def test_hankel_rank_first_drops_at_the_shorter_surface(self, g, split, seed):
+        # Ann(lambda) = (D1, D2) with L1 + L2 = 3g - 7: H_k(lambda) has full
+        # column rank below min L, and at min L a kernel spanned by the D
+        # of the larger b, or the pencil of both when b1 = b2
+        b1, b2 = split
+        short = 2 * g - 6 - b2
+        assert short + 2 * g - 6 - b1 == 3 * g - 7
+        curve, alpha = accepted_alphas(g, split, seed)[0]
+        for k in range(short):
+            assert ExactMatrix(hankel(alpha.functional, k)).rank() == k + 1
+        assert (ExactMatrix(hankel(alpha.functional, short)).rank()
+                == short + 1 - (2 if b1 == b2 else 1))
+        determinant, length = certified_surface(curve, alpha)
+        assert length == short <= (3 * g - 7) // 2
+
+    @pytest.mark.parametrize("g, split", BENCH_CURVES[4:] + [(11, (3, 3))])
+    def test_no_elimination_wider_than_the_surface(self, g, split, monkeypatch):
+        # a work count: every elimination of the certificate, the
+        # contraction rank included, has at most L + 1 columns, and it
+        # builds no scheme in Q[t]/(D)
+        curve, alpha = accepted_alphas(g, split, 1)[0]
+        widths = []
+        for name in ("_int_echelon", "_pivots_mod_prime"):
+            original = getattr(core, name)
+
+            def recording(rows, ncols, original=original):
+                widths.append(ncols)
+                return original(rows, ncols)
+            for module_name, module in list(sys.modules.items()):
+                if (module_name.split(".")[0] == "apolar_kit"
+                        and getattr(module, name, None) is original):
+                    monkeypatch.setattr(module, name, recording)
+
+        def refuse(*args):
+            raise AssertionError("the span certificate ran")
+        monkeypatch.setattr(pipeline_module, "_scheme", refuse)
+        monkeypatch.setattr(pipeline_module, "_certify_scheme", refuse)
+        found = _certify_bound(curve, alpha, [])
+        assert widths and max(widths) <= found["length"] + 1
+
+
 class TestIntegerFormsLayer:
     """The forms layer runs on integer rows from the form's integer terms."""
 
@@ -578,8 +755,12 @@ class TestIntegerFormsLayer:
 
 
 def scheme_of(curve, surface_index, eta1, eta2):
+    """(D, phi) on the trigonal scroll (`surface_index` None), or on a
+    tetragonal surface by the oracle the Sylvester certificate replaced."""
     kept = quotient_frame(eta1, eta2, curve.genus)[0]
-    return _scheme(curve, surface_index, eta1, eta2, kept)
+    if surface_index is None:
+        return _scheme(curve, eta1, eta2, kept)
+    return oracles.surface_scheme(curve, surface_index, eta1, eta2, kept)
 
 
 def vanishes_on_scheme(poly, determinant, phi):
@@ -629,12 +810,6 @@ class TestGammaPoints:
             assert len(determinant) - 1 == length
             points = oracle_points(determinant, phi)
             assert len(points) == length and distinct(points)
-
-    def test_trigonal_rejects_surface_index(self):
-        curve = trigonal_curve(5, seed=29)
-        rng = make_rng(30)
-        with pytest.raises(ValueError):
-            scheme_of(curve, 0, random_dual_linear(5, rng), random_dual_linear(5, rng))
 
     def test_apolarity_containment_degree_two(self):
         # the scheme sits on the scroll, and in degree 2 the trigonal
@@ -875,7 +1050,7 @@ def seeded_schemes():
     for curve in curves:
         alpha = alpha_for_curve(curve, curve.seed)
         for index in ((None,) if curve.gonality == 3 else (0, 1)):
-            scheme = _scheme(curve, index, alpha.eta1, alpha.eta2, alpha.kept_indices)
+            scheme = scheme_of(curve, index, alpha.eta1, alpha.eta2)
             out.append((*scheme, alpha.cubic))
     return out
 
@@ -976,16 +1151,22 @@ def drawn_pairs(curve, seed):
 
 class TestClosedFormChart:
     """The scheme built once on binary forms, on the chart s = 1 + k t with
-    the first k where D(k, 1) != 0, against the chart search it replaced."""
+    the first k where D(k, 1) != 0, against the chart search it replaced:
+    `_scheme` on a trigonal scroll, and on a tetragonal surface the
+    oracle the Sylvester certificate replaced."""
 
     @pytest.mark.parametrize("g, split", CHART_CASES)
     def test_same_scheme_as_the_chart_search(self, g, split):
         for seed in (1, 2, 3):
             curve = trigonal_curve(g, seed) if split is None else tetragonal_curve(g, *split, seed)
             for eta1, eta2, kept in drawn_pairs(curve, seed):
-                for index in ((None,) if split is None else (0, 1)):
+                if split is None:
+                    assert (verdict(_scheme, curve, eta1, eta2, kept)
+                            == verdict(oracles.chart_search_scheme, curve, None, eta1, eta2,
+                                       kept))
+                for index in (0, 1) if split else ():
                     args = (curve, index, eta1, eta2, kept)
-                    assert (verdict(_scheme, *args)
+                    assert (verdict(oracles.surface_scheme, *args)
                             == verdict(oracles.chart_search_scheme, *args))
 
     def test_same_scheme_on_a_sheared_chart(self):
@@ -993,9 +1174,9 @@ class TestClosedFormChart:
         seed = derive_seed(765804037, 0)
         curve = trigonal_curve(5, seed)
         alpha = alpha_for_curve(curve, seed)
-        args = (curve, None, alpha.eta1, alpha.eta2, alpha.kept_indices)
-        determinant, phi = _scheme(*args)
-        assert (determinant, phi) == oracles.chart_search_scheme(*args)
+        args = (alpha.eta1, alpha.eta2, alpha.kept_indices)
+        determinant, phi = _scheme(curve, *args)
+        assert (determinant, phi) == oracles.chart_search_scheme(curve, None, *args)
         assert len(determinant) == 4 and determinant[-1]
 
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=7), st.integers(0, 6))
@@ -1035,4 +1216,4 @@ class TestVerifiers:
         with pytest.raises(ValueError):
             verify_trigonal_fermat(17, trials=1, seed=1)
         with pytest.raises(ValueError):
-            verify_tetragonal_bound(12, None, trials=1, seed=1)
+            verify_tetragonal_bound(16, None, trials=1, seed=1)

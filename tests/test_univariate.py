@@ -5,7 +5,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apolar_kit import univariate
+from apolar_kit import core, univariate
 from apolar_kit.univariate import is_squarefree, poly_gcd, rational_roots
 
 _T = sympy.Symbol("t")
@@ -128,6 +128,51 @@ class TestPolynomialGcd:
                 poly = poly[:-1]
             if len(poly) > 1:
                 assert is_squarefree(poly) == _sympy_poly(poly).is_sqf
+
+
+def _int_times(f, g):
+    return [int(c) for c in times([Fraction(c) for c in f], [Fraction(c) for c in g])]
+
+
+class TestModularSquarefree:
+    """`is_squarefree` decides by one gcd modulo `core._RANK_PRIME` when
+    that gcd is 1 and the prime misses the leading coefficient, and by the
+    pseudo-remainder sequence otherwise."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.lists(st.integers(-30, 30), min_size=2, max_size=4)
+                              .filter(lambda f: f[-1] != 0), st.integers(1, 3)),
+                    min_size=1, max_size=3),
+           st.sampled_from([2 ** 61 - 1, 2, 3, 5, 7]), st.booleans(), st.integers(-9, 9))
+    def test_against_the_remainder_sequence(self, factors, prime, lead_factor, scale):
+        # repeated factors, and (p t + 1) puts the prime into the leading
+        # coefficient of the primitive part; small primes also make
+        # squarefree inputs fail modulo p, where the sequence decides
+        f = [scale or 1]
+        for factor, power in factors:
+            for _ in range(power):
+                f = _int_times(f, factor)
+        if lead_factor:
+            f = _int_times(f, [1, prime])
+        expected = len(poly_gcd(f, univariate._derivative(f))) == 1
+        assert expected == _sympy_poly([Fraction(c) for c in f]).is_sqf
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_RANK_PRIME", prime)
+            assert is_squarefree(f) == expected
+
+    def test_the_sequence_runs_only_when_the_prime_cannot_decide(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(univariate, "poly_gcd",
+                            lambda *args: calls.append(args) or poly_gcd(*args))
+        p = core._RANK_PRIME
+        cases = [([2, -3, 1], True, 0),              # (t - 1)(t - 2)
+                 ([-2, 1 - 2 * p, p], True, 1),      # (t - 2)(p t + 1)
+                 ([1, -2, 1], False, 1),             # (t - 1)^2
+                 ([-p, 2 * p, -p], False, 1)]        # -p (t - 1)^2, content stripped
+        for f, squarefree, runs in cases:
+            before = len(calls)
+            assert is_squarefree(f) is squarefree
+            assert len(calls) - before == runs, f
 
 
 class TestPseudoRemainder:
