@@ -10,9 +10,12 @@ g - 3.
 Exact rational points on a random curve of genus >= 2 are scarce (only
 finitely many exist at all), so the generators interpolate: a few fibers
 are forced to split rationally by prescribing points on them, and those
-base values are recorded on the curve as sampling hints.  Every section,
-forced or free, is one small-integer draw from the kernel of its point
-conditions (the unit vectors when there are none).  Each section keeps
+base values are recorded on the curve as sampling hints.  A trigonal
+section is written down in closed form, its forced fibers through the
+fiber coordinate points where the degrees allow and interpolated on the
+rest (`trigonal_curve`), so its equation keeps a small height.  A
+tetragonal section is one small-integer draw from the kernel of its
+point conditions (`random_section`).  Each section keeps
 one integer image, the section times a positive scale, so fiber work
 runs in Python integers: every fiber lies over an integer base point,
 and sampling restricts each image to it once.  A trigonal fiber is the
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, reduce
 from itertools import chain, islice
 from math import comb, gcd, lcm
 from typing import Optional, Sequence
@@ -42,7 +46,7 @@ from .core import (Polynomial, _combination, _int_echelon, _kernel_vectors,
 from .scroll import (DivisorClass, Scroll, canonical_class, chow_product,
                      coordinate_layout, embed_point, section_count,
                      section_templates)
-from .seeding import derive_seed, make_rng, small_rationals
+from .seeding import derive_seed, make_rng, random_form, small_rationals
 from .univariate import _combine, _mul, affine_chart, is_squarefree, poly_gcd, rational_roots
 
 __all__ = [
@@ -67,7 +71,8 @@ __all__ = [
 
 
 # a random section combines its kernel basis with integer weights in
-# [-9, 9], and a constructor draws at most 10 candidate curves
+# [-9, 9], a trigonal section's random forms have coefficients there,
+# and a constructor draws at most 10 candidate curves
 _SECTION_BOUND = 9
 _CURVE_ATTEMPTS = 10
 
@@ -267,12 +272,48 @@ def _distinct_small_rationals(rng, count: int, avoid=()) -> list[Fraction]:
     return list(islice((t for t in small_rationals(rng) if t not in avoid), count))
 
 
+def _binary_value(form: Sequence, base: tuple[int, int]):
+    """The binary form sum_j c_j s^(d - j) t^j at the base point (s, t)."""
+    d = len(form) - 1
+    return sum(c * _monomial_value(base, (d - j, j)) for j, c in enumerate(form) if c)
+
+
+def _random_multiple(rng, degree: int, factor: Sequence[int]) -> list[Fraction]:
+    """`factor` times a nonzero random binary form, of total degree
+    `degree`, the random coefficients in [-_SECTION_BOUND, _SECTION_BOUND]."""
+    return _mul(random_form(2, degree + 1 - len(factor), rng, _SECTION_BOUND).coefficient_vector(),
+                factor)
+
+
+def _interpolation(bases: Sequence[tuple[int, int]], values: Sequence[Fraction],
+                   degree: int) -> list[Fraction]:
+    """The binary form of `degree` >= len(bases) - 1 with the given values
+    at the integer base points (q_i, p_i), in Lagrange form: the sum of
+    v_i s^k prod_(j != i) l_j over its value at (q_i, p_i), where
+    l_j = p_j s - q_j t vanishes at (q_j : p_j) and k = degree + 1 - len(bases)."""
+    out = [Fraction(0)] * (degree + 1)
+    for i, (base, value) in enumerate(zip(bases, values)):
+        form = reduce(_mul, ([p, -q] for j, (q, p) in enumerate(bases) if j != i),
+                      [1] + [0] * (degree + 1 - len(bases)))
+        out = _combine([(1, out), (value / _binary_value(form, base), form)])
+    return out
+
+
 def trigonal_curve(g: int, seed: int) -> CurveSpec:
-    """Random trigonal canonical curve of genus g with split sample fibers.
+    """Random trigonal canonical curve of genus g with split sample fibers,
+    its section written down in closed form.
 
     A handful of fibers are forced to split over Q by prescribing two
     rational points on each (the third root is then rational as well);
-    their base values are stored as sampling hints.  Candidates are
+    their base values are stored as sampling hints.  The section is
+    f30 y1^3 + f21 y1^2 y2 + f12 y1 y2^2 + f03 y2^3.  On the first
+    min(K, deg f30, deg f03) forced fibers the two points are (1 : 0) and
+    (0 : 1): f30 and f03 are small random forms times the product of those
+    fibers' base linear forms.  On each later forced fiber the two points
+    are (1 : y), y a nonzero small rational, which fix the values of f21
+    and f12 there; f21 and f12 interpolate them, plus a small random form
+    times the product of those fibers' base linear forms.  No kernel is
+    solved, and the equation keeps a small height.  Candidates are
     rejected when the base forms share a factor (the curve would contain
     a fiber) or when any forced or test fiber does not cut three distinct
     points.
@@ -284,13 +325,33 @@ def trigonal_curve(g: int, seed: int) -> CurveSpec:
     if genus_adjunction(scroll, cls) != g:
         raise CurveGenerationError("adjunction sanity check failed")
     forced_fibers = min((section_count(scroll, cls) - 8) // 2, 7)
+    # base degrees of f30, f21, f12, f03, in `monomial_basis(2, 3)` order
+    degrees = [degree for _, degree in section_templates(scroll, cls)]
+    split = min(forced_fibers, degrees[0], degrees[3])
     for attempt in range(_CURVE_ATTEMPTS):
         rng = make_rng(derive_seed(seed, attempt))
         hints = _distinct_small_rationals(rng, forced_fibers)
-        # two points (1 : y) on each forced fiber, as integer pairs
-        through = [((t.denominator, t.numerator), (y.denominator, y.numerator))
-                   for t in hints for y in _distinct_small_rationals(rng, 2)]
-        section = random_section(scroll, cls, rng, through=through)
+        bases = [(t.denominator, t.numerator) for t in hints]
+        first, rest = bases[:split], bases[split:]
+        through = reduce(_mul, ([p, -q] for q, p in first), [1])
+        f30, f03 = (_random_multiple(rng, degrees[k], through) for k in (0, 3))
+        # f30 + f21 y + f12 y^2 + f03 y^3 = 0 at two points (1 : y) of a
+        # later fiber: f21 + f12 y = c(y) = -(f30 + f03 y^3) / y there
+        values = []
+        for base in rest:
+            a, b = _binary_value(f30, base), _binary_value(f03, base)
+            (y1, c1), (y2, c2) = ((y, -(a + b * y ** 3) / y)
+                                  for y in _distinct_small_rationals(rng, 2, avoid=(0,)))
+            slope = (c1 - c2) / (y1 - y2)
+            values.append((c1 - slope * y1, slope))
+        through = reduce(_mul, ([p, -q] for q, p in rest), [1])
+        f21, f12 = (_combine([(1, _interpolation(rest, [v[i] for v in values], degree)),
+                              (1, _random_multiple(rng, degree, through))])
+                    for i, degree in enumerate(degrees[1:3]))
+        section = BihomSection(scroll, cls, {
+            exp: Polynomial(2, len(form) - 1, {(len(form) - 1 - j, j): c
+                                               for j, c in enumerate(form) if c})
+            for exp, form in zip(monomial_basis(2, 3), (f30, f21, f12, f03))})
         if _common_base_factor(list(section.coeffs.values())):
             continue
         test_values = hints + _distinct_small_rationals(rng, 5, avoid=hints)
@@ -536,6 +597,13 @@ def _ambient_restriction(scroll: Scroll, exp: tuple[int, ...]):
     return tuple(fiber), (s_deg, t_deg)
 
 
+@cache
+def _restriction_classes(scroll: Scroll, k: int) -> tuple:
+    """`_ambient_restriction` of every ambient monomial of degree k, in
+    `monomial_basis` order, built once per scroll and degree."""
+    return tuple(_ambient_restriction(scroll, exp) for exp in monomial_basis(scroll.N + 1, k))
+
+
 def _piece(curve: CurveSpec, k: int) -> list[dict[int, int]]:
     """Basis of the degree-k graded piece of the curve ideal, as sparse
     primitive integer rows (ambient monomial index -> coefficient).
@@ -558,8 +626,8 @@ def _piece(curve: CurveSpec, k: int) -> list[dict[int, int]]:
     """
     scroll = curve.scroll
     classes: dict[tuple, list[int]] = {}
-    for j, exp in enumerate(monomial_basis(scroll.N + 1, k)):
-        classes.setdefault(_ambient_restriction(scroll, exp), []).append(j)
+    for j, key in enumerate(_restriction_classes(scroll, k)):
+        classes.setdefault(key, []).append(j)
     block = []
     for section in curve.equations:
         mult_h = k - section.cls.h

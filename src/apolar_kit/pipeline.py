@@ -31,11 +31,11 @@ from itertools import count
 from math import factorial, prod
 from typing import Optional, Sequence
 
-from .core import (ExactMatrix, Polynomial, _combination, _int_echelon, _int_rank,
+from .core import (ExactMatrix, Polynomial, _int_echelon, _int_rank,
                    _int_reduce, _int_substitute, _kernel_vectors, _row_to_int,
                    change_coordinates, monomial_basis)
-from .curvegen import (CurveSpec, IdealReconstruction, balanced_type, ideal_pieces,
-                       sample_points, tetragonal_curve, tetragonal_surfaces,
+from .curvegen import (CurveSpec, IdealReconstruction, _restriction_classes, balanced_type,
+                       ideal_pieces, sample_points, tetragonal_curve, tetragonal_surfaces,
                        trigonal_curve)
 from .scroll import Scroll, coordinate_layout
 from .seeding import derive_seed, make_rng, random_dual_linear
@@ -170,8 +170,21 @@ def _section(scroll: Scroll, etas: Sequence[Sequence[int]]
             _combine([(1, _mul(a0, b1)), (-1, _mul(a1, b0))]))
 
 
+def _powers(phi: Sequence[Sequence[int]], top: int) -> dict:
+    """phi^e for every exponent e of degree at most `top`, each product
+    one lower product times phi at its first variable."""
+    n = len(phi)
+    powers = {(0,) * n: [1]}
+    for degree in range(1, top + 1):
+        for exp in monomial_basis(n, degree):
+            i = next(i for i, e in enumerate(exp) if e)
+            powers[exp] = _mul(powers[exp[:i] + (exp[i] - 1,) + exp[i + 1:]], phi[i])
+    return powers
+
+
 def _section_inverse_system(scroll: Scroll, etas: Sequence[Sequence[int]],
-                            kept: Sequence[int], quadrics: Sequence[dict]) -> list[dict]:
+                            kept: Sequence[int], quadrics: Sequence[dict]
+                            ) -> tuple[list[list[int]], list[list[int]]]:
     """The degree-3 inverse system V of the restricted quadrics J2, given
     h2 = n, read off what the two hyperplanes cut on the scroll.
 
@@ -190,8 +203,8 @@ def _section_inverse_system(scroll: Scroll, etas: Sequence[Sequence[int]],
     from degree 1), so V is I(Gamma)_3^perp.  Either way V is the
     F_lambda whose lambda kills every relation times every monomial
     carrying it to degree 3m, one kernel over 3m + 1 columns.  Returns
-    the pairs (lambda, F_lambda) of V's basis, lambda as its 3m + 1
-    values lambda(s^(3m - k) t^k).
+    the fiber and V's basis functionals, each as its 3m + 1 values
+    lambda(s^(3m - k) t^k).
     """
     n = len(kept)
     fibers, determinant = _section(scroll, etas)
@@ -204,12 +217,7 @@ def _section_inverse_system(scroll: Scroll, etas: Sequence[Sequence[int]],
         if _int_rank(phi if threefold else phi + [determinant], m + 1) <= m:
             failed.append("(i) the section's coordinates are dependent")
             continue
-        # each product phi^e is one lower product times phi at its first variable
-        powers = {(0,) * n: [1]}
-        for degree in (1, 2, 3):
-            for exp in monomial_basis(n, degree):
-                i = next(i for i, e in enumerate(exp) if e)
-                powers[exp] = _mul(powers[exp[:i] + (exp[i] - 1,) + exp[i + 1:]], phi[i])
+        powers = _powers(phi, 2)
         images = [_combine((c, powers[exp]) for exp, c in q.items()) for q in quadrics]
         if threefold:
             relations = _int_echelon(images, 2 * m + 1)[0]
@@ -226,15 +234,18 @@ def _section_inverse_system(scroll: Scroll, etas: Sequence[Sequence[int]],
         width = 3 * m + 1
         conditions = [[0] * a + h + [0] * (width - len(h) - a)
                       for h in relations for a in range(width - len(h) + 1)]
-        solutions = []
-        for lam in _kernel_vectors(conditions, width):
-            terms = {exp: 6 // prod(map(factorial, exp)) * sum(x * powers[exp][j]
-                                                                for j, x in lam.items())
-                     for exp in monomial_basis(n, 3)}
-            solutions.append(([lam.get(j, 0) for j in range(width)],
-                              {exp: c for exp, c in terms.items() if c}))
-        return solutions
+        return fiber, [[lam.get(j, 0) for j in range(width)]
+                       for lam in _kernel_vectors(conditions, width)]
     raise AlphaCertificateError((1, n, n), "degenerate section: " + "; ".join(failed))
+
+
+def _cubic_of(functional: Sequence[int], phi: Sequence[Sequence[int]]) -> dict:
+    """The nonzero terms of F_lambda, (6 / e!) lambda(phi^e), as integers."""
+    powers = _powers(phi, 3)
+    terms = {exp: 6 // prod(map(factorial, exp))
+             * sum(x * y for x, y in zip(functional, powers[exp]))
+             for exp in monomial_basis(len(phi), 3)}
+    return {exp: c for exp, c in terms.items() if c}
 
 
 def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
@@ -247,23 +258,25 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
     row rank, so read modulo a prime, when the Hilbert vector is right);
     h2 != n fails the certificate at once.  Their degree-3 inverse system
     V (only its span matters) contains the cubic, and is read off what
-    the hyperplanes cut on the scroll (`_section_inverse_system`).  The
-    transposed map lifts V back to g variables as the adjoint of
-    restriction for the apolarity pairing, so the cubics of V that the
-    restricted degree-3 piece annihilates are the kernel of pairing the
-    lifts with the cubic rows of `recon` (the pairing's factorial weights
-    e! folded into the lifts).  No scale (of R, a lift or a row) moves a
-    kernel, so none is divided out.  The kernel has dimension h3, since
-    degree-1 multiples of restricted quadrics are restricted cubics.
-    Hilbert vector (1, n, n, 1) certifies the hyperplanes as general, and
-    the one kernel vector then weighs V's basis into the cubic, the one
-    `Polynomial` built; weighing the basis functionals alike gives the
-    cubic's functional.
+    the hyperplanes cut on the scroll (`_section_inverse_system`), as
+    basis functionals lambda_k on the embedded fiber.  A cubic row P of
+    `recon` pairs with F_(lambda_k) as 6 lambda_k(P(R phi)), and the
+    embedded fiber is R phi / delta, exactly on a threefold and modulo D
+    on a surface, where every lambda_k kills D.  So the row is 6 delta^3
+    lambda_k(P(fiber)), and an ambient monomial's value on the fiber
+    depends only on its class under `_ambient_restriction`: one dot
+    product per class and basis functional, and no scale moves the
+    kernel.  The kernel has dimension h3, since degree-1 multiples of
+    restricted quadrics are restricted cubics.  Hilbert vector
+    (1, n, n, 1) certifies the hyperplanes as general; the one kernel
+    vector weighs the basis functionals into the cubic's functional, and
+    F_lambda over its lead is the cubic, the one `Polynomial` built.
     """
     g = recon.genus
     n = g - 2
+    scroll = recon.scroll
     kept, restriction = quotient_frame(eta1, eta2, g)
-    basis2, basis3 = monomial_basis(g, 2), monomial_basis(g, 3)
+    basis2 = monomial_basis(g, 2)
     quadrics = [q for q in _int_substitute([{basis2[j]: c for j, c in row.items()}
                                             for row in recon.degree2], restriction, n) if q]
     columns2 = monomial_basis(n, 2)
@@ -272,23 +285,29 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
     if h2 != n:
         raise AlphaCertificateError(
             (1, n, h2), "quotient algebra does not have the expected Hilbert vector")
-    functionals, solutions = zip(*_section_inverse_system(
-        recon.scroll, _hyperplane_rows(eta1, eta2), kept, quadrics))
-    index3 = {exp: j for j, exp in enumerate(basis3)}
-    weighted = [{index3[exp]: c * prod(map(factorial, exp)) for exp, c in lift.items()}
-                for lift in _int_substitute(solutions, list(zip(*restriction)), g)]
-    conditions = [[sum(c * lift[j] for j, c in row.items() if j in lift) for lift in weighted]
+    fiber, functionals = _section_inverse_system(
+        scroll, _hyperplane_rows(eta1, eta2), kept, quadrics)
+    # lambda_k(s^S t^T fiber^F) for each class (F, (S, T)) of an ambient
+    # cubic monomial
+    products = {exp: reduce(_mul, [fiber[i] for i, e in enumerate(exp) for _ in range(e)])
+                for exp in monomial_basis(scroll.k, 3)}
+    classes = _restriction_classes(scroll, 3)
+    values = {(exp, (s, t)): [sum(x * y for x, y in zip(products[exp], lam[t:]))
+                              for lam in functionals]
+              for exp, (s, t) in set(classes)}
+    conditions = [_combine((c, values[classes[j]]) for j, c in row.items())
                   for row in recon.degree3]
-    combos = _kernel_vectors(conditions, len(weighted))
+    combos = _kernel_vectors(conditions, len(functionals))
     hilbert = (1, n, n, len(combos))
     if len(combos) != 1:
         raise AlphaCertificateError(
             hilbert, "quotient algebra does not have the expected Hilbert vector")
-    terms = _combination(combos[0], solutions)
+    functional = _combine((c, functionals[i]) for i, c in combos[0].items())
+    image = _embed(scroll, fiber)
+    terms = _cubic_of(functional, [image[i] for i in kept])
     lead = terms[max(terms)]
     cubic = Polynomial(n, 3, {exp: Fraction(c, lead) for exp, c in terms.items()})
-    functional = tuple(_combine((c, functionals[i]) for i, c in combos[0].items()))
-    return AlphaResult(g, eta1, eta2, hilbert, cubic, kept, functional)
+    return AlphaResult(g, eta1, eta2, hilbert, cubic, kept, tuple(functional))
 
 
 def reduce_to_quotient(alpha: AlphaResult, poly: Polynomial) -> Polynomial:

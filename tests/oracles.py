@@ -58,6 +58,13 @@ surface's binary form on C0 kills the cubic's functional;
 `surface_scheme` and `scheme_certify_bound` are the certificate it
 replaced: the scheme a surface cuts, on the closed-form chart, and the
 span check of `waring._certify_scheme` in Q[t]/(D) on it.
+
+The quotient pairs the degree-3 piece with V's basis functionals on the
+embedded fiber, class by class, and builds one cubic;
+`lift_and_pair_alpha_map` is the pairing it replaced: every basis cubic
+F_(lambda_k) lifted back to g variables through the transposed
+restriction, paired with the cubic rows over all C(g + 2, 3) monomials,
+and the n cubics combined by the kernel vector.
 """
 
 import sys
@@ -75,11 +82,13 @@ from mpmath import mp
 from apolar_kit import core
 from apolar_kit.apolarity import (ApolarAlgebraProfile, GradedIdealPiece, _catalecticant_rows,
                                   inverse_system)
-from apolar_kit.core import (ExactMatrix, Polynomial, _falling, _int_echelon, _int_reduce,
-                             _kernel_vectors, _monomial_value, _row_to_int, _scaled,
-                             monomial_basis, substitute)
-from apolar_kit.pipeline import (AlphaCertificateError, _chart, _embed, _hyperplane_rows,
-                                 _section, _surface_form, tetragonal_cube_bound)
+from apolar_kit.core import (ExactMatrix, Polynomial, _combination, _falling, _int_echelon,
+                             _int_rank, _int_reduce, _int_substitute, _kernel_vectors,
+                             _monomial_value, _row_to_int, _scaled, monomial_basis, substitute)
+from apolar_kit.pipeline import (AlphaCertificateError, AlphaResult, _chart, _cubic_of, _embed,
+                                 _hyperplane_rows, _section, _section_inverse_system,
+                                 _surface_form, tetragonal_cube_bound)
+from apolar_kit.pipeline import quotient_frame as int_quotient_frame
 from apolar_kit.scroll import coordinate_layout, divisor_degree
 from apolar_kit.seeding import make_rng, random_dual_linear
 from apolar_kit.univariate import (_combine, _mul, _pseudo_remainder, affine_chart, is_squarefree,
@@ -748,3 +757,43 @@ def scheme_certify_bound(curve, alpha, failures):
             "passed": length <= bound,
         }
     return None
+
+
+def lift_and_pair_alpha_map(recon, eta1, eta2):
+    """`pipeline.alpha_map` as it paired before: the cubic F_(lambda_k) of
+    each basis functional of `_section_inverse_system`, lifted to g
+    variables by the transposed restriction with the factorial weights
+    e! folded in, paired with every cubic row of `recon`; the kernel
+    vector then combines the n cubics.  Raises `AlphaCertificateError`
+    like `pipeline.alpha_map`."""
+    g = recon.genus
+    n = g - 2
+    kept, restriction = int_quotient_frame(eta1, eta2, g)
+    basis2, basis3 = monomial_basis(g, 2), monomial_basis(g, 3)
+    quadrics = [q for q in _int_substitute([{basis2[j]: c for j, c in row.items()}
+                                            for row in recon.degree2], restriction, n) if q]
+    columns2 = monomial_basis(n, 2)
+    h2 = len(columns2) - _int_rank([[q.get(m, 0) for m in columns2] for q in quadrics],
+                                   len(columns2))
+    if h2 != n:
+        raise AlphaCertificateError(
+            (1, n, h2), "quotient algebra does not have the expected Hilbert vector")
+    fiber, functionals = _section_inverse_system(
+        recon.scroll, _hyperplane_rows(eta1, eta2), kept, quadrics)
+    image = _embed(recon.scroll, fiber)
+    solutions = [_cubic_of(lam, [image[i] for i in kept]) for lam in functionals]
+    index3 = {exp: j for j, exp in enumerate(basis3)}
+    weighted = [{index3[exp]: c * prod(map(factorial, exp)) for exp, c in lift.items()}
+                for lift in _int_substitute(solutions, list(zip(*restriction)), g)]
+    conditions = [[sum(c * lift[j] for j, c in row.items() if j in lift) for lift in weighted]
+                  for row in recon.degree3]
+    combos = _kernel_vectors(conditions, len(weighted))
+    hilbert = (1, n, n, len(combos))
+    if len(combos) != 1:
+        raise AlphaCertificateError(
+            hilbert, "quotient algebra does not have the expected Hilbert vector")
+    terms = _combination(combos[0], solutions)
+    lead = terms[max(terms)]
+    cubic = Polynomial(n, 3, {exp: Fraction(c, lead) for exp, c in terms.items()})
+    functional = _combine((c, functionals[i]) for i, c in combos[0].items())
+    return AlphaResult(g, eta1, eta2, hilbert, cubic, kept, tuple(functional))

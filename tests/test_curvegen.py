@@ -1,5 +1,7 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd
 
 import pytest
@@ -7,7 +9,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apolar_kit import curvegen
+from apolar_kit import curvegen, jsonio
+from apolar_kit.cli import main
 from apolar_kit.core import (ExactMatrix, Polynomial, _monomial_value, _rank_mod_prime,
                              _row_to_int, monomial_basis, primitive_point)
 from apolar_kit.curvegen import (BihomSection, CurveSpec, IdealDimensionError,
@@ -22,7 +25,7 @@ from apolar_kit.curvegen import (BihomSection, CurveSpec, IdealDimensionError,
                                  _section_slots, _tetragonal_fiber_points)
 from apolar_kit.scroll import (Scroll, canonical_class, chow_product, divisor_degree,
                                section_count)
-from apolar_kit.seeding import make_rng, small_rationals
+from apolar_kit.seeding import derive_seed, make_rng, small_rationals
 from oracles import (binary_roots, coefficient_matrix, conic_pencil, fiber_form, int_kernel,
                      piece_contains, quadratic_fiber_points, recon_piece, scroll_quadrics)
 
@@ -276,6 +279,80 @@ class TestTrigonalCurve:
     def test_small_genus_rejected(self):
         with pytest.raises(ValueError):
             trigonal_curve(4, seed=1)
+
+
+TRIAL_SEEDS = [derive_seed(seed, 0) for seed in (1, 2, 3)]
+CLOSED_FORM = [pytest.param(g, seed, id=f"g{g}-{seed}")
+               for g in range(5, 17) for seed in TRIAL_SEEDS]
+
+
+@lru_cache(maxsize=None)
+def closed_form_curve(g, seed):
+    return trigonal_curve(g, seed)
+
+
+def cli_report(tmp_path, *argv):
+    out = tmp_path / "report.json"
+    assert main(list(argv) + ["--out", str(out)]) == 0
+    return out.read_text()
+
+
+class TestClosedFormTrigonal:
+    """The trigonal section written down in closed form, at g = 5..16 and
+    the trial seeds of `verify-a --seed 1..3`."""
+
+    @pytest.mark.parametrize("g, seed", CLOSED_FORM)
+    def test_equation_height_is_small(self, g, seed):
+        [equation] = closed_form_curve(g, seed).equations
+        assert max(abs(c).bit_length() for _, row in equation.image for c in row) <= 64
+
+    @pytest.mark.parametrize("g, seed", CLOSED_FORM)
+    def test_forced_fiber_count(self, g, seed):
+        curve = closed_form_curve(g, seed)
+        forced = min((section_count(curve.scroll, curve.classes[0]) - 8) // 2, 7)
+        assert len(curve.rational_fiber_hints) == forced
+        assert curve.guaranteed_point_count == 3 * forced
+
+    @pytest.mark.parametrize("g, seed", CLOSED_FORM)
+    def test_every_hinted_fiber_splits(self, g, seed):
+        # the hints alone, three distinct points each
+        curve = closed_form_curve(g, seed)
+        hints = curve.rational_fiber_hints
+        points = sample_points(curve, curve.guaranteed_point_count, seed,
+                               max_attempts=len(hints))
+        assert len(set(points)) == 3 * len(hints)
+
+    @pytest.mark.parametrize("g, seed", CLOSED_FORM)
+    def test_first_fibers_pass_through_the_coordinate_points(self, g, seed):
+        # f30 and f03 vanish on the first min(K, deg f30, deg f03) forced
+        # fibers, and on no later one
+        curve = closed_form_curve(g, seed)
+        [equation] = curve.equations
+        degrees = [len(row) - 1 for _, row in equation.image]
+        split = min(len(curve.rational_fiber_hints), degrees[0], degrees[3])
+        for k, t in enumerate(curve.rational_fiber_hints):
+            cubic = equation.restrict((t.denominator, t.numerator))
+            assert (cubic[0] == cubic[3] == 0) == (k < split)
+
+    def test_no_kernel_is_solved(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a kernel of point conditions was solved")
+
+        monkeypatch.setattr(curvegen, "_kernel_vectors", refuse)
+        for g in range(5, 17):
+            assert trigonal_curve(g, seed=g).genus == g
+
+    @pytest.mark.parametrize("g, seed", CLOSED_FORM)
+    def test_curve_gen_is_stable_and_read_back(self, g, seed, tmp_path):
+        argv = ["--g", str(g), "--gonality", "3", "--seed", str(seed)]
+        report = cli_report(tmp_path, "curve-gen", *argv)
+        assert cli_report(tmp_path, "curve-gen", *argv) == report
+        data = json.loads(report)["curve"]
+        assert jsonio.curve_to_json(jsonio.curve_from_json(data)) == data
+        curve_file = tmp_path / "curve.json"
+        curve_file.write_text(json.dumps(data))
+        assert (cli_report(tmp_path, "alpha", "--in", str(curve_file), "--seed", str(seed))
+                == cli_report(tmp_path, "alpha", *argv))
 
 
 class TestTetragonalCurve:

@@ -78,3 +78,19 @@ def test_alpha_golden(name, argv, tmp_path, monkeypatch):
     refuse_the_generic_kernel(monkeypatch)
     recorded = (GOLDEN / f"{name}.json").read_text()
     assert fresh_report(argv, tmp_path) == recorded
+
+
+def test_curve_gen_golden(tmp_path):
+    # the closed-form trigonal section, sampled and reconstructed
+    recorded = (GOLDEN / "curve_gen_g8.json").read_text()
+    argv = ["curve-gen", "--g", "8", "--gonality", "3", "--seed", "1"]
+    assert fresh_report(argv, tmp_path) == recorded
+
+
+def test_alpha_in_curve_gen_golden(tmp_path, monkeypatch):
+    # the quotient of the curve of `curve_gen_g8.json`, read from its file
+    refuse_the_generic_kernel(monkeypatch)
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps(json.loads((GOLDEN / "curve_gen_g8.json").read_text())["curve"]))
+    recorded = (GOLDEN / "alpha_in_g8.json").read_text()
+    assert fresh_report(["alpha", "--in", str(curve), "--seed", "1"], tmp_path) == recorded

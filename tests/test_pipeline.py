@@ -464,15 +464,17 @@ class TestSectionInverseSystem:
     @pytest.mark.parametrize("g, split", [(5, None), (8, None), (7, (1, 1)), (8, (1, 2))],
                              ids=["tri5", "tri8", "tet7", "tet8"])
     def test_same_span_as_the_generic_kernel(self, g, split, monkeypatch):
+        recon, eta1, eta2, _ = next(pair for pair in section_pairs(g, split, 1) if pair[3])
         read_off = []
         original = pipeline_module._section_inverse_system
         monkeypatch.setattr(pipeline_module, "_section_inverse_system",
                             lambda *args: read_off.append((args, original(*args)))
                             or read_off[-1][1])
-        recon, eta1, eta2, _ = next(pair for pair in section_pairs(g, split, 1) if pair[3])
         alpha_map(recon, eta1, eta2)
-        [((_, _, _, quadrics), pairs)] = read_off
-        solutions = [terms for _, terms in pairs]
+        [((scroll, _, kept, quadrics), (fiber, functionals))] = read_off
+        image = pipeline_module._embed(scroll, fiber)
+        solutions = [pipeline_module._cubic_of(lam, [image[i] for i in kept])
+                     for lam in functionals]
         n = g - 2
         columns3 = monomial_basis(n, 3)
         generic = _inverse_vectors([(2, quadrics)], 3, columns3)[0]
@@ -541,6 +543,55 @@ class TestSectionInverseSystem:
                     assert len(err.hilbert) == 3 and len(read) == before
                     short += 1
         assert short
+
+
+def pairing_curves():
+    """Trigonal g = 5..12 and tetragonal g = 6..11 at every admissible
+    split, seeds 1-3."""
+    yield from section_curves()
+    for seed in (1, 2, 3):
+        for g in (11, 12):
+            yield pytest.param(g, None, seed, id=f"tri{g}-s{seed}")
+
+
+def quotient_outcome(quotient, recon, eta1, eta2):
+    """(hilbert, kept, cubic) of a quotient, or its failure's diagnostic
+    vector and message: `alpha_outcome` without Ann(cubic)_2, which the
+    cubic fixes and which would double the cost of these sweeps."""
+    try:
+        alpha = quotient(recon, eta1, eta2)
+    except AlphaCertificateError as err:
+        return err.hilbert, str(err)
+    return alpha.hilbert, alpha.kept_indices, alpha.cubic
+
+
+class TestClassPairing:
+    """The cubic rows paired with V's functionals class by class on the
+    embedded fiber, against lifting each basis cubic to g variables and
+    pairing it over all C(g + 2, 3) monomials."""
+
+    @pytest.mark.parametrize("g, split, seed", pairing_curves())
+    def test_same_outcome_as_lifting_and_pairing(self, g, split, seed):
+        pairs = (section_pairs(g, split, seed) if g <= 9
+                 else drawn_quotients(section_curve(g, split, seed), seed))
+        assert len(pairs) == pipeline_module._ETA_RETRIES
+        for recon, eta1, eta2, _ in pairs:
+            assert (quotient_outcome(alpha_map, recon, eta1, eta2)
+                    == quotient_outcome(oracles.lift_and_pair_alpha_map, recon, eta1, eta2))
+
+    def test_lifts_nothing_to_g_variables(self, monkeypatch):
+        # a work count: the only substitution is the quadrics' restriction
+        # to n variables
+        widths = []
+        substitute = pipeline_module._int_substitute
+        monkeypatch.setattr(pipeline_module, "_int_substitute",
+                            lambda forms, rows, ncols: widths.append(ncols)
+                            or substitute(forms, rows, ncols))
+        for g, split in ((8, None), (8, (1, 2))):
+            recon, eta1, eta2, _ = next(pair for pair in section_pairs(g, split, 1) if pair[3])
+            widths.clear()
+            alpha_map(recon, eta1, eta2)
+            assert widths == [g - 2]
 
 
 def tetragonal_section_curves():
