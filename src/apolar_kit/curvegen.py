@@ -14,17 +14,18 @@ base values are recorded on the curve as sampling hints.  A trigonal
 section is written down in closed form, its forced fibers through the
 fiber coordinate points where the degrees allow and interpolated on the
 rest (`trigonal_curve`), so its equation keeps a small height.  A
-tetragonal section is one small-integer draw from the kernel of its
-point conditions (`random_section`).  Each section keeps
-one integer image, the section times a positive scale, so fiber work
-runs in Python integers: every fiber lies over an integer base point,
-and sampling restricts each image to it once.  A trigonal fiber is the
-rational roots of one binary cubic, and a tetragonal fiber is the base
-locus of a pencil of two conics, whose common point over a rational root
-of their resultant is the root of Bezout's combination a2 q1 - a1 q2,
-linear in the last coordinate; the point is an integer triple, no square
-root is taken, and a root where that combination vanishes identically
-is a repeated root and is skipped.
+tetragonal section is one small-integer draw on the integer kernel
+vectors of its point conditions, none of them rescaled
+(`random_section`), so its equations keep a small height too.  Each
+section keeps one integer image, the section times a positive scale, so
+fiber work runs in Python integers: every fiber lies over an integer
+base point, and sampling restricts each image to it once.  A trigonal
+fiber is the rational roots of one binary cubic, and a tetragonal fiber
+is the base locus of a pencil of two conics, whose common point over a
+rational root of their resultant is the root of Bezout's combination
+a2 q1 - a1 q2, linear in the last coordinate; the point is an integer
+triple, no square root is taken, and a root where that combination
+vanishes identically is a repeated root and is skipped.
 
 The graded pieces of the ideal are built in closed form from the scroll
 (Schreyer 1986; `_piece`) and handed on as sparse integer rows at the
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import chain, islice
-from math import comb, gcd, lcm
+from math import comb, gcd
 from typing import Optional, Sequence
 
 from .core import (Polynomial, _combination, _int_echelon, _kernel_vectors,
@@ -176,13 +177,12 @@ def random_section(scroll: Scroll, cls: DivisorClass, rng,
                    through: Sequence[tuple] = ()) -> BihomSection:
     """Random section vanishing at the given integer (base, fiber) pairs.
 
-    The section is a random small-integer combination of the kernel basis
-    of the point conditions, one primitive integer row per point, so
-    coefficients stay rational and reproducible.  The basis is the
-    canonical one (first nonzero entry 1): the integer vectors of one
-    back-substitution, each divided by its lead, combined here over the
-    lcm of the leads.  With no points the basis is the unit vectors, and
-    the combination is the coefficient vector itself.
+    The section is a random small-integer combination, weights in
+    [-9, 9], of the integer kernel vectors of the point conditions (one
+    primitive integer row per point), as `_kernel_vectors` returns them:
+    no vector is rescaled, so the coefficients are integers of small
+    height.  With no points the kernel is the unit vectors, and the
+    combination is the coefficient vector itself.
     """
     slots = _section_slots(scroll, cls)
     if not slots:
@@ -192,15 +192,12 @@ def random_section(scroll: Scroll, cls: DivisorClass, rng,
     kernel = _kernel_vectors(conditions, len(slots))
     if not kernel:
         raise CurveGenerationError("point constraints admit no section")
-    leads = [v[min(v)] for v in kernel]
-    den = lcm(*leads)
-    kernel = [{j: x * (den // lead) for j, x in v.items()} for v, lead in zip(kernel, leads)]
     for _ in range(10):
         combo = {i: rng.randint(-_SECTION_BOUND, _SECTION_BOUND) for i in range(len(kernel))}
         vector = _combination(combo, kernel)
         if vector:
-            return _section_from_vector(scroll, cls, slots, [Fraction(vector.get(j, 0), den)
-                                                             for j in range(len(slots))])
+            return _section_from_vector(scroll, cls, slots,
+                                        [vector.get(j, 0) for j in range(len(slots))])
     raise CurveGenerationError("random section degenerated to zero")
 
 

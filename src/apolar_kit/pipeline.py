@@ -266,8 +266,10 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
     lambda_k(P(fiber)), and an ambient monomial's value on the fiber
     depends only on its class under `_ambient_restriction`: one dot
     product per class and basis functional, and no scale moves the
-    kernel.  The kernel has dimension h3, since degree-1 multiples of
-    restricted quadrics are restricted cubics.  Hilbert vector
+    kernel.  A row is summed per class first, and only rows with a
+    nonzero class sum are paired; the others, the binomials of `_piece`
+    among them, pair to zero.  The kernel has dimension h3, since
+    degree-1 multiples of restricted quadrics are restricted cubics.  Hilbert vector
     (1, n, n, 1) certifies the hyperplanes as general; the one kernel
     vector weighs the basis functionals into the cubic's functional, and
     F_lambda over its lead is the cubic, the one `Polynomial` built.
@@ -295,8 +297,14 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
     values = {(exp, (s, t)): [sum(x * y for x, y in zip(products[exp], lam[t:]))
                               for lam in functionals]
               for exp, (s, t) in set(classes)}
-    conditions = [_combine((c, values[classes[j]]) for j, c in row.items())
-                  for row in recon.degree3]
+    conditions = []
+    for row in recon.degree3:
+        sums: dict = {}
+        for j, c in row.items():
+            sums[classes[j]] = sums.get(classes[j], 0) + c
+        # a binomial e_j - e_rep sums to zero on its class and pairs to zero
+        if any(sums.values()):
+            conditions.append(_combine((c, values[key]) for key, c in sums.items() if c))
     combos = _kernel_vectors(conditions, len(functionals))
     hilbert = (1, n, n, len(combos))
     if len(combos) != 1:
@@ -583,8 +591,8 @@ def verify_tetragonal_bound(g: int, split: Optional[tuple[int, int]], trials: in
     A split that `tetragonal_surfaces` rejects is an input error before
     any trial.
     """
-    if not 6 <= g <= 15:
-        raise ValueError("desk-scale verification covers genus 6 through 15")
+    if not 6 <= g <= 17:
+        raise ValueError("desk-scale verification covers genus 6 through 17")
     if split is None:
         split = balanced_type(g - 5, 2)
     if len(split) != 2:

@@ -64,7 +64,11 @@ embedded fiber, class by class, and builds one cubic;
 `lift_and_pair_alpha_map` is the pairing it replaced: every basis cubic
 F_(lambda_k) lifted back to g variables through the transposed
 restriction, paired with the cubic rows over all C(g + 2, 3) monomials,
-and the n cubics combined by the kernel vector.
+and the n cubics combined by the kernel vector.  `row_pairing_alpha_map`
+is the class pairing as it ran before rows were summed per class: every
+cubic row paired term by term, the binomials that pair to zero included.
+
+`admissible_splits` lists the tetragonal splits the sweeps run over.
 """
 
 import sys
@@ -85,11 +89,12 @@ from apolar_kit.apolarity import (ApolarAlgebraProfile, GradedIdealPiece, _catal
 from apolar_kit.core import (ExactMatrix, Polynomial, _combination, _falling, _int_echelon,
                              _int_rank, _int_reduce, _int_substitute, _kernel_vectors,
                              _monomial_value, _row_to_int, _scaled, monomial_basis, substitute)
+from apolar_kit.curvegen import _restriction_classes, balanced_type, tetragonal_surfaces
 from apolar_kit.pipeline import (AlphaCertificateError, AlphaResult, _chart, _cubic_of, _embed,
                                  _hyperplane_rows, _section, _section_inverse_system,
                                  _surface_form, tetragonal_cube_bound)
 from apolar_kit.pipeline import quotient_frame as int_quotient_frame
-from apolar_kit.scroll import coordinate_layout, divisor_degree
+from apolar_kit.scroll import Scroll, coordinate_layout, divisor_degree
 from apolar_kit.seeding import make_rng, random_dual_linear
 from apolar_kit.univariate import (_combine, _mul, _pseudo_remainder, affine_chart, is_squarefree,
                                    poly_gcd, rational_roots)
@@ -797,3 +802,54 @@ def lift_and_pair_alpha_map(recon, eta1, eta2):
     cubic = Polynomial(n, 3, {exp: Fraction(c, lead) for exp, c in terms.items()})
     functional = _combine((c, functionals[i]) for i, c in combos[0].items())
     return AlphaResult(g, eta1, eta2, hilbert, cubic, kept, tuple(functional))
+
+
+def row_pairing_alpha_map(recon, eta1, eta2):
+    """`pipeline.alpha_map` as it paired before summing rows per class:
+    each cubic row of `recon` paired term by term with V's functionals on
+    the embedded fiber, every row sent to the kernel, zero or not."""
+    g = recon.genus
+    n = g - 2
+    scroll = recon.scroll
+    kept, restriction = int_quotient_frame(eta1, eta2, g)
+    basis2 = monomial_basis(g, 2)
+    quadrics = [q for q in _int_substitute([{basis2[j]: c for j, c in row.items()}
+                                            for row in recon.degree2], restriction, n) if q]
+    columns2 = monomial_basis(n, 2)
+    h2 = len(columns2) - _int_rank([[q.get(m, 0) for m in columns2] for q in quadrics],
+                                   len(columns2))
+    if h2 != n:
+        raise AlphaCertificateError(
+            (1, n, h2), "quotient algebra does not have the expected Hilbert vector")
+    fiber, functionals = _section_inverse_system(
+        scroll, _hyperplane_rows(eta1, eta2), kept, quadrics)
+    products = {exp: reduce(_mul, [fiber[i] for i, e in enumerate(exp) for _ in range(e)])
+                for exp in monomial_basis(scroll.k, 3)}
+    classes = _restriction_classes(scroll, 3)
+    values = {(exp, (s, t)): [sum(x * y for x, y in zip(products[exp], lam[t:]))
+                              for lam in functionals]
+              for exp, (s, t) in set(classes)}
+    conditions = [_combine((c, values[classes[j]]) for j, c in row.items())
+                  for row in recon.degree3]
+    combos = _kernel_vectors(conditions, len(functionals))
+    hilbert = (1, n, n, len(combos))
+    if len(combos) != 1:
+        raise AlphaCertificateError(
+            hilbert, "quotient algebra does not have the expected Hilbert vector")
+    functional = _combine((c, functionals[i]) for i, c in combos[0].items())
+    image = _embed(scroll, fiber)
+    terms = _cubic_of(functional, [image[i] for i in kept])
+    lead = terms[max(terms)]
+    cubic = Polynomial(n, 3, {exp: Fraction(c, lead) for exp, c in terms.items()})
+    return AlphaResult(g, eta1, eta2, hilbert, cubic, kept, tuple(functional))
+
+
+def admissible_splits(g):
+    """The splits b1 <= b2 of g - 5 whose surfaces `tetragonal_surfaces` accepts."""
+    scroll = Scroll(balanced_type(g - 3, 3))
+    for b1 in range((g - 5) // 2 + 1):
+        try:
+            tetragonal_surfaces(scroll, b1, g - 5 - b1)
+        except ValueError:
+            continue
+        yield b1, g - 5 - b1

@@ -372,6 +372,16 @@ class TestCommands:
                      "--seed", "1"]) == 2
         assert "only reducible surfaces" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("g", [5, 18])
+    def test_genus_past_the_guard_is_input_error_before_any_trial(self, monkeypatch, capsys,
+                                                                  g):
+        def no_trial(args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(pipeline, "_trial", no_trial)
+        assert main(["verify-b", "--g", str(g), "--trials", "1", "--seed", "1"]) == 2
+        assert "genus 6 through 17" in capsys.readouterr().err
+
     def test_apolar_command(self, tmp_path):
         poly_path = tmp_path / "cubic.json"
         poly_path.write_text(json.dumps(fermat_json(3)))

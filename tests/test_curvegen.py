@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from apolar_kit import curvegen, jsonio
 from apolar_kit.cli import main
-from apolar_kit.core import (ExactMatrix, Polynomial, _monomial_value, _rank_mod_prime,
-                             _row_to_int, monomial_basis, primitive_point)
+from apolar_kit.core import (ExactMatrix, Polynomial, _kernel_vectors, _monomial_value,
+                             _rank_mod_prime, _row_to_int, monomial_basis, primitive_point)
 from apolar_kit.curvegen import (BihomSection, CurveSpec, IdealDimensionError,
                                  PointCertificateError, SamplingError,
                                  balanced_type, expected_cubic_dim,
@@ -26,8 +26,9 @@ from apolar_kit.curvegen import (BihomSection, CurveSpec, IdealDimensionError,
 from apolar_kit.scroll import (Scroll, canonical_class, chow_product, divisor_degree,
                                section_count)
 from apolar_kit.seeding import derive_seed, make_rng, small_rationals
-from oracles import (binary_roots, coefficient_matrix, conic_pencil, fiber_form, int_kernel,
-                     piece_contains, quadratic_fiber_points, recon_piece, scroll_quadrics)
+from oracles import (admissible_splits, binary_roots, coefficient_matrix, conic_pencil,
+                     fiber_form, piece_contains, quadratic_fiber_points, recon_piece,
+                     scroll_quadrics)
 
 
 def division_piece(curve, k):
@@ -355,6 +356,71 @@ class TestClosedFormTrigonal:
                 == cli_report(tmp_path, "alpha", *argv))
 
 
+KERNEL_DRAWN = [pytest.param(g, split, seed, id=f"g{g}-{split[0]}{split[1]}-{seed}")
+                for g in range(6, 18) for split in admissible_splits(g) for seed in TRIAL_SEEDS]
+
+
+@lru_cache(maxsize=None)
+def kernel_drawn_curve(g, split, seed):
+    """A tetragonal curve and the (through, section) of the two
+    `random_section` calls of its accepted attempt."""
+    calls = []
+    original = curvegen.random_section
+
+    def recording(scroll, cls, rng, through=()):
+        section = original(scroll, cls, rng, through=through)
+        calls.append((through, section))
+        return section
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(curvegen, "random_section", recording)
+        curve = tetragonal_curve(g, *split, seed)
+    return curve, tuple(calls[-2:])
+
+
+class TestKernelDrawnTetragonal:
+    """Tetragonal sections drawn from the unscaled integer kernel of their
+    point conditions, at g = 6..17, every admissible split and the trial
+    seeds of `verify-b --seed 1..3`."""
+
+    @pytest.mark.parametrize("g, split, seed", KERNEL_DRAWN)
+    def test_equation_height_is_small(self, g, split, seed):
+        curve, _ = kernel_drawn_curve(g, split, seed)
+        assert max(abs(c).bit_length() for equation in curve.equations
+                   for _, row in equation.image for c in row) <= 64
+
+    @pytest.mark.parametrize("g, split, seed", KERNEL_DRAWN)
+    def test_forced_fiber_count(self, g, split, seed):
+        curve, _ = kernel_drawn_curve(g, split, seed)
+        forced = max(0, min(min(section_count(curve.scroll, c) for c in curve.classes) - 6, 6))
+        assert len(curve.rational_fiber_hints) == curve.guaranteed_point_count == forced
+
+    @pytest.mark.parametrize("g, split, seed", KERNEL_DRAWN)
+    def test_sections_vanish_at_every_forced_point(self, g, split, seed):
+        curve, drawn = kernel_drawn_curve(g, split, seed)
+        assert tuple(section for _, section in drawn) == curve.equations
+        for through, section in drawn:
+            assert [base for base, _ in through] == [(t.denominator, t.numerator)
+                                                    for t in curve.rational_fiber_hints]
+            for base, fiber in through:
+                assert _form_value(section.restrict(base), section.image, fiber) == 0
+
+    @pytest.mark.parametrize("g, split, seed", KERNEL_DRAWN)
+    def test_curve_is_read_back(self, g, split, seed):
+        curve, _ = kernel_drawn_curve(g, split, seed)
+        assert jsonio.curve_from_json(jsonio.curve_to_json(curve)) == curve
+
+    @pytest.mark.parametrize("g, split, seed", KERNEL_DRAWN)
+    def test_alpha_reads_the_written_curve(self, g, split, seed, tmp_path):
+        curve, _ = kernel_drawn_curve(g, split, seed)
+        curve_file = tmp_path / "curve.json"
+        curve_file.write_text(json.dumps(jsonio.curve_to_json(curve)))
+        argv = ["--g", str(g), "--gonality", "4", "--split", f"{split[0]},{split[1]}",
+                "--seed", str(seed)]
+        assert (cli_report(tmp_path, "alpha", "--in", str(curve_file), "--seed", str(seed))
+                == cli_report(tmp_path, "alpha", *argv))
+
+
 class TestTetragonalCurve:
     def test_genus_seven_generic_split(self):
         curve = tetragonal_curve(7, 1, 1, seed=1)
@@ -578,8 +644,9 @@ class TestRandomSection:
         ((1, 1, 2), 2, -1, [((1, 2), (1, -1, 1)), ((3, -1), (2, 0, 1)), ((1, 0), (0, 1, 1))])])
     def test_constrained_section_is_the_canonical_kernel_combination(
             self, scroll_type, h, f, through):
-        # the same draws combine the normalised rational kernel basis of
-        # the point conditions into exactly the same coefficients
+        # the same draws combine the integer kernel vectors of the point
+        # conditions, none of them rescaled, into exactly the same
+        # coefficients, and the stream moves on by the draws alone
         scroll = Scroll(scroll_type)
         cls = scroll.cls(h, f)
         slots = _section_slots(scroll, cls)
@@ -587,10 +654,11 @@ class TestRandomSection:
         section = random_section(scroll, cls, rng, through=through)
         rows = [_row_to_int([_monomial_value(base, bexp) * _monomial_value(fiber, exp)
                              for exp, bexp in slots]) for base, fiber in through]
-        kernel = int_kernel(rows, len(slots))
+        kernel = _kernel_vectors(rows, len(slots))
         combo = [reference.randint(-9, 9) for _ in kernel]
-        vector = [sum(c * v[j] for c, v in zip(combo, kernel)) for j in range(len(slots))]
+        vector = [sum(c * v.get(j, 0) for c, v in zip(combo, kernel)) for j in range(len(slots))]
         assert section == _section_from_vector(scroll, cls, slots, vector)
+        assert rng.random() == reference.random()
 
 
 class TestSamplePoints:

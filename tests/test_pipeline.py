@@ -19,19 +19,19 @@ from apolar_kit.apolarity import (SocleDimensionError, _inverse_vectors,
 from apolar_kit.cli import main
 from apolar_kit.core import (ExactMatrix, Polynomial, _int_echelon, _row_to_int,
                              change_coordinates, monomial_basis)
-from apolar_kit.curvegen import (balanced_type, ideal_pieces, sample_points,
-                                 tetragonal_curve, tetragonal_surfaces, trigonal_curve)
+from apolar_kit.curvegen import (_restriction_classes, ideal_pieces, sample_points,
+                                 tetragonal_curve, trigonal_curve)
 from apolar_kit.pipeline import (AlphaCertificateError, AlphaResult, CertificateError,
                                  _certify_bound, _certify_fermat, _certify_scheme,
                                  _random_eta_pair, _scheme, alpha_for_curve, alpha_map,
                                  quotient_frame, reduce_to_quotient, tetragonal_cube_bound,
                                  verify_tetragonal_bound, verify_trigonal_fermat)
-from apolar_kit.scroll import Scroll
 from apolar_kit.seeding import derive_seed, make_rng, random_dual_linear, random_form
 from apolar_kit.waring import fermat_detect_detail
 import oracles
-from oracles import (coefficient_matrix, echelon_certificate, from_spanning, oracle_fit,
-                     oracle_points, random_invertible_matrix, recon_piece, scroll_quadrics)
+from oracles import (admissible_splits, coefficient_matrix, echelon_certificate, from_spanning,
+                     oracle_fit, oracle_points, random_invertible_matrix, recon_piece,
+                     scroll_quadrics)
 
 _T = sympy.Symbol("t")
 
@@ -400,17 +400,6 @@ class TestIntegerQuotient:
             built.clear()
 
 
-def admissible_splits(g):
-    """The splits b1 <= b2 of g - 5 whose surfaces `tetragonal_surfaces` accepts."""
-    scroll = Scroll(balanced_type(g - 3, 3))
-    for b1 in range((g - 5) // 2 + 1):
-        try:
-            tetragonal_surfaces(scroll, b1, g - 5 - b1)
-        except ValueError:
-            continue
-        yield b1, g - 5 - b1
-
-
 def section_curves():
     """Trigonal g = 5..10 and tetragonal g = 6..11 at every admissible
     split, seeds 1-3."""
@@ -565,6 +554,15 @@ def quotient_outcome(quotient, recon, eta1, eta2):
     return alpha.hilbert, alpha.kept_indices, alpha.cubic
 
 
+def class_sums(row, scroll):
+    """A cubic row's coefficients summed per `_restriction_classes` class."""
+    classes = _restriction_classes(scroll, 3)
+    sums = {}
+    for j, c in row.items():
+        sums[classes[j]] = sums.get(classes[j], 0) + c
+    return {key: c for key, c in sums.items() if c}
+
+
 class TestClassPairing:
     """The cubic rows paired with V's functionals class by class on the
     embedded fiber, against lifting each basis cubic to g variables and
@@ -578,6 +576,33 @@ class TestClassPairing:
         for recon, eta1, eta2, _ in pairs:
             assert (quotient_outcome(alpha_map, recon, eta1, eta2)
                     == quotient_outcome(oracles.lift_and_pair_alpha_map, recon, eta1, eta2))
+
+    @pytest.mark.parametrize("g, split, seed", section_curves())
+    def test_same_combos_and_cubic_as_row_by_row_pairing(self, g, split, seed, monkeypatch):
+        # rows summed per class, the zero sums dropped, give the kernel of
+        # pairing every row term by term, vector for vector
+        pairs = (section_pairs(g, split, seed) if g <= 9
+                 else drawn_quotients(section_curve(g, split, seed), seed))
+        assert len(pairs) == pipeline_module._ETA_RETRIES
+        kernels = []
+        for module in (pipeline_module, oracles):
+            original = module._kernel_vectors
+            monkeypatch.setattr(module, "_kernel_vectors",
+                                lambda rows, ncols, original=original:
+                                kernels.append((len(rows), original(rows, ncols)))
+                                or kernels[-1][1])
+        for recon, eta1, eta2, _ in pairs:
+            kernels.clear()
+            outcome = quotient_outcome(alpha_map, recon, eta1, eta2)
+            combos = kernels[-1] if len(outcome[0]) == 4 else None
+            kernels.clear()
+            assert outcome == quotient_outcome(oracles.row_pairing_alpha_map, recon, eta1, eta2)
+            if combos is not None:
+                paired, expected = combos[0], kernels[-1][0]
+                assert combos[1] == kernels[-1][1]
+                assert paired == sum(1 for row in recon.degree3 if any(
+                    class_sums(row, recon.scroll).values()))
+                assert paired <= expected == len(recon.degree3)
 
     def test_lifts_nothing_to_g_variables(self, monkeypatch):
         # a work count: the only substitution is the quadrics' restriction
@@ -1267,4 +1292,4 @@ class TestVerifiers:
         with pytest.raises(ValueError):
             verify_trigonal_fermat(17, trials=1, seed=1)
         with pytest.raises(ValueError):
-            verify_tetragonal_bound(16, None, trials=1, seed=1)
+            verify_tetragonal_bound(18, None, trials=1, seed=1)
