@@ -4,21 +4,22 @@ The graded piece of the annihilator of a form F in degree k is the kernel
 of the contraction map from degree-k dual operators to forms of degree
 d - k; the map in the other direction (recovering F, up to scalar, from
 enough graded pieces) is `inverse_system`, and `macaulay_inverse` when
-that space is one-dimensional.  All of it is integer linear algebra, on
-the catalecticant rows of the form's integer scaling
-(`_catalecticant_rows`) wherever a form is given.
+that space is one-dimensional.  All of it is integer linear algebra in
+the divided-power coordinates of Iarrobino-Kanev (1999, App. A), where
+contraction has no factorials: a form's catalecticant is the Hankel
+matrix of its weighted coefficients w_e = e! F_e (`_divided_powers`,
+`_catalecticant_rows`), and an operator's conditions on a form are
+shifts of its own coefficients (`_condition_rows`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from operator import add, sub
+from math import comb, factorial, prod
 from typing import Sequence
 
-from .core import (Polynomial, _combination, _falling, _int_rank, _kernel_vectors,
-                   monomial_basis)
+from .core import Polynomial, _combination, _int_rank, _kernel_vectors, monomial_basis
 
 __all__ = [
     "GradedIdealPiece",
@@ -83,29 +84,33 @@ class ApolarAlgebraProfile:
         return all(h[k] == h[self.socle_degree - k] for k in range(len(h)))
 
 
+def _divided_powers(terms: dict) -> dict:
+    """w_e = e! c_e for the terms c_e x^e of a form: its coordinates on
+    the divided powers x^e / e!, on which contraction has no factorials."""
+    return {e: c * prod(map(factorial, e)) for e, c in terms.items()}
+
+
+def _code(exp: tuple[int, ...], base: int) -> int:
+    """An exponent tuple read as the digits of an integer in `base`; below
+    the base no digit carries, so the code of a + t is the sum of codes."""
+    out = 0
+    for e in exp:
+        out = out * base + e
+    return out
+
+
 def _catalecticant_rows(terms: dict, n: int, d: int, k: int) -> list[list]:
-    """The catalecticant of a degree-d form with these terms: the matrix
-    of D |-> D . f from degree-k duals to forms of degree d - k, rows by
-    the degree-(d - k) monomials and columns by the degree-k dual
-    monomials, both in graded-lex order, whose kernel is the degree-k
-    piece of the annihilator of f.  x^a sends x^e, e = a + t, to
-    falling(e, a) x^t, so c x^e puts c * falling(e, a) in row t and
-    column a for each such split of e, found by walking the smaller of
-    the two bases."""
-    index = {a: j for j, a in enumerate(monomial_basis(n, k))}
-    rows = {t: [0] * len(index) for t in monomial_basis(n, d - k)}
-    for e, c in terms.items():
-        if len(index) < len(rows):
-            for a, column in index.items():
-                t = tuple(map(sub, e, a))
-                if t in rows:
-                    rows[t][column] = c * _falling(e, a)
-        else:
-            for t, row in rows.items():
-                a = tuple(map(sub, e, t))
-                if a in index:
-                    row[index[a]] = c * _falling(e, a)
-    return list(rows.values())
+    """The Hankel catalecticant H_k of a degree-d form with these terms:
+    w_(a+t) of `_divided_powers` at row t and column a, over the
+    degree-(d - k) monomials and the degree-k dual monomials in graded-lex
+    order, keyed by their `_code` in base d + 1.  x^a sends the form to
+    sum_t w_(a+t) x^t / t!, so the contraction matrix C_k is
+    diag(1/t!) H_k: the same rank, and the same kernel, the degree-k piece
+    of the annihilator of the form."""
+    w = {_code(e, d + 1): x for e, x in _divided_powers(terms).items()}
+    columns = [_code(a, d + 1) for a in monomial_basis(n, k)]
+    return [[w.get(a + t, 0) for a in columns]
+            for t in (_code(t, d + 1) for t in monomial_basis(n, d - k))]
 
 
 def apolar_ideal_piece(form: Polynomial, k: int) -> GradedIdealPiece:
@@ -136,9 +141,9 @@ def apolar_ideal_piece(form: Polynomial, k: int) -> GradedIdealPiece:
 def hilbert_function(form: Polynomial) -> ApolarAlgebraProfile:
     """Hilbert function of the apolar quotient algebra of a nonzero form.
 
-    h_k is the rank of the catalecticant C_k, whose entry at (t, a) is
-    (a + t)! F_(a+t) / t!: C_(d-k) is C_k transposed between invertible
-    factorial diagonals, so only k <= d/2 is ranked and the rest mirrored.
+    h_k is the rank of the Hankel catalecticant H_k, whose entry at (t, a)
+    is w_(a+t): H_(d-k) is H_k transposed, so only k <= d/2 is ranked and
+    the rest mirrored.
     """
     if form.is_zero():
         raise ValueError("the zero form has no apolar algebra profile")
@@ -150,21 +155,19 @@ def hilbert_function(form: Polynomial) -> ApolarAlgebraProfile:
 
 
 def _condition_rows(ops: Sequence[dict], degree: int, d: int,
-                    columns: Sequence[tuple[int, ...]]) -> list[list[int]]:
-    """Linear conditions `D . F = 0` on the coefficients of F in degree d:
-    one integer row per operator D (an integer term map of the given
-    degree) and target monomial t, where each term c x^a of D puts
-    c * falling(a + t, a) in the column of the form monomial a + t."""
-    index = {m: j for j, m in enumerate(columns)}
-    targets = monomial_basis(len(columns[0]), d - degree)
+                    columns: Sequence[tuple[int, ...]]) -> list[dict[int, int]]:
+    """Linear conditions `D . F = 0` on a degree-d form F, in its
+    divided-power coordinates u_b = b! F_b over `columns`: one sparse
+    integer row per operator D (an integer term map of the given degree)
+    and target monomial t, holding each term c x^a of D in the column of
+    a + t, since D . F = sum_t (sum_a c_a u_(a+t)) x^t / t!.  Monomials
+    are keyed by their `_code` in base d + 1."""
+    index = {_code(m, d + 1): j for j, m in enumerate(columns)}
+    targets = [_code(t, d + 1) for t in monomial_basis(len(columns[0]), d - degree)]
     rows = []
     for op in ops:
-        for t in targets:
-            row = [0] * len(columns)
-            for a, c in op.items():
-                b = tuple(map(add, a, t))
-                row[index[b]] = c * _falling(b, a)
-            rows.append(row)
+        coded = [(_code(a, d + 1), c) for a, c in op.items()]
+        rows.extend({index[a + t]: c for a, c in coded} for t in targets)
     return rows
 
 
@@ -172,25 +175,30 @@ def _inverse_vectors(pieces: Sequence[tuple[int, Sequence[dict]]], d: int,
                      columns: Sequence[tuple[int, ...]]) -> tuple[list[dict], list[int]]:
     """The integer core of `inverse_system`, on (degree, operators as
     integer term maps) pairs, highest degree first, and the degree-d
-    monomials `columns`.  The top piece's condition kernel is cut down by
-    each further piece's conditions, written in its coordinates.  Returns
-    sparse integer vectors over `columns` and one scale each: vector /
-    scale is the `inverse_system` vector, whose kernel bases lead with 1.
-    A kernel vector w over solutions u_i / s_i gives sum_i w_i u_i over
-    s_i0 w_i0, at the first index i0 of w.
+    monomials `columns`.  The top piece's condition kernel, in the
+    coordinates u of `_condition_rows`, is cut down by each further
+    piece's conditions, as sparse dot products with its vectors.  Returns
+    sparse integer vectors over `columns` in the coordinates of F (u_b
+    times the integer d!/b!) and one scale each: vector / scale is the
+    `inverse_system` vector, whose kernel bases lead with 1.  A kernel
+    vector w over solutions v_i / s_i gives sum_i w_i v_i over s_i0 w_i0,
+    at the first index i0 of w.
     """
     (degree, ops), *rest = pieces
-    vectors = _kernel_vectors(_condition_rows(ops, degree, d, columns), len(columns))
-    scales = [v[min(v)] for v in vectors]
+    width = len(columns)
+    multinomial = [factorial(d) // prod(map(factorial, b)) for b in columns]
+    vectors = _kernel_vectors([[row.get(j, 0) for j in range(width)]
+                               for row in _condition_rows(ops, degree, d, columns)], width)
+    scales = [v[min(v)] * multinomial[min(v)] for v in vectors]
     for degree, ops in rest:
         if not vectors:
             break
-        combos = _kernel_vectors([[sum(row[j] * x for j, x in v.items()) for v in vectors]
+        combos = _kernel_vectors([[sum(c * v.get(j, 0) for j, c in row.items()) for v in vectors]
                                   for row in _condition_rows(ops, degree, d, columns)],
                                  len(vectors))
         scales = [scales[min(w)] * w[min(w)] for w in combos]
         vectors = [_combination(w, vectors) for w in combos]
-    return vectors, scales
+    return [{j: x * multinomial[j] for j, x in v.items()} for v in vectors], scales
 
 
 def inverse_system(pieces: Sequence[GradedIdealPiece], d: int) -> list[Polynomial]:
@@ -200,12 +208,11 @@ def inverse_system(pieces: Sequence[GradedIdealPiece], d: int) -> list[Polynomia
     one dual ring.  A piece's `basis` may be any spanning set, dependent
     or zero forms included: the result is the canonical kernel basis of
     the conditions, so it depends only on the spans.  The conditions are
-    integer rows written down from the contraction rule, each operator
-    scaled to integers (which moves no kernel), and `_inverse_vectors`
-    solves them degree by degree, highest first (the top piece pins the
-    forms down to a low-dimensional space, so the remaining conditions
-    are cheap).  Without a nonempty piece the result is the monomial
-    basis of degree d.
+    the sparse shift rows of `_condition_rows`, each operator scaled to
+    integers (which moves no kernel), and `_inverse_vectors` solves them
+    degree by degree, highest first (the top piece pins the forms down to
+    a low-dimensional space, so the remaining conditions are cheap).
+    Without a nonempty piece the result is the monomial basis of degree d.
     """
     if d < 1:
         raise ValueError("socle degree must be >= 1")

@@ -1,9 +1,8 @@
 """Exact arithmetic core.
 
-Sparse homogeneous polynomials over Q, the falling factorials of the
-contraction action of dual operators on monomials, and one fraction-free
-integer elimination engine (echelon, rank, kernel vectors), with ranks
-read modulo a prime where that is a proof.  No floating point enters this
+Sparse homogeneous polynomials over Q and one fraction-free integer
+elimination engine (echelon, rank, kernel vectors), with ranks read
+modulo a prime where that is a proof.  No floating point enters this
 module; every value is immutable after construction, so everything here
 can be shared freely between workers.
 
@@ -278,17 +277,6 @@ class Polynomial:
 
     def __str__(self) -> str:
         return self.to_string()
-
-
-def _falling(b: Sequence[int], a: Sequence[int]) -> int:
-    """prod_i b_i (b_i - 1) ... (b_i - a_i + 1); zero if any a_i > b_i."""
-    out = 1
-    for bi, ai in zip(b, a):
-        if ai > bi:
-            return 0
-        for j in range(ai):
-            out *= bi - j
-    return out
 
 
 def _combination(weights: dict, vectors) -> dict:

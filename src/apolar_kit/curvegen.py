@@ -653,7 +653,8 @@ def ideal_pieces(curve: CurveSpec,
     sparse primitive integer rows of `_piece`.
 
     The supplied sampled points are an independent certificate: every
-    row must vanish on every one of them exactly, evaluated in integers.
+    row must vanish on every one of them exactly (a binomial e_j - e_rep
+    where the two monomials are equal), evaluated in integers.
     Dimensions must equal the canonical-curve counts (g-2)(g-3)/2 and
     C(g+2, 3) - (5g-5); a mismatch raises IdealDimensionError.
     """
@@ -664,8 +665,11 @@ def ideal_pieces(curve: CurveSpec,
         basis = monomial_basis(g, degree)
         evaluations, lower = _evaluation_matrix(points, evaluations, lower, basis), basis
         rows = tuple(_piece(curve, degree))
-        for row in rows:
-            if any(sum(values[j] * c for j, c in row.items()) for values in evaluations):
+        binomials = [tuple(row) for row in rows if tuple(row.values()) == (1, -1)]
+        lifts = [row for row in rows if tuple(row.values()) != (1, -1)]
+        for values in evaluations:
+            if (any(values[j] != values[rep] for j, rep in binomials)
+                    or any(sum(values[j] * c for j, c in row.items()) for row in lifts)):
                 raise PointCertificateError("an ideal element does not vanish on a sampled point")
         pieces.append(rows)
     dims = tuple(map(len, pieces))

@@ -23,7 +23,6 @@ verifiers below run those constructions at desk scale:
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -544,7 +543,9 @@ def _verify(report: dict, g: int, split: Optional[tuple[int, int]], trials: int,
     processes = min(int(raw), trials)
     arguments = [(g, split, derive_seed(seed, i)) for i in range(trials)]
     if processes > 1:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
+        # imported here, so a serial run never loads the pool's modules
+        import concurrent.futures
+        with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_trial, arguments))
     else:
         results = [_trial(args) for args in arguments]

@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, permutations
-from math import factorial, gcd, lcm, prod
+from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .apolarity import _catalecticant_rows
+from .apolarity import _catalecticant_rows, _divided_powers
 from .core import (Polynomial, _int_echelon, _int_rank, _int_reduce, _kernel_vectors,
                    _pivots_mod_prime, monomial_basis)
 from .seeding import make_rng, random_dual_linear
@@ -81,9 +81,9 @@ class Decomposition:
 def rank_lower_bound(form: Polynomial) -> int:
     """Rank of the degree-1 contraction matrix; Waring rank is at least this.
 
-    The catalecticant rows of the form's integer scaling go to `_int_rank`,
-    which ranks them modulo a 61-bit prime (the rank when it is full, n)
-    and only otherwise exactly.
+    `_int_rank` ranks the Hankel catalecticant H_1 of the form's integer
+    scaling, that matrix between factorial diagonals: modulo a 61-bit
+    prime (the rank when it is full, n), and only otherwise exactly.
     """
     if form.degree != 3:
         raise ValueError("rank bound implemented for cubics only")
@@ -142,13 +142,13 @@ def _certify_scheme(determinant: list[int], phi: Sequence[list[int]],
         for j in range(i, n):
             (ri, ni, di), (rj, nj, dj) = linear[i], linear[j]
             quadratic[i, j] = residue(_mul(ri, rj), ni * nj, di * dj)
-    terms = cubic.integer_terms()[1]
+    weights = _divided_powers(cubic.integer_terms()[1])
     columns = []
     for exp in monomial_basis(n, 3):
         i, j, k = (v for v, e in enumerate(exp) for _ in range(e))
         (ri, ni, di), (rq, nq, dq) = linear[i], quadratic[j, k]
         column, num, den = residue(_mul(ri, rq), ni * nq, di * dq)
-        columns.append((column, num * terms.get(exp, 0) * prod(map(factorial, exp)), den))
+        columns.append((column, num * weights.get(exp, 0), den))
     rows = [list(row) for row in zip(*(column for column, _, _ in columns))]
     chosen = _pivots_mod_prime(rows, len(columns))
     if len(chosen) == length:
@@ -296,9 +296,9 @@ def fermat_detect_detail(form: Polynomial, seed: int = 0
     if rank_lower_bound(form) < n:
         return None, "rank-deficient"
     tensor = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for e, c in form.integer_terms()[1].items():
+    for e, w in _divided_powers(form.integer_terms()[1]).items():
         for i, j, k in permutations([v for v, x in enumerate(e) for _ in range(x)]):
-            tensor[i][j][k] = c * prod(map(factorial, e))
+            tensor[i][j][k] = w
     rng = make_rng(seed)
     kind = "singular"
     for _ in range(5):

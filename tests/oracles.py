@@ -7,11 +7,13 @@ in mpmath.  Both are independent of the package's arithmetic.
 
 The package runs one integer path; the rational helpers it once
 exported are the references here, checked against the integer code by
-the tests: `contract` and `pair` (the contraction action and the
-apolarity pairing on `Polynomial`s), `coefficient_matrix`, `int_kernel`
-(the normalised kernel basis of `core._kernel_vectors`), `catalecticant`
-as an `ExactMatrix`, `is_apolar_scheme` (the power-sum membership test
-with exact weights, built from `power_coefficient_vector`),
+the tests: `contract` and `pair` (the contraction action, by the falling
+factorials of `_falling`, and the apolarity pairing on `Polynomial`s),
+`coefficient_matrix`, `int_kernel` (the normalised kernel basis of
+`core._kernel_vectors`), `catalecticant` (the contraction matrix, the
+package's Hankel rows between factorial diagonals) as an `ExactMatrix`,
+`is_apolar_scheme` (the power-sum membership test with exact weights,
+built from `power_coefficient_vector`),
 `piece_contains` and `piece_from_vectors` on `GradedIdealPiece`s,
 `random_invertible_matrix` (determinant +-1) and `scroll_quadrics` (the
 2 x 2 minors that cut out a scroll).
@@ -86,7 +88,7 @@ from mpmath import mp
 from apolar_kit import core
 from apolar_kit.apolarity import (ApolarAlgebraProfile, GradedIdealPiece, _catalecticant_rows,
                                   inverse_system)
-from apolar_kit.core import (ExactMatrix, Polynomial, _combination, _falling, _int_echelon,
+from apolar_kit.core import (ExactMatrix, Polynomial, _combination, _int_echelon,
                              _int_rank, _int_reduce, _int_substitute, _kernel_vectors,
                              _monomial_value, _row_to_int, _scaled, monomial_basis, substitute)
 from apolar_kit.curvegen import _restriction_classes, balanced_type, tetragonal_surfaces
@@ -119,6 +121,17 @@ def refuse_rational_layer(monkeypatch):
             if (module_name.split(".")[0] == "apolar_kit"
                     and getattr(module, name, None) is original):
                 monkeypatch.setattr(module, name, refuse)
+
+
+def _falling(b, a):
+    """prod_i b_i (b_i - 1) ... (b_i - a_i + 1); zero if any a_i > b_i."""
+    out = 1
+    for bi, ai in zip(b, a):
+        if ai > bi:
+            return 0
+        for j in range(ai):
+            out *= bi - j
+    return out
 
 
 def contract(op, form):
@@ -177,12 +190,15 @@ def int_kernel(rows, ncols):
 
 
 def catalecticant(form, k):
-    """The catalecticant of a form as an `ExactMatrix`, from
-    `apolarity._catalecticant_rows` of its rational terms."""
+    """The catalecticant C_k of a form as an `ExactMatrix`: the Hankel rows
+    of `apolarity._catalecticant_rows` of its rational terms, row t
+    divided by t!."""
     d = form.degree
     if k < 0 or k > d:
         raise ValueError(f"contraction order k={k} outside 0..{d}")
-    return ExactMatrix(_catalecticant_rows(form.terms, form.nvars, d, k))
+    rows = _catalecticant_rows(form.terms, form.nvars, d, k)
+    return ExactMatrix([[Fraction(x, prod(map(factorial, t))) for x in row]
+                        for t, row in zip(monomial_basis(form.nvars, d - k), rows)])
 
 
 def piece_from_vectors(degree, nvars, vectors):

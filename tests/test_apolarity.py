@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 import sympy
@@ -13,7 +13,7 @@ from apolar_kit.core import (ExactMatrix, Polynomial, _row_to_int, change_coordi
                              monomial_basis)
 from apolar_kit.seeding import make_rng, random_form
 from oracles import (annihilator_piece, catalecticant, contract, from_spanning,
-                     hilbert_vector, is_apolar_scheme, piece_contains,
+                     hilbert_vector, int_kernel, is_apolar_scheme, piece_contains,
                      random_invertible_matrix)
 
 
@@ -55,8 +55,9 @@ def contract_catalecticant(form, k):
 
 
 def contract_condition_rows(ops, degree, d, columns):
-    """Reference conditions `D . F = 0`: one `contract` per operator (an
-    integer term map) and column, each row scaled to integers."""
+    """Reference conditions `D . F = 0` on the coefficients of F: one
+    `contract` per operator (an integer term map) and column, each row
+    scaled to integers."""
     nvars = len(columns[0])
     targets = monomial_basis(nvars, d - degree)
     rows = []
@@ -76,8 +77,24 @@ def rational_form(n, d, rng):
 
 
 class TestContractionRows:
-    def test_catalecticant_matches_contract(self):
+    def test_hankel_rows_are_factorial_multiples_of_contract(self):
+        # row t of H_k is t! times row t of the contraction matrix C_k
         rng = make_rng(41)
+        for n in range(2, 6):
+            for d in (2, 3, 4):
+                for f in (random_form(n, d, rng), rational_form(n, d, rng),
+                          Polynomial(n, d, {(d,) + (0,) * (n - 1): Fraction(2, 3)})):
+                    for k in range(d + 1):
+                        rows = apolarity._catalecticant_rows(f.terms, n, d, k)
+                        reference = contract_catalecticant(f, k)
+                        targets = monomial_basis(n, d - k)
+                        assert len(rows) == reference.nrows == len(targets)
+                        for i, t in enumerate(targets):
+                            weight = prod(map(factorial, t))
+                            assert rows[i] == [weight * x for x in reference.row(i)]
+
+    def test_oracle_catalecticant_is_the_contraction_matrix(self):
+        rng = make_rng(43)
         for n in range(2, 6):
             for d in (2, 3, 4):
                 for f in (random_form(n, d, rng), rational_form(n, d, rng),
@@ -85,7 +102,7 @@ class TestContractionRows:
                     for k in range(d + 1):
                         assert catalecticant(f, k) == contract_catalecticant(f, k)
 
-    def test_inverse_system_matches_contract_conditions(self, monkeypatch):
+    def test_inverse_system_matches_contract_conditions(self):
         rng = make_rng(42)
         cases = []
         for _ in range(12):
@@ -109,8 +126,16 @@ class TestContractionRows:
         found = [inverse_system(pieces, 3) for pieces in cases]
         canonical = [inverse_system([from_spanning(p.degree, p.nvars, p.basis)
                                      for p in pieces], 3) for pieces in cases]
-        monkeypatch.setattr(apolarity, "_condition_rows", contract_condition_rows)
-        reference = [inverse_system(pieces, 3) for pieces in cases]
+        reference = []
+        for pieces in cases:
+            # every piece's `contract` conditions at once, in the
+            # coefficients of F, with the kernel basis leading with 1
+            n = pieces[0].nvars
+            columns = monomial_basis(n, 3)
+            rows = [row for p in pieces for row in contract_condition_rows(
+                [op.integer_terms()[1] for op in p.basis], p.degree, 3, columns)]
+            reference.append([Polynomial.from_vector(n, 3, v, columns)
+                              for v in int_kernel(rows, len(columns))])
         assert found == reference == canonical
         assert any(len(solutions) > 1 for solutions in found)
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -541,6 +542,17 @@ class TestCommands:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
 
+    def test_import_leaves_out_the_process_pool(self):
+        # a serial run never needs concurrent.futures or multiprocessing
+        src = str(Path(apolar_kit.__file__).resolve().parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, apolar_kit.cli; "
+             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
 
 def parse_outcome(parse, argv, capsys):
     """Exit code, stdout and stderr of a parse that ends the program."""
@@ -587,7 +599,7 @@ class TestProcessCount:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setenv("APOLAR_KIT_THREADS", "64")
         code, report = run(tmp_path, "verify-a", "--g", "5", "--trials", "2",
                            "--seed", "5")

@@ -911,6 +911,33 @@ class TestIdealPieces:
         with pytest.raises(PointCertificateError):
             ideal_pieces(trigonal_curve(5, 1), points)
 
+    @pytest.mark.parametrize("g, split", [(5, None), (8, None), (7, (1, 1)), (8, (1, 2))])
+    def test_one_changed_coordinate_fails_the_certificate(self, g, split, monkeypatch):
+        # a point moved off the scroll fails a binomial e_j - e_rep, which
+        # points of another curve on the same scroll never do: it fails
+        # the certificate even when the pieces keep only their binomials
+        if split is None:
+            curve = trigonal_curve(g, seed=1)
+        else:
+            curve = tetragonal_curve(g, *split, seed=1)
+        points = sample_points(curve, curve.guaranteed_point_count, seed=1)
+        ideal_pieces(curve, points)
+        moved = []
+        for i in range(g):
+            point = list(points[0])
+            point[i] += 1
+            moved.append([tuple(point)] + list(points[1:]))
+            with pytest.raises(PointCertificateError):
+                ideal_pieces(curve, moved[-1])
+        original = curvegen._piece
+        monkeypatch.setattr(curvegen, "_piece", lambda c, k: [
+            row for row in original(c, k) if tuple(row.values()) == (1, -1)])
+        with pytest.raises(IdealDimensionError):
+            ideal_pieces(curve, points)
+        for sample in moved:
+            with pytest.raises(PointCertificateError):
+                ideal_pieces(curve, sample)
+
     def test_zero_equation_fails_the_dimension_check(self):
         # only the scroll's own ideal is left: 13 cubics instead of 15
         curve = trigonal_curve(5, 1)

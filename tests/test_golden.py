@@ -95,3 +95,32 @@ def test_alpha_in_curve_gen_golden(tmp_path, monkeypatch):
     curve.write_text(json.dumps(json.loads((GOLDEN / "curve_gen_g8.json").read_text())["curve"]))
     recorded = (GOLDEN / "alpha_in_g8.json").read_text()
     assert fresh_report(["alpha", "--in", str(curve), "--seed", "1"], tmp_path) == recorded
+
+
+@pytest.mark.parametrize("name, argv", [
+    (f"apolar_k{k}_{kind}_n5", ["apolar", "--in", str(GOLDEN / f"form_{kind}_n5.json"),
+                                "--k", str(k)])
+    for kind in ("random", "fermat") for k in (2, 3)] + [
+    (f"fermat_{kind}_n5_seed5", ["fermat", "--in", str(GOLDEN / f"form_{kind}_n5.json"),
+                                 "--seed", "5"])
+    for kind in ("random", "fermat")] + [
+    # a quartic sum of five fourth powers, so d != 3 and Ann(F)_2 != 0
+    ("apolar_k2_quartic_n4", ["apolar", "--in", str(GOLDEN / "form_quartic_n4.json"),
+                              "--k", "2"]),
+])
+def test_forms_golden(name, argv, tmp_path):
+    # a random 10-bit cubic and a Fermat cubic under an integer change of
+    # coordinates, at n = 5
+    recorded = (GOLDEN / f"{name}.json").read_text()
+    assert fresh_report(argv, tmp_path) == recorded
+
+
+@pytest.mark.parametrize("kind", ["random", "fermat"])
+def test_inverse_golden(kind, tmp_path):
+    # the form back from the degree-2 and degree-3 pieces of its goldens
+    pieces = tmp_path / "pieces.json"
+    pieces.write_text(json.dumps({"d": 3, "pieces": [
+        json.loads((GOLDEN / f"apolar_k{k}_{kind}_n5.json").read_text())["piece"]
+        for k in (2, 3)]}))
+    recorded = (GOLDEN / f"inverse_{kind}_n5.json").read_text()
+    assert fresh_report(["inverse", "--in", str(pieces)], tmp_path) == recorded
