@@ -9,15 +9,16 @@ give an explicit power-sum presentation of the cubic, and the two
 verifiers below run those constructions at desk scale:
 
 * the trigonal verifier certifies exactly that the cubic is always a
-  sum of g - 2 cubes: the scheme cut on the scroll, taken over Q in
-  Q[t]/(D) without its roots, is g - 2 points whose cubes span it, and
-  the cubic is concise;
+  sum of g - 2 cubes, the points the two hyperplanes cut on the surface
+  scroll, and that it is concise;
 * the tetragonal verifier certifies that the cubic is a sum of at most
   ceil((3g - 7) / 2) cubes, the points of the scheme cut on one of the
-  two surfaces between the curve and its threefold scroll: on the
-  rational normal curve C0 the hyperplanes cut on the scroll, the
-  surface is a squarefree binary form that kills the cubic's functional
-  (Sylvester's theorem, `waring._certify_functional`).
+  two surfaces between the curve and its threefold scroll.
+
+Either scheme is a squarefree binary form, on the base line or on the
+rational normal curve C0 the hyperplanes cut on the threefold, that
+kills the cubic's functional (Sylvester's theorem,
+`waring._certify_functional`), so no root is computed.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import count
 from math import factorial, prod
 from typing import Optional, Sequence
 
@@ -38,8 +38,8 @@ from .curvegen import (CurveSpec, IdealReconstruction, _restriction_classes, bal
                        trigonal_curve)
 from .scroll import Scroll, coordinate_layout
 from .seeding import derive_seed, make_rng, random_dual_linear
-from .univariate import _combine, _mul, _pseudo_remainder, poly_gcd
-from .waring import CertificateError, _certify_functional, _certify_scheme, rank_lower_bound
+from .univariate import _combine, _mul
+from .waring import CertificateError, _certify_functional, rank_lower_bound
 
 __all__ = [
     "AlphaResult",
@@ -376,58 +376,18 @@ def _random_eta_pair(g: int, rng):
             return eta1, eta2
 
 
-def _chart(form: Sequence[int], k: int) -> list[int]:
-    """The binary form sum_j c_j s^(d - j) t^j on the chart s = 1 + k t:
-    its d + 1 integer coefficients in t, lowest first (Horner's rule)."""
-    out: list[int] = []
-    for c in form:
-        out = _mul(out, [1, k])
-        out[-1] += c
-    return out
-
-
-def _scheme(curve: CurveSpec, eta1: Polynomial, eta2: Polynomial,
-            kept: Sequence[int]) -> tuple[list[int], list[list[int]]]:
-    """The scheme the two hyperplanes cut on a trigonal curve's scroll,
-    over Q, as (D, phi).
-
-    Each piece is first a binary form, coefficient j on s^(d - j) t^j.
-    `_section` gives D and the fiber (a1, -a0), or (b1, -b0) when that
-    one vanishes at a root of D.  D(1 + k t, t) leads with D(k, 1), so on
-    the chart s = 1 + k t with the first k >= 0 where D(k, 1) != 0 (one
-    of 0, ..., deg D) every point of the scheme is affine; `_chart` moves
-    D, the fiber and its embedding there, and phi is the kept
-    coordinates.  CertificateError names check (a) when D vanishes, and
-    (b) when the fiber vanishes at a root of D or a hyperplane does not
-    vanish on the image modulo D.
-    """
-    scroll = curve.scroll
-    etas = _hyperplane_rows(eta1, eta2)
-    fibers, determinant = _section(scroll, etas)
-    if not any(determinant):
-        raise CertificateError("(a) the scheme equation vanishes identically")
-    k = next(k for k in count() if reduce(lambda value, c: value * k + c, determinant, 0))
-    determinant = _chart(determinant, k)
-    for fiber in fibers:
-        if len(reduce(poly_gcd, (_chart(f, k) for f in fiber), determinant)) == 1:
-            break
-    else:
-        raise CertificateError("(b) degenerate fiber at a root of the scheme equation")
-    image = [_chart(form, k) for form in _embed(scroll, fiber)]
-    for eta in etas:
-        if any(_pseudo_remainder(_combine(zip(eta, image)), determinant)[1]):
-            raise CertificateError("(b) a hyperplane misses the scheme")
-    return determinant, [image[i] for i in kept]
-
-
 def _certify_fermat(curve: CurveSpec, alpha: AlphaResult,
                     failures: list) -> Optional[dict]:
     """Trigonal certificate: the cubic is a sum of the cubes of the
-    n = g - 2 points of the scroll scheme, and it is concise, so its rank
-    is exactly n."""
+    n = g - 2 points the hyperplanes cut on the scroll, D = 0 on the
+    embedded fiber (`_section`), and it is concise, so its rank is
+    exactly n.  `alpha_map` read lambda off D times every monomial, and
+    `_certify_functional` checks that D is squarefree and kills lambda:
+    by Sylvester's theorem lambda is a weighted sum of evaluations at
+    the n roots of D."""
+    _, determinant = _section(curve.scroll, _hyperplane_rows(alpha.eta1, alpha.eta2))
     try:
-        n = _certify_scheme(*_scheme(curve, alpha.eta1, alpha.eta2, alpha.kept_indices),
-                            alpha.cubic)
+        n = _certify_functional(determinant, alpha.functional)
         if rank_lower_bound(alpha.cubic) != n:
             raise CertificateError("(d) the cubic is not concise")
     except CertificateError as err:
@@ -561,10 +521,11 @@ def verify_trigonal_fermat(g: int, trials: int, seed: int) -> dict:
     """Check that trigonal quotient cubics are sums of exactly g - 2 cubes.
 
     Each trial builds a fresh curve, certifies the quotient algebra, and
-    certifies exactly, in Q[t]/(D) and without a root, that the cubic is
-    a sum of the cubes of the g - 2 points the two hyperplanes cut on the
-    scroll (`_certify_scheme`) and that it is concise.  Any trial failure
-    raises VerificationError with the full report attached.
+    certifies exactly, by Sylvester's theorem on binary forms and without
+    a root, that the cubic is a sum of the cubes of the g - 2 points the
+    two hyperplanes cut on the scroll and that it is concise
+    (`_certify_fermat`).  Any trial failure raises VerificationError with
+    the full report attached.
     """
     if not 5 <= g <= 16:
         raise ValueError("desk-scale verification covers genus 5 through 16")

@@ -9,11 +9,11 @@ is the coefficient vector of l_i.  Detection reads those points off over
 Q without computing a root: the characteristic polynomial chi of M is
 the equation of a scheme of n points, and phi = B adj(t - M) r is its
 point at every root of chi (`simultaneous_diagonalize`).  The verdict is
-the power-sum certificate the verifiers use (`_certify_scheme`): F lies
-in the span of the cubes of those points, decided in Q[t]/(chi), which
-together with conciseness proves that F is a sum of exactly n cubes.
-It runs in integers: one Faddeev-LeVerrier loop gives adj(B) and chi.
-The tetragonal verifier certifies a functional on binary forms instead
+a power-sum certificate (`_certify_scheme`): F lies in the span of the
+cubes of those points, decided in Q[t]/(chi), which together with
+conciseness proves that F is a sum of exactly n cubes.  It runs in
+integers: one Faddeev-LeVerrier loop gives adj(B) and chi.  Both
+verifiers certify a functional on binary forms instead
 (`_certify_functional`, Sylvester's theorem), with no residue at all.
 """
 

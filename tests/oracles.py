@@ -49,17 +49,17 @@ it against the rest; `echelon_certificate` is the certificate it
 replaced, which reduces the target against one echelon of the whole
 L x C(n + 2, 3) residue matrix, with each column's scale a `Fraction`.
 
-The hyperplane scheme is built once on binary forms, on a chart picked
-in closed form; `chart_search_scheme` is the builder it replaced, which
-tries the charts s = 1 + k t for k = 0, 1, ... and restricts both
+Both verifiers check by Sylvester's theorem that a binary form D kills
+the cubic's functional: the scroll's D = a0 b1 - a1 b0 on a trigonal
+curve, a surface's form on C0 on a tetragonal one.  The certificates
+that check replaced are kept here: `trigonal_scheme` and `surface_scheme` build the
+scheme over Q once on binary forms, moved to the chart s = 1 + k t
+picked in closed form (`chart`), and `scheme_certify_fermat` and
+`scheme_certify_bound` run the span check of `waring._certify_scheme` in
+Q[t]/(D) on it.  `chart_search_scheme` is the builder those schemes
+replaced, which tries the charts for k = 0, 1, ... and restricts both
 hyperplanes and the surface again on each, until D has the expected
 degree.
-
-The tetragonal certificate checks by Sylvester's theorem that the
-surface's binary form on C0 kills the cubic's functional;
-`surface_scheme` and `scheme_certify_bound` are the certificate it
-replaced: the scheme a surface cuts, on the closed-form chart, and the
-span check of `waring._certify_scheme` in Q[t]/(D) on it.
 
 The quotient pairs the degree-3 piece with V's basis functionals on the
 embedded fiber, class by class, and builds one cubic;
@@ -92,7 +92,7 @@ from apolar_kit.core import (ExactMatrix, Polynomial, _combination, _int_echelon
                              _int_rank, _int_reduce, _int_substitute, _kernel_vectors,
                              _monomial_value, _row_to_int, _scaled, monomial_basis, substitute)
 from apolar_kit.curvegen import _restriction_classes, balanced_type, tetragonal_surfaces
-from apolar_kit.pipeline import (AlphaCertificateError, AlphaResult, _chart, _cubic_of, _embed,
+from apolar_kit.pipeline import (AlphaCertificateError, AlphaResult, _cubic_of, _embed,
                                  _hyperplane_rows, _section, _section_inverse_system,
                                  _surface_form, tetragonal_cube_bound)
 from apolar_kit.pipeline import quotient_frame as int_quotient_frame
@@ -722,6 +722,72 @@ def chart_search_scheme(curve, surface_index, eta1, eta2, kept):
     return determinant, [image[i] for i in kept]
 
 
+def chart(form, k):
+    """The binary form sum_j c_j s^(d - j) t^j on the chart s = 1 + k t:
+    its d + 1 integer coefficients in t, lowest first (Horner's rule)."""
+    out = []
+    for c in form:
+        out = _mul(out, [1, k])
+        out[-1] += c
+    return out
+
+
+def _charted_scheme(scroll, etas, fibers, determinant, kept):
+    """(D, phi) on the chart s = 1 + k t of the first k >= 0 where
+    D(k, 1) != 0, so every point of the scheme is affine: D, and the kept
+    coordinates of the first fiber that vanishes at no root of D,
+    embedded.  CertificateError names check (a) when D vanishes, and (b)
+    when every fiber vanishes at a root of D or a hyperplane does not
+    vanish on the image modulo D."""
+    if not any(determinant):
+        raise CertificateError("(a) the scheme equation vanishes identically")
+    k = next(k for k in range(len(determinant))
+             if reduce(lambda value, c: value * k + c, determinant, 0))
+    determinant = chart(determinant, k)
+    for fiber in fibers:
+        if len(reduce(poly_gcd, (chart(f, k) for f in fiber), determinant)) == 1:
+            break
+    else:
+        raise CertificateError("(b) degenerate fiber at a root of the scheme equation")
+    image = [chart(form, k) for form in _embed(scroll, fiber)]
+    for eta in etas:
+        if any(_pseudo_remainder(_combine(zip(eta, image)), determinant)[1]):
+            raise CertificateError("(b) a hyperplane misses the scheme")
+    return determinant, [image[i] for i in kept]
+
+
+def trigonal_scheme(curve, eta1, eta2, kept):
+    """The scheme the two hyperplanes cut on a trigonal curve's scroll,
+    over Q, as (D, phi): `pipeline._section` gives D and the fiber
+    (a1, -a0), or (b1, -b0) when that one vanishes at a root of D, moved
+    to a chart by `_charted_scheme`."""
+    etas = _hyperplane_rows(eta1, eta2)
+    fibers, determinant = _section(curve.scroll, etas)
+    return _charted_scheme(curve.scroll, etas, fibers, determinant, kept)
+
+
+def scheme_certify_fermat(curve, alpha, failures):
+    """`pipeline._certify_fermat` by the span check in Q[t]/(D) on
+    `trigonal_scheme`, then conciseness.  Reads the cubic, not the
+    functional."""
+    try:
+        n = _certify_scheme(*trigonal_scheme(curve, alpha.eta1, alpha.eta2,
+                                             alpha.kept_indices), alpha.cubic)
+        if rank_lower_bound(alpha.cubic) != n:
+            raise CertificateError("(d) the cubic is not concise")
+    except CertificateError as err:
+        failures.append(f"certificate: {err}")
+        return None
+    return {
+        "certificate": "exact",
+        "detected_rank": n,
+        "rank_interval": [n, n],
+        "scheme_points": n,
+        "agreement": True,
+        "passed": True,
+    }
+
+
 def surface_scheme(curve, surface_index, eta1, eta2, kept):
     """The scheme the two hyperplanes cut on surface Y of a tetragonal
     curve, equation `surface_index`, over Q, as (D, phi): D is Y's binary
@@ -734,19 +800,8 @@ def surface_scheme(curve, surface_index, eta1, eta2, kept):
         raise ValueError("surface_index must pick one of the two surfaces")
     etas = _hyperplane_rows(eta1, eta2)
     [fiber], _ = _section(curve.scroll, etas)
-    determinant = _surface_form(curve, surface_index, fiber)
-    if not any(determinant):
-        raise CertificateError("(a) the scheme equation vanishes identically")
-    k = next(k for k in range(len(determinant))
-             if reduce(lambda value, c: value * k + c, determinant, 0))
-    determinant = _chart(determinant, k)
-    if len(reduce(poly_gcd, (_chart(f, k) for f in fiber), determinant)) != 1:
-        raise CertificateError("(b) degenerate fiber at a root of the scheme equation")
-    image = [_chart(form, k) for form in _embed(curve.scroll, fiber)]
-    for eta in etas:
-        if any(_pseudo_remainder(_combine(zip(eta, image)), determinant)[1]):
-            raise CertificateError("(b) a hyperplane misses the scheme")
-    return determinant, [image[i] for i in kept]
+    return _charted_scheme(curve.scroll, etas, [fiber],
+                           _surface_form(curve, surface_index, fiber), kept)
 
 
 def scheme_certify_bound(curve, alpha, failures):

@@ -425,14 +425,13 @@ class TestCommands:
         assert report["bound"] == 6
 
     def test_failing_certificate_is_a_failed_trial(self, tmp_path, monkeypatch):
-        # every certificate of every hyperplane pair fails: the scheme's
-        # span check on a trigonal curve, and on a tetragonal one the
-        # functional's check on each surface
+        # every certificate of every hyperplane pair fails: the functional's
+        # check on the scroll's D on a trigonal curve, and on each surface
+        # on a tetragonal one
         def fail(*args):
             raise pipeline.CertificateError("(c) the cubic is not in the span "
                                             "of the scheme's cubes")
 
-        monkeypatch.setattr(pipeline, "_certify_scheme", fail)
         monkeypatch.setattr(pipeline, "_certify_functional", fail)
         for command, per_pair, prefix in (("verify-a", 1, "certificate: "),
                                           ("verify-b", 2, "surface b=")):

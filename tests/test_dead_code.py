@@ -149,21 +149,29 @@ def test_pipeline_imports_nothing_from_apolarity():
     assert not {m for m in modules if m and m.rpartition(".")[2] == "apolarity"}
 
 
-def test_tetragonal_certificate_reaches_no_span_check():
-    """`pipeline._certify_bound` certifies by Sylvester's theorem on C0: no
-    package function it reads, directly or through the functions those
-    read, is the span check in Q[t]/(D) (`waring._certify_scheme`) or the
-    scheme builder it runs on (`pipeline._scheme`)."""
+def test_verifier_certificates_reach_no_span_check():
+    """`pipeline._certify_fermat` and `pipeline._certify_bound` certify by
+    Sylvester's theorem on binary forms: no package function either reads,
+    directly or through the functions those read, is the span check in
+    Q[t]/(D) (`waring._certify_scheme`) or a scheme builder on a chart
+    (`_scheme`, `_chart`), and the package defines no such builder.  The
+    span check is read by Fermat detection alone."""
     functions = {}
     for tree in _parse([PACKAGE]).values():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 functions.setdefault(node.name, []).append(node)
-    reached, todo = set(), ["_certify_bound"]
-    while todo:
-        name = todo.pop()
-        if name not in reached:
-            reached.add(name)
-            todo += [n for n in _referenced(functions[name]) if n in functions]
-    assert {"_certify_functional", "_surface_form", "_section"} <= reached
-    assert not {"_scheme", "_certify_scheme"} & reached
+    assert not {"_scheme", "_chart"} & set(functions)
+    for certificate, reads in (("_certify_fermat", {"_section"}),
+                               ("_certify_bound", {"_section", "_surface_form"})):
+        reached, todo = set(), [certificate]
+        while todo:
+            name = todo.pop()
+            if name not in reached:
+                reached.add(name)
+                todo += [n for n in _referenced(functions[name]) if n in functions]
+        assert {"_certify_functional", *reads} <= reached
+        assert "_certify_scheme" not in reached
+    readers = {name for name, nodes in functions.items()
+               if name != "_certify_scheme" and "_certify_scheme" in _referenced(nodes)}
+    assert readers == {"fermat_detect_detail"}

@@ -22,12 +22,13 @@ from apolar_kit.core import (ExactMatrix, Polynomial, _int_echelon, _row_to_int,
 from apolar_kit.curvegen import (_restriction_classes, ideal_pieces, sample_points,
                                  tetragonal_curve, trigonal_curve)
 from apolar_kit.pipeline import (AlphaCertificateError, AlphaResult, CertificateError,
-                                 _certify_bound, _certify_fermat, _certify_scheme,
-                                 _random_eta_pair, _scheme, alpha_for_curve, alpha_map,
-                                 quotient_frame, reduce_to_quotient, tetragonal_cube_bound,
-                                 verify_tetragonal_bound, verify_trigonal_fermat)
+                                 _certify_bound, _certify_fermat, _random_eta_pair,
+                                 alpha_for_curve, alpha_map, quotient_frame, reduce_to_quotient,
+                                 tetragonal_cube_bound, verify_tetragonal_bound,
+                                 verify_trigonal_fermat)
 from apolar_kit.seeding import derive_seed, make_rng, random_dual_linear, random_form
-from apolar_kit.waring import fermat_detect_detail
+from apolar_kit.univariate import _mul
+from apolar_kit.waring import _certify_scheme, fermat_detect_detail
 import oracles
 from oracles import (admissible_splits, coefficient_matrix, echelon_certificate, from_spanning,
                      oracle_fit, oracle_points, random_invertible_matrix, recon_piece,
@@ -275,9 +276,10 @@ def against_the_oracle(curve, recon, eta1, eta2):
                                                          str(err.hilbert))
         else:
             assert err.hilbert == (1, n, n) and "degenerate section" in str(err)
-            # the oracle's generic kernel gives no functional, so a
-            # tetragonal cubic is checked by the span certificate
-            certify = _certify_fermat if curve.gonality == 3 else oracles.scheme_certify_bound
+            # the oracle's generic kernel gives no functional, so the
+            # cubic is checked by the span certificate
+            certify = (oracles.scheme_certify_fermat if curve.gonality == 3
+                       else oracles.scheme_certify_bound)
             hilbert, kept, cubic = expected[:3]
             assert certify(curve, AlphaResult(curve.genus, eta1, eta2, hilbert, cubic, kept, ()),
                            []) is None
@@ -787,10 +789,90 @@ class TestSylvesterCertificate:
 
         def refuse(*args):
             raise AssertionError("the span certificate ran")
-        monkeypatch.setattr(pipeline_module, "_scheme", refuse)
-        monkeypatch.setattr(pipeline_module, "_certify_scheme", refuse)
+        monkeypatch.setattr(waring, "_certify_scheme", refuse)
         found = _certify_bound(curve, alpha, [])
         assert widths and max(widths) <= found["length"] + 1
+
+
+def trigonal_sweep():
+    """Trigonal g = 5..12 at seeds 1-20 and g = 13..16 at seeds 1-3."""
+    for g in range(5, 17):
+        yield pytest.param(g, range(1, 21) if g <= 12 else range(1, 4), id=f"tri{g}")
+
+
+class TestTrigonalSylvesterCertificate:
+    """The trigonal verdict certified on the scroll's base line: D is
+    squarefree and kills the cubic's functional lambda."""
+
+    @pytest.mark.parametrize("g, seeds", trigonal_sweep())
+    def test_same_verdict_as_the_span_certificate(self, g, seeds):
+        # every pair a verify-a trial draws, up to the first it certifies,
+        # against the span check in Q[t]/(D) on the chart plus conciseness
+        for seed in seeds:
+            trial_seed = derive_seed(seed, 0)
+            curve = trigonal_curve(g, trial_seed)
+            for alpha in pipeline_module._alpha_attempts(curve, trial_seed):
+                if isinstance(alpha, AlphaCertificateError):
+                    continue
+                failures, expected_failures = [], []
+                found = _certify_fermat(curve, alpha, failures)
+                assert found == oracles.scheme_certify_fermat(curve, alpha, expected_failures)
+                assert failures == expected_failures
+                if found is not None:
+                    assert found["detected_rank"] == g - 2
+                    break
+
+    @pytest.mark.parametrize("g", [5, 6, 7, 8])
+    def test_moving_one_entry_of_lambda_fails_c(self, g):
+        curve, alpha = accepted_alphas(g, None, 1)[0]
+        _, determinant = pipeline_module._section(
+            curve.scroll, pipeline_module._hyperplane_rows(alpha.eta1, alpha.eta2))
+        # no root at (1 : 0) or (0 : 1), whose evaluations are lambda_0 and
+        # lambda_d alone
+        assert determinant[0] and determinant[-1]
+        assert _certify_fermat(curve, alpha, [])["detected_rank"] == g - 2
+        for k in range(len(alpha.functional)):
+            moved = tuple(x + (j == k) for j, x in enumerate(alpha.functional))
+            failures = []
+            assert _certify_fermat(curve, dataclasses.replace(alpha, functional=moved),
+                                   failures) is None
+            assert failures == ["certificate: (c) the cubic is not in the span of "
+                                "the scheme's cubes"]
+
+    @pytest.mark.parametrize("g", [5, 6, 7, 8])
+    def test_a_repeated_factor_of_d_fails_a(self, g, monkeypatch):
+        # D (b t - a s)^2 still kills lambda, so only (a) refuses it
+        curve, alpha = accepted_alphas(g, None, 1)[0]
+        section = pipeline_module._section
+        for a, b in ((0, 1), (1, 0), (3, -2)):
+            square = [a * a, -2 * a * b, b * b]
+            monkeypatch.setattr(pipeline_module, "_section", lambda scroll, etas: (
+                section(scroll, etas)[0], _mul(section(scroll, etas)[1], square)))
+            failures = []
+            assert _certify_fermat(curve, alpha, failures) is None
+            assert failures == ["certificate: (a) the scheme equation is not squarefree "
+                                f"of degree {g}"]
+
+    @pytest.mark.parametrize("g", [5, 6, 7, 8])
+    def test_a_cubic_that_is_not_concise_fails_d(self, g):
+        # the cubic with its last variable set to zero, lambda left valid
+        curve, alpha = accepted_alphas(g, None, 1)[0]
+        flat = Polynomial(g - 2, 3, {exp: c for exp, c in alpha.cubic.terms.items()
+                                     if not exp[-1]})
+        failures = []
+        assert _certify_fermat(curve, dataclasses.replace(alpha, cubic=flat), failures) is None
+        assert failures == ["certificate: (d) the cubic is not concise"]
+
+
+class TestTetragonalCubicsAreNotFermat:
+    @pytest.mark.parametrize("g, split", [(6, (0, 1)), (7, (1, 1)), (7, (0, 2)), (8, (1, 2)),
+                                          (9, (2, 2)), (10, (2, 3))])
+    def test_fermat_detection_fails_the_fit(self, g, split):
+        # a tetragonal quotient cubic is never a sum of n = g - 2 cubes
+        for seed in (1, 2, 3):
+            _, alpha = accepted_alphas(g, split, seed)[0]
+            for detection_seed in (0, 1, 2):
+                assert fermat_detect_detail(alpha.cubic, detection_seed) == (None, "fit-failed")
 
 
 class TestIntegerFormsLayer:
@@ -831,11 +913,11 @@ class TestIntegerFormsLayer:
 
 
 def scheme_of(curve, surface_index, eta1, eta2):
-    """(D, phi) on the trigonal scroll (`surface_index` None), or on a
-    tetragonal surface by the oracle the Sylvester certificate replaced."""
+    """(D, phi) on the trigonal scroll (`surface_index` None) or on a
+    tetragonal surface, by the oracles the Sylvester certificate replaced."""
     kept = quotient_frame(eta1, eta2, curve.genus)[0]
     if surface_index is None:
-        return _scheme(curve, eta1, eta2, kept)
+        return oracles.trigonal_scheme(curve, eta1, eta2, kept)
     return oracles.surface_scheme(curve, surface_index, eta1, eta2, kept)
 
 
@@ -963,7 +1045,7 @@ def refuse_float_stages(monkeypatch):
 
 
 class TestExactCertificate:
-    """Both verdicts: exact checks in Q[t]/(D), no root and no float."""
+    """Both verdicts: exact checks on binary forms, no root and no float."""
 
     @pytest.mark.parametrize("g", [5, 6, 7, 8])
     @pytest.mark.parametrize("seed", [81, 82])
@@ -989,11 +1071,13 @@ class TestExactCertificate:
         assert dec.rank == length and dec.residual < mp.mpf(10) ** -20
 
     def test_rejects_a_perturbed_cubic(self):
+        # the cubic of the functional with one entry moved
         curve = trigonal_curve(7, seed=83)
         alpha = alpha_for_curve(curve, seed=83)
-        n = curve.genus - 2
-        bump = Polynomial.monomial((1, 1, 1) + (0,) * (n - 3))
-        perturbed = dataclasses.replace(alpha, cubic=alpha.cubic + bump)
+        functional = list(alpha.functional)
+        functional[len(functional) // 2] += 1
+        perturbed = dataclasses.replace(alpha, functional=tuple(functional),
+                                        cubic=cubic_of_functional(curve, alpha, functional))
         found, failures = certificate_failures(curve, perturbed)
         assert found is None
         assert failures == ["certificate: (c) the cubic is not in the span of "
@@ -1001,14 +1085,14 @@ class TestExactCertificate:
 
     def test_rejects_a_quadric_off_the_scheme(self):
         # the cubic of another hyperplane pair is a concise Fermat cubic
-        # too, but the quadrics of its annihilator miss this scheme
+        # too, but its functional is not killed by this scheme's D
         curve = trigonal_curve(7, seed=84)
         alpha = alpha_for_curve(curve, seed=84)
         rng = make_rng(85)
         other = alpha_map(build_recon(curve), random_dual_linear(7, rng),
                           random_dual_linear(7, rng))
         found, failures = certificate_failures(
-            curve, dataclasses.replace(alpha, cubic=other.cubic))
+            curve, dataclasses.replace(alpha, cubic=other.cubic, functional=other.functional))
         assert found is None
         assert failures == ["certificate: (c) the cubic is not in the span of "
                             "the scheme's cubes"]
@@ -1037,12 +1121,11 @@ class TestExactCertificate:
         assert _certify_scheme([0, 2, -3, 1], [[1, -2, 1], [0, 2, -1], [0]], cubic) == 3
         assert len(calls) == 1
 
-    def test_rejects_a_cubic_that_is_not_concise(self, monkeypatch):
+    def test_rejects_a_cubic_that_is_not_concise(self):
         # x0^3 + x1^3 is a sum of the cubes of the scheme's points e0, e1
-        # and e0 + e1 (at t = 0, 1, 2), but needs only two variables
-        from apolar_kit import pipeline
+        # and e0 + e1 (at t = 0, 1, 2), but needs only two variables; the
+        # curve's functional passes (c), so (d) refuses it
         scheme = ([0, 2, -3, 1], [[2, -4, 2], [0, 3, -1], [0]])
-        monkeypatch.setattr(pipeline, "_scheme", lambda *args: scheme)
         curve = trigonal_curve(5, seed=88)
         alpha = alpha_for_curve(curve, seed=88)
         cubic = Polynomial(3, 3, {(3, 0, 0): 1, (0, 3, 0): 1})
@@ -1054,7 +1137,7 @@ class TestExactCertificate:
 
     def test_sheared_chart(self):
         # the first hyperplane pair puts a point of the scheme at (0 : 1),
-        # outside the chart s = 1, so the certificate shears the chart
+        # a simple root that D's dehomogenization at s = 1 drops
         seed = 765804037
         report = verify_trigonal_fermat(5, trials=1, seed=seed)
         trial = report["trials"][0]
@@ -1226,10 +1309,11 @@ def drawn_pairs(curve, seed):
 
 
 class TestClosedFormChart:
-    """The scheme built once on binary forms, on the chart s = 1 + k t with
-    the first k where D(k, 1) != 0, against the chart search it replaced:
-    `_scheme` on a trigonal scroll, and on a tetragonal surface the
-    oracle the Sylvester certificate replaced."""
+    """The scheme oracles the Sylvester certificate replaced, built once on
+    binary forms, on the chart s = 1 + k t with the first k where
+    D(k, 1) != 0, against the chart search they replaced:
+    `oracles.trigonal_scheme` on a trigonal scroll, and
+    `oracles.surface_scheme` on a tetragonal surface."""
 
     @pytest.mark.parametrize("g, split", CHART_CASES)
     def test_same_scheme_as_the_chart_search(self, g, split):
@@ -1237,7 +1321,7 @@ class TestClosedFormChart:
             curve = trigonal_curve(g, seed) if split is None else tetragonal_curve(g, *split, seed)
             for eta1, eta2, kept in drawn_pairs(curve, seed):
                 if split is None:
-                    assert (verdict(_scheme, curve, eta1, eta2, kept)
+                    assert (verdict(oracles.trigonal_scheme, curve, eta1, eta2, kept)
                             == verdict(oracles.chart_search_scheme, curve, None, eta1, eta2,
                                        kept))
                 for index in (0, 1) if split else ():
@@ -1251,7 +1335,7 @@ class TestClosedFormChart:
         curve = trigonal_curve(5, seed)
         alpha = alpha_for_curve(curve, seed)
         args = (alpha.eta1, alpha.eta2, alpha.kept_indices)
-        determinant, phi = _scheme(curve, *args)
+        determinant, phi = oracles.trigonal_scheme(curve, *args)
         assert (determinant, phi) == oracles.chart_search_scheme(curve, None, *args)
         assert len(determinant) == 4 and determinant[-1]
 
@@ -1262,7 +1346,7 @@ class TestClosedFormChart:
         d = len(form) - 1
         expected = sympy.Poly(sum(c * s ** (d - j) * t ** j for j, c in enumerate(form))
                               .subs(s, 1 + k * t), t)
-        chart = pipeline_module._chart(form, k)
+        chart = oracles.chart(form, k)
         assert len(chart) == d + 1
         assert chart == [int(expected.coeff_monomial(t ** i)) for i in range(d + 1)]
         assert chart[-1] == sum(c * k ** (d - j) for j, c in enumerate(form))
