@@ -224,14 +224,17 @@ class CurveSpec:
 class IdealReconstruction:
     """The degree-2 and degree-3 pieces of a curve ideal, each a basis of
     sparse primitive integer rows (`_piece`): index into
-    `monomial_basis(genus, degree)` -> coefficient; and the scroll the
-    curve lies on, in the coordinates of those rows."""
+    `monomial_basis(genus, degree)` -> coefficient; the scroll the curve
+    lies on, in the coordinates of those rows; and the curve's
+    `equations`, from which `_piece` built both pieces as I_S plus each
+    equation times its multiplier slots."""
 
     genus: int
     degree2: tuple[dict[int, int], ...]
     degree3: tuple[dict[int, int], ...]
     point_count: int
     scroll: Scroll
+    equations: tuple[BihomSection, ...]
 
 
 def genus_adjunction(scroll: Scroll, cls: DivisorClass) -> int:
@@ -676,4 +679,5 @@ def ideal_pieces(curve: CurveSpec,
     expected = (expected_quadric_dim(g), expected_cubic_dim(g))
     if dims != expected:
         raise IdealDimensionError(dims, expected)
-    return IdealReconstruction(g, *pieces, point_count=len(points), scroll=curve.scroll)
+    return IdealReconstruction(g, *pieces, point_count=len(points), scroll=curve.scroll,
+                               equations=curve.equations)

@@ -15,9 +15,10 @@ verifiers below run those constructions at desk scale:
   ceil((3g - 7) / 2) cubes, the points of the scheme cut on one of the
   two surfaces between the curve and its threefold scroll.
 
-Either scheme is a squarefree binary form, on the base line or on the
-rational normal curve C0 the hyperplanes cut on the threefold, that
-kills the cubic's functional (Sylvester's theorem,
+The cubic's functional is the kernel of one Sylvester system on binary
+forms (`alpha_map`), on the base line or on the rational normal curve C0
+the hyperplanes cut on the threefold, and either scheme is a squarefree
+binary form there that kills it (Sylvester's theorem,
 `waring._certify_functional`), so no root is computed.
 """
 
@@ -30,15 +31,15 @@ from functools import reduce
 from math import factorial, prod
 from typing import Optional, Sequence
 
-from .core import (ExactMatrix, Polynomial, _int_echelon, _int_rank,
-                   _int_reduce, _int_substitute, _kernel_vectors, _row_to_int,
+from .core import (ExactMatrix, Polynomial, _int_echelon, _int_rank, _int_reduce,
+                   _int_substitute, _kernel_vectors, _rank_mod_prime, _row_to_int,
                    change_coordinates, monomial_basis)
-from .curvegen import (CurveSpec, IdealReconstruction, _restriction_classes, balanced_type,
+from .curvegen import (BihomSection, CurveSpec, IdealReconstruction, balanced_type,
                        ideal_pieces, sample_points, tetragonal_curve, tetragonal_surfaces,
                        trigonal_curve)
 from .scroll import Scroll, coordinate_layout
 from .seeding import derive_seed, make_rng, random_dual_linear
-from .univariate import _combine, _mul
+from .univariate import _combine, _mul, _multiples
 from .waring import CertificateError, _certify_functional, rank_lower_bound
 
 __all__ = [
@@ -76,8 +77,8 @@ class AlphaResult:
     """The quotient of a curve by two hyperplanes.
 
     `functional` is the cubic's functional lambda on the binary forms of
-    degree 3m that `_section_inverse_system` reads off the scroll,
-    lambda_k = lambda(s^(3m - k) t^k): 3n - 2 integers on a tetragonal
+    degree 3m, lambda_k = lambda(s^(3m - k) t^k), up to scale the kernel
+    of `alpha_map`'s Sylvester system: 3n - 2 integers on a tetragonal
     curve (m = n - 1), 3n + 1 on a trigonal one (m = n).  The cubic is
     F_lambda, (F_lambda)_e = (6 / e!) lambda(phi^e), divided by its lead.
     """
@@ -181,29 +182,41 @@ def _powers(phi: Sequence[Sequence[int]], top: int) -> dict:
     return powers
 
 
-def _section_inverse_system(scroll: Scroll, etas: Sequence[Sequence[int]],
-                            kept: Sequence[int], quadrics: Sequence[dict]
-                            ) -> tuple[list[list[int]], list[list[int]]]:
-    """The degree-3 inverse system V of the restricted quadrics J2, given
-    h2 = n, read off what the two hyperplanes cut on the scroll.
+def _surface_form(section: BihomSection, fiber: Sequence[Sequence[int]]) -> list[int]:
+    """The binary form a section restricts to on an embedded fiber (D_i of
+    the surface 2H - b_i F on C0, E(phi) of a trigonal curve): its base
+    form of each fiber monomial y^exp, from the rows of its image, times
+    fiber^exp.  The image is a positive multiple of the section, so the
+    form moves by a constant > 0."""
+    return _combine(
+        (1, reduce(_mul, [fiber[i] for i, e in enumerate(exp) for _ in range(e)], row))
+        for exp, row in section.image if row)
+
+
+def _section_forms(scroll: Scroll, etas: Sequence[Sequence[int]], kept: Sequence[int],
+                   quadrics: Sequence[dict], equations: Sequence[BihomSection]
+                   ) -> tuple[list[list[int]], list[list[int]]]:
+    """The embedded fiber phi and the two binary forms whose multiples of
+    degree 3m the cubic's functional lambda kills, read off what the two
+    hyperplanes cut on the scroll, given h2 = n.
 
     phi is an embedded fiber of `_section` at the kept coordinates: n
     binary forms of degree m, the curve C0 (m = n - 1) on a threefold;
-    on a surface (m = n) the scheme Gamma is D = 0 on phi.  The cubic
-    F_lambda, (F_lambda)_e = (6 / e!) lambda(phi^e) for a functional
-    lambda on forms of degree 3m, pairs with an operator P as
-    6 lambda(P(phi)).  (i) phi's coefficients (and D's) are independent:
-    C0 is a rational normal curve, or Gamma spans P^(n-1).  (ii) On a
-    threefold the relations, the echelon rows of the images q(phi), are
-    n - 1, so J2 holds I(C0)_2, which generates I(C0): V lies in
-    I(C0)_3^perp, all F_lambda.  On a surface the relation is D, and each
-    image is a multiple of it: J2 lies in I(Gamma)_2, and is all of it,
-    which generates I(Gamma) (2-regular, as its Hilbert function is n
-    from degree 1), so V is I(Gamma)_3^perp.  Either way V is the
-    F_lambda whose lambda kills every relation times every monomial
-    carrying it to degree 3m, one kernel over 3m + 1 columns.  Returns
-    the fiber and V's basis functionals, each as its 3m + 1 values
-    lambda(s^(3m - k) t^k).
+    on a surface (m = n) the scheme Gamma is D = 0 on phi.  F_lambda,
+    (F_lambda)_e = (6 / e!) lambda(phi^e), pairs with an operator P as
+    6 lambda(P(phi)), and the ideal restricts to phi as its `equations`
+    do (`_surface_form`), since I_S vanishes there.  (i) phi's
+    coefficients (and D's) are independent: C0 is a rational normal
+    curve, or Gamma spans P^(n-1).  (ii) Every image q(phi) reduces to
+    zero against the relations (D_1, D_2 on a threefold, D on a surface)
+    times every monomial of degree 2m; on a threefold the images also
+    have rank n - 1 modulo a prime, a lower bound, so they span
+    D_1 S_(b_1) + D_2 S_(b_2).  Then J2 holds I(C0)_2, which generates
+    I(C0), and J3 restricts to D_i S_(m + b_i); on a surface J2 is
+    I(Gamma)_2, which generates I(Gamma) (2-regular: its Hilbert function
+    is n from degree 1), and J3 restricts to D S_(2n) + E(phi) S_(n - 2).
+    Returns phi and (D_1, D_2), or (D, E(phi)), for the first fiber that
+    passes both checks.
     """
     n = len(kept)
     fibers, determinant = _section(scroll, etas)
@@ -216,25 +229,16 @@ def _section_inverse_system(scroll: Scroll, etas: Sequence[Sequence[int]],
         if _int_rank(phi if threefold else phi + [determinant], m + 1) <= m:
             failed.append("(i) the section's coordinates are dependent")
             continue
+        forms = [_surface_form(equation, fiber) for equation in equations]
+        relations = forms if threefold else [determinant]
         powers = _powers(phi, 2)
         images = [_combine((c, powers[exp]) for exp, c in q.items()) for q in quadrics]
-        if threefold:
-            relations = _int_echelon(images, 2 * m + 1)[0]
-            passed = len(relations) == n - 1
-        else:
-            relations = [determinant]
-            low = next(j for j, c in enumerate(determinant) if c)
-            multiples = [[0] * a + determinant + [0] * (n - a) for a in range(n + 1)]
-            pivots = range(low, low + n + 1)
-            passed = not any(any(_int_reduce(multiples, pivots, q)) for q in images)
-        if not passed:
+        ech, pivots = _int_echelon(_multiples(relations, 2 * m), 2 * m + 1)
+        if (any(any(_int_reduce(ech, pivots, q)) for q in images)
+                or threefold and _rank_mod_prime(images, 2 * m + 1) < n - 1):
             failed.append("(ii) J2 and the section's quadrics differ")
             continue
-        width = 3 * m + 1
-        conditions = [[0] * a + h + [0] * (width - len(h) - a)
-                      for h in relations for a in range(width - len(h) + 1)]
-        return fiber, [[lam.get(j, 0) for j in range(width)]
-                       for lam in _kernel_vectors(conditions, width)]
+        return phi, relations if threefold else relations + forms
     raise AlphaCertificateError((1, n, n), "degenerate section: " + "; ".join(failed))
 
 
@@ -255,27 +259,17 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
     call restricts the quadric rows of `recon` through x -> R y
     (`quotient_frame`), and h2 comes from `_int_rank` of the images (full
     row rank, so read modulo a prime, when the Hilbert vector is right);
-    h2 != n fails the certificate at once.  Their degree-3 inverse system
-    V (only its span matters) contains the cubic, and is read off what
-    the hyperplanes cut on the scroll (`_section_inverse_system`), as
-    basis functionals lambda_k on the embedded fiber.  A cubic row P of
-    `recon` pairs with F_(lambda_k) as 6 lambda_k(P(R phi)), and the
-    embedded fiber is R phi / delta, exactly on a threefold and modulo D
-    on a surface, where every lambda_k kills D.  So the row is 6 delta^3
-    lambda_k(P(fiber)), and an ambient monomial's value on the fiber
-    depends only on its class under `_ambient_restriction`: one dot
-    product per class and basis functional, and no scale moves the
-    kernel.  A row is summed per class first, and only rows with a
-    nonzero class sum are paired; the others, the binomials of `_piece`
-    among them, pair to zero.  The kernel has dimension h3, since
-    degree-1 multiples of restricted quadrics are restricted cubics.  Hilbert vector
-    (1, n, n, 1) certifies the hyperplanes as general; the one kernel
-    vector weighs the basis functionals into the cubic's functional, and
-    F_lambda over its lead is the cubic, the one `Polynomial` built.
+    h2 != n fails the certificate at once.  The cubic's functional lambda
+    on forms of degree 3m kills the section's two binary forms
+    (`_section_forms`) times every monomial: one Sylvester system, 3n - 3
+    rows over 3n - 2 columns on a threefold, 3n over 3n + 1 on a surface,
+    whose kernel has dimension h3; `ideal_pieces` certified that the
+    equations span the ideal, so no degree-3 row is read.  Hilbert vector
+    (1, n, n, 1) certifies the hyperplanes as general, and F_lambda over
+    its lead is the cubic, the one `Polynomial` built.
     """
     g = recon.genus
     n = g - 2
-    scroll = recon.scroll
     kept, restriction = quotient_frame(eta1, eta2, g)
     basis2 = monomial_basis(g, 2)
     quadrics = [q for q in _int_substitute([{basis2[j]: c for j, c in row.items()}
@@ -286,32 +280,16 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
     if h2 != n:
         raise AlphaCertificateError(
             (1, n, h2), "quotient algebra does not have the expected Hilbert vector")
-    fiber, functionals = _section_inverse_system(
-        scroll, _hyperplane_rows(eta1, eta2), kept, quadrics)
-    # lambda_k(s^S t^T fiber^F) for each class (F, (S, T)) of an ambient
-    # cubic monomial
-    products = {exp: reduce(_mul, [fiber[i] for i, e in enumerate(exp) for _ in range(e)])
-                for exp in monomial_basis(scroll.k, 3)}
-    classes = _restriction_classes(scroll, 3)
-    values = {(exp, (s, t)): [sum(x * y for x, y in zip(products[exp], lam[t:]))
-                              for lam in functionals]
-              for exp, (s, t) in set(classes)}
-    conditions = []
-    for row in recon.degree3:
-        sums: dict = {}
-        for j, c in row.items():
-            sums[classes[j]] = sums.get(classes[j], 0) + c
-        # a binomial e_j - e_rep sums to zero on its class and pairs to zero
-        if any(sums.values()):
-            conditions.append(_combine((c, values[key]) for key, c in sums.items() if c))
-    combos = _kernel_vectors(conditions, len(functionals))
-    hilbert = (1, n, n, len(combos))
-    if len(combos) != 1:
+    phi, forms = _section_forms(recon.scroll, _hyperplane_rows(eta1, eta2), kept, quadrics,
+                                recon.equations)
+    width = 3 * len(phi[0]) - 2   # 3m + 1, phi of degree m
+    kernel = _kernel_vectors(_multiples(forms, width - 1), width)
+    hilbert = (1, n, n, len(kernel))
+    if len(kernel) != 1:
         raise AlphaCertificateError(
             hilbert, "quotient algebra does not have the expected Hilbert vector")
-    functional = _combine((c, functionals[i]) for i, c in combos[0].items())
-    image = _embed(scroll, fiber)
-    terms = _cubic_of(functional, [image[i] for i in kept])
+    functional = [kernel[0].get(k, 0) for k in range(width)]
+    terms = _cubic_of(functional, phi)
     lead = terms[max(terms)]
     cubic = Polynomial(n, 3, {exp: Fraction(c, lead) for exp, c in terms.items()})
     return AlphaResult(g, eta1, eta2, hilbert, cubic, kept, tuple(functional))
@@ -381,10 +359,10 @@ def _certify_fermat(curve: CurveSpec, alpha: AlphaResult,
     """Trigonal certificate: the cubic is a sum of the cubes of the
     n = g - 2 points the hyperplanes cut on the scroll, D = 0 on the
     embedded fiber (`_section`), and it is concise, so its rank is
-    exactly n.  `alpha_map` read lambda off D times every monomial, and
-    `_certify_functional` checks that D is squarefree and kills lambda:
-    by Sylvester's theorem lambda is a weighted sum of evaluations at
-    the n roots of D."""
+    exactly n.  `alpha_map` read lambda off D and E(phi) times every
+    monomial, and `_certify_functional` checks that D is squarefree and
+    kills lambda: by Sylvester's theorem lambda is a weighted sum of
+    evaluations at the n roots of D."""
     _, determinant = _section(curve.scroll, _hyperplane_rows(alpha.eta1, alpha.eta2))
     try:
         n = _certify_functional(determinant, alpha.functional)
@@ -401,17 +379,6 @@ def _certify_fermat(curve: CurveSpec, alpha: AlphaResult,
         "agreement": True,
         "passed": True,
     }
-
-
-def _surface_form(curve: CurveSpec, surface_index: int,
-                  fiber: Sequence[Sequence[int]]) -> list[int]:
-    """The binary form D that surface Y, equation `surface_index`,
-    restricts to on C0: Y's base form of each fiber monomial y^exp, from
-    the rows of Y's image, times fiber^exp.  The image is a positive
-    multiple of Y, so D moves by a constant > 0."""
-    return _combine(
-        (1, reduce(_mul, [fiber[i] for i, e in enumerate(exp) for _ in range(e)], row))
-        for exp, row in curve.equations[surface_index].image if row)
 
 
 def _certify_bound(curve: CurveSpec, alpha: AlphaResult,
@@ -437,7 +404,7 @@ def _certify_bound(curve: CurveSpec, alpha: AlphaResult,
     for surface_index in sorted((0, 1), key=lambda i: -bs[i]):
         b = bs[surface_index]
         try:
-            length = _certify_functional(_surface_form(curve, surface_index, fiber),
+            length = _certify_functional(_surface_form(curve.equations[surface_index], fiber),
                                          alpha.functional)
         except CertificateError as err:
             failures.append(f"surface b={b}: {err}")

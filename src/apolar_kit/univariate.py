@@ -63,6 +63,14 @@ def _combine(terms) -> list[int]:
     return out
 
 
+def _multiples(forms: Sequence[Sequence[int]], degree: int) -> list[list[int]]:
+    """Each binary form f of degree L times every monomial
+    s^(degree - L - a) t^a, as rows of degree + 1 coefficients (j on
+    s^(degree - j) t^j), form by form; a form of higher degree has none."""
+    return [[0] * a + list(f) + [0] * (degree + 1 - len(f) - a)
+            for f in forms for a in range(degree + 2 - len(f))]
+
+
 def _pseudo_remainder(a: list[int], b: list[int]) -> tuple[int, list[int]]:
     """(m, r) with r = m (a mod b) for a nonzero integer m; deg b >= 1.
 

@@ -29,7 +29,7 @@ from .apolarity import _catalecticant_rows, _divided_powers
 from .core import (Polynomial, _int_echelon, _int_rank, _int_reduce, _kernel_vectors,
                    _pivots_mod_prime, monomial_basis)
 from .seeding import make_rng, random_dual_linear
-from .univariate import _mul, _pseudo_remainder, is_squarefree, poly_gcd
+from .univariate import _mul, _multiples, _pseudo_remainder, is_squarefree, poly_gcd
 
 __all__ = [
     "CertificateError",
@@ -177,8 +177,8 @@ def _certify_functional(determinant: Sequence[int], functional: Sequence[int]) -
     lambda_k = lambda(s^(d - k) t^k).  (a) D is squarefree: its
     dehomogenization has no repeated factor and drops at most one degree,
     so D has L distinct roots p_i in P^1, at most one of them (0 : 1).
-    (c') lambda kills the multiples D s^(d - L - j) t^j, j = 0..d - L, a
-    dot product each: sum_i D_i lambda_(i + j) = 0.  The functionals that
+    (c') lambda kills the multiples D s^(d - L - j) t^j, j = 0..d - L
+    (`univariate._multiples`), a dot product each.  The functionals that
     kill the degree-d multiples of D form a space of dimension L (for
     L <= d + 1), and the L evaluations at the p_i are independent in it,
     so by the binary apolarity lemma (Iarrobino-Kanev 1999, Lemma 1.15)
@@ -192,8 +192,8 @@ def _certify_functional(determinant: Sequence[int], functional: Sequence[int]) -
     if length < 1 or at_infinity > 1 or not is_squarefree(determinant):
         raise CertificateError(
             f"(a) the scheme equation is not squarefree of degree {length}")
-    if any(sum(c * x for c, x in zip(determinant, functional[j:]))
-           for j in range(len(functional) - length)):
+    if any(sum(c * x for c, x in zip(row, functional))
+           for row in _multiples([determinant], len(functional) - 1)):
         raise CertificateError("(c) the cubic is not in the span of the scheme's cubes")
     return length
 

@@ -61,14 +61,21 @@ replaced, which tries the charts for k = 0, 1, ... and restricts both
 hyperplanes and the surface again on each, until D has the expected
 degree.
 
-The quotient pairs the degree-3 piece with V's basis functionals on the
-embedded fiber, class by class, and builds one cubic;
-`lift_and_pair_alpha_map` is the pairing it replaced: every basis cubic
-F_(lambda_k) lifted back to g variables through the transposed
-restriction, paired with the cubic rows over all C(g + 2, 3) monomials,
-and the n cubics combined by the kernel vector.  `row_pairing_alpha_map`
-is the class pairing as it ran before rows were summed per class: every
-cubic row paired term by term, the binomials that pair to zero included.
+The quotient reads the cubic's functional off one Sylvester system on
+the section, the curve's two binary forms times every monomial, and
+pairs no degree-3 row.  The two-kernel path it replaced is kept here as
+the reference: `restricted_quadrics` is the frame and h2 check both
+share, `section_inverse_system` reads a basis of V, the degree-3 inverse
+system of the restricted quadrics, off the relations of the images
+q(phi), and `class_pairing_alpha_map` pairs every degree-3 row with V's
+basis functionals on the embedded fiber, class by class, and weighs them
+by the one kernel vector.  `lift_and_pair_alpha_map` is the pairing the
+class pairing replaced: every basis cubic F_(lambda_k) lifted back to g
+variables through the transposed restriction, paired with the cubic rows
+over all C(g + 2, 3) monomials, and the n cubics combined by the kernel
+vector.  `row_pairing_alpha_map` is the class pairing as it ran before
+rows were summed per class: every cubic row paired term by term, the
+binomials that pair to zero included.
 
 `admissible_splits` lists the tetragonal splits the sweeps run over.
 """
@@ -93,8 +100,8 @@ from apolar_kit.core import (ExactMatrix, Polynomial, _combination, _int_echelon
                              _monomial_value, _row_to_int, _scaled, monomial_basis, substitute)
 from apolar_kit.curvegen import _restriction_classes, balanced_type, tetragonal_surfaces
 from apolar_kit.pipeline import (AlphaCertificateError, AlphaResult, _cubic_of, _embed,
-                                 _hyperplane_rows, _section, _section_inverse_system,
-                                 _surface_form, tetragonal_cube_bound)
+                                 _hyperplane_rows, _powers, _section, _surface_form,
+                                 tetragonal_cube_bound)
 from apolar_kit.pipeline import quotient_frame as int_quotient_frame
 from apolar_kit.scroll import Scroll, coordinate_layout, divisor_degree
 from apolar_kit.seeding import make_rng, random_dual_linear
@@ -801,7 +808,7 @@ def surface_scheme(curve, surface_index, eta1, eta2, kept):
     etas = _hyperplane_rows(eta1, eta2)
     [fiber], _ = _section(curve.scroll, etas)
     return _charted_scheme(curve.scroll, etas, [fiber],
-                           _surface_form(curve, surface_index, fiber), kept)
+                           _surface_form(curve.equations[surface_index], fiber), kept)
 
 
 def scheme_certify_bound(curve, alpha, failures):
@@ -835,17 +842,15 @@ def scheme_certify_bound(curve, alpha, failures):
     return None
 
 
-def lift_and_pair_alpha_map(recon, eta1, eta2):
-    """`pipeline.alpha_map` as it paired before: the cubic F_(lambda_k) of
-    each basis functional of `_section_inverse_system`, lifted to g
-    variables by the transposed restriction with the factorial weights
-    e! folded in, paired with every cubic row of `recon`; the kernel
-    vector then combines the n cubics.  Raises `AlphaCertificateError`
-    like `pipeline.alpha_map`."""
+def restricted_quadrics(recon, eta1, eta2):
+    """(kept, restriction, quadrics) as `pipeline.alpha_map` computes them
+    before it reads the section: the frame, and the quadric rows of
+    `recon` restricted to n variables.  Raises `AlphaCertificateError`
+    with the diagnostic vector (1, n, h2) when h2 != n."""
     g = recon.genus
     n = g - 2
     kept, restriction = int_quotient_frame(eta1, eta2, g)
-    basis2, basis3 = monomial_basis(g, 2), monomial_basis(g, 3)
+    basis2 = monomial_basis(g, 2)
     quadrics = [q for q in _int_substitute([{basis2[j]: c for j, c in row.items()}
                                             for row in recon.degree2], restriction, n) if q]
     columns2 = monomial_basis(n, 2)
@@ -854,11 +859,121 @@ def lift_and_pair_alpha_map(recon, eta1, eta2):
     if h2 != n:
         raise AlphaCertificateError(
             (1, n, h2), "quotient algebra does not have the expected Hilbert vector")
-    fiber, functionals = _section_inverse_system(
+    return kept, restriction, quadrics
+
+
+def section_inverse_system(scroll, etas, kept, quadrics):
+    """The degree-3 inverse system V of the restricted quadrics J2, given
+    h2 = n, read off what the two hyperplanes cut on the scroll, as
+    `pipeline.alpha_map` read it before the Sylvester system: (i) as in
+    `pipeline._section_forms`; (ii) on a threefold the relations, the
+    echelon rows of the images q(phi), are n - 1, and on a surface every
+    image is a multiple of D, the one relation.  V is then the F_lambda
+    whose lambda kills every relation times every monomial carrying it
+    to degree 3m, one kernel over 3m + 1 columns with n(n - 1) rows on a
+    threefold.  Returns the fiber and V's basis functionals, each as its
+    3m + 1 values lambda(s^(3m - k) t^k)."""
+    n = len(kept)
+    fibers, determinant = _section(scroll, etas)
+    threefold = determinant is None
+    m = n - 1 if threefold else n
+    failed = []
+    for fiber in fibers:
+        image = _embed(scroll, fiber)
+        phi = [image[i] for i in kept]
+        if _int_rank(phi if threefold else phi + [determinant], m + 1) <= m:
+            failed.append("(i) the section's coordinates are dependent")
+            continue
+        powers = _powers(phi, 2)
+        images = [_combine((c, powers[exp]) for exp, c in q.items()) for q in quadrics]
+        if threefold:
+            relations = _int_echelon(images, 2 * m + 1)[0]
+            passed = len(relations) == n - 1
+        else:
+            relations = [determinant]
+            low = next(j for j, c in enumerate(determinant) if c)
+            multiples = [[0] * a + determinant + [0] * (n - a) for a in range(n + 1)]
+            pivots = range(low, low + n + 1)
+            passed = not any(any(_int_reduce(multiples, pivots, q)) for q in images)
+        if not passed:
+            failed.append("(ii) J2 and the section's quadrics differ")
+            continue
+        width = 3 * m + 1
+        conditions = [[0] * a + h + [0] * (width - len(h) - a)
+                      for h in relations for a in range(width - len(h) + 1)]
+        return fiber, [[lam.get(j, 0) for j in range(width)]
+                       for lam in _kernel_vectors(conditions, width)]
+    raise AlphaCertificateError((1, n, n), "degenerate section: " + "; ".join(failed))
+
+
+def _combined_quotient(recon, eta1, eta2, kept, fiber, functionals, combos):
+    """The `AlphaResult` of V's basis functionals weighed by the one kernel
+    vector of a degree-3 pairing; `AlphaCertificateError` when that
+    kernel does not have dimension 1."""
+    n = recon.genus - 2
+    hilbert = (1, n, n, len(combos))
+    if len(combos) != 1:
+        raise AlphaCertificateError(
+            hilbert, "quotient algebra does not have the expected Hilbert vector")
+    functional = _combine((c, functionals[i]) for i, c in combos[0].items())
+    image = _embed(recon.scroll, fiber)
+    terms = _cubic_of(functional, [image[i] for i in kept])
+    lead = terms[max(terms)]
+    cubic = Polynomial(n, 3, {exp: Fraction(c, lead) for exp, c in terms.items()})
+    return AlphaResult(recon.genus, eta1, eta2, hilbert, cubic, kept, tuple(functional))
+
+
+def _class_values(scroll, fiber, functionals):
+    """lambda_k(s^S t^T fiber^F) for each class (F, (S, T)) of an ambient
+    cubic monomial under `curvegen._restriction_classes`, and the classes."""
+    products = {exp: reduce(_mul, [fiber[i] for i, e in enumerate(exp) for _ in range(e)])
+                for exp in monomial_basis(scroll.k, 3)}
+    classes = _restriction_classes(scroll, 3)
+    values = {(exp, (s, t)): [sum(x * y for x, y in zip(products[exp], lam[t:]))
+                              for lam in functionals]
+              for exp, (s, t) in set(classes)}
+    return values, classes
+
+
+def class_pairing_alpha_map(recon, eta1, eta2):
+    """`pipeline.alpha_map` as it ran before the Sylvester system: V's
+    basis from `section_inverse_system`, then every cubic row of `recon`
+    paired with V's functionals class by class on the embedded fiber
+    (the embedded fiber is R phi / delta, exactly on a threefold and
+    modulo D on a surface, so a row pairs as 6 delta^3 lambda_k(P(fiber))).
+    A row is summed per class first, and only rows with a nonzero class
+    sum are paired; the kernel of those rows has dimension h3, and its
+    one vector weighs the basis functionals into lambda."""
+    kept, _, quadrics = restricted_quadrics(recon, eta1, eta2)
+    fiber, functionals = section_inverse_system(
+        recon.scroll, _hyperplane_rows(eta1, eta2), kept, quadrics)
+    values, classes = _class_values(recon.scroll, fiber, functionals)
+    conditions = []
+    for row in recon.degree3:
+        sums = {}
+        for j, c in row.items():
+            sums[classes[j]] = sums.get(classes[j], 0) + c
+        if any(sums.values()):
+            conditions.append(_combine((c, values[key]) for key, c in sums.items() if c))
+    combos = _kernel_vectors(conditions, len(functionals))
+    return _combined_quotient(recon, eta1, eta2, kept, fiber, functionals, combos)
+
+
+def lift_and_pair_alpha_map(recon, eta1, eta2):
+    """`class_pairing_alpha_map` as it paired before: the cubic
+    F_(lambda_k) of each basis functional of `section_inverse_system`,
+    lifted to g variables by the transposed restriction with the
+    factorial weights e! folded in, paired with every cubic row of
+    `recon`; the kernel vector then combines the n cubics.  Raises
+    `AlphaCertificateError` like `pipeline.alpha_map`."""
+    g = recon.genus
+    n = g - 2
+    kept, restriction, quadrics = restricted_quadrics(recon, eta1, eta2)
+    fiber, functionals = section_inverse_system(
         recon.scroll, _hyperplane_rows(eta1, eta2), kept, quadrics)
     image = _embed(recon.scroll, fiber)
     solutions = [_cubic_of(lam, [image[i] for i in kept]) for lam in functionals]
-    index3 = {exp: j for j, exp in enumerate(basis3)}
+    index3 = {exp: j for j, exp in enumerate(monomial_basis(g, 3))}
     weighted = [{index3[exp]: c * prod(map(factorial, exp)) for exp, c in lift.items()}
                 for lift in _int_substitute(solutions, list(zip(*restriction)), g)]
     conditions = [[sum(c * lift[j] for j, c in row.items() if j in lift) for lift in weighted]
@@ -876,43 +991,18 @@ def lift_and_pair_alpha_map(recon, eta1, eta2):
 
 
 def row_pairing_alpha_map(recon, eta1, eta2):
-    """`pipeline.alpha_map` as it paired before summing rows per class:
-    each cubic row of `recon` paired term by term with V's functionals on
-    the embedded fiber, every row sent to the kernel, zero or not."""
-    g = recon.genus
-    n = g - 2
-    scroll = recon.scroll
-    kept, restriction = int_quotient_frame(eta1, eta2, g)
-    basis2 = monomial_basis(g, 2)
-    quadrics = [q for q in _int_substitute([{basis2[j]: c for j, c in row.items()}
-                                            for row in recon.degree2], restriction, n) if q]
-    columns2 = monomial_basis(n, 2)
-    h2 = len(columns2) - _int_rank([[q.get(m, 0) for m in columns2] for q in quadrics],
-                                   len(columns2))
-    if h2 != n:
-        raise AlphaCertificateError(
-            (1, n, h2), "quotient algebra does not have the expected Hilbert vector")
-    fiber, functionals = _section_inverse_system(
-        scroll, _hyperplane_rows(eta1, eta2), kept, quadrics)
-    products = {exp: reduce(_mul, [fiber[i] for i, e in enumerate(exp) for _ in range(e)])
-                for exp in monomial_basis(scroll.k, 3)}
-    classes = _restriction_classes(scroll, 3)
-    values = {(exp, (s, t)): [sum(x * y for x, y in zip(products[exp], lam[t:]))
-                              for lam in functionals]
-              for exp, (s, t) in set(classes)}
+    """`class_pairing_alpha_map` as it paired before summing rows per
+    class: each cubic row of `recon` paired term by term with V's
+    functionals on the embedded fiber, every row sent to the kernel, zero
+    or not."""
+    kept, _, quadrics = restricted_quadrics(recon, eta1, eta2)
+    fiber, functionals = section_inverse_system(
+        recon.scroll, _hyperplane_rows(eta1, eta2), kept, quadrics)
+    values, classes = _class_values(recon.scroll, fiber, functionals)
     conditions = [_combine((c, values[classes[j]]) for j, c in row.items())
                   for row in recon.degree3]
     combos = _kernel_vectors(conditions, len(functionals))
-    hilbert = (1, n, n, len(combos))
-    if len(combos) != 1:
-        raise AlphaCertificateError(
-            hilbert, "quotient algebra does not have the expected Hilbert vector")
-    functional = _combine((c, functionals[i]) for i, c in combos[0].items())
-    image = _embed(scroll, fiber)
-    terms = _cubic_of(functional, [image[i] for i in kept])
-    lead = terms[max(terms)]
-    cubic = Polynomial(n, 3, {exp: Fraction(c, lead) for exp, c in terms.items()})
-    return AlphaResult(g, eta1, eta2, hilbert, cubic, kept, tuple(functional))
+    return _combined_quotient(recon, eta1, eta2, kept, fiber, functionals, combos)
 
 
 def admissible_splits(g):

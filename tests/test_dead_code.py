@@ -175,3 +175,22 @@ def test_verifier_certificates_reach_no_span_check():
     readers = {name for name, nodes in functions.items()
                if name != "_certify_scheme" and "_certify_scheme" in _referenced(nodes)}
     assert readers == {"fermat_detect_detail"}
+
+
+def test_only_the_ideal_builder_and_the_cli_read_degree3_rows():
+    """The quotient reads the cubic's functional off the curve's binary
+    forms on the section: `pipeline` imports no `_restriction_classes`,
+    and no package function but `ideal_pieces` and the CLI's reads the
+    degree-3 rows of an `IdealReconstruction`."""
+    trees = _parse([PACKAGE])
+    pipeline = trees[PACKAGE / "pipeline.py"]
+    imported = {alias.name for node in ast.walk(pipeline) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "_restriction_classes" not in imported
+    readers = {f"{path.name}:{node.name}" for path, tree in trees.items()
+               if path.name != "cli.py"
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and any(isinstance(n, ast.Attribute) and n.attr == "degree3"
+                       for n in ast.walk(node))}
+    assert readers <= {"curvegen.py:ideal_pieces"}

@@ -441,8 +441,9 @@ def section_pairs(g, split, seed):
 
 
 class TestSectionInverseSystem:
-    """V read off what the hyperplanes cut on the scroll, against the
-    oracle's generic kernel over all cubics."""
+    """The quotient read off what the hyperplanes cut on the scroll, and
+    the reference basis of V read off it (`oracles.section_inverse_system`),
+    against the oracle's generic kernel over all cubics."""
 
     @pytest.mark.parametrize("g, split, seed", section_curves())
     def test_same_quotient_as_the_oracle(self, g, split, seed):
@@ -454,16 +455,12 @@ class TestSectionInverseSystem:
 
     @pytest.mark.parametrize("g, split", [(5, None), (8, None), (7, (1, 1)), (8, (1, 2))],
                              ids=["tri5", "tri8", "tet7", "tet8"])
-    def test_same_span_as_the_generic_kernel(self, g, split, monkeypatch):
+    def test_same_span_as_the_generic_kernel(self, g, split):
         recon, eta1, eta2, _ = next(pair for pair in section_pairs(g, split, 1) if pair[3])
-        read_off = []
-        original = pipeline_module._section_inverse_system
-        monkeypatch.setattr(pipeline_module, "_section_inverse_system",
-                            lambda *args: read_off.append((args, original(*args)))
-                            or read_off[-1][1])
-        alpha_map(recon, eta1, eta2)
-        [((scroll, _, kept, quadrics), (fiber, functionals))] = read_off
-        image = pipeline_module._embed(scroll, fiber)
+        kept, _, quadrics = oracles.restricted_quadrics(recon, eta1, eta2)
+        fiber, functionals = oracles.section_inverse_system(
+            recon.scroll, pipeline_module._hyperplane_rows(eta1, eta2), kept, quadrics)
+        image = pipeline_module._embed(recon.scroll, fiber)
         solutions = [pipeline_module._cubic_of(lam, [image[i] for i in kept])
                      for lam in functionals]
         n = g - 2
@@ -474,6 +471,9 @@ class TestSectionInverseSystem:
                 for vectors in (solutions,
                                 [{columns3[j]: x for j, x in v.items()} for v in generic])]
         assert span[0] == span[1]
+        # the Sylvester system's cubic lies in that span
+        cubic = alpha_map(recon, eta1, eta2).cubic
+        assert from_spanning(3, n, [*span[0], cubic]).basis == span[0]
 
     @pytest.mark.parametrize("g, split, seed", section_curves())
     def test_eliminations_stay_within_the_section_functionals(self, g, split, seed,
@@ -521,8 +521,8 @@ class TestSectionInverseSystem:
         # is read, and the diagnostic stops at h2
         recon = build_recon(trigonal_curve(6, seed=77))
         read = []
-        original = pipeline_module._section_inverse_system
-        monkeypatch.setattr(pipeline_module, "_section_inverse_system",
+        original = pipeline_module._section_forms
+        monkeypatch.setattr(pipeline_module, "_section_forms",
                             lambda *args: read.append(args) or original(*args))
         short = 0
         for i, j in combinations(range(6), 2):
@@ -566,9 +566,10 @@ def class_sums(row, scroll):
 
 
 class TestClassPairing:
-    """The cubic rows paired with V's functionals class by class on the
-    embedded fiber, against lifting each basis cubic to g variables and
-    pairing it over all C(g + 2, 3) monomials."""
+    """The quotient against the reference that lifts each basis cubic of V
+    to g variables and pairs it over all C(g + 2, 3) monomials, and the
+    reference class pairing (`oracles.class_pairing_alpha_map`) against
+    pairing every row term by term."""
 
     @pytest.mark.parametrize("g, split, seed", pairing_curves())
     def test_same_outcome_as_lifting_and_pairing(self, g, split, seed):
@@ -587,15 +588,13 @@ class TestClassPairing:
                  else drawn_quotients(section_curve(g, split, seed), seed))
         assert len(pairs) == pipeline_module._ETA_RETRIES
         kernels = []
-        for module in (pipeline_module, oracles):
-            original = module._kernel_vectors
-            monkeypatch.setattr(module, "_kernel_vectors",
-                                lambda rows, ncols, original=original:
-                                kernels.append((len(rows), original(rows, ncols)))
-                                or kernels[-1][1])
+        original = oracles._kernel_vectors
+        monkeypatch.setattr(oracles, "_kernel_vectors",
+                            lambda rows, ncols: kernels.append((len(rows), original(rows, ncols)))
+                            or kernels[-1][1])
         for recon, eta1, eta2, _ in pairs:
             kernels.clear()
-            outcome = quotient_outcome(alpha_map, recon, eta1, eta2)
+            outcome = quotient_outcome(oracles.class_pairing_alpha_map, recon, eta1, eta2)
             combos = kernels[-1] if len(outcome[0]) == 4 else None
             kernels.clear()
             assert outcome == quotient_outcome(oracles.row_pairing_alpha_map, recon, eta1, eta2)
@@ -628,6 +627,133 @@ def tetragonal_section_curves():
 
 BENCH_CURVES = [(g, None) for g in (5, 6, 7, 8)] + [(6, (0, 1)), (7, (1, 1)), (7, (0, 2)),
                                                     (8, (1, 2))]
+
+
+def sweep_pairs(g, split, seed):
+    """The recon of a `section_curve` and the pairs of `section_pairs` (every
+    pair `_alpha_attempts` draws up to g = 9), two pairs with entries in
+    [-1, 1] and three coordinate pairs."""
+    pairs = section_pairs(g, split, seed)
+    rng = make_rng(derive_seed(seed, g))
+    extra = [(random_dual_linear(g, rng, bound=1), random_dual_linear(g, rng, bound=1))
+             for _ in range(2)]
+    extra += [(Polynomial.variable(i, g), Polynomial.variable(j, g))
+              for i, j in (sorted(rng.sample(range(g), 2)) for _ in range(3))]
+    return pairs[0][0], [(eta1, eta2) for _, eta1, eta2, _ in pairs] + extra
+
+
+def proportional(u, v):
+    """Whether two integer vectors are nonzero multiples of each other."""
+    k = next((k for k, x in enumerate(v) if x), None)
+    return (len(u) == len(v) and k is not None and u[k] != 0
+            and all(a * v[k] == b * u[k] for a, b in zip(u, v)))
+
+
+def accepted_pair(g, split):
+    """(recon, eta1, eta2) of the first pair `alpha_map` accepts at seed 1."""
+    return next(pair[:3] for pair in section_pairs(g, split, 1) if pair[3])
+
+
+class TestSylvesterSystem:
+    """lambda as the one kernel of the curve's two binary forms on the
+    section times every monomial, against the two-kernel reference that
+    pairs the degree-3 rows (`oracles.class_pairing_alpha_map`)."""
+
+    @pytest.mark.parametrize("g, split, seed", pairing_curves())
+    def test_same_quotient_as_the_class_pairing(self, g, split, seed):
+        # hilbert, cubic and error text equal, lambda up to a nonzero factor
+        recon, pairs = sweep_pairs(g, split, seed)
+        for eta1, eta2 in pairs:
+            try:
+                expected = oracles.class_pairing_alpha_map(recon, eta1, eta2)
+            except AlphaCertificateError as err:
+                expected = err
+            try:
+                alpha = alpha_map(recon, eta1, eta2)
+            except AlphaCertificateError as err:
+                assert isinstance(expected, AlphaCertificateError), expected
+                assert (err.hilbert, str(err)) == (expected.hilbert, str(expected))
+                continue
+            assert not isinstance(expected, AlphaCertificateError), expected
+            assert (alpha.hilbert, alpha.kept_indices, alpha.cubic) == (
+                expected.hilbert, expected.kept_indices, expected.cubic)
+            assert proportional(alpha.functional, expected.functional)
+
+    @pytest.mark.parametrize("g, split", [(7, None), (8, None), (7, (1, 1)), (8, (1, 2))],
+                             ids=["tri7", "tri8", "tet7", "tet8"])
+    def test_a_quadric_off_the_relations_fails_ii(self, g, split, monkeypatch):
+        # the first restricted quadric replaced by y0^2, which keeps h2 = n
+        # but restricts to phi_0^2, no combination of the relations' multiples
+        recon, eta1, eta2 = accepted_pair(g, split)
+        n = g - 2
+        substitute = pipeline_module._int_substitute
+        monkeypatch.setattr(pipeline_module, "_int_substitute", lambda *args: [
+            {(2,) + (0,) * (n - 1): 1}, *substitute(*args)[1:]])
+        with pytest.raises(AlphaCertificateError) as err:
+            alpha_map(recon, eta1, eta2)
+        assert err.value.hilbert == (1, n, n)
+        # a surface tries both of its fibers
+        assert str(err.value).count("(ii) J2 and the section's quadrics differ") == (
+            2 if split is None else 1)
+        assert "(i)" not in str(err.value)
+
+    @pytest.mark.parametrize("g, split", [(7, (1, 1)), (8, (1, 2)), (9, (2, 2))])
+    def test_images_spanning_fewer_forms_fail_ii(self, g, split):
+        # the quadrics whose images vanish on C0, and one that does not: the
+        # images reduce to zero against D1 S_b1 + D2 S_b2 but have rank 1
+        recon, eta1, eta2 = accepted_pair(g, split)
+        kept, _, quadrics = oracles.restricted_quadrics(recon, eta1, eta2)
+        etas = pipeline_module._hyperplane_rows(eta1, eta2)
+        [fiber], _ = pipeline_module._section(recon.scroll, etas)
+        image = pipeline_module._embed(recon.scroll, fiber)
+        phi = [image[i] for i in kept]
+        powers = pipeline_module._powers(phi, 2)
+        vanish = [not any(sum(c * x for c, x in zip(q.values(), column))
+                          for column in zip(*(powers[exp] for exp in q)))
+                  for q in quadrics]
+        fewer = [q for q, zero in zip(quadrics, vanish) if zero]
+        fewer.append(quadrics[vanish.index(False)])
+        args = recon.scroll, etas, kept
+        assert pipeline_module._section_forms(*args, quadrics, recon.equations)[0] == phi
+        with pytest.raises(AlphaCertificateError, match=r"^degenerate section: \(ii\) J2 and "
+                                                        r"the section's quadrics differ;"):
+            pipeline_module._section_forms(*args, fewer, recon.equations)
+
+    @pytest.mark.parametrize("g", [5, 6, 7, 8])
+    def test_a_surface_without_its_cubic_has_h3_n(self, g):
+        # lambda then only kills D S_(2n): V itself, of dimension n
+        recon, eta1, eta2 = accepted_pair(g, None)
+        n = g - 2
+        with pytest.raises(AlphaCertificateError) as err:
+            alpha_map(dataclasses.replace(recon, equations=()), eta1, eta2)
+        assert err.value.hilbert == (1, n, n, n)
+        assert "quotient algebra does not have the expected Hilbert vector" in str(err.value)
+
+    def test_a_threefold_without_its_surfaces_fails_ii(self):
+        recon, eta1, eta2 = accepted_pair(8, (1, 2))
+        with pytest.raises(AlphaCertificateError, match=r"\(ii\)") as err:
+            alpha_map(dataclasses.replace(recon, equations=()), eta1, eta2)
+        assert err.value.hilbert == (1, 6, 6)
+
+    @pytest.mark.parametrize("g, split", BENCH_CURVES + [(11, None), (11, (3, 3))])
+    def test_reads_no_degree3_row(self, g, split):
+        recon, eta1, eta2 = accepted_pair(g, split)
+        assert (alpha_map(dataclasses.replace(recon, degree3=()), eta1, eta2)
+                == alpha_map(recon, eta1, eta2))
+
+    @pytest.mark.parametrize("g, split", BENCH_CURVES + [(11, None), (11, (3, 3))])
+    def test_one_kernel_of_the_sylvester_size(self, g, split, monkeypatch):
+        # 3n - 3 rows over 3n - 2 columns on a threefold, 3n over 3n + 1 on
+        # a surface
+        recon, eta1, eta2 = accepted_pair(g, split)
+        n = g - 2
+        shapes = []
+        original = pipeline_module._kernel_vectors
+        monkeypatch.setattr(pipeline_module, "_kernel_vectors",
+                            lambda rows, ncols: shapes.append((len(rows), ncols))
+                            or original(rows, ncols))
+        alpha_map(recon, eta1, eta2)
+        assert shapes == [(3 * n, 3 * n + 1) if split is None else (3 * n - 3, 3 * n - 2)]
 
 
 def accepted_alphas(g, split, seed):
@@ -665,7 +791,7 @@ def certified_surface(curve, alpha):
     index = next(i for i, cls in enumerate(curve.classes) if cls.f == found["surface"]["f"])
     etas = pipeline_module._hyperplane_rows(alpha.eta1, alpha.eta2)
     [fiber], _ = pipeline_module._section(curve.scroll, etas)
-    return pipeline_module._surface_form(curve, index, fiber), found["length"]
+    return pipeline_module._surface_form(curve.equations[index], fiber), found["length"]
 
 
 def hankel(functional, k):
