@@ -1,12 +1,12 @@
 """Exact arithmetic on univariate integer polynomials and binary forms.
 
 Polynomials are integer coefficient lists, lowest degree first.  The
-module multiplies and combines them, finds rational roots by p-adic
-lifting and rational reconstruction, takes greatest common divisors and
-squarefree tests by primitive pseudo-remainder sequences (after one
-gcd modulo a prime, which settles most squarefree inputs), and reduces
-modulo a polynomial with the integer multiplier of the reduction kept,
-so residues in Q[t]/(D) stay integral.  No root is ever approximated.
+module multiplies and combines them, writes the multiples of binary
+forms, finds rational roots by p-adic lifting and rational
+reconstruction, and takes greatest common divisors and squarefree tests
+by primitive pseudo-remainder sequences (after one gcd modulo a prime,
+which settles most squarefree inputs).  No residue modulo a polynomial
+is kept, and no root is ever approximated.
 """
 
 from __future__ import annotations

@@ -9,12 +9,13 @@ is the coefficient vector of l_i.  Detection reads those points off over
 Q without computing a root: the characteristic polynomial chi of M is
 the equation of a scheme of n points, and phi = B adj(t - M) r is its
 point at every root of chi (`simultaneous_diagonalize`).  The verdict is
-a power-sum certificate (`_certify_scheme`): F lies in the span of the
-cubes of those points, decided in Q[t]/(chi), which together with
-conciseness proves that F is a sum of exactly n cubes.  It runs in
-integers: one Faddeev-LeVerrier loop gives adj(B) and chi.  Both
-verifiers certify a functional on binary forms instead
-(`_certify_functional`, Sylvester's theorem), with no residue at all.
+the pencil's own: B^-1 T_i commutes with M for the Hessian T_i of every
+coordinate direction, chi is squarefree and phi never vanishes at a root
+of chi, which together prove F a sum of the cubes of those points, and
+conciseness makes them exactly n.  It runs in integers: one
+Faddeev-LeVerrier loop gives adj(B) and chi.  Both verifiers certify a
+functional on binary forms instead (`_certify_functional`, Sylvester's
+theorem).
 """
 
 from __future__ import annotations
@@ -22,14 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, permutations
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence
 
 from .apolarity import _catalecticant_rows, _divided_powers
-from .core import (Polynomial, _int_echelon, _int_rank, _int_reduce, _kernel_vectors,
-                   _pivots_mod_prime, monomial_basis)
+from .core import Polynomial, _int_rank
 from .seeding import make_rng, random_dual_linear
-from .univariate import _mul, _multiples, _pseudo_remainder, is_squarefree, poly_gcd
+from .univariate import _multiples, is_squarefree, poly_gcd
 
 __all__ = [
     "CertificateError",
@@ -88,84 +88,6 @@ def rank_lower_bound(form: Polynomial) -> int:
     if form.degree != 3:
         raise ValueError("rank bound implemented for cubics only")
     return _int_rank(_catalecticant_rows(form.integer_terms()[1], form.nvars, 3, 1), form.nvars)
-
-
-def _certify_scheme(determinant: list[int], phi: Sequence[list[int]],
-                    cubic: Polynomial) -> int:
-    """Exact power-sum certificate in A = Q[t]/(D); returns L = deg D.
-
-    The polynomials phi are the coordinates of a scheme Gamma with
-    equation D.  (a) D is squarefree, so Gamma is L distinct points p_i
-    (some possibly equal or zero in these coordinates, which only
-    shortens the sum).  (c) The cubic F lies in the span of the cubes of
-    the p_i, that is (I_Gamma)_3 lies in Ann(F), and by the apolarity
-    lemma for reduced schemes (Iarrobino-Kanev 1999, Lemma 1.15) F is a
-    sum of at most L cubes.  The operator x^e pairs with F as e! F_e and
-    with the cube of p_i as 6 (x^e)(p_i), so (c) asks for a functional
-    lambda on A taking x^e(phi) mod D to t_e = e! F_e for every cubic
-    monomial: the vector (t_e) must lie in the row space of the
-    L x C(n + 2, 3) matrix whose column x^e holds x^e(phi) mod D.
-
-    Each column col_e is a primitive integer pseudo-remainder
-    (num_e / den_e) (x^e(phi) mod D), built from the residues of phi and
-    of their pairwise products, so (c) reads den_e (lambda . col_e) =
-    num_e t_e.  One elimination modulo `core._RANK_PRIME`, in monomial
-    order, keeps the first L columns independent mod p, hence over Q; the
-    integer kernel vector (lambda, w) of the L x (L + 1) system
-    [den_e col_e | -num_e t_e] on them has w != 0, and (c) holds exactly
-    when den_e (lambda . col_e) = w num_e t_e for every e, a dot product
-    per column: the equalities prove the span, and the L independent
-    columns fix lambda, so one failure disproves it.  Only when fewer
-    than L columns are independent mod p (equal or zero points) is the
-    target reduced against one echelon of the L rows instead.
-    CertificateError names the failed check.
-    """
-    length = len(determinant) - 1
-    if length < 1 or not is_squarefree(determinant):
-        raise CertificateError(
-            f"(a) the scheme equation is not squarefree of degree {length}")
-    n = len(phi)
-
-    def residue(f: list[int], num: int, den: int) -> tuple[list[int], int, int]:
-        # f is num / den times the residue of a product of the phi; return
-        # the primitive remainder and its multiple of that residue
-        m, r = _pseudo_remainder(f, determinant)
-        r += [0] * (length - len(r))
-        content = gcd(*r) or 1
-        num, den = num * m, den * content
-        common = gcd(num, den)
-        return [x // content for x in r], num // common, den // common
-
-    linear = [residue(f, 1, 1) for f in phi]
-    quadratic = {}
-    for i in range(n):
-        for j in range(i, n):
-            (ri, ni, di), (rj, nj, dj) = linear[i], linear[j]
-            quadratic[i, j] = residue(_mul(ri, rj), ni * nj, di * dj)
-    weights = _divided_powers(cubic.integer_terms()[1])
-    columns = []
-    for exp in monomial_basis(n, 3):
-        i, j, k = (v for v, e in enumerate(exp) for _ in range(e))
-        (ri, ni, di), (rq, nq, dq) = linear[i], quadratic[j, k]
-        column, num, den = residue(_mul(ri, rq), ni * nq, di * dq)
-        columns.append((column, num * weights.get(exp, 0), den))
-    rows = [list(row) for row in zip(*(column for column, _, _ in columns))]
-    chosen = _pivots_mod_prime(rows, len(columns))
-    if len(chosen) == length:
-        system = [[den * x for x in column] + [-target]
-                  for column, target, den in (columns[e] for e in chosen)]
-        (solution,) = _kernel_vectors(system, length + 1)
-        weight = solution.pop(length)
-        in_span = all(den * sum(x * column[i] for i, x in solution.items()) == weight * target
-                      for column, target, den in columns)
-    else:
-        scale = lcm(*(den for _, _, den in columns))
-        ech, pivots = _int_echelon(rows, len(columns))
-        in_span = not any(_int_reduce(ech, pivots, [target * (scale // den)
-                                                    for _, target, den in columns]))
-    if not in_span:
-        raise CertificateError("(c) the cubic is not in the span of the scheme's cubes")
-    return length
 
 
 def _certify_functional(determinant: Sequence[int], functional: Sequence[int]) -> int:
@@ -236,6 +158,22 @@ def simultaneous_diagonalize(hessians: Sequence[Sequence[Sequence[int]]], r: Seq
     is never zero.  Returns (chi, phi) with integer coefficients, lowest
     degree first; chi is monic and phi primitive.  Raises PencilError
     ('singular', 'non-commuting' or 'non-simple') otherwise.
+
+    When the family holds the Hessians T_i of every coordinate direction
+    of a cubic F (the slices T[i] of its third-derivative tensor), and
+    the first two are Hessians of F too, a return is a complete
+    certificate that F is a sum of the cubes of the points.  B is
+    invertible and symmetric, M has n distinct eigenvalues (chi is
+    squarefree), and every B^-1 T_i commutes with M, so each is diagonal
+    in M's eigenbasis V: B^-1 T_i = V D_i V^-1.  G = V^T B V is symmetric,
+    and V^T T_i V = G D_i is symmetric as T_i is, so G commutes with every
+    D_i, hence with D_A, whose entries are distinct: G is diagonal.  With
+    W = V^-T this gives T_i = sum_j g_j d_ij w_j w_j^T.  The symmetry
+    T[i][a][b] = T[a][i][b], with the w_j independent, forces
+    d_ij = c_j w_ji, so F = sum_j (g_j c_j / 6) (w_j . x)^3.  And
+    B v_j = g_j w_j, so w_j is proportional to phi(t_j), the point at the
+    j-th root.  Conversely, if F is a sum of n independent cubes, every
+    B^-1 T(l) is diagonal in one basis, so they all commute.
     """
     n = len(r)
     if len(hessians) < 2 or any(len(h) != n or any(len(row) != n for row in h) for h in hessians):
@@ -276,8 +214,12 @@ def fermat_detect_detail(form: Polynomial, seed: int = 0
 
     Each of up to five seeded draws takes three contraction directions l,
     whose Hessians sum_i l_i T[i] (T[i][j][k] = e! F_e, e = u_i + u_j + u_k)
-    go with a vector r to `simultaneous_diagonalize`; the first draw that
-    yields a scheme decides, by `_certify_scheme`.  Returns
+    go with the n coordinate Hessians T[i] and a vector r to
+    `simultaneous_diagonalize`; the first draw that yields a scheme, or
+    finds two matrices that do not commute, decides.  The scheme is then
+    the certificate: every coordinate Hessian commutes with the pencil,
+    chi is squarefree and phi has a point at each of its roots, which
+    proves the form the sum of the points' cubes.  Returns
     (decomposition, 'ok') on success.  Failure reasons:
     'rank-deficient'    the degree-1 contraction rank is below n, so the
                         form cannot be a sum of n independent cubes;
@@ -286,9 +228,9 @@ def fermat_detect_detail(form: Polynomial, seed: int = 0
                         polynomial with a point at each of its roots (the
                         reason of the last draw, if every draw failed
                         there or on the pencil);
-    'fit-failed'        the form is not the sum of the points' cubes: the
-                        pencil matrices do not commute, or check (c) of
-                        the certificate fails.
+    'fit-failed'        the form is not a sum of n independent cubes:
+                        the third Hessian or a coordinate Hessian does
+                        not commute with the pencil.
     """
     if form.degree != 3:
         raise ValueError("Fermat detection needs a cubic")
@@ -308,15 +250,11 @@ def fermat_detect_detail(form: Polynomial, seed: int = 0
                      for j in range(n)] for l in directions]
         r = [rng.randint(-9, 9) for _ in range(n)]
         try:
-            chi, phi = simultaneous_diagonalize(hessians, r)
+            chi, phi = simultaneous_diagonalize(hessians + tensor, r)
         except PencilError as err:
             if err.kind == "non-commuting":
                 return None, "fit-failed"
             kind = err.kind
             continue
-        try:
-            _certify_scheme(chi, phi, form)
-        except CertificateError:
-            return None, "fit-failed"
         return Decomposition(n, tuple(chi), tuple(tuple(f) for f in phi)), "ok"
     return None, f"{kind}-pencil"

@@ -40,14 +40,20 @@ The forms layer runs on integer rows from the form's integer scaling.
 The `Fraction` computations it replaced are kept here: `pencil` is the
 Fermat pencil on `Polynomial` quadrics, with B^-1 A read off one rref of
 [B | A | C ...] and scaled by `integer_multiple`, `fermat_detect_detail`
-drives it with the quadrics of `contract`, `hilbert_vector` takes the
-exact rank of every catalecticant, and `annihilator_piece` reads a piece
-off `ExactMatrix.kernel`.
+drives it with the three quadrics of `contract` and decides by the span
+check below, `hilbert_vector` takes the exact rank of every
+catalecticant, and `annihilator_piece` reads a piece off
+`ExactMatrix.kernel`.
 
-The power-sum certificate finds one functional on L columns and checks
-it against the rest; `echelon_certificate` is the certificate it
-replaced, which reduces the target against one echelon of the whole
-L x C(n + 2, 3) residue matrix, with each column's scale a `Fraction`.
+The package certifies no scheme in Q[t]/(D): Fermat detection proves
+its verdict by the commutation of every coordinate Hessian with the
+pencil.  `echelon_certificate` is the general span check, for any
+squarefree D and points phi: the cubic lies in the span of the cubes of
+the points exactly when its target e! F_e reduces to zero against one
+echelon of the L x C(n + 2, 3) matrix of residues x^e(phi) mod D, each
+column's scale a `Fraction`.  It is the reference of Fermat detection
+and of both verifiers' certificates, and returns to the package with
+the plane-model verifier (`verify-c`).
 
 Both verifiers check by Sylvester's theorem that a binary form D kills
 the cubic's functional: the scroll's D = a0 b1 - a1 b0 on a trigonal
@@ -55,7 +61,7 @@ curve, a surface's form on C0 on a tetragonal one.  The certificates
 that check replaced are kept here: `trigonal_scheme` and `surface_scheme` build the
 scheme over Q once on binary forms, moved to the chart s = 1 + k t
 picked in closed form (`chart`), and `scheme_certify_fermat` and
-`scheme_certify_bound` run the span check of `waring._certify_scheme` in
+`scheme_certify_bound` run the span check `echelon_certificate` in
 Q[t]/(D) on it.  `chart_search_scheme` is the builder those schemes
 replaced, which tries the charts for k = 0, 1, ... and restricts both
 hyperplanes and the surface again on each, until D has the expected
@@ -107,8 +113,7 @@ from apolar_kit.scroll import Scroll, coordinate_layout, divisor_degree
 from apolar_kit.seeding import make_rng, random_dual_linear
 from apolar_kit.univariate import (_combine, _mul, _pseudo_remainder, affine_chart, is_squarefree,
                                    poly_gcd, rational_roots)
-from apolar_kit.waring import (CertificateError, Decomposition, PencilError,
-                               _certify_scheme, rank_lower_bound)
+from apolar_kit.waring import CertificateError, Decomposition, PencilError, rank_lower_bound
 
 _T = sympy.Symbol("t")
 
@@ -588,7 +593,7 @@ def fermat_detect_detail(form, seed=0):
             kind = err.kind
             continue
         try:
-            _certify_scheme(chi, phi, form)
+            echelon_certificate(chi, phi, form)
         except CertificateError:
             return None, "fit-failed"
         return Decomposition(n, tuple(chi), tuple(tuple(f) for f in phi)), "ok"
@@ -613,10 +618,15 @@ def annihilator_piece(form, k):
 
 
 def echelon_certificate(determinant, phi, cubic):
-    """`waring._certify_scheme` by one echelon of the L x C(n + 2, 3)
-    matrix whose column x^e holds sigma_e (x^e(phi) mod D), against which
-    the target (sigma_e e! F_e) is reduced; returns L = deg D, or raises
-    the same CertificateError."""
+    """Exact power-sum certificate in A = Q[t]/(D); returns L = deg D.
+
+    (a) D is squarefree, so the scheme of phi is L distinct points (some
+    possibly equal or zero, which only shortens the sum).  (c) The cubic
+    F lies in the span of their cubes, by the apolarity lemma for reduced
+    schemes (Iarrobino-Kanev 1999, Lemma 1.15): one echelon of the
+    L x C(n + 2, 3) matrix whose column x^e holds sigma_e (x^e(phi) mod D),
+    against which the target (sigma_e e! F_e) is reduced.
+    CertificateError names the failed check."""
     length = len(determinant) - 1
     if length < 1 or not is_squarefree(determinant):
         raise CertificateError(
@@ -778,8 +788,8 @@ def scheme_certify_fermat(curve, alpha, failures):
     `trigonal_scheme`, then conciseness.  Reads the cubic, not the
     functional."""
     try:
-        n = _certify_scheme(*trigonal_scheme(curve, alpha.eta1, alpha.eta2,
-                                             alpha.kept_indices), alpha.cubic)
+        n = echelon_certificate(*trigonal_scheme(curve, alpha.eta1, alpha.eta2,
+                                                 alpha.kept_indices), alpha.cubic)
         if rank_lower_bound(alpha.cubic) != n:
             raise CertificateError("(d) the cubic is not concise")
     except CertificateError as err:
@@ -822,9 +832,9 @@ def scheme_certify_bound(curve, alpha, failures):
     for surface_index in sorted((0, 1), key=lambda i: -bs[i]):
         b = bs[surface_index]
         try:
-            length = _certify_scheme(*surface_scheme(curve, surface_index, alpha.eta1,
-                                                     alpha.eta2, alpha.kept_indices),
-                                     alpha.cubic)
+            length = echelon_certificate(*surface_scheme(curve, surface_index, alpha.eta1,
+                                                         alpha.eta2, alpha.kept_indices),
+                                         alpha.cubic)
         except CertificateError as err:
             failures.append(f"surface b={b}: {err}")
             continue

@@ -149,19 +149,23 @@ def test_pipeline_imports_nothing_from_apolarity():
     assert not {m for m in modules if m and m.rpartition(".")[2] == "apolarity"}
 
 
-def test_verifier_certificates_reach_no_span_check():
-    """`pipeline._certify_fermat` and `pipeline._certify_bound` certify by
-    Sylvester's theorem on binary forms: no package function either reads,
-    directly or through the functions those read, is the span check in
-    Q[t]/(D) (`waring._certify_scheme`) or a scheme builder on a chart
-    (`_scheme`, `_chart`), and the package defines no such builder.  The
-    span check is read by Fermat detection alone."""
+def test_no_span_check_in_the_package():
+    """Fermat detection proves its verdict by the pencil's commutation
+    with every coordinate Hessian, and both verifiers by Sylvester's
+    theorem on binary forms: the package defines no span check in
+    Q[t]/(D) (`_certify_scheme`, now `tests/oracles.echelon_certificate`)
+    and no scheme builder on a chart (`_scheme`, `_chart`), only
+    `poly_gcd` reads `_pseudo_remainder`, and `pipeline._certify_fermat`
+    and `pipeline._certify_bound` still reach `_certify_functional`."""
     functions = {}
     for tree in _parse([PACKAGE]).values():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 functions.setdefault(node.name, []).append(node)
-    assert not {"_scheme", "_chart"} & set(functions)
+    assert not {"_certify_scheme", "_scheme", "_chart"} & set(functions)
+    readers = {name for name, nodes in functions.items()
+               if "_pseudo_remainder" in _referenced(nodes)}
+    assert readers == {"poly_gcd"}
     for certificate, reads in (("_certify_fermat", {"_section"}),
                                ("_certify_bound", {"_section", "_surface_form"})):
         reached, todo = set(), [certificate]
@@ -171,10 +175,6 @@ def test_verifier_certificates_reach_no_span_check():
                 reached.add(name)
                 todo += [n for n in _referenced(functions[name]) if n in functions]
         assert {"_certify_functional", *reads} <= reached
-        assert "_certify_scheme" not in reached
-    readers = {name for name, nodes in functions.items()
-               if name != "_certify_scheme" and "_certify_scheme" in _referenced(nodes)}
-    assert readers == {"fermat_detect_detail"}
 
 
 def test_only_the_ideal_builder_and_the_cli_read_degree3_rows():

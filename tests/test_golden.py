@@ -107,7 +107,20 @@ def test_alpha_in_curve_gen_golden(tmp_path, monkeypatch):
     # a quartic sum of five fourth powers, so d != 3 and Ann(F)_2 != 0
     ("apolar_k2_quartic_n4", ["apolar", "--in", str(GOLDEN / "form_quartic_n4.json"),
                               "--k", "2"]),
-])
+] + [
+    (f"fermat_{kind}_seed5", ["fermat", "--in", str(GOLDEN / f"form_{kind}.json"),
+                              "--seed", "5"])
+    for kind in ("fermat_n8",
+                 # x0^3 - 3 x0 x1^2, a sum of two cubes at complex points
+                 "complex_n2",
+                 # x0^3 + x1^3 + x2^3 + t x0 x1 x2: Fermat at t = 6, not at t = 1
+                 "hesse6_n3", "hesse1_n3",
+                 # a double root: no simple pencil
+                 "x0sqx1_n2",
+                 # a Fermat cubic plus y^3, y orthogonal to the three
+                 # directions drawn at seed 5: the third Hessian commutes
+                 # with the pencil and a coordinate Hessian does not
+                 "fermat_cube_n6")])
 def test_forms_golden(name, argv, tmp_path):
     # a random 10-bit cubic and a Fermat cubic under an integer change of
     # coordinates, at n = 5

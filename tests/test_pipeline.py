@@ -17,7 +17,7 @@ from apolar_kit import pipeline as pipeline_module
 from apolar_kit.apolarity import (SocleDimensionError, _inverse_vectors,
                                   apolar_ideal_piece, macaulay_inverse)
 from apolar_kit.cli import main
-from apolar_kit.core import (ExactMatrix, Polynomial, _int_echelon, _row_to_int,
+from apolar_kit.core import (ExactMatrix, Polynomial, _row_to_int,
                              change_coordinates, monomial_basis)
 from apolar_kit.curvegen import (_restriction_classes, ideal_pieces, sample_points,
                                  tetragonal_curve, trigonal_curve)
@@ -28,7 +28,7 @@ from apolar_kit.pipeline import (AlphaCertificateError, AlphaResult, Certificate
                                  verify_trigonal_fermat)
 from apolar_kit.seeding import derive_seed, make_rng, random_dual_linear, random_form
 from apolar_kit.univariate import _mul
-from apolar_kit.waring import _certify_scheme, fermat_detect_detail
+from apolar_kit.waring import fermat_detect_detail
 import oracles
 from oracles import (admissible_splits, coefficient_matrix, echelon_certificate, from_spanning,
                      oracle_fit, oracle_points, random_invertible_matrix, recon_piece,
@@ -898,8 +898,7 @@ class TestSylvesterCertificate:
     @pytest.mark.parametrize("g, split", BENCH_CURVES[4:] + [(11, (3, 3))])
     def test_no_elimination_wider_than_the_surface(self, g, split, monkeypatch):
         # a work count: every elimination of the certificate, the
-        # contraction rank included, has at most L + 1 columns, and it
-        # builds no scheme in Q[t]/(D)
+        # contraction rank included, has at most L + 1 columns
         curve, alpha = accepted_alphas(g, split, 1)[0]
         widths = []
         for name in ("_int_echelon", "_pivots_mod_prime"):
@@ -912,10 +911,6 @@ class TestSylvesterCertificate:
                 if (module_name.split(".")[0] == "apolar_kit"
                         and getattr(module, name, None) is original):
                     monkeypatch.setattr(module, name, recording)
-
-        def refuse(*args):
-            raise AssertionError("the span certificate ran")
-        monkeypatch.setattr(waring, "_certify_scheme", refuse)
         found = _certify_bound(curve, alpha, [])
         assert widths and max(widths) <= found["length"] + 1
 
@@ -1131,7 +1126,7 @@ class TestWaringCertificate:
     def test_incomplete_scheme_rejected(self):
         # two of the three points of x0^3 + x1^3 + x2^3: e0 and e1 at t = 0, 1
         with pytest.raises(CertificateError, match=r"\(c\)"):
-            _certify_scheme([0, -1, 1], [[1, -1], [0, 1], [0]], fermat(3))
+            echelon_certificate([0, -1, 1], [[1, -1], [0, 1], [0]], fermat(3))
 
     def test_trigonal_certificate(self):
         curve = trigonal_curve(6, seed=34)
@@ -1141,7 +1136,7 @@ class TestWaringCertificate:
         eta2 = random_dual_linear(6, rng)
         alpha = alpha_map(recon, eta1, eta2)
         determinant, phi = scheme_of(curve, None, eta1, eta2)
-        assert _certify_scheme(determinant, phi, alpha.cubic) == 4
+        assert echelon_certificate(determinant, phi, alpha.cubic) == 4
         dec = oracle_fit(determinant, phi, alpha.cubic)
         assert dec.rank == 4
         assert dec.residual < mp.mpf(10) ** -20
@@ -1192,7 +1187,7 @@ class TestExactCertificate:
         curve = tetragonal_curve(7, 0, 2, seed=87)
         alpha = alpha_for_curve(curve, seed=87)
         determinant, phi = scheme_of(curve, surface_index, alpha.eta1, alpha.eta2)
-        assert _certify_scheme(determinant, phi, alpha.cubic) == length
+        assert echelon_certificate(determinant, phi, alpha.cubic) == length
         dec = oracle_fit(determinant, phi, alpha.cubic)
         assert dec.rank == length and dec.residual < mp.mpf(10) ** -20
 
@@ -1228,24 +1223,19 @@ class TestExactCertificate:
         # concise cubic x0^2 x1, whose Waring rank is 3, not 2
         cubic = Polynomial.monomial((2, 1))
         with pytest.raises(CertificateError, match=r"\(a\)"):
-            _certify_scheme([0, 0, 1], [[1], [0, 1]], cubic)
+            echelon_certificate([0, 0, 1], [[1], [0, 1]], cubic)
 
     def test_rejects_dependent_points(self):
         # the roots 0, 1, 2 of D go to e0, e1, e0: two distinct points only,
         # yet every quadric of Ann(x0^3 + x1^3 + x2^3) vanishes on them
         with pytest.raises(CertificateError, match=r"\(c\)"):
-            _certify_scheme([0, 2, -3, 1], [[1, -2, 1], [0, 2, -1], [0]], fermat(3))
+            echelon_certificate([0, 2, -3, 1], [[1, -2, 1], [0, 2, -1], [0]], fermat(3))
 
-    def test_dependent_points_with_a_cubic_in_their_span(self, monkeypatch):
+    def test_dependent_points_with_a_cubic_in_their_span(self):
         # the points e0, e1, e0 of test_rejects_dependent_points span only
-        # two cubes, fewer than L = 3, so the echelon decides, and passes
-        # x0^3 + x1^3
-        calls = []
-        monkeypatch.setattr(waring, "_int_echelon",
-                            lambda *args: calls.append(args) or _int_echelon(*args))
+        # two cubes, fewer than L = 3, and x0^3 + x1^3 is in their span
         cubic = Polynomial(3, 3, {(3, 0, 0): 1, (0, 3, 0): 1})
-        assert _certify_scheme([0, 2, -3, 1], [[1, -2, 1], [0, 2, -1], [0]], cubic) == 3
-        assert len(calls) == 1
+        assert echelon_certificate([0, 2, -3, 1], [[1, -2, 1], [0, 2, -1], [0]], cubic) == 3
 
     def test_rejects_a_cubic_that_is_not_concise(self):
         # x0^3 + x1^3 is a sum of the cubes of the scheme's points e0, e1
@@ -1255,7 +1245,7 @@ class TestExactCertificate:
         curve = trigonal_curve(5, seed=88)
         alpha = alpha_for_curve(curve, seed=88)
         cubic = Polynomial(3, 3, {(3, 0, 0): 1, (0, 3, 0): 1})
-        assert _certify_scheme(*scheme, cubic) == 3
+        assert echelon_certificate(*scheme, cubic) == 3
         found, failures = certificate_failures(
             curve, dataclasses.replace(alpha, cubic=cubic))
         assert found is None
@@ -1315,28 +1305,8 @@ def certified_schemes():
         alpha = alpha_for_curve(curve, seed=89)
         index = None if curve.gonality == 3 else 0
         determinant, phi = scheme_of(curve, index, alpha.eta1, alpha.eta2)
-        assert _certify_scheme(determinant, phi, alpha.cubic) == len(determinant) - 1
+        assert echelon_certificate(determinant, phi, alpha.cubic) == len(determinant) - 1
         out.append((determinant, phi, alpha.cubic))
-    return out
-
-
-SPLITS = {6: [(0, 1)], 7: [(0, 2), (1, 1)], 8: [(0, 3), (1, 2)], 9: [(0, 4), (1, 3), (2, 2)]}
-
-
-@pytest.fixture(scope="module")
-def seeded_schemes():
-    """(D, phi, cubic) of trigonal g = 5..8 and, on both surfaces,
-    tetragonal g = 6..9 curves at every split, at seeds 1-3: the first
-    hyperplane pair `alpha_for_curve` accepts."""
-    curves = [trigonal_curve(g, seed) for g in range(5, 9) for seed in (1, 2, 3)]
-    curves += [tetragonal_curve(g, *split, seed) for g, splits in SPLITS.items()
-               for split in splits for seed in (1, 2, 3)]
-    out = []
-    for curve in curves:
-        alpha = alpha_for_curve(curve, curve.seed)
-        for index in ((None,) if curve.gonality == 3 else (0, 1)):
-            scheme = scheme_of(curve, index, alpha.eta1, alpha.eta2)
-            out.append((*scheme, alpha.cubic))
     return out
 
 
@@ -1349,52 +1319,6 @@ def verdict(check, *inputs):
         return str(err)
 
 
-def mutations(determinant, phi, cubic):
-    """Inputs the certificate of a certified (D, phi, cubic) must refuse:
-    the integer target e! F_e off by one at the first and the last cubic
-    monomial, and the constant coefficient of the last coordinate of phi
-    moved by one, which moves the columns of its monomials."""
-    scale = cubic.integer_terms()[0]
-    basis = monomial_basis(cubic.nvars, 3)
-    for exp in (basis[0], basis[-1]):
-        off = Fraction(1, scale * prod(map(factorial, exp)))
-        yield determinant, phi, cubic + Polynomial.monomial(exp, off)
-    last = (phi[-1] or [0])[:]
-    last[0] += 1
-    yield determinant, [*phi[:-1], last], cubic
-
-
-class TestWitnessCertificate:
-    """The functional on L independent columns decides as the echelon did."""
-
-    def test_agrees_with_the_echelon_certificate(self, seeded_schemes):
-        for scheme in seeded_schemes:
-            assert _certify_scheme(*scheme) == echelon_certificate(*scheme) == len(scheme[0]) - 1
-
-    def test_refuses_mutations_without_an_echelon(self, seeded_schemes, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the echelon fallback ran")
-
-        monkeypatch.setattr(waring, "_int_echelon", refuse)
-        for scheme in seeded_schemes:
-            assert _certify_scheme(*scheme) == len(scheme[0]) - 1
-            for mutated in mutations(*scheme):
-                with pytest.raises(CertificateError, match=r"\(c\)"):
-                    _certify_scheme(*mutated)
-
-    def test_modular_shortfall_falls_back_to_the_echelon(self, seeded_schemes, monkeypatch):
-        # modulo 2 some L columns independent over Q are dependent
-        calls = []
-        monkeypatch.setattr(core, "_RANK_PRIME", 2)
-        monkeypatch.setattr(waring, "_int_echelon",
-                            lambda *args: calls.append(args) or _int_echelon(*args))
-        for scheme in seeded_schemes[::3]:
-            for inputs in (scheme, next(mutations(*scheme))):
-                assert verdict(_certify_scheme, *inputs) == verdict(echelon_certificate,
-                                                                    *inputs)
-        assert calls
-
-
 class TestCertificateRejections:
     @given(st.integers(0, 1), st.integers(0, 34),
            st.fractions(min_value=-50, max_value=50, max_denominator=50)
@@ -1404,7 +1328,7 @@ class TestCertificateRejections:
         determinant, phi, cubic = certified_schemes[which]
         exp = monomial_basis(cubic.nvars, 3)[index]
         with pytest.raises(CertificateError, match=r"\(c\)"):
-            _certify_scheme(determinant, phi, cubic + Polynomial.monomial(exp, c))
+            echelon_certificate(determinant, phi, cubic + Polynomial.monomial(exp, c))
 
     @given(st.integers(0, 1), st.integers(-20, 20), st.integers(1, 20))
     @settings(max_examples=40, deadline=None)
@@ -1417,7 +1341,7 @@ class TestCertificateRejections:
             for j, y in enumerate(square):
                 repeated[i + j] += x * y
         with pytest.raises(CertificateError, match=r"\(a\)"):
-            _certify_scheme(repeated, phi, cubic)
+            echelon_certificate(repeated, phi, cubic)
 
 
 CHART_CASES = [(g, None) for g in range(5, 11)] + [

@@ -8,12 +8,11 @@ from mpmath import mp
 
 import oracles
 from apolar_kit.apolarity import hilbert_function
-from apolar_kit import waring
-from apolar_kit.core import ExactMatrix, Polynomial, change_coordinates, monomial_basis
-from apolar_kit.seeding import make_rng, random_form
-from apolar_kit.waring import (CertificateError, PencilError, _certify_scheme,
-                               fermat_detect_detail, rank_lower_bound,
-                               simultaneous_diagonalize)
+from apolar_kit.core import (ExactMatrix, Polynomial, _kernel_vectors, change_coordinates,
+                            monomial_basis)
+from apolar_kit.seeding import make_rng, random_dual_linear, random_form
+from apolar_kit.waring import (CertificateError, PencilError, fermat_detect_detail,
+                               rank_lower_bound, simultaneous_diagonalize)
 from oracles import (catalecticant, contract, is_apolar_scheme, oracle_fit, oracle_points,
                      random_invertible_matrix)
 
@@ -193,6 +192,17 @@ class TestSimultaneousDiagonalize:
             diagonalize([q1, q2], (1, 0))
         assert err.value.kind == "non-simple"
 
+    def test_a_fourth_matrix_that_does_not_commute(self):
+        # M = diag(1, 2) commutes with diag(3, 5) but not with the Hessian
+        # of x0 x1, which every check of three matrices would miss
+        q1 = Polynomial(2, 2, {(2, 0): 1, (0, 2): 2})
+        q2 = Polynomial(2, 2, {(2, 0): 1, (0, 2): 1})
+        q3 = Polynomial(2, 2, {(2, 0): 3, (0, 2): 5})
+        q4 = Polynomial(2, 2, {(1, 1): 1})
+        diagonalize([q1, q2, q3], (1, 1))
+        with pytest.raises(PencilError) as err:
+            diagonalize([q1, q2, q3, q4], (1, 1))
+        assert err.value.kind == "non-commuting"
 
     def test_shapes_are_checked(self):
         square = [[1, 0], [0, 1]]
@@ -231,6 +241,17 @@ class TestAgainstRationalOracle:
                 assert (found[1] == "ok") == (i >= 2 or n <= 2)
 
 
+def plus_orthogonal_cube(form, seed):
+    """form + (y . x)^3, y an integer vector orthogonal to the three
+    directions `fermat_detect_detail` draws first at this seed."""
+    n = form.nvars
+    rng = make_rng(seed)
+    directions = [random_dual_linear(n, rng).coefficient_vector() for _ in range(3)]
+    y = _kernel_vectors([[int(c) for c in l] for l in directions], n)[0]
+    linear = Polynomial(n, 1, {tuple(int(i == j) for j in range(n)): c for i, c in y.items()})
+    return form + linear * linear * linear
+
+
 def bench_style_fermat(n, rng):
     """x_1^3 + ... + x_n^3 under a random invertible matrix with entries
     in -3..3, as the benchmark draws its Fermat forms."""
@@ -241,30 +262,20 @@ def bench_style_fermat(n, rng):
 
 
 class TestWitnessCertificate:
-    """The certificate of detected schemes decides as the echelon did."""
+    """Detection decides as the span check on the detected scheme does."""
 
     @pytest.mark.parametrize("n", range(3, 9))
-    def test_agrees_with_the_echelon_certificate(self, n, monkeypatch):
+    def test_agrees_with_the_echelon_certificate(self, n):
         form = bench_style_fermat(n, make_rng(900 + n))
-        schemes = []
-        for seed in (1, 2, 3):
-            dec = fermat_detect_detail(form, seed)[0]
-            assert dec is not None and dec.rank == n
-            schemes.append((list(dec.scheme_equation), [list(f) for f in dec.points]))
         bumped = form + Polynomial.monomial((1, 1, 1) + (0,) * (n - 3))
-        for scheme in schemes:
+        for seed in (1, 2, 3):
+            dec, reason = fermat_detect_detail(form, seed)
+            assert reason == "ok" and dec.rank == n
+            scheme = (list(dec.scheme_equation), [list(f) for f in dec.points])
             assert oracles.echelon_certificate(*scheme, form) == n
             with pytest.raises(CertificateError, match=r"\(c\)"):
                 oracles.echelon_certificate(*scheme, bumped)
-
-        def refuse(*args):
-            raise AssertionError("the echelon fallback ran")
-
-        monkeypatch.setattr(waring, "_int_echelon", refuse)
-        for scheme in schemes:
-            assert _certify_scheme(*scheme, form) == n
-            with pytest.raises(CertificateError, match=r"\(c\)"):
-                _certify_scheme(*scheme, bumped)
+            assert fermat_detect_detail(bumped, seed) == (None, "fit-failed")
 
 
 # (name, terms, reason): cubics at the edge of the pencil and the certificate
@@ -282,6 +293,50 @@ EDGE_CUBICS = [
 ]
 
 
+def sweep_cubics(n, seed):
+    """(name, cubic) of the detection sweep in n variables: a bench-style
+    Fermat cubic and the same bumped by one monomial, a random 10-bit
+    cubic, a sum of n + 1 cubes, a Fermat cubic in n - 1 variables and
+    x0^2 x1 + x2^3 + ... moved by a matrix (degenerations), the Fermat
+    cubic plus y^3 of `plus_orthogonal_cube`, and the edge cubics in n
+    variables."""
+    rng = make_rng(700 + 10 * n + seed)
+    form = bench_style_fermat(n, rng)
+    basis = monomial_basis(n, 3)
+    cubes = Polynomial(n, 3, {})
+    for _ in range(n + 1):
+        linear = random_form(n, 1, rng, bound=3)
+        cubes = cubes + linear * linear * linear
+    out = [("fermat", form), ("bumped", form + Polynomial.monomial(basis[len(basis) // 2])),
+           ("random", random_form(n, 3, rng, bound=2 ** 10)), ("n+1 cubes", cubes)]
+    if n >= 2:
+        moved = random_invertible_matrix(n, rng)
+        flat = Polynomial(n, 3, {e + (0,): c for e, c in fermat(n - 1).terms.items()})
+        out += [("not concise", change_coordinates(flat, moved)),
+                ("double root", change_coordinates(
+                    Polynomial(n, 3, {(2, 1) + (0,) * (n - 2): 1, **{
+                        tuple(3 * (i == j) for j in range(n)): 1 for i in range(2, n)}}),
+                    moved))]
+    if n >= 4:
+        out.append(("fermat + y^3", plus_orthogonal_cube(form, seed)))
+    out += [(name, Polynomial(n, 3, terms)) for name, terms, _ in EDGE_CUBICS
+            if len(next(iter(terms))) == n]
+    return out
+
+
+class TestDetectionSweep:
+    """Detection with every coordinate Hessian in the commutation check
+    decides as the three-matrix pencil and the span check in Q[t]/(D)
+    did, in decomposition and reason."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_the_span_check_oracle(self, n):
+        for seed in (0, 1, 2):
+            for name, form in sweep_cubics(n, seed):
+                assert fermat_detect_detail(form, seed) == oracles.fermat_detect_detail(
+                    form, seed), (name, seed)
+
+
 class TestFermatDetect:
     def test_plain_fermat(self):
         dec = fermat_detect_detail(fermat(3), seed=1)[0]
@@ -289,7 +344,7 @@ class TestFermatDetect:
         expected = [tuple(mp.mpf(1 if i == j else 0) for j in range(3)) for i in range(3)]
         assert match_up_to_permutation_and_scale(decomposition_points(dec), expected,
                                                  tol=1e-25)
-        assert _certify_scheme(list(dec.scheme_equation), dec.points, fermat(3)) == 3
+        assert oracles.echelon_certificate(list(dec.scheme_equation), dec.points, fermat(3)) == 3
 
     def test_gl_orbit_oracle(self):
         # the expected dual points of f = Fermat o M are the rows of M
@@ -332,7 +387,7 @@ class TestFermatDetect:
         # stays in the span of the same cubes
         if not is_apolar_scheme(rows, perturbed).apolar:
             with pytest.raises(CertificateError, match=r"\(c\)"):
-                _certify_scheme(list(dec.scheme_equation), dec.points, perturbed)
+                oracles.echelon_certificate(list(dec.scheme_equation), dec.points, perturbed)
         # detection may still find other cubes (the example above); the
         # float oracle must then confirm them
         found = fermat_detect_detail(perturbed, seed=seed)[0]
@@ -362,13 +417,26 @@ class TestFermatDetect:
         assert match_up_to_permutation_and_scale(decomposition_points(dec), expected,
                                                  tol=1e-20)
 
-    def test_certificate_decides_the_verdict(self, monkeypatch):
-        # a pencil step that hands back the wrong scheme (e0, e1 and e0 + e1
-        # at t = 0, 1, 2) must not pass: x2^3 is outside their cubes' span
-        from apolar_kit import waring
-        scheme = ([0, 2, -3, 1], [[2, -4, 2], [0, 3, -1], [0]])
-        monkeypatch.setattr(waring, "simultaneous_diagonalize", lambda *args: scheme)
-        assert fermat_detect_detail(fermat(3), seed=1) == (None, "fit-failed")
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_only_a_coordinate_hessian_fails_to_commute(self, n):
+        # y is orthogonal to the three directions of the first draw, so
+        # their Hessians are those of the Fermat part: the pencil commutes
+        # with the third and finds the Fermat part's scheme, which the span
+        # check refuses (at n = 5, seed 2 that pencil has a repeated
+        # eigenvalue instead), and only a coordinate Hessian proves it here
+        for seed in (0, 1, 2):
+            form = plus_orthogonal_cube(bench_style_fermat(n, make_rng(800 + n)), seed)
+            rng = make_rng(seed)
+            quadrics = [contract(random_dual_linear(n, rng), form) for _ in range(3)]
+            try:
+                scheme = oracles.pencil(quadrics, [rng.randint(-9, 9) for _ in range(n)])
+            except PencilError as err:
+                assert err.kind == "non-simple"
+            else:
+                with pytest.raises(CertificateError, match=r"\(c\)"):
+                    oracles.echelon_certificate(*scheme, form)
+            found = fermat_detect_detail(form, seed)
+            assert found == oracles.fermat_detect_detail(form, seed) == (None, "fit-failed")
 
     def test_binary_non_fermat(self):
         # x0^2 x1 is not a sum of two independent cubes: the distinct-roots
