@@ -3,7 +3,8 @@
 Rational numbers travel as exact "p/q" strings (or "p" for integers),
 and so do the integer coefficients of a decomposition's scheme.  Reading
 is strict: counts, degrees and exponents must be JSON integers, a
-coefficient a string or an integer (never a boolean) naming a rational,
+coefficient a JSON integer (never a boolean) or a string "p" or "p/q"
+in ASCII digits with an optional leading minus and nothing else,
 and a polynomial may list each exponent once.  A curve must be one the
 generators could have built (`curve_from_json`).  Anything else raises
 ValueError instead of being coerced.  Serialization is deterministic:
@@ -13,6 +14,7 @@ sorted keys by the callers that dump them.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .apolarity import GradedIdealPiece
@@ -31,17 +33,21 @@ __all__ = [
 ]
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _coef_to_str(c: Fraction) -> str:
     return str(c)
 
 
 def _coef_from_str(raw) -> Fraction:
-    if isinstance(raw, str) or (isinstance(raw, int) and not isinstance(raw, bool)):
-        try:
-            return Fraction(raw)
-        except ZeroDivisionError:
-            raise ValueError(f"{raw!r} has a zero denominator") from None
-    raise ValueError(f"coefficients must be strings or integers, got {raw!r}")
+    if not (isinstance(raw, str) and _RATIONAL.fullmatch(raw)
+            or isinstance(raw, int) and not isinstance(raw, bool)):
+        raise ValueError(f"coefficients must be integers or strings p or p/q, got {raw!r}")
+    try:
+        return Fraction(raw)
+    except ZeroDivisionError:
+        raise ValueError(f"{raw!r} has a zero denominator") from None
 
 
 def _int(raw) -> int:

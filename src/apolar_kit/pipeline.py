@@ -17,9 +17,11 @@ verifiers below run those constructions at desk scale:
 
 The cubic's functional is the kernel of one Sylvester system on binary
 forms (`alpha_map`), on the base line or on the rational normal curve C0
-the hyperplanes cut on the threefold, and either scheme is a squarefree
-binary form there that kills it (Sylvester's theorem,
-`waring._certify_functional`), so no root is computed.
+the hyperplanes cut on the threefold, the cubic is read off it by one
+Hankel contraction with the section's degree-2 products (`_cubic_of`),
+and either scheme is a squarefree binary form there that kills it
+(Sylvester's theorem, `waring._certify_functional`), so no root is
+computed.
 """
 
 from __future__ import annotations
@@ -170,18 +172,6 @@ def _section(scroll: Scroll, etas: Sequence[Sequence[int]]
             _combine([(1, _mul(a0, b1)), (-1, _mul(a1, b0))]))
 
 
-def _powers(phi: Sequence[Sequence[int]], top: int) -> dict:
-    """phi^e for every exponent e of degree at most `top`, each product
-    one lower product times phi at its first variable."""
-    n = len(phi)
-    powers = {(0,) * n: [1]}
-    for degree in range(1, top + 1):
-        for exp in monomial_basis(n, degree):
-            i = next(i for i, e in enumerate(exp) if e)
-            powers[exp] = _mul(powers[exp[:i] + (exp[i] - 1,) + exp[i + 1:]], phi[i])
-    return powers
-
-
 def _surface_form(section: BihomSection, fiber: Sequence[Sequence[int]]) -> list[int]:
     """The binary form a section restricts to on an embedded fiber (D_i of
     the surface 2H - b_i F on C0, E(phi) of a trigonal curve): its base
@@ -215,7 +205,9 @@ def _section_forms(scroll: Scroll, etas: Sequence[Sequence[int]], kept: Sequence
     I(C0), and J3 restricts to D_i S_(m + b_i); on a surface J2 is
     I(Gamma)_2, which generates I(Gamma) (2-regular: its Hilbert function
     is n from degree 1), and J3 restricts to D S_(2n) + E(phi) S_(n - 2).
-    Returns phi and (D_1, D_2), or (D, E(phi)), for the first fiber that
+    The images are read off the products phi_i phi_j, one `_mul` per
+    degree-2 exponent of each fiber that passes (i).  Returns phi, those
+    products and (D_1, D_2), or (D, E(phi)), for the first fiber that
     passes both checks.
     """
     n = len(kept)
@@ -231,23 +223,35 @@ def _section_forms(scroll: Scroll, etas: Sequence[Sequence[int]], kept: Sequence
             continue
         forms = [_surface_form(equation, fiber) for equation in equations]
         relations = forms if threefold else [determinant]
-        powers = _powers(phi, 2)
-        images = [_combine((c, powers[exp]) for exp, c in q.items()) for q in quadrics]
+        products = {exp: _mul(*(phi[i] for i, e in enumerate(exp) for _ in range(e)))
+                    for exp in monomial_basis(n, 2)}
+        images = [_combine((c, products[exp]) for exp, c in q.items()) for q in quadrics]
         ech, pivots = _int_echelon(_multiples(relations, 2 * m), 2 * m + 1)
         if (any(any(_int_reduce(ech, pivots, q)) for q in images)
                 or threefold and _rank_mod_prime(images, 2 * m + 1) < n - 1):
             failed.append("(ii) J2 and the section's quadrics differ")
             continue
-        return phi, relations if threefold else relations + forms
+        return phi, products, relations if threefold else relations + forms
     raise AlphaCertificateError((1, n, n), "degenerate section: " + "; ".join(failed))
 
 
-def _cubic_of(functional: Sequence[int], phi: Sequence[Sequence[int]]) -> dict:
-    """The nonzero terms of F_lambda, (6 / e!) lambda(phi^e), as integers."""
-    powers = _powers(phi, 3)
-    terms = {exp: 6 // prod(map(factorial, exp))
-             * sum(x * y for x, y in zip(functional, powers[exp]))
-             for exp in monomial_basis(len(phi), 3)}
+def _cubic_of(functional: Sequence[int], phi: Sequence[Sequence[int]],
+              products: dict) -> dict:
+    """The nonzero terms of F_lambda, (6 / e!) lambda(phi^e), as integers,
+    by one Hankel contraction of lambda and no product of degree 3m.
+
+    mu_i[k] = sum_l phi_i[l] lambda[k + l], k = 0..2m, is the Hankel
+    matrix of lambda applied to phi_i; with x_i the first variable of e,
+    lambda(phi^e) = lambda(phi_i phi^(e - u_i)) = <phi^(e - u_i), mu_i>,
+    one dot product with a degree-2 product of `_section_forms`."""
+    width = 2 * len(phi[0]) - 1   # 2m + 1, phi of degree m
+    mu = [[sum(x * y for x, y in zip(form, functional[k:])) for k in range(width)]
+          for form in phi]
+    terms = {}
+    for exp in monomial_basis(len(phi), 3):
+        i = next(i for i, e in enumerate(exp) if e)
+        pair = products[exp[:i] + (exp[i] - 1,) + exp[i + 1:]]
+        terms[exp] = 6 // prod(map(factorial, exp)) * sum(x * y for x, y in zip(pair, mu[i]))
     return {exp: c for exp, c in terms.items() if c}
 
 
@@ -266,7 +270,8 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
     whose kernel has dimension h3; `ideal_pieces` certified that the
     equations span the ideal, so no degree-3 row is read.  Hilbert vector
     (1, n, n, 1) certifies the hyperplanes as general, and F_lambda over
-    its lead is the cubic, the one `Polynomial` built.
+    its lead is the cubic, the one `Polynomial` built, by one Hankel
+    contraction of lambda with the products of check (ii) (`_cubic_of`).
     """
     g = recon.genus
     n = g - 2
@@ -280,8 +285,8 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
     if h2 != n:
         raise AlphaCertificateError(
             (1, n, h2), "quotient algebra does not have the expected Hilbert vector")
-    phi, forms = _section_forms(recon.scroll, _hyperplane_rows(eta1, eta2), kept, quadrics,
-                                recon.equations)
+    phi, products, forms = _section_forms(recon.scroll, _hyperplane_rows(eta1, eta2), kept,
+                                          quadrics, recon.equations)
     width = 3 * len(phi[0]) - 2   # 3m + 1, phi of degree m
     kernel = _kernel_vectors(_multiples(forms, width - 1), width)
     hilbert = (1, n, n, len(kernel))
@@ -289,7 +294,7 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
         raise AlphaCertificateError(
             hilbert, "quotient algebra does not have the expected Hilbert vector")
     functional = [kernel[0].get(k, 0) for k in range(width)]
-    terms = _cubic_of(functional, phi)
+    terms = _cubic_of(functional, phi, products)
     lead = terms[max(terms)]
     cubic = Polynomial(n, 3, {exp: Fraction(c, lead) for exp, c in terms.items()})
     return AlphaResult(g, eta1, eta2, hilbert, cubic, kept, tuple(functional))
@@ -492,10 +497,10 @@ def verify_trigonal_fermat(g: int, trials: int, seed: int) -> dict:
     a root, that the cubic is a sum of the cubes of the g - 2 points the
     two hyperplanes cut on the scroll and that it is concise
     (`_certify_fermat`).  Any trial failure raises VerificationError with
-    the full report attached.
+    the full report attached.  The genus runs from 5 through 30.
     """
-    if not 5 <= g <= 16:
-        raise ValueError("desk-scale verification covers genus 5 through 16")
+    if not 5 <= g <= 30:
+        raise ValueError("desk-scale verification covers genus 5 through 30")
     report = {
         "claim": f"the quotient cubic of a trigonal genus-{g} canonical curve "
                  f"is a sum of exactly {g - 2} cubes",
@@ -517,11 +522,11 @@ def verify_tetragonal_bound(g: int, split: Optional[tuple[int, int]], trials: in
     length, the degree of the surface, must stay within the bound.  The
     report also carries the interval between the contraction-rank lower
     bound and the length, since ranks in between are not decided here.
-    A split that `tetragonal_surfaces` rejects is an input error before
-    any trial.
+    The genus runs from 6 through 30; a split that `tetragonal_surfaces`
+    rejects is an input error before any trial.
     """
-    if not 6 <= g <= 17:
-        raise ValueError("desk-scale verification covers genus 6 through 17")
+    if not 6 <= g <= 30:
+        raise ValueError("desk-scale verification covers genus 6 through 30")
     if split is None:
         split = balanced_type(g - 5, 2)
     if len(split) != 2:

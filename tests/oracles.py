@@ -83,6 +83,12 @@ vector.  `row_pairing_alpha_map` is the class pairing as it ran before
 rows were summed per class: every cubic row paired term by term, the
 binomials that pair to zero included.
 
+The quotient reads its cubic F_lambda off lambda by one Hankel
+contraction with the section's degree-2 products.  `product_cubic_of`
+is the builder it replaced and the reference: every product phi^e of
+degree 3 (`powers`, each product one lower product times phi at its
+first variable), paired with lambda term by term.
+
 `admissible_splits` lists the tetragonal splits the sweeps run over.
 """
 
@@ -105,9 +111,8 @@ from apolar_kit.core import (ExactMatrix, Polynomial, _combination, _int_echelon
                              _int_rank, _int_reduce, _int_substitute, _kernel_vectors,
                              _monomial_value, _row_to_int, _scaled, monomial_basis, substitute)
 from apolar_kit.curvegen import _restriction_classes, balanced_type, tetragonal_surfaces
-from apolar_kit.pipeline import (AlphaCertificateError, AlphaResult, _cubic_of, _embed,
-                                 _hyperplane_rows, _powers, _section, _surface_form,
-                                 tetragonal_cube_bound)
+from apolar_kit.pipeline import (AlphaCertificateError, AlphaResult, _embed, _hyperplane_rows,
+                                 _section, _surface_form, tetragonal_cube_bound)
 from apolar_kit.pipeline import quotient_frame as int_quotient_frame
 from apolar_kit.scroll import Scroll, coordinate_layout, divisor_degree
 from apolar_kit.seeding import make_rng, random_dual_linear
@@ -872,6 +877,29 @@ def restricted_quadrics(recon, eta1, eta2):
     return kept, restriction, quadrics
 
 
+def powers(phi, top):
+    """phi^e for every exponent e of degree at most `top`, each product
+    one lower product times phi at its first variable."""
+    n = len(phi)
+    products = {(0,) * n: [1]}
+    for degree in range(1, top + 1):
+        for exp in monomial_basis(n, degree):
+            i = next(i for i, e in enumerate(exp) if e)
+            products[exp] = _mul(products[exp[:i] + (exp[i] - 1,) + exp[i + 1:]], phi[i])
+    return products
+
+
+def product_cubic_of(functional, phi):
+    """The nonzero terms of F_lambda, (6 / e!) lambda(phi^e), as integers,
+    with every product phi^e of degree 3 built: `pipeline._cubic_of` as it
+    ran before the Hankel contraction."""
+    products = powers(phi, 3)
+    terms = {exp: 6 // prod(map(factorial, exp))
+             * sum(x * y for x, y in zip(functional, products[exp]))
+             for exp in monomial_basis(len(phi), 3)}
+    return {exp: c for exp, c in terms.items() if c}
+
+
 def section_inverse_system(scroll, etas, kept, quadrics):
     """The degree-3 inverse system V of the restricted quadrics J2, given
     h2 = n, read off what the two hyperplanes cut on the scroll, as
@@ -894,8 +922,8 @@ def section_inverse_system(scroll, etas, kept, quadrics):
         if _int_rank(phi if threefold else phi + [determinant], m + 1) <= m:
             failed.append("(i) the section's coordinates are dependent")
             continue
-        powers = _powers(phi, 2)
-        images = [_combine((c, powers[exp]) for exp, c in q.items()) for q in quadrics]
+        products = powers(phi, 2)
+        images = [_combine((c, products[exp]) for exp, c in q.items()) for q in quadrics]
         if threefold:
             relations = _int_echelon(images, 2 * m + 1)[0]
             passed = len(relations) == n - 1
@@ -927,7 +955,7 @@ def _combined_quotient(recon, eta1, eta2, kept, fiber, functionals, combos):
             hilbert, "quotient algebra does not have the expected Hilbert vector")
     functional = _combine((c, functionals[i]) for i, c in combos[0].items())
     image = _embed(recon.scroll, fiber)
-    terms = _cubic_of(functional, [image[i] for i in kept])
+    terms = product_cubic_of(functional, [image[i] for i in kept])
     lead = terms[max(terms)]
     cubic = Polynomial(n, 3, {exp: Fraction(c, lead) for exp, c in terms.items()})
     return AlphaResult(recon.genus, eta1, eta2, hilbert, cubic, kept, tuple(functional))
@@ -982,7 +1010,7 @@ def lift_and_pair_alpha_map(recon, eta1, eta2):
     fiber, functionals = section_inverse_system(
         recon.scroll, _hyperplane_rows(eta1, eta2), kept, quadrics)
     image = _embed(recon.scroll, fiber)
-    solutions = [_cubic_of(lam, [image[i] for i in kept]) for lam in functionals]
+    solutions = [product_cubic_of(lam, [image[i] for i in kept]) for lam in functionals]
     index3 = {exp: j for j, exp in enumerate(monomial_basis(g, 3))}
     weighted = [{index3[exp]: c * prod(map(factorial, exp)) for exp, c in lift.items()}
                 for lift in _int_substitute(solutions, list(zip(*restriction)), g)]

@@ -194,3 +194,15 @@ def test_only_the_ideal_builder_and_the_cli_read_degree3_rows():
                and any(isinstance(n, ast.Attribute) and n.attr == "degree3"
                        for n in ast.walk(node))}
     assert readers <= {"curvegen.py:ideal_pieces"}
+
+
+def test_the_cubic_builds_no_product():
+    """`pipeline._cubic_of` reads F_lambda off lambda by one Hankel
+    contraction with the degree-2 products `_section_forms` built for
+    check (ii): the package defines no `_powers` (now
+    `tests/oracles.powers`), and `_cubic_of` calls no `_mul`."""
+    functions = {node.name: node for tree in _parse([PACKAGE]).values()
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert "_powers" not in functions
+    assert "_mul" not in _referenced([functions["_cubic_of"]])

@@ -59,6 +59,8 @@ def test_golden_values_spot_check():
     ("verify_a_g16", ["verify-a", "--g", "16", "--trials", "1", "--seed", "41"]),
     ("verify_b_g15", ["verify-b", "--g", "15", "--trials", "1", "--seed", "41"]),
     ("verify_b_g17", ["verify-b", "--g", "17", "--trials", "1", "--seed", "41"]),
+    ("verify_a_g30", ["verify-a", "--g", "30", "--trials", "1", "--seed", "41"]),
+    ("verify_b_g30", ["verify-b", "--g", "30", "--trials", "1", "--seed", "41"]),
 ])
 def test_verify_golden(name, argv, tmp_path, monkeypatch):
     monkeypatch.delenv("APOLAR_KIT_THREADS", raising=False)

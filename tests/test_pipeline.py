@@ -19,8 +19,8 @@ from apolar_kit.apolarity import (SocleDimensionError, _inverse_vectors,
 from apolar_kit.cli import main
 from apolar_kit.core import (ExactMatrix, Polynomial, _row_to_int,
                              change_coordinates, monomial_basis)
-from apolar_kit.curvegen import (_restriction_classes, ideal_pieces, sample_points,
-                                 tetragonal_curve, trigonal_curve)
+from apolar_kit.curvegen import (_restriction_classes, balanced_type, ideal_pieces,
+                                 sample_points, tetragonal_curve, trigonal_curve)
 from apolar_kit.pipeline import (AlphaCertificateError, AlphaResult, CertificateError,
                                  _certify_bound, _certify_fermat, _random_eta_pair,
                                  alpha_for_curve, alpha_map, quotient_frame, reduce_to_quotient,
@@ -461,7 +461,7 @@ class TestSectionInverseSystem:
         fiber, functionals = oracles.section_inverse_system(
             recon.scroll, pipeline_module._hyperplane_rows(eta1, eta2), kept, quadrics)
         image = pipeline_module._embed(recon.scroll, fiber)
-        solutions = [pipeline_module._cubic_of(lam, [image[i] for i in kept])
+        solutions = [oracles.product_cubic_of(lam, [image[i] for i in kept])
                      for lam in functionals]
         n = g - 2
         columns3 = monomial_basis(n, 3)
@@ -707,7 +707,7 @@ class TestSylvesterSystem:
         [fiber], _ = pipeline_module._section(recon.scroll, etas)
         image = pipeline_module._embed(recon.scroll, fiber)
         phi = [image[i] for i in kept]
-        powers = pipeline_module._powers(phi, 2)
+        powers = oracles.powers(phi, 2)
         vanish = [not any(sum(c * x for c, x in zip(q.values(), column))
                           for column in zip(*(powers[exp] for exp in q)))
                   for q in quadrics]
@@ -754,6 +754,64 @@ class TestSylvesterSystem:
                             or original(rows, ncols))
         alpha_map(recon, eta1, eta2)
         assert shapes == [(3 * n, 3 * n + 1) if split is None else (3 * n - 3, 3 * n - 2)]
+
+
+def hankel_curves():
+    """`pairing_curves` and balanced tetragonal g = 13, 15, 17, seeds 1-3."""
+    yield from pairing_curves()
+    for seed in (1, 2, 3):
+        for g in (13, 15, 17):
+            split = balanced_type(g - 5, 2)
+            yield pytest.param(g, split, seed, id=f"tet{g}-{split[0]}{split[1]}-s{seed}")
+
+
+class TestHankelCubic:
+    """F_lambda by one Hankel contraction of lambda with the section's
+    degree-2 products, against the reference that builds every product
+    of degree 3 (`oracles.product_cubic_of`)."""
+
+    @pytest.mark.parametrize("g, split, seed", hankel_curves())
+    def test_equals_the_product_reference(self, g, split, seed, monkeypatch):
+        # the (lambda, phi, products) of every accepted pair `section_pairs` draws
+        pairs = [pair[:3] for pair in section_pairs(g, split, seed) if pair[3]]
+        captured = []
+        original = pipeline_module._cubic_of
+        monkeypatch.setattr(pipeline_module, "_cubic_of",
+                            lambda *args: captured.append(args) or original(*args))
+        accepted = [alpha_map(*pair) for pair in pairs]
+        assert accepted and len(captured) == len(accepted)
+        for functional, phi, products in captured:
+            assert products == {exp: p for exp, p in oracles.powers(phi, 2).items()
+                                if sum(exp) == 2}
+            assert original(functional, phi, products) == oracles.product_cubic_of(
+                functional, phi)
+
+    @pytest.mark.parametrize("g, split", [(8, None), (8, (1, 2))], ids=["tri8", "tet8"])
+    def test_builds_no_product_of_degree_three(self, g, split, monkeypatch):
+        # a work count: every fiber that reaches check (ii), one echelon
+        # each, builds C(n + 1, 2) products of length 2m + 1 and the
+        # quotient none of length 3m + 1; here no other product of
+        # `pipeline` has either length
+        n = g - 2
+        m = n if split is None else n - 1
+        lengths = []
+        echelons = []
+        pairs = section_pairs(g, split, 1)
+        mul, echelon = pipeline_module._mul, pipeline_module._int_echelon
+        monkeypatch.setattr(pipeline_module, "_mul",
+                            lambda a, b: lengths.append(len(a) + len(b) - 1) or mul(a, b))
+        monkeypatch.setattr(pipeline_module, "_int_echelon",
+                            lambda *args: echelons.append(args) or echelon(*args))
+        for recon, eta1, eta2, accepted in pairs:
+            lengths.clear()
+            echelons.clear()
+            try:
+                alpha_map(recon, eta1, eta2)
+            except AlphaCertificateError:
+                assert not accepted
+            assert accepted <= bool(echelons)
+            assert lengths.count(3 * m + 1) == 0
+            assert lengths.count(2 * m + 1) == len(echelons) * comb(n + 1, 2)
 
 
 def accepted_alphas(g, split, seed):
@@ -1424,6 +1482,6 @@ class TestVerifiers:
 
     def test_genus_out_of_range(self):
         with pytest.raises(ValueError):
-            verify_trigonal_fermat(17, trials=1, seed=1)
+            verify_trigonal_fermat(31, trials=1, seed=1)
         with pytest.raises(ValueError):
-            verify_tetragonal_bound(18, None, trials=1, seed=1)
+            verify_tetragonal_bound(31, None, trials=1, seed=1)
