@@ -63,10 +63,6 @@ class GradedIdealPiece:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def ambient_dim(self) -> int:
-        return comb(self.nvars + self.degree - 1, self.degree)
-
 
 @dataclass(frozen=True)
 class ApolarAlgebraProfile:
@@ -78,10 +74,6 @@ class ApolarAlgebraProfile:
     @property
     def socle_dim(self) -> int:
         return self.hilbert[self.socle_degree]
-
-    def is_symmetric(self) -> bool:
-        h = self.hilbert
-        return all(h[k] == h[self.socle_degree - k] for k in range(len(h)))
 
 
 def _divided_powers(terms: dict) -> dict:
@@ -172,33 +164,28 @@ def _condition_rows(ops: Sequence[dict], degree: int, d: int,
 
 
 def _inverse_vectors(pieces: Sequence[tuple[int, Sequence[dict]]], d: int,
-                     columns: Sequence[tuple[int, ...]]) -> tuple[list[dict], list[int]]:
+                     columns: Sequence[tuple[int, ...]]) -> list[dict]:
     """The integer core of `inverse_system`, on (degree, operators as
     integer term maps) pairs, highest degree first, and the degree-d
     monomials `columns`.  The top piece's condition kernel, in the
     coordinates u of `_condition_rows`, is cut down by each further
     piece's conditions, as sparse dot products with its vectors.  Returns
     sparse integer vectors over `columns` in the coordinates of F (u_b
-    times the integer d!/b!) and one scale each: vector / scale is the
-    `inverse_system` vector, whose kernel bases lead with 1.  A kernel
-    vector w over solutions v_i / s_i gives sum_i w_i v_i over s_i0 w_i0,
-    at the first index i0 of w.
+    times the integer d!/b!).
     """
     (degree, ops), *rest = pieces
     width = len(columns)
     multinomial = [factorial(d) // prod(map(factorial, b)) for b in columns]
     vectors = _kernel_vectors([[row.get(j, 0) for j in range(width)]
                                for row in _condition_rows(ops, degree, d, columns)], width)
-    scales = [v[min(v)] * multinomial[min(v)] for v in vectors]
     for degree, ops in rest:
         if not vectors:
             break
         combos = _kernel_vectors([[sum(c * v.get(j, 0) for j, c in row.items()) for v in vectors]
                                   for row in _condition_rows(ops, degree, d, columns)],
                                  len(vectors))
-        scales = [scales[min(w)] * w[min(w)] for w in combos]
         vectors = [_combination(w, vectors) for w in combos]
-    return [{j: x * multinomial[j] for j, x in v.items()} for v in vectors], scales
+    return [{j: x * multinomial[j] for j, x in v.items()} for v in vectors]
 
 
 def inverse_system(pieces: Sequence[GradedIdealPiece], d: int) -> list[Polynomial]:
@@ -212,7 +199,9 @@ def inverse_system(pieces: Sequence[GradedIdealPiece], d: int) -> list[Polynomia
     integers (which moves no kernel), and `_inverse_vectors` solves them
     degree by degree, highest first (the top piece pins the forms down to
     a low-dimensional space, so the remaining conditions are cheap).
-    Without a nonempty piece the result is the monomial basis of degree d.
+    Each basis form is its integer vector divided by the vector's first
+    entry in graded-lex order, so every form leads with 1.  Without a
+    nonempty piece the result is the monomial basis of degree d.
     """
     if d < 1:
         raise ValueError("socle degree must be >= 1")
@@ -229,18 +218,18 @@ def inverse_system(pieces: Sequence[GradedIdealPiece], d: int) -> list[Polynomia
     columns = monomial_basis(n, d)
     if not by_degree:
         return [Polynomial.monomial(m) for m in columns]
-    vectors, scales = _inverse_vectors(
+    vectors = _inverse_vectors(
         [(p.degree, [op.integer_terms()[1] for op in p.basis]) for p in by_degree], d, columns)
-    return [Polynomial(n, d, {columns[j]: Fraction(x, s) for j, x in v.items()})
-            for v, s in zip(vectors, scales)]
+    return [Polynomial(n, d, {columns[j]: Fraction(x, v[min(v)]) for j, x in v.items()})
+            for v in vectors]
 
 
 def macaulay_inverse(pieces: Sequence[GradedIdealPiece], d: int) -> Polynomial:
     """Recover the unique form annihilated by the given graded pieces.
 
     Raises SocleDimensionError unless the `inverse_system` of the pieces
-    is exactly one-dimensional; the result is normalized so its leading
-    graded-lex coefficient is 1.
+    is exactly one-dimensional; the result is that one basis form, whose
+    leading graded-lex coefficient is 1.
     """
     nonempty = [p for p in pieces if p.dim > 0]
     if not nonempty:
@@ -252,4 +241,4 @@ def macaulay_inverse(pieces: Sequence[GradedIdealPiece], d: int) -> Polynomial:
         hilbert = (1,) + tuple(comb(n + k - 1, k) - dims.get(k, 0)
                                for k in range(1, d + 1))
         raise SocleDimensionError(len(solutions), hilbert)
-    return solutions[0].normalized()
+    return solutions[0]

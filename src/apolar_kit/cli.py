@@ -5,8 +5,10 @@ assertion fails, 2 on malformed input.  Every command with randomness
 requires an explicit --seed; identical invocations produce byte-identical
 reports.  APOLAR_KIT_THREADS is the number of worker processes for the
 verifier trials (0, empty or unset = serial); the pool never has more
-processes than there are trials, and a value that is not a non-negative
-integer exits with code 2.  Reports do not depend on it.
+processes than there are trials, and a value that is not ASCII digits
+exits with code 2.  Reports do not depend on it.  Every integer flag is
+ASCII digits with an optional leading minus (`jsonio.ascii_int`), and
+anything else exits with code 2.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ def _parse_int_list(raw: str, flag: str, count: Optional[int] = None) -> tuple[i
     """A flag's comma-separated integers, `count` of them when given; an
     empty value or part, or another count, is an input error."""
     try:
-        values = tuple(int(part) for part in raw.split(","))
+        values = tuple(map(jsonio.ascii_int, raw.split(",")))
     except ValueError:
         raise ValueError(f"{flag} takes comma-separated integers, not {raw!r}") from None
     if count is not None and len(values) != count:
@@ -249,7 +251,7 @@ def _add_common(parser, seed=False):
     parser.add_argument("--out", dest="out_path", default=None,
                         help="write the JSON report here instead of stdout")
     if seed:
-        parser.add_argument("--seed", type=int, required=True,
+        parser.add_argument("--seed", type=jsonio.ascii_int, required=True,
                             help="seed for all randomness (mandatory)")
 
 
@@ -258,43 +260,43 @@ _IN = ("--in", {"dest": "in_path", "required": True})
 # name: (help, handler, takes --seed, its own options as (flag, keywords))
 _COMMANDS = {
     "apolar": ("Hilbert vector and graded annihilator pieces", _cmd_apolar, False,
-               (_IN, ("--k", {"type": int, "default": None}))),
+               (_IN, ("--k", {"type": jsonio.ascii_int, "default": None}))),
     "inverse": ("recover a form from graded ideal pieces", _cmd_inverse, False, (_IN,)),
     "fermat": ("detect and decompose a sum-of-cubes form", _cmd_fermat, True, (_IN,)),
     "scroll": ("scroll divisor arithmetic", _cmd_scroll, False, (
         ("--type", {"required": True, "help": "comma-separated type, e.g. 1,1,2"}),
         ("--class", {"dest": "cls", "default": None, "help": "h,f"}),
         ("--classes", {"default": None, "help": "semicolon-separated h,f list"}),
-        ("--index", {"type": int, "default": 0}),
+        ("--index", {"type": jsonio.ascii_int, "default": 0}),
         ("--op", {"required": True,
                   "choices": ["degree", "canonical", "chow", "sections", "project"]}))),
     "curve-gen": ("generate a curve and reconstruct its ideal", _cmd_curve_gen, True, (
-        ("--g", {"type": int, "required": True}),
-        ("--gonality", {"type": int, "choices": [3, 4], "required": True}),
+        ("--g", {"type": jsonio.ascii_int, "required": True}),
+        ("--gonality", {"type": jsonio.ascii_int, "choices": [3, 4], "required": True}),
         ("--split", {"default": None, "help": "b1,b2 for gonality 4"}),
-        ("--points", {"type": int, "default": None}))),
+        ("--points", {"type": jsonio.ascii_int, "default": None}))),
     "alpha": ("quotient construction down to the cubic", _cmd_alpha, True, (
         ("--in", {"dest": "in_path", "default": None,
                   "help": "curve JSON from curve-gen (otherwise generate)"}),
-        ("--g", {"type": int, "default": None}),
-        ("--gonality", {"type": int, "choices": [3, 4], "default": None}),
+        ("--g", {"type": jsonio.ascii_int, "default": None}),
+        ("--gonality", {"type": jsonio.ascii_int, "choices": [3, 4], "default": None}),
         ("--split", {"default": None}))),
     "verify-a": ("trigonal power-sum verification", _cmd_verify_a, True, (
-        ("--g", {"type": int, "required": True}),
-        ("--trials", {"type": int, "default": 5}))),
+        ("--g", {"type": jsonio.ascii_int, "required": True}),
+        ("--trials", {"type": jsonio.ascii_int, "default": 5}))),
     "verify-b": ("tetragonal bound verification", _cmd_verify_b, True, (
-        ("--g", {"type": int, "required": True}),
+        ("--g", {"type": jsonio.ascii_int, "required": True}),
         ("--split", {"default": None, "help": "b1,b2 with b1+b2 = g-5"}),
-        ("--trials", {"type": int, "default": 3}))),
+        ("--trials", {"type": jsonio.ascii_int, "default": 3}))),
     "numerology": ("tetragonal plane-model numerology", _cmd_numerology, False, (
-        ("--g", {"type": int, "required": True}),)),
+        ("--g", {"type": jsonio.ascii_int, "required": True}),)),
     "nakai": ("blow-up positivity certificates", _cmd_nakai, False, (
-        ("--k", {"type": int, "required": True}),
-        ("--a-max", {"type": int, "default": 50}))),
+        ("--k", {"type": jsonio.ascii_int, "required": True}),
+        ("--a-max", {"type": jsonio.ascii_int, "default": 50}))),
     "gonality-n": ("higher-gonality surface degrees", _cmd_gonality_n, False, (
-        ("--n", {"type": int, "required": True}),
-        ("--k", {"type": int, "required": True}),
-        ("--excess", {"type": int, "default": 0}))),
+        ("--n", {"type": jsonio.ascii_int, "required": True}),
+        ("--k", {"type": jsonio.ascii_int, "required": True}),
+        ("--excess", {"type": jsonio.ascii_int, "default": 0}))),
 }
 
 

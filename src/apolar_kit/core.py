@@ -1,10 +1,10 @@
 """Exact arithmetic core.
 
-Sparse homogeneous polynomials over Q and one fraction-free integer
-elimination engine (echelon, rank, kernel vectors), with ranks read
-modulo a prime where that is a proof.  No floating point enters this
-module; every value is immutable after construction, so everything here
-can be shared freely between workers.
+A validated record of the terms of a homogeneous polynomial over Q,
+and one fraction-free integer elimination engine (echelon, rank, kernel
+vectors), with ranks read modulo a prime where that is a proof.  No
+floating point enters this module; every value is immutable after
+construction, so everything here can be shared freely between workers.
 
 `ExactMatrix`, `substitute` and `change_coordinates` are the rational
 layer the integer engine replaced; no verifier or command calls them.
@@ -87,11 +87,14 @@ def _monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
 
 
 class Polynomial:
-    """Sparse homogeneous polynomial with exact rational coefficients.
+    """Sparse homogeneous polynomial with exact rational coefficients: a
+    validated, immutable term record with no arithmetic.
 
     ``terms`` maps exponent tuples (length ``nvars``, total degree equal
     to ``degree``) to nonzero ``Fraction`` coefficients.  The zero
-    polynomial keeps its degree tag and has an empty term map.
+    polynomial keeps its degree tag and has an empty term map.  The
+    package computes on integer term maps (`integer_terms`); this type
+    only carries forms in and out, so the constructor checks every term.
     """
 
     __slots__ = ("nvars", "degree", "terms")
@@ -130,27 +133,9 @@ class Polynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int, degree: int) -> "Polynomial":
-        return cls(nvars, degree, {})
-
-    @classmethod
-    def monomial(cls, exponents: Sequence[int], coef=1) -> "Polynomial":
+    def monomial(cls, exponents: Sequence[int]) -> "Polynomial":
         exp = tuple(exponents)
-        return cls(len(exp), sum(exp), {exp: coef})
-
-    @classmethod
-    def variable(cls, index: int, nvars: int) -> "Polynomial":
-        exp = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, 1, {exp: 1})
-
-    @classmethod
-    def from_vector(cls, nvars: int, degree: int, vector: Sequence,
-                    basis: Optional[Sequence[tuple[int, ...]]] = None) -> "Polynomial":
-        if basis is None:
-            basis = monomial_basis(nvars, degree)
-        if len(vector) != len(basis):
-            raise ValueError("coefficient vector does not match basis length")
-        return cls(nvars, degree, {exp: c for exp, c in zip(basis, vector) if c})
+        return cls(len(exp), sum(exp), {exp: 1})
 
     # -- basic queries -------------------------------------------------
 
@@ -171,74 +156,8 @@ class Polynomial:
         return scale, {exp: c.numerator * (scale // c.denominator)
                        for exp, c in self.terms.items()}
 
-    def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
-        """Term whose monomial comes first in graded-lex order."""
-        exp = max(self.terms)
-        return exp, self.terms[exp]
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
-
-    def normalized(self) -> "Polynomial":
-        """Scale so the first nonzero coefficient in graded-lex order is 1."""
-        if self.is_zero():
-            return self
-        _, lead = self.leading_term()
-        return self * (Fraction(1) / lead)
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + c
-        return Polynomial(self.nvars, self.degree, terms)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, self.degree, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            if other.nvars != self.nvars:
-                raise ValueError("variable count mismatch in product")
-            terms: dict[tuple[int, ...], Fraction] = {}
-            for ea, ca in self.terms.items():
-                for eb, cb in other.terms.items():
-                    exp = tuple(a + b for a, b in zip(ea, eb))
-                    terms[exp] = terms.get(exp, Fraction(0)) + ca * cb
-            return Polynomial(self.nvars, self.degree + other.degree, terms)
-        coef = _coerce(other)
-        return Polynomial(self.nvars, self.degree,
-                          {e: c * coef for e, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        result = Polynomial(self.nvars, 0, {(0,) * self.nvars: 1})
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def evaluate(self, values: Sequence):
-        """Evaluate at a point with integer or Fraction coordinates."""
-        if len(values) != self.nvars:
-            raise ValueError("point has wrong length")
-        return sum((coef * _monomial_value(values, exp) for exp, coef in self.terms.items()),
-                   Fraction(0))
-
-    def _check_compatible(self, other: "Polynomial") -> None:
-        if not isinstance(other, Polynomial):
-            raise TypeError(f"expected Polynomial, got {other!r}")
-        if other.nvars != self.nvars or other.degree != self.degree:
-            raise ValueError(
-                f"incompatible polynomials: ({self.nvars},{self.degree}) vs "
-                f"({other.nvars},{other.degree})")
 
     # -- comparison / display -------------------------------------------
 

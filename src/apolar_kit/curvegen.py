@@ -48,7 +48,7 @@ from .scroll import (DivisorClass, Scroll, canonical_class, chow_product,
                      coordinate_layout, embed_point, section_count,
                      section_templates)
 from .seeding import derive_seed, make_rng, random_form, small_rationals
-from .univariate import _combine, _mul, affine_chart, is_squarefree, poly_gcd, rational_roots
+from .univariate import _combine, _distinct_roots, _mul, affine_chart, poly_gcd, rational_roots
 
 __all__ = [
     "BihomSection",
@@ -381,14 +381,6 @@ def _conic_pencil(q1: Sequence[int], q2: Sequence[int]) -> tuple[list[int], list
     s2 = _combine([(a1, b2), (-a2, b1)])
     s3 = _combine([(1, _mul(b1, c2)), (-1, _mul(b2, c1))])
     return s1, s2, _combine([(1, _mul(s1, s1)), (-1, _mul(s2, s3))])
-
-
-def _distinct_roots(form: Sequence[int]) -> bool:
-    """True when the binary form sum_j c_j s^(d-j) t^j of degree d
-    vanishes at d distinct points: its affine part has degree >= d - 1
-    (at most a simple root at s = 0) and is squarefree."""
-    affine, _ = affine_chart(form)
-    return len(affine) >= len(form) - 1 and is_squarefree(affine)
 
 
 def _rational_binary_roots(form: Sequence[int]) -> list[tuple[int, int]]:

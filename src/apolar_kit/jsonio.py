@@ -5,9 +5,10 @@ and so do the integer coefficients of a decomposition's scheme.  Reading
 is strict: counts, degrees and exponents must be JSON integers, a
 coefficient a JSON integer (never a boolean) or a string "p" or "p/q"
 in ASCII digits with an optional leading minus and nothing else,
-and a polynomial may list each exponent once.  A curve must be one the
-generators could have built (`curve_from_json`).  Anything else raises
-ValueError instead of being coerced.  Serialization is deterministic:
+and a polynomial may list each exponent once.  Command-line integers
+follow the same grammar without "/q" (`ascii_int`).  A curve must be
+one the generators could have built (`curve_from_json`).  Anything else
+raises ValueError instead of being coerced.  Serialization is deterministic:
 terms are emitted in graded-lex order and dictionaries are written with
 sorted keys by the callers that dump them.
 """
@@ -34,6 +35,16 @@ __all__ = [
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def ascii_int(raw: str) -> int:
+    """An integer written as ASCII digits with an optional leading minus
+    and nothing else, the one grammar of integer flags and variables:
+    `int` would also read "1_1", " 7", "+2" and non-ASCII digits."""
+    if not _INTEGER.fullmatch(raw):
+        raise ValueError(f"expected an integer in ASCII digits, got {raw!r}")
+    return int(raw)
 
 
 def _coef_to_str(c: Fraction) -> str:

@@ -39,6 +39,7 @@ from .core import (ExactMatrix, Polynomial, _int_echelon, _int_rank, _int_reduce
 from .curvegen import (BihomSection, CurveSpec, IdealReconstruction, balanced_type,
                        ideal_pieces, sample_points, tetragonal_curve, tetragonal_surfaces,
                        trigonal_curve)
+from .jsonio import ascii_int
 from .scroll import Scroll, coordinate_layout
 from .seeding import derive_seed, make_rng, random_dual_linear
 from .univariate import _combine, _mul, _multiples
@@ -465,14 +466,17 @@ def _verify(report: dict, g: int, split: Optional[tuple[int, int]], trials: int,
     """Run the trials, serially or in a pool of at most one process per
     trial, and finish `report`; raise VerificationError if one failed.
 
-    APOLAR_KIT_THREADS is the process count; unset, empty or 0 is serial.
+    APOLAR_KIT_THREADS is the process count, in ASCII digits; unset,
+    empty or 0 is serial.
     """
     if trials < 1:
         raise ValueError(f"the number of trials must be at least 1, not {trials}")
     raw = os.environ.get("APOLAR_KIT_THREADS") or "0"
-    if not raw.isdecimal():
-        raise ValueError(f"APOLAR_KIT_THREADS must be a process count, not {raw!r}")
-    processes = min(int(raw), trials)
+    try:
+        # "-" + raw reads exactly when raw is unsigned ASCII digits
+        processes = min(-ascii_int("-" + raw), trials)
+    except ValueError:
+        raise ValueError(f"APOLAR_KIT_THREADS must be a process count, not {raw!r}") from None
     arguments = [(g, split, derive_seed(seed, i)) for i in range(trials)]
     if processes > 1:
         # imported here, so a serial run never loads the pool's modules

@@ -56,20 +56,12 @@ class Scroll:
     def degree(self) -> int:
         return sum(self.type)
 
-    @property
-    def smooth(self) -> bool:
-        return all(a > 0 for a in self.type)
-
     def cls(self, h: int, f: int) -> "DivisorClass":
         return DivisorClass(h, f, self)
 
     @property
     def H(self) -> "DivisorClass":
         return self.cls(1, 0)
-
-    @property
-    def F(self) -> "DivisorClass":
-        return self.cls(0, 1)
 
 
 @dataclass(frozen=True)
@@ -79,19 +71,9 @@ class DivisorClass:
     scroll: Scroll
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check(other)
-        return DivisorClass(self.h + other.h, self.f + other.f, self.scroll)
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check(other)
-        return DivisorClass(self.h - other.h, self.f - other.f, self.scroll)
-
-    def __rmul__(self, scalar: int) -> "DivisorClass":
-        return DivisorClass(scalar * self.h, scalar * self.f, self.scroll)
-
-    def _check(self, other: "DivisorClass") -> None:
         if other.scroll != self.scroll:
             raise ValueError("divisor classes live on different scrolls")
+        return DivisorClass(self.h + other.h, self.f + other.f, self.scroll)
 
     def __str__(self) -> str:
         return f"{self.h}H{self.f:+d}F"

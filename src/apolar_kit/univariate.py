@@ -146,6 +146,14 @@ def is_squarefree(coeffs: Sequence) -> bool:
     return len(poly_gcd(f, df)) == 1
 
 
+def _distinct_roots(form: Sequence[int]) -> bool:
+    """True when the binary form sum_j c_j s^(d-j) t^j of degree d
+    vanishes at d distinct points: its affine part has degree >= d - 1
+    (at most a simple root at s = 0) and is squarefree."""
+    affine, _ = affine_chart(form)
+    return len(affine) >= len(form) - 1 and is_squarefree(affine)
+
+
 def _divide(f: list[int], g: list[int]) -> Optional[list[int]]:
     """The integer quotient f / g when g divides f in Z[t], else None."""
     n = len(g) - 1

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 from .apolarity import _catalecticant_rows, _divided_powers
 from .core import Polynomial, _int_rank
 from .seeding import make_rng, random_dual_linear
-from .univariate import _multiples, is_squarefree, poly_gcd
+from .univariate import _distinct_roots, _multiples, is_squarefree, poly_gcd
 
 __all__ = [
     "CertificateError",
@@ -96,9 +96,9 @@ def _certify_functional(determinant: Sequence[int], functional: Sequence[int]) -
 
     D is a binary form of degree L, coefficient j on s^(L - j) t^j, and
     lambda a functional on the forms of degree d, given by its values
-    lambda_k = lambda(s^(d - k) t^k).  (a) D is squarefree: its
-    dehomogenization has no repeated factor and drops at most one degree,
-    so D has L distinct roots p_i in P^1, at most one of them (0 : 1).
+    lambda_k = lambda(s^(d - k) t^k).  (a) D has L distinct roots p_i in
+    P^1, at most one of them (0 : 1) (`univariate._distinct_roots`): its
+    dehomogenization has no repeated factor and drops at most one degree.
     (c') lambda kills the multiples D s^(d - L - j) t^j, j = 0..d - L
     (`univariate._multiples`), a dot product each.  The functionals that
     kill the degree-d multiples of D form a space of dimension L (for
@@ -110,8 +110,7 @@ def _certify_functional(determinant: Sequence[int], functional: Sequence[int]) -
     length = len(determinant) - 1
     if not any(determinant):
         raise CertificateError("(a) the scheme equation vanishes identically")
-    at_infinity = length - max(j for j, c in enumerate(determinant) if c)
-    if length < 1 or at_infinity > 1 or not is_squarefree(determinant):
+    if length < 1 or not _distinct_roots(determinant):
         raise CertificateError(
             f"(a) the scheme equation is not squarefree of degree {length}")
     if any(sum(c * x for c, x in zip(row, functional))

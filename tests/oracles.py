@@ -90,6 +90,13 @@ degree 3 (`powers`, each product one lower product times phi at its
 first variable), paired with lambda term by term.
 
 `admissible_splits` lists the tetragonal splits the sweeps run over.
+
+`Polynomial` is a term record with no arithmetic.  Tests build forms
+from plain term maps, or in sympy through the converter pair `to_sympy`
+and `from_sympy`.  `evaluate` (a form at an exact point), `scaled`,
+`plus_term` and `normalized` (leading graded-lex coefficient 1) stay
+plain term-map functions, since the curve oracles call them thousands
+of times.
 """
 
 import sys
@@ -121,6 +128,50 @@ from apolar_kit.univariate import (_combine, _mul, _pseudo_remainder, affine_cha
 from apolar_kit.waring import CertificateError, Decomposition, PencilError, rank_lower_bound
 
 _T = sympy.Symbol("t")
+
+
+def _symbols(nvars):
+    return sympy.symbols(f"x0:{nvars}")
+
+
+def to_sympy(poly):
+    """A `Polynomial` as a sympy expression in x0, ..., x_(n-1)."""
+    xs = _symbols(poly.nvars)
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*(x ** e for x, e in zip(xs, exp)))
+                       for exp, c in poly.terms.items()))
+
+
+def from_sympy(expr, nvars, degree):
+    """The `Polynomial` of a homogeneous degree-`degree` sympy expression
+    in x0, ..., x_(n-1)."""
+    terms = sympy.Poly(expr, *_symbols(nvars)).terms()
+    return Polynomial(nvars, degree, {exp: Fraction(int(c.p), int(c.q))
+                                      for exp, c in terms if c})
+
+
+def evaluate(poly, point):
+    """A form at a point with integer or Fraction coordinates."""
+    if len(point) != poly.nvars:
+        raise ValueError("point has wrong length")
+    return sum((c * _monomial_value(point, exp) for exp, c in poly.terms.items()), Fraction(0))
+
+
+def scaled(poly, c):
+    """A form times a rational constant."""
+    return Polynomial(poly.nvars, poly.degree, {exp: x * c for exp, x in poly.terms.items()})
+
+
+def plus_term(poly, exp, c=1):
+    """A form plus c x^exp."""
+    return Polynomial(poly.nvars, poly.degree, {**poly.terms, exp: poly.coefficient(exp) + c})
+
+
+def normalized(poly):
+    """A form scaled so its first coefficient in graded-lex order is 1."""
+    if poly.is_zero():
+        return poly
+    return scaled(poly, 1 / poly.terms[max(poly.terms)])
 
 
 def refuse_rational_layer(monkeypatch):
@@ -164,7 +215,7 @@ def contract(op, form):
         raise ValueError(
             f"variable count mismatch: operator has {op.nvars}, form has {form.nvars}")
     if op.degree > form.degree:
-        return Polynomial.zero(form.nvars, 0)
+        return Polynomial(form.nvars, 0, {})
     terms = {}
     for a, ca in op.terms.items():
         for b, cb in form.terms.items():
@@ -222,7 +273,7 @@ def piece_from_vectors(degree, nvars, vectors):
     """The `GradedIdealPiece` whose basis has these coefficient vectors."""
     basis = monomial_basis(nvars, degree)
     return GradedIdealPiece(degree, nvars, tuple(
-        Polynomial.from_vector(nvars, degree, v, basis) for v in vectors))
+        Polynomial(nvars, degree, {exp: c for exp, c in zip(basis, v) if c}) for v in vectors))
 
 
 def piece_contains(piece, poly):
@@ -366,7 +417,7 @@ def fiber_form(section, base):
     """Restriction of a `BihomSection` to the fiber over an exact base
     point (s0, t0), as a rational `Polynomial` in the fiber variables."""
     return Polynomial(section.scroll.k, section.cls.h,
-                      {exp: form.evaluate(base) for exp, form in section.coeffs.items()})
+                      {exp: evaluate(form, base) for exp, form in section.coeffs.items()})
 
 
 def conic_components(conic):
@@ -384,12 +435,13 @@ def conic_pencil(q1, q2):
     """(s1, s2, resultant) of two fiber conics, as binary `Polynomial`s:
     s1 = a1 c2 - a2 c1, s2 = a1 b2 - a2 b1 and s1^2 - s2 s3 with
     s3 = b1 c2 - b2 c1."""
-    a1, b1, c1 = conic_components(q1)
-    a2, b2, c2 = conic_components(q2)
-    s1 = c2 * a1 - c1 * a2
-    s2 = b2 * a1 - b1 * a2
+    (a1, b1, c1), (a2, b2, c2) = ((sympy.Rational(a.numerator, a.denominator),
+                                   to_sympy(b), to_sympy(c))
+                                  for a, b, c in map(conic_components, (q1, q2)))
+    s1 = a1 * c2 - a2 * c1
+    s2 = a1 * b2 - a2 * b1
     s3 = b1 * c2 - b2 * c1
-    return s1, s2, s1 * s1 - s2 * s3
+    return from_sympy(s1, 2, 2), from_sympy(s2, 2, 1), from_sympy(s1 * s1 - s2 * s3, 2, 4)
 
 
 def binary_roots(form):
@@ -426,7 +478,7 @@ def quadratic_fiber_points(q1, q2):
         candidates = set()
         for conic in (q1, q2):
             alpha, b, c = conic_components(conic)
-            beta, gamma = b.evaluate((ui, vi)), c.evaluate((ui, vi))
+            beta, gamma = evaluate(b, (ui, vi)), evaluate(c, (ui, vi))
             if alpha != 0:
                 root = _fraction_sqrt(beta * beta - 4 * alpha * gamma)
                 if root is not None:
@@ -436,7 +488,7 @@ def quadratic_fiber_points(q1, q2):
                 candidates.add(-gamma / beta)
         for y2 in candidates:
             fiber = (Fraction(ui), Fraction(vi), y2)
-            if q1.evaluate(fiber) == 0 and q2.evaluate(fiber) == 0:
+            if evaluate(q1, fiber) == 0 and evaluate(q2, fiber) == 0:
                 points.append(fiber)
     return points
 
@@ -521,7 +573,7 @@ def alpha_map(recon, eta1, eta2):
         if w:
             for exp, x in form_terms.items():
                 terms[exp] = terms.get(exp, 0) + w * x
-    cubic = Polynomial(n, 3, terms).normalized()
+    cubic = normalized(Polynomial(n, 3, terms))
     return Quotient(hilbert, kept, cubic, frame, piece2)
 
 

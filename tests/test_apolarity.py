@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb, factorial, prod
 
@@ -12,9 +13,9 @@ from apolar_kit.apolarity import (GradedIdealPiece, SocleDimensionError,
 from apolar_kit.core import (ExactMatrix, Polynomial, _row_to_int, change_coordinates,
                              monomial_basis)
 from apolar_kit.seeding import make_rng, random_form
-from oracles import (annihilator_piece, catalecticant, contract, from_spanning,
-                     hilbert_vector, int_kernel, is_apolar_scheme, piece_contains,
-                     random_invertible_matrix)
+from oracles import (annihilator_piece, catalecticant, contract, from_spanning, from_sympy,
+                     hilbert_vector, int_kernel, is_apolar_scheme, normalized, piece_contains,
+                     random_invertible_matrix, scaled, to_sympy)
 
 
 def fermat(n):
@@ -25,8 +26,7 @@ def fermat(n):
 def sympy_catalecticant_ranks(f, n):
     """Independent oracle: ranks of the contraction maps via sympy calculus."""
     xs = sympy.symbols(f"x0:{n}")
-    expr = sum(sympy.Rational(c) * sympy.prod(x ** e for x, e in zip(xs, exp))
-               for exp, c in f.terms.items())
+    expr = to_sympy(f)
     d = f.degree
     ranks = []
     for k in range(d + 1):
@@ -68,6 +68,18 @@ def contract_condition_rows(ops, degree, d, columns):
                 by_target[exp][j] = c
         rows.extend(_row_to_int(by_target[t]) for t in targets)
     return rows
+
+
+def contract_inverse_system(pieces, d):
+    """Reference inverse system: every piece's `contract` conditions at
+    once, in the coefficients of F, and the forms of their kernel basis,
+    each leading with 1 (`int_kernel`)."""
+    n = pieces[0].nvars
+    columns = monomial_basis(n, d)
+    rows = [row for p in pieces if p.dim for row in contract_condition_rows(
+        [op.integer_terms()[1] for op in p.basis], p.degree, d, columns)]
+    return [Polynomial(n, d, {exp: c for exp, c in zip(columns, v) if c})
+            for v in int_kernel(rows, len(columns))]
 
 
 def rational_form(n, d, rng):
@@ -113,29 +125,20 @@ class TestContractionRows:
             linear = list(apolar_ideal_piece(f, 1).basis)
             quadrics = list(apolar_ideal_piece(f, 2).basis)
             kept = rng.sample(quadrics, rng.randint(1, len(quadrics)))
-            extra = [p * Fraction(rng.randint(1, 9), rng.randint(1, 9)) for p in kept]
+            extra = [scaled(p, Fraction(rng.randint(1, 9), rng.randint(1, 9))) for p in kept]
             if len(kept) > 1:
-                extra.append(kept[0] * Fraction(1, 3) - kept[1] * 7)
-            spanning2 = kept + extra + [Polynomial.zero(n, 2)]
+                extra.append(from_sympy(to_sympy(kept[0]) / 3 - 7 * to_sympy(kept[1]), n, 2))
+            spanning2 = kept + extra + [Polynomial(n, 2, {})]
             rng.shuffle(spanning2)
-            spanning1 = linear + [linear[0] * Fraction(-5, 4)]
+            spanning1 = linear + [scaled(linear[0], Fraction(-5, 4))]
             cases.append([GradedIdealPiece(1, n, tuple(spanning1)),
                           GradedIdealPiece(2, n, tuple(spanning2))])
             random2 = [rational_form(n, 2, rng) for _ in range(rng.randint(1, 2))]
-            cases.append([GradedIdealPiece(2, n, tuple(random2 + [random2[0] * 3]))])
+            cases.append([GradedIdealPiece(2, n, tuple(random2 + [scaled(random2[0], 3)]))])
         found = [inverse_system(pieces, 3) for pieces in cases]
         canonical = [inverse_system([from_spanning(p.degree, p.nvars, p.basis)
                                      for p in pieces], 3) for pieces in cases]
-        reference = []
-        for pieces in cases:
-            # every piece's `contract` conditions at once, in the
-            # coefficients of F, with the kernel basis leading with 1
-            n = pieces[0].nvars
-            columns = monomial_basis(n, 3)
-            rows = [row for p in pieces for row in contract_condition_rows(
-                [op.integer_terms()[1] for op in p.basis], p.degree, 3, columns)]
-            reference.append([Polynomial.from_vector(n, 3, v, columns)
-                              for v in int_kernel(rows, len(columns))])
+        reference = [contract_inverse_system(pieces, 3) for pieces in cases]
         assert found == reference == canonical
         assert any(len(solutions) > 1 for solutions in found)
 
@@ -196,7 +199,7 @@ class TestApolarIdealPiece:
     def test_degree_d_plus_one_is_everything(self):
         f = fermat(3)
         piece = apolar_ideal_piece(f, 4)
-        assert piece.dim == piece.ambient_dim == comb(6, 4)
+        assert piece.dim == comb(6, 4)
 
     def test_ideal_property_under_multiplication(self):
         # eta * D stays in the annihilator one degree up
@@ -210,18 +213,18 @@ class TestApolarIdealPiece:
                 continue
             eta = random_form(n, 1, rng)
             d = piece2.basis[rng.randrange(piece2.dim)]
-            assert piece_contains(piece3, eta * d)
+            assert piece_contains(piece3, from_sympy(to_sympy(eta) * to_sympy(d), n, 3))
 
 
 class TestPieceContains:
     def test_shape_is_checked_before_emptiness(self):
         empty = GradedIdealPiece(2, 3, ())
         nonempty = apolar_ideal_piece(fermat(3), 2)
-        for poly in (Polynomial.zero(3, 3), Polynomial.zero(2, 2)):
+        for poly in (Polynomial(3, 3, {}), Polynomial(2, 2, {})):
             for piece in (empty, nonempty):
                 with pytest.raises(ValueError, match="mismatch"):
                     piece_contains(piece, poly)
-        assert piece_contains(empty, Polynomial.zero(3, 2))
+        assert piece_contains(empty, Polynomial(3, 2, {}))
         assert not piece_contains(empty, Polynomial.monomial((1, 1, 0)))
 
     def test_membership_is_the_span(self):
@@ -233,11 +236,11 @@ class TestPieceContains:
             piece = apolar_ideal_piece(random_form(n, 3, rng), 2)
             if piece.dim == 0:
                 continue
-            spanning = GradedIdealPiece(2, n, piece.basis + (piece.basis[0] * Fraction(3, 7),))
-            combination = Polynomial.zero(n, 2)
-            for q in piece.basis:
-                combination = combination + q * Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-            assert piece_contains(spanning, combination)
+            spanning = GradedIdealPiece(2, n, piece.basis + (scaled(piece.basis[0],
+                                                                    Fraction(3, 7)),))
+            combination = sum(to_sympy(q) * sympy.Rational(rng.randint(-5, 5), rng.randint(1, 4))
+                              for q in piece.basis)
+            assert piece_contains(spanning, from_sympy(combination, n, 2))
             outside = monomial_basis(n, 2)[0]
             reference = from_spanning(2, n, list(piece.basis) + [Polynomial.monomial(outside)])
             assert piece_contains(spanning, Polynomial.monomial(outside)) == (
@@ -274,7 +277,7 @@ class TestAgainstRationalOracle:
             assert apolar_ideal_piece(form, k) == annihilator_piece(form, k)
 
     def test_zero_form_pieces(self):
-        zero = Polynomial.zero(3, 3)
+        zero = Polynomial(3, 3, {})
         for k in range(5):
             assert apolar_ideal_piece(zero, k) == annihilator_piece(zero, k)
 
@@ -306,14 +309,14 @@ class TestHilbertFunction:
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            hilbert_function(Polynomial.zero(2, 3))
+            hilbert_function(Polynomial(2, 3, {}))
 
     def test_symmetry_and_socle(self):
         rng = make_rng(27)
         for _ in range(20):
             f = random_form(rng.randint(2, 4), rng.randint(2, 4), rng)
             profile = hilbert_function(f)
-            assert profile.is_symmetric()
+            assert profile.hilbert == profile.hilbert[::-1]
             assert profile.socle_dim == 1
 
 
@@ -348,7 +351,55 @@ class TestInverseSystem:
             f = random_form(n, 3, rng)
             pieces = [apolar_ideal_piece(f, k) for k in (2, 3)]
             [solution] = inverse_system(pieces, 3)
-            assert solution.normalized() == macaulay_inverse(pieces, 3) == f.normalized()
+            assert solution == macaulay_inverse(pieces, 3) == normalized(f)
+
+
+@cache
+def several_piece_sets():
+    """300 seeded (pieces, d, `contract_inverse_system`) draws with 2 or
+    3 pieces, at least 2 of them nonempty, n <= 4 and d <= 5: each piece
+    a random subset of a graded piece of the annihilator of a random
+    form, at times with one random operator added, so the inverse system
+    has any dimension from 0 up."""
+    rng = make_rng(61)
+    draws = []
+    while len(draws) < 300:
+        n, d = rng.randint(2, 4), rng.randint(2, 5)
+        f = random_form(n, d, rng)
+        pieces = []
+        for k in sorted(rng.sample(range(1, d + 1), rng.randint(2, min(3, d)))):
+            basis = list(apolar_ideal_piece(f, k).basis)
+            basis = rng.sample(basis, rng.randint(0, len(basis)))
+            if rng.random() < 0.1:
+                basis.append(random_form(n, k, rng))
+            pieces.append(GradedIdealPiece(k, n, tuple(basis)))
+        if sum(p.dim > 0 for p in pieces) >= 2:
+            draws.append((pieces, d, contract_inverse_system(pieces, d)))
+    return draws
+
+
+class TestSeveralPieces:
+    """`inverse_system` divides each basis vector by its own lead, so its
+    forms lead with 1 with any number of nonempty pieces."""
+
+    def test_forms_lead_with_one_and_span_the_contract_kernel(self):
+        for pieces, d, reference in several_piece_sets():
+            n = pieces[0].nvars
+            found = inverse_system(pieces, d)
+            assert all(form.terms[max(form.terms)] == 1 for form in found)
+            assert from_spanning(d, n, found) == from_spanning(d, n, reference)
+
+    def test_macaulay_inverse_is_the_normalised_reference(self):
+        single = 0
+        for pieces, d, reference in several_piece_sets():
+            if len(reference) == 1:
+                single += 1
+                assert macaulay_inverse(pieces, d) == normalized(reference[0])
+            else:
+                with pytest.raises(SocleDimensionError) as err:
+                    macaulay_inverse(pieces, d)
+                assert err.value.dimension == len(reference)
+        assert single
 
 
 class TestMacaulayInverse:
@@ -367,13 +418,14 @@ class TestMacaulayInverse:
         quad = [Polynomial.monomial(tuple(1 if k in (i, j) else 0 for k in range(n)))
                 for i, j in combinations(range(n), 2)]
         piece2 = from_spanning(2, n, quad)
-        cubics = [Polynomial.variable(i, n) * q for q in quad for i in range(n)]
+        cubics = [from_sympy(x * to_sympy(q), n, 3)
+                  for q in quad for x in sympy.symbols(f"x0:{n}")]
         for i, j in combinations(range(n), 2):
             cubics.append(Polynomial(n, 3, {tuple(3 if k == i else 0 for k in range(n)): 1,
                                             tuple(3 if k == j else 0 for k in range(n)): -1}))
         piece3 = from_spanning(3, n, cubics)
         result = macaulay_inverse([piece2, piece3], 3)
-        assert result == fermat(n).normalized()
+        assert result == fermat(n)
 
     def test_round_trip_random_cubics(self):
         rng = make_rng(28)
@@ -381,7 +433,7 @@ class TestMacaulayInverse:
             n = rng.randint(2, 5)
             f = random_form(n, 3, rng)
             pieces = [apolar_ideal_piece(f, k) for k in range(1, 4)]
-            assert macaulay_inverse(pieces, 3) == f.normalized()
+            assert macaulay_inverse(pieces, 3) == normalized(f)
 
     def test_round_trip_degree_four(self):
         rng = make_rng(29)
@@ -389,7 +441,7 @@ class TestMacaulayInverse:
             n = rng.randint(2, 4)
             f = random_form(n, 4, rng)
             pieces = [apolar_ideal_piece(f, k) for k in range(1, 5)]
-            assert macaulay_inverse(pieces, 4) == f.normalized()
+            assert macaulay_inverse(pieces, 4) == normalized(f)
 
     def test_socle_failure_reports_dimension(self):
         piece = GradedIdealPiece(2, 3, (Polynomial.monomial((1, 1, 0)),))
@@ -427,14 +479,14 @@ class TestIsApolarScheme:
 
     def test_exact_nontrivial_points(self):
         # f = (x0 + x1)^3 + (x0 - x1)^3 from the matching dual points
-        ell1 = Polynomial(2, 1, {(1, 0): 1, (0, 1): 1})
-        ell2 = Polynomial(2, 1, {(1, 0): 1, (0, 1): -1})
-        f = ell1 ** 3 + ell2 ** 3
+        x0, x1 = sympy.symbols("x0:2")
+        ells = (x0 + x1, x0 - x1)
+        f = from_sympy(ells[0] ** 3 + ells[1] ** 3, 2, 3)
         cert = is_apolar_scheme([(1, 1), (1, -1)], f)
         assert cert.apolar and cert.weights == (Fraction(1), Fraction(1))
-        rebuilt = sum((w * ell ** 3 for w, ell in zip(cert.weights, (ell1, ell2))),
-                      Polynomial.zero(2, 3))
-        assert rebuilt == f
+        rebuilt = sum(sympy.Rational(w.numerator, w.denominator) * ell ** 3
+                      for w, ell in zip(cert.weights, ells))
+        assert from_sympy(rebuilt, 2, 3) == f
 
     def test_single_point_fails(self):
         f = Polynomial(2, 3, {(3, 0): 1, (0, 3): 1})

@@ -276,6 +276,70 @@ class TestStrictCoefficients:
         assert self.rejected(["alpha", "--in", str(path), "--seed", "1"], capsys)
 
 
+def exit_code(argv):
+    """main's return code, or argparse's exit status when it stops."""
+    try:
+        return main(argv)
+    except SystemExit as stop:
+        return stop.code
+
+
+class Reached(Exception):
+    """Raised by a stand-in trial: the command got past its input checks."""
+
+
+def reach(args):
+    raise Reached
+
+
+# each flag with a value it accepts, and ways of writing that value that
+# `int` reads but the strict grammar refuses
+INTEGER_FLAGS = {
+    "g": (["numerology", "--g", "{}"], "7"),
+    "seed": (["verify-a", "--g", "5", "--trials", "1", "--seed", "{}"], "1"),
+    "trials": (["verify-a", "--g", "5", "--trials", "{}", "--seed", "1"], "1"),
+    "type": (["scroll", "--type", "1,{}", "--op", "canonical"], "2"),
+    "class": (["scroll", "--type", "1,2", "--class", "1,{}", "--op", "degree"], "1"),
+    "split": (["verify-b", "--g", "7", "--split", "1,{}", "--trials", "1", "--seed", "1"],
+              "1"),
+}
+LOOSE_SPELLINGS = {
+    "underscore": "0_{}".format, "space-before": " {}".format, "space-after": "{} ".format,
+    "plus": "+{}".format, "arabic-indic": lambda v: v.translate({48 + k: 0x660 + k
+                                                                  for k in range(10)}),
+}
+
+
+class TestStrictIntegers:
+    """An integer flag or list part reads ASCII digits with an optional
+    leading minus and nothing else; `int` alone accepts each loose
+    spelling, and read it as the accepted value."""
+
+    @pytest.mark.parametrize("argv", [
+        ["scroll", "--type", "1_1,2", "--op", "canonical"],
+        ["scroll", "--type", "\u0661,\u0662", "--op", "canonical"],
+        ["numerology", "--g", "1_2"]], ids=["type-underscore", "type-arabic", "g-underscore"])
+    def test_loosely_written_integers_exit_two(self, argv, tmp_path):
+        out = tmp_path / "report.json"
+        assert exit_code([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spelling", LOOSE_SPELLINGS.values(), ids=LOOSE_SPELLINGS)
+    @pytest.mark.parametrize("template, value", INTEGER_FLAGS.values(), ids=INTEGER_FLAGS)
+    def test_every_integer_flag_is_strict(self, template, value, spelling, tmp_path,
+                                          monkeypatch):
+        monkeypatch.setattr(pipeline, "_trial", reach)
+        out = tmp_path / "report.json"
+        assert exit_code([part.format(spelling(value)) for part in template]
+                         + ["--out", str(out)]) == 2
+        assert not out.exists()
+        # the value itself passes every input check
+        try:
+            assert main([part.format(value) for part in template] + ["--out", str(out)]) == 0
+        except Reached:
+            pass
+
+
 class TestCommands:
     def test_numerology_genus_seven(self, tmp_path):
         code, report = run(tmp_path, "numerology", "--g", "7")
@@ -623,7 +687,7 @@ class TestParser:
 class TestProcessCount:
     """APOLAR_KIT_THREADS is the number of worker processes for the trials."""
 
-    @pytest.mark.parametrize("value", ["two", "-1", "1.5"])
+    @pytest.mark.parametrize("value", ["two", "-1", "1.5", "\u0662", "-0"])
     def test_bad_value_is_input_error(self, monkeypatch, value):
         monkeypatch.setenv("APOLAR_KIT_THREADS", value)
         assert main(["verify-a", "--g", "5", "--trials", "1", "--seed", "5"]) == 2

@@ -20,15 +20,16 @@ from apolar_kit.curvegen import (BihomSection, CurveSpec, IdealDimensionError,
                                  ideal_pieces, random_section, sample_points,
                                  tetragonal_curve, tetragonal_surfaces, trigonal_curve,
                                  _ambient_restriction, _common_base_factor,
-                                 _conic_pencil, _distinct_roots, _evaluation_matrix,
+                                 _conic_pencil, _evaluation_matrix,
                                  _fiber_rational_points, _form_value, _section_from_vector,
                                  _section_slots, _tetragonal_fiber_points)
 from apolar_kit.scroll import (Scroll, canonical_class, chow_product, divisor_degree,
                                section_count)
 from apolar_kit.seeding import derive_seed, make_rng, small_rationals
+from apolar_kit.univariate import _distinct_roots
 from oracles import (admissible_splits, binary_roots, coefficient_matrix, conic_pencil,
-                     fiber_form, piece_contains, quadratic_fiber_points, recon_piece,
-                     scroll_quadrics)
+                     evaluate, fiber_form, from_sympy, piece_contains, quadratic_fiber_points,
+                     recon_piece, scroll_quadrics, to_sympy)
 
 
 def division_piece(curve, k):
@@ -81,17 +82,18 @@ def chow_oracle(scroll, cls):
     return pairing // 2 + 1
 
 
-_S, _T = sympy.symbols("s t")
+# s and t are the variables x0 and x1 of `to_sympy`
+S, T = sympy.symbols("x0:2")
 
 
-def sympy_form(form):
-    return sum((sympy.Rational(c.numerator, c.denominator) * _S ** e0 * _T ** e1
-                for (e0, e1), c in form.terms.items()), sympy.Integer(0))
+def binary(expr):
+    """The binary `Polynomial` of a nonzero sympy form in s and t."""
+    return from_sympy(expr, 2, int(sympy.total_degree(expr)))
 
 
 def sympy_common_base_factor(forms):
     """Oracle: the gcd of the nonzero forms over Q, by sympy."""
-    exprs = [sympy_form(f) for f in forms if not f.is_zero()]
+    exprs = [to_sympy(f) for f in forms if not f.is_zero()]
     if not exprs:
         return True
     common = exprs[0]
@@ -104,7 +106,7 @@ def sympy_four_distinct_roots(quartic):
     """Oracle: the affine part has degree >= 3 and is squarefree."""
     affine = [quartic.coefficient((4 - j, j)) for j in range(5)]
     poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                       for c in reversed(affine)], _T)
+                       for c in reversed(affine)], T)
     return poly.degree() >= 3 and poly.is_sqf
 
 
@@ -112,7 +114,7 @@ _C = sympy.symbols("c0:4")
 # the discriminant of c0 s^3 + c1 s^2 t + c2 s t^2 + c3 t^3, as a polynomial
 # in its coefficients: it vanishes exactly on cubics with a repeated root
 # in P^1, the zero cubic included
-_CUBIC_DISCRIMINANT = sympy.discriminant(sum(c * _S ** (3 - j) for j, c in enumerate(_C)), _S)
+_CUBIC_DISCRIMINANT = sympy.discriminant(sum(c * S ** (3 - j) for j, c in enumerate(_C)), S)
 
 
 def sympy_cubic_has_distinct_roots(cubic):
@@ -151,14 +153,9 @@ def image_scale(section):
 
 
 def binary_product(*factors):
-    out = Polynomial(2, 0, {(0, 0): 1})
-    for f in factors:
-        out = out * f
-    return out
+    return binary(sympy.Mul(*factors))
 
 
-S = Polynomial(2, 1, {(1, 0): 1})
-T = Polynomial(2, 1, {(0, 1): 1})
 binary_forms = st.integers(0, 3).flatmap(lambda d: st.builds(
     lambda cs: Polynomial(2, d, {(d - j, j): Fraction(c, 3) for j, c in enumerate(cs)}),
     st.lists(st.integers(-4, 4), min_size=d + 1, max_size=d + 1)))
@@ -166,19 +163,21 @@ binary_forms = st.integers(0, 3).flatmap(lambda d: st.builds(
 
 class TestBaseFormChecks:
     def test_common_base_factor_cases(self):
-        u = Polynomial(2, 1, {(1, 0): 2, (0, 1): -3})       # 2s - 3t
-        q = Polynomial(2, 2, {(2, 0): 1, (0, 2): 1})        # s^2 + t^2
+        u = 2 * S - 3 * T
+        q = S ** 2 + T ** 2
         cases = {
             "share s": ([S * q, S * S * u], True),
             "share t": ([T * q, T * u * u], True),
             "mixed degrees": ([u, u * q, u * S * T], True),
             "mixed degrees, coprime": ([q, u * S, T * T * T], False),
             "single form": ([q], True),
-            "single constant": ([Polynomial(2, 0, {(0, 0): 5})], False),
-            "only zero forms": ([Polynomial.zero(2, 3), Polynomial.zero(2, 1)], True),
+            "single constant": ([sympy.Integer(5)], False),
             "no forms": ([], True),
-            "zero and one form": ([Polynomial.zero(2, 2), u], True),
         }
+        cases = {name: ([binary(f) for f in forms], expected)
+                 for name, (forms, expected) in cases.items()}
+        cases["only zero forms"] = ([Polynomial(2, 3, {}), Polynomial(2, 1, {})], True)
+        cases["zero and one form"] = ([Polynomial(2, 2, {}), binary(u)], True)
         for name, (forms, expected) in cases.items():
             assert _common_base_factor(forms) == expected, name
             assert sympy_common_base_factor(forms) == expected, name
@@ -186,20 +185,17 @@ class TestBaseFormChecks:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(binary_forms, max_size=4), st.sampled_from([None, "s", "t", "u"]))
     def test_common_base_factor_against_sympy(self, forms, shared):
-        factor = {None: None, "s": S, "t": T,
-                  "u": Polynomial(2, 1, {(1, 0): 5, (0, 1): 2})}[shared]
+        factor = {None: None, "s": S, "t": T, "u": 5 * S + 2 * T}[shared]
         if factor is not None:
-            forms = [f * factor for f in forms]
+            forms = [from_sympy(to_sympy(f) * factor, 2, f.degree + 1) for f in forms]
         assert _common_base_factor(forms) == sympy_common_base_factor(forms)
 
     def test_distinct_roots_cases(self):
-        u = Polynomial(2, 1, {(1, 0): 2, (0, 1): -3})
-        v = Polynomial(2, 1, {(1, 0): 1, (0, 1): 7})
-        q = Polynomial(2, 2, {(2, 0): 2, (0, 2): -1})
+        u, v, q = 2 * S - 3 * T, S + 7 * T, 2 * S ** 2 - T ** 2
         quartics = [(binary_product(u, v, q), True), (binary_product(S, u, q), True),
                     (binary_product(S, S, q), False), (binary_product(u, u, q), False),
                     (binary_product(q, q), False), (binary_product(T, u, v, S), True),
-                    (binary_product(S, S, S, u), False), (Polynomial.zero(2, 4), False)]
+                    (binary_product(S, S, S, u), False), (Polynomial(2, 4, {}), False)]
         for quartic, expected in quartics:
             assert _distinct_roots(coefficients(quartic)) == expected
             assert sympy_four_distinct_roots(quartic) == expected
@@ -211,7 +207,7 @@ class TestBaseFormChecks:
             "root at t = 0": (binary_product(T, u, v), True),
             "double root at t = 0": (binary_product(T, T, u), False),
             "triple root": (binary_product(v, v, v), False),
-            "zero cubic": (Polynomial.zero(2, 3), False),
+            "zero cubic": (Polynomial(2, 3, {}), False),
         }
         for name, (cubic, expected) in cubics.items():
             assert _distinct_roots(coefficients(cubic)) == expected, name
@@ -266,7 +262,7 @@ class TestTrigonalCurve:
     def test_fiber_class_intersection_is_three(self):
         for g in (5, 6, 7):
             curve = trigonal_curve(g, seed=2)
-            assert chow_product([curve.classes[0], curve.scroll.F]) == 3
+            assert chow_product([curve.classes[0], curve.scroll.cls(0, 1)]) == 3
 
     def test_fiber_restriction_is_cubic(self):
         curve = trigonal_curve(6, seed=3)
@@ -605,7 +601,7 @@ class TestConicPencil:
         assert found == [p for p in ordered if p in closed]
         assert closed <= reference
         assert all(s2[0] * p[0] + s2[1] * p[1] == 0 for p in reference - closed)
-        assert all(conic(q1).evaluate(p) == 0 == conic(q2).evaluate(p) for p in closed)
+        assert all(evaluate(conic(q1), p) == 0 == evaluate(conic(q2), p) for p in closed)
 
     def test_conics_free_of_y2_give_a_zero_resultant_and_no_points(self):
         q1 = [1, 0, 0, -1, 0, 0]     # y0^2 - y1^2
@@ -636,7 +632,7 @@ class TestRandomSection:
         section = random_section(scroll, scroll.cls(2, -1), make_rng(4), through=through)
         assert any(any(row) for _, row in section.image)
         for base, fiber in through:
-            assert fiber_form(section, base).evaluate(fiber) == 0
+            assert evaluate(fiber_form(section, base), fiber) == 0
             assert _form_value(section.restrict(base), section.image, fiber) == 0
 
     @pytest.mark.parametrize("scroll_type, h, f, through", [
@@ -711,7 +707,7 @@ class TestSamplePoints:
         quadrics = scroll_quadrics(curve.scroll)
         for p in pts:
             for q in quadrics:
-                assert q.evaluate(p) == 0
+                assert evaluate(q, p) == 0
 
     def test_tetragonal_points(self):
         curve = tetragonal_curve(7, 1, 1, seed=7)
@@ -783,7 +779,7 @@ class TestIdealPieces:
         recon = ideal_pieces(curve, pts)
         for p in pts:
             for q in recon_piece(recon, 2).basis + recon_piece(recon, 3).basis:
-                assert q.evaluate(p) == 0
+                assert evaluate(q, p) == 0
 
     @pytest.mark.parametrize("g, split, scroll_type", [
         (5, None, None), (6, None, None), (7, None, None), (8, None, None),
@@ -943,7 +939,7 @@ class TestIdealPieces:
         curve = trigonal_curve(5, 1)
         (equation,) = curve.equations
         zero = BihomSection(equation.scroll, equation.cls,
-                            {exp: Polynomial.zero(2, form.degree)
+                            {exp: Polynomial(2, form.degree, {})
                              for exp, form in equation.coeffs.items()})
         with pytest.raises(IdealDimensionError) as err:
             ideal_pieces(replace(curve, equations=(zero,)))

@@ -31,10 +31,15 @@ from apolar_kit.univariate import _mul
 from apolar_kit.waring import fermat_detect_detail
 import oracles
 from oracles import (admissible_splits, coefficient_matrix, echelon_certificate, from_spanning,
-                     oracle_fit, oracle_points, random_invertible_matrix, recon_piece,
-                     scroll_quadrics)
+                     from_sympy, normalized, oracle_fit, oracle_points, plus_term,
+                     random_invertible_matrix, recon_piece, scaled, scroll_quadrics, to_sympy)
 
 _T = sympy.Symbol("t")
+
+
+def variable(i, n):
+    """The linear form x_i in n variables."""
+    return Polynomial.monomial(tuple(int(j == i) for j in range(n)))
 
 
 def build_recon(curve, seed=3):
@@ -64,7 +69,7 @@ class TestAlphaMap:
         assert alpha.hilbert == (1, 3, 3, 1)
         assert alpha.cubic.nvars == 3 and alpha.cubic.degree == 3
         assert not alpha.cubic.is_zero()
-        assert alpha.cubic == alpha.cubic.normalized()
+        assert alpha.cubic == normalized(alpha.cubic)
 
     def test_tetragonal_genus_seven_profile(self):
         curve = tetragonal_curve(7, 1, 1, seed=22)
@@ -78,7 +83,7 @@ class TestAlphaMap:
         recon = build_recon(curve)
         eta = random_dual_linear(5, make_rng(1))
         with pytest.raises(AlphaCertificateError):
-            alpha_map(recon, eta, 2 * eta)
+            alpha_map(recon, eta, scaled(eta, 2))
 
     def test_quotient_frame_matches_greedy_choice(self):
         # small coefficients give zeros, so every dropped pair occurs
@@ -97,7 +102,7 @@ class TestAlphaMap:
     @pytest.mark.parametrize("g", [5, 6, 7, 8])
     def test_quotient_frame_on_coordinate_pairs(self, g):
         for i, j in combinations(range(g), 2):
-            eta1, eta2 = Polynomial.variable(i, g), Polynomial.variable(j, g)
+            eta1, eta2 = variable(i, g), variable(j, g)
             kept = greedy_kept(eta1, eta2, g)
             assert quotient_frame(eta1, eta2, g)[0] == kept
             assert quotient_frame(eta2, eta1, g)[0] == kept
@@ -149,11 +154,10 @@ class TestAlphaMap:
 
     def test_random_pairs_skip_dependent_ones(self, monkeypatch):
         # the second draw is a multiple of the first; the next pair is kept
-        etas = iter([Polynomial.variable(0, 5), Polynomial.variable(0, 5) * 3,
-                     Polynomial.variable(1, 5), Polynomial.variable(4, 5)])
+        etas = iter([variable(0, 5), scaled(variable(0, 5), 3),
+                     variable(1, 5), variable(4, 5)])
         monkeypatch.setattr(pipeline_module, "random_dual_linear", lambda g, rng: next(etas))
-        assert _random_eta_pair(5, None) == (Polynomial.variable(1, 5),
-                                             Polynomial.variable(4, 5))
+        assert _random_eta_pair(5, None) == (variable(1, 5), variable(4, 5))
 
     def test_quotient_pieces_equal_cubic_annihilator(self):
         # round trip at pipeline level: the reduced ideal pieces must be
@@ -333,7 +337,7 @@ class TestElementwiseOracle:
         g = curve.genus
         failed = []
         for i, j in combinations(range(g), 2):
-            eta1, eta2 = Polynomial.variable(i, g), Polynomial.variable(j, g)
+            eta1, eta2 = variable(i, g), variable(j, g)
             expected = elementwise_alpha(recon, eta1, eta2)
             assert expected == alpha_outcome(recon, eta1, eta2, oracles.alpha_map)
             failed.append(not against_the_oracle(curve, recon, eta1, eta2))
@@ -383,7 +387,7 @@ class TestIntegerQuotient:
             eta1, eta2 = _random_eta_pair(g, rng)
             assert quotient_frame(eta1, eta2, g)[0] == alpha_map(recon, eta1, eta2).kept_indices
             with pytest.raises(AlphaCertificateError, match="dependent"):
-                quotient_frame(eta1, eta1 * 2, g)
+                quotient_frame(eta1, scaled(eta1, 2), g)
 
     def test_builds_only_the_cubic(self, recons, monkeypatch):
         built = []
@@ -465,7 +469,7 @@ class TestSectionInverseSystem:
                      for lam in functionals]
         n = g - 2
         columns3 = monomial_basis(n, 3)
-        generic = _inverse_vectors([(2, quadrics)], 3, columns3)[0]
+        generic = _inverse_vectors([(2, quadrics)], 3, columns3)
         assert len(solutions) == len(generic)
         span = [from_spanning(3, n, [Polynomial(n, 3, v) for v in vectors]).basis
                 for vectors in (solutions,
@@ -528,7 +532,7 @@ class TestSectionInverseSystem:
         for i, j in combinations(range(6), 2):
             before = len(read)
             try:
-                alpha_map(recon, Polynomial.variable(i, 6), Polynomial.variable(j, 6))
+                alpha_map(recon, variable(i, 6), variable(j, 6))
             except AlphaCertificateError as err:
                 if err.hilbert[2] != 4:
                     assert len(err.hilbert) == 3 and len(read) == before
@@ -637,7 +641,7 @@ def sweep_pairs(g, split, seed):
     rng = make_rng(derive_seed(seed, g))
     extra = [(random_dual_linear(g, rng, bound=1), random_dual_linear(g, rng, bound=1))
              for _ in range(2)]
-    extra += [(Polynomial.variable(i, g), Polynomial.variable(j, g))
+    extra += [(variable(i, g), variable(j, g))
               for i, j in (sorted(rng.sample(range(g), 2)) for _ in range(3))]
     return pairs[0][0], [(eta1, eta2) for _, eta1, eta2, _ in pairs] + extra
 
@@ -1069,7 +1073,8 @@ class TestIntegerFormsLayer:
                   random_form(3, 3, rng), Polynomial(2, 3, {(2, 1): 1}),
                   # not concise, and concise only past the 2^61 - 1 wrap
                   Polynomial(3, 3, {(3, 0, 0): 1, (0, 3, 0): 1}),
-                  hesse * (2 ** 61 - 1) + Polynomial(3, 3, {(2, 1, 0): 1})]
+                  Polynomial(3, 3, {**{e: c * (2 ** 61 - 1) for e, c in hesse.terms.items()},
+                                    (2, 1, 0): 1})]
         forms = cubics + [random_form(3, 4, rng), random_form(2, 5, rng)]
         # the rational oracles build matrices and contract, so they run first
         expected = [(oracles.fermat_detect_detail(f, 1) if f.degree == 3 else None,
@@ -1320,7 +1325,8 @@ class TestExactCertificate:
         alpha = alpha_for_curve(curve, derive_seed(seed, 0))
         (a0, a1), (b0, b1) = (linear_form_blocks(curve.scroll, eta)
                               for eta in (alpha.eta1, alpha.eta2))
-        assert (a0 * b1 - a1 * b0).coefficient((0, 3)) == 0
+        a0, a1, b0, b1 = map(to_sympy, (a0, a1, b0, b1))
+        assert from_sympy(a0 * b1 - a1 * b0, 2, 3).coefficient((0, 3)) == 0
 
     def test_verify_a_never_goes_through_floats(self, tmp_path, monkeypatch):
         refuse_float_stages(monkeypatch)
@@ -1386,7 +1392,7 @@ class TestCertificateRejections:
         determinant, phi, cubic = certified_schemes[which]
         exp = monomial_basis(cubic.nvars, 3)[index]
         with pytest.raises(CertificateError, match=r"\(c\)"):
-            echelon_certificate(determinant, phi, cubic + Polynomial.monomial(exp, c))
+            echelon_certificate(determinant, phi, plus_term(cubic, exp, c))
 
     @given(st.integers(0, 1), st.integers(-20, 20), st.integers(1, 20))
     @settings(max_examples=40, deadline=None)

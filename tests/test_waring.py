@@ -13,8 +13,8 @@ from apolar_kit.core import (ExactMatrix, Polynomial, _kernel_vectors, change_co
 from apolar_kit.seeding import make_rng, random_dual_linear, random_form
 from apolar_kit.waring import (CertificateError, PencilError, fermat_detect_detail,
                                rank_lower_bound, simultaneous_diagonalize)
-from oracles import (catalecticant, contract, is_apolar_scheme, oracle_fit, oracle_points,
-                     random_invertible_matrix)
+from oracles import (catalecticant, contract, from_sympy, is_apolar_scheme, oracle_fit,
+                     oracle_points, plus_term, random_invertible_matrix, to_sympy)
 
 
 def fermat(n):
@@ -119,7 +119,7 @@ class TestRankLowerBound:
                               for exp, c in inner.terms.items()}),
             random_invertible_matrix(n, rng))
         if wrap:
-            form = form + (2 ** 61 - 1) * fermat(n)
+            form = from_sympy(to_sympy(form) + (2 ** 61 - 1) * to_sympy(fermat(n)), n, 3)
         expected = oracles.hilbert_vector(form)
         assert rank_lower_bound(form) == expected.hilbert[1]
         assert hilbert_function(form) == expected
@@ -249,7 +249,7 @@ def plus_orthogonal_cube(form, seed):
     directions = [random_dual_linear(n, rng).coefficient_vector() for _ in range(3)]
     y = _kernel_vectors([[int(c) for c in l] for l in directions], n)[0]
     linear = Polynomial(n, 1, {tuple(int(i == j) for j in range(n)): c for i, c in y.items()})
-    return form + linear * linear * linear
+    return from_sympy(to_sympy(form) + to_sympy(linear) ** 3, n, 3)
 
 
 def bench_style_fermat(n, rng):
@@ -267,7 +267,7 @@ class TestWitnessCertificate:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_agrees_with_the_echelon_certificate(self, n):
         form = bench_style_fermat(n, make_rng(900 + n))
-        bumped = form + Polynomial.monomial((1, 1, 1) + (0,) * (n - 3))
+        bumped = plus_term(form, (1, 1, 1) + (0,) * (n - 3))
         for seed in (1, 2, 3):
             dec, reason = fermat_detect_detail(form, seed)
             assert reason == "ok" and dec.rank == n
@@ -303,11 +303,9 @@ def sweep_cubics(n, seed):
     rng = make_rng(700 + 10 * n + seed)
     form = bench_style_fermat(n, rng)
     basis = monomial_basis(n, 3)
-    cubes = Polynomial(n, 3, {})
-    for _ in range(n + 1):
-        linear = random_form(n, 1, rng, bound=3)
-        cubes = cubes + linear * linear * linear
-    out = [("fermat", form), ("bumped", form + Polynomial.monomial(basis[len(basis) // 2])),
+    cubes = from_sympy(sum(to_sympy(random_form(n, 1, rng, bound=3)) ** 3
+                           for _ in range(n + 1)), n, 3)
+    out = [("fermat", form), ("bumped", plus_term(form, basis[len(basis) // 2])),
            ("random", random_form(n, 3, rng, bound=2 ** 10)), ("n+1 cubes", cubes)]
     if n >= 2:
         moved = random_invertible_matrix(n, rng)
@@ -382,7 +380,7 @@ class TestFermatDetect:
         expected = [tuple(mp.mpf(int(x)) for x in row) for row in rows]
         assert match_up_to_permutation_and_scale(decomposition_points(dec), expected)
         basis = monomial_basis(n, 3)
-        perturbed = f + Polynomial.monomial(basis[index % len(basis)], c)
+        perturbed = plus_term(f, basis[index % len(basis)], c)
         # the certificate of f's scheme rejects the perturbation unless it
         # stays in the span of the same cubes
         if not is_apolar_scheme(rows, perturbed).apolar:
