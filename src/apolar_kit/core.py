@@ -63,11 +63,20 @@ def monomial_basis(nvars: int, degree: int) -> list[tuple[int, ...]]:
     starts with ``(degree, 0, ..., 0)``.  Each call returns a new list of
     the tuples `_monomials` builds once per (nvars, degree).
     """
-    if nvars < 1:
-        raise ValueError(f"nvars must be >= 1, got {nvars}")
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
+    _check_shape(nvars, degree)
     return list(_monomials(nvars, degree))
+
+
+def _check_shape(nvars: int, degree: int) -> None:
+    """Refuse a variable count or a degree that is not an `int` in range.
+
+    `_monomials` caches by value, so a value equal to a valid one but of
+    another type (a sympy Integer, a bool) would be stored under its key
+    and handed to every later caller; checked as the exponents are."""
+    if type(nvars) is not int or nvars < 1:
+        raise ValueError(f"nvars must be an integer >= 1, got {nvars!r}")
+    if type(degree) is not int or degree < 0:
+        raise ValueError(f"degree must be an integer >= 0, got {degree!r}")
 
 
 @cache
@@ -100,10 +109,7 @@ class Polynomial:
     __slots__ = ("nvars", "degree", "terms")
 
     def __init__(self, nvars: int, degree: int, terms: dict):
-        if nvars < 1:
-            raise ValueError(f"nvars must be >= 1, got {nvars}")
-        if degree < 0:
-            raise ValueError(f"degree must be >= 0, got {degree}")
+        _check_shape(nvars, degree)
         clean: dict[tuple[int, ...], Fraction] = {}
         for exp, coef in terms.items():
             exp = tuple(exp)

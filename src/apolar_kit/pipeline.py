@@ -17,11 +17,12 @@ verifiers below run those constructions at desk scale:
 
 The cubic's functional is the kernel of one Sylvester system on binary
 forms (`alpha_map`), on the base line or on the rational normal curve C0
-the hyperplanes cut on the threefold, the cubic is read off it by one
-Hankel contraction with the section's degree-2 products (`_cubic_of`),
-and either scheme is a squarefree binary form there that kills it
-(Sylvester's theorem, `waring._certify_functional`), so no root is
-computed.
+the hyperplanes cut on the threefold, and either scheme is a squarefree
+binary form there that kills it (Sylvester's theorem,
+`waring._certify_functional`), so no root is computed.  A trial reads
+nothing else: the scroll being arithmetically Cohen-Macaulay, the
+section's checks give h2 = n, conciseness is the rank of
+`AlphaResult.mu`, and the cubic is built only where it is read.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import factorial, prod
 from typing import Optional, Sequence
 
@@ -43,7 +44,7 @@ from .jsonio import ascii_int
 from .scroll import Scroll, coordinate_layout
 from .seeding import derive_seed, make_rng, random_dual_linear
 from .univariate import _combine, _mul, _multiples
-from .waring import CertificateError, _certify_functional, rank_lower_bound
+from .waring import CertificateError, _certify_functional
 
 __all__ = [
     "AlphaResult",
@@ -77,22 +78,37 @@ class VerificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class AlphaResult:
-    """The quotient of a curve by two hyperplanes.
-
-    `functional` is the cubic's functional lambda on the binary forms of
-    degree 3m, lambda_k = lambda(s^(3m - k) t^k), up to scale the kernel
-    of `alpha_map`'s Sylvester system: 3n - 2 integers on a tetragonal
-    curve (m = n - 1), 3n + 1 on a trigonal one (m = n).  The cubic is
-    F_lambda, (F_lambda)_e = (6 / e!) lambda(phi^e), divided by its lead.
-    """
+    """The quotient of a curve by two hyperplanes, as its certificates
+    read it.  `functional` is the cubic's functional lambda on the binary
+    forms of degree 3m, lambda_k = lambda(s^(3m - k) t^k), up to scale
+    the kernel of `alpha_map`'s Sylvester system: 3n - 2 integers on a
+    tetragonal curve (m = n - 1), 3n + 1 on a trigonal one (m = n).
+    `phi` is the section's n binary forms of degree m.  `mu` and `cubic`
+    are derived when first read; a trial never reads the cubic."""
 
     genus: int
     eta1: Polynomial
     eta2: Polynomial
     hilbert: tuple[int, ...]
-    cubic: Polynomial
     kept_indices: tuple[int, ...]
     functional: tuple[int, ...]
+    phi: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def mu(self) -> list[list[int]]:
+        """H_m(lambda) phi: row k = 0..2m holds mu_i[k] = sum_l phi_i[l]
+        lambda[k + l].  The cubic's contraction matrix is P mu, P the
+        products phi_a phi_b, spanning S_(2m), or S_(2n) modulo the D S_n
+        that every mu_i kills, so mu has the contraction rank."""
+        return [[sum(x * y for x, y in zip(form, self.functional[k:])) for form in self.phi]
+                for k in range(2 * len(self.phi[0]) - 1)]
+
+    @cached_property
+    def cubic(self) -> Polynomial:
+        """F_lambda, (F_lambda)_e = (6 / e!) lambda(phi^e), over its lead."""
+        terms = _cubic_of(self.mu, _products(self.phi))
+        lead = terms[max(terms)]
+        return Polynomial(len(self.phi), 3, {exp: Fraction(c, lead) for exp, c in terms.items()})
 
 
 def tetragonal_cube_bound(g: int) -> int:
@@ -189,27 +205,28 @@ def _section_forms(scroll: Scroll, etas: Sequence[Sequence[int]], kept: Sequence
                    ) -> tuple[list[list[int]], list[list[int]]]:
     """The embedded fiber phi and the two binary forms whose multiples of
     degree 3m the cubic's functional lambda kills, read off what the two
-    hyperplanes cut on the scroll, given h2 = n.
+    hyperplanes cut on the scroll S.
 
     phi is an embedded fiber of `_section` at the kept coordinates: n
     binary forms of degree m, the curve C0 (m = n - 1) on a threefold;
-    on a surface (m = n) the scheme Gamma is D = 0 on phi.  F_lambda,
-    (F_lambda)_e = (6 / e!) lambda(phi^e), pairs with an operator P as
-    6 lambda(P(phi)), and the ideal restricts to phi as its `equations`
-    do (`_surface_form`), since I_S vanishes there.  (i) phi's
-    coefficients (and D's) are independent: C0 is a rational normal
-    curve, or Gamma spans P^(n-1).  (ii) Every image q(phi) reduces to
-    zero against the relations (D_1, D_2 on a threefold, D on a surface)
-    times every monomial of degree 2m; on a threefold the images also
-    have rank n - 1 modulo a prime, a lower bound, so they span
-    D_1 S_(b_1) + D_2 S_(b_2).  Then J2 holds I(C0)_2, which generates
-    I(C0), and J3 restricts to D_i S_(m + b_i); on a surface J2 is
-    I(Gamma)_2, which generates I(Gamma) (2-regular: its Hilbert function
-    is n from degree 1), and J3 restricts to D S_(2n) + E(phi) S_(n - 2).
-    The images are read off the products phi_i phi_j, one `_mul` per
-    degree-2 exponent of each fiber that passes (i).  Returns phi, those
-    products and (D_1, D_2), or (D, E(phi)), for the first fiber that
-    passes both checks.
+    on a surface (m = n) the scheme Gamma is D = 0 on phi.  F_lambda
+    pairs with an operator P as 6 lambda(P(phi)), and the ideal restricts
+    to phi as its `equations` do (`_surface_form`), since I_S vanishes
+    there.  (i) phi's coefficients (and D's) are independent: C0 is a
+    rational normal curve, or Gamma spans P^(n-1), and no fiber plane or
+    line lies in Pi = {eta1 = eta2 = 0}, so Pi meets S properly.  (ii)
+    Every image q(phi), read off `_products`, reduces to zero against the
+    relations (D_1, D_2 on a threefold, D on a surface) times every
+    monomial of degree 2m; on a threefold the images also have rank n - 1
+    modulo a prime, a lower bound, so they span D_1 S_(b_1) + D_2 S_(b_2).
+
+    Then h2 = n, with no rank of J2: S is arithmetically Cohen-Macaulay
+    (Eagon-Northcott), so I_S restricts onto the ideal of Pi meet S, and
+    J2 is I(C0)_2, of dimension C(n - 1, 2), plus the n - 1 rows of (ii),
+    or I(Gamma)_2: dimension C(n, 2) either way.  Both ideals are
+    generated in degree 2, and J3 restricts to D_i S_(m + b_i), or
+    D S_(2n) + E(phi) S_(n - 2).  Returns phi and the two forms for the
+    first fiber that passes both checks, or fails with (1, n).
     """
     n = len(kept)
     fibers, determinant = _section(scroll, etas)
@@ -224,55 +241,48 @@ def _section_forms(scroll: Scroll, etas: Sequence[Sequence[int]], kept: Sequence
             continue
         forms = [_surface_form(equation, fiber) for equation in equations]
         relations = forms if threefold else [determinant]
-        products = {exp: _mul(*(phi[i] for i, e in enumerate(exp) for _ in range(e)))
-                    for exp in monomial_basis(n, 2)}
+        products = _products(phi)
         images = [_combine((c, products[exp]) for exp, c in q.items()) for q in quadrics]
         ech, pivots = _int_echelon(_multiples(relations, 2 * m), 2 * m + 1)
         if (any(any(_int_reduce(ech, pivots, q)) for q in images)
                 or threefold and _rank_mod_prime(images, 2 * m + 1) < n - 1):
             failed.append("(ii) J2 and the section's quadrics differ")
             continue
-        return phi, products, relations if threefold else relations + forms
-    raise AlphaCertificateError((1, n, n), "degenerate section: " + "; ".join(failed))
+        return phi, relations if threefold else relations + forms
+    raise AlphaCertificateError((1, n), "degenerate section: " + "; ".join(failed))
 
 
-def _cubic_of(functional: Sequence[int], phi: Sequence[Sequence[int]],
-              products: dict) -> dict:
+def _products(phi: Sequence[Sequence[int]]) -> dict:
+    """phi_i phi_j at each degree-2 exponent, one `_mul` each."""
+    return {exp: _mul(*(phi[i] for i, e in enumerate(exp) for _ in range(e)))
+            for exp in monomial_basis(len(phi), 2)}
+
+
+def _cubic_of(mu: Sequence[Sequence[int]], products: dict) -> dict:
     """The nonzero terms of F_lambda, (6 / e!) lambda(phi^e), as integers,
-    by one Hankel contraction of lambda and no product of degree 3m.
-
-    mu_i[k] = sum_l phi_i[l] lambda[k + l], k = 0..2m, is the Hankel
-    matrix of lambda applied to phi_i; with x_i the first variable of e,
-    lambda(phi^e) = lambda(phi_i phi^(e - u_i)) = <phi^(e - u_i), mu_i>,
-    one dot product with a degree-2 product of `_section_forms`."""
-    width = 2 * len(phi[0]) - 1   # 2m + 1, phi of degree m
-    mu = [[sum(x * y for x, y in zip(form, functional[k:])) for k in range(width)]
-          for form in phi]
+    with no product of degree 3m: with x_i the first variable of e,
+    lambda(phi^e) = <phi^(e - u_i), mu_i>, one dot product each."""
     terms = {}
-    for exp in monomial_basis(len(phi), 3):
+    for exp in monomial_basis(len(mu[0]), 3):
         i = next(i for i, e in enumerate(exp) if e)
         pair = products[exp[:i] + (exp[i] - 1,) + exp[i + 1:]]
-        terms[exp] = 6 // prod(map(factorial, exp)) * sum(x * y for x, y in zip(pair, mu[i]))
+        terms[exp] = 6 // prod(map(factorial, exp)) * sum(x * row[i] for x, row in zip(pair, mu))
     return {exp: c for exp, c in terms.items() if c}
 
 
 def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
               eta2: Polynomial) -> AlphaResult:
-    """Quotient the curve ideal by two hyperplanes and invert the result.
+    """Quotient the curve ideal by two hyperplanes down to the cubic's functional.
 
-    Everything runs on integer term maps and rows.  One `_int_substitute`
-    call restricts the quadric rows of `recon` through x -> R y
-    (`quotient_frame`), and h2 comes from `_int_rank` of the images (full
-    row rank, so read modulo a prime, when the Hilbert vector is right);
-    h2 != n fails the certificate at once.  The cubic's functional lambda
-    on forms of degree 3m kills the section's two binary forms
-    (`_section_forms`) times every monomial: one Sylvester system, 3n - 3
-    rows over 3n - 2 columns on a threefold, 3n over 3n + 1 on a surface,
-    whose kernel has dimension h3; `ideal_pieces` certified that the
-    equations span the ideal, so no degree-3 row is read.  Hilbert vector
-    (1, n, n, 1) certifies the hyperplanes as general, and F_lambda over
-    its lead is the cubic, the one `Polynomial` built, by one Hankel
-    contraction of lambda with the products of check (ii) (`_cubic_of`).
+    One `_int_substitute` call restricts the quadric rows of `recon`
+    through x -> R y (`quotient_frame`); their rank is not taken, as the
+    scroll is arithmetically Cohen-Macaulay and checks (i) and (ii) of
+    `_section_forms` give h2 = n (diagnostic (1, n) when they fail).
+    lambda, on forms of degree 3m, kills the section's two binary forms
+    times every monomial: one Sylvester system, 3n - 3 rows over 3n - 2
+    columns on a threefold, 3n over 3n + 1 on a surface, whose kernel has
+    dimension h3; `ideal_pieces` certified that the equations span the
+    ideal, so no degree-3 row is read.  No `Polynomial` is built.
     """
     g = recon.genus
     n = g - 2
@@ -280,25 +290,16 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
     basis2 = monomial_basis(g, 2)
     quadrics = [q for q in _int_substitute([{basis2[j]: c for j, c in row.items()}
                                             for row in recon.degree2], restriction, n) if q]
-    columns2 = monomial_basis(n, 2)
-    h2 = len(columns2) - _int_rank([[q.get(m, 0) for m in columns2] for q in quadrics],
-                                   len(columns2))
-    if h2 != n:
-        raise AlphaCertificateError(
-            (1, n, h2), "quotient algebra does not have the expected Hilbert vector")
-    phi, products, forms = _section_forms(recon.scroll, _hyperplane_rows(eta1, eta2), kept,
-                                          quadrics, recon.equations)
+    phi, forms = _section_forms(recon.scroll, _hyperplane_rows(eta1, eta2), kept,
+                                quadrics, recon.equations)
     width = 3 * len(phi[0]) - 2   # 3m + 1, phi of degree m
     kernel = _kernel_vectors(_multiples(forms, width - 1), width)
     hilbert = (1, n, n, len(kernel))
     if len(kernel) != 1:
         raise AlphaCertificateError(
             hilbert, "quotient algebra does not have the expected Hilbert vector")
-    functional = [kernel[0].get(k, 0) for k in range(width)]
-    terms = _cubic_of(functional, phi, products)
-    lead = terms[max(terms)]
-    cubic = Polynomial(n, 3, {exp: Fraction(c, lead) for exp, c in terms.items()})
-    return AlphaResult(g, eta1, eta2, hilbert, cubic, kept, tuple(functional))
+    return AlphaResult(g, eta1, eta2, hilbert, kept,
+                       tuple(kernel[0].get(k, 0) for k in range(width)), tuple(map(tuple, phi)))
 
 
 def reduce_to_quotient(alpha: AlphaResult, poly: Polynomial) -> Polynomial:
@@ -364,15 +365,14 @@ def _certify_fermat(curve: CurveSpec, alpha: AlphaResult,
                     failures: list) -> Optional[dict]:
     """Trigonal certificate: the cubic is a sum of the cubes of the
     n = g - 2 points the hyperplanes cut on the scroll, D = 0 on the
-    embedded fiber (`_section`), and it is concise, so its rank is
-    exactly n.  `alpha_map` read lambda off D and E(phi) times every
-    monomial, and `_certify_functional` checks that D is squarefree and
-    kills lambda: by Sylvester's theorem lambda is a weighted sum of
-    evaluations at the n roots of D."""
+    embedded fiber (`_section`), and (d) concise, `alpha.mu` of rank n,
+    so its rank is exactly n.  `_certify_functional` checks that D is
+    squarefree and kills lambda: by Sylvester's theorem lambda is a
+    weighted sum of evaluations at the n roots of D."""
     _, determinant = _section(curve.scroll, _hyperplane_rows(alpha.eta1, alpha.eta2))
     try:
         n = _certify_functional(determinant, alpha.functional)
-        if rank_lower_bound(alpha.cubic) != n:
+        if _int_rank(alpha.mu, len(alpha.phi)) != n:
             raise CertificateError("(d) the cubic is not concise")
     except CertificateError as err:
         failures.append(f"certificate: {err}")
@@ -393,17 +393,16 @@ def _certify_bound(curve: CurveSpec, alpha: AlphaResult,
     points of the scheme cut on one of the two surfaces 2H - bF, whose
     length must stay within the bound.
 
-    The hyperplanes cut the threefold scroll in the rational normal curve
-    C0 (`_section`), on which the cubic's functional lambda lives; each
-    surface restricts to a binary form D of degree L = 2g - 6 - b there
-    (`_surface_form`), with no chart.  `_certify_functional` checks that
-    D is squarefree and kills lambda, so by Sylvester's theorem lambda is
-    a weighted sum of evaluations at the L roots of D, and the cubic the
-    sum of the cubes of C0's points there.
+    Each surface restricts to a binary form D of degree L = 2g - 6 - b on
+    the rational normal curve C0 the hyperplanes cut on the threefold
+    (`_section`, `_surface_form`), where lambda lives.  If D is squarefree
+    and kills lambda (`_certify_functional`), by Sylvester's theorem the
+    cubic is the sum of the cubes of C0's points at the L roots of D.  The
+    rank of `alpha.mu` bounds the rank from below.
     """
     g = curve.genus
     bound = tetragonal_cube_bound(g)
-    lower_bound = rank_lower_bound(alpha.cubic)
+    lower_bound = _int_rank(alpha.mu, len(alpha.phi))
     bs = [-cls.f for cls in curve.classes]
     [fiber], _ = _section(curve.scroll, _hyperplane_rows(alpha.eta1, alpha.eta2))
     # prefer the lower-degree surface: larger b first
@@ -522,10 +521,10 @@ def verify_tetragonal_bound(g: int, split: Optional[tuple[int, int]], trials: in
     exactly, by Sylvester's theorem on binary forms and without a root,
     that the cubic is a sum of the cubes of the points the two
     hyperplanes cut on one of the two surfaces 2H - b F (lower degree
-    first; `_certify_bound`).  That
-    length, the degree of the surface, must stay within the bound.  The
-    report also carries the interval between the contraction-rank lower
-    bound and the length, since ranks in between are not decided here.
+    first; `_certify_bound`).  That length, the degree of the surface,
+    must stay within the bound.  The report also carries the interval
+    between the contraction-rank lower bound and the length, since ranks
+    in between are not decided here.
     The genus runs from 6 through 30; a split that `tetragonal_surfaces`
     rejects is an input error before any trial.
     """

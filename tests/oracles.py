@@ -70,18 +70,23 @@ degree.
 The quotient reads the cubic's functional off one Sylvester system on
 the section, the curve's two binary forms times every monomial, and
 pairs no degree-3 row.  The two-kernel path it replaced is kept here as
-the reference: `restricted_quadrics` is the frame and h2 check both
-share, `section_inverse_system` reads a basis of V, the degree-3 inverse
-system of the restricted quadrics, off the relations of the images
-q(phi), and `class_pairing_alpha_map` pairs every degree-3 row with V's
-basis functionals on the embedded fiber, class by class, and weighs them
-by the one kernel vector.  `lift_and_pair_alpha_map` is the pairing the
-class pairing replaced: every basis cubic F_(lambda_k) lifted back to g
-variables through the transposed restriction, paired with the cubic rows
-over all C(g + 2, 3) monomials, and the n cubics combined by the kernel
-vector.  `row_pairing_alpha_map` is the class pairing as it ran before
-rows were summed per class: every cubic row paired term by term, the
-binomials that pair to zero included.
+the reference: `restricted_quadrics` is the frame and restriction both
+share.  `h2` is the rank of the restricted quadrics that the quotient
+no longer takes, since its section checks (i) and (ii) imply h2 = n;
+`general_quadrics` refuses a pair with h2 != n, as the reference did,
+with the diagnostic vector (1, n, h2).  `section_inverse_system` reads
+a basis of V, the degree-3 inverse system of the restricted quadrics,
+off the relations of the images q(phi), and `class_pairing_alpha_map`
+pairs every degree-3 row with V's basis functionals on the embedded
+fiber, class by class, and weighs them by the one kernel vector.
+`lift_and_pair_alpha_map` is the pairing the class pairing replaced:
+every basis cubic F_(lambda_k) lifted back to g variables through the
+transposed restriction, paired with the cubic rows over all C(g + 2, 3)
+monomials, and the n cubics combined by the kernel vector.
+`row_pairing_alpha_map` is the class pairing as it ran before rows were
+summed per class: every cubic row paired term by term, the binomials
+that pair to zero included.  All three return a `SectionQuotient`,
+whose cubic is built here.
 
 The quotient reads its cubic F_lambda off lambda by one Hankel
 contraction with the section's degree-2 products.  `product_cubic_of`
@@ -118,8 +123,8 @@ from apolar_kit.core import (ExactMatrix, Polynomial, _combination, _int_echelon
                              _int_rank, _int_reduce, _int_substitute, _kernel_vectors,
                              _monomial_value, _row_to_int, _scaled, monomial_basis, substitute)
 from apolar_kit.curvegen import _restriction_classes, balanced_type, tetragonal_surfaces
-from apolar_kit.pipeline import (AlphaCertificateError, AlphaResult, _embed, _hyperplane_rows,
-                                 _section, _surface_form, tetragonal_cube_bound)
+from apolar_kit.pipeline import (AlphaCertificateError, _embed, _hyperplane_rows, _section,
+                                 _surface_form, tetragonal_cube_bound)
 from apolar_kit.pipeline import quotient_frame as int_quotient_frame
 from apolar_kit.scroll import Scroll, coordinate_layout, divisor_degree
 from apolar_kit.seeding import make_rng, random_dual_linear
@@ -912,21 +917,34 @@ def scheme_certify_bound(curve, alpha, failures):
 def restricted_quadrics(recon, eta1, eta2):
     """(kept, restriction, quadrics) as `pipeline.alpha_map` computes them
     before it reads the section: the frame, and the quadric rows of
-    `recon` restricted to n variables.  Raises `AlphaCertificateError`
-    with the diagnostic vector (1, n, h2) when h2 != n."""
+    `recon` restricted to n variables."""
     g = recon.genus
-    n = g - 2
     kept, restriction = int_quotient_frame(eta1, eta2, g)
     basis2 = monomial_basis(g, 2)
     quadrics = [q for q in _int_substitute([{basis2[j]: c for j, c in row.items()}
-                                            for row in recon.degree2], restriction, n) if q]
-    columns2 = monomial_basis(n, 2)
-    h2 = len(columns2) - _int_rank([[q.get(m, 0) for m in columns2] for q in quadrics],
-                                   len(columns2))
-    if h2 != n:
-        raise AlphaCertificateError(
-            (1, n, h2), "quotient algebra does not have the expected Hilbert vector")
+                                            for row in recon.degree2], restriction, g - 2) if q]
     return kept, restriction, quadrics
+
+
+def h2(recon, eta1, eta2):
+    """The quotient's h2: C(n + 1, 2) minus the rank of the restricted
+    quadrics, the rank `pipeline.alpha_map` took before it read h2 off
+    the section's checks."""
+    columns2 = monomial_basis(recon.genus - 2, 2)
+    quadrics = restricted_quadrics(recon, eta1, eta2)[2]
+    return len(columns2) - _int_rank([[q.get(m, 0) for m in columns2] for q in quadrics],
+                                     len(columns2))
+
+
+def general_quadrics(recon, eta1, eta2):
+    """`restricted_quadrics` of a pair with h2 = n; `AlphaCertificateError`
+    with the diagnostic vector (1, n, h2) otherwise."""
+    n = recon.genus - 2
+    found = h2(recon, eta1, eta2)
+    if found != n:
+        raise AlphaCertificateError(
+            (1, n, found), "quotient algebra does not have the expected Hilbert vector")
+    return restricted_quadrics(recon, eta1, eta2)
 
 
 def powers(phi, top):
@@ -993,11 +1011,15 @@ def section_inverse_system(scroll, etas, kept, quadrics):
                       for h in relations for a in range(width - len(h) + 1)]
         return fiber, [[lam.get(j, 0) for j in range(width)]
                        for lam in _kernel_vectors(conditions, width)]
-    raise AlphaCertificateError((1, n, n), "degenerate section: " + "; ".join(failed))
+    raise AlphaCertificateError((1, n), "degenerate section: " + "; ".join(failed))
+
+
+SectionQuotient = namedtuple("SectionQuotient",
+                             "genus eta1 eta2 hilbert kept_indices functional cubic")
 
 
 def _combined_quotient(recon, eta1, eta2, kept, fiber, functionals, combos):
-    """The `AlphaResult` of V's basis functionals weighed by the one kernel
+    """The `SectionQuotient` of V's basis functionals weighed by the one kernel
     vector of a degree-3 pairing; `AlphaCertificateError` when that
     kernel does not have dimension 1."""
     n = recon.genus - 2
@@ -1007,10 +1029,8 @@ def _combined_quotient(recon, eta1, eta2, kept, fiber, functionals, combos):
             hilbert, "quotient algebra does not have the expected Hilbert vector")
     functional = _combine((c, functionals[i]) for i, c in combos[0].items())
     image = _embed(recon.scroll, fiber)
-    terms = product_cubic_of(functional, [image[i] for i in kept])
-    lead = terms[max(terms)]
-    cubic = Polynomial(n, 3, {exp: Fraction(c, lead) for exp, c in terms.items()})
-    return AlphaResult(recon.genus, eta1, eta2, hilbert, cubic, kept, tuple(functional))
+    cubic = normalized(Polynomial(n, 3, product_cubic_of(functional, [image[i] for i in kept])))
+    return SectionQuotient(recon.genus, eta1, eta2, hilbert, kept, tuple(functional), cubic)
 
 
 def _class_values(scroll, fiber, functionals):
@@ -1034,7 +1054,7 @@ def class_pairing_alpha_map(recon, eta1, eta2):
     A row is summed per class first, and only rows with a nonzero class
     sum are paired; the kernel of those rows has dimension h3, and its
     one vector weighs the basis functionals into lambda."""
-    kept, _, quadrics = restricted_quadrics(recon, eta1, eta2)
+    kept, _, quadrics = general_quadrics(recon, eta1, eta2)
     fiber, functionals = section_inverse_system(
         recon.scroll, _hyperplane_rows(eta1, eta2), kept, quadrics)
     values, classes = _class_values(recon.scroll, fiber, functionals)
@@ -1058,7 +1078,7 @@ def lift_and_pair_alpha_map(recon, eta1, eta2):
     `AlphaCertificateError` like `pipeline.alpha_map`."""
     g = recon.genus
     n = g - 2
-    kept, restriction, quadrics = restricted_quadrics(recon, eta1, eta2)
+    kept, restriction, quadrics = general_quadrics(recon, eta1, eta2)
     fiber, functionals = section_inverse_system(
         recon.scroll, _hyperplane_rows(eta1, eta2), kept, quadrics)
     image = _embed(recon.scroll, fiber)
@@ -1073,11 +1093,9 @@ def lift_and_pair_alpha_map(recon, eta1, eta2):
     if len(combos) != 1:
         raise AlphaCertificateError(
             hilbert, "quotient algebra does not have the expected Hilbert vector")
-    terms = _combination(combos[0], solutions)
-    lead = terms[max(terms)]
-    cubic = Polynomial(n, 3, {exp: Fraction(c, lead) for exp, c in terms.items()})
     functional = _combine((c, functionals[i]) for i, c in combos[0].items())
-    return AlphaResult(g, eta1, eta2, hilbert, cubic, kept, tuple(functional))
+    return SectionQuotient(g, eta1, eta2, hilbert, kept, tuple(functional),
+                           normalized(Polynomial(n, 3, _combination(combos[0], solutions))))
 
 
 def row_pairing_alpha_map(recon, eta1, eta2):
@@ -1085,7 +1103,7 @@ def row_pairing_alpha_map(recon, eta1, eta2):
     class: each cubic row of `recon` paired term by term with V's
     functionals on the embedded fiber, every row sent to the kernel, zero
     or not."""
-    kept, _, quadrics = restricted_quadrics(recon, eta1, eta2)
+    kept, _, quadrics = general_quadrics(recon, eta1, eta2)
     fiber, functionals = section_inverse_system(
         recon.scroll, _hyperplane_rows(eta1, eta2), kept, quadrics)
     values, classes = _class_values(recon.scroll, fiber, functionals)

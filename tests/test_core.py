@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sympy.polys.matrices import DomainMatrix
 
+from apolar_kit import core
 from apolar_kit.core import (_RANK_PRIME, ExactMatrix, Polynomial, _pivots_mod_prime,
                              change_coordinates, monomial_basis, substitute)
 from apolar_kit.seeding import make_rng, random_form
@@ -470,6 +471,19 @@ class TestPolynomial:
     def test_non_integer_exponent_rejected(self, exp):
         with pytest.raises(ValueError, match="exponents"):
             Polynomial(2, 3, {exp: 1})
+
+    @pytest.mark.parametrize("nvars, degree", [(2, sympy.Integer(0)), (sympy.Integer(2), 1),
+                                               (2, False), (True, 1), (2, 1.0)])
+    def test_non_integer_shape_rejected(self, nvars, degree):
+        # `_monomials` caches by value: a refused value equal to a valid one
+        # must not be stored under that key, so a later form still builds
+        core._monomials.cache_clear()
+        with pytest.raises(ValueError, match="nvars|degree"):
+            Polynomial(nvars, degree, {})
+        with pytest.raises(ValueError, match="nvars|degree"):
+            monomial_basis(nvars, degree)
+        for form in (random_form(2, 0, make_rng(1)), random_form(2, 1, make_rng(1))):
+            assert all(type(e) is int for exp in form.terms for e in exp)
 
     def test_boolean_coefficient_rejected(self):
         with pytest.raises(TypeError, match="coefficient"):

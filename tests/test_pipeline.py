@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -262,9 +263,11 @@ def against_the_oracle(curve, recon, eta1, eta2):
     """alpha_map against `oracles.alpha_map` on one pair; returns whether
     alpha_map accepted it.  Where both accept, the Hilbert vector, kept
     coordinates and cubic agree; where both reject, alpha_map's diagnostic
-    is the oracle's cut to its length (the text too when h2 != n).  A pair
-    only alpha_map rejects has a degenerate section (h2 = n), and the
-    oracle's cubic fails the scheme certificate on it."""
+    is the oracle's cut to its length, and so is the text unless the
+    section failed.  Where the oracle finds h2 != n, a section check,
+    (i) or (ii), fails.  A pair only alpha_map rejects has a degenerate
+    section (h2 = n), and the oracle's cubic fails the scheme certificate
+    on it."""
     n = curve.genus - 2
     try:
         expected = oracles.alpha_map(recon, eta1, eta2)
@@ -275,18 +278,19 @@ def against_the_oracle(curve, recon, eta1, eta2):
     except AlphaCertificateError as err:
         if isinstance(expected, AlphaCertificateError):
             assert err.hilbert == expected.hilbert[:len(err.hilbert)]
-            if err.hilbert[2:] != (n,):
-                assert str(err) == str(expected).replace(str(expected.hilbert),
-                                                         str(err.hilbert))
+            if len(err.hilbert) != 2:
+                assert str(err) == str(expected)
+            elif expected.hilbert[2] != n:
+                assert re.search(r"\((i|ii)\) ", str(err))
         else:
-            assert err.hilbert == (1, n, n) and "degenerate section" in str(err)
+            assert err.hilbert == (1, n) and "degenerate section" in str(err)
             # the oracle's generic kernel gives no functional, so the
             # cubic is checked by the span certificate
             certify = (oracles.scheme_certify_fermat if curve.gonality == 3
                        else oracles.scheme_certify_bound)
             hilbert, kept, cubic = expected[:3]
-            assert certify(curve, AlphaResult(curve.genus, eta1, eta2, hilbert, cubic, kept, ()),
-                           []) is None
+            assert certify(curve, oracles.SectionQuotient(curve.genus, eta1, eta2, hilbert,
+                                                          kept, (), cubic), []) is None
         return False
     assert not isinstance(expected, AlphaCertificateError), expected
     assert (alpha.hilbert, alpha.kept_indices, alpha.cubic) == tuple(expected[:3])
@@ -372,7 +376,8 @@ class TestFractionOracle:
 
 
 class TestIntegerQuotient:
-    """The quotient runs without the generic solver and builds one Polynomial."""
+    """The quotient runs without the generic solver and builds no Polynomial;
+    its cubic is built once, where it is read."""
 
     @pytest.fixture(scope="class")
     def recons(self):
@@ -389,7 +394,7 @@ class TestIntegerQuotient:
             with pytest.raises(AlphaCertificateError, match="dependent"):
                 quotient_frame(eta1, scaled(eta1, 2), g)
 
-    def test_builds_only_the_cubic(self, recons, monkeypatch):
+    def test_builds_the_cubic_only_when_read(self, recons, monkeypatch):
         built = []
         original = Polynomial.__init__
 
@@ -400,10 +405,14 @@ class TestIntegerQuotient:
         for recon in recons:
             eta1, eta2 = _random_eta_pair(recon.genus, rng)
             monkeypatch.setattr(Polynomial, "__init__", recording)
-            alpha_map(recon, eta1, eta2)
+            alpha = alpha_map(recon, eta1, eta2)
+            assert built == []
+            assert alpha.cubic is alpha.cubic
             monkeypatch.undo()
             assert built == [(recon.genus - 2, 3)]
             built.clear()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                alpha.cubic = None
 
 
 def section_curves():
@@ -520,24 +529,23 @@ class TestSectionInverseSystem:
             alpha_map(recon, eta1, eta2)
         assert not against_the_oracle(curve, recon, eta1, eta2)
 
-    def test_h2_is_checked_before_the_section(self, monkeypatch):
-        # coordinate pairs on a trigonal sextic: where h2 != n no section
-        # is read, and the diagnostic stops at h2
+    def test_h2_off_n_fails_the_section(self, monkeypatch):
+        # coordinate pairs on a trigonal sextic: where h2 != n no rank of
+        # the restricted quadrics is taken, a check of the section fails,
+        # and the diagnostic stops at (1, n)
         recon = build_recon(trigonal_curve(6, seed=77))
-        read = []
-        original = pipeline_module._section_forms
-        monkeypatch.setattr(pipeline_module, "_section_forms",
-                            lambda *args: read.append(args) or original(*args))
-        short = 0
+        widths = []
+        original = pipeline_module._int_rank
+        monkeypatch.setattr(pipeline_module, "_int_rank",
+                            lambda rows, ncols: widths.append(ncols) or original(rows, ncols))
+        off = 0
         for i, j in combinations(range(6), 2):
-            before = len(read)
-            try:
-                alpha_map(recon, variable(i, 6), variable(j, 6))
-            except AlphaCertificateError as err:
-                if err.hilbert[2] != 4:
-                    assert len(err.hilbert) == 3 and len(read) == before
-                    short += 1
-        assert short
+            if oracles.h2(recon, variable(i, 6), variable(j, 6)) != 4:
+                with pytest.raises(AlphaCertificateError, match=r"\((i|ii)\) ") as err:
+                    alpha_map(recon, variable(i, 6), variable(j, 6))
+                assert err.value.hilbert == (1, 4)
+                off += 1
+        assert off and widths and max(widths) <= 5   # (i): m + 1 columns
 
 
 def pairing_curves():
@@ -665,8 +673,12 @@ class TestSylvesterSystem:
 
     @pytest.mark.parametrize("g, split, seed", pairing_curves())
     def test_same_quotient_as_the_class_pairing(self, g, split, seed):
-        # hilbert, cubic and error text equal, lambda up to a nonzero factor
+        # hilbert, cubic and error text equal, lambda up to a nonzero factor;
+        # the reference ranks h2, and a pair with h2 != n fails (i) or (ii)
+        # here with only (1, n) certified; the contraction rank of the
+        # cubic is the rank of mu = H_m(lambda) phi
         recon, pairs = sweep_pairs(g, split, seed)
+        n = g - 2
         for eta1, eta2 in pairs:
             try:
                 expected = oracles.class_pairing_alpha_map(recon, eta1, eta2)
@@ -676,12 +688,17 @@ class TestSylvesterSystem:
                 alpha = alpha_map(recon, eta1, eta2)
             except AlphaCertificateError as err:
                 assert isinstance(expected, AlphaCertificateError), expected
+                if len(err.hilbert) > 1 and oracles.h2(recon, eta1, eta2) != n:
+                    assert err.hilbert == (1, n) and re.search(r"\((i|ii)\) ", str(err))
+                    continue
                 assert (err.hilbert, str(err)) == (expected.hilbert, str(expected))
                 continue
+            assert oracles.h2(recon, eta1, eta2) == n
             assert not isinstance(expected, AlphaCertificateError), expected
             assert (alpha.hilbert, alpha.kept_indices, alpha.cubic) == (
                 expected.hilbert, expected.kept_indices, expected.cubic)
             assert proportional(alpha.functional, expected.functional)
+            assert core._int_rank(alpha.mu, n) == waring.rank_lower_bound(alpha.cubic)
 
     @pytest.mark.parametrize("g, split", [(7, None), (8, None), (7, (1, 1)), (8, (1, 2))],
                              ids=["tri7", "tri8", "tet7", "tet8"])
@@ -695,7 +712,7 @@ class TestSylvesterSystem:
             {(2,) + (0,) * (n - 1): 1}, *substitute(*args)[1:]])
         with pytest.raises(AlphaCertificateError) as err:
             alpha_map(recon, eta1, eta2)
-        assert err.value.hilbert == (1, n, n)
+        assert err.value.hilbert == (1, n)
         # a surface tries both of its fibers
         assert str(err.value).count("(ii) J2 and the section's quadrics differ") == (
             2 if split is None else 1)
@@ -737,7 +754,7 @@ class TestSylvesterSystem:
         recon, eta1, eta2 = accepted_pair(8, (1, 2))
         with pytest.raises(AlphaCertificateError, match=r"\(ii\)") as err:
             alpha_map(dataclasses.replace(recon, equations=()), eta1, eta2)
-        assert err.value.hilbert == (1, 6, 6)
+        assert err.value.hilbert == (1, 6)
 
     @pytest.mark.parametrize("g, split", BENCH_CURVES + [(11, None), (11, (3, 3))])
     def test_reads_no_degree3_row(self, g, split):
@@ -775,20 +792,20 @@ class TestHankelCubic:
     of degree 3 (`oracles.product_cubic_of`)."""
 
     @pytest.mark.parametrize("g, split, seed", hankel_curves())
-    def test_equals_the_product_reference(self, g, split, seed, monkeypatch):
-        # the (lambda, phi, products) of every accepted pair `section_pairs` draws
-        pairs = [pair[:3] for pair in section_pairs(g, split, seed) if pair[3]]
-        captured = []
-        original = pipeline_module._cubic_of
-        monkeypatch.setattr(pipeline_module, "_cubic_of",
-                            lambda *args: captured.append(args) or original(*args))
-        accepted = [alpha_map(*pair) for pair in pairs]
-        assert accepted and len(captured) == len(accepted)
-        for functional, phi, products in captured:
-            assert products == {exp: p for exp, p in oracles.powers(phi, 2).items()
+    def test_equals_the_product_reference(self, g, split, seed):
+        # the (lambda, phi) of every accepted pair `section_pairs` draws
+        accepted = [alpha_map(*pair[:3]) for pair in section_pairs(g, split, seed) if pair[3]]
+        assert accepted
+        for alpha in accepted:
+            products = pipeline_module._products(alpha.phi)
+            assert products == {exp: p for exp, p in oracles.powers(alpha.phi, 2).items()
                                 if sum(exp) == 2}
-            assert original(functional, phi, products) == oracles.product_cubic_of(
-                functional, phi)
+            # mu = H_m(lambda) phi, phi of degree m
+            assert alpha.mu == [[sum(h * x for h, x in zip(row, form)) for form in alpha.phi]
+                                for row in hankel(alpha.functional, len(alpha.phi[0]) - 1)]
+            expected = oracles.product_cubic_of(alpha.functional, alpha.phi)
+            assert pipeline_module._cubic_of(alpha.mu, products) == expected
+            assert alpha.cubic == normalized(Polynomial(g - 2, 3, expected))
 
     @pytest.mark.parametrize("g, split", [(8, None), (8, (1, 2))], ids=["tri8", "tet8"])
     def test_builds_no_product_of_degree_three(self, g, split, monkeypatch):
@@ -874,8 +891,8 @@ class TestSylvesterCertificate:
             moved = list(alpha.functional)
             moved[len(moved) // 2] += 1
             for functional in (alpha.functional, tuple(moved)):
-                cubic = cubic_of_functional(curve, alpha, functional)
-                mutated = dataclasses.replace(alpha, cubic=cubic, functional=functional)
+                mutated = dataclasses.replace(alpha, functional=functional)
+                assert mutated.cubic == cubic_of_functional(curve, alpha, functional)
                 failures, expected_failures = [], []
                 found = _certify_bound(curve, mutated, failures)
                 assert found == oracles.scheme_certify_bound(curve, mutated, expected_failures)
@@ -1038,12 +1055,14 @@ class TestTrigonalSylvesterCertificate:
 
     @pytest.mark.parametrize("g", [5, 6, 7, 8])
     def test_a_cubic_that_is_not_concise_fails_d(self, g):
-        # the cubic with its last variable set to zero, lambda left valid
+        # the last coordinate of the section set to zero, lambda left valid:
+        # the cubic with its last variable set to zero
         curve, alpha = accepted_alphas(g, None, 1)[0]
-        flat = Polynomial(g - 2, 3, {exp: c for exp, c in alpha.cubic.terms.items()
-                                     if not exp[-1]})
+        flat = dataclasses.replace(alpha, phi=alpha.phi[:-1] + ((0,) * len(alpha.phi[0]),))
+        assert flat.cubic.terms == {exp: c for exp, c in alpha.cubic.terms.items()
+                                    if not exp[-1]}
         failures = []
-        assert _certify_fermat(curve, dataclasses.replace(alpha, cubic=flat), failures) is None
+        assert _certify_fermat(curve, flat, failures) is None
         assert failures == ["certificate: (d) the cubic is not concise"]
 
 
@@ -1260,8 +1279,8 @@ class TestExactCertificate:
         alpha = alpha_for_curve(curve, seed=83)
         functional = list(alpha.functional)
         functional[len(functional) // 2] += 1
-        perturbed = dataclasses.replace(alpha, functional=tuple(functional),
-                                        cubic=cubic_of_functional(curve, alpha, functional))
+        perturbed = dataclasses.replace(alpha, functional=tuple(functional))
+        assert perturbed.cubic == cubic_of_functional(curve, alpha, functional)
         found, failures = certificate_failures(curve, perturbed)
         assert found is None
         assert failures == ["certificate: (c) the cubic is not in the span of "
@@ -1276,7 +1295,7 @@ class TestExactCertificate:
         other = alpha_map(build_recon(curve), random_dual_linear(7, rng),
                           random_dual_linear(7, rng))
         found, failures = certificate_failures(
-            curve, dataclasses.replace(alpha, cubic=other.cubic, functional=other.functional))
+            curve, dataclasses.replace(alpha, functional=other.functional, phi=other.phi))
         assert found is None
         assert failures == ["certificate: (c) the cubic is not in the span of "
                             "the scheme's cubes"]
@@ -1302,15 +1321,16 @@ class TestExactCertificate:
 
     def test_rejects_a_cubic_that_is_not_concise(self):
         # x0^3 + x1^3 is a sum of the cubes of the scheme's points e0, e1
-        # and e0 + e1 (at t = 0, 1, 2), but needs only two variables; the
-        # curve's functional passes (c), so (d) refuses it
+        # and e0 + e1 (at t = 0, 1, 2), but needs only two variables; so
+        # does F_lambda on the section (s^3 - s^2 t, s^2 t, 0) in place of
+        # phi, while the curve's functional still passes (c)
         scheme = ([0, 2, -3, 1], [[2, -4, 2], [0, 3, -1], [0]])
+        assert echelon_certificate(*scheme, Polynomial(3, 3, {(3, 0, 0): 1, (0, 3, 0): 1})) == 3
         curve = trigonal_curve(5, seed=88)
         alpha = alpha_for_curve(curve, seed=88)
-        cubic = Polynomial(3, 3, {(3, 0, 0): 1, (0, 3, 0): 1})
-        assert echelon_certificate(*scheme, cubic) == 3
-        found, failures = certificate_failures(
-            curve, dataclasses.replace(alpha, cubic=cubic))
+        flat = dataclasses.replace(alpha, phi=((1, -1, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0)))
+        assert flat.cubic.terms and all(exp[2] == 0 for exp in flat.cubic.terms)
+        found, failures = certificate_failures(curve, flat)
         assert found is None
         assert failures == ["certificate: (d) the cubic is not concise"]
 
@@ -1491,3 +1511,39 @@ class TestVerifiers:
             verify_trigonal_fermat(31, trials=1, seed=1)
         with pytest.raises(ValueError):
             verify_tetragonal_bound(31, None, trials=1, seed=1)
+
+
+class TestTrialReadsLambdaAlone:
+    """A trial certifies on the cubic's functional and the section alone:
+    it ranks no restricted quadric (h2 comes from the section's checks),
+    calls no `rank_lower_bound` (conciseness is the rank of `mu`) and
+    builds no cubic."""
+
+    @pytest.mark.parametrize("g, split", BENCH_CURVES)
+    def test_reports_unchanged_without_them(self, g, split, tmp_path, monkeypatch):
+        argv = (["verify-a", "--g", str(g)] if split is None
+                else ["verify-b", "--g", str(g), "--split", "%d,%d" % split])
+        out = tmp_path / "report.json"
+        argv += ["--trials", "2", "--seed", "1", "--out", str(out)]
+        monkeypatch.delenv("APOLAR_KIT_THREADS", raising=False)
+        assert main(argv) == 0
+        expected = out.read_bytes()
+
+        def refuse(*args):
+            raise AssertionError("a trial built or ranked the cubic")
+        monkeypatch.setattr(pipeline_module, "_cubic_of", refuse)
+        original = waring.rank_lower_bound
+        for module_name, module in list(sys.modules.items()):
+            if (module_name.split(".")[0] == "apolar_kit"
+                    and getattr(module, "rank_lower_bound", None) is original):
+                monkeypatch.setattr(module, "rank_lower_bound", refuse)
+        widths = []
+        rank = pipeline_module._int_rank
+        monkeypatch.setattr(pipeline_module, "_int_rank",
+                            lambda rows, ncols: widths.append(ncols) or rank(rows, ncols))
+        out.unlink()
+        assert main(argv) == 0
+        assert out.read_bytes() == expected
+        # (i) ranks m + 1 <= n + 1 columns and conciseness n; h2 took C(n + 1, 2)
+        n = g - 2
+        assert widths and max(widths) <= n + 1 < comb(n + 1, 2)
