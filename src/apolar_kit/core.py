@@ -213,6 +213,13 @@ def _combination(weights: dict, vectors) -> dict:
     return {key: x for key, x in total.items() if x}
 
 
+def _first_step(exp: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(i, exp - u_i), x_i the first variable of x^exp: x^exp is one
+    product of x^(exp - u_i), a monomial of one degree less, and x_i."""
+    i = next(i for i, e in enumerate(exp) if e)
+    return i, exp[:i] + (exp[i] - 1,) + exp[i + 1:]
+
+
 def _int_substitute(forms: Sequence[dict], rows: Sequence[Sequence[int]],
                     ncols: int) -> list[dict]:
     """Substitute x_i -> sum_j M[i][j] y_j in integer term maps, M the
@@ -224,9 +231,9 @@ def _int_substitute(forms: Sequence[dict], rows: Sequence[Sequence[int]],
 
     def image(exp: tuple[int, ...]) -> dict:
         if exp not in images:
-            i = next(i for i, e in enumerate(exp) if e)
+            i, lower = _first_step(exp)
             found = images[exp] = {}
-            for mono, c in image(exp[:i] + (exp[i] - 1,) + exp[i + 1:]).items():
+            for mono, c in image(lower).items():
                 for j, a in sparse[i]:
                     key = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
                     found[key] = found.get(key, 0) + c * a

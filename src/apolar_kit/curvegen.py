@@ -41,7 +41,7 @@ from itertools import chain, islice
 from math import comb, gcd
 from typing import Optional, Sequence
 
-from .core import (Polynomial, _combination, _int_echelon, _kernel_vectors,
+from .core import (Polynomial, _combination, _first_step, _int_echelon, _kernel_vectors,
                    _monomial_value, _rank_mod_prime, _row_to_int, monomial_basis,
                    primitive_point)
 from .scroll import (DivisorClass, Scroll, canonical_class, chow_product,
@@ -567,8 +567,8 @@ def _evaluation_matrix(points: Sequence[Sequence[int]], lower: Sequence[Sequence
     index = {exp: j for j, exp in enumerate(lower_basis)}
     steps = []
     for exp in basis:
-        i = next(i for i, e in enumerate(exp) if e)
-        steps.append((index[exp[:i] + (exp[i] - 1,) + exp[i + 1:]], i))
+        i, below = _first_step(exp)
+        steps.append((index[below], i))
     return [[values[j] * p[i] for j, i in steps] for p, values in zip(points, lower)]
 
 

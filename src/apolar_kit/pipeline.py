@@ -19,10 +19,13 @@ The cubic's functional is the kernel of one Sylvester system on binary
 forms (`alpha_map`), on the base line or on the rational normal curve C0
 the hyperplanes cut on the threefold, and either scheme is a squarefree
 binary form there that kills it (Sylvester's theorem,
-`waring._certify_functional`), so no root is computed.  A trial reads
-nothing else: the scroll being arithmetically Cohen-Macaulay, the
-section's checks give h2 = n, conciseness is the rank of
-`AlphaResult.mu`, and the cubic is built only where it is read.
+`waring._certify_functional`), so no root is computed.  The scroll is
+cut once per quotient, the curve's quadrics are read on that embedded
+fiber in g coordinates, and the certificates read the two binary forms
+off `AlphaResult.forms`.  A trial reads nothing else: the scroll being
+arithmetically Cohen-Macaulay, the section's checks give h2 = n,
+conciseness is the rank of `AlphaResult.mu`, and the cubic is built
+only where it is read.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from functools import cached_property, reduce
 from math import factorial, prod
 from typing import Optional, Sequence
 
-from .core import (ExactMatrix, Polynomial, _int_echelon, _int_rank, _int_reduce,
-                   _int_substitute, _kernel_vectors, _rank_mod_prime, _row_to_int,
+from .core import (ExactMatrix, Polynomial, _first_step, _int_echelon, _int_rank,
+                   _int_reduce, _kernel_vectors, _rank_mod_prime, _row_to_int,
                    change_coordinates, monomial_basis)
 from .curvegen import (BihomSection, CurveSpec, IdealReconstruction, balanced_type,
                        ideal_pieces, sample_points, tetragonal_curve, tetragonal_surfaces,
@@ -83,8 +86,10 @@ class AlphaResult:
     forms of degree 3m, lambda_k = lambda(s^(3m - k) t^k), up to scale
     the kernel of `alpha_map`'s Sylvester system: 3n - 2 integers on a
     tetragonal curve (m = n - 1), 3n + 1 on a trigonal one (m = n).
-    `phi` is the section's n binary forms of degree m.  `mu` and `cubic`
-    are derived when first read; a trial never reads the cubic."""
+    `phi` is the section's n binary forms of degree m, and `forms` the
+    Sylvester system's two binary forms on it: (D_1, D_2) on a threefold,
+    (D, E(phi)) on a surface.  `mu` and `cubic` are derived when first
+    read; a trial never reads the cubic."""
 
     genus: int
     eta1: Polynomial
@@ -93,6 +98,7 @@ class AlphaResult:
     kept_indices: tuple[int, ...]
     functional: tuple[int, ...]
     phi: tuple[tuple[int, ...], ...]
+    forms: tuple[tuple[int, ...], ...]
 
     @cached_property
     def mu(self) -> list[list[int]]:
@@ -124,41 +130,29 @@ def _hyperplane_rows(eta1: Polynomial, eta2: Polynomial) -> list[list[int]]:
     return [_row_to_int(eta.coefficient_vector(basis1)) for eta in (eta1, eta2)]
 
 
-def _dropped_pair(c1: Sequence[int], c2: Sequence[int]) -> Optional[tuple[int, int, int]]:
-    """(j1, j2, delta) for two hyperplane rows, None when they are dependent:
-    j1 is the last column where either row is nonzero, j2 the last column
-    before it whose minor with j1, delta = c1[j2] c2[j1] - c1[j1] c2[j2],
-    is nonzero."""
+def _dropped_pair(c1: Sequence[int], c2: Sequence[int]) -> Optional[tuple[int, int]]:
+    """(j1, j2) for two hyperplane rows, None when they are dependent: j1
+    is the last column where either row is nonzero, j2 the last column
+    before it whose minor with j1, c1[j2] c2[j1] - c1[j1] c2[j2], is
+    nonzero."""
     j1 = max((j for j, column in enumerate(zip(c1, c2)) if any(column)), default=0)
     for j2 in reversed(range(j1)):
-        delta = c1[j2] * c2[j1] - c1[j1] * c2[j2]
-        if delta:
-            return j1, j2, delta
+        if c1[j2] * c2[j1] - c1[j1] * c2[j2]:
+            return j1, j2
     return None
 
 
-def quotient_frame(eta1: Polynomial, eta2: Polynomial, g: int):
-    """The kept coordinates and the restriction to the two hyperplanes.
-
-    Returns (kept, R): the coordinates other than the `_dropped_pair` of
-    the hyperplanes' primitive integer rows c1, c2, and the g x n integer
-    matrix R = delta L, L sending y to the point of both hyperplanes with
-    kept coordinates y.  By Cramer's rule, with m(p, q) = c1[p] c2[q] -
-    c1[q] c2[p], the row of the i-th kept coordinate is delta e_i, the
-    row of j2 is m(j1, k) and the row of j1 is m(k, j2), over kept k.
-    """
+def quotient_frame(eta1: Polynomial, eta2: Polynomial, g: int) -> tuple[int, ...]:
+    """The kept coordinates: all but the `_dropped_pair` of the
+    hyperplanes' primitive integer rows, so the kept coordinates are
+    coordinates on Pi = {eta1 = eta2 = 0}.  Fails with (1,) when the
+    hyperplanes are dependent."""
     if eta1.nvars != g or eta2.nvars != g or eta1.degree != 1 or eta2.degree != 1:
         raise ValueError("hyperplanes must be linear forms in g variables")
-    c1, c2 = _hyperplane_rows(eta1, eta2)
-    dropped = _dropped_pair(c1, c2)
+    dropped = _dropped_pair(*_hyperplane_rows(eta1, eta2))
     if dropped is None:
         raise AlphaCertificateError((1,), "the two hyperplanes are dependent")
-    j1, j2, delta = dropped
-    kept = tuple(i for i in range(g) if i not in (j1, j2))
-    restriction = [[delta if k == i else 0 for k in kept] for i in range(g)]
-    restriction[j2] = [c1[j1] * c2[k] - c1[k] * c2[j1] for k in kept]
-    restriction[j1] = [c1[k] * c2[j2] - c1[j2] * c2[k] for k in kept]
-    return kept, restriction
+    return tuple(i for i in range(g) if i not in dropped)
 
 
 def _embed(scroll: Scroll, fiber: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -200,12 +194,11 @@ def _surface_form(section: BihomSection, fiber: Sequence[Sequence[int]]) -> list
         for exp, row in section.image if row)
 
 
-def _section_forms(scroll: Scroll, etas: Sequence[Sequence[int]], kept: Sequence[int],
-                   quadrics: Sequence[dict], equations: Sequence[BihomSection]
-                   ) -> tuple[list[list[int]], list[list[int]]]:
+def _section_forms(recon: IdealReconstruction, etas: Sequence[Sequence[int]],
+                   kept: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
     """The embedded fiber phi and the two binary forms whose multiples of
     degree 3m the cubic's functional lambda kills, read off what the two
-    hyperplanes cut on the scroll S.
+    hyperplanes cut on the scroll S: the quotient's one cut of S.
 
     phi is an embedded fiber of `_section` at the kept coordinates: n
     binary forms of degree m, the curve C0 (m = n - 1) on a threefold;
@@ -215,10 +208,13 @@ def _section_forms(scroll: Scroll, etas: Sequence[Sequence[int]], kept: Sequence
     there.  (i) phi's coefficients (and D's) are independent: C0 is a
     rational normal curve, or Gamma spans P^(n-1), and no fiber plane or
     line lies in Pi = {eta1 = eta2 = 0}, so Pi meets S properly.  (ii)
-    Every image q(phi), read off `_products`, reduces to zero against the
-    relations (D_1, D_2 on a threefold, D on a surface) times every
-    monomial of degree 2m; on a threefold the images also have rank n - 1
-    modulo a prime, a lower bound, so they span D_1 S_(b_1) + D_2 S_(b_2).
+    Every row of J2 (`recon.degree2`), read in its g coordinates on the
+    embedded fiber, the point of Pi at phi (exactly on a threefold,
+    modulo D on a surface), reduces to zero against the relations (D_1,
+    D_2 on a threefold, D on a surface) times every monomial of degree
+    2m; on a threefold the nonzero images, the n - 1 lifts (the scroll's
+    quadrics read zero), also have rank n - 1 modulo a prime, a lower
+    bound, so they span D_1 S_(b_1) + D_2 S_(b_2).
 
     Then h2 = n, with no rank of J2: S is arithmetically Cohen-Macaulay
     (Eagon-Northcott), so I_S restricts onto the ideal of Pi meet S, and
@@ -229,20 +225,22 @@ def _section_forms(scroll: Scroll, etas: Sequence[Sequence[int]], kept: Sequence
     first fiber that passes both checks, or fails with (1, n).
     """
     n = len(kept)
-    fibers, determinant = _section(scroll, etas)
+    fibers, determinant = _section(recon.scroll, etas)
     threefold = determinant is None
     m = n - 1 if threefold else n
+    basis2 = monomial_basis(recon.genus, 2)
     failed = []
     for fiber in fibers:
-        image = _embed(scroll, fiber)
+        image = _embed(recon.scroll, fiber)
         phi = [image[i] for i in kept]
         if _int_rank(phi if threefold else phi + [determinant], m + 1) <= m:
             failed.append("(i) the section's coordinates are dependent")
             continue
-        forms = [_surface_form(equation, fiber) for equation in equations]
+        forms = [_surface_form(equation, fiber) for equation in recon.equations]
         relations = forms if threefold else [determinant]
-        products = _products(phi)
-        images = [_combine((c, products[exp]) for exp, c in q.items()) for q in quadrics]
+        products = _products(image)
+        images = [q for q in (_combine((c, products[basis2[j]]) for j, c in row.items())
+                              for row in recon.degree2) if any(q)]
         ech, pivots = _int_echelon(_multiples(relations, 2 * m), 2 * m + 1)
         if (any(any(_int_reduce(ech, pivots, q)) for q in images)
                 or threefold and _rank_mod_prime(images, 2 * m + 1) < n - 1):
@@ -264,9 +262,9 @@ def _cubic_of(mu: Sequence[Sequence[int]], products: dict) -> dict:
     lambda(phi^e) = <phi^(e - u_i), mu_i>, one dot product each."""
     terms = {}
     for exp in monomial_basis(len(mu[0]), 3):
-        i = next(i for i, e in enumerate(exp) if e)
-        pair = products[exp[:i] + (exp[i] - 1,) + exp[i + 1:]]
-        terms[exp] = 6 // prod(map(factorial, exp)) * sum(x * row[i] for x, row in zip(pair, mu))
+        i, lower = _first_step(exp)
+        terms[exp] = (6 // prod(map(factorial, exp))
+                      * sum(x * row[i] for x, row in zip(products[lower], mu)))
     return {exp: c for exp, c in terms.items() if c}
 
 
@@ -274,24 +272,21 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
               eta2: Polynomial) -> AlphaResult:
     """Quotient the curve ideal by two hyperplanes down to the cubic's functional.
 
-    One `_int_substitute` call restricts the quadric rows of `recon`
-    through x -> R y (`quotient_frame`); their rank is not taken, as the
-    scroll is arithmetically Cohen-Macaulay and checks (i) and (ii) of
-    `_section_forms` give h2 = n (diagnostic (1, n) when they fail).
-    lambda, on forms of degree 3m, kills the section's two binary forms
-    times every monomial: one Sylvester system, 3n - 3 rows over 3n - 2
-    columns on a threefold, 3n over 3n + 1 on a surface, whose kernel has
-    dimension h3; `ideal_pieces` certified that the equations span the
-    ideal, so no degree-3 row is read.  No `Polynomial` is built.
+    The hyperplanes cut the scroll once (`_section_forms`), where the
+    quadric rows of `recon` are read in g coordinates, with no
+    substitution and no rank: the scroll is arithmetically Cohen-Macaulay,
+    so checks (i) and (ii) give h2 = n (diagnostic (1, n) when they
+    fail).  lambda, on forms of degree 3m, kills the section's two binary
+    forms (`AlphaResult.forms`) times every monomial: one Sylvester
+    system, 3n - 3 rows over 3n - 2 columns on a threefold, 3n over
+    3n + 1 on a surface, whose kernel has dimension h3; `ideal_pieces`
+    certified that the equations span the ideal, so no degree-3 row is
+    read.  No `Polynomial` is built.
     """
     g = recon.genus
     n = g - 2
-    kept, restriction = quotient_frame(eta1, eta2, g)
-    basis2 = monomial_basis(g, 2)
-    quadrics = [q for q in _int_substitute([{basis2[j]: c for j, c in row.items()}
-                                            for row in recon.degree2], restriction, n) if q]
-    phi, forms = _section_forms(recon.scroll, _hyperplane_rows(eta1, eta2), kept,
-                                quadrics, recon.equations)
+    kept = quotient_frame(eta1, eta2, g)
+    phi, forms = _section_forms(recon, _hyperplane_rows(eta1, eta2), kept)
     width = 3 * len(phi[0]) - 2   # 3m + 1, phi of degree m
     kernel = _kernel_vectors(_multiples(forms, width - 1), width)
     hilbert = (1, n, n, len(kernel))
@@ -299,7 +294,8 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
         raise AlphaCertificateError(
             hilbert, "quotient algebra does not have the expected Hilbert vector")
     return AlphaResult(g, eta1, eta2, hilbert, kept,
-                       tuple(kernel[0].get(k, 0) for k in range(width)), tuple(map(tuple, phi)))
+                       tuple(kernel[0].get(k, 0) for k in range(width)), tuple(map(tuple, phi)),
+                       tuple(map(tuple, forms)))
 
 
 def reduce_to_quotient(alpha: AlphaResult, poly: Polynomial) -> Polynomial:
@@ -365,13 +361,13 @@ def _certify_fermat(curve: CurveSpec, alpha: AlphaResult,
                     failures: list) -> Optional[dict]:
     """Trigonal certificate: the cubic is a sum of the cubes of the
     n = g - 2 points the hyperplanes cut on the scroll, D = 0 on the
-    embedded fiber (`_section`), and (d) concise, `alpha.mu` of rank n,
-    so its rank is exactly n.  `_certify_functional` checks that D is
-    squarefree and kills lambda: by Sylvester's theorem lambda is a
-    weighted sum of evaluations at the n roots of D."""
-    _, determinant = _section(curve.scroll, _hyperplane_rows(alpha.eta1, alpha.eta2))
+    embedded fiber (`alpha.forms[0]`, as the quotient read it), and (d)
+    concise, `alpha.mu` of rank n, so its rank is exactly n.
+    `_certify_functional` checks that D is squarefree and kills lambda:
+    by Sylvester's theorem lambda is a weighted sum of evaluations at the
+    n roots of D."""
     try:
-        n = _certify_functional(determinant, alpha.functional)
+        n = _certify_functional(alpha.forms[0], alpha.functional)
         if _int_rank(alpha.mu, len(alpha.phi)) != n:
             raise CertificateError("(d) the cubic is not concise")
     except CertificateError as err:
@@ -395,22 +391,21 @@ def _certify_bound(curve: CurveSpec, alpha: AlphaResult,
 
     Each surface restricts to a binary form D of degree L = 2g - 6 - b on
     the rational normal curve C0 the hyperplanes cut on the threefold
-    (`_section`, `_surface_form`), where lambda lives.  If D is squarefree
-    and kills lambda (`_certify_functional`), by Sylvester's theorem the
-    cubic is the sum of the cubes of C0's points at the L roots of D.  The
-    rank of `alpha.mu` bounds the rank from below.
+    (`alpha.forms`, as the quotient read it), where lambda lives.  If D
+    is squarefree and kills lambda (`_certify_functional`), by
+    Sylvester's theorem the cubic is the sum of the cubes of C0's points
+    at the L roots of D.  The rank of `alpha.mu` bounds the rank from
+    below.
     """
     g = curve.genus
     bound = tetragonal_cube_bound(g)
     lower_bound = _int_rank(alpha.mu, len(alpha.phi))
     bs = [-cls.f for cls in curve.classes]
-    [fiber], _ = _section(curve.scroll, _hyperplane_rows(alpha.eta1, alpha.eta2))
     # prefer the lower-degree surface: larger b first
     for surface_index in sorted((0, 1), key=lambda i: -bs[i]):
         b = bs[surface_index]
         try:
-            length = _certify_functional(_surface_form(curve.equations[surface_index], fiber),
-                                         alpha.functional)
+            length = _certify_functional(alpha.forms[surface_index], alpha.functional)
         except CertificateError as err:
             failures.append(f"surface b={b}: {err}")
             continue

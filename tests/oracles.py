@@ -79,6 +79,10 @@ a basis of V, the degree-3 inverse system of the restricted quadrics,
 off the relations of the images q(phi), and `class_pairing_alpha_map`
 pairs every degree-3 row with V's basis functionals on the embedded
 fiber, class by class, and weighs them by the one kernel vector.
+The restriction R is delta times the first n columns of the inverse of
+`quotient_frame` (`restriction_matrix`), and
+`restricted_section_forms` is the section check (ii) as it ran on the
+restricted quadrics before it read them on the embedded fiber.
 `lift_and_pair_alpha_map` is the pairing the class pairing replaced:
 every basis cubic F_(lambda_k) lifted back to g variables through the
 transposed restriction, paired with the cubic rows over all C(g + 2, 3)
@@ -121,15 +125,15 @@ from apolar_kit.apolarity import (ApolarAlgebraProfile, GradedIdealPiece, _catal
                                   inverse_system)
 from apolar_kit.core import (ExactMatrix, Polynomial, _combination, _int_echelon,
                              _int_rank, _int_reduce, _int_substitute, _kernel_vectors,
-                             _monomial_value, _row_to_int, _scaled, monomial_basis, substitute)
+                             _monomial_value, _rank_mod_prime, _row_to_int, _scaled,
+                             monomial_basis, substitute)
 from apolar_kit.curvegen import _restriction_classes, balanced_type, tetragonal_surfaces
 from apolar_kit.pipeline import (AlphaCertificateError, _embed, _hyperplane_rows, _section,
                                  _surface_form, tetragonal_cube_bound)
-from apolar_kit.pipeline import quotient_frame as int_quotient_frame
 from apolar_kit.scroll import Scroll, coordinate_layout, divisor_degree
 from apolar_kit.seeding import make_rng, random_dual_linear
-from apolar_kit.univariate import (_combine, _mul, _pseudo_remainder, affine_chart, is_squarefree,
-                                   poly_gcd, rational_roots)
+from apolar_kit.univariate import (_combine, _mul, _multiples, _pseudo_remainder, affine_chart,
+                                   is_squarefree, poly_gcd, rational_roots)
 from apolar_kit.waring import CertificateError, Decomposition, PencilError, rank_lower_bound
 
 _T = sympy.Symbol("t")
@@ -914,12 +918,28 @@ def scheme_certify_bound(curve, alpha, failures):
     return None
 
 
+def restriction_matrix(eta1, eta2, g):
+    """(kept, delta, R): the kept coordinates of `quotient_frame`, delta
+    the minor of the primitive hyperplane rows at the dropped pair, and
+    the g x n integer restriction R, delta times the first n columns of
+    the frame's inverse, which sends y to delta times the point of both
+    hyperplanes with kept coordinates y."""
+    kept, _, inverse = quotient_frame(eta1, eta2, g)
+    a, b = sorted(set(range(g)) - set(kept))
+    c1, c2 = _hyperplane_rows(eta1, eta2)
+    delta = c1[a] * c2[b] - c1[b] * c2[a]
+    rows = [[delta * x for x in row[:g - 2]] for row in inverse.rows()]
+    assert all(x.denominator == 1 for row in rows for x in row)
+    return kept, delta, [[int(x) for x in row] for row in rows]
+
+
 def restricted_quadrics(recon, eta1, eta2):
-    """(kept, restriction, quadrics) as `pipeline.alpha_map` computes them
-    before it reads the section: the frame, and the quadric rows of
-    `recon` restricted to n variables."""
+    """(kept, restriction, quadrics) as `pipeline.alpha_map` computed them
+    before it read the quadrics on the embedded fiber: the kept
+    coordinates, R of `restriction_matrix`, and the quadric rows of `recon`
+    restricted to n variables, x -> R y, the zero ones dropped."""
     g = recon.genus
-    kept, restriction = int_quotient_frame(eta1, eta2, g)
+    kept, _, restriction = restriction_matrix(eta1, eta2, g)
     basis2 = monomial_basis(g, 2)
     quadrics = [q for q in _int_substitute([{basis2[j]: c for j, c in row.items()}
                                             for row in recon.degree2], restriction, g - 2) if q]
@@ -945,6 +965,37 @@ def general_quadrics(recon, eta1, eta2):
         raise AlphaCertificateError(
             (1, n, found), "quotient algebra does not have the expected Hilbert vector")
     return restricted_quadrics(recon, eta1, eta2)
+
+
+def restricted_section_forms(recon, eta1, eta2):
+    """`pipeline._section_forms` as it ran on `restricted_quadrics`, before
+    it read J2 on the embedded fiber: each restricted quadric read on phi
+    by `powers`, reduced against the relations times every monomial of
+    degree 2m, and on a threefold every image, zero or not, ranked modulo
+    a prime.  Returns (phi, forms), or raises `AlphaCertificateError`."""
+    kept, _, quadrics = restricted_quadrics(recon, eta1, eta2)
+    n = len(kept)
+    fibers, determinant = _section(recon.scroll, _hyperplane_rows(eta1, eta2))
+    threefold = determinant is None
+    m = n - 1 if threefold else n
+    failed = []
+    for fiber in fibers:
+        image = _embed(recon.scroll, fiber)
+        phi = [image[i] for i in kept]
+        if _int_rank(phi if threefold else phi + [determinant], m + 1) <= m:
+            failed.append("(i) the section's coordinates are dependent")
+            continue
+        forms = [_surface_form(equation, fiber) for equation in recon.equations]
+        relations = forms if threefold else [determinant]
+        products = powers(phi, 2)
+        images = [_combine((c, products[exp]) for exp, c in q.items()) for q in quadrics]
+        ech, pivots = _int_echelon(_multiples(relations, 2 * m), 2 * m + 1)
+        if (any(any(_int_reduce(ech, pivots, q)) for q in images)
+                or threefold and _rank_mod_prime(images, 2 * m + 1) < n - 1):
+            failed.append("(ii) J2 and the section's quadrics differ")
+            continue
+        return phi, relations if threefold else relations + forms
+    raise AlphaCertificateError((1, n), "degenerate section: " + "; ".join(failed))
 
 
 def powers(phi, top):

@@ -176,7 +176,9 @@ def test_no_span_check_in_the_package():
     Q[t]/(D) (`_certify_scheme`, now `tests/oracles.echelon_certificate`)
     and no scheme builder on a chart (`_scheme`, `_chart`), only
     `poly_gcd` reads `_pseudo_remainder`, and `pipeline._certify_fermat`
-    and `pipeline._certify_bound` still reach `_certify_functional`."""
+    and `pipeline._certify_bound` still reach `_certify_functional`, on
+    the forms the quotient read (`AlphaResult.forms`), with no cut of
+    the scroll of their own."""
     functions = {}
     for tree in _parse([PACKAGE]).values():
         for node in ast.walk(tree):
@@ -186,15 +188,32 @@ def test_no_span_check_in_the_package():
     readers = {name for name, nodes in functions.items()
                if "_pseudo_remainder" in _referenced(nodes)}
     assert readers == {"poly_gcd"}
-    for certificate, reads in (("_certify_fermat", {"_section"}),
-                               ("_certify_bound", {"_section", "_surface_form"})):
+    for certificate in ("_certify_fermat", "_certify_bound"):
         reached, todo = set(), [certificate]
         while todo:
             name = todo.pop()
             if name not in reached:
                 reached.add(name)
                 todo += [n for n in _referenced(functions[name]) if n in functions]
-        assert {"_certify_functional", *reads} <= reached
+        assert "_certify_functional" in reached
+        assert "forms" in _referenced(functions[certificate])
+        assert not {"_section", "_surface_form", "_hyperplane_rows"} & reached
+
+
+def test_the_quotient_substitutes_nothing():
+    """The quotient reads the curve's quadrics on the embedded fiber in
+    their own g coordinates: `pipeline` imports no `_int_substitute`
+    (kept in `core` for the bench-pinned `substitute`), and the scroll is
+    cut once per quotient, `_section` read by `_section_forms` alone."""
+    trees = _parse([PACKAGE])
+    pipeline = trees[PACKAGE / "pipeline.py"]
+    imported = {alias.name for node in ast.walk(pipeline) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "_int_substitute" not in imported
+    readers = [node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and "_section" in _referenced([node])]
+    assert readers == ["_section_forms"]
 
 
 def test_only_the_ideal_builder_and_the_cli_read_degree3_rows():
@@ -218,9 +237,10 @@ def test_only_the_ideal_builder_and_the_cli_read_degree3_rows():
 
 def test_the_cubic_builds_no_product():
     """`pipeline._cubic_of` reads F_lambda off lambda by one Hankel
-    contraction with the degree-2 products `_section_forms` built for
-    check (ii): the package defines no `_powers` (now
-    `tests/oracles.powers`), and `_cubic_of` calls no `_mul`."""
+    contraction with the section's degree-2 products (`_products`, the
+    builder check (ii) runs on the embedded fiber): the package defines
+    no `_powers` (now `tests/oracles.powers`), and `_cubic_of` calls no
+    `_mul`."""
     functions = {node.name: node for tree in _parse([PACKAGE]).values()
                  for node in ast.walk(tree)
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}

@@ -76,6 +76,10 @@ def test_verify_golden(name, argv, tmp_path, monkeypatch):
     # the first pair's section curve degenerates, so the second pair is drawn
     ("alpha_g7_split02", ["alpha", "--g", "7", "--gonality", "4", "--split", "0,2",
                           "--seed", "1262656446957978"]),
+    # the cubic printed in the kept coordinates of a trigonal and a
+    # tetragonal quotient
+    ("alpha_g12", ["alpha", "--g", "12", "--gonality", "3", "--seed", "41"]),
+    ("alpha_g12_tet", ["alpha", "--g", "12", "--gonality", "4", "--seed", "41"]),
 ])
 def test_alpha_golden(name, argv, tmp_path, monkeypatch):
     refuse_the_generic_kernel(monkeypatch)

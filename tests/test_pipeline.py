@@ -18,8 +18,7 @@ from apolar_kit import pipeline as pipeline_module
 from apolar_kit.apolarity import (SocleDimensionError, _inverse_vectors,
                                   apolar_ideal_piece, macaulay_inverse)
 from apolar_kit.cli import main
-from apolar_kit.core import (ExactMatrix, Polynomial, _row_to_int,
-                             change_coordinates, monomial_basis)
+from apolar_kit.core import ExactMatrix, Polynomial, change_coordinates, monomial_basis
 from apolar_kit.curvegen import (_restriction_classes, balanced_type, ideal_pieces,
                                  sample_points, tetragonal_curve, trigonal_curve)
 from apolar_kit.pipeline import (AlphaCertificateError, AlphaResult, CertificateError,
@@ -28,7 +27,7 @@ from apolar_kit.pipeline import (AlphaCertificateError, AlphaResult, Certificate
                                  tetragonal_cube_bound, verify_tetragonal_bound,
                                  verify_trigonal_fermat)
 from apolar_kit.seeding import derive_seed, make_rng, random_dual_linear, random_form
-from apolar_kit.univariate import _mul
+from apolar_kit.univariate import _combine, _mul, _multiples
 from apolar_kit.waring import fermat_detect_detail
 import oracles
 from oracles import (admissible_splits, coefficient_matrix, echelon_certificate, from_spanning,
@@ -98,21 +97,22 @@ class TestAlphaMap:
                 with pytest.raises(AlphaCertificateError):
                     quotient_frame(eta1, eta2, g)
             else:
-                assert quotient_frame(eta1, eta2, g)[0] == kept
+                assert quotient_frame(eta1, eta2, g) == kept
 
     @pytest.mark.parametrize("g", [5, 6, 7, 8])
     def test_quotient_frame_on_coordinate_pairs(self, g):
         for i, j in combinations(range(g), 2):
             eta1, eta2 = variable(i, g), variable(j, g)
             kept = greedy_kept(eta1, eta2, g)
-            assert quotient_frame(eta1, eta2, g)[0] == kept
-            assert quotient_frame(eta2, eta1, g)[0] == kept
+            assert quotient_frame(eta1, eta2, g) == kept
+            assert quotient_frame(eta2, eta1, g) == kept
 
     def test_quotient_frame_matches_the_inverted_frame(self):
         # entries in [-1, 1] give zeros, so every dropped pair occurs, and
-        # so do dependent pairs; the restriction is delta L[:, :n], with L
-        # the inverse of the rref frame and delta the minor of the
-        # primitive hyperplane rows at the dropped pair
+        # so do dependent pairs; the oracles' restriction, delta L[:, :n]
+        # with L the inverse of the rref frame and delta the minor of the
+        # primitive hyperplane rows at the dropped pair, is an integer
+        # matrix that keeps the kept coordinates up to delta
         rng = make_rng(39)
         dependent = 0
         for _ in range(2400):
@@ -127,31 +127,12 @@ class TestAlphaMap:
                 assert str(err.value) == str(expected)
                 dependent += 1
                 continue
-            found, restriction = quotient_frame(eta1, eta2, g)
-            assert found == kept
-            a, b = sorted(set(range(g)) - set(kept))
-            c1, c2 = (_row_to_int(eta.coefficient_vector(monomial_basis(g, 1)))
-                      for eta in (eta1, eta2))
-            delta = c1[a] * c2[b] - c1[b] * c2[a]
-            assert all(type(x) is int for row in restriction for x in row)
-            assert restriction == [[delta * x for x in row[:g - 2]] for row in inverse.rows()]
+            assert quotient_frame(eta1, eta2, g) == kept
+            _, delta, restriction = oracles.restriction_matrix(eta1, eta2, g)
+            assert delta and all(type(x) is int for row in restriction for x in row)
+            assert [restriction[i] for i in kept] == [
+                [delta * (i == k) for k in range(g - 2)] for i in range(g - 2)]
         assert dependent > 0
-
-    def test_quotient_frame_inverts(self):
-        # frame rows: the kept unit vectors, then the two hyperplanes; the
-        # restriction is delta times the first n columns of the inverse
-        rng = make_rng(31)
-        for g in range(5, 13):
-            eta1, eta2 = random_dual_linear(g, rng), random_dual_linear(g, rng)
-            kept, restriction = quotient_frame(eta1, eta2, g)
-            assert len(kept) == g - 2
-            frame = ([[int(j == i) for j in range(g)] for i in kept]
-                     + [eta.coefficient_vector(monomial_basis(g, 1)) for eta in (eta1, eta2)])
-            product = [[sum(a * r[k] for a, r in zip(row, restriction)) for k in range(g - 2)]
-                       for row in frame]
-            delta = product[0][0]
-            assert delta != 0
-            assert product == [[delta * (i == k) for k in range(g - 2)] for i in range(g)]
 
     def test_random_pairs_skip_dependent_ones(self, monkeypatch):
         # the second draw is a multiple of the first; the next pair is kept
@@ -390,7 +371,7 @@ class TestIntegerQuotient:
         for recon in recons:
             g = recon.genus
             eta1, eta2 = _random_eta_pair(g, rng)
-            assert quotient_frame(eta1, eta2, g)[0] == alpha_map(recon, eta1, eta2).kept_indices
+            assert quotient_frame(eta1, eta2, g) == alpha_map(recon, eta1, eta2).kept_indices
             with pytest.raises(AlphaCertificateError, match="dependent"):
                 quotient_frame(eta1, scaled(eta1, 2), g)
 
@@ -523,7 +504,7 @@ class TestSectionInverseSystem:
         [fiber], _ = pipeline_module._section(curve.scroll, etas)
         assert not any(sum(c * (-1) ** j for j, c in enumerate(f)) for f in fiber)
         image = pipeline_module._embed(curve.scroll, fiber)
-        kept = quotient_frame(eta1, eta2, 7)[0]
+        kept = quotient_frame(eta1, eta2, 7)
         assert ExactMatrix([image[i] for i in kept]).rank() == 4
         with pytest.raises(AlphaCertificateError, match=r"\(i\) the section's coordinates"):
             alpha_map(recon, eta1, eta2)
@@ -617,20 +598,6 @@ class TestClassPairing:
                     class_sums(row, recon.scroll).values()))
                 assert paired <= expected == len(recon.degree3)
 
-    def test_lifts_nothing_to_g_variables(self, monkeypatch):
-        # a work count: the only substitution is the quadrics' restriction
-        # to n variables
-        widths = []
-        substitute = pipeline_module._int_substitute
-        monkeypatch.setattr(pipeline_module, "_int_substitute",
-                            lambda forms, rows, ncols: widths.append(ncols)
-                            or substitute(forms, rows, ncols))
-        for g, split in ((8, None), (8, (1, 2))):
-            recon, eta1, eta2, _ = next(pair for pair in section_pairs(g, split, 1) if pair[3])
-            widths.clear()
-            alpha_map(recon, eta1, eta2)
-            assert widths == [g - 2]
-
 
 def tetragonal_section_curves():
     """Tetragonal g = 6..11 at every admissible split, seeds 1-3."""
@@ -700,16 +667,57 @@ class TestSylvesterSystem:
             assert proportional(alpha.functional, expected.functional)
             assert core._int_rank(alpha.mu, n) == waring.rank_lower_bound(alpha.cubic)
 
+    @pytest.mark.parametrize("g, split, seed", pairing_curves())
+    def test_same_section_checks_as_the_restricted_quadrics(self, g, split, seed):
+        # each quadric row read on the embedded fiber, times delta^2, is the
+        # restricted quadric read on phi: exactly on a threefold, modulo D
+        # on a surface, where the fiber lies on one hyperplane and the
+        # other restricts to +-D; so checks (i) and (ii) pass and fail,
+        # with the same text, as they did on the restricted quadrics
+        recon, pairs = sweep_pairs(g, split, seed)
+        n = g - 2
+        m = n if split is None else n - 1
+        basis2 = monomial_basis(g, 2)
+        rows = [{basis2[j]: c for j, c in row.items()} for row in recon.degree2]
+        for eta1, eta2 in pairs:
+            etas = pipeline_module._hyperplane_rows(eta1, eta2)
+            try:
+                expected = oracles.restricted_section_forms(recon, eta1, eta2)
+            except AlphaCertificateError as err:
+                expected = err.hilbert, str(err)
+            try:
+                found = pipeline_module._section_forms(recon, etas, quotient_frame(eta1, eta2, g))
+            except AlphaCertificateError as err:
+                found = err.hilbert, str(err)
+            assert found == expected
+            if found[0] == (1,):
+                continue   # dependent hyperplanes
+            kept, delta, restriction = oracles.restriction_matrix(eta1, eta2, g)
+            restricted = core._int_substitute(rows, restriction, n)
+            fibers, determinant = pipeline_module._section(recon.scroll, etas)
+            relations = _multiples([determinant] if determinant else [], 2 * m)
+            for fiber in fibers:
+                image = pipeline_module._embed(recon.scroll, fiber)
+                on_fiber = oracles.powers(image, 2)
+                on_phi = oracles.powers([image[i] for i in kept], 2)
+                for row, q in zip(rows, restricted):
+                    difference = _combine([
+                        (delta ** 2, _combine((c, on_fiber[exp]) for exp, c in row.items())),
+                        (-1, _combine((c, on_phi[exp]) for exp, c in q.items()))])
+                    assert (core._int_rank(relations + [difference], 2 * m + 1)
+                            == core._int_rank(relations, 2 * m + 1))
+
     @pytest.mark.parametrize("g, split", [(7, None), (8, None), (7, (1, 1)), (8, (1, 2))],
                              ids=["tri7", "tri8", "tet7", "tet8"])
-    def test_a_quadric_off_the_relations_fails_ii(self, g, split, monkeypatch):
-        # the first restricted quadric replaced by y0^2, which keeps h2 = n
-        # but restricts to phi_0^2, no combination of the relations' multiples
+    def test_a_quadric_off_the_relations_fails_ii(self, g, split):
+        # the first quadric row replaced by x_a^2 at the first kept a, which
+        # reads phi_0^2 on the embedded fiber, no combination of the
+        # relations' multiples
         recon, eta1, eta2 = accepted_pair(g, split)
         n = g - 2
-        substitute = pipeline_module._int_substitute
-        monkeypatch.setattr(pipeline_module, "_int_substitute", lambda *args: [
-            {(2,) + (0,) * (n - 1): 1}, *substitute(*args)[1:]])
+        a = quotient_frame(eta1, eta2, g)[0]
+        square = monomial_basis(g, 2).index(tuple(2 * (i == a) for i in range(g)))
+        recon = dataclasses.replace(recon, degree2=({square: 1},) + recon.degree2[1:])
         with pytest.raises(AlphaCertificateError) as err:
             alpha_map(recon, eta1, eta2)
         assert err.value.hilbert == (1, n)
@@ -720,25 +728,25 @@ class TestSylvesterSystem:
 
     @pytest.mark.parametrize("g, split", [(7, (1, 1)), (8, (1, 2)), (9, (2, 2))])
     def test_images_spanning_fewer_forms_fail_ii(self, g, split):
-        # the quadrics whose images vanish on C0, and one that does not: the
-        # images reduce to zero against D1 S_b1 + D2 S_b2 but have rank 1
+        # the quadric rows whose images vanish on the embedded fiber, and
+        # one that does not: the images reduce to zero against
+        # D1 S_b1 + D2 S_b2 but have rank 1
         recon, eta1, eta2 = accepted_pair(g, split)
-        kept, _, quadrics = oracles.restricted_quadrics(recon, eta1, eta2)
+        kept = quotient_frame(eta1, eta2, g)
         etas = pipeline_module._hyperplane_rows(eta1, eta2)
         [fiber], _ = pipeline_module._section(recon.scroll, etas)
         image = pipeline_module._embed(recon.scroll, fiber)
-        phi = [image[i] for i in kept]
-        powers = oracles.powers(phi, 2)
-        vanish = [not any(sum(c * x for c, x in zip(q.values(), column))
-                          for column in zip(*(powers[exp] for exp in q)))
-                  for q in quadrics]
-        fewer = [q for q, zero in zip(quadrics, vanish) if zero]
-        fewer.append(quadrics[vanish.index(False)])
-        args = recon.scroll, etas, kept
-        assert pipeline_module._section_forms(*args, quadrics, recon.equations)[0] == phi
+        basis2 = monomial_basis(g, 2)
+        powers = oracles.powers(image, 2)
+        vanish = [not any(_combine((c, powers[basis2[j]]) for j, c in row.items()))
+                  for row in recon.degree2]
+        fewer = [row for row, zero in zip(recon.degree2, vanish) if zero]
+        fewer.append(recon.degree2[vanish.index(False)])
+        assert pipeline_module._section_forms(recon, etas, kept)[0] == [image[i] for i in kept]
         with pytest.raises(AlphaCertificateError, match=r"^degenerate section: \(ii\) J2 and "
                                                         r"the section's quadrics differ;"):
-            pipeline_module._section_forms(*args, fewer, recon.equations)
+            pipeline_module._section_forms(dataclasses.replace(recon, degree2=tuple(fewer)),
+                                           etas, kept)
 
     @pytest.mark.parametrize("g", [5, 6, 7, 8])
     def test_a_surface_without_its_cubic_has_h3_n(self, g):
@@ -810,9 +818,9 @@ class TestHankelCubic:
     @pytest.mark.parametrize("g, split", [(8, None), (8, (1, 2))], ids=["tri8", "tet8"])
     def test_builds_no_product_of_degree_three(self, g, split, monkeypatch):
         # a work count: every fiber that reaches check (ii), one echelon
-        # each, builds C(n + 1, 2) products of length 2m + 1 and the
-        # quotient none of length 3m + 1; here no other product of
-        # `pipeline` has either length
+        # each, builds the C(g + 1, 2) products of the embedded fiber, of
+        # length 2m + 1, and the quotient none of length 3m + 1; here no
+        # other product of `pipeline` has either length
         n = g - 2
         m = n if split is None else n - 1
         lengths = []
@@ -832,7 +840,7 @@ class TestHankelCubic:
                 assert not accepted
             assert accepted <= bool(echelons)
             assert lengths.count(3 * m + 1) == 0
-            assert lengths.count(2 * m + 1) == len(echelons) * comb(n + 1, 2)
+            assert lengths.count(2 * m + 1) == len(echelons) * comb(g + 1, 2)
 
 
 def accepted_alphas(g, split, seed):
@@ -1040,16 +1048,15 @@ class TestTrigonalSylvesterCertificate:
                                 "the scheme's cubes"]
 
     @pytest.mark.parametrize("g", [5, 6, 7, 8])
-    def test_a_repeated_factor_of_d_fails_a(self, g, monkeypatch):
+    def test_a_repeated_factor_of_d_fails_a(self, g):
         # D (b t - a s)^2 still kills lambda, so only (a) refuses it
         curve, alpha = accepted_alphas(g, None, 1)[0]
-        section = pipeline_module._section
+        determinant, cubic = alpha.forms
         for a, b in ((0, 1), (1, 0), (3, -2)):
             square = [a * a, -2 * a * b, b * b]
-            monkeypatch.setattr(pipeline_module, "_section", lambda scroll, etas: (
-                section(scroll, etas)[0], _mul(section(scroll, etas)[1], square)))
+            repeated = dataclasses.replace(alpha, forms=(tuple(_mul(determinant, square)), cubic))
             failures = []
-            assert _certify_fermat(curve, alpha, failures) is None
+            assert _certify_fermat(curve, repeated, failures) is None
             assert failures == ["certificate: (a) the scheme equation is not squarefree "
                                 f"of degree {g}"]
 
@@ -1118,7 +1125,7 @@ class TestIntegerFormsLayer:
 def scheme_of(curve, surface_index, eta1, eta2):
     """(D, phi) on the trigonal scroll (`surface_index` None) or on a
     tetragonal surface, by the oracles the Sylvester certificate replaced."""
-    kept = quotient_frame(eta1, eta2, curve.genus)[0]
+    kept = quotient_frame(eta1, eta2, curve.genus)
     if surface_index is None:
         return oracles.trigonal_scheme(curve, eta1, eta2, kept)
     return oracles.surface_scheme(curve, surface_index, eta1, eta2, kept)
@@ -1438,7 +1445,7 @@ def drawn_pairs(curve, seed):
     replaced by its frame."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pipeline_module, "alpha_map", lambda recon, eta1, eta2:
-                      (eta1, eta2, quotient_frame(eta1, eta2, recon.genus)[0]))
+                      (eta1, eta2, quotient_frame(eta1, eta2, recon.genus)))
         return list(pipeline_module._alpha_attempts(curve, seed))
 
 
