@@ -8,7 +8,9 @@ verifier trials (0, empty or unset = serial); the pool never has more
 processes than there are trials, and a value that is not ASCII digits
 exits with code 2.  Reports do not depend on it.  Every integer flag is
 ASCII digits with an optional leading minus (`jsonio.ascii_int`), and
-anything else exits with code 2.
+anything else exits with code 2.  Every report, on stdout or in the
+`--out` file, is `jsonio.report_text` and a newline: the bytes
+`json.dumps(report, indent=2, sort_keys=True)` gives.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ def _read_json(path: str) -> dict:
 
 
 def _emit(report: dict, out_path) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = jsonio.report_text(report) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -9,14 +9,16 @@ and a polynomial may list each exponent once.  Command-line integers
 follow the same grammar without "/q" (`ascii_int`).  A curve must be
 one the generators could have built (`curve_from_json`).  Anything else
 raises ValueError instead of being coerced.  Serialization is deterministic:
-terms are emitted in graded-lex order and dictionaries are written with
-sorted keys by the callers that dump them.
+terms are emitted in graded-lex order, and `report_text` writes every
+report with sorted keys, a two-space indent and ASCII escapes.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import inf
 
 from .apolarity import GradedIdealPiece
 from .core import Polynomial
@@ -30,11 +32,11 @@ __all__ = [
     "scroll_to_json", "scroll_from_json",
     "divisor_to_json", "divisor_from_json",
     "curve_to_json", "curve_from_json",
-    "decomposition_to_json",
+    "decomposition_to_json", "report_text",
 ]
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
@@ -52,11 +54,16 @@ def _coef_to_str(c: Fraction) -> str:
 
 
 def _coef_from_str(raw) -> Fraction:
-    if not (isinstance(raw, str) and _RATIONAL.fullmatch(raw)
-            or isinstance(raw, int) and not isinstance(raw, bool)):
+    """A coefficient built from the integers of its matched ASCII digits:
+    `Fraction` would parse the string again in its own, looser grammar."""
+    match = isinstance(raw, str) and _RATIONAL.fullmatch(raw)
+    if not (match or isinstance(raw, int) and not isinstance(raw, bool)):
         raise ValueError(f"coefficients must be integers or strings p or p/q, got {raw!r}")
+    numerator, denominator = match.groups() if match else (raw, None)
+    if denominator is None:
+        return Fraction(int(numerator))
     try:
-        return Fraction(raw)
+        return Fraction(int(numerator), int(denominator))
     except ZeroDivisionError:
         raise ValueError(f"{raw!r} has a zero denominator") from None
 
@@ -79,7 +86,10 @@ def polynomial_to_json(poly: Polynomial) -> dict:
 def polynomial_from_json(data: dict) -> Polynomial:
     terms = {}
     for t in data["terms"]:
-        exp = tuple(_int(e) for e in t["exp"])
+        exp = tuple(t["exp"])
+        if not all(type(e) is int for e in exp):
+            # _int accepts the other ints and names the first value it refuses
+            exp = tuple(map(_int, exp))
         if exp in terms:
             raise ValueError(f"exponent {list(exp)} is listed twice")
         terms[exp] = _coef_from_str(t["coef"])
@@ -205,3 +215,56 @@ def decomposition_to_json(dec: Decomposition) -> dict:
         "scheme_equation": [str(c) for c in dec.scheme_equation],
         "points": [[str(c) for c in f] for f in dec.points],
     }
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == inf:
+        return "Infinity"
+    if value == -inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+                bool: {False: "false", True: "true"}.__getitem__, type(None): lambda _: "null"}
+
+
+def report_text(value, _newline: str = "\n") -> str:
+    """The text `json.dumps(value, indent=2, sort_keys=True)` gives, the
+    one writer of every report.  With an indent `json` runs its
+    pure-Python encoder; this one looks up each value's exact type first,
+    so a scalar costs one dict lookup and one C call.  Strings go through
+    `json.encoder.encode_basestring_ascii`, as in `json`; ints, their
+    subclasses included, through `int.__repr__`; floats as `json` writes
+    them (`NaN`, `Infinity` and `-Infinity` included).  Lists and tuples
+    alike are arrays, and dict items are sorted by key.  Any other value,
+    or a key that is not a `str`, raises TypeError: `json` would write an
+    int, float, bool or None key as a string, but no report has one.
+    `_newline` is the line break and indent of the enclosing level."""
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = _newline + "  "
+    get = _SCALAR_TEXT.get
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # encode_basestring_ascii raises the TypeError for a key that is no str
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(key) + ": "
+            + (scalar(item) if (scalar := get(type(item))) is not None
+               else report_text(item, inner))
+            for key, item in sorted(value.items())]) + _newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([
+            scalar(item) if (scalar := get(type(item))) is not None
+            else report_text(item, inner)
+            for item in value]) + _newline + "]"
+    for base in (str, int, float):
+        if isinstance(value, base):
+            return _SCALAR_TEXT[base](value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, permutations
 from math import gcd
+from operator import mul
 from typing import Optional, Sequence
 
 from .apolarity import _catalecticant_rows, _divided_powers
@@ -120,7 +121,8 @@ def _certify_functional(determinant: Sequence[int], functional: Sequence[int]) -
 
 
 def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    columns = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in columns] for row in a]
 
 
 def _faddeev_leverrier(m: Sequence[Sequence[int]]) -> tuple[list[int], list]:

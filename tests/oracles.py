@@ -108,6 +108,7 @@ plain term-map functions, since the curve oracles call them thousands
 of times.
 """
 
+import re
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
@@ -120,7 +121,7 @@ from typing import Optional
 import sympy
 from mpmath import mp
 
-from apolar_kit import core
+from apolar_kit import core, jsonio
 from apolar_kit.apolarity import (ApolarAlgebraProfile, GradedIdealPiece, _catalecticant_rows,
                                   inverse_system)
 from apolar_kit.core import (ExactMatrix, Polynomial, _combination, _int_echelon,
@@ -1173,3 +1174,29 @@ def admissible_splits(g):
         except ValueError:
             continue
         yield b1, g - 5 - b1
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def coef_from_str(raw):
+    """A JSON coefficient, a JSON integer or an ASCII string "p" or "p/q",
+    parsed by `Fraction`."""
+    if not (isinstance(raw, str) and _RATIONAL.fullmatch(raw)
+            or isinstance(raw, int) and not isinstance(raw, bool)):
+        raise ValueError(f"coefficients must be integers or strings p or p/q, got {raw!r}")
+    try:
+        return Fraction(raw)
+    except ZeroDivisionError:
+        raise ValueError(f"{raw!r} has a zero denominator") from None
+
+
+def polynomial_from_json(data):
+    """A polynomial JSON read term by term, each exponent through `_int`."""
+    terms = {}
+    for t in data["terms"]:
+        exp = tuple(jsonio._int(e) for e in t["exp"])
+        if exp in terms:
+            raise ValueError(f"exponent {list(exp)} is listed twice")
+        terms[exp] = coef_from_str(t["coef"])
+    return Polynomial(jsonio._int(data["nvars"]), jsonio._int(data["degree"]), terms)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import enum
 import json
 import os
 import subprocess
@@ -7,16 +8,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import apolar_kit
-from apolar_kit import jsonio, pipeline
+from apolar_kit import cli, jsonio, pipeline
 from apolar_kit.apolarity import apolar_ideal_piece
 from apolar_kit.cli import _COMMANDS, build_parser, main
-from apolar_kit.core import Polynomial
+from apolar_kit.core import Polynomial, change_coordinates
 from apolar_kit.curvegen import (BihomSection, CurveSpec, random_section, tetragonal_curve,
                                  trigonal_curve)
 from apolar_kit.scroll import Scroll
-from apolar_kit.seeding import make_rng
+from apolar_kit.seeding import make_rng, random_form
 from apolar_kit.waring import fermat_detect_detail
 import oracles
 
@@ -772,3 +775,171 @@ class TestRationalLayerIsDead:
         oracles.refuse_rational_layer(monkeypatch)
         assert run(tmp_path, *argv) == expected
         assert expected[0] == 0
+
+
+def dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+# keys and strings with quotes, backslashes, control and non-ASCII characters
+TEXT = st.text(st.sampled_from('a"\\/\x00\x1f\x7f \n\t\u00e9\u2028\ud800\U0001f600')
+               | st.characters(), max_size=6)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10 ** 90, 10 ** 90)
+    | st.floats() | TEXT,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(TEXT, inner, max_size=4)),
+    max_leaves=30)
+
+
+class TestReportWriter:
+    """`jsonio.report_text` writes what `json.dumps` with a two-space
+    indent and sorted keys writes, and refuses what it refuses."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_VALUES)
+    def test_writes_what_json_dumps_writes(self, value):
+        assert jsonio.report_text(value) == dumps(value)
+
+    def test_subclasses_are_written_as_their_base(self):
+        class Level(enum.IntEnum):
+            HIGH = 7
+
+        class Name(str):
+            pass
+
+        class Ratio(float):
+            pass
+
+        value = {"b": [Level.HIGH, Name("x\u00e9")], "a": (Ratio(0.5), Ratio("nan"))}
+        assert jsonio.report_text(value) == dumps(value)
+
+    @pytest.mark.parametrize("value", [Fraction(1, 2), {1, 2}, b"ab", [[Fraction(1)]],
+                                       {"a": {"b": frozenset()}}],
+                             ids=["Fraction", "set", "bytes", "nested", "in-dict"])
+    def test_other_values_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            dumps(value)
+        with pytest.raises(TypeError):
+            jsonio.report_text(value)
+
+    @pytest.mark.parametrize("key", [1, None, True, 1.5, (1,)])
+    def test_a_key_that_is_no_str_raises_type_error(self, key):
+        with pytest.raises(TypeError):
+            jsonio.report_text({key: 1})
+
+
+def recorded_reports(monkeypatch):
+    """The reports `main` hands to `_emit`, appended to the returned list."""
+    reports, emit = [], cli._emit
+
+    def record(report, out_path):
+        reports.append(report)
+        emit(report, out_path)
+    monkeypatch.setattr(cli, "_emit", record)
+    return reports
+
+
+def sweep_forms(n, seed):
+    """A random cubic with 10-bit coefficients and a Fermat cubic moved by
+    an invertible matrix, in n variables."""
+    rng = make_rng(seed)
+    fermat = Polynomial(n, 3, {tuple(3 * (i == j) for j in range(n)): 1 for i in range(n)})
+    return {"random": random_form(n, 3, rng, bound=2 ** 10),
+            "fermat": change_coordinates(fermat, oracles.random_invertible_matrix(n, rng))}
+
+
+class TestEmittedReports:
+    """Every report `_emit` writes, to stdout or `--out`, is the text of
+    `json.dumps(report, indent=2, sort_keys=True)` and a newline."""
+
+    @pytest.mark.parametrize("argv", [
+        *(["verify-a", "--g", str(g)] for g in range(5, 9)),
+        ["verify-b", "--g", "6"], ["verify-b", "--g", "7", "--split", "1,1"],
+        ["verify-b", "--g", "7", "--split", "0,2"], ["verify-b", "--g", "8"]],
+        ids=" ".join)
+    def test_verifier_reports(self, argv, tmp_path, monkeypatch):
+        monkeypatch.delenv("APOLAR_KIT_THREADS", raising=False)
+        reports, out = recorded_reports(monkeypatch), tmp_path / "report.json"
+        assert main([*argv, "--seed", "1", "--out", str(out)]) == 0
+        [report] = reports
+        assert out.read_text() == dumps(report) + "\n"
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_forms_reports(self, n, tmp_path, monkeypatch, capsys):
+        reports = recorded_reports(monkeypatch)
+
+        def emitted(*argv):
+            assert main(list(argv)) == 0
+            assert capsys.readouterr().out == dumps(reports[-1]) + "\n"
+            return reports[-1]
+
+        for seed in (1, 2, 3):
+            for kind, form in sweep_forms(n, seed).items():
+                form_path = tmp_path / f"{kind}{seed}.json"
+                form_path.write_text(json.dumps(jsonio.polynomial_to_json(form)))
+                pieces = [emitted("apolar", "--in", str(form_path), "--k", str(k))["piece"]
+                          for k in (2, 3)]
+                pieces_path = tmp_path / f"{kind}{seed}.pieces.json"
+                pieces_path.write_text(json.dumps({"d": 3, "pieces": pieces}))
+                assert emitted("inverse", "--in", str(pieces_path))["form"]["nvars"] == n
+                report = emitted("fermat", "--in", str(form_path), "--seed", str(seed))
+                assert report["fermat"] == (kind == "fermat")
+
+
+NON_ASCII_DIGITS = "\u0660\u0661\u06f5\u0966\uff11\U0001d7ce"
+COEFFICIENTS = st.one_of(
+    st.text(st.sampled_from("-/0123456789 +_.e"), max_size=12),
+    st.text(st.sampled_from("-/0123456789" + NON_ASCII_DIGITS), max_size=8),
+    # past `int`'s 4300-digit limit, in either place
+    st.builds("{}{}{}".format, st.sampled_from(["", "-"]),
+              st.integers(4295, 4305).map("1".__mul__),
+              st.sampled_from(["", "/7", "/0", "/" + "3" * 4301])),
+    st.integers(4295, 4305).map(lambda k: "5/" + "2" * k),
+    st.integers(), st.integers(-10 ** 90, 10 ** 90), st.booleans(), st.floats(), st.none())
+
+
+def read_outcome(read, raw):
+    """What a reader made of raw: the value with the types of its parts,
+    or the text of its ValueError."""
+    try:
+        value = read(raw)
+    except ValueError as err:
+        return "ValueError", str(err)
+    if isinstance(value, Polynomial):
+        return value, [tuple(map(type, exp)) for exp in value.terms]
+    return type(value), value, type(value.numerator), type(value.denominator)
+
+
+class Exponent(int):
+    """An int subclass: JSON never yields one, but the reader accepts it."""
+
+
+def spellings(e):
+    """The exponent e as an int, a float, an int subclass and, for 0 and 1,
+    a bool."""
+    return st.sampled_from([e, float(e), Exponent(e)] + [bool(e)] * (e < 2))
+
+
+EXPONENTS = st.sampled_from([(3, 0), (2, 1), (1, 2), (0, 3)]).flatmap(
+    lambda exp: st.tuples(*map(spellings, exp)).map(list))
+
+
+class TestIntegerFirstReader:
+    """The coefficient and exponent readers give what `Fraction` on the
+    matched string and `_int` on every exponent gave
+    (`oracles.coef_from_str`, `oracles.polynomial_from_json`): the same
+    values or a ValueError with the same text."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(COEFFICIENTS)
+    def test_coefficients(self, raw):
+        assert (read_outcome(jsonio._coef_from_str, raw)
+                == read_outcome(oracles.coef_from_str, raw))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(EXPONENTS, min_size=1, max_size=3))
+    def test_exponents(self, exps):
+        data = {"nvars": 2, "degree": 3, "terms": [{"exp": e, "coef": "1"} for e in exps]}
+        assert (read_outcome(jsonio.polynomial_from_json, data)
+                == read_outcome(oracles.polynomial_from_json, data))

@@ -246,3 +246,24 @@ def test_the_cubic_builds_no_product():
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
     assert "_powers" not in functions
     assert "_mul" not in _referenced([functions["_cubic_of"]])
+
+
+def test_reports_have_one_writer_and_coefficients_one_parser():
+    """No package module calls `json.dumps`: every report is written by
+    `jsonio.report_text`.  `jsonio` passes `Fraction` no string, only
+    `int(...)` of the digits `_RATIONAL` matched, so no coefficient is
+    parsed twice."""
+    trees = _parse([PACKAGE])
+    dumps = sorted(f"{path.name}:{node.lineno}" for path, tree in trees.items()
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "dumps"
+                   or isinstance(node, ast.ImportFrom)
+                   and "dumps" in {alias.name for alias in node.names})
+    assert dumps == []
+    calls = [node for node in ast.walk(trees[PACKAGE / "jsonio.py"])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "Fraction"]
+    assert calls
+    assert all(isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name)
+               and arg.func.id == "int" for call in calls for arg in call.args)
+    assert not any(call.keywords for call in calls)
