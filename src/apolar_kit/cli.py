@@ -10,7 +10,9 @@ exits with code 2.  Reports do not depend on it.  Every integer flag is
 ASCII digits with an optional leading minus (`jsonio.ascii_int`), and
 anything else exits with code 2.  Every report, on stdout or in the
 `--out` file, is `jsonio.report_text` and a newline: the bytes
-`json.dumps(report, indent=2, sort_keys=True)` gives.
+`json.dumps(report, indent=2, sort_keys=True)` gives.  One parser,
+built at import, parses every `main` call, and `main` looks the
+command's handler up by name when it runs.
 """
 
 from __future__ import annotations
@@ -302,35 +304,32 @@ _COMMANDS = {
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of every command, or only of `command` when it names
-    one; the latter lists every command in its usage all the same, so
-    both print the same usage and errors for any arguments after it."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command.  Each command's `handler` default is
+    its handler's name, which `main` looks up in the module when it runs,
+    so that a handler replaced on the module runs."""
     parser = argparse.ArgumentParser(
         prog="apolar-kit",
         description="exact apolarity, inverse systems and power-sum "
                     "decompositions for canonical-curve cubics")
-    # a metavar on the full parser would rename the command argument in its errors
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, handler, seed, options) in _COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            for flag, keywords in options:
-                p.add_argument(flag, **keywords)
-            _add_common(p, seed)
-            # the module attribute, so that a handler replaced on the module runs
-            p.set_defaults(handler=globals()[handler.__name__])
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        _add_common(p, seed)
+        p.set_defaults(handler=handler.__name__)
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         try:
-            report, code = args.handler(args), 0
+            report, code = globals()[args.handler](args), 0
         except FAILURE_ERRORS as err:
             report, code = dict(getattr(err, "report", None) or {}), 1
             report.setdefault("error", str(err))

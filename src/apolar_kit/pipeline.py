@@ -40,9 +40,9 @@ from typing import Optional, Sequence
 from .core import (ExactMatrix, Polynomial, _first_step, _int_echelon, _int_rank,
                    _int_reduce, _kernel_vectors, _rank_mod_prime, _row_to_int,
                    change_coordinates, monomial_basis)
-from .curvegen import (BihomSection, CurveSpec, IdealReconstruction, balanced_type,
-                       ideal_pieces, sample_points, tetragonal_curve, tetragonal_surfaces,
-                       trigonal_curve)
+from .curvegen import (BihomSection, CurveSpec, IdealReconstruction, _restriction_classes,
+                       balanced_type, ideal_pieces, sample_points, tetragonal_curve,
+                       tetragonal_surfaces, trigonal_curve)
 from .jsonio import ascii_int
 from .scroll import Scroll, coordinate_layout
 from .seeding import derive_seed, make_rng, random_dual_linear
@@ -228,7 +228,6 @@ def _section_forms(recon: IdealReconstruction, etas: Sequence[Sequence[int]],
     fibers, determinant = _section(recon.scroll, etas)
     threefold = determinant is None
     m = n - 1 if threefold else n
-    basis2 = monomial_basis(recon.genus, 2)
     failed = []
     for fiber in fibers:
         image = _embed(recon.scroll, fiber)
@@ -238,16 +237,35 @@ def _section_forms(recon: IdealReconstruction, etas: Sequence[Sequence[int]],
             continue
         forms = [_surface_form(equation, fiber) for equation in recon.equations]
         relations = forms if threefold else [determinant]
-        products = _products(image)
-        images = [q for q in (_combine((c, products[basis2[j]]) for j, c in row.items())
-                              for row in recon.degree2) if any(q)]
-        ech, pivots = _int_echelon(_multiples(relations, 2 * m), 2 * m + 1)
+        images = [q for q in _fiber_quadrics(recon, image) if any(q)]
+        if images:
+            ech, pivots = _int_echelon(_multiples(relations, 2 * m), 2 * m + 1)
         if (any(any(_int_reduce(ech, pivots, q)) for q in images)
                 or threefold and _rank_mod_prime(images, 2 * m + 1) < n - 1):
             failed.append("(ii) J2 and the section's quadrics differ")
             continue
         return phi, relations if threefold else relations + forms
     raise AlphaCertificateError((1, n), "degenerate section: " + "; ".join(failed))
+
+
+def _fiber_quadrics(recon: IdealReconstruction, image: Sequence[Sequence[int]]):
+    """Every row of `recon.degree2` read on the embedded fiber `image`.
+    The monomials of one restriction class (`_restriction_classes`, the
+    classes of `_piece`) read one product there, so a row reads its
+    coefficients summed per class, each nonzero sum times its class's
+    product, built once: a binomial e_j - e_rep of `_piece` reads none."""
+    classes = _restriction_classes(recon.scroll, 2)
+    basis2 = monomial_basis(recon.genus, 2)
+    products = {}
+    for row in recon.degree2:
+        sums = {}
+        for j, c in row.items():
+            sums[classes[j]] = sums.get(classes[j], 0) + c
+        for j in row:
+            if sums[classes[j]] and classes[j] not in products:
+                products[classes[j]] = _mul(*(image[i] for i, e in enumerate(basis2[j])
+                                              for _ in range(e)))
+        yield _combine((c, products[key]) for key, c in sums.items() if c)
 
 
 def _products(phi: Sequence[Sequence[int]]) -> dict:

@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import enum
 import json
@@ -680,7 +681,8 @@ class TestParser:
         ids=["help", "empty", "bogus", *(f"{name}-h" for name in _COMMANDS),
              "missing-required", "extra"])
     def test_main_prints_what_the_full_parser_prints(self, argv, capsys):
-        # main builds only the parser of a command it is given
+        # main parses with the parser built at import, and prints what a
+        # parser built anew prints
         full = parse_outcome(build_parser().parse_args, argv, capsys)
         assert parse_outcome(main, argv, capsys) == full
         if argv[-1:] == ["extra"]:
@@ -758,23 +760,59 @@ class TestRationalLayerIsDead:
     def test_every_command_is_guarded(self):
         assert {argv[0] for argv in GUARDED.values()} == set(_COMMANDS)
 
-    @pytest.mark.parametrize("argv", GUARDED.values(), ids=GUARDED)
-    def test_command_runs_without_it(self, argv, tmp_path, monkeypatch):
-        cubic = jsonio.polynomial_from_json(fermat_json(3))
-        inputs = {"cubic": fermat_json(3),
-                  "pieces": {"d": 3, "pieces": [jsonio.piece_to_json(apolar_ideal_piece(cubic, k))
-                                                for k in (1, 2, 3)]},
-                  "curve": jsonio.curve_to_json(tetragonal_curve(6, 0, 1, seed=3))}
-        paths = {}
-        for name, data in inputs.items():
-            paths[name] = tmp_path / f"{name}.json"
-            paths[name].write_text(json.dumps(data))
-        argv = [arg.format(**paths) for arg in argv]
+    @pytest.mark.parametrize("name", GUARDED)
+    def test_command_runs_without_it(self, name, tmp_path, monkeypatch):
+        argv = guarded_argvs(tmp_path)[name]
         monkeypatch.delenv("APOLAR_KIT_THREADS", raising=False)
         expected = run(tmp_path, *argv)
         oracles.refuse_rational_layer(monkeypatch)
         assert run(tmp_path, *argv) == expected
         assert expected[0] == 0
+
+
+def guarded_argvs(tmp_path):
+    """The cases of GUARDED, by name, with their input files written under tmp_path."""
+    cubic = jsonio.polynomial_from_json(fermat_json(3))
+    inputs = {"cubic": fermat_json(3),
+              "pieces": {"d": 3, "pieces": [jsonio.piece_to_json(apolar_ideal_piece(cubic, k))
+                                            for k in (1, 2, 3)]},
+              "curve": jsonio.curve_to_json(tetragonal_curve(6, 0, 1, seed=3))}
+    paths = {}
+    for name, data in inputs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(data))
+    return {name: [arg.format(**paths) for arg in argv] for name, argv in GUARDED.items()}
+
+
+class TestOneParser:
+    """`main` parses every call with the one parser `cli` built at import
+    and runs the handler the module holds under the command's name."""
+
+    def test_a_replaced_handler_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_cmd_numerology", lambda args: {"replaced": args.g})
+        assert run(tmp_path, "numerology", "--g", "9") == (0, {"replaced": 9})
+
+    def test_calls_share_no_parser_state(self, tmp_path, monkeypatch):
+        # every case of GUARDED twice, in turn: `apolar --k 2` between two
+        # `apolar` calls, `alpha --in` between two `alpha` calls without one
+        monkeypatch.delenv("APOLAR_KIT_THREADS", raising=False)
+        out = tmp_path / "report.json"
+        first = {}
+        for name, argv in [*guarded_argvs(tmp_path).items()] * 2:
+            out.unlink(missing_ok=True)
+            assert main(argv + ["--out", str(out)]) == 0
+            assert out.read_bytes() == first.setdefault(name, out.read_bytes()), name
+
+    def test_main_builds_no_parser(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("main built a parser")
+
+        argvs = guarded_argvs(tmp_path)
+        monkeypatch.delenv("APOLAR_KIT_THREADS", raising=False)
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+        for name, argv in argvs.items():
+            assert run(tmp_path, *argv)[0] == 0, name
 
 
 def dumps(value):

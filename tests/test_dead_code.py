@@ -218,14 +218,15 @@ def test_the_quotient_substitutes_nothing():
 
 def test_only_the_ideal_builder_and_the_cli_read_degree3_rows():
     """The quotient reads the cubic's functional off the curve's binary
-    forms on the section: `pipeline` imports no `_restriction_classes`,
-    and no package function but `ideal_pieces` and the CLI's reads the
-    degree-3 rows of an `IdealReconstruction`."""
+    forms on the section: `pipeline` reads `_restriction_classes` at
+    degree 2 only, and no package function but `ideal_pieces` and the
+    CLI's reads the degree-3 rows of an `IdealReconstruction`."""
     trees = _parse([PACKAGE])
     pipeline = trees[PACKAGE / "pipeline.py"]
-    imported = {alias.name for node in ast.walk(pipeline) if isinstance(node, ast.ImportFrom)
-                for alias in node.names}
-    assert "_restriction_classes" not in imported
+    degrees = [ast.literal_eval(node.args[1]) for node in ast.walk(pipeline)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "_restriction_classes"]
+    assert degrees == [2]
     readers = {f"{path.name}:{node.name}" for path, tree in trees.items()
                if path.name != "cli.py"
                for node in ast.walk(tree)
@@ -237,10 +238,9 @@ def test_only_the_ideal_builder_and_the_cli_read_degree3_rows():
 
 def test_the_cubic_builds_no_product():
     """`pipeline._cubic_of` reads F_lambda off lambda by one Hankel
-    contraction with the section's degree-2 products (`_products`, the
-    builder check (ii) runs on the embedded fiber): the package defines
-    no `_powers` (now `tests/oracles.powers`), and `_cubic_of` calls no
-    `_mul`."""
+    contraction with the section's degree-2 products (`_products`): the
+    package defines no `_powers` (now `tests/oracles.powers`), and
+    `_cubic_of` calls no `_mul`."""
     functions = {node.name: node for tree in _parse([PACKAGE]).values()
                  for node in ast.walk(tree)
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}

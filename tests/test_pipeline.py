@@ -726,6 +726,21 @@ class TestSylvesterSystem:
             2 if split is None else 1)
         assert "(i)" not in str(err.value)
 
+    @pytest.mark.parametrize("g, split", [(7, None), (8, None), (7, (1, 1)), (8, (1, 2))],
+                             ids=["tri7", "tri8", "tet7", "tet8"])
+    def test_a_binomial_across_classes_fails_ii(self, g, split):
+        # the first quadric row replaced by x_a^2 - x_b, x_b the first
+        # monomial outside the restriction class of x_a^2: a binomial, but
+        # not one `_piece` builds, so check (ii) reduces it
+        recon, eta1, eta2 = accepted_pair(g, split)
+        classes = _restriction_classes(recon.scroll, 2)
+        a = quotient_frame(eta1, eta2, g)[0]
+        square = monomial_basis(g, 2).index(tuple(2 * (i == a) for i in range(g)))
+        other = next(j for j, key in enumerate(classes) if key != classes[square])
+        recon = dataclasses.replace(recon, degree2=({square: 1, other: -1},) + recon.degree2[1:])
+        with pytest.raises(AlphaCertificateError, match=r"\(ii\) J2 and the section's"):
+            alpha_map(recon, eta1, eta2)
+
     @pytest.mark.parametrize("g, split", [(7, (1, 1)), (8, (1, 2)), (9, (2, 2))])
     def test_images_spanning_fewer_forms_fail_ii(self, g, split):
         # the quadric rows whose images vanish on the embedded fiber, and
@@ -817,10 +832,13 @@ class TestHankelCubic:
 
     @pytest.mark.parametrize("g, split", [(8, None), (8, (1, 2))], ids=["tri8", "tet8"])
     def test_builds_no_product_of_degree_three(self, g, split, monkeypatch):
-        # a work count: every fiber that reaches check (ii), one echelon
-        # each, builds the C(g + 1, 2) products of the embedded fiber, of
-        # length 2m + 1, and the quotient none of length 3m + 1; here no
-        # other product of `pipeline` has either length
+        # a work count: check (ii) reads a binomial e_j - e_rep of `_piece`
+        # as zero by its restriction class, so a fiber that reaches it
+        # builds one product of the embedded fiber, of length 2m + 1, per
+        # class the n - 1 lifts of a threefold reach (none on a surface)
+        # and one echelon when a lift is left; the quotient builds no
+        # product of length 3m + 1, and here no other product of
+        # `pipeline` has either length
         n = g - 2
         m = n if split is None else n - 1
         lengths = []
@@ -838,9 +856,13 @@ class TestHankelCubic:
                 alpha_map(recon, eta1, eta2)
             except AlphaCertificateError:
                 assert not accepted
-            assert accepted <= bool(echelons)
+            classes = _restriction_classes(recon.scroll, 2)
+            lifts = [row for row in recon.degree2 if len({classes[j] for j in row}) > 1]
+            assert len(lifts) == (0 if split is None else n - 1)
+            assert (accepted and split is not None) <= bool(echelons) <= bool(lifts)
             assert lengths.count(3 * m + 1) == 0
-            assert lengths.count(2 * m + 1) == len(echelons) * comb(g + 1, 2)
+            assert lengths.count(2 * m + 1) == len(echelons) * len(
+                {classes[j] for row in lifts for j in row})
 
 
 def accepted_alphas(g, split, seed):
