@@ -175,7 +175,7 @@ def curve_from_json(data: dict) -> CurveSpec:
     dimension gonality - 1 and degree g - gonality + 1, the class
     3H + (4 - g)F with base forms that share no factor, or the classes of
     a split that `tetragonal_surfaces` accepts, each equation of its
-    class (`_section_from_json`), and rational hints."""
+    class (`_section_from_json`), and distinct rational hints."""
     genus, gonality = _int(data["genus"]), _int(data["gonality"])
     if gonality not in (3, 4):
         raise ValueError(f"the gonality must be 3 or 4, not {gonality}")
@@ -203,6 +203,8 @@ def curve_from_json(data: dict) -> CurveSpec:
         raise ValueError("the base forms of the equation share a factor, so the curve "
                          "contains a fiber")
     hints = tuple(_coef_from_str(t) for t in data.get("rational_fiber_hints", []))
+    if len(set(hints)) != len(hints):
+        raise ValueError("every sampling hint must be a distinct rational")
     return CurveSpec(genus, gonality, scroll, classes, equations, _int(data["seed"]), hints)
 
 

@@ -1,102 +1,85 @@
-"""Reference computations for the tests.
+"""Reference computations for the tests, one per quantity.
 
-`oracle_points` evaluates a scheme (D, phi), given as integer
-coefficient lists lowest degree first, at sympy's numerical roots of D;
-`oracle_fit` fits a cubic by least squares to the cubes of those points
-in mpmath.  Both are independent of the package's arithmetic.
+The forms layer's primitives are the rational helpers the package once
+exported, checked against its integer code: `contract` and `pair` (the
+contraction action, by the falling factorials of `_falling`, and the
+apolarity pairing on `Polynomial`s), `coefficient_matrix`, `int_kernel`
+(the normalised kernel basis of `core._kernel_vectors`),
+`catalecticant` (the contraction matrix, the package's Hankel rows
+between factorial diagonals) as an `ExactMatrix`, `is_apolar_scheme`
+(the power-sum membership test with exact weights, built from
+`power_coefficient_vector`), `piece_contains` and `piece_from_vectors`
+on `GradedIdealPiece`s, `random_invertible_matrix` (determinant +-1)
+and `scroll_quadrics` (the 2 x 2 minors that cut out a scroll).
 
-The package runs one integer path; the rational helpers it once
-exported are the references here, checked against the integer code by
-the tests: `contract` and `pair` (the contraction action, by the falling
-factorials of `_falling`, and the apolarity pairing on `Polynomial`s),
-`coefficient_matrix`, `int_kernel` (the normalised kernel basis of
-`core._kernel_vectors`), `catalecticant` (the contraction matrix, the
-package's Hankel rows between factorial diagonals) as an `ExactMatrix`,
-`is_apolar_scheme` (the power-sum membership test with exact weights,
-built from `power_coefficient_vector`),
-`piece_contains` and `piece_from_vectors` on `GradedIdealPiece`s,
-`random_invertible_matrix` (determinant +-1) and `scroll_quadrics` (the
-2 x 2 minors that cut out a scroll).
-
-The curve layer runs its fiber work on integer images of the equations;
-the references here are the rational `Polynomial` computations it
-replaced.  `fiber_form` restricts a section to a fiber, `conic_pencil`
-forms the Bezout combinations of two fiber conics, `binary_roots` lists
-the rational roots of a binary form, and `quadratic_fiber_points` is the
-quadratic-formula solver for the common points of two conics that the
-closed form of `curvegen._tetragonal_fiber_points` replaced.
-`small_rationals` is the stream of `seeding.small_rationals` as it was
-written before its bands were built once.
-
-The quotient runs on integer rows with a closed-form hyperplane frame;
-`quotient_frame` and `alpha_map` here are the `Fraction` computations it
-replaced: a frame found by one rref of the hyperplane rows and inverted
-whole, and a quotient through the public `substitute`, `inverse_system`
-and `int_kernel` on `Polynomial` pieces.  `recon_piece` reads an integer
-ideal piece of `ideal_pieces` as a `GradedIdealPiece`, and `from_spanning`
-puts a spanning set in the one reduced echelon form of its span.
-
-The forms layer runs on integer rows from the form's integer scaling.
-The `Fraction` computations it replaced are kept here: `pencil` is the
-Fermat pencil on `Polynomial` quadrics, with B^-1 A read off one rref of
-[B | A | C ...] and scaled by `integer_multiple`, `fermat_detect_detail`
-drives it with the three quadrics of `contract` and decides by the span
-check below, `hilbert_vector` takes the exact rank of every
-catalecticant, and `annihilator_piece` reads a piece off
+Fermat detection and the apolar profile: `pencil` is the Fermat pencil
+on `Polynomial` quadrics, with B^-1 A read off one rref of
+[B | A | C ...] and scaled by `integer_multiple`,
+`fermat_detect_detail` drives it with the three quadrics of `contract`
+and decides by `echelon_certificate`, `hilbert_vector` takes the exact
+rank of every catalecticant, and `annihilator_piece` reads a piece off
 `ExactMatrix.kernel`.
 
-The package certifies no scheme in Q[t]/(D): Fermat detection proves
-its verdict by the commutation of every coordinate Hessian with the
-pencil.  `echelon_certificate` is the general span check, for any
-squarefree D and points phi: the cubic lies in the span of the cubes of
-the points exactly when its target e! F_e reduces to zero against one
-echelon of the L x C(n + 2, 3) matrix of residues x^e(phi) mod D, each
-column's scale a `Fraction`.  It is the reference of Fermat detection
-and of both verifiers' certificates, and returns to the package with
-the plane-model verifier (`verify-c`).
+The curve's fibers: the rational `Polynomial` computations the integer
+fiber work replaced.  `fiber_form` restricts a section to a fiber,
+`conic_pencil` forms the Bezout combinations of two fiber conics,
+`binary_roots` lists the rational roots of a binary form, and
+`quadratic_fiber_points` is the quadratic-formula solver for the common
+points of two conics.  `small_rationals` is the stream of
+`seeding.small_rationals` rebuilt on every call.
 
-Both verifiers check by Sylvester's theorem that a binary form D kills
-the cubic's functional: the scroll's D = a0 b1 - a1 b0 on a trigonal
-curve, a surface's form on C0 on a tetragonal one.  The certificates
-that check replaced are kept here: `trigonal_scheme` and `surface_scheme` build the
-scheme over Q once on binary forms, moved to the chart s = 1 + k t
-picked in closed form (`chart`), and `scheme_certify_fermat` and
-`scheme_certify_bound` run the span check `echelon_certificate` in
-Q[t]/(D) on it.  `chart_search_scheme` is the builder those schemes
-replaced, which tries the charts for k = 0, 1, ... and restricts both
-hyperplanes and the surface again on each, until D has the expected
-degree.
+The kept coordinates: `quotient_frame`, a frame found by one rref of the
+hyperplane rows and inverted whole.  `restriction_matrix` reads the
+integer restriction R off it: delta times the first n columns of the
+frame's inverse, delta the minor of the hyperplane rows at the dropped
+pair.
 
-The quotient reads the cubic's functional off one Sylvester system on
-the section, the curve's two binary forms times every monomial, and
-pairs no degree-3 row.  The two-kernel path it replaced is kept here as
-the reference: `restricted_quadrics` is the frame and restriction both
-share.  `h2` is the rank of the restricted quadrics that the quotient
-no longer takes, since its section checks (i) and (ii) imply h2 = n;
-`general_quadrics` refuses a pair with h2 != n, as the reference did,
-with the diagnostic vector (1, n, h2).  `section_inverse_system` reads
-a basis of V, the degree-3 inverse system of the restricted quadrics,
-off the relations of the images q(phi), and `class_pairing_alpha_map`
-pairs every degree-3 row with V's basis functionals on the embedded
-fiber, class by class, and weighs them by the one kernel vector.
-The restriction R is delta times the first n columns of the inverse of
-`quotient_frame` (`restriction_matrix`), and
+The quotient keeps two references.  `alpha_map` is the generic
+definition in `Fraction` polynomials: the ideal pieces of `recon_piece`
+restricted element by element through the public `substitute`, the
+degree-3 inverse system of the quadrics from `inverse_system`, and one
+kernel of the pairing with every cubic row (`from_spanning` gives each
+span one reduced echelon basis).  It is the only check that the package
+does not reject a pair the definition accepts.
+`class_pairing_alpha_map` returns lambda, and rejects a degenerate
+section by the package's own checks (i) and (ii), so it cannot catch
+that; but it is cheap enough to sweep every drawn pair up to g = 12.
+On trigonal g = 10-12 and tetragonal g = 10 and 11, seeds 1 and 2, five
+drawn pairs each, in-process on a 2-core Xeon, a pair took 52-218 ms
+(median 107) by `alpha_map` and 8-33 ms (median 15) by the class
+pairing.  The class pairing reads V, the inverse system of the
+restricted quadrics (`restricted_quadrics`, x -> R y; `general_quadrics`
+refuses h2 != n with the diagnostic vector (1, n, h2), `h2` being the
+rank the package no longer takes), off the section
+(`section_inverse_system`), and pairs every cubic row with V's basis
+functionals class by class on the embedded fiber.
 `restricted_section_forms` is the section check (ii) as it ran on the
-restricted quadrics before it read them on the embedded fiber.
-`lift_and_pair_alpha_map` is the pairing the class pairing replaced:
-every basis cubic F_(lambda_k) lifted back to g variables through the
-transposed restriction, paired with the cubic rows over all C(g + 2, 3)
-monomials, and the n cubics combined by the kernel vector.
-`row_pairing_alpha_map` is the class pairing as it ran before rows were
-summed per class: every cubic row paired term by term, the binomials
-that pair to zero included.  All three return a `SectionQuotient`,
-whose cubic is built here.
+restricted quadrics.  `alpha_map` returns a `Quotient`, with the span of
+the restricted quadrics, and the class pairing a `SectionQuotient`.
 
-The quotient reads its cubic F_lambda off lambda by one Hankel
-contraction with the section's degree-2 products.  `product_cubic_of`
-is the builder it replaced and the reference: every product phi^e of
-degree 3 (`powers`, each product one lower product times phi at its
-first variable), paired with lambda term by term.
+The cubic F_lambda: `product_cubic_of`, every product phi^e of degree 3
+(`powers`, each product one lower product times phi at its first
+variable) paired with lambda term by term.
+
+The certificate: `echelon_certificate` is the span check for any
+squarefree D and points phi.  The cubic lies in the span of the cubes
+of the points exactly when its target e! F_e reduces to zero against
+one echelon of the L x C(n + 2, 3) matrix of residues x^e(phi) mod D,
+each column's scale a `Fraction`.  It is the reference of Fermat
+detection and of both verifiers' Sylvester certificates, and returns to
+the package with the plane-model verifier (`verify-c`).
+
+The scheme (D, phi): `trigonal_scheme` and `surface_scheme` build it
+over Q once on binary forms from `pipeline._section`, moved to the chart
+s = 1 + k t of the first k >= 0 where D(k, 1) != 0 (`chart`), and
+`scheme_certify_fermat` and `scheme_certify_bound` run
+`echelon_certificate` on it.  `oracle_points` evaluates a scheme at
+sympy's numerical roots of D, and `oracle_fit` fits a cubic by least
+squares to the cubes of those points in mpmath, apart from the
+package's arithmetic.
+
+JSON reading: `coef_from_str` and `polynomial_from_json` parse a
+coefficient by `Fraction` and a polynomial term by term.
 
 `admissible_splits` lists the tetragonal splits the sweeps run over.
 
@@ -124,14 +107,14 @@ from mpmath import mp
 from apolar_kit import core, jsonio
 from apolar_kit.apolarity import (ApolarAlgebraProfile, GradedIdealPiece, _catalecticant_rows,
                                   inverse_system)
-from apolar_kit.core import (ExactMatrix, Polynomial, _combination, _int_echelon,
-                             _int_rank, _int_reduce, _int_substitute, _kernel_vectors,
-                             _monomial_value, _rank_mod_prime, _row_to_int, _scaled,
-                             monomial_basis, substitute)
+from apolar_kit.core import (ExactMatrix, Polynomial, _int_echelon, _int_rank, _int_reduce,
+                             _int_substitute, _kernel_vectors, _monomial_value,
+                             _rank_mod_prime, _row_to_int, _scaled, monomial_basis,
+                             substitute)
 from apolar_kit.curvegen import _restriction_classes, balanced_type, tetragonal_surfaces
 from apolar_kit.pipeline import (AlphaCertificateError, _embed, _hyperplane_rows, _section,
                                  _surface_form, tetragonal_cube_bound)
-from apolar_kit.scroll import Scroll, coordinate_layout, divisor_degree
+from apolar_kit.scroll import Scroll, coordinate_layout
 from apolar_kit.seeding import make_rng, random_dual_linear
 from apolar_kit.univariate import (_combine, _mul, _multiples, _pseudo_remainder, affine_chart,
                                    is_squarefree, poly_gcd, rational_roots)
@@ -726,86 +709,6 @@ def echelon_certificate(determinant, phi, cubic):
     return length
 
 
-def chart_search_scheme(curve, surface_index, eta1, eta2, kept):
-    """The scheme the two hyperplanes cut on a surface, over Q, as (D, phi).
-
-    On a trigonal curve the surface is the scroll (`surface_index` None):
-    the hyperplanes restrict to a 2 x 2 system (a0, a1; b0, b1) of base
-    forms, D is its determinant a0 b1 - a1 b0, and the fiber is (a1, -a0),
-    or (b1, -b0) when that one vanishes at a root of D.  On a tetragonal
-    curve the surface Y is equation `surface_index`: the hyperplanes
-    restrict to two linear conditions on the fiber plane, the fiber is the
-    cross product of the two rows, and D is Y's section at that fiber.
-    Everything is an integer polynomial in t on the chart s = 1 + k t of
-    the base line, with the smallest k >= 0 that gives D the expected
-    degree (deg S, or deg Y on the threefold), so every point of the
-    scheme lies in the chart; phi holds the kept coordinates of the
-    embedded fiber.  CertificateError names check (a) when D vanishes or
-    no chart gives it that degree, and (b) when the fiber vanishes at a
-    root of D or a hyperplane does not vanish on the image modulo D.
-    """
-    scroll = curve.scroll
-    layout = coordinate_layout(scroll)
-    basis1 = monomial_basis(eta1.nvars, 1)
-    etas = [_row_to_int(eta.coefficient_vector(basis1)) for eta in (eta1, eta2)]
-    if curve.gonality == 3:
-        if surface_index is not None:
-            raise ValueError("the trigonal surface is the scroll itself")
-        expected, section = scroll.degree, []
-    else:
-        if surface_index not in (0, 1):
-            raise ValueError("surface_index must pick one of the two surfaces")
-        equation = curve.equations[surface_index]
-        expected = divisor_degree(scroll, equation.cls)
-        # Y's integer image: a positive multiple of Y, so D moves by a
-        # positive constant only
-        section = [(exp, row) for exp, row in equation.image if row]
-    top = max([*scroll.type, *(len(row) - 1 for _, row in section)])
-    for k in range(expected + 1):
-        powers = [[1]]
-        for _ in range(top):
-            powers.append(_mul(powers[-1], [1, k]))
-        # the base monomial s^(a_i - j) t^j of each ambient coordinate
-        monomials = [[0] * j + powers[scroll.type[i] - j] for i, j in layout]
-        # each hyperplane restricts to one base form per fiber coordinate
-        rows = [[_combine((c, m) for c, m, (i, _) in zip(eta, monomials, layout) if i == b)
-                 for b in range(scroll.k)] for eta in etas]
-        if curve.gonality == 3:
-            (a0, a1), (b0, b1) = rows
-            determinant = _combine([(1, _mul(a0, b1)), (-1, _mul(a1, b0))])
-            fibers = [(a1, [-c for c in a0]), (b1, [-c for c in b0])]
-        else:
-            r, q = rows   # the fiber is the cross product r x q
-            fiber = [_combine([(1, _mul(r[i - 2], q[i - 1])), (-1, _mul(r[i - 1], q[i - 2]))])
-                     for i in range(3)]
-            determinant = []
-            for exp, row in section:
-                # Y's base form of the fiber monomial y^exp, times fiber^exp
-                term = _combine((c, [0] * j + powers[len(row) - 1 - j])
-                                for j, c in enumerate(row) if c)
-                for i, e in enumerate(exp):
-                    for _ in range(e):
-                        term = _mul(term, fiber[i])
-                determinant = _combine([(1, determinant), (1, term)])
-            fibers = [fiber]
-        if not any(determinant):
-            raise CertificateError("(a) the scheme equation vanishes identically")
-        if len(determinant) == expected + 1 and determinant[expected]:
-            break
-    else:
-        raise CertificateError(f"(a) the scheme equation does not have degree {expected}")
-    for fiber in fibers:
-        if len(reduce(poly_gcd, fiber, determinant)) == 1:
-            break
-    else:
-        raise CertificateError("(b) degenerate fiber at a root of the scheme equation")
-    image = [_mul(m, fiber[i]) for m, (i, _) in zip(monomials, layout)]
-    for eta in etas:
-        if any(_pseudo_remainder(_combine(zip(eta, image)), determinant)[1]):
-            raise CertificateError("(b) a hyperplane misses the scheme")
-    return determinant, [image[i] for i in kept]
-
-
 def chart(form, k):
     """The binary form sum_j c_j s^(d - j) t^j on the chart s = 1 + k t:
     its d + 1 integer coefficients in t, lowest first (Horner's rule)."""
@@ -1070,46 +973,30 @@ SectionQuotient = namedtuple("SectionQuotient",
                              "genus eta1 eta2 hilbert kept_indices functional cubic")
 
 
-def _combined_quotient(recon, eta1, eta2, kept, fiber, functionals, combos):
-    """The `SectionQuotient` of V's basis functionals weighed by the one kernel
-    vector of a degree-3 pairing; `AlphaCertificateError` when that
-    kernel does not have dimension 1."""
-    n = recon.genus - 2
-    hilbert = (1, n, n, len(combos))
-    if len(combos) != 1:
-        raise AlphaCertificateError(
-            hilbert, "quotient algebra does not have the expected Hilbert vector")
-    functional = _combine((c, functionals[i]) for i, c in combos[0].items())
-    image = _embed(recon.scroll, fiber)
-    cubic = normalized(Polynomial(n, 3, product_cubic_of(functional, [image[i] for i in kept])))
-    return SectionQuotient(recon.genus, eta1, eta2, hilbert, kept, tuple(functional), cubic)
-
-
-def _class_values(scroll, fiber, functionals):
-    """lambda_k(s^S t^T fiber^F) for each class (F, (S, T)) of an ambient
-    cubic monomial under `curvegen._restriction_classes`, and the classes."""
-    products = {exp: reduce(_mul, [fiber[i] for i, e in enumerate(exp) for _ in range(e)])
-                for exp in monomial_basis(scroll.k, 3)}
-    classes = _restriction_classes(scroll, 3)
-    values = {(exp, (s, t)): [sum(x * y for x, y in zip(products[exp], lam[t:]))
-                              for lam in functionals]
-              for exp, (s, t) in set(classes)}
-    return values, classes
-
-
 def class_pairing_alpha_map(recon, eta1, eta2):
     """`pipeline.alpha_map` as it ran before the Sylvester system: V's
     basis from `section_inverse_system`, then every cubic row of `recon`
     paired with V's functionals class by class on the embedded fiber
     (the embedded fiber is R phi / delta, exactly on a threefold and
     modulo D on a surface, so a row pairs as 6 delta^3 lambda_k(P(fiber))).
-    A row is summed per class first, and only rows with a nonzero class
-    sum are paired; the kernel of those rows has dimension h3, and its
-    one vector weighs the basis functionals into lambda."""
+    A row is summed per `curvegen._restriction_classes` class (F, (S, T))
+    first, each class read as lambda_k(s^S t^T fiber^F), and only rows
+    with a nonzero class sum are paired; the kernel of those rows has
+    dimension h3, and its one vector weighs the basis functionals into
+    lambda.  Returns a `SectionQuotient`, whose cubic is built by
+    `product_cubic_of`; raises `AlphaCertificateError` like
+    `pipeline.alpha_map`."""
+    g = recon.genus
+    n = g - 2
     kept, _, quadrics = general_quadrics(recon, eta1, eta2)
     fiber, functionals = section_inverse_system(
         recon.scroll, _hyperplane_rows(eta1, eta2), kept, quadrics)
-    values, classes = _class_values(recon.scroll, fiber, functionals)
+    products = {exp: reduce(_mul, [fiber[i] for i, e in enumerate(exp) for _ in range(e)])
+                for exp in monomial_basis(recon.scroll.k, 3)}
+    classes = _restriction_classes(recon.scroll, 3)
+    values = {(exp, (s, t)): [sum(x * y for x, y in zip(products[exp], lam[t:]))
+                              for lam in functionals]
+              for exp, (s, t) in set(classes)}
     conditions = []
     for row in recon.degree3:
         sums = {}
@@ -1118,51 +1005,14 @@ def class_pairing_alpha_map(recon, eta1, eta2):
         if any(sums.values()):
             conditions.append(_combine((c, values[key]) for key, c in sums.items() if c))
     combos = _kernel_vectors(conditions, len(functionals))
-    return _combined_quotient(recon, eta1, eta2, kept, fiber, functionals, combos)
-
-
-def lift_and_pair_alpha_map(recon, eta1, eta2):
-    """`class_pairing_alpha_map` as it paired before: the cubic
-    F_(lambda_k) of each basis functional of `section_inverse_system`,
-    lifted to g variables by the transposed restriction with the
-    factorial weights e! folded in, paired with every cubic row of
-    `recon`; the kernel vector then combines the n cubics.  Raises
-    `AlphaCertificateError` like `pipeline.alpha_map`."""
-    g = recon.genus
-    n = g - 2
-    kept, restriction, quadrics = general_quadrics(recon, eta1, eta2)
-    fiber, functionals = section_inverse_system(
-        recon.scroll, _hyperplane_rows(eta1, eta2), kept, quadrics)
-    image = _embed(recon.scroll, fiber)
-    solutions = [product_cubic_of(lam, [image[i] for i in kept]) for lam in functionals]
-    index3 = {exp: j for j, exp in enumerate(monomial_basis(g, 3))}
-    weighted = [{index3[exp]: c * prod(map(factorial, exp)) for exp, c in lift.items()}
-                for lift in _int_substitute(solutions, list(zip(*restriction)), g)]
-    conditions = [[sum(c * lift[j] for j, c in row.items() if j in lift) for lift in weighted]
-                  for row in recon.degree3]
-    combos = _kernel_vectors(conditions, len(weighted))
     hilbert = (1, n, n, len(combos))
     if len(combos) != 1:
         raise AlphaCertificateError(
             hilbert, "quotient algebra does not have the expected Hilbert vector")
     functional = _combine((c, functionals[i]) for i, c in combos[0].items())
-    return SectionQuotient(g, eta1, eta2, hilbert, kept, tuple(functional),
-                           normalized(Polynomial(n, 3, _combination(combos[0], solutions))))
-
-
-def row_pairing_alpha_map(recon, eta1, eta2):
-    """`class_pairing_alpha_map` as it paired before summing rows per
-    class: each cubic row of `recon` paired term by term with V's
-    functionals on the embedded fiber, every row sent to the kernel, zero
-    or not."""
-    kept, _, quadrics = general_quadrics(recon, eta1, eta2)
-    fiber, functionals = section_inverse_system(
-        recon.scroll, _hyperplane_rows(eta1, eta2), kept, quadrics)
-    values, classes = _class_values(recon.scroll, fiber, functionals)
-    conditions = [_combine((c, values[classes[j]]) for j, c in row.items())
-                  for row in recon.degree3]
-    combos = _kernel_vectors(conditions, len(functionals))
-    return _combined_quotient(recon, eta1, eta2, kept, fiber, functionals, combos)
+    image = _embed(recon.scroll, fiber)
+    cubic = normalized(Polynomial(n, 3, product_cubic_of(functional, [image[i] for i in kept])))
+    return SectionQuotient(g, eta1, eta2, hilbert, kept, tuple(functional), cubic)
 
 
 def admissible_splits(g):

@@ -150,6 +150,8 @@ MALFORMED_CURVES = {
     "class-2H": _set("classes", 0, "h", 2),
     "genus-9": _set("genus", 9),
     "hint-1/0": _set("rational_fiber_hints", 0, "1/0"),
+    "hint-repeated": lambda data: data["rational_fiber_hints"].append(
+        data["rational_fiber_hints"][0]),
 }
 
 

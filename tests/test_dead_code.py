@@ -1,5 +1,6 @@
-"""Every function and method of the package has a caller, and the package
-imports nothing outside the standard library."""
+"""Every function and method of the package has a caller, every test
+oracle a test reader, and the package imports nothing outside the
+standard library."""
 
 import ast
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "apolar_kit"
+TESTS = ROOT / "tests"
 
 
 def _parse(directories):
@@ -69,6 +71,28 @@ def test_public_functions_and_methods_are_referenced():
                     if name.rpartition(".")[2] not in referenced
                     and f"{module}:{name}" not in BENCH_PINNED)
     assert unused == []
+
+
+def test_every_oracle_is_read_by_a_test():
+    """Every top-level function, class and constant of `tests/oracles.py`
+    is read by a `tests/test_*.py` module, or by an oracle that such a
+    module reads: a reference no test compares against is dead code."""
+    definitions = {}
+    for node in ast.parse((TESTS / "oracles.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            definitions[node.name] = node
+        elif isinstance(node, ast.Assign):
+            definitions.update((target.id, node) for target in node.targets
+                               if isinstance(target, ast.Name))
+    tests = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(TESTS.glob("test_*.py"))]
+    reached, todo = set(), list(_referenced(tests))
+    while todo:
+        name = todo.pop()
+        if name in definitions and name not in reached:
+            reached.add(name)
+            todo += _referenced([definitions[name]])
+    assert sorted(set(definitions) - reached) == []
 
 
 def test_polynomial_has_no_arithmetic():

@@ -15,8 +15,7 @@ from mpmath import mp
 
 from apolar_kit import core, waring
 from apolar_kit import pipeline as pipeline_module
-from apolar_kit.apolarity import (SocleDimensionError, _inverse_vectors,
-                                  apolar_ideal_piece, macaulay_inverse)
+from apolar_kit.apolarity import _inverse_vectors, apolar_ideal_piece
 from apolar_kit.cli import main
 from apolar_kit.core import ExactMatrix, Polynomial, change_coordinates, monomial_basis
 from apolar_kit.curvegen import (_restriction_classes, balanced_type, ideal_pieces,
@@ -60,6 +59,9 @@ class TestCubeBound:
 
 
 class TestAlphaMap:
+    """The quotient's profile and its kept coordinates, these against the
+    frame of one rref of the hyperplane rows (`oracles.quotient_frame`)."""
+
     def test_trigonal_genus_five_profile(self):
         curve = trigonal_curve(5, seed=21)
         recon = build_recon(curve)
@@ -85,25 +87,12 @@ class TestAlphaMap:
         with pytest.raises(AlphaCertificateError):
             alpha_map(recon, eta, scaled(eta, 2))
 
-    def test_quotient_frame_matches_greedy_choice(self):
-        # small coefficients give zeros, so every dropped pair occurs
-        rng = make_rng(38)
-        for _ in range(200):
-            g = rng.randint(5, 8)
-            eta1 = random_dual_linear(g, rng, bound=1)
-            eta2 = random_dual_linear(g, rng, bound=1)
-            kept = greedy_kept(eta1, eta2, g)
-            if kept is None:
-                with pytest.raises(AlphaCertificateError):
-                    quotient_frame(eta1, eta2, g)
-            else:
-                assert quotient_frame(eta1, eta2, g) == kept
-
     @pytest.mark.parametrize("g", [5, 6, 7, 8])
     def test_quotient_frame_on_coordinate_pairs(self, g):
+        # the kept coordinates do not depend on the order of the pair
         for i, j in combinations(range(g), 2):
             eta1, eta2 = variable(i, g), variable(j, g)
-            kept = greedy_kept(eta1, eta2, g)
+            kept = oracles.quotient_frame(eta1, eta2, g)[0]
             assert quotient_frame(eta1, eta2, g) == kept
             assert quotient_frame(eta2, eta1, g) == kept
 
@@ -113,25 +102,26 @@ class TestAlphaMap:
         # with L the inverse of the rref frame and delta the minor of the
         # primitive hyperplane rows at the dropped pair, is an integer
         # matrix that keeps the kept coordinates up to delta
-        rng = make_rng(39)
         dependent = 0
-        for _ in range(2400):
-            g = rng.randint(5, 12)
-            eta1 = random_dual_linear(g, rng, bound=1)
-            eta2 = random_dual_linear(g, rng, bound=1)
-            try:
-                kept, _, inverse = oracles.quotient_frame(eta1, eta2, g)
-            except AlphaCertificateError as expected:
-                with pytest.raises(AlphaCertificateError) as err:
-                    quotient_frame(eta1, eta2, g)
-                assert str(err.value) == str(expected)
-                dependent += 1
-                continue
-            assert quotient_frame(eta1, eta2, g) == kept
-            _, delta, restriction = oracles.restriction_matrix(eta1, eta2, g)
-            assert delta and all(type(x) is int for row in restriction for x in row)
-            assert [restriction[i] for i in kept] == [
-                [delta * (i == k) for k in range(g - 2)] for i in range(g - 2)]
+        for seed, draws, top in ((38, 200, 8), (39, 2400, 12)):
+            rng = make_rng(seed)
+            for _ in range(draws):
+                g = rng.randint(5, top)
+                eta1 = random_dual_linear(g, rng, bound=1)
+                eta2 = random_dual_linear(g, rng, bound=1)
+                try:
+                    kept, _, inverse = oracles.quotient_frame(eta1, eta2, g)
+                except AlphaCertificateError as expected:
+                    with pytest.raises(AlphaCertificateError) as err:
+                        quotient_frame(eta1, eta2, g)
+                    assert str(err.value) == str(expected)
+                    dependent += 1
+                    continue
+                assert quotient_frame(eta1, eta2, g) == kept
+                _, delta, restriction = oracles.restriction_matrix(eta1, eta2, g)
+                assert delta and all(type(x) is int for row in restriction for x in row)
+                assert [restriction[i] for i in kept] == [
+                    [delta * (i == k) for k in range(g - 2)] for i in range(g - 2)]
         assert dependent > 0
 
     def test_random_pairs_skip_dependent_ones(self, monkeypatch):
@@ -189,57 +179,6 @@ class TestAlphaMap:
             assert alpha.hilbert == (1, g - 2, g - 2, 1)
 
 
-def greedy_kept(eta1, eta2, g):
-    """Kept coordinates chosen one rank check at a time; None when the
-    hyperplanes are dependent."""
-    basis1 = monomial_basis(g, 1)
-    rows = [eta1.coefficient_vector(basis1), eta2.coefficient_vector(basis1)]
-    if ExactMatrix(rows).rank() < 2:
-        return None
-    kept = []
-    for i in range(g):
-        unit = [1 if j == i else 0 for j in range(g)]
-        if ExactMatrix(rows + [unit]).rank() > len(rows):
-            rows.append(unit)
-            kept.append(i)
-        if len(rows) == g:
-            break
-    return tuple(kept)
-
-
-def elementwise_alpha(recon, eta1, eta2):
-    """The quotient computed element by element: every basis element of
-    the degree-2 and degree-3 ideal pieces through its own change of
-    coordinates, truncated, then both pieces inverted together.  Returns
-    (hilbert, kept, piece2, cubic) or the certificate error's message."""
-    g = recon.genus
-    n = g - 2
-    kept = greedy_kept(eta1, eta2, g)
-    basis1 = monomial_basis(g, 1)
-    frame = ExactMatrix([[1 if j == i else 0 for j in range(g)] for i in kept]
-                        + [eta1.coefficient_vector(basis1),
-                           eta2.coefficient_vector(basis1)])
-    inverse = frame.inverse()
-
-    def restrict(poly):
-        moved = change_coordinates(poly, inverse)
-        return Polynomial(n, poly.degree, {exp[:n]: c for exp, c in moved.terms.items()
-                                           if not any(exp[n:])})
-
-    pieces = [from_spanning(piece.degree, n,
-                            [q for q in map(restrict, piece.basis) if not q.is_zero()])
-              for piece in (recon_piece(recon, 2), recon_piece(recon, 3))]
-    hilbert = (1, n, comb(n + 1, 2) - pieces[0].dim, comb(n + 2, 3) - pieces[1].dim)
-    if hilbert[2:] != (n, 1):
-        return str(AlphaCertificateError(
-            hilbert, "quotient algebra does not have the expected Hilbert vector"))
-    try:
-        cubic = macaulay_inverse(pieces, 3)
-    except SocleDimensionError as err:
-        return str(AlphaCertificateError(hilbert, str(err)))
-    return hilbert, kept, pieces[0], cubic
-
-
 def against_the_oracle(curve, recon, eta1, eta2):
     """alpha_map against `oracles.alpha_map` on one pair; returns whether
     alpha_map accepted it.  Where both accept, the Hilbert vector, kept
@@ -278,20 +217,9 @@ def against_the_oracle(curve, recon, eta1, eta2):
     return True
 
 
-def alpha_outcome(recon, eta1, eta2, quotient=alpha_map):
-    """(hilbert, kept, Ann(cubic)_2 in reduced echelon form, cubic), or the
-    certificate error's message."""
-    try:
-        alpha = quotient(recon, eta1, eta2)
-    except AlphaCertificateError as err:
-        return str(err)
-    piece2 = apolar_ideal_piece(alpha.cubic, 2)
-    return (alpha.hilbert, alpha.kept_indices,
-            from_spanning(2, piece2.nvars, piece2.basis), alpha.cubic)
-
-
 class TestElementwiseOracle:
-    """alpha_map against the quotient computed element by element."""
+    """alpha_map against `oracles.alpha_map`, which restricts the ideal
+    pieces element by element through the public `substitute`."""
 
     @pytest.mark.parametrize("make_curve", [
         lambda: trigonal_curve(5, seed=71),
@@ -302,14 +230,17 @@ class TestElementwiseOracle:
         lambda: tetragonal_curve(7, 0, 2, seed=76),
     ], ids=["tri5", "tri6", "tri7", "tet6", "tet7-11", "tet7-02"])
     def test_random_hyperplanes(self, make_curve):
+        # the oracle's restricted quadrics span Ann(cubic)_2
         curve = make_curve()
         recon = build_recon(curve)
         rng = make_rng(curve.genus)
         eta1 = random_dual_linear(curve.genus, rng)
         eta2 = random_dual_linear(curve.genus, rng)
-        expected = elementwise_alpha(recon, eta1, eta2)
-        assert not isinstance(expected, str)
-        assert alpha_outcome(recon, eta1, eta2) == expected
+        expected = oracles.alpha_map(recon, eta1, eta2)
+        alpha = alpha_map(recon, eta1, eta2)
+        assert (alpha.hilbert, alpha.kept_indices, alpha.cubic) == tuple(expected[:3])
+        piece2 = apolar_ideal_piece(alpha.cubic, 2)
+        assert from_spanning(2, piece2.nvars, piece2.basis) == expected.quotient_piece2
 
     @pytest.mark.parametrize("make_curve", [
         lambda: trigonal_curve(6, seed=77),
@@ -320,13 +251,8 @@ class TestElementwiseOracle:
         curve = make_curve()
         recon = build_recon(curve)
         g = curve.genus
-        failed = []
-        for i, j in combinations(range(g), 2):
-            eta1, eta2 = variable(i, g), variable(j, g)
-            expected = elementwise_alpha(recon, eta1, eta2)
-            assert expected == alpha_outcome(recon, eta1, eta2, oracles.alpha_map)
-            failed.append(not against_the_oracle(curve, recon, eta1, eta2))
-        assert any(failed)
+        assert not all([against_the_oracle(curve, recon, variable(i, g), variable(j, g))
+                        for i, j in combinations(range(g), 2)])
 
 
 def quotient_curves():
@@ -538,67 +464,6 @@ def pairing_curves():
             yield pytest.param(g, None, seed, id=f"tri{g}-s{seed}")
 
 
-def quotient_outcome(quotient, recon, eta1, eta2):
-    """(hilbert, kept, cubic) of a quotient, or its failure's diagnostic
-    vector and message: `alpha_outcome` without Ann(cubic)_2, which the
-    cubic fixes and which would double the cost of these sweeps."""
-    try:
-        alpha = quotient(recon, eta1, eta2)
-    except AlphaCertificateError as err:
-        return err.hilbert, str(err)
-    return alpha.hilbert, alpha.kept_indices, alpha.cubic
-
-
-def class_sums(row, scroll):
-    """A cubic row's coefficients summed per `_restriction_classes` class."""
-    classes = _restriction_classes(scroll, 3)
-    sums = {}
-    for j, c in row.items():
-        sums[classes[j]] = sums.get(classes[j], 0) + c
-    return {key: c for key, c in sums.items() if c}
-
-
-class TestClassPairing:
-    """The quotient against the reference that lifts each basis cubic of V
-    to g variables and pairs it over all C(g + 2, 3) monomials, and the
-    reference class pairing (`oracles.class_pairing_alpha_map`) against
-    pairing every row term by term."""
-
-    @pytest.mark.parametrize("g, split, seed", pairing_curves())
-    def test_same_outcome_as_lifting_and_pairing(self, g, split, seed):
-        pairs = (section_pairs(g, split, seed) if g <= 9
-                 else drawn_quotients(section_curve(g, split, seed), seed))
-        assert len(pairs) == pipeline_module._ETA_RETRIES
-        for recon, eta1, eta2, _ in pairs:
-            assert (quotient_outcome(alpha_map, recon, eta1, eta2)
-                    == quotient_outcome(oracles.lift_and_pair_alpha_map, recon, eta1, eta2))
-
-    @pytest.mark.parametrize("g, split, seed", section_curves())
-    def test_same_combos_and_cubic_as_row_by_row_pairing(self, g, split, seed, monkeypatch):
-        # rows summed per class, the zero sums dropped, give the kernel of
-        # pairing every row term by term, vector for vector
-        pairs = (section_pairs(g, split, seed) if g <= 9
-                 else drawn_quotients(section_curve(g, split, seed), seed))
-        assert len(pairs) == pipeline_module._ETA_RETRIES
-        kernels = []
-        original = oracles._kernel_vectors
-        monkeypatch.setattr(oracles, "_kernel_vectors",
-                            lambda rows, ncols: kernels.append((len(rows), original(rows, ncols)))
-                            or kernels[-1][1])
-        for recon, eta1, eta2, _ in pairs:
-            kernels.clear()
-            outcome = quotient_outcome(oracles.class_pairing_alpha_map, recon, eta1, eta2)
-            combos = kernels[-1] if len(outcome[0]) == 4 else None
-            kernels.clear()
-            assert outcome == quotient_outcome(oracles.row_pairing_alpha_map, recon, eta1, eta2)
-            if combos is not None:
-                paired, expected = combos[0], kernels[-1][0]
-                assert combos[1] == kernels[-1][1]
-                assert paired == sum(1 for row in recon.degree3 if any(
-                    class_sums(row, recon.scroll).values()))
-                assert paired <= expected == len(recon.degree3)
-
-
 def tetragonal_section_curves():
     """Tetragonal g = 6..11 at every admissible split, seeds 1-3."""
     return [param for param in section_curves() if param.values[1] is not None]
@@ -609,16 +474,21 @@ BENCH_CURVES = [(g, None) for g in (5, 6, 7, 8)] + [(6, (0, 1)), (7, (1, 1)), (7
 
 
 def sweep_pairs(g, split, seed):
-    """The recon of a `section_curve` and the pairs of `section_pairs` (every
-    pair `_alpha_attempts` draws up to g = 9), two pairs with entries in
-    [-1, 1] and three coordinate pairs."""
-    pairs = section_pairs(g, split, seed)
+    """The recon of a `section_curve` and every pair `_alpha_attempts` draws
+    for it, at every genus, two pairs with entries in [-1, 1] and three
+    coordinate pairs.  Beyond g = 9 `section_pairs` stops at the first
+    accepted pair, so the draws are repeated here from the salted stream,
+    without the quotient, and checked against its prefix."""
+    prefix = section_pairs(g, split, seed)
+    drawn = make_rng(derive_seed(seed, 271 if split is None else 577))
+    pairs = [_random_eta_pair(g, drawn) for _ in range(pipeline_module._ETA_RETRIES)]
+    assert pairs[:len(prefix)] == [(eta1, eta2) for _, eta1, eta2, _ in prefix]
     rng = make_rng(derive_seed(seed, g))
-    extra = [(random_dual_linear(g, rng, bound=1), random_dual_linear(g, rng, bound=1))
-             for _ in range(2)]
-    extra += [(variable(i, g), variable(j, g))
+    pairs += [(random_dual_linear(g, rng, bound=1), random_dual_linear(g, rng, bound=1))
+              for _ in range(2)]
+    pairs += [(variable(i, g), variable(j, g))
               for i, j in (sorted(rng.sample(range(g), 2)) for _ in range(3))]
-    return pairs[0][0], [(eta1, eta2) for _, eta1, eta2, _ in pairs] + extra
+    return prefix[0][0], pairs
 
 
 def proportional(u, v):
@@ -636,7 +506,10 @@ def accepted_pair(g, split):
 class TestSylvesterSystem:
     """lambda as the one kernel of the curve's two binary forms on the
     section times every monomial, against the two-kernel reference that
-    pairs the degree-3 rows (`oracles.class_pairing_alpha_map`)."""
+    pairs the degree-3 rows (`oracles.class_pairing_alpha_map`), on every
+    pair `sweep_pairs` gives up to g = 12.  The generic `oracles.alpha_map`
+    costs several times as much a pair, so it sweeps only up to the first
+    accepted pair beyond g = 9 (`TestSectionInverseSystem`)."""
 
     @pytest.mark.parametrize("g, split, seed", pairing_curves())
     def test_same_quotient_as_the_class_pairing(self, g, split, seed):
@@ -1365,7 +1238,8 @@ class TestExactCertificate:
 
     def test_sheared_chart(self):
         # the first hyperplane pair puts a point of the scheme at (0 : 1),
-        # a simple root that D's dehomogenization at s = 1 drops
+        # a simple root that D's dehomogenization at s = 1 drops; the
+        # scheme oracle's chart, k > 0, keeps D of full degree 3
         seed = 765804037
         report = verify_trigonal_fermat(5, trials=1, seed=seed)
         trial = report["trials"][0]
@@ -1376,6 +1250,9 @@ class TestExactCertificate:
                               for eta in (alpha.eta1, alpha.eta2))
         a0, a1, b0, b1 = map(to_sympy, (a0, a1, b0, b1))
         assert from_sympy(a0 * b1 - a1 * b0, 2, 3).coefficient((0, 3)) == 0
+        determinant, phi = scheme_of(curve, None, alpha.eta1, alpha.eta2)
+        assert len(determinant) == 4 and determinant[-1]
+        assert echelon_certificate(determinant, phi, alpha.cubic) == 3
 
     def test_verify_a_never_goes_through_floats(self, tmp_path, monkeypatch):
         refuse_float_stages(monkeypatch)
@@ -1423,15 +1300,6 @@ def certified_schemes():
     return out
 
 
-def verdict(check, *inputs):
-    """What a certificate or a scheme builder returns, or the text of its
-    CertificateError."""
-    try:
-        return check(*inputs)
-    except CertificateError as err:
-        return str(err)
-
-
 class TestCertificateRejections:
     @given(st.integers(0, 1), st.integers(0, 34),
            st.fractions(min_value=-50, max_value=50, max_denominator=50)
@@ -1457,50 +1325,9 @@ class TestCertificateRejections:
             echelon_certificate(repeated, phi, cubic)
 
 
-CHART_CASES = [(g, None) for g in range(5, 11)] + [
-    (6, (0, 1)), (7, (1, 1)), (7, (0, 2)), (8, (1, 2)), (9, (2, 2)), (9, (1, 3)), (10, (2, 3))]
-
-
-def drawn_pairs(curve, seed):
-    """(eta1, eta2, kept) of every hyperplane pair `_alpha_attempts` draws
-    for the curve, accepted by `alpha_map` or not: the quotient itself is
-    replaced by its frame."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pipeline_module, "alpha_map", lambda recon, eta1, eta2:
-                      (eta1, eta2, quotient_frame(eta1, eta2, recon.genus)))
-        return list(pipeline_module._alpha_attempts(curve, seed))
-
-
 class TestClosedFormChart:
-    """The scheme oracles the Sylvester certificate replaced, built once on
-    binary forms, on the chart s = 1 + k t with the first k where
-    D(k, 1) != 0, against the chart search they replaced:
-    `oracles.trigonal_scheme` on a trigonal scroll, and
-    `oracles.surface_scheme` on a tetragonal surface."""
-
-    @pytest.mark.parametrize("g, split", CHART_CASES)
-    def test_same_scheme_as_the_chart_search(self, g, split):
-        for seed in (1, 2, 3):
-            curve = trigonal_curve(g, seed) if split is None else tetragonal_curve(g, *split, seed)
-            for eta1, eta2, kept in drawn_pairs(curve, seed):
-                if split is None:
-                    assert (verdict(oracles.trigonal_scheme, curve, eta1, eta2, kept)
-                            == verdict(oracles.chart_search_scheme, curve, None, eta1, eta2,
-                                       kept))
-                for index in (0, 1) if split else ():
-                    args = (curve, index, eta1, eta2, kept)
-                    assert (verdict(oracles.surface_scheme, *args)
-                            == verdict(oracles.chart_search_scheme, *args))
-
-    def test_same_scheme_on_a_sheared_chart(self):
-        # the first pair of `test_sheared_chart`: D(0, 1) = 0, so k > 0
-        seed = derive_seed(765804037, 0)
-        curve = trigonal_curve(5, seed)
-        alpha = alpha_for_curve(curve, seed)
-        args = (alpha.eta1, alpha.eta2, alpha.kept_indices)
-        determinant, phi = oracles.trigonal_scheme(curve, *args)
-        assert (determinant, phi) == oracles.chart_search_scheme(curve, None, *args)
-        assert len(determinant) == 4 and determinant[-1]
+    """The chart s = 1 + k t on which the scheme oracles build (D, phi),
+    against sympy's substitution."""
 
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=7), st.integers(0, 6))
     @settings(max_examples=60, deadline=None)
