@@ -14,12 +14,12 @@ shifts of its own coefficients (`_condition_rows`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import comb, factorial, prod
-from typing import Sequence
 
-from .core import Polynomial, _combination, _int_rank, _kernel_vectors, monomial_basis
+from .core import (Polynomial, Record, _combination, _int_rank, _kernel_vectors,
+                   monomial_basis)
 
 __all__ = [
     "GradedIdealPiece",
@@ -46,8 +46,7 @@ class SocleDimensionError(ValueError):
             f"socle dimension is {dimension}, expected 1; input Hilbert vector {hilbert}")
 
 
-@dataclass(frozen=True)
-class GradedIdealPiece:
+class GradedIdealPiece(Record):
     """A basis of one graded component of an ideal in the dual ring."""
 
     degree: int
@@ -64,8 +63,7 @@ class GradedIdealPiece:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
-class ApolarAlgebraProfile:
+class ApolarAlgebraProfile(Record):
     """Hilbert function of the quotient by an apolar ideal."""
 
     socle_degree: int

@@ -18,10 +18,8 @@ command's handler up by name when it runs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from typing import Optional
 
 from . import jsonio
 from .apolarity import (SocleDimensionError, apolar_ideal_piece,
@@ -57,7 +55,7 @@ def _emit(report: dict, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _parse_int_list(raw: str, flag: str, count: Optional[int] = None) -> tuple[int, ...]:
+def _parse_int_list(raw: str, flag: str, count: int | None = None) -> tuple[int, ...]:
     """A flag's comma-separated integers, `count` of them when given; an
     empty value or part, or another count, is an input error."""
     try:
@@ -221,7 +219,7 @@ def _cmd_numerology(args) -> dict:
         "multiplicities": list(report.multiplicities),
         "degS": report.deg_surface,
         "bound": report.bound,
-        "branches": [dataclasses.asdict(b) | {"multiplicities": list(b.multiplicities)}
+        "branches": [b._asdict() | {"multiplicities": list(b.multiplicities)}
                      for b in report.branches],
     }
 
@@ -247,7 +245,7 @@ def _cmd_gonality_n(args) -> dict:
     return {
         "claim": "surface degree produced by the plane-model method for an "
                  "n-gonal curve",
-        **dataclasses.asdict(report),
+        **report._asdict(),
     }
 
 

@@ -34,16 +34,15 @@ height of the equations, certified by the sampled points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import chain, islice
 from math import comb, gcd
-from typing import Optional, Sequence
 
-from .core import (Polynomial, _combination, _first_step, _int_echelon, _kernel_vectors,
-                   _monomial_value, _rank_mod_prime, _row_to_int, monomial_basis,
-                   primitive_point)
+from .core import (Polynomial, Record, _combination, _first_step, _int_echelon,
+                   _kernel_vectors, _monomial_value, _rank_mod_prime, _row_to_int,
+                   monomial_basis, primitive_point)
 from .scroll import (DivisorClass, Scroll, canonical_class, chow_product,
                      coordinate_layout, embed_point, section_count,
                      section_templates)
@@ -119,8 +118,7 @@ def expected_cubic_dim(g: int) -> int:
     return comb(g + 2, 3) - (5 * g - 5)
 
 
-@dataclass(frozen=True)
-class BihomSection:
+class BihomSection(Record):
     """Section of O(cH + mF): one base binary form per fiber monomial.
 
     `image` is the section times a positive scale, as one primitive
@@ -128,13 +126,13 @@ class BihomSection:
     for every fiber monomial of degree c in `monomial_basis` order, c_j
     the coefficient of s^(d - j) t^j in its base form (empty when the
     monomial has none).  A positive scale moves no root, so every fiber
-    computation runs on the image, in integers.
+    computation runs on the image, in integers.  It is set by
+    `__post_init__`, outside the fields: equality and repr ignore it.
     """
 
     scroll: Scroll
     cls: DivisorClass
     coeffs: dict  # fiber exponent tuple -> Polynomial in (s, t)
-    image: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         monomials = monomial_basis(self.scroll.k, self.cls.h)
@@ -201,8 +199,7 @@ def random_section(scroll: Scroll, cls: DivisorClass, rng,
     raise CurveGenerationError("random section degenerated to zero")
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(Record):
     genus: int
     gonality: int
     scroll: Scroll
@@ -220,8 +217,7 @@ class CurveSpec:
         return factor * len(self.rational_fiber_hints)
 
 
-@dataclass(frozen=True)
-class IdealReconstruction:
+class IdealReconstruction(Record):
     """The degree-2 and degree-3 pieces of a curve ideal, each a basis of
     sparse primitive integer rows (`_piece`): index into
     `monomial_basis(genus, degree)` -> coefficient; the scroll the curve
@@ -516,7 +512,7 @@ def _form_value(form: Sequence[int], image: tuple, point: Sequence[int]) -> int:
 
 
 def sample_points(curve: CurveSpec, count: int, seed: int,
-                  max_attempts: Optional[int] = None) -> list[tuple[int, ...]]:
+                  max_attempts: int | None = None) -> list[tuple[int, ...]]:
     """Exact rational points of the curve, sampled fiber by fiber.
 
     The curve's hinted base values (fibers forced to split rationally at

@@ -31,14 +31,13 @@ only where it is read.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import factorial, prod
-from typing import Optional, Sequence
 
-from .core import (ExactMatrix, Polynomial, _first_step, _int_echelon, _int_rank,
-                   _int_reduce, _kernel_vectors, _rank_mod_prime, _row_to_int,
+from .core import (ExactMatrix, Polynomial, Record, _first_step, _int_echelon,
+                   _int_rank, _int_reduce, _kernel_vectors, _rank_mod_prime, _row_to_int,
                    change_coordinates, monomial_basis)
 from .curvegen import (BihomSection, CurveSpec, IdealReconstruction, _restriction_classes,
                        balanced_type, ideal_pieces, sample_points, tetragonal_curve,
@@ -79,8 +78,7 @@ class VerificationError(RuntimeError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class AlphaResult:
+class AlphaResult(Record):
     """The quotient of a curve by two hyperplanes, as its certificates
     read it.  `functional` is the cubic's functional lambda on the binary
     forms of degree 3m, lambda_k = lambda(s^(3m - k) t^k), up to scale
@@ -130,7 +128,7 @@ def _hyperplane_rows(eta1: Polynomial, eta2: Polynomial) -> list[list[int]]:
     return [_row_to_int(eta.coefficient_vector(basis1)) for eta in (eta1, eta2)]
 
 
-def _dropped_pair(c1: Sequence[int], c2: Sequence[int]) -> Optional[tuple[int, int]]:
+def _dropped_pair(c1: Sequence[int], c2: Sequence[int]) -> tuple[int, int] | None:
     """(j1, j2) for two hyperplane rows, None when they are dependent: j1
     is the last column where either row is nonzero, j2 the last column
     before it whose minor with j1, c1[j2] c2[j1] - c1[j1] c2[j2], is
@@ -163,7 +161,7 @@ def _embed(scroll: Scroll, fiber: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def _section(scroll: Scroll, etas: Sequence[Sequence[int]]
-             ) -> tuple[list[list[list[int]]], Optional[list[int]]]:
+             ) -> tuple[list[list[list[int]]], list[int] | None]:
     """What the two hyperplanes cut on the scroll, as (fibers, D).  Each
     hyperplane row restricts to fiber coordinate b as its block of
     `coordinate_layout`, a binary form (coefficient j on s^(e_b - j) t^j):
@@ -376,7 +374,7 @@ def _random_eta_pair(g: int, rng):
 
 
 def _certify_fermat(curve: CurveSpec, alpha: AlphaResult,
-                    failures: list) -> Optional[dict]:
+                    failures: list) -> dict | None:
     """Trigonal certificate: the cubic is a sum of the cubes of the
     n = g - 2 points the hyperplanes cut on the scroll, D = 0 on the
     embedded fiber (`alpha.forms[0]`, as the quotient read it), and (d)
@@ -402,7 +400,7 @@ def _certify_fermat(curve: CurveSpec, alpha: AlphaResult,
 
 
 def _certify_bound(curve: CurveSpec, alpha: AlphaResult,
-                   failures: list) -> Optional[dict]:
+                   failures: list) -> dict | None:
     """Tetragonal certificate: the cubic is a sum of the cubes of the
     points of the scheme cut on one of the two surfaces 2H - bF, whose
     length must stay within the bound.
@@ -473,7 +471,7 @@ def _trial(args: tuple) -> dict:
     return {**head, "failures": failures, "passed": False}
 
 
-def _verify(report: dict, g: int, split: Optional[tuple[int, int]], trials: int,
+def _verify(report: dict, g: int, split: tuple[int, int] | None, trials: int,
             seed: int) -> dict:
     """Run the trials, serially or in a pool of at most one process per
     trial, and finish `report`; raise VerificationError if one failed.
@@ -525,7 +523,7 @@ def verify_trigonal_fermat(g: int, trials: int, seed: int) -> dict:
     return _verify(report, g, None, trials, seed)
 
 
-def verify_tetragonal_bound(g: int, split: Optional[tuple[int, int]], trials: int,
+def verify_tetragonal_bound(g: int, split: tuple[int, int] | None, trials: int,
                             seed: int) -> dict:
     """Check the tetragonal power-sum bound ceil((3g - 7) / 2).
 

@@ -12,9 +12,10 @@ ambient threefold scroll, case by case in g mod 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from math import comb
-from typing import Optional, Sequence
+
+from .core import Record
 
 __all__ = [
     "PlaneModel",
@@ -40,8 +41,7 @@ class GenusError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PlaneModel:
+class PlaneModel(Record):
     degree: int
     multiplicities: tuple[int, ...]
 
@@ -62,8 +62,7 @@ def clebsch_genus(model: PlaneModel) -> int:
     return g
 
 
-@dataclass(frozen=True)
-class BlowupClass:
+class BlowupClass(Record):
     """Class aH + sum_i b_i E_i on a blow-up of the plane."""
 
     a: int
@@ -90,8 +89,7 @@ def blowup_genus(cls: BlowupClass) -> int:
     return two_g_minus_2 // 2 + 1
 
 
-@dataclass(frozen=True)
-class AdjunctionReport:
+class AdjunctionReport(Record):
     pairing: int            # curve class . adjoint class
     expected: int           # 2g - 2 for the model's Clebsch genus
     multiplicity_sum: int   # sum m_i (m_i - 1) carried by the model
@@ -103,8 +101,8 @@ class AdjunctionReport:
 
 
 def adjunction_check(model: PlaneModel,
-                     curve_class: Optional[BlowupClass] = None,
-                     adjoint_class: Optional[BlowupClass] = None) -> AdjunctionReport:
+                     curve_class: BlowupClass | None = None,
+                     adjoint_class: BlowupClass | None = None) -> AdjunctionReport:
     """Pair the curve class against the adjoint class on the blow-up.
 
     By default the curve is dH - sum m_i E_i and the adjoint is the class
@@ -129,8 +127,7 @@ def adjunction_check(model: PlaneModel,
 # tetragonal numerology by genus residue
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NumerologyBranch:
+class NumerologyBranch(Record):
     r: int                          # number of singular points
     multiplicities: tuple[int, ...]
     sum_m_m1: int                   # sum m_i (m_i - 1)
@@ -138,8 +135,7 @@ class NumerologyBranch:
     deg_surface: int                # adjoint-class self-intersection
 
 
-@dataclass(frozen=True)
-class NumerologyReport:
+class NumerologyReport(Record):
     genus: int
     k: int
     residue: int                    # g mod 3
@@ -209,8 +205,7 @@ def tetragonal_numerology(g: int) -> NumerologyReport:
                             branches, bound)
 
 
-@dataclass(frozen=True)
-class GonalityReport:
+class GonalityReport(Record):
     n: int
     k: int
     excess: int
@@ -258,8 +253,7 @@ def _min_square_sum(total: int, parts: int) -> int:
     return (parts - r) * q * q + r * (q + 1) * (q + 1)
 
 
-@dataclass(frozen=True)
-class NakaiChain:
+class NakaiChain(Record):
     """Enumerated ampleness check for one class L = pH - q sum E_i."""
 
     p: int
@@ -279,8 +273,7 @@ class NakaiChain:
         return self.p > 2 * self.q
 
 
-@dataclass(frozen=True)
-class NakaiReport:
+class NakaiReport(Record):
     k: int
     ample: NakaiChain              # L = (2k-1)H - (k-1) sum E_i
     curve: NakaiChain              # C = (2k+2)H - k sum E_i

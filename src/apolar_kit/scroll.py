@@ -12,10 +12,9 @@ and the canonical class is -kH + (N - k - 1)F.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
-from .core import _monomial_value, _row_to_int, monomial_basis
+from .core import Record, _monomial_value, _row_to_int, monomial_basis
 
 __all__ = [
     "Scroll",
@@ -32,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Scroll:
+class Scroll(Record):
     type: tuple[int, ...]
 
     def __post_init__(self):
@@ -64,8 +62,7 @@ class Scroll:
         return self.cls(1, 0)
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Record):
     h: int
     f: int
     scroll: Scroll
@@ -148,8 +145,7 @@ def coordinate_layout(scroll: Scroll) -> list[tuple[int, int]]:
     return [(i, j) for i, a in enumerate(scroll.type) for j in range(a + 1)]
 
 
-@dataclass(frozen=True)
-class ScrollPoint:
+class ScrollPoint(Record):
     scroll: Scroll
     base: tuple
     fiber: tuple

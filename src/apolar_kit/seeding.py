@@ -8,10 +8,10 @@ run is reproducible bit for bit from its configuration.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache
 from math import gcd
-from typing import Iterator
 
 from .core import Polynomial, monomial_basis
 

@@ -11,9 +11,9 @@ is kept, and no root is ever approximated.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Optional, Sequence
 
 from . import core
 
@@ -154,7 +154,7 @@ def _distinct_roots(form: Sequence[int]) -> bool:
     return len(affine) >= len(form) - 1 and is_squarefree(affine)
 
 
-def _divide(f: list[int], g: list[int]) -> Optional[list[int]]:
+def _divide(f: list[int], g: list[int]) -> list[int] | None:
     """The integer quotient f / g when g divides f in Z[t], else None."""
     n = len(g) - 1
     lead = g[-1]
@@ -187,7 +187,7 @@ def _evaluate_mod(f: Sequence[int], x: int, m: int) -> int:
     return value
 
 
-def _simple_roots_mod(f: Sequence[int], p: int) -> Optional[list[int]]:
+def _simple_roots_mod(f: Sequence[int], p: int) -> list[int] | None:
     """The roots of f mod p, or None when one of them is not simple."""
     fp = [c % p for c in f]
     dfp = [c % p for c in _derivative(f)]
@@ -200,7 +200,7 @@ def _simple_roots_mod(f: Sequence[int], p: int) -> Optional[list[int]]:
     return roots
 
 
-def _lift_and_reconstruct(f: list[int], root: int, p: int) -> Optional[tuple[int, int]]:
+def _lift_and_reconstruct(f: list[int], root: int, p: int) -> tuple[int, int] | None:
     """The rational root a / b of f (b > 0) congruent to `root` mod p, if any.
 
     `root` is a simple root of f mod p.  Newton's iteration lifts it to

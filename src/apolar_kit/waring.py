@@ -20,15 +20,14 @@ theorem).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import reduce
 from itertools import chain, permutations
 from math import gcd
 from operator import mul
-from typing import Optional, Sequence
 
 from .apolarity import _catalecticant_rows, _divided_powers
-from .core import Polynomial, _int_rank
+from .core import Polynomial, Record, _int_rank
 from .seeding import make_rng, random_dual_linear
 from .univariate import _distinct_roots, _multiples, is_squarefree, poly_gcd
 
@@ -60,8 +59,7 @@ class PencilError(RuntimeError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """A certified presentation of a cubic as a sum of cubes, over Q.
 
     The cubic is a sum of the cubes of the linear forms whose coefficient
@@ -210,7 +208,7 @@ def simultaneous_diagonalize(hessians: Sequence[Sequence[Sequence[int]]], r: Seq
 
 
 def fermat_detect_detail(form: Polynomial, seed: int = 0
-                         ) -> tuple[Optional[Decomposition], str]:
+                         ) -> tuple[Decomposition | None, str]:
     """Fermat-cubic detection with an explanation of any failure.
 
     Each of up to five seeded draws takes three contraction directions l,

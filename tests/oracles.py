@@ -78,6 +78,10 @@ sympy's numerical roots of D, and `oracle_fit` fits a cubic by least
 squares to the cubes of those points in mpmath, apart from the
 package's arithmetic.
 
+`replaced` copies a package record with some fields changed, through
+its constructor, as `dataclasses.replace` did before the records
+stopped being dataclasses.
+
 JSON reading: `coef_from_str` and `polynomial_from_json` parse a
 coefficient by `Fraction` and a polynomial term by term.
 
@@ -165,6 +169,13 @@ def normalized(poly):
     if poly.is_zero():
         return poly
     return scaled(poly, 1 / poly.terms[max(poly.terms)])
+
+
+def replaced(record, **changes):
+    """A copy of a package record with some fields changed, built by its
+    constructor, so `__post_init__` runs on the new fields and an unknown
+    field is a TypeError."""
+    return type(record)(**(record._asdict() | changes))
 
 
 def refuse_rational_layer(monkeypatch):

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
@@ -29,7 +28,7 @@ from apolar_kit.seeding import derive_seed, make_rng, small_rationals
 from apolar_kit.univariate import _distinct_roots
 from oracles import (admissible_splits, binary_roots, coefficient_matrix, conic_pencil,
                      evaluate, fiber_form, from_sympy, piece_contains, quadratic_fiber_points,
-                     recon_piece, scroll_quadrics, to_sympy)
+                     recon_piece, replaced, scroll_quadrics, to_sympy)
 
 
 def division_piece(curve, k):
@@ -942,7 +941,7 @@ class TestIdealPieces:
                             {exp: Polynomial(2, form.degree, {})
                              for exp, form in equation.coeffs.items()})
         with pytest.raises(IdealDimensionError) as err:
-            ideal_pieces(replace(curve, equations=(zero,)))
+            ideal_pieces(replaced(curve, equations=(zero,)))
         assert err.value.got == (3, 13)
         assert err.value.expected == (3, 15)
 

@@ -143,3 +143,20 @@ def test_inverse_golden(kind, tmp_path):
         for k in (2, 3)]}))
     recorded = (GOLDEN / f"inverse_{kind}_n5.json").read_text()
     assert fresh_report(["inverse", "--in", str(pieces)], tmp_path) == recorded
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("scroll_degree_112", ["scroll", "--type", "1,1,2", "--class", "2,-2", "--op", "degree"]),
+    ("scroll_canonical_12", ["scroll", "--type", "1,2", "--op", "canonical"]),
+    ("scroll_chow_112", ["scroll", "--type", "1,1,2", "--classes", "1,0;1,-1;2,1",
+                         "--op", "chow"]),
+    ("scroll_sections_12", ["scroll", "--type", "1,2", "--class", "2,1", "--op", "sections"]),
+    ("scroll_project_112", ["scroll", "--type", "1,1,2", "--op", "project", "--index", "2"]),
+    ("gonality_n5_k2", ["gonality-n", "--n", "5", "--k", "2"]),
+    # past the reference bound, with one unit of excess multiplicity
+    ("gonality_n10_k2_e1", ["gonality-n", "--n", "10", "--k", "2", "--excess", "1"]),
+])
+def test_record_report_golden(name, argv, tmp_path):
+    # reports built from scroll and plane-model records
+    recorded = (GOLDEN / f"{name}.json").read_text()
+    assert fresh_report(argv, tmp_path) == recorded
