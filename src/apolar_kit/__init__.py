@@ -7,14 +7,13 @@ construction to a cubic in g - 2 variables, and certifies power-sum
 decompositions of that cubic.
 """
 
-from .core import Polynomial, monomial_basis, primitive_point
+from .core import Polynomial, monomial_basis
 from .apolarity import (ApolarAlgebraProfile, GradedIdealPiece, SocleDimensionError,
                         apolar_ideal_piece, hilbert_function, macaulay_inverse)
 from .waring import (Decomposition, PencilError, fermat_detect_detail,
                      rank_lower_bound, simultaneous_diagonalize)
-from .scroll import (DivisorClass, Scroll, ScrollPoint, canonical_class,
-                     chow_product, divisor_degree, embed_point, project_type,
-                     section_templates)
+from .scroll import (DivisorClass, Scroll, canonical_class, chow_product,
+                     divisor_degree, embedded_point, project_type, section_templates)
 from .curvegen import (BihomSection, CurveSpec, IdealReconstruction,
                        balanced_type, genus_adjunction, ideal_pieces,
                        sample_points, tetragonal_curve, trigonal_curve)

@@ -37,7 +37,6 @@ __all__ = [
     "monomial_basis",
     "change_coordinates",
     "substitute",
-    "primitive_point",
 ]
 
 
@@ -666,12 +665,3 @@ class ExactMatrix:
         columns = [_scaled(v, -v[n + k], n) for k, v in
                    enumerate(_int_back_substitute(ech, pivots, range(n, 2 * n)))]
         return ExactMatrix(zip(*columns))
-
-
-def primitive_point(coords: Sequence) -> tuple[int, ...]:
-    """Scale rational projective coordinates to coprime integers with a
-    positive leading entry."""
-    ints = _row_to_int(coords)
-    if next((v for v in ints if v), 1) < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)

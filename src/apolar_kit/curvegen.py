@@ -13,7 +13,10 @@ are forced to split rationally by prescribing points on them, and those
 base values are recorded on the curve as sampling hints.  A trigonal
 section is written down in closed form, its forced fibers through the
 fiber coordinate points where the degrees allow and interpolated on the
-rest (`trigonal_curve`), so its equation keeps a small height.  A
+rest (`trigonal_curve`), so its equation keeps a small height.  It is
+built in integers: the interpolated base forms are integer Lagrange
+combinations over one common denominator each, which only their final
+coefficients divide by.  A
 tetragonal section is one small-integer draw on the integer kernel
 vectors of its point conditions, none of them rescaled
 (`random_section`), so its equations keep a small height too.  Each
@@ -38,15 +41,16 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import chain, islice
-from math import comb, gcd
+from math import comb, gcd, lcm, prod
+from operator import itemgetter, mul
 
 from .core import (Polynomial, Record, _combination, _first_step, _int_echelon,
                    _kernel_vectors, _monomial_value, _rank_mod_prime, _row_to_int,
-                   monomial_basis, primitive_point)
+                   monomial_basis)
 from .scroll import (DivisorClass, Scroll, canonical_class, chow_product,
-                     coordinate_layout, embed_point, section_count,
+                     embedded_point, section_count,
                      section_templates)
-from .seeding import derive_seed, make_rng, random_form, small_rationals
+from .seeding import derive_seed, make_rng, small_rationals
 from .univariate import _combine, _distinct_roots, _mul, affine_chart, poly_gcd, rational_roots
 
 __all__ = [
@@ -148,13 +152,14 @@ class BihomSection(Record):
         (s0, t0): the integer coefficients of a form of degree c on the
         fiber, in `monomial_basis` order."""
         s0, t0 = base
-        top = max(len(row) for _, row in self.image)
-        s_powers, t_powers = [1], [1]
-        for _ in range(1, top):
-            s_powers.append(s_powers[-1] * s0)
-            t_powers.append(t_powers[-1] * t0)
-        return [sum(c * s_powers[len(row) - 1 - j] * t_powers[j] for j, c in enumerate(row) if c)
-                for _, row in self.image]
+        weights: dict[int, list[int]] = {}    # row length d + 1 -> s0^(d - j) t0^j
+        out = []
+        for _, row in self.image:
+            if len(row) not in weights:
+                d = len(row) - 1
+                weights[len(row)] = [s0 ** (d - j) * t0 ** j for j in range(d + 1)]
+            out.append(sum(map(mul, row, weights[len(row)])))
+        return out
 
 
 def _section_slots(scroll: Scroll, cls: DivisorClass) -> list[tuple[tuple[int, ...], tuple[int, int]]]:
@@ -268,51 +273,58 @@ def _distinct_small_rationals(rng, count: int, avoid=()) -> list[Fraction]:
     return list(islice((t for t in small_rationals(rng) if t not in avoid), count))
 
 
-def _binary_value(form: Sequence, base: tuple[int, int]):
-    """The binary form sum_j c_j s^(d - j) t^j at the base point (s, t)."""
+def _binary_value(form: Sequence[int], base: tuple[int, int]) -> int:
+    """The integer binary form sum_j c_j s^(d - j) t^j at the base point (s, t)."""
     d = len(form) - 1
-    return sum(c * _monomial_value(base, (d - j, j)) for j, c in enumerate(form) if c)
+    s, t = base
+    return sum(c * s ** (d - j) * t ** j for j, c in enumerate(form) if c)
 
 
-def _random_multiple(rng, degree: int, factor: Sequence[int]) -> list[Fraction]:
-    """`factor` times a nonzero random binary form, of total degree
-    `degree`, the random coefficients in [-_SECTION_BOUND, _SECTION_BOUND]."""
-    return _mul(random_form(2, degree + 1 - len(factor), rng, _SECTION_BOUND).coefficient_vector(),
-                factor)
+def _random_multiple(rng, degree: int, factor: Sequence[int]) -> list[int]:
+    """`factor` times a nonzero random integer binary form, of total
+    degree `degree`.  The random form is drawn as `seeding.random_form`
+    draws one: a `randint` in [-_SECTION_BOUND, _SECTION_BOUND] per
+    coefficient, in `monomial_basis` order, again while all are zero."""
+    while True:
+        form = [rng.randint(-_SECTION_BOUND, _SECTION_BOUND)
+                for _ in range(degree + 2 - len(factor))]
+        if any(form):
+            return _mul(form, factor)
 
 
-def _interpolation(bases: Sequence[tuple[int, int]], values: Sequence[Fraction],
-                   degree: int) -> list[Fraction]:
-    """The binary form of `degree` >= len(bases) - 1 with the given values
-    at the integer base points (q_i, p_i), in Lagrange form: the sum of
-    v_i s^k prod_(j != i) l_j over its value at (q_i, p_i), where
-    l_j = p_j s - q_j t vanishes at (q_j : p_j) and k = degree + 1 - len(bases)."""
-    out = [Fraction(0)] * (degree + 1)
-    for i, (base, value) in enumerate(zip(bases, values)):
-        form = reduce(_mul, ([p, -q] for j, (q, p) in enumerate(bases) if j != i),
-                      [1] + [0] * (degree + 1 - len(bases)))
-        out = _combine([(1, out), (value / _binary_value(form, base), form)])
-    return out
+def _vanishing(bases: Sequence[tuple[int, int]]) -> list[int]:
+    """The product of the linear forms p s - q t, one per base point
+    (q, p), each vanishing at its point (q : p)."""
+    return reduce(_mul, ([p, -q] for q, p in bases), [1])
 
 
 def trigonal_curve(g: int, seed: int) -> CurveSpec:
     """Random trigonal canonical curve of genus g with split sample fibers,
-    its section written down in closed form.
+    its section written down in closed form, in integers.
 
     A handful of fibers are forced to split over Q by prescribing two
     rational points on each (the third root is then rational as well);
     their base values are stored as sampling hints.  The section is
     f30 y1^3 + f21 y1^2 y2 + f12 y1 y2^2 + f03 y2^3.  On the first
     min(K, deg f30, deg f03) forced fibers the two points are (1 : 0) and
-    (0 : 1): f30 and f03 are small random forms times the product of those
-    fibers' base linear forms.  On each later forced fiber the two points
-    are (1 : y), y a nonzero small rational, which fix the values of f21
-    and f12 there; f21 and f12 interpolate them, plus a small random form
-    times the product of those fibers' base linear forms.  No kernel is
-    solved, and the equation keeps a small height.  Candidates are
+    (0 : 1): f30 and f03 are small random integer forms times the product
+    of those fibers' base linear forms.  On each later forced fiber
+    (q : p) the two points are (1 : y1) and (1 : y2), the y_i nonzero
+    small rationals; with y1 y2 = P / W and y1 + y2 = S / W in integers,
+    and a, b the values of f30, f03 there, the cubic vanishes at both
+    points exactly when f21 = (b P^2 - a S W) / (P W) and
+    f12 = (a W^2 - b S P) / (P W) there.  f21 and f12 interpolate these
+    values in Lagrange form, plus a small random form times the product
+    of those fibers' base linear forms.  The Lagrange form of fiber i is
+    prod_(j != i) (p_j s - q_j t) times the power of s that pads it to
+    the degree of f21 or f12, and its weight is the value there over the
+    form's value at (q_i, p_i).  So each of f21 and f12 is an integer
+    form over one common denominator, the lcm of the weights'
+    denominators, and only its coefficients become rationals.  No kernel
+    is solved, and the equation keeps a small height.  Candidates are
     rejected when the base forms share a factor (the curve would contain
-    a fiber) or when any forced or test fiber does not cut three distinct
-    points.
+    a fiber) or when any forced or test fiber does not cut three
+    distinct points.
     """
     if g < 5:
         raise ValueError("trigonal construction needs genus >= 5")
@@ -329,25 +341,37 @@ def trigonal_curve(g: int, seed: int) -> CurveSpec:
         hints = _distinct_small_rationals(rng, forced_fibers)
         bases = [(t.denominator, t.numerator) for t in hints]
         first, rest = bases[:split], bases[split:]
-        through = reduce(_mul, ([p, -q] for q, p in first), [1])
+        through = _vanishing(first)
         f30, f03 = (_random_multiple(rng, degrees[k], through) for k in (0, 3))
-        # f30 + f21 y + f12 y^2 + f03 y^3 = 0 at two points (1 : y) of a
-        # later fiber: f21 + f12 y = c(y) = -(f30 + f03 y^3) / y there
-        values = []
-        for base in rest:
-            a, b = _binary_value(f30, base), _binary_value(f03, base)
-            (y1, c1), (y2, c2) = ((y, -(a + b * y ** 3) / y)
+        # per later fiber (q : p): the numerators of f21 and f12 there over
+        # P W, that times the value at (q, p) of the Lagrange form
+        # prod_(j != i) (p_j s - q_j t), q, and the Lagrange form
+        fibers = []
+        for i, (q, p) in enumerate(rest):
+            a, b = _binary_value(f30, (q, p)), _binary_value(f03, (q, p))
+            (u1, w1), (u2, w2) = ((y.numerator, y.denominator)
                                   for y in _distinct_small_rationals(rng, 2, avoid=(0,)))
-            slope = (c1 - c2) / (y1 - y2)
-            values.append((c1 - slope * y1, slope))
-        through = reduce(_mul, ([p, -q] for q, p in rest), [1])
-        f21, f12 = (_combine([(1, _interpolation(rest, [v[i] for v in values], degree)),
-                              (1, _random_multiple(rng, degree, through))])
-                    for i, degree in enumerate(degrees[1:3]))
+            P, W, S = u1 * u2, w1 * w2, u1 * w2 + u2 * w1
+            others = rest[:i] + rest[i + 1:]
+            fibers.append(((b * P * P - a * S * W, a * W * W - b * S * P),
+                           P * W * prod(pj * q - qj * p for qj, pj in others), q,
+                           _vanishing(others)))
+        through = _vanishing(rest)
+        middle = []
+        for i, degree in enumerate(degrees[1:3]):
+            # s^k pads a Lagrange form to the degree: k trailing zero
+            # coefficients, and its value times q^k
+            k = degree + 1 - len(rest)
+            dens = [scale * q ** k for _, scale, q, _ in fibers]
+            den = lcm(*dens)
+            numerator = _combine([(den, _random_multiple(rng, degree, through))]
+                                 + [(nums[i] * (den // d), form)
+                                    for (nums, _, _, form), d in zip(fibers, dens)])
+            middle.append([Fraction(c, den) for c in numerator])
         section = BihomSection(scroll, cls, {
             exp: Polynomial(2, len(form) - 1, {(len(form) - 1 - j, j): c
                                                for j, c in enumerate(form) if c})
-            for exp, form in zip(monomial_basis(2, 3), (f30, f21, f12, f03))})
+            for exp, form in zip(monomial_basis(2, 3), (f30, *middle, f03))})
         if _common_base_factor(list(section.coeffs.values())):
             continue
         test_values = hints + _distinct_small_rationals(rng, 5, avoid=hints)
@@ -542,12 +566,21 @@ def sample_points(curve: CurveSpec, count: int, seed: int,
         for fiber in _fiber_rational_points(forms):
             if any(_form_value(form, eq.image, fiber) for form, eq in zip(forms, curve.equations)):
                 raise CurveGenerationError("sampled fiber point fails the curve equations")
-            points[primitive_point(embed_point(curve.scroll, base, fiber).image)] = None
+            points[embedded_point(curve.scroll, base, fiber)] = None
             if len(points) == count:
                 break
     if len(points) < count:
         raise SamplingError(len(points), count, len(tried))
     return list(points)
+
+
+def _getter(indices: Sequence[int]):
+    """The entries of a row at `indices`, as one tuple: `itemgetter`,
+    which returns a bare entry for one index and refuses none, is
+    wrapped for those two counts."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda row: tuple([row[i] for i in indices])
 
 
 def _evaluation_matrix(points: Sequence[Sequence[int]], lower: Sequence[Sequence[int]],
@@ -561,35 +594,34 @@ def _evaluation_matrix(points: Sequence[Sequence[int]], lower: Sequence[Sequence
     multiplication each.
     """
     index = {exp: j for j, exp in enumerate(lower_basis)}
-    steps = []
+    below, first = [], []
     for exp in basis:
-        i, below = _first_step(exp)
-        steps.append((index[below], i))
-    return [[values[j] * p[i] for j, i in steps] for p, values in zip(points, lower)]
-
-
-def _ambient_restriction(scroll: Scroll, exp: tuple[int, ...]):
-    """Image of an ambient monomial on the scroll: fiber exponent and
-    base exponent of its pullback through the embedding."""
-    layout = coordinate_layout(scroll)
-    fiber = [0] * scroll.k
-    s_deg = 0
-    t_deg = 0
-    for coord, e in enumerate(exp):
-        if not e:
-            continue
-        i, j = layout[coord]
-        fiber[i] += e
-        s_deg += (scroll.type[i] - j) * e
-        t_deg += j * e
-    return tuple(fiber), (s_deg, t_deg)
+        i, lower_exp = _first_step(exp)
+        below.append(index[lower_exp])
+        first.append(i)
+    below, first = _getter(below), _getter(first)
+    return [list(map(mul, below(values), first(p))) for p, values in zip(points, lower)]
 
 
 @cache
 def _restriction_classes(scroll: Scroll, k: int) -> tuple:
-    """`_ambient_restriction` of every ambient monomial of degree k, in
-    `monomial_basis` order, built once per scroll and degree."""
-    return tuple(_ambient_restriction(scroll, exp) for exp in monomial_basis(scroll.N + 1, k))
+    """The image on the scroll of every ambient monomial of degree k, in
+    `monomial_basis` order, built once per scroll and degree: the fiber
+    exponent and the base exponent of its pullback through the
+    embedding.  Each class is one coordinate step (`_first_step`) from
+    the class of a monomial one degree lower; coordinate (i, j) of the
+    layout (`coordinate_layout`) adds y_i and s^(a_i - j) t^j."""
+    if k == 0:
+        return (((0,) * scroll.k, (0, 0)),)
+    lower = dict(zip(monomial_basis(scroll.N + 1, k - 1), _restriction_classes(scroll, k - 1)))
+    steps = [(i, a - j, j) for i, a in enumerate(scroll.type) for j in range(a + 1)]
+    classes = []
+    for exp in monomial_basis(scroll.N + 1, k):
+        coordinate, below = _first_step(exp)
+        fiber, (s_deg, t_deg) = lower[below]
+        i, ds, dt = steps[coordinate]
+        classes.append((fiber[:i] + (fiber[i] + 1,) + fiber[i + 1:], (s_deg + ds, t_deg + dt)))
+    return tuple(classes)
 
 
 def _piece(curve: CurveSpec, k: int) -> list[dict[int, int]]:
@@ -645,7 +677,9 @@ def ideal_pieces(curve: CurveSpec,
 
     The supplied sampled points are an independent certificate: every
     row must vanish on every one of them exactly (a binomial e_j - e_rep
-    where the two monomials are equal), evaluated in integers.
+    where the two monomials are equal), evaluated in integers.  At each
+    point all binomials are read as one comparison of two tuples, the
+    values at the j and at the rep, and each lift as one sum of products.
     Dimensions must equal the canonical-curve counts (g-2)(g-3)/2 and
     C(g+2, 3) - (5g-5); a mismatch raises IdealDimensionError.
     """
@@ -657,10 +691,14 @@ def ideal_pieces(curve: CurveSpec,
         evaluations, lower = _evaluation_matrix(points, evaluations, lower, basis), basis
         rows = tuple(_piece(curve, degree))
         binomials = [tuple(row) for row in rows if tuple(row.values()) == (1, -1)]
-        lifts = [row for row in rows if tuple(row.values()) != (1, -1)]
+        members = _getter([j for j, _ in binomials])
+        reps = _getter([rep for _, rep in binomials])
+        lifts = [(_getter(list(row)), tuple(row.values())) for row in rows
+                 if tuple(row.values()) != (1, -1)]
         for values in evaluations:
-            if (any(values[j] != values[rep] for j, rep in binomials)
-                    or any(sum(values[j] * c for j, c in row.items()) for row in lifts)):
+            if (members(values) != reps(values)
+                    or any(sum(map(mul, columns(values), coefficients))
+                           for columns, coefficients in lifts)):
                 raise PointCertificateError("an ideal element does not vanish on a sampled point")
         pieces.append(rows)
     dims = tuple(map(len, pieces))

@@ -13,19 +13,19 @@ and the canonical class is -kH + (N - k - 1)F.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from math import gcd
 
-from .core import Record, _monomial_value, _row_to_int, monomial_basis
+from .core import Record, monomial_basis
 
 __all__ = [
     "Scroll",
     "DivisorClass",
-    "ScrollPoint",
     "chow_product",
     "canonical_class",
     "divisor_degree",
     "section_templates",
     "section_count",
-    "embed_point",
+    "embedded_point",
     "project_type",
     "coordinate_layout",
 ]
@@ -145,32 +145,28 @@ def coordinate_layout(scroll: Scroll) -> list[tuple[int, int]]:
     return [(i, j) for i, a in enumerate(scroll.type) for j in range(a + 1)]
 
 
-class ScrollPoint(Record):
-    scroll: Scroll
-    base: tuple
-    fiber: tuple
-    image: tuple
+def embedded_point(scroll: Scroll, base: tuple[int, int], fiber: Sequence[int]) -> tuple[int, ...]:
+    """Image of an integer (base, fiber) pair under the tautological
+    embedding, as a primitive integer point with a positive leading entry.
 
-
-def embed_point(scroll: Scroll, base: Sequence, fiber: Sequence) -> ScrollPoint:
-    """Image of a (base, fiber) pair under the tautological embedding.
-
-    Coordinates are the monomials s^(a_i - j) t^j y_i in the fixed layout,
-    scaled to a primitive integer vector when they are all integers.
+    Coordinates are the monomials s^(a_i - j) t^j y_i in the fixed layout
+    (`coordinate_layout`), divided by their gcd and by the sign of the
+    first nonzero one.  A fiber of the wrong arity, or a zero base or
+    fiber, is a ValueError.
     """
-    if len(base) != 2:
-        raise ValueError("base point must have two coordinates")
-    if len(fiber) != scroll.k:
+    if len(fiber) != len(scroll.type):
         raise ValueError("fiber point arity must match the scroll dimension")
-    if not any(base):
-        raise ValueError("zero base vector")
-    if not any(fiber):
-        raise ValueError("zero fiber vector")
-    image = [y * _monomial_value(base, (a - j, j))
-             for y, a in zip(fiber, scroll.type) for j in range(a + 1)]
-    if all(isinstance(v, int) for v in image):
-        image = _row_to_int(image)
-    return ScrollPoint(scroll, tuple(base), tuple(fiber), tuple(image))
+    s, t = base
+    image = [y * s ** (a - j) * t ** j for y, a in zip(fiber, scroll.type) for j in range(a + 1)]
+    common = gcd(*image)
+    if not common:
+        raise ValueError("zero base or fiber vector")
+    for v in image:
+        if v:
+            if v < 0:
+                common = -common
+            break
+    return tuple(image) if common == 1 else tuple([v // common for v in image])
 
 
 def project_type(scroll: Scroll, index: int) -> Scroll:

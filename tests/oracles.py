@@ -12,6 +12,14 @@ between factorial diagonals) as an `ExactMatrix`, `is_apolar_scheme`
 on `GradedIdealPiece`s, `random_invertible_matrix` (determinant +-1)
 and `scroll_quadrics` (the 2 x 2 minors that cut out a scroll).
 
+The scroll's embedding, as the package computed it before its integer
+helpers: `embed_point` (a `ScrollPoint` record, the image primitive
+when integral), `primitive_point` (coprime integers, positive lead, from
+rational coordinates) and `ambient_restriction` (the fiber and base
+exponent of one ambient monomial's pullback, coordinate by coordinate),
+the references of `scroll.embedded_point` and
+`curvegen._restriction_classes`.
+
 Fermat detection and the apolar profile: `pencil` is the Fermat pencil
 on `Polynomial` quadrics, with B^-1 A read off one rref of
 [B | A | C ...] and scaled by `integer_multiple`,
@@ -111,8 +119,8 @@ from mpmath import mp
 from apolar_kit import core, jsonio
 from apolar_kit.apolarity import (ApolarAlgebraProfile, GradedIdealPiece, _catalecticant_rows,
                                   inverse_system)
-from apolar_kit.core import (ExactMatrix, Polynomial, _int_echelon, _int_rank, _int_reduce,
-                             _int_substitute, _kernel_vectors, _monomial_value,
+from apolar_kit.core import (ExactMatrix, Polynomial, Record, _int_echelon, _int_rank,
+                             _int_reduce, _int_substitute, _kernel_vectors, _monomial_value,
                              _rank_mod_prime, _row_to_int, _scaled, monomial_basis,
                              substitute)
 from apolar_kit.curvegen import _restriction_classes, balanced_type, tetragonal_surfaces
@@ -362,6 +370,61 @@ def scroll_quadrics(scroll):
         exp_b[top2] += 1
         minors.append(Polynomial(nvars, 2, {tuple(exp_a): 1, tuple(exp_b): -1}))
     return minors
+
+
+class ScrollPoint(Record):
+    scroll: Scroll
+    base: tuple
+    fiber: tuple
+    image: tuple
+
+
+def embed_point(scroll: Scroll, base, fiber) -> ScrollPoint:
+    """Image of a (base, fiber) pair under the tautological embedding.
+
+    Coordinates are the monomials s^(a_i - j) t^j y_i in the fixed layout,
+    scaled to a primitive integer vector when they are all integers.
+    """
+    if len(base) != 2:
+        raise ValueError("base point must have two coordinates")
+    if len(fiber) != scroll.k:
+        raise ValueError("fiber point arity must match the scroll dimension")
+    if not any(base):
+        raise ValueError("zero base vector")
+    if not any(fiber):
+        raise ValueError("zero fiber vector")
+    image = [y * _monomial_value(base, (a - j, j))
+             for y, a in zip(fiber, scroll.type) for j in range(a + 1)]
+    if all(isinstance(v, int) for v in image):
+        image = _row_to_int(image)
+    return ScrollPoint(scroll, tuple(base), tuple(fiber), tuple(image))
+
+
+def primitive_point(coords) -> tuple:
+    """Scale rational projective coordinates to coprime integers with a
+    positive leading entry."""
+    ints = _row_to_int(coords)
+    if next((v for v in ints if v), 1) < 0:
+        ints = [-v for v in ints]
+    return tuple(ints)
+
+
+def ambient_restriction(scroll: Scroll, exp: tuple):
+    """Image of an ambient monomial on the scroll: fiber exponent and
+    base exponent of its pullback through the embedding, summed
+    coordinate by coordinate over `coordinate_layout`."""
+    layout = coordinate_layout(scroll)
+    fiber = [0] * scroll.k
+    s_deg = 0
+    t_deg = 0
+    for coord, e in enumerate(exp):
+        if not e:
+            continue
+        i, j = layout[coord]
+        fiber[i] += e
+        s_deg += (scroll.type[i] - j) * e
+        t_deg += j * e
+    return tuple(fiber), (s_deg, t_deg)
 
 Fit = namedtuple("Fit", "rank residual")
 

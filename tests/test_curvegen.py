@@ -11,24 +11,25 @@ from hypothesis import strategies as st
 from apolar_kit import curvegen, jsonio
 from apolar_kit.cli import main
 from apolar_kit.core import (ExactMatrix, Polynomial, _kernel_vectors, _monomial_value,
-                             _rank_mod_prime, _row_to_int, monomial_basis, primitive_point)
+                             _rank_mod_prime, _row_to_int, monomial_basis)
 from apolar_kit.curvegen import (BihomSection, CurveSpec, IdealDimensionError,
                                  PointCertificateError, SamplingError,
                                  balanced_type, expected_cubic_dim,
                                  expected_quadric_dim, genus_adjunction,
                                  ideal_pieces, random_section, sample_points,
                                  tetragonal_curve, tetragonal_surfaces, trigonal_curve,
-                                 _ambient_restriction, _common_base_factor,
-                                 _conic_pencil, _evaluation_matrix,
-                                 _fiber_rational_points, _form_value, _section_from_vector,
-                                 _section_slots, _tetragonal_fiber_points)
+                                 _common_base_factor, _conic_pencil, _evaluation_matrix,
+                                 _fiber_rational_points, _form_value, _restriction_classes,
+                                 _section_from_vector, _section_slots,
+                                 _tetragonal_fiber_points)
 from apolar_kit.scroll import (Scroll, canonical_class, chow_product, divisor_degree,
-                               section_count)
+                               embedded_point, section_count)
 from apolar_kit.seeding import derive_seed, make_rng, small_rationals
 from apolar_kit.univariate import _distinct_roots
-from oracles import (admissible_splits, binary_roots, coefficient_matrix, conic_pencil,
-                     evaluate, fiber_form, from_sympy, piece_contains, quadratic_fiber_points,
-                     recon_piece, replaced, scroll_quadrics, to_sympy)
+from oracles import (admissible_splits, ambient_restriction, binary_roots, coefficient_matrix,
+                     conic_pencil, evaluate, fiber_form, from_sympy, piece_contains,
+                     primitive_point, quadratic_fiber_points, recon_piece, replaced,
+                     scroll_quadrics, to_sympy)
 
 
 def division_piece(curve, k):
@@ -47,7 +48,7 @@ def division_piece(curve, k):
     def row_of(key):
         return row_index.setdefault(key, len(row_index))
 
-    columns = [{row_of(_ambient_restriction(scroll, exp)): Fraction(1)}
+    columns = [{row_of(ambient_restriction(scroll, exp)): Fraction(1)}
                for exp in ambient]
     for section in curve.equations:
         mult_h = k - section.cls.h
@@ -945,6 +946,16 @@ class TestIdealPieces:
         assert err.value.got == (3, 13)
         assert err.value.expected == (3, 15)
 
+    @pytest.mark.parametrize("scroll_type", [
+        (1, 2), (2, 2), (3, 4), (0, 3), (1, 1, 1), (0, 1, 1), (1, 2, 2), (0, 0, 2)])
+    def test_restriction_classes_match_the_reference(self, scroll_type):
+        # each class one coordinate step from a class one degree lower,
+        # against the pullback summed coordinate by coordinate
+        scroll = Scroll(scroll_type)
+        for k in range(4):
+            assert _restriction_classes(scroll, k) == tuple(
+                ambient_restriction(scroll, exp) for exp in monomial_basis(scroll.N + 1, k))
+
     def test_genus_adjunction_rejects_threefolds(self):
         s = Scroll((1, 1, 2))
         with pytest.raises(ValueError):
@@ -953,3 +964,73 @@ class TestIdealPieces:
     def test_genus_adjunction_quadric_surface(self):
         s = Scroll((1, 1))
         assert genus_adjunction(s, s.cls(2, 0)) == 1
+
+
+class TestTupleWiseCertificate:
+    """`ideal_pieces` reads the binomials of a point with one tuple
+    comparison and each lift with one product sum; a piece with exactly
+    one binomial and a lift with exactly one term reads one index each,
+    where a bare `itemgetter` would return a scalar."""
+
+    def patched(self, monkeypatch, k, binomial=None):
+        """Trigonal g = 5 on the scroll (1, 2), coordinates x0 .. x4 =
+        s y1, t y1, s^2 y2, s t y2, t^2 y2.  The degree-k piece becomes one
+        binomial and the one-term lift 3 x0 x4^(k - 1), the other piece
+        none; both rows vanish at scroll points with fiber (1 : 0) or
+        (0 : 1), the honest points.  The default binomial is the real
+        one on x2 x4^(k - 1) = x3^2 x4^(k - 2), nonzero at fiber (0 : 1)."""
+        curve = trigonal_curve(5, seed=1)
+        basis = monomial_basis(5, k)
+        if binomial is None:
+            binomial = {basis.index((0, 0, 1, 0, k - 1)): 1,
+                        basis.index((0, 0, 0, 2, k - 2)): -1}
+            assert binomial in curvegen._piece(curve, k)
+        rows = [binomial, {basis.index((1, 0, 0, 0, k - 1)): 3}]
+        monkeypatch.setattr(curvegen, "_piece", lambda c, degree: rows if degree == k else [])
+        points = [embedded_point(curve.scroll, base, fiber)
+                  for base in ((1, 2), (3, -1), (2, 5)) for fiber in ((1, 0), (0, 1))]
+        return curve, points, rows
+
+    @staticmethod
+    def fails(rows, k, points):
+        basis = monomial_basis(5, k)
+        return any(sum(c * _monomial_value(p, basis[j]) for j, c in row.items())
+                   for row in rows for p in points)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_honest_points_pass(self, k, monkeypatch):
+        curve, points, rows = self.patched(monkeypatch, k)
+        assert not self.fails(rows, k, points)
+        # the certificate passes; only the dimension count sees the piece
+        with pytest.raises(IdealDimensionError):
+            ideal_pieces(curve, points)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_one_perturbed_coordinate_fails(self, k, monkeypatch):
+        curve, points, rows = self.patched(monkeypatch, k)
+        caught = set()
+        for n, point in enumerate(points):
+            for i in range(5):
+                moved = list(points)
+                moved[n] = point[:i] + (point[i] + 1,) + point[i + 1:]
+                failing = [row for row in rows if self.fails([row], k, moved)]
+                if failing:
+                    caught.update(len(row) for row in failing)
+                    with pytest.raises(PointCertificateError):
+                        ideal_pieces(curve, moved)
+                else:
+                    with pytest.raises(IdealDimensionError):
+                        ideal_pieces(curve, moved)
+        # some moves break the binomial and some the one-term lift
+        assert caught == {1, 2}
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_a_rep_moved_to_another_class_fails(self, k, monkeypatch):
+        basis = monomial_basis(5, k)
+        # x2 x4^(k - 1) against x4^k, of another class: s^2 t^(2k - 2)
+        # against t^(2k), apart at every (0 : 1) point with s != 0
+        binomial = {basis.index((0, 0, 1, 0, k - 1)): 1, basis.index((0, 0, 0, 0, k)): -1}
+        curve, points, rows = self.patched(monkeypatch, k, binomial)
+        assert self.fails(rows, k, points)
+        with pytest.raises(PointCertificateError):
+            ideal_pieces(curve, points)

@@ -87,10 +87,13 @@ def test_alpha_golden(name, argv, tmp_path, monkeypatch):
     assert fresh_report(argv, tmp_path) == recorded
 
 
-def test_curve_gen_golden(tmp_path):
-    # the closed-form trigonal section, sampled and reconstructed
-    recorded = (GOLDEN / "curve_gen_g8.json").read_text()
-    argv = ["curve-gen", "--g", "8", "--gonality", "3", "--seed", "1"]
+@pytest.mark.parametrize("g", [5, 6, 7, 8, 12, 20])
+def test_curve_gen_golden(g, tmp_path):
+    # the closed-form trigonal section, sampled and reconstructed: its
+    # equation, hints and points byte for byte, with three, two, four and
+    # two interpolated fibers at g = 5..8 and none at g = 12 and 20
+    recorded = (GOLDEN / f"curve_gen_g{g}.json").read_text()
+    argv = ["curve-gen", "--g", str(g), "--gonality", "3", "--seed", "1"]
     assert fresh_report(argv, tmp_path) == recorded
 
 

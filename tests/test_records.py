@@ -23,7 +23,7 @@ from apolar_kit.pipeline import AlphaResult, alpha_for_curve
 from apolar_kit.planemodel import (BlowupClass, PlaneModel, adjunction_check,
                                    higher_gonality_degree, nakai_certificate,
                                    tetragonal_numerology)
-from apolar_kit.scroll import Scroll, embed_point
+from apolar_kit.scroll import Scroll
 from apolar_kit.seeding import make_rng
 from apolar_kit.waring import fermat_detect_detail
 
@@ -43,8 +43,7 @@ def examples() -> dict:
     nakai = nakai_certificate(2)
     model = PlaneModel(6, (3, 2))
     records = [
-        curve.scroll, curve.classes[0], embed_point(curve.scroll, (1, 2), (1, -1)),
-        curve.equations[0], curve, recon,
+        curve.scroll, curve.classes[0], curve.equations[0], curve, recon,
         apolar_ideal_piece(fermat, 2), hilbert_function(fermat),
         fermat_detect_detail(fermat, seed=5)[0],
         alpha_for_curve(curve, 1),
@@ -71,7 +70,7 @@ def rebuilt(record):
 
 
 def test_every_record_type_has_an_example():
-    assert len(RECORD_NAMES) == 18
+    assert len(RECORD_NAMES) == 17
     assert sorted(examples()) == RECORD_NAMES
     assert not any(dataclasses.is_dataclass(r) for r in examples().values())
 

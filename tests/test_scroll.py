@@ -1,10 +1,10 @@
 import pytest
 
 from apolar_kit.scroll import (Scroll, canonical_class, chow_product, coordinate_layout,
-                               divisor_degree, embed_point, project_type, section_count,
+                               divisor_degree, embedded_point, project_type, section_count,
                                section_templates)
 from apolar_kit.seeding import make_rng
-from oracles import evaluate, scroll_quadrics
+from oracles import embed_point, evaluate, primitive_point, scroll_quadrics
 
 
 class TestScrollBasics:
@@ -129,20 +129,24 @@ class TestSectionTemplates:
         assert ((2, 0), 0) not in pairs  # 2*1 - 4 < 0 drops the y0^2 slot
 
 
-class TestEmbedPoint:
+class TestEmbeddedPoint:
     def test_block_origin(self):
-        p = embed_point(Scroll((1, 2)), (1, 0), (1, 0))
-        assert p.image == (1, 0, 0, 0, 0)
+        assert embedded_point(Scroll((1, 2)), (1, 0), (1, 0)) == (1, 0, 0, 0, 0)
 
     def test_second_block(self):
-        p = embed_point(Scroll((1, 2)), (1, 1), (0, 1))
-        assert p.image == (0, 0, 1, 1, 1)
+        assert embedded_point(Scroll((1, 2)), (1, 1), (0, 1)) == (0, 0, 1, 1, 1)
 
-    def test_zero_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            embed_point(Scroll((1, 2)), (0, 0), (1, 0))
-        with pytest.raises(ValueError):
-            embed_point(Scroll((1, 2)), (1, 0), (0, 0))
+    def test_primitive_with_a_positive_lead(self):
+        # (s, t) = (2, -4), y = (-3, 6): (-6, 12, 24, -48, 96) over -6
+        assert embedded_point(Scroll((1, 2)), (2, -4), (-3, 6)) == (1, -2, -4, 8, -16)
+        # a zero first block: the lead is the first nonzero coordinate
+        assert embedded_point(Scroll((1, 2)), (1, -1), (0, -2)) == (0, 0, 1, -1, 1)
+
+    def test_degenerate_inputs_rejected(self):
+        for base, fiber in [((0, 0), (1, 0)), ((1, 0), (0, 0)), ((1, 2), (1, 0, 1)),
+                            ((1, 2, 3), (1, 0))]:
+            with pytest.raises(ValueError):
+                embedded_point(Scroll((1, 2)), base, fiber)
 
     def test_images_satisfy_scroll_quadrics(self):
         rng = make_rng(32)
@@ -156,9 +160,25 @@ class TestEmbedPoint:
             fiber = tuple(rng.randint(-9, 9) for _ in range(k))
             if not any(fiber):
                 fiber = (1,) + fiber[1:]
-            image = embed_point(s, base, fiber).image
+            image = embedded_point(s, base, fiber)
             for q in scroll_quadrics(s):
                 assert evaluate(q, image) == 0
+
+    def test_equals_the_reference_embedding(self):
+        # the integer helper against the embedding as the sampler once
+        # ran it, on scrolls with zero, equal and unequal entries
+        rng = make_rng(33)
+        for _ in range(300):
+            k = rng.randint(2, 3)
+            s = Scroll(tuple(rng.randint(0, 4) for _ in range(k - 1)) + (rng.randint(1, 4),))
+            base = (rng.randint(-9, 9), rng.randint(-9, 9))
+            if not any(base):
+                base = (1, rng.randint(-9, 9))
+            fiber = tuple(rng.randint(-9, 9) for _ in range(k))
+            if not any(fiber):
+                fiber = (-1,) + fiber[1:]
+            assert embedded_point(s, base, fiber) == primitive_point(
+                embed_point(s, base, fiber).image)
 
 
 class TestProjectType:
