@@ -167,9 +167,9 @@ def _cmd_curve_gen(args) -> dict:
         "ideal": {
             "degree2_dim": len(recon.degree2),
             "degree3_dim": len(recon.degree3),
-            "point_count": recon.point_count,
+            "point_count": len(recon.points),
             # ideal_pieces raises on any other dimensions
-            "rank_saturated": recon.point_count > 0,
+            "rank_saturated": len(recon.points) > 0,
             "dims_expected": True,
         },
     }

@@ -32,14 +32,16 @@ vanishes identically is a repeated root and is skipped.
 
 The graded pieces of the ideal are built in closed form from the scroll
 (Schreyer 1986; `_piece`) and handed on as sparse integer rows at the
-height of the equations, certified by the sampled points.
+height of the equations, certified by the sampled points.  The degree-3
+piece is built only when read: its dimension is a theorem (Koszul) once
+two closed-form certificates hold (`_cubic_count_certified`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from itertools import chain, islice
 from math import comb, gcd, lcm, prod
 from operator import itemgetter, mul
@@ -223,19 +225,38 @@ class CurveSpec(Record):
 
 
 class IdealReconstruction(Record):
-    """The degree-2 and degree-3 pieces of a curve ideal, each a basis of
-    sparse primitive integer rows (`_piece`): index into
-    `monomial_basis(genus, degree)` -> coefficient; the scroll the curve
-    lies on, in the coordinates of those rows; and the curve's
-    `equations`, from which `_piece` built both pieces as I_S plus each
-    equation times its multiplier slots."""
+    """The degree-2 piece of a curve ideal, a basis of sparse primitive
+    integer rows (`_piece`): index into `monomial_basis(genus, 2)` ->
+    coefficient; the sampled points it was checked on; the scroll the
+    curve lies on, in the coordinates of those rows; and the curve's
+    `equations`, from which `_piece` builds each piece as I_S plus each
+    equation times its multiplier slots.
+
+    `degree3`, the degree-3 piece in the same form, is built when first
+    read, checked on `points` and counted.  Its count is a theorem when
+    `_cubic_count_certified` holds: the Cox ring of the scroll is a
+    polynomial ring, so equations with no common factor of positive
+    H-degree have only the Koszul syzygy, of H-degree 2, and their
+    degree-3 lifts are independent; the closed count (a) and the
+    coprimality certificate (b) need no row.  `ideal_pieces` reads it at
+    once only when they fail.  No quotient reads it."""
 
     genus: int
     degree2: tuple[dict[int, int], ...]
-    degree3: tuple[dict[int, int], ...]
-    point_count: int
+    points: tuple[tuple[int, ...], ...]
     scroll: Scroll
     equations: tuple[BihomSection, ...]
+
+    @cached_property
+    def degree3(self) -> tuple[dict[int, int], ...]:
+        """`_piece` at degree 3, checked on `points` (PointCertificateError)
+        and counted against C(g+2, 3) - (5g-5) (IdealDimensionError)."""
+        rows = _checked_piece(self, self.points, 3)
+        dims = (len(self.degree2), len(rows))
+        expected = (expected_quadric_dim(self.genus), expected_cubic_dim(self.genus))
+        if dims != expected:
+            raise IdealDimensionError(dims, expected)
+        return rows
 
 
 def genus_adjunction(scroll: Scroll, cls: DivisorClass) -> int:
@@ -583,23 +604,32 @@ def _getter(indices: Sequence[int]):
     return lambda row: tuple([row[i] for i in indices])
 
 
+@cache
+def _degree_steps(nvars: int, degree: int) -> tuple:
+    """For the monomials of `monomial_basis(nvars, degree)`: the getter of
+    the values one degree lower (`_first_step`'s monomial) and the getter
+    of the coordinates (its first variable), built once per (nvars,
+    degree)."""
+    index = {exp: j for j, exp in enumerate(monomial_basis(nvars, degree - 1))}
+    below, first = [], []
+    for exp in monomial_basis(nvars, degree):
+        i, lower_exp = _first_step(exp)
+        below.append(index[lower_exp])
+        first.append(i)
+    return _getter(below), _getter(first)
+
+
 def _evaluation_matrix(points: Sequence[Sequence[int]], lower: Sequence[Sequence[int]],
-                       lower_basis: Sequence[tuple[int, ...]],
-                       basis: Sequence[tuple[int, ...]]) -> list[list[int]]:
-    """Values of the monomials of `basis` at integer points, from `lower`,
-    the values of `lower_basis` (one degree less) at the same points.
+                       nvars: int, degree: int) -> list[list[int]]:
+    """Values of the monomials of `monomial_basis(nvars, degree)` at
+    integer points, from `lower`, the values of the monomials one degree
+    less at the same points.
 
     Each value is one product x^e = x^(e - u_i) x_i, with x_i the first
     variable of x^e: the same integers as `_monomial_value`, one
     multiplication each.
     """
-    index = {exp: j for j, exp in enumerate(lower_basis)}
-    below, first = [], []
-    for exp in basis:
-        i, lower_exp = _first_step(exp)
-        below.append(index[lower_exp])
-        first.append(i)
-    below, first = _getter(below), _getter(first)
+    below, first = _degree_steps(nvars, degree)
     return [list(map(mul, below(values), first(p))) for p, values in zip(points, lower)]
 
 
@@ -624,9 +654,10 @@ def _restriction_classes(scroll: Scroll, k: int) -> tuple:
     return tuple(classes)
 
 
-def _piece(curve: CurveSpec, k: int) -> list[dict[int, int]]:
+def _piece(curve: CurveSpec | IdealReconstruction, k: int) -> list[dict[int, int]]:
     """Basis of the degree-k graded piece of the curve ideal, as sparse
-    primitive integer rows (ambient monomial index -> coefficient).
+    primitive integer rows (ambient monomial index -> coefficient), from
+    the curve's scroll and equations alone.
 
     Restriction to the scroll maps the ambient monomials onto the section
     monomials of kH; group them into classes by their image and lift each
@@ -670,40 +701,97 @@ def _piece(curve: CurveSpec, k: int) -> list[dict[int, int]]:
     return rows
 
 
+def _checked_piece(curve: CurveSpec | IdealReconstruction, points: Sequence[Sequence[int]],
+                   k: int) -> tuple[dict[int, int], ...]:
+    """`_piece(curve, k)` (`curve` a CurveSpec or an IdealReconstruction:
+    its scroll and equations), every row checked to vanish on every
+    point exactly (a binomial e_j - e_rep where the two monomials are
+    equal), evaluated in integers; PointCertificateError otherwise.  At
+    each point all binomials are read as one comparison of two tuples,
+    the values at the j and at the rep, and each lift as one sum of
+    products."""
+    rows = tuple(_piece(curve, k))
+    values = points
+    for degree in range(2, k + 1):
+        values = _evaluation_matrix(points, values, curve.genus, degree)
+    binomials = [tuple(row) for row in rows if tuple(row.values()) == (1, -1)]
+    members = _getter([j for j, _ in binomials])
+    reps = _getter([rep for _, rep in binomials])
+    lifts = [(_getter(list(row)), tuple(row.values())) for row in rows
+             if tuple(row.values()) != (1, -1)]
+    for point_values in values:
+        if (members(point_values) != reps(point_values)
+                or any(sum(map(mul, columns(point_values), coefficients))
+                       for columns, coefficients in lifts)):
+            raise PointCertificateError("an ideal element does not vanish on a sampled point")
+    return rows
+
+
+def _cubic_count(scroll: Scroll, classes: Sequence[DivisorClass]) -> int:
+    """C(N + 3, 3) - h0(3H) + sum_i h0(3H - cls_i), N + 1 the ambient
+    coordinates (g for a canonical curve): the rows of `_piece` at degree
+    3 for equations of these classes whose lifts are independent."""
+    return comb(scroll.N + 3, 3) - section_count(scroll, scroll.cls(3, 0)) + sum(
+        section_count(scroll, scroll.cls(3 - cls.h, -cls.f)) for cls in classes if cls.h <= 3)
+
+
+# base points (s, t) tried after a tetragonal curve's first hint when
+# `_cubic_count_certified` looks for a fiber whose conics share no factor
+_PENCIL_BASES = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1))
+
+
+def _cubic_count_certified(curve: CurveSpec) -> bool:
+    """True when a theorem fixes the degree-3 piece of `_piece` at the
+    canonical-curve count C(g+2, 3) - (5g-5), so it need not be built.
+
+    The scroll's Cox ring k[s, t, y] is a polynomial ring, and the curve
+    a complete intersection on the scroll (Schreyer, Math. Ann. 275,
+    1986).  Two equations whose common factor G has H-degree 0 have, by
+    Koszul, only the syzygies w (q2 / G, -q1 / G), whose multiplier of q1
+    has H-degree at least 2 > 1; a single equation f != 0 has none in a
+    domain.  So the degree-3 lifts are independent, and the piece
+    has C(g+2, 3) - h0(3H) binomials (the scroll is projectively normal,
+    so its restriction classes are the h0(3H) section monomials) plus
+    sum_i h0(3H - cls_i) lifts.  Two certificates, no row built:
+    (a) that count (`_cubic_count`) equals `expected_cubic_dim(g)`;
+    (b) one equation with a nonzero image, or two of H-degree 2 on a
+    threefold whose fiber conics (`_conic_pencil`) have a resultant not
+    identically zero over the first hint or one of `_PENCIL_BASES`: a
+    common factor G of positive H-degree would divide both conics on
+    every fiber, or make one zero, and so kill the resultant there.
+    Any other curve is False, and `ideal_pieces` builds the piece."""
+    scroll, equations = curve.scroll, curve.equations
+    if _cubic_count(scroll, [eq.cls for eq in equations]) != expected_cubic_dim(curve.genus):
+        return False
+    if len(equations) == 1:
+        return any(any(row) for _, row in equations[0].image)
+    if len(equations) != 2 or scroll.k != 3 or any(eq.cls.h != 2 for eq in equations):
+        return False
+    q1, q2 = equations
+    hints = [(t.denominator, t.numerator) for t in curve.rational_fiber_hints[:1]]
+    return any(any(_conic_pencil(q1.restrict(base), q2.restrict(base))[2])
+               for base in chain(hints, _PENCIL_BASES))
+
+
 def ideal_pieces(curve: CurveSpec,
                  points: Sequence[Sequence[int]] = ()) -> IdealReconstruction:
-    """Degree-2 and degree-3 graded pieces of the curve ideal, as the
-    sparse primitive integer rows of `_piece`.
+    """The graded pieces of the curve ideal, as the sparse primitive
+    integer rows of `_piece`: the degree-2 piece now, the degree-3 piece
+    (`IdealReconstruction.degree3`) when first read.
 
     The supplied sampled points are an independent certificate: every
-    row must vanish on every one of them exactly (a binomial e_j - e_rep
-    where the two monomials are equal), evaluated in integers.  At each
-    point all binomials are read as one comparison of two tuples, the
-    values at the j and at the rep, and each lift as one sum of products.
-    Dimensions must equal the canonical-curve counts (g-2)(g-3)/2 and
-    C(g+2, 3) - (5g-5); a mismatch raises IdealDimensionError.
+    row of a piece must vanish on every one of them exactly
+    (`_checked_piece`).  The degree-2 piece must have the canonical-curve
+    dimension (g-2)(g-3)/2.  The degree-3 dimension C(g+2, 3) - (5g-5)
+    is a theorem when `_cubic_count_certified` holds (Koszul: the
+    equations have no common factor of positive H-degree, and the closed
+    count agrees); otherwise, or when the degree-2 count is off, the
+    degree-3 piece is built, checked and counted here.  A mismatch raises
+    IdealDimensionError with both dimensions.
     """
     g = curve.genus
-    pieces = []
-    evaluations, lower = points, monomial_basis(g, 1)
-    for degree in (2, 3):
-        basis = monomial_basis(g, degree)
-        evaluations, lower = _evaluation_matrix(points, evaluations, lower, basis), basis
-        rows = tuple(_piece(curve, degree))
-        binomials = [tuple(row) for row in rows if tuple(row.values()) == (1, -1)]
-        members = _getter([j for j, _ in binomials])
-        reps = _getter([rep for _, rep in binomials])
-        lifts = [(_getter(list(row)), tuple(row.values())) for row in rows
-                 if tuple(row.values()) != (1, -1)]
-        for values in evaluations:
-            if (members(values) != reps(values)
-                    or any(sum(map(mul, columns(values), coefficients))
-                           for columns, coefficients in lifts)):
-                raise PointCertificateError("an ideal element does not vanish on a sampled point")
-        pieces.append(rows)
-    dims = tuple(map(len, pieces))
-    expected = (expected_quadric_dim(g), expected_cubic_dim(g))
-    if dims != expected:
-        raise IdealDimensionError(dims, expected)
-    return IdealReconstruction(g, *pieces, point_count=len(points), scroll=curve.scroll,
-                               equations=curve.equations)
+    recon = IdealReconstruction(g, _checked_piece(curve, points, 2), tuple(map(tuple, points)),
+                                curve.scroll, curve.equations)
+    if len(recon.degree2) != expected_quadric_dim(g) or not _cubic_count_certified(curve):
+        recon.degree3    # built, checked and counted now
+    return recon

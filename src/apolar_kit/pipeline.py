@@ -295,9 +295,14 @@ def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
     fail).  lambda, on forms of degree 3m, kills the section's two binary
     forms (`AlphaResult.forms`) times every monomial: one Sylvester
     system, 3n - 3 rows over 3n - 2 columns on a threefold, 3n over
-    3n + 1 on a surface, whose kernel has dimension h3; `ideal_pieces`
-    certified that the equations span the ideal, so no degree-3 row is
-    read.  No `Polynomial` is built.
+    3n + 1 on a surface, whose kernel has dimension h3.  No degree-3 row
+    is read or built: the ideal is I_S plus the equations times their
+    multiplier slots (Schreyer 1986), and `ideal_pieces` certified its
+    degree-3 dimension without building that piece, (a) by the closed
+    count C(g+2, 3) - h0(3H) + sum_i h0(3H - cls_i) = C(g+2, 3) - (5g-5)
+    and (b) by equations with no common factor of positive H-degree, so
+    by Koszul their degree-3 lifts are independent.  No `Polynomial` is
+    built.
     """
     g = recon.genus
     n = g - 2

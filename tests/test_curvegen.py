@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
+from operator import add
 
 import pytest
 import sympy
@@ -18,12 +19,13 @@ from apolar_kit.curvegen import (BihomSection, CurveSpec, IdealDimensionError,
                                  expected_quadric_dim, genus_adjunction,
                                  ideal_pieces, random_section, sample_points,
                                  tetragonal_curve, tetragonal_surfaces, trigonal_curve,
-                                 _common_base_factor, _conic_pencil, _evaluation_matrix,
+                                 _common_base_factor, _conic_pencil, _cubic_count,
+                                 _cubic_count_certified, _evaluation_matrix,
                                  _fiber_rational_points, _form_value, _restriction_classes,
                                  _section_from_vector, _section_slots,
                                  _tetragonal_fiber_points)
 from apolar_kit.scroll import (Scroll, canonical_class, chow_product, divisor_degree,
-                               embedded_point, section_count)
+                               embedded_point, section_count, section_templates)
 from apolar_kit.seeding import derive_seed, make_rng, small_rationals
 from apolar_kit.univariate import _distinct_roots
 from oracles import (admissible_splits, ambient_restriction, binary_roots, coefficient_matrix,
@@ -736,7 +738,7 @@ class TestIdealPieces:
         recon = ideal_pieces(curve, pts)
         assert len(recon.degree2) == 3
         assert len(recon.degree3) == 15
-        assert recon.point_count == len(pts) > 0
+        assert recon.points == tuple(pts) and pts
 
     def test_tetragonal_dims(self):
         curve = tetragonal_curve(7, 1, 1, seed=10)
@@ -757,7 +759,7 @@ class TestIdealPieces:
         pts = sample_points(curve, 15, seed=6)
         recon = ideal_pieces(curve, pts)
         basis = monomial_basis(5, 2)
-        kernel = ExactMatrix(_evaluation_matrix(pts, pts, monomial_basis(5, 1), basis)).kernel()
+        kernel = ExactMatrix(_evaluation_matrix(pts, pts, 5, 2)).kernel()
         assert kernel.nrows == len(recon.degree2)
         reduced_a, _ = kernel.rref()
         reduced_b, _ = coefficient_matrix(recon_piece(recon, 2).basis).rref()
@@ -767,11 +769,11 @@ class TestIdealPieces:
         # one multiplication per value, from the degree below
         curve = tetragonal_curve(7, 1, 1, seed=3)
         pts = sample_points(curve, curve.guaranteed_point_count, seed=3)
-        values, lower = pts, monomial_basis(7, 1)
+        values = pts
         for degree in (2, 3, 4):
-            basis = monomial_basis(7, degree)
-            values, lower = _evaluation_matrix(pts, values, lower, basis), basis
-            assert values == [[_monomial_value(p, exp) for exp in basis] for p in pts]
+            values = _evaluation_matrix(pts, values, 7, degree)
+            assert values == [[_monomial_value(p, exp) for exp in monomial_basis(7, degree)]
+                              for p in pts]
 
     def test_ideal_elements_vanish_on_points(self):
         curve = tetragonal_curve(6, 0, 1, seed=13)
@@ -870,6 +872,7 @@ class TestIdealPieces:
             curve = tetragonal_curve(g, *split, seed=1)
         points = sample_points(curve, curve.guaranteed_point_count, seed=1)
         expected = ideal_pieces(curve, points)
+        expected.degree3    # built before the patch, at full rank
         monkeypatch.setattr(curvegen, "_rank_mod_prime",
                             lambda rows, ncols: _rank_mod_prime(rows, ncols) - 1)
         fallback = ideal_pieces(curve, points)
@@ -900,12 +903,20 @@ class TestIdealPieces:
         points = sample_points(curve, curve.guaranteed_point_count, seed=1)
         recon = ideal_pieces(curve, points)
         assert (len(recon.degree2), len(recon.degree3)) == dims
-        assert recon.point_count == len(points) > 0
+        assert recon.points == tuple(points) and points
 
     def test_points_of_another_curve_fail_the_certificate(self):
+        # a trigonal degree-2 piece is the scroll's binomials, which every
+        # point of the scroll passes: the equation's degree-3 lifts fail
+        # when that piece is first read
         points = sample_points(trigonal_curve(5, 2), 3, 1)
+        recon = ideal_pieces(trigonal_curve(5, 1), points)
         with pytest.raises(PointCertificateError):
-            ideal_pieces(trigonal_curve(5, 1), points)
+            recon.degree3
+        # a tetragonal degree-2 piece holds both equations' lifts
+        points = sample_points(tetragonal_curve(7, 1, 1, 2), 2, 1)
+        with pytest.raises(PointCertificateError):
+            ideal_pieces(tetragonal_curve(7, 1, 1, 1), points)
 
     @pytest.mark.parametrize("g, split", [(5, None), (8, None), (7, (1, 1)), (8, (1, 2))])
     def test_one_changed_coordinate_fails_the_certificate(self, g, split, monkeypatch):
@@ -929,7 +940,7 @@ class TestIdealPieces:
         monkeypatch.setattr(curvegen, "_piece", lambda c, k: [
             row for row in original(c, k) if tuple(row.values()) == (1, -1)])
         with pytest.raises(IdealDimensionError):
-            ideal_pieces(curve, points)
+            ideal_pieces(curve, points).degree3
         for sample in moved:
             with pytest.raises(PointCertificateError):
                 ideal_pieces(curve, sample)
@@ -964,6 +975,108 @@ class TestIdealPieces:
     def test_genus_adjunction_quadric_surface(self):
         s = Scroll((1, 1))
         assert genus_adjunction(s, s.cls(2, 0)) == 1
+
+
+def product_section(scroll, cls, *factors):
+    """The section of `cls` that is the product of `factors`, each a map
+    (fiber exponent, base exponent) -> integer coefficient."""
+    terms = {((0,) * scroll.k, (0, 0)): 1}
+    for factor in factors:
+        product = {}
+        for (e1, b1), c1 in terms.items():
+            for (e2, b2), c2 in factor.items():
+                key = tuple(map(add, e1, e2)), tuple(map(add, b1, b2))
+                product[key] = product.get(key, 0) + c1 * c2
+        terms = product
+    return BihomSection(scroll, cls, {
+        exp: Polynomial(2, degree, {b: c for (e, b), c in terms.items() if e == exp and c})
+        for exp, degree in section_templates(scroll, cls)})
+
+
+def curve_of(g, split):
+    """The curve of seed 1: trigonal when `split` is None."""
+    if split is None:
+        return trigonal_curve(g, seed=1)
+    return tetragonal_curve(g, *split, seed=1)
+
+
+class TestCubicCountCertificate:
+    """`ideal_pieces` builds no degree-3 piece when (a) the closed count
+    `_cubic_count` is the canonical one and (b) the equations share no
+    factor of positive H-degree (`_cubic_count_certified`); otherwise it
+    builds, checks and counts the piece at once, as it always did."""
+
+    @pytest.mark.parametrize("g", range(5, 10))
+    def test_count_is_the_piece_built(self, g):
+        for split in [None] + list(admissible_splits(g) if g >= 6 else ()):
+            curve = curve_of(g, split)
+            assert (_cubic_count(curve.scroll, curve.classes)
+                    == len(curvegen._piece(curve, 3)) == expected_cubic_dim(g))
+            assert _cubic_count_certified(curve)
+            # with no hint, a fixed base point serves for (b)
+            assert _cubic_count_certified(replaced(curve, rational_fiber_hints=()))
+
+    def test_count_is_the_canonical_count_up_to_the_guards(self):
+        for g in range(5, 31):
+            scroll = Scroll(balanced_type(g - 2, 2))
+            assert _cubic_count(scroll, [scroll.cls(3, 4 - g)]) == expected_cubic_dim(g)
+        for g in range(6, 31):
+            scroll = Scroll(balanced_type(g - 3, 3))
+            for split in admissible_splits(g):
+                assert (_cubic_count(scroll, tetragonal_surfaces(scroll, *split))
+                        == expected_cubic_dim(g))
+
+    @pytest.mark.parametrize("g, split", [(8, None), (8, (1, 2))])
+    def test_degree3_is_built_on_first_read(self, g, split, monkeypatch):
+        curve = curve_of(g, split)
+        points = sample_points(curve, curve.guaranteed_point_count, seed=1)
+        degrees = []
+        original = curvegen._piece
+        monkeypatch.setattr(curvegen, "_piece",
+                            lambda c, k: degrees.append(k) or original(c, k))
+        recon = ideal_pieces(curve, points)
+        assert degrees == [2] and "degree3" not in vars(recon)
+        rows = recon.degree3
+        assert degrees == [2, 3] and vars(recon)["degree3"] is rows is recon.degree3
+        assert rows == tuple(original(curve, 3))
+        # the piece stays out of equality
+        assert recon == ideal_pieces(curve, points)
+
+    def test_a_failed_count_builds_the_piece_at_once(self, monkeypatch):
+        curve = curve_of(7, (1, 1))
+        points = sample_points(curve, curve.guaranteed_point_count, seed=1)
+        expected = ideal_pieces(curve, points)
+        monkeypatch.setattr(curvegen, "_cubic_count", lambda scroll, classes: -1)
+        recon = ideal_pieces(curve, points)
+        assert vars(recon)["degree3"] == expected.degree3 and recon == expected
+
+    def test_a_common_factor_takes_the_fallback(self, tmp_path):
+        # q_i = L M_i on S(1, 1, 2), L = s y1 of class H, M1 = y2 + t y3 and
+        # M2 = y1 + s y3 of class H - F: the count (a) holds, but every
+        # fiber's conics share L, so (b) fails.  The degree-2 lifts are
+        # independent; the degree-3 ones meet the syzygy (M2, -M1) times
+        # each of the 3 sections of 2F
+        scroll = Scroll((1, 1, 2))
+        classes = (scroll.cls(2, -1),) * 2
+        common = {((1, 0, 0), (1, 0)): 1}
+        factors = ({((0, 1, 0), (0, 0)): 1, ((0, 0, 1), (0, 1)): 1},
+                   {((1, 0, 0), (0, 0)): 1, ((0, 0, 1), (1, 0)): 1})
+        curve = CurveSpec(7, 4, scroll, classes, tuple(
+            product_section(scroll, cls, common, factor) for cls, factor in zip(classes, factors)),
+            seed=1)
+        assert _cubic_count(scroll, classes) == expected_cubic_dim(7)
+        assert not _cubic_count_certified(curve)
+        # recorded before the certificate existed, when every curve built
+        # its degree-3 piece
+        message = ("ideal piece dimensions (10, 51) differ from the expected (10, 54); "
+                   "the curve or the sampling is degenerate")
+        with pytest.raises(IdealDimensionError) as err:
+            ideal_pieces(curve)
+        assert str(err.value) == message
+        path, out = tmp_path / "curve.json", tmp_path / "report.json"
+        path.write_text(json.dumps(jsonio.curve_to_json(curve)))
+        assert main(["alpha", "--in", str(path), "--seed", "1", "--out", str(out)]) == 1
+        assert out.read_text() == '{\n  "error": "%s",\n  "passed": false\n}\n' % message
 
 
 class TestTupleWiseCertificate:

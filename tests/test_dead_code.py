@@ -243,14 +243,28 @@ def test_the_quotient_substitutes_nothing():
 def test_only_the_ideal_builder_and_the_cli_read_degree3_rows():
     """The quotient reads the cubic's functional off the curve's binary
     forms on the section: `pipeline` reads `_restriction_classes` at
-    degree 2 only, and no package function but `ideal_pieces` and the
-    CLI's reads the degree-3 rows of an `IdealReconstruction`."""
+    degree 2 only and reaches `_piece` at degree 3 by no path.  It names
+    neither `_piece`, `_checked_piece` nor `degree3`; `ideal_pieces`
+    builds the degree-2 piece, the one build at degree 3 is the cached
+    `IdealReconstruction.degree3`, and no package function but
+    `ideal_pieces` (when its certificate fails) and the CLI's reads
+    those rows."""
     trees = _parse([PACKAGE])
     pipeline = trees[PACKAGE / "pipeline.py"]
     degrees = [ast.literal_eval(node.args[1]) for node in ast.walk(pipeline)
                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                and node.func.id == "_restriction_classes"]
     assert degrees == [2]
+    imported = {alias.name for node in ast.walk(pipeline) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert not {"_piece", "_checked_piece", "degree3"} & (_referenced([pipeline]) | imported)
+    builds = {(node.name, ast.unparse(call.args[-1])) for tree in trees.values()
+              for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for call in ast.walk(node)
+              if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+              and call.func.id in ("_piece", "_checked_piece")}
+    assert builds == {("_checked_piece", "k"), ("ideal_pieces", "2"), ("degree3", "3")}
     readers = {f"{path.name}:{node.name}" for path, tree in trees.items()
                if path.name != "cli.py"
                for node in ast.walk(tree)

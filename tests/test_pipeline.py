@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from apolar_kit import core, waring
+from apolar_kit import core, curvegen, waring
 from apolar_kit import pipeline as pipeline_module
 from apolar_kit.apolarity import _inverse_vectors, apolar_ideal_piece
 from apolar_kit.cli import main
@@ -653,10 +653,20 @@ class TestSylvesterSystem:
         assert err.value.hilbert == (1, 6)
 
     @pytest.mark.parametrize("g, split", BENCH_CURVES + [(11, None), (11, (3, 3))])
-    def test_reads_no_degree3_row(self, g, split):
-        recon, eta1, eta2 = accepted_pair(g, split)
-        assert (alpha_map(replaced(recon, degree3=()), eta1, eta2)
-                == alpha_map(recon, eta1, eta2))
+    def test_a_trial_builds_no_degree3_piece(self, g, split, monkeypatch):
+        # the quotient reads the quadric rows and the equations alone, and
+        # `ideal_pieces` certifies the degree-3 count in closed form
+        args = (g, split, derive_seed(1, 0))
+        expected = pipeline_module._trial(args)
+        assert expected["passed"]
+        original = curvegen._piece
+
+        def spy(curve, k):
+            if k == 3:
+                raise AssertionError("a trial built the degree-3 piece")
+            return original(curve, k)
+        monkeypatch.setattr(curvegen, "_piece", spy)
+        assert pipeline_module._trial(args) == expected
 
     @pytest.mark.parametrize("g, split", BENCH_CURVES + [(11, None), (11, (3, 3))])
     def test_one_kernel_of_the_sylvester_size(self, g, split, monkeypatch):
