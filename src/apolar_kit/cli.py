@@ -26,8 +26,7 @@ from .apolarity import (SocleDimensionError, apolar_ideal_piece,
                         hilbert_function, macaulay_inverse)
 from .curvegen import (CurveGenerationError, IdealDimensionError,
                        PointCertificateError, SamplingError, balanced_type,
-                       ideal_pieces, sample_points, tetragonal_curve,
-                       trigonal_curve)
+                       ideal_pieces, tetragonal_curve, trigonal_curve)
 from .pipeline import (AlphaCertificateError, VerificationError, alpha_for_curve,
                        verify_tetragonal_bound, verify_trigonal_fermat)
 from .planemodel import (higher_gonality_degree, nakai_certificate,
@@ -157,18 +156,16 @@ def _make_curve(args):
 
 def _cmd_curve_gen(args) -> dict:
     curve = _make_curve(args)
-    count = args.points if args.points is not None else curve.guaranteed_point_count
-    points = sample_points(curve, count, args.seed)
-    recon = ideal_pieces(curve, points)
+    recon = ideal_pieces(curve, args.seed, args.points)
     return {
         "claim": "canonical curve on a scroll with exact ideal reconstruction",
         "curve": jsonio.curve_to_json(curve),
-        "points": [list(p) for p in points],
+        "points": [list(p) for p in recon.points],
         "ideal": {
             "degree2_dim": len(recon.degree2),
             "degree3_dim": len(recon.degree3),
             "point_count": len(recon.points),
-            # ideal_pieces raises on any other dimensions
+            # reading degree3 raises on any other dimensions
             "rank_saturated": len(recon.points) > 0,
             "dims_expected": True,
         },

@@ -32,9 +32,10 @@ vanishes identically is a repeated root and is skipped.
 
 The graded pieces of the ideal are built in closed form from the scroll
 (Schreyer 1986; `_piece`) and handed on as sparse integer rows at the
-height of the equations, certified by the sampled points.  The degree-3
-piece is built only when read: its dimension is a theorem (Koszul) once
-two closed-form certificates hold (`_cubic_count_certified`).
+height of the equations, checked on sampled points.  Both pieces, and
+the points, are built only when read: their dimensions are a theorem
+(Koszul) once closed-form certificates hold (`ideal_pieces`), so a
+quotient reads the scroll and the equations alone.
 """
 
 from __future__ import annotations
@@ -225,34 +226,58 @@ class CurveSpec(Record):
 
 
 class IdealReconstruction(Record):
-    """The degree-2 piece of a curve ideal, a basis of sparse primitive
-    integer rows (`_piece`): index into `monomial_basis(genus, 2)` ->
-    coefficient; the sampled points it was checked on; the scroll the
-    curve lies on, in the coordinates of those rows; and the curve's
-    `equations`, from which `_piece` builds each piece as I_S plus each
-    equation times its multiplier slots.
+    """The graded pieces of a curve ideal, each built when first read.
 
-    `degree3`, the degree-3 piece in the same form, is built when first
-    read, checked on `points` and counted.  Its count is a theorem when
-    `_cubic_count_certified` holds: the Cox ring of the scroll is a
-    polynomial ring, so equations with no common factor of positive
-    H-degree have only the Koszul syzygy, of H-degree 2, and their
-    degree-3 lifts are independent; the closed count (a) and the
-    coprimality certificate (b) need no row.  `ideal_pieces` reads it at
-    once only when they fail.  No quotient reads it."""
+    `curve` holds the scroll and the equations, from which `_piece`
+    builds each piece as I_S plus each equation times its multiplier
+    slots; `points` are `count` exact points of the curve, sampled with
+    `seed` (`sample_points`), which every row of a piece is checked to
+    vanish on.  `degree2` and `degree3` are the pieces, bases of sparse
+    primitive integer rows (index into `monomial_basis(genus, k)` ->
+    coefficient), read by `curve-gen`, by a quotient on its exact path
+    and by the tests.
 
-    genus: int
-    degree2: tuple[dict[int, int], ...]
-    points: tuple[tuple[int, ...], ...]
-    scroll: Scroll
-    equations: tuple[BihomSection, ...]
+    Their counts are a theorem when `ideal_pieces` certifies them: the
+    Cox ring of the scroll is a polynomial ring, so equations with no
+    common factor of positive H-degree have only the Koszul syzygy, of
+    H-degree 2, and their lifts in degrees 2 and 3 are independent; the
+    closed counts and the coprimality certificate need no row and no
+    point.  The cached values stay out of equality and repr."""
+
+    curve: CurveSpec
+    seed: int
+    count: int
+
+    @property
+    def genus(self) -> int:
+        return self.curve.genus
+
+    @property
+    def scroll(self) -> Scroll:
+        return self.curve.scroll
+
+    @property
+    def equations(self) -> tuple[BihomSection, ...]:
+        return self.curve.equations
+
+    @cached_property
+    def points(self) -> tuple[tuple[int, ...], ...]:
+        """`count` points of the curve, `sample_points` at `seed`."""
+        return tuple(sample_points(self.curve, self.count, self.seed))
+
+    @cached_property
+    def degree2(self) -> tuple[dict[int, int], ...]:
+        """`_piece` at degree 2, checked on `points` (PointCertificateError)."""
+        return _checked_piece(self, self.points, 2)
 
     @cached_property
     def degree3(self) -> tuple[dict[int, int], ...]:
         """`_piece` at degree 3, checked on `points` (PointCertificateError)
-        and counted against C(g+2, 3) - (5g-5) (IdealDimensionError)."""
+        after `degree2`, and both counted against (g-2)(g-3)/2 and
+        C(g+2, 3) - (5g-5) (IdealDimensionError)."""
+        degree2 = self.degree2
         rows = _checked_piece(self, self.points, 3)
-        dims = (len(self.degree2), len(rows))
+        dims = (len(degree2), len(rows))
         expected = (expected_quadric_dim(self.genus), expected_cubic_dim(self.genus))
         if dims != expected:
             raise IdealDimensionError(dims, expected)
@@ -727,12 +752,12 @@ def _checked_piece(curve: CurveSpec | IdealReconstruction, points: Sequence[Sequ
     return rows
 
 
-def _cubic_count(scroll: Scroll, classes: Sequence[DivisorClass]) -> int:
-    """C(N + 3, 3) - h0(3H) + sum_i h0(3H - cls_i), N + 1 the ambient
+def _piece_count(scroll: Scroll, classes: Sequence[DivisorClass], k: int) -> int:
+    """C(N + k, k) - h0(kH) + sum_i h0(kH - cls_i), N + 1 the ambient
     coordinates (g for a canonical curve): the rows of `_piece` at degree
-    3 for equations of these classes whose lifts are independent."""
-    return comb(scroll.N + 3, 3) - section_count(scroll, scroll.cls(3, 0)) + sum(
-        section_count(scroll, scroll.cls(3 - cls.h, -cls.f)) for cls in classes if cls.h <= 3)
+    k for equations of these classes whose lifts are independent."""
+    return comb(scroll.N + k, k) - section_count(scroll, scroll.cls(k, 0)) + sum(
+        section_count(scroll, scroll.cls(k - cls.h, -cls.f)) for cls in classes if cls.h <= k)
 
 
 # base points (s, t) tried after a tetragonal curve's first hint when
@@ -753,15 +778,15 @@ def _cubic_count_certified(curve: CurveSpec) -> bool:
     has C(g+2, 3) - h0(3H) binomials (the scroll is projectively normal,
     so its restriction classes are the h0(3H) section monomials) plus
     sum_i h0(3H - cls_i) lifts.  Two certificates, no row built:
-    (a) that count (`_cubic_count`) equals `expected_cubic_dim(g)`;
+    (a) that count (`_piece_count` at k = 3) equals `expected_cubic_dim(g)`;
     (b) one equation with a nonzero image, or two of H-degree 2 on a
     threefold whose fiber conics (`_conic_pencil`) have a resultant not
     identically zero over the first hint or one of `_PENCIL_BASES`: a
     common factor G of positive H-degree would divide both conics on
     every fiber, or make one zero, and so kill the resultant there.
-    Any other curve is False, and `ideal_pieces` builds the piece."""
+    Any other curve is False, and `ideal_pieces` builds both pieces."""
     scroll, equations = curve.scroll, curve.equations
-    if _cubic_count(scroll, [eq.cls for eq in equations]) != expected_cubic_dim(curve.genus):
+    if _piece_count(scroll, [eq.cls for eq in equations], 3) != expected_cubic_dim(curve.genus):
         return False
     if len(equations) == 1:
         return any(any(row) for _, row in equations[0].image)
@@ -773,25 +798,26 @@ def _cubic_count_certified(curve: CurveSpec) -> bool:
                for base in chain(hints, _PENCIL_BASES))
 
 
-def ideal_pieces(curve: CurveSpec,
-                 points: Sequence[Sequence[int]] = ()) -> IdealReconstruction:
+def ideal_pieces(curve: CurveSpec, seed: int, count: int | None = None) -> IdealReconstruction:
     """The graded pieces of the curve ideal, as the sparse primitive
-    integer rows of `_piece`: the degree-2 piece now, the degree-3 piece
-    (`IdealReconstruction.degree3`) when first read.
+    integer rows of `_piece`, each built when first read
+    (`IdealReconstruction.degree2`, `.degree3`) and checked on `count`
+    sampled points (`guaranteed_point_count` when None), drawn with
+    `seed` when first read (`IdealReconstruction.points`).
 
-    The supplied sampled points are an independent certificate: every
-    row of a piece must vanish on every one of them exactly
-    (`_checked_piece`).  The degree-2 piece must have the canonical-curve
-    dimension (g-2)(g-3)/2.  The degree-3 dimension C(g+2, 3) - (5g-5)
-    is a theorem when `_cubic_count_certified` holds (Koszul: the
-    equations have no common factor of positive H-degree, and the closed
-    count agrees); otherwise, or when the degree-2 count is off, the
-    degree-3 piece is built, checked and counted here.  A mismatch raises
-    IdealDimensionError with both dimensions.
+    Nothing is built here when a theorem fixes both counts: the closed
+    degree-2 count C(g+1, 2) - h0(2H) + sum_i h0(2H - cls_i)
+    (`_piece_count`) must be the canonical (g-2)(g-3)/2, and
+    `_cubic_count_certified` must hold, whose certificate (b) (no common
+    factor of positive H-degree) makes the degree-2 lifts independent
+    too: a relation u1 q1 + u2 q2 = 0 with u_i of H-degree 0 would need
+    q2 / G of H-degree 0, and a trigonal equation has no degree-2 lift.
+    Otherwise both pieces are built, point-checked and counted here, and
+    a mismatch raises IdealDimensionError with both dimensions.
     """
-    g = curve.genus
-    recon = IdealReconstruction(g, _checked_piece(curve, points, 2), tuple(map(tuple, points)),
-                                curve.scroll, curve.equations)
-    if len(recon.degree2) != expected_quadric_dim(g) or not _cubic_count_certified(curve):
-        recon.degree3    # built, checked and counted now
+    recon = IdealReconstruction(curve, seed,
+                                curve.guaranteed_point_count if count is None else count)
+    if (_piece_count(curve.scroll, [eq.cls for eq in curve.equations], 2)
+            != expected_quadric_dim(curve.genus) or not _cubic_count_certified(curve)):
+        recon.degree3    # both pieces built, checked and counted now
     return recon

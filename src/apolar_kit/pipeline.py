@@ -15,17 +15,24 @@ verifiers below run those constructions at desk scale:
   ceil((3g - 7) / 2) cubes, the points of the scheme cut on one of the
   two surfaces between the curve and its threefold scroll.
 
-The cubic's functional is the kernel of one Sylvester system on binary
-forms (`alpha_map`), on the base line or on the rational normal curve C0
-the hyperplanes cut on the threefold, and either scheme is a squarefree
-binary form there that kills it (Sylvester's theorem,
-`waring._certify_functional`), so no root is computed.  The scroll is
-cut once per quotient, the curve's quadrics are read on that embedded
-fiber in g coordinates, and the certificates read the two binary forms
-off `AlphaResult.forms`.  A trial reads nothing else: the scroll being
-arithmetically Cohen-Macaulay, the section's checks give h2 = n,
-conciseness is the rank of `AlphaResult.mu`, and the cubic is built
-only where it is read.
+The quotient is read off what the hyperplanes cut on the scroll: the
+section phi, n binary forms of degree m on the base line or on the
+rational normal curve C0 the hyperplanes cut on the threefold, and two
+binary forms A, B on it (`AlphaResult.forms`), D_1 and D_2 on a
+threefold, D and E(phi) on a surface, with deg A + deg B = 3m + 2
+(`alpha_map`).  When A and B are coprime, S/(A, B) is a complete
+intersection with socle degree 3m, so the cubic's functional lambda is
+the one line that kills (A, B) in degree 3m, h3 = 1 and Ann(lambda) =
+(A, B) (Macaulay duality); one gcd modulo a prime certifies that, and a
+trial reads no lambda, no sampled point and no row of the ideal.  Either
+scheme is then a squarefree binary form among A, B, which kills lambda
+by construction (Sylvester's theorem, `waring._certify_roots`), so no
+root is computed, and check (i) of the section makes the cubic concise.
+The exact Sylvester kernel, lambda, is built only where it is read
+(`AlphaResult.functional`), and the cubic from it; a pair whose gcd
+certificate fails takes the exact path instead (check (ii) on the
+curve's quadrics, h3 from the rank of the Sylvester system, and the
+rank of `AlphaResult.mu`).
 """
 
 from __future__ import annotations
@@ -36,17 +43,17 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from math import factorial, prod
 
-from .core import (ExactMatrix, Polynomial, Record, _first_step, _int_echelon,
+from .core import (_RANK_PRIME, ExactMatrix, Polynomial, Record, _first_step, _int_echelon,
                    _int_rank, _int_reduce, _kernel_vectors, _rank_mod_prime, _row_to_int,
                    change_coordinates, monomial_basis)
 from .curvegen import (BihomSection, CurveSpec, IdealReconstruction, _restriction_classes,
-                       balanced_type, ideal_pieces, sample_points, tetragonal_curve,
-                       tetragonal_surfaces, trigonal_curve)
+                       balanced_type, ideal_pieces, tetragonal_curve, tetragonal_surfaces,
+                       trigonal_curve)
 from .jsonio import ascii_int
 from .scroll import Scroll, coordinate_layout
 from .seeding import derive_seed, make_rng, random_dual_linear
-from .univariate import _combine, _mul, _multiples
-from .waring import CertificateError, _certify_functional
+from .univariate import _combine, _coprime_mod, _mul, _multiples
+from .waring import CertificateError, _certify_roots
 
 __all__ = [
     "AlphaResult",
@@ -80,23 +87,36 @@ class VerificationError(RuntimeError):
 
 class AlphaResult(Record):
     """The quotient of a curve by two hyperplanes, as its certificates
-    read it.  `functional` is the cubic's functional lambda on the binary
-    forms of degree 3m, lambda_k = lambda(s^(3m - k) t^k), up to scale
-    the kernel of `alpha_map`'s Sylvester system: 3n - 2 integers on a
-    tetragonal curve (m = n - 1), 3n + 1 on a trigonal one (m = n).
-    `phi` is the section's n binary forms of degree m, and `forms` the
-    Sylvester system's two binary forms on it: (D_1, D_2) on a threefold,
-    (D, E(phi)) on a surface.  `mu` and `cubic` are derived when first
-    read; a trial never reads the cubic."""
+    read it.  `phi` is the section's n binary forms of degree m, and
+    `forms` the Sylvester system's two binary forms A, B on it: (D_1, D_2)
+    on a threefold (m = n - 1), (D, E(phi)) on a surface (m = n).
+    `coprime` says that `alpha_map` certified A and B coprime, so that
+    h3 = 1, Ann(lambda) = (A, B) and the contraction rank is n by theorem;
+    otherwise the quotient took the exact path and the rank is that of
+    `mu`.
+
+    `functional`, `mu`, `cubic` and `contraction_rank` are derived when
+    first read; a trial reads none of the first three.  `functional` is
+    the cubic's functional lambda on the binary forms of degree 3m,
+    lambda_k = lambda(s^(3m - k) t^k), up to scale the one kernel vector
+    of the Sylvester system: 3n - 2 integers on a tetragonal curve,
+    3n + 1 on a trigonal one."""
 
     genus: int
     eta1: Polynomial
     eta2: Polynomial
     hilbert: tuple[int, ...]
     kept_indices: tuple[int, ...]
-    functional: tuple[int, ...]
     phi: tuple[tuple[int, ...], ...]
     forms: tuple[tuple[int, ...], ...]
+    coprime: bool
+
+    @cached_property
+    def functional(self) -> tuple[int, ...]:
+        """The one kernel vector of the Sylvester system (`_sylvester_rows`)."""
+        width = 3 * len(self.phi[0]) - 2
+        [kernel] = _kernel_vectors(_sylvester_rows(self.phi, self.forms), width)
+        return tuple(kernel.get(k, 0) for k in range(width))
 
     @cached_property
     def mu(self) -> list[list[int]]:
@@ -106,6 +126,17 @@ class AlphaResult(Record):
         that every mu_i kills, so mu has the contraction rank."""
         return [[sum(x * y for x, y in zip(form, self.functional[k:])) for form in self.phi]
                 for k in range(2 * len(self.phi[0]) - 1)]
+
+    @cached_property
+    def contraction_rank(self) -> int:
+        """The rank of the cubic's contraction, a lower bound of its Waring
+        rank.  With `coprime` it is n, from check (i): the kernel of
+        H_m(lambda) on S_m is (A, B)_m, which is 0 on a threefold (deg D_i
+        >= g - 1 > m) and the line of D on a surface, where (i) makes phi
+        and D independent.  Otherwise it is the rank of `mu`."""
+        if self.coprime:
+            return len(self.phi)
+        return _int_rank(self.mu, len(self.phi))
 
     @cached_property
     def cubic(self) -> Polynomial:
@@ -192,11 +223,26 @@ def _surface_form(section: BihomSection, fiber: Sequence[Sequence[int]]) -> list
         for exp, row in section.image if row)
 
 
+def _coprime(forms: Sequence[Sequence[int]]) -> bool:
+    """Whether two binary forms A, B are certified coprime over Q: A's
+    t-lead is nonzero modulo p = `_RANK_PRIME` and A, B at s = 1 are
+    coprime modulo p (`univariate._coprime_mod`).  A common factor h would
+    not be s, since A(0, 1) != 0, so h(1, t) would keep a positive degree
+    modulo p and divide both there: Res(A, B) is nonzero modulo p.  False
+    for any other number of forms."""
+    if len(forms) != 2 or forms[0][-1] % _RANK_PRIME == 0:
+        return False
+    return _coprime_mod(*forms, _RANK_PRIME)
+
+
 def _section_forms(recon: IdealReconstruction, etas: Sequence[Sequence[int]],
-                   kept: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
-    """The embedded fiber phi and the two binary forms whose multiples of
-    degree 3m the cubic's functional lambda kills, read off what the two
-    hyperplanes cut on the scroll S: the quotient's one cut of S.
+                   kept: Sequence[int]) -> tuple[list[list[int]], list[list[int]], bool]:
+    """The embedded fiber phi and the two binary forms A, B whose
+    multiples of degree 3m the cubic's functional lambda kills, read off
+    what the two hyperplanes cut on the scroll S: the quotient's one cut
+    of S.  Returns (phi, [A, B], coprime) for the first fiber that passes
+    check (i) and either the gcd certificate (`_coprime`) or check (ii),
+    or fails with (1, n).
 
     phi is an embedded fiber of `_section` at the kept coordinates: n
     binary forms of degree m, the curve C0 (m = n - 1) on a threefold;
@@ -205,22 +251,25 @@ def _section_forms(recon: IdealReconstruction, etas: Sequence[Sequence[int]],
     to phi as its `equations` do (`_surface_form`), since I_S vanishes
     there.  (i) phi's coefficients (and D's) are independent: C0 is a
     rational normal curve, or Gamma spans P^(n-1), and no fiber plane or
-    line lies in Pi = {eta1 = eta2 = 0}, so Pi meets S properly.  (ii)
-    Every row of J2 (`recon.degree2`), read in its g coordinates on the
-    embedded fiber, the point of Pi at phi (exactly on a threefold,
-    modulo D on a surface), reduces to zero against the relations (D_1,
-    D_2 on a threefold, D on a surface) times every monomial of degree
-    2m; on a threefold the nonzero images, the n - 1 lifts (the scroll's
-    quadrics read zero), also have rank n - 1 modulo a prime, a lower
-    bound, so they span D_1 S_(b_1) + D_2 S_(b_2).
-
-    Then h2 = n, with no rank of J2: S is arithmetically Cohen-Macaulay
+    line lies in Pi = {eta1 = eta2 = 0}, so Pi meets S properly.  Then
+    h2 = n, with no rank of J2: S is arithmetically Cohen-Macaulay
     (Eagon-Northcott), so I_S restricts onto the ideal of Pi meet S, and
-    J2 is I(C0)_2, of dimension C(n - 1, 2), plus the n - 1 rows of (ii),
-    or I(Gamma)_2: dimension C(n, 2) either way.  Both ideals are
-    generated in degree 2, and J3 restricts to D_i S_(m + b_i), or
-    D S_(2n) + E(phi) S_(n - 2).  Returns phi and the two forms for the
-    first fiber that passes both checks, or fails with (1, n).
+    J2 is I(C0)_2, of dimension C(n - 1, 2), plus the n - 1 restricted
+    lifts, or I(Gamma)_2: dimension C(n, 2) either way.
+
+    The lifts of J2 are q_i times the base monomials of degree b_i
+    (`_piece`), which read s^(b_i - j) t^j D_i on the embedded fiber, and
+    a surface's J2 has none; so when A and B are coprime they span
+    D_1 S_(b_1) + D_2 S_(b_2), n - 1 independent forms (u_1 D_1 + u_2 D_2
+    = 0 with deg u_1 = b_1 < deg D_2 forces u_1 = 0), and the check
+    below holds by theorem.  Only a fiber whose gcd certificate fails
+    runs it: (ii) every row of J2 (`recon.degree2`), read in its g
+    coordinates on the embedded fiber, the point of Pi at phi (exactly on
+    a threefold, modulo D on a surface), reduces to zero against the
+    relations (D_1, D_2 on a threefold, D on a surface) times every
+    monomial of degree 2m; on a threefold the nonzero images, the n - 1
+    lifts (the scroll's quadrics read zero), also have rank n - 1 modulo
+    a prime, a lower bound, so they span D_1 S_(b_1) + D_2 S_(b_2).
     """
     n = len(kept)
     fibers, determinant = _section(recon.scroll, etas)
@@ -235,6 +284,9 @@ def _section_forms(recon: IdealReconstruction, etas: Sequence[Sequence[int]],
             continue
         forms = [_surface_form(equation, fiber) for equation in recon.equations]
         relations = forms if threefold else [determinant]
+        pair = relations if threefold else relations + forms
+        if _coprime(pair):
+            return phi, pair, True
         images = [q for q in _fiber_quadrics(recon, image) if any(q)]
         if images:
             ech, pivots = _int_echelon(_multiples(relations, 2 * m), 2 * m + 1)
@@ -242,7 +294,7 @@ def _section_forms(recon: IdealReconstruction, etas: Sequence[Sequence[int]],
                 or threefold and _rank_mod_prime(images, 2 * m + 1) < n - 1):
             failed.append("(ii) J2 and the section's quadrics differ")
             continue
-        return phi, relations if threefold else relations + forms
+        return phi, pair, False
     raise AlphaCertificateError((1, n), "degenerate section: " + "; ".join(failed))
 
 
@@ -284,39 +336,48 @@ def _cubic_of(mu: Sequence[Sequence[int]], products: dict) -> dict:
     return {exp: c for exp, c in terms.items() if c}
 
 
+def _sylvester_rows(phi: Sequence[Sequence[int]],
+                    forms: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The Sylvester system: each form times every monomial carrying it
+    to degree 3m (phi of degree m), as rows over the 3m + 1 coefficients,
+    3n - 3 rows on a threefold and 3n on a surface.  The functionals that
+    kill them are its kernel, of dimension h3."""
+    return _multiples(forms, 3 * len(phi[0]) - 3)
+
+
 def alpha_map(recon: IdealReconstruction, eta1: Polynomial,
               eta2: Polynomial) -> AlphaResult:
     """Quotient the curve ideal by two hyperplanes down to the cubic's functional.
 
-    The hyperplanes cut the scroll once (`_section_forms`), where the
-    quadric rows of `recon` are read in g coordinates, with no
-    substitution and no rank: the scroll is arithmetically Cohen-Macaulay,
-    so checks (i) and (ii) give h2 = n (diagnostic (1, n) when they
-    fail).  lambda, on forms of degree 3m, kills the section's two binary
-    forms (`AlphaResult.forms`) times every monomial: one Sylvester
-    system, 3n - 3 rows over 3n - 2 columns on a threefold, 3n over
-    3n + 1 on a surface, whose kernel has dimension h3.  No degree-3 row
-    is read or built: the ideal is I_S plus the equations times their
-    multiplier slots (Schreyer 1986), and `ideal_pieces` certified its
-    degree-3 dimension without building that piece, (a) by the closed
-    count C(g+2, 3) - h0(3H) + sum_i h0(3H - cls_i) = C(g+2, 3) - (5g-5)
-    and (b) by equations with no common factor of positive H-degree, so
-    by Koszul their degree-3 lifts are independent.  No `Polynomial` is
-    built.
+    The hyperplanes cut the scroll once (`_section_forms`), with no
+    substitution and no rank of the ideal: the scroll is arithmetically
+    Cohen-Macaulay, so check (i) gives h2 = n (diagnostic (1, n) when the
+    section fails).  lambda, on forms of degree 3m, kills the section's
+    two binary forms A, B (`AlphaResult.forms`) times every monomial.
+    When the gcd certificate holds, A and B are coprime and deg A + deg B
+    = 3m + 2, so S/(A, B) is a complete intersection with socle degree 3m
+    and h3 = 1 with no kernel computed: a syzygy u A = v B of the
+    Sylvester system would need B to divide u, of lower degree.  lambda
+    is built only when read.  Otherwise the section passed check (ii),
+    and h3 is 3m + 1 minus the exact rank of the Sylvester system.  No
+    degree-2 or degree-3 row is read on the certified path: the ideal is
+    I_S plus the equations times their multiplier slots (Schreyer 1986),
+    and `ideal_pieces` certified both counts in closed form.  No
+    `Polynomial` is built.
     """
     g = recon.genus
     n = g - 2
     kept = quotient_frame(eta1, eta2, g)
-    phi, forms = _section_forms(recon, _hyperplane_rows(eta1, eta2), kept)
-    width = 3 * len(phi[0]) - 2   # 3m + 1, phi of degree m
-    kernel = _kernel_vectors(_multiples(forms, width - 1), width)
-    hilbert = (1, n, n, len(kernel))
-    if len(kernel) != 1:
-        raise AlphaCertificateError(
-            hilbert, "quotient algebra does not have the expected Hilbert vector")
-    return AlphaResult(g, eta1, eta2, hilbert, kept,
-                       tuple(kernel[0].get(k, 0) for k in range(width)), tuple(map(tuple, phi)),
-                       tuple(map(tuple, forms)))
+    phi, forms, coprime = _section_forms(recon, _hyperplane_rows(eta1, eta2), kept)
+    hilbert = (1, n, n, 1)
+    if not coprime:
+        width = 3 * len(phi[0]) - 2
+        hilbert = (1, n, n, width - _int_rank(_sylvester_rows(phi, forms), width))
+        if hilbert[3] != 1:
+            raise AlphaCertificateError(
+                hilbert, "quotient algebra does not have the expected Hilbert vector")
+    return AlphaResult(g, eta1, eta2, hilbert, kept, tuple(map(tuple, phi)),
+                       tuple(map(tuple, forms)), coprime)
 
 
 def reduce_to_quotient(alpha: AlphaResult, poly: Polynomial) -> Polynomial:
@@ -336,12 +397,12 @@ _ETA_RETRIES = 5
 
 
 def _alpha_attempts(curve: CurveSpec, seed: int):
-    """Sample and reconstruct a curve now; return an iterator that yields,
-    for each of up to `_ETA_RETRIES` seeded hyperplane pairs, its
+    """Certify the curve's ideal now (`ideal_pieces`, which samples and
+    builds nothing when its closed counts hold); return an iterator that
+    yields, for each of up to `_ETA_RETRIES` seeded hyperplane pairs, its
     AlphaResult or the AlphaCertificateError it raised.  The pair stream
     is salted by gonality, so `alpha` and the verifiers draw alike."""
-    points = sample_points(curve, curve.guaranteed_point_count, seed)
-    recon = ideal_pieces(curve, points)
+    recon = ideal_pieces(curve, seed)
     rng = make_rng(derive_seed(seed, 271 if curve.gonality == 3 else 577))
 
     def attempts():
@@ -383,13 +444,14 @@ def _certify_fermat(curve: CurveSpec, alpha: AlphaResult,
     """Trigonal certificate: the cubic is a sum of the cubes of the
     n = g - 2 points the hyperplanes cut on the scroll, D = 0 on the
     embedded fiber (`alpha.forms[0]`, as the quotient read it), and (d)
-    concise, `alpha.mu` of rank n, so its rank is exactly n.
-    `_certify_functional` checks that D is squarefree and kills lambda:
-    by Sylvester's theorem lambda is a weighted sum of evaluations at the
-    n roots of D."""
+    concise, of contraction rank n (`alpha.contraction_rank`), so its rank
+    is exactly n.  `_certify_roots` checks that D is squarefree; D kills
+    lambda, as one of the two forms of the Sylvester system, so by
+    Sylvester's theorem lambda is a weighted sum of evaluations at the n
+    roots of D."""
     try:
-        n = _certify_functional(alpha.forms[0], alpha.functional)
-        if _int_rank(alpha.mu, len(alpha.phi)) != n:
+        n = _certify_roots(alpha.forms[0])
+        if alpha.contraction_rank != n:
             raise CertificateError("(d) the cubic is not concise")
     except CertificateError as err:
         failures.append(f"certificate: {err}")
@@ -412,21 +474,22 @@ def _certify_bound(curve: CurveSpec, alpha: AlphaResult,
 
     Each surface restricts to a binary form D of degree L = 2g - 6 - b on
     the rational normal curve C0 the hyperplanes cut on the threefold
-    (`alpha.forms`, as the quotient read it), where lambda lives.  If D
-    is squarefree and kills lambda (`_certify_functional`), by
-    Sylvester's theorem the cubic is the sum of the cubes of C0's points
-    at the L roots of D.  The rank of `alpha.mu` bounds the rank from
-    below.
+    (`alpha.forms`, as the quotient read it), where lambda lives.  D kills
+    lambda, as one of the two forms of the Sylvester system; if it is
+    squarefree (`_certify_roots`), by Sylvester's theorem the cubic is
+    the sum of the cubes of C0's points at the L roots of D.  The
+    contraction rank (`alpha.contraction_rank`, n when A and B are
+    certified coprime) bounds the rank from below.
     """
     g = curve.genus
     bound = tetragonal_cube_bound(g)
-    lower_bound = _int_rank(alpha.mu, len(alpha.phi))
+    lower_bound = alpha.contraction_rank
     bs = [-cls.f for cls in curve.classes]
     # prefer the lower-degree surface: larger b first
     for surface_index in sorted((0, 1), key=lambda i: -bs[i]):
         b = bs[surface_index]
         try:
-            length = _certify_functional(alpha.forms[surface_index], alpha.functional)
+            length = _certify_roots(alpha.forms[surface_index])
         except CertificateError as err:
             failures.append(f"surface b={b}: {err}")
             continue

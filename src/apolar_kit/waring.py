@@ -14,7 +14,7 @@ coordinate direction, chi is squarefree and phi never vanishes at a root
 of chi, which together prove F a sum of the cubes of those points, and
 conciseness makes them exactly n.  It runs in integers: one
 Faddeev-LeVerrier loop gives adj(B) and chi.  Both verifiers certify a
-functional on binary forms instead (`_certify_functional`, Sylvester's
+functional on binary forms instead (`_certify_roots`, Sylvester's
 theorem).
 """
 
@@ -29,7 +29,7 @@ from operator import mul
 from .apolarity import _catalecticant_rows, _divided_powers
 from .core import Polynomial, Record, _int_rank
 from .seeding import make_rng, random_dual_linear
-from .univariate import _distinct_roots, _multiples, is_squarefree, poly_gcd
+from .univariate import _distinct_roots, is_squarefree, poly_gcd
 
 __all__ = [
     "CertificateError",
@@ -89,21 +89,21 @@ def rank_lower_bound(form: Polynomial) -> int:
     return _int_rank(_catalecticant_rows(form.integer_terms()[1], form.nvars, 3, 1), form.nvars)
 
 
-def _certify_functional(determinant: Sequence[int], functional: Sequence[int]) -> int:
-    """Exact power-sum certificate of a functional on binary forms, by
+def _certify_roots(determinant: Sequence[int]) -> int:
+    """Check (a) of the exact power-sum certificate on binary forms, by
     Sylvester's theorem; returns L = deg D.
 
-    D is a binary form of degree L, coefficient j on s^(L - j) t^j, and
-    lambda a functional on the forms of degree d, given by its values
-    lambda_k = lambda(s^(d - k) t^k).  (a) D has L distinct roots p_i in
-    P^1, at most one of them (0 : 1) (`univariate._distinct_roots`): its
-    dehomogenization has no repeated factor and drops at most one degree.
-    (c') lambda kills the multiples D s^(d - L - j) t^j, j = 0..d - L
-    (`univariate._multiples`), a dot product each.  The functionals that
-    kill the degree-d multiples of D form a space of dimension L (for
-    L <= d + 1), and the L evaluations at the p_i are independent in it,
-    so by the binary apolarity lemma (Iarrobino-Kanev 1999, Lemma 1.15)
-    lambda(h) = sum_i w_i h(p_i) for every form h of degree d.
+    D is a binary form of degree L, coefficient j on s^(L - j) t^j.  (a)
+    D has L distinct roots p_i in P^1, at most one of them (0 : 1)
+    (`univariate._distinct_roots`): its dehomogenization has no repeated
+    factor and drops at most one degree.  A functional lambda on the
+    forms of degree d >= L - 1 that kills the multiples of D of degree d
+    then lies in a space of dimension L, in which the L evaluations at
+    the p_i are independent, so by the binary apolarity lemma
+    (Iarrobino-Kanev 1999, Lemma 1.15) lambda(h) = sum_i w_i h(p_i) for
+    every form h of degree d.  The verifiers' lambda kills those
+    multiples by construction: D is one of the two forms of the
+    Sylvester system that defines lambda (`pipeline.alpha_map`).
     CertificateError names the failed check.
     """
     length = len(determinant) - 1
@@ -112,9 +112,6 @@ def _certify_functional(determinant: Sequence[int], functional: Sequence[int]) -
     if length < 1 or not _distinct_roots(determinant):
         raise CertificateError(
             f"(a) the scheme equation is not squarefree of degree {length}")
-    if any(sum(c * x for c, x in zip(row, functional))
-           for row in _multiples([determinant], len(functional) - 1)):
-        raise CertificateError("(c) the cubic is not in the span of the scheme's cubes")
     return length
 
 

@@ -88,7 +88,18 @@ package's arithmetic.
 
 `replaced` copies a package record with some fields changed, through
 its constructor, as `dataclasses.replace` did before the records
-stopped being dataclasses.
+stopped being dataclasses, and `cached` copies one with some of its
+cached properties given (an ideal's rows or points, a quotient's
+lambda or contraction rank).
+
+What a trial no longer computes, since two coprime forms A, B make the
+quotient a complete intersection: `certify_functional` is check (c'),
+lambda killing the multiples of D, on top of the package's check (a)
+(`waring._certify_roots`); `functional_certificate` runs either
+package certificate as it ran when it read lambda, (c') on every D it
+tries and conciseness ranked on `AlphaResult.mu`; `nonvanishing` is
+the point check of the ideal's rows, term by term, the reference of
+`curvegen._checked_piece`.
 
 JSON reading: `coef_from_str` and `polynomial_from_json` parse a
 coefficient by `Fraction` and a polynomial term by term.
@@ -116,7 +127,7 @@ from typing import Optional
 import sympy
 from mpmath import mp
 
-from apolar_kit import core, jsonio
+from apolar_kit import core, jsonio, pipeline
 from apolar_kit.apolarity import (ApolarAlgebraProfile, GradedIdealPiece, _catalecticant_rows,
                                   inverse_system)
 from apolar_kit.core import (ExactMatrix, Polynomial, Record, _int_echelon, _int_rank,
@@ -124,13 +135,15 @@ from apolar_kit.core import (ExactMatrix, Polynomial, Record, _int_echelon, _int
                              _rank_mod_prime, _row_to_int, _scaled, monomial_basis,
                              substitute)
 from apolar_kit.curvegen import _restriction_classes, balanced_type, tetragonal_surfaces
-from apolar_kit.pipeline import (AlphaCertificateError, _embed, _hyperplane_rows, _section,
-                                 _surface_form, tetragonal_cube_bound)
+from apolar_kit.pipeline import (AlphaCertificateError, _certify_bound, _certify_fermat, _embed,
+                                 _hyperplane_rows, _section, _surface_form,
+                                 tetragonal_cube_bound)
 from apolar_kit.scroll import Scroll, coordinate_layout
 from apolar_kit.seeding import make_rng, random_dual_linear
 from apolar_kit.univariate import (_combine, _mul, _multiples, _pseudo_remainder, affine_chart,
                                    is_squarefree, poly_gcd, rational_roots)
-from apolar_kit.waring import CertificateError, Decomposition, PencilError, rank_lower_bound
+from apolar_kit.waring import (CertificateError, Decomposition, PencilError, _certify_roots,
+                               rank_lower_bound)
 
 _T = sympy.Symbol("t")
 
@@ -184,6 +197,52 @@ def replaced(record, **changes):
     constructor, so `__post_init__` runs on the new fields and an unknown
     field is a TypeError."""
     return type(record)(**(record._asdict() | changes))
+
+
+def cached(record, **values):
+    """A copy of a package record, built by its constructor, with some
+    of its cached properties given: each value goes in the instance
+    dict, where `functools.cached_property` looks first."""
+    copy = type(record)(*record._values())
+    vars(copy).update(values)
+    return copy
+
+
+def certify_functional(determinant, functional):
+    """Check (a) of `waring._certify_roots`, then (c'): lambda kills the
+    multiples D s^(d - L - j) t^j, j = 0..d - L, a dot product each.
+    Returns L; CertificateError names the failed check."""
+    length = _certify_roots(determinant)
+    if any(sum(c * x for c, x in zip(row, functional))
+           for row in _multiples([determinant], len(functional) - 1)):
+        raise CertificateError("(c) the cubic is not in the span of the scheme's cubes")
+    return length
+
+
+def functional_certificate(curve, alpha, failures):
+    """`pipeline._certify_fermat` (trigonal) or `pipeline._certify_bound`
+    as they ran when they read `alpha.functional`: every scheme equation
+    they try passes (c') too (`certify_functional`), and the contraction
+    rank is that of `alpha.mu`, so a record with a lambda or a section of
+    its own is certified on them."""
+    ranked = cached(alpha, contraction_rank=_int_rank(alpha.mu, len(alpha.phi)))
+    original = pipeline._certify_roots
+    pipeline._certify_roots = lambda determinant: certify_functional(determinant,
+                                                                     alpha.functional)
+    try:
+        certify = _certify_fermat if curve.gonality == 3 else _certify_bound
+        return certify(curve, ranked, failures)
+    finally:
+        pipeline._certify_roots = original
+
+
+def nonvanishing(rows, points, nvars, degree):
+    """The rows (index into `monomial_basis(nvars, degree)` -> coefficient)
+    that do not vanish on every point, each value summed term by term."""
+    basis = monomial_basis(nvars, degree)
+    return [row for row in rows
+            if any(sum(c * _monomial_value(p, basis[j]) for j, c in row.items())
+                   for p in points)]
 
 
 def refuse_rational_layer(monkeypatch):

@@ -214,7 +214,8 @@ def test_property_suites():
     for g, curve in [(5, trigonal_curve(5, seed=500)),
                      (6, tetragonal_curve(6, 0, 1, seed=600))]:
         points = sample_points(curve, curve.guaranteed_point_count, seed=g)
-        recon = ideal_pieces(curve, points)
+        recon = ideal_pieces(curve, g)
+        assert recon.points == tuple(points)
         for p in points:
             for op in recon_piece(recon, 2).basis + recon_piece(recon, 3).basis:
                 assert evaluate(op, p) == 0

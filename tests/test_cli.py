@@ -541,14 +541,14 @@ class TestCommands:
         assert report["bound"] == 6
 
     def test_failing_certificate_is_a_failed_trial(self, tmp_path, monkeypatch):
-        # every certificate of every hyperplane pair fails: the functional's
-        # check on the scroll's D on a trigonal curve, and on each surface
+        # every certificate of every hyperplane pair fails: the squarefree
+        # check of the scroll's D on a trigonal curve, and of each surface's
         # on a tetragonal one
         def fail(*args):
-            raise pipeline.CertificateError("(c) the cubic is not in the span "
-                                            "of the scheme's cubes")
+            raise pipeline.CertificateError("(a) the scheme equation is not squarefree "
+                                            "of degree 4")
 
-        monkeypatch.setattr(pipeline, "_certify_functional", fail)
+        monkeypatch.setattr(pipeline, "_certify_roots", fail)
         for command, per_pair, prefix in (("verify-a", 1, "certificate: "),
                                           ("verify-b", 2, "surface b=")):
             code, report = run(tmp_path, command, "--g", "6", "--trials", "1",
@@ -556,7 +556,7 @@ class TestCommands:
             assert code == 1 and report["passed"] is False
             failures = report["trials"][0]["failures"]
             assert len(failures) == 5 * per_pair
-            assert all(f.startswith(prefix) and "(c)" in f for f in failures)
+            assert all(f.startswith(prefix) and "(a)" in f for f in failures)
 
     @pytest.mark.parametrize("command, option", [
         (command, option)

@@ -200,15 +200,16 @@ def test_no_span_check_in_the_package():
     Q[t]/(D) (`_certify_scheme`, now `tests/oracles.echelon_certificate`)
     and no scheme builder on a chart (`_scheme`, `_chart`), only
     `poly_gcd` reads `_pseudo_remainder`, and `pipeline._certify_fermat`
-    and `pipeline._certify_bound` still reach `_certify_functional`, on
-    the forms the quotient read (`AlphaResult.forms`), with no cut of
-    the scroll of their own."""
+    and `pipeline._certify_bound` still reach `_certify_roots`, on the
+    forms the quotient read (`AlphaResult.forms`), with no cut of the
+    scroll of their own.  They read no lambda: it kills those forms by
+    construction, and check (c') is `tests/oracles.certify_functional`."""
     functions = {}
     for tree in _parse([PACKAGE]).values():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 functions.setdefault(node.name, []).append(node)
-    assert not {"_certify_scheme", "_scheme", "_chart"} & set(functions)
+    assert not {"_certify_scheme", "_certify_functional", "_scheme", "_chart"} & set(functions)
     readers = {name for name, nodes in functions.items()
                if "_pseudo_remainder" in _referenced(nodes)}
     assert readers == {"poly_gcd"}
@@ -219,8 +220,9 @@ def test_no_span_check_in_the_package():
             if name not in reached:
                 reached.add(name)
                 todo += [n for n in _referenced(functions[name]) if n in functions]
-        assert "_certify_functional" in reached
+        assert "_certify_roots" in reached
         assert "forms" in _referenced(functions[certificate])
+        assert "functional" not in _referenced(functions[certificate])
         assert not {"_section", "_surface_form", "_hyperplane_rows"} & reached
 
 
@@ -240,15 +242,17 @@ def test_the_quotient_substitutes_nothing():
     assert readers == ["_section_forms"]
 
 
-def test_only_the_ideal_builder_and_the_cli_read_degree3_rows():
+def test_only_the_cached_pieces_build_rows():
     """The quotient reads the cubic's functional off the curve's binary
     forms on the section: `pipeline` reads `_restriction_classes` at
     degree 2 only and reaches `_piece` at degree 3 by no path.  It names
-    neither `_piece`, `_checked_piece` nor `degree3`; `ideal_pieces`
-    builds the degree-2 piece, the one build at degree 3 is the cached
-    `IdealReconstruction.degree3`, and no package function but
-    `ideal_pieces` (when its certificate fails) and the CLI's reads
-    those rows."""
+    neither `_piece`, `_checked_piece` nor `degree3`; the one build at
+    each degree is the cached `IdealReconstruction.degree2` and
+    `.degree3`, which alone read the sampled points.  In the curve and
+    quotient modules no function but `ideal_pieces` (when its
+    certificate fails) reads the degree-3 rows, and none but `.degree3`
+    and the quotient's exact check (ii) (`_fiber_quadrics`) the degree-2
+    rows."""
     trees = _parse([PACKAGE])
     pipeline = trees[PACKAGE / "pipeline.py"]
     degrees = [ast.literal_eval(node.args[1]) for node in ast.walk(pipeline)
@@ -264,14 +268,39 @@ def test_only_the_ideal_builder_and_the_cli_read_degree3_rows():
               for call in ast.walk(node)
               if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
               and call.func.id in ("_piece", "_checked_piece")}
-    assert builds == {("_checked_piece", "k"), ("ideal_pieces", "2"), ("degree3", "3")}
-    readers = {f"{path.name}:{node.name}" for path, tree in trees.items()
-               if path.name != "cli.py"
-               for node in ast.walk(tree)
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-               and any(isinstance(n, ast.Attribute) and n.attr == "degree3"
-                       for n in ast.walk(node))}
-    assert readers <= {"curvegen.py:ideal_pieces"}
+    assert builds == {("_checked_piece", "k"), ("degree2", "2"), ("degree3", "3")}
+
+    def readers(attr):
+        return {f"{path.name}:{node.name}" for path, tree in trees.items()
+                if path.name in ("curvegen.py", "pipeline.py")
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and any(isinstance(n, ast.Attribute) and n.attr == attr
+                        for n in ast.walk(node))}
+    assert readers("degree3") <= {"curvegen.py:ideal_pieces"}
+    assert readers("degree2") == {"curvegen.py:degree3", "pipeline.py:_fiber_quadrics"}
+    assert readers("points") == {"curvegen.py:degree2", "curvegen.py:degree3"}
+
+
+def test_a_trial_reaches_no_kernel_and_no_point():
+    """`pipeline` reaches the exact Sylvester kernel (`_kernel_vectors`)
+    only from `AlphaResult.functional`, and the Sylvester system only
+    from there and from `alpha_map` on the exact path, when the gcd
+    certificate failed; it names neither `sample_points` nor the sampled
+    points, which only the degree-2 rows of that path's check (ii) read."""
+    pipeline = _parse([PACKAGE])[PACKAGE / "pipeline.py"]
+    functions = {node.name: node for node in ast.walk(pipeline)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert {name for name, node in functions.items()
+            if "_kernel_vectors" in _referenced([node])} == {"functional"}
+    assert {name for name, node in functions.items()
+            if "_sylvester_rows" in _referenced([node])} == {"functional", "alpha_map"}
+    [branch] = [node for node in ast.walk(functions["alpha_map"])
+                if isinstance(node, ast.If) and "_sylvester_rows" in _referenced([node])]
+    assert ast.unparse(branch.test) == "not coprime"
+    imported = {alias.name for node in ast.walk(pipeline) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert not {"sample_points", "points"} & (_referenced([pipeline]) | imported)
 
 
 def test_the_cubic_builds_no_product():

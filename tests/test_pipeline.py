@@ -18,7 +18,7 @@ from apolar_kit.apolarity import _inverse_vectors, apolar_ideal_piece
 from apolar_kit.cli import main
 from apolar_kit.core import ExactMatrix, Polynomial, change_coordinates, monomial_basis
 from apolar_kit.curvegen import (_restriction_classes, balanced_type, ideal_pieces,
-                                 sample_points, tetragonal_curve, trigonal_curve)
+                                 tetragonal_curve, trigonal_curve)
 from apolar_kit.pipeline import (AlphaCertificateError, AlphaResult, CertificateError,
                                  _certify_bound, _certify_fermat, _random_eta_pair,
                                  alpha_for_curve, alpha_map, quotient_frame, reduce_to_quotient,
@@ -28,8 +28,8 @@ from apolar_kit.seeding import derive_seed, make_rng, random_dual_linear, random
 from apolar_kit.univariate import _combine, _mul, _multiples
 from apolar_kit.waring import fermat_detect_detail
 import oracles
-from oracles import (admissible_splits, coefficient_matrix, echelon_certificate, from_spanning,
-                     from_sympy, normalized, oracle_fit, oracle_points, plus_term,
+from oracles import (admissible_splits, cached, coefficient_matrix, echelon_certificate,
+                     from_spanning, from_sympy, normalized, oracle_fit, oracle_points, plus_term,
                      random_invertible_matrix, recon_piece, replaced, scaled, scroll_quadrics,
                      to_sympy)
 
@@ -42,8 +42,20 @@ def variable(i, n):
 
 
 def build_recon(curve, seed=3):
-    points = sample_points(curve, curve.guaranteed_point_count, seed)
-    return ideal_pieces(curve, points)
+    return ideal_pieces(curve, seed)
+
+
+def without_equations(recon):
+    """The reconstruction with the curve's equations dropped and its
+    degree-2 rows kept."""
+    return cached(replaced(recon, curve=replaced(recon.curve, equations=())),
+                  degree2=recon.degree2)
+
+
+def exact_path(monkeypatch):
+    """Make every gcd certificate of the quotient fail, so each pair takes
+    the exact path: check (ii), the Sylvester kernel and the rank of mu."""
+    monkeypatch.setattr(pipeline_module, "_coprime_mod", lambda *args: False)
 
 
 class TestCubeBound:
@@ -412,7 +424,7 @@ class TestSectionInverseSystem:
         monkeypatch.setattr(core, "_int_echelon", recording)
         monkeypatch.setattr(pipeline_module, "_int_echelon", recording)
         recon, eta1, eta2, _ = next(pair for pair in section_pairs(g, split, seed) if pair[3])
-        alpha_map(recon, eta1, eta2)
+        alpha_map(recon, eta1, eta2).functional
         n = g - 2
         m = n if split is None else n - 1
         assert widths and max(widths) <= 3 * m + 1 <= comb(n + 2, 3)
@@ -503,6 +515,25 @@ def accepted_pair(g, split):
     return next(pair[:3] for pair in section_pairs(g, split, 1) if pair[3])
 
 
+def assert_what_a_trial_skips(recon, alpha):
+    """On an accepted pair, what a trial no longer computes: the exact
+    Sylvester kernel is one line, rank mu = n, check (ii) accepts (the
+    section checks on the restricted quadrics,
+    `oracles.restricted_section_forms`, give the quotient's phi and
+    forms), every row of J2 vanishes on the sampled points (none on a
+    curve without hints), and the closed degree-2 count is the piece
+    `_piece` builds."""
+    n = recon.genus - 2
+    assert len(core._kernel_vectors(pipeline_module._sylvester_rows(alpha.phi, alpha.forms),
+                                    len(alpha.functional))) == 1
+    assert core._int_rank(alpha.mu, n) == n == alpha.contraction_rank
+    phi, forms = oracles.restricted_section_forms(recon, alpha.eta1, alpha.eta2)
+    assert (tuple(map(tuple, phi)), tuple(map(tuple, forms))) == (alpha.phi, alpha.forms)
+    assert not oracles.nonvanishing(recon.degree2, recon.points, recon.genus, 2)
+    assert (curvegen._piece_count(recon.scroll, recon.curve.classes, 2)
+            == len(curvegen._piece(recon.curve, 2)) == len(recon.degree2))
+
+
 class TestSylvesterSystem:
     """lambda as the one kernel of the curve's two binary forms on the
     section times every monomial, against the two-kernel reference that
@@ -559,7 +590,8 @@ class TestSylvesterSystem:
             except AlphaCertificateError as err:
                 expected = err.hilbert, str(err)
             try:
-                found = pipeline_module._section_forms(recon, etas, quotient_frame(eta1, eta2, g))
+                found = pipeline_module._section_forms(recon, etas,
+                                                       quotient_frame(eta1, eta2, g))[:2]
             except AlphaCertificateError as err:
                 found = err.hilbert, str(err)
             assert found == expected
@@ -582,15 +614,18 @@ class TestSylvesterSystem:
 
     @pytest.mark.parametrize("g, split", [(7, None), (8, None), (7, (1, 1)), (8, (1, 2))],
                              ids=["tri7", "tri8", "tet7", "tet8"])
-    def test_a_quadric_off_the_relations_fails_ii(self, g, split):
+    def test_a_quadric_off_the_relations_fails_ii(self, g, split, monkeypatch):
         # the first quadric row replaced by x_a^2 at the first kept a, which
         # reads phi_0^2 on the embedded fiber, no combination of the
-        # relations' multiples
+        # relations' multiples: the certified path reads no row, the exact
+        # path's check (ii) refuses it
         recon, eta1, eta2 = accepted_pair(g, split)
         n = g - 2
         a = quotient_frame(eta1, eta2, g)[0]
         square = monomial_basis(g, 2).index(tuple(2 * (i == a) for i in range(g)))
-        recon = replaced(recon, degree2=({square: 1},) + recon.degree2[1:])
+        recon = cached(recon, degree2=({square: 1},) + recon.degree2[1:])
+        assert alpha_map(recon, eta1, eta2).hilbert == (1, n, n, 1)
+        exact_path(monkeypatch)
         with pytest.raises(AlphaCertificateError) as err:
             alpha_map(recon, eta1, eta2)
         assert err.value.hilbert == (1, n)
@@ -601,24 +636,25 @@ class TestSylvesterSystem:
 
     @pytest.mark.parametrize("g, split", [(7, None), (8, None), (7, (1, 1)), (8, (1, 2))],
                              ids=["tri7", "tri8", "tet7", "tet8"])
-    def test_a_binomial_across_classes_fails_ii(self, g, split):
+    def test_a_binomial_across_classes_fails_ii(self, g, split, monkeypatch):
         # the first quadric row replaced by x_a^2 - x_b, x_b the first
         # monomial outside the restriction class of x_a^2: a binomial, but
-        # not one `_piece` builds, so check (ii) reduces it
+        # not one `_piece` builds, so the exact path's check (ii) reduces it
         recon, eta1, eta2 = accepted_pair(g, split)
         classes = _restriction_classes(recon.scroll, 2)
         a = quotient_frame(eta1, eta2, g)[0]
         square = monomial_basis(g, 2).index(tuple(2 * (i == a) for i in range(g)))
         other = next(j for j, key in enumerate(classes) if key != classes[square])
-        recon = replaced(recon, degree2=({square: 1, other: -1},) + recon.degree2[1:])
+        recon = cached(recon, degree2=({square: 1, other: -1},) + recon.degree2[1:])
+        exact_path(monkeypatch)
         with pytest.raises(AlphaCertificateError, match=r"\(ii\) J2 and the section's"):
             alpha_map(recon, eta1, eta2)
 
     @pytest.mark.parametrize("g, split", [(7, (1, 1)), (8, (1, 2)), (9, (2, 2))])
-    def test_images_spanning_fewer_forms_fail_ii(self, g, split):
+    def test_images_spanning_fewer_forms_fail_ii(self, g, split, monkeypatch):
         # the quadric rows whose images vanish on the embedded fiber, and
         # one that does not: the images reduce to zero against
-        # D1 S_b1 + D2 S_b2 but have rank 1
+        # D1 S_b1 + D2 S_b2 but have rank 1, which the exact path refuses
         recon, eta1, eta2 = accepted_pair(g, split)
         kept = quotient_frame(eta1, eta2, g)
         etas = pipeline_module._hyperplane_rows(eta1, eta2)
@@ -631,10 +667,11 @@ class TestSylvesterSystem:
         fewer = [row for row, zero in zip(recon.degree2, vanish) if zero]
         fewer.append(recon.degree2[vanish.index(False)])
         assert pipeline_module._section_forms(recon, etas, kept)[0] == [image[i] for i in kept]
+        exact_path(monkeypatch)
+        assert pipeline_module._section_forms(recon, etas, kept)[0] == [image[i] for i in kept]
         with pytest.raises(AlphaCertificateError, match=r"^degenerate section: \(ii\) J2 and "
                                                         r"the section's quadrics differ;"):
-            pipeline_module._section_forms(replaced(recon, degree2=tuple(fewer)),
-                                           etas, kept)
+            pipeline_module._section_forms(cached(recon, degree2=tuple(fewer)), etas, kept)
 
     @pytest.mark.parametrize("g", [5, 6, 7, 8])
     def test_a_surface_without_its_cubic_has_h3_n(self, g):
@@ -642,14 +679,14 @@ class TestSylvesterSystem:
         recon, eta1, eta2 = accepted_pair(g, None)
         n = g - 2
         with pytest.raises(AlphaCertificateError) as err:
-            alpha_map(replaced(recon, equations=()), eta1, eta2)
+            alpha_map(without_equations(recon), eta1, eta2)
         assert err.value.hilbert == (1, n, n, n)
         assert "quotient algebra does not have the expected Hilbert vector" in str(err.value)
 
     def test_a_threefold_without_its_surfaces_fails_ii(self):
         recon, eta1, eta2 = accepted_pair(8, (1, 2))
         with pytest.raises(AlphaCertificateError, match=r"\(ii\)") as err:
-            alpha_map(replaced(recon, equations=()), eta1, eta2)
+            alpha_map(without_equations(recon), eta1, eta2)
         assert err.value.hilbert == (1, 6)
 
     @pytest.mark.parametrize("g, split", BENCH_CURVES + [(11, None), (11, (3, 3))])
@@ -679,7 +716,9 @@ class TestSylvesterSystem:
         monkeypatch.setattr(pipeline_module, "_kernel_vectors",
                             lambda rows, ncols: shapes.append((len(rows), ncols))
                             or original(rows, ncols))
-        alpha_map(recon, eta1, eta2)
+        alpha = alpha_map(recon, eta1, eta2)
+        assert shapes == []
+        assert len(alpha.functional) == shapes[0][1]
         assert shapes == [(3 * n, 3 * n + 1) if split is None else (3 * n - 3, 3 * n - 2)]
 
 
@@ -715,11 +754,12 @@ class TestHankelCubic:
 
     @pytest.mark.parametrize("g, split", [(8, None), (8, (1, 2))], ids=["tri8", "tet8"])
     def test_builds_no_product_of_degree_three(self, g, split, monkeypatch):
-        # a work count: check (ii) reads a binomial e_j - e_rep of `_piece`
-        # as zero by its restriction class, so a fiber that reaches it
-        # builds one product of the embedded fiber, of length 2m + 1, per
-        # class the n - 1 lifts of a threefold reach (none on a surface)
-        # and one echelon when a lift is left; the quotient builds no
+        # a work count: the certified path builds no product of the
+        # embedded fiber and no echelon; the exact path's check (ii) reads
+        # a binomial e_j - e_rep of `_piece` as zero by its restriction
+        # class, so a fiber that reaches it builds one product of length
+        # 2m + 1 per class the n - 1 lifts of a threefold reach (none on a
+        # surface) and one echelon when a lift is left; neither builds a
         # product of length 3m + 1, and here no other product of
         # `pipeline` has either length
         n = g - 2
@@ -732,20 +772,24 @@ class TestHankelCubic:
                             lambda a, b: lengths.append(len(a) + len(b) - 1) or mul(a, b))
         monkeypatch.setattr(pipeline_module, "_int_echelon",
                             lambda *args: echelons.append(args) or echelon(*args))
-        for recon, eta1, eta2, accepted in pairs:
-            lengths.clear()
-            echelons.clear()
-            try:
-                alpha_map(recon, eta1, eta2)
-            except AlphaCertificateError:
-                assert not accepted
-            classes = _restriction_classes(recon.scroll, 2)
-            lifts = [row for row in recon.degree2 if len({classes[j] for j in row}) > 1]
-            assert len(lifts) == (0 if split is None else n - 1)
-            assert (accepted and split is not None) <= bool(echelons) <= bool(lifts)
-            assert lengths.count(3 * m + 1) == 0
-            assert lengths.count(2 * m + 1) == len(echelons) * len(
-                {classes[j] for row in lifts for j in row})
+        for exact in (False, True):
+            if exact:
+                exact_path(monkeypatch)
+            for recon, eta1, eta2, accepted in pairs:
+                lengths.clear()
+                echelons.clear()
+                try:
+                    alpha_map(recon, eta1, eta2)
+                except AlphaCertificateError:
+                    assert not accepted
+                classes = _restriction_classes(recon.scroll, 2)
+                lifts = [row for row in recon.degree2 if len({classes[j] for j in row}) > 1]
+                assert len(lifts) == (0 if split is None else n - 1)
+                assert (exact and accepted and split is not None) <= bool(echelons) <= (
+                    exact and bool(lifts))
+                assert lengths.count(3 * m + 1) == 0
+                assert lengths.count(2 * m + 1) == len(echelons) * len(
+                    {classes[j] for row in lifts for j in row})
 
 
 def accepted_alphas(g, split, seed):
@@ -794,23 +838,38 @@ def hankel(functional, k):
 
 class TestSylvesterCertificate:
     """The tetragonal bound certified on C0: the surface's binary form D is
-    squarefree and kills the cubic's functional lambda."""
+    squarefree, and kills the cubic's functional lambda by construction."""
 
     @pytest.mark.parametrize("g, split, seed", tetragonal_section_curves())
     def test_agrees_with_the_span_certificate(self, g, split, seed):
         # every accepted pair of `section_pairs`, and the same pair with one
-        # entry of lambda moved, the span check then given F_lambda
+        # entry of lambda moved, the span check then given F_lambda: the
+        # certificate as it ran when it read lambda, (c') included, and
+        # on the quotient's own lambda the package's, which reads none
         for curve, alpha in accepted_alphas(g, split, seed):
             moved = list(alpha.functional)
             moved[len(moved) // 2] += 1
             for functional in (alpha.functional, tuple(moved)):
-                mutated = replaced(alpha, functional=functional)
+                mutated = cached(alpha, functional=functional)
                 assert mutated.cubic == cubic_of_functional(curve, alpha, functional)
                 failures, expected_failures = [], []
-                found = _certify_bound(curve, mutated, failures)
+                found = oracles.functional_certificate(curve, mutated, failures)
                 assert found == oracles.scheme_certify_bound(curve, mutated, expected_failures)
                 assert failures == expected_failures
                 assert (found is None) == (functional != alpha.functional)
+            failures = []
+            assert _certify_bound(curve, alpha, failures) == oracles.functional_certificate(
+                curve, alpha, [])
+            assert failures == []
+
+    @pytest.mark.parametrize("g, split, seed", tetragonal_section_curves())
+    def test_what_a_trial_skips_holds(self, g, split, seed):
+        # every accepted pair of `section_pairs`
+        accepted = [alpha_map(*pair[:3]) for pair in section_pairs(g, split, seed) if pair[3]]
+        assert accepted
+        recon = section_pairs(g, split, seed)[0][0]
+        for alpha in accepted:
+            assert_what_a_trial_skips(recon, alpha)
 
     @pytest.mark.parametrize("g, split", BENCH_CURVES)
     def test_the_cubic_is_the_functional_over_its_lead(self, g, split):
@@ -826,17 +885,17 @@ class TestSylvesterCertificate:
         curve, alpha = accepted_alphas(g, split, 1)[0]
         determinant, length = certified_surface(curve, alpha)
         functional = list(alpha.functional)
-        assert waring._certify_functional(determinant, functional) == length
+        assert oracles.certify_functional(determinant, functional) == length
         for k in range(len(functional)):
             moved = functional[:k] + [functional[k] + 1] + functional[k + 1:]
             with pytest.raises(CertificateError, match=r"^\(c\)"):
-                waring._certify_functional(determinant, moved)
+                oracles.certify_functional(determinant, moved)
         for i in range(length + 1):
             moved = determinant[:i] + [determinant[i] - 1] + determinant[i + 1:]
             with pytest.raises(CertificateError, match=r"^\(c\)"):
-                waring._certify_functional(moved, functional)
+                oracles.certify_functional(moved, functional)
         failures = []
-        assert _certify_bound(curve, replaced(alpha, functional=tuple(
+        assert oracles.functional_certificate(curve, cached(alpha, functional=tuple(
             x + (k == 0) for k, x in enumerate(functional))), failures) is None
         assert [f.partition(": ")[2] for f in failures] == [
             "(c) the cubic is not in the span of the scheme's cubes"] * 2
@@ -853,23 +912,24 @@ class TestSylvesterCertificate:
             repeated = [sum(determinant[j - i] * c for i, c in enumerate(square)
                             if 0 <= j - i <= length) for j in range(length + 3)]
             with pytest.raises(CertificateError, match=r"^\(a\) .* degree %d" % (length + 2)):
-                waring._certify_functional(repeated, functional)
+                waring._certify_roots(repeated)
         # one root at (0 : 1) is a simple root: D s still kills lambda
-        assert waring._certify_functional(determinant + [0], functional) == length + 1
+        assert waring._certify_roots(determinant + [0]) == length + 1
+        assert oracles.certify_functional(determinant + [0], functional) == length + 1
         with pytest.raises(CertificateError, match=r"^\(a\)"):
-            waring._certify_functional(determinant + [0, 0], functional)
+            waring._certify_roots(determinant + [0, 0])
         with pytest.raises(CertificateError, match=r"^\(a\) .* vanishes"):
-            waring._certify_functional([0] * (length + 1), functional)
+            waring._certify_roots([0] * (length + 1))
 
     def test_evaluations_at_the_roots(self):
         # lambda = ev(1 : 1) + 2 ev(1 : 2) - ev(0 : 1) on forms of degree 6
         # is killed by s (t - s)(t - 2s), with a root at (0 : 1), and not by
         # s (t - s)(t - 3s), t (t - s)(t - 2s) or (t - s)(t - 2s)
         functional = [1 + 2 * 2 ** k - (k == 6) for k in range(7)]
-        assert waring._certify_functional([2, -3, 1, 0], functional) == 3
+        assert oracles.certify_functional([2, -3, 1, 0], functional) == 3
         for wrong in ([3, -4, 1, 0], [0, 2, -3, 1], [2, -3, 1]):
             with pytest.raises(CertificateError, match=r"^\(c\)"):
-                waring._certify_functional(wrong, functional)
+                oracles.certify_functional(wrong, functional)
 
     @pytest.mark.parametrize("g, split, seed", tetragonal_section_curves())
     def test_hankel_rank_first_drops_at_the_shorter_surface(self, g, split, seed):
@@ -889,9 +949,12 @@ class TestSylvesterCertificate:
 
     @pytest.mark.parametrize("g, split", BENCH_CURVES[4:] + [(11, (3, 3))])
     def test_no_elimination_wider_than_the_surface(self, g, split, monkeypatch):
-        # a work count: every elimination of the certificate, the
-        # contraction rank included, has at most L + 1 columns
+        # a work count: the certificate of coprime forms ranks nothing; on
+        # the exact path every elimination, the contraction rank
+        # included, has at most L + 1 columns
         curve, alpha = accepted_alphas(g, split, 1)[0]
+        assert alpha.coprime
+        ranked = cached(replaced(alpha, coprime=False), functional=alpha.functional)
         widths = []
         for name in ("_int_echelon", "_pivots_mod_prime"):
             original = getattr(core, name)
@@ -904,6 +967,8 @@ class TestSylvesterCertificate:
                         and getattr(module, name, None) is original):
                     monkeypatch.setattr(module, name, recording)
         found = _certify_bound(curve, alpha, [])
+        assert widths == [] and found["rank_interval"][0] == g - 2
+        assert _certify_bound(curve, ranked, []) == found
         assert widths and max(widths) <= found["length"] + 1
 
 
@@ -923,12 +988,15 @@ class TestTrigonalSylvesterCertificate:
     def test_same_verdict_as_the_span_certificate(self, g, seed):
         # every pair a verify-a trial draws, up to the first it certifies,
         # against the span check in Q[t]/(D) on the chart plus conciseness;
-        # the trial certifies one
+        # the trial certifies one, and every accepted pair has what the
+        # trial no longer computes
         trial_seed = derive_seed(seed, 0)
         curve = trigonal_curve(g, trial_seed)
+        recon = ideal_pieces(curve, trial_seed)
         for alpha in pipeline_module._alpha_attempts(curve, trial_seed):
             if isinstance(alpha, AlphaCertificateError):
                 continue
+            assert_what_a_trial_skips(recon, alpha)
             failures, expected_failures = [], []
             found = _certify_fermat(curve, alpha, failures)
             assert found == oracles.scheme_certify_fermat(curve, alpha, expected_failures)
@@ -951,8 +1019,8 @@ class TestTrigonalSylvesterCertificate:
         for k in range(len(alpha.functional)):
             moved = tuple(x + (j == k) for j, x in enumerate(alpha.functional))
             failures = []
-            assert _certify_fermat(curve, replaced(alpha, functional=moved),
-                                   failures) is None
+            assert oracles.functional_certificate(curve, cached(alpha, functional=moved),
+                                                  failures) is None
             assert failures == ["certificate: (c) the cubic is not in the span of "
                                 "the scheme's cubes"]
 
@@ -972,9 +1040,11 @@ class TestTrigonalSylvesterCertificate:
     @pytest.mark.parametrize("g", [5, 6, 7, 8])
     def test_a_cubic_that_is_not_concise_fails_d(self, g):
         # the last coordinate of the section set to zero, lambda left valid:
-        # the cubic with its last variable set to zero
+        # the cubic with its last variable set to zero; a section that
+        # fails (i) was never certified coprime, so the rank of mu is taken
         curve, alpha = accepted_alphas(g, None, 1)[0]
-        flat = replaced(alpha, phi=alpha.phi[:-1] + ((0,) * len(alpha.phi[0]),))
+        flat = replaced(alpha, phi=alpha.phi[:-1] + ((0,) * len(alpha.phi[0]),),
+                        coprime=False)
         assert flat.cubic.terms == {exp: c for exp, c in alpha.cubic.terms.items()
                                     if not exp[-1]}
         failures = []
@@ -1195,9 +1265,10 @@ class TestExactCertificate:
         alpha = alpha_for_curve(curve, seed=83)
         functional = list(alpha.functional)
         functional[len(functional) // 2] += 1
-        perturbed = replaced(alpha, functional=tuple(functional))
+        perturbed = cached(alpha, functional=tuple(functional))
         assert perturbed.cubic == cubic_of_functional(curve, alpha, functional)
-        found, failures = certificate_failures(curve, perturbed)
+        failures = []
+        found = oracles.functional_certificate(curve, perturbed, failures)
         assert found is None
         assert failures == ["certificate: (c) the cubic is not in the span of "
                             "the scheme's cubes"]
@@ -1210,8 +1281,9 @@ class TestExactCertificate:
         rng = make_rng(85)
         other = alpha_map(build_recon(curve), random_dual_linear(7, rng),
                           random_dual_linear(7, rng))
-        found, failures = certificate_failures(
-            curve, replaced(alpha, functional=other.functional, phi=other.phi))
+        failures = []
+        found = oracles.functional_certificate(
+            curve, cached(replaced(alpha, phi=other.phi), functional=other.functional), failures)
         assert found is None
         assert failures == ["certificate: (c) the cubic is not in the span of "
                             "the scheme's cubes"]
@@ -1244,7 +1316,7 @@ class TestExactCertificate:
         assert echelon_certificate(*scheme, Polynomial(3, 3, {(3, 0, 0): 1, (0, 3, 0): 1})) == 3
         curve = trigonal_curve(5, seed=88)
         alpha = alpha_for_curve(curve, seed=88)
-        flat = replaced(alpha, phi=((1, -1, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0)))
+        flat = replaced(alpha, phi=((1, -1, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0)), coprime=False)
         assert flat.cubic.terms and all(exp[2] == 0 for exp in flat.cubic.terms)
         found, failures = certificate_failures(curve, flat)
         assert found is None
@@ -1383,18 +1455,24 @@ class TestVerifiers:
             verify_tetragonal_bound(31, None, trials=1, seed=1)
 
 
+def trial_argv(g, split, out):
+    """A two-trial verify-a (split None) or verify-b run at seed 1."""
+    argv = (["verify-a", "--g", str(g)] if split is None
+            else ["verify-b", "--g", str(g), "--split", "%d,%d" % split])
+    return argv + ["--trials", "2", "--seed", "1", "--out", str(out)]
+
+
 class TestTrialReadsLambdaAlone:
-    """A trial certifies on the cubic's functional and the section alone:
-    it ranks no restricted quadric (h2 comes from the section's checks),
-    calls no `rank_lower_bound` (conciseness is the rank of `mu`) and
-    builds no cubic."""
+    """A trial certifies on the curve's equations and one section alone:
+    it ranks no restricted quadric (h2 comes from check (i)), takes no
+    exact kernel and no echelon (A and B certified coprime give h3 = 1
+    and conciseness), calls no `rank_lower_bound`, builds no cubic and no
+    row of the ideal, and samples no point."""
 
     @pytest.mark.parametrize("g, split", BENCH_CURVES)
     def test_reports_unchanged_without_them(self, g, split, tmp_path, monkeypatch):
-        argv = (["verify-a", "--g", str(g)] if split is None
-                else ["verify-b", "--g", str(g), "--split", "%d,%d" % split])
         out = tmp_path / "report.json"
-        argv += ["--trials", "2", "--seed", "1", "--out", str(out)]
+        argv = trial_argv(g, split, out)
         monkeypatch.delenv("APOLAR_KIT_THREADS", raising=False)
         assert main(argv) == 0
         expected = out.read_bytes()
@@ -1414,6 +1492,86 @@ class TestTrialReadsLambdaAlone:
         out.unlink()
         assert main(argv) == 0
         assert out.read_bytes() == expected
-        # (i) ranks m + 1 <= n + 1 columns and conciseness n; h2 took C(n + 1, 2)
+        # (i) ranks m + 1 <= n + 1 columns; h2 took C(n + 1, 2)
         n = g - 2
         assert widths and max(widths) <= n + 1 < comb(n + 1, 2)
+
+    @pytest.mark.parametrize("g, split", BENCH_CURVES + [(11, None), (11, (3, 3))])
+    def test_reports_unchanged_without_kernel_echelon_or_points(self, g, split, tmp_path,
+                                                                 monkeypatch):
+        out = tmp_path / "report.json"
+        argv = trial_argv(g, split, out)
+        monkeypatch.delenv("APOLAR_KIT_THREADS", raising=False)
+        assert main(argv) == 0
+        expected = out.read_bytes()
+
+        def refuse(*args):
+            raise AssertionError("a trial took the exact path or read the ideal's rows")
+        # the tetragonal constructor draws its sections from a kernel, so
+        # the quotient's own names are refused
+        for module, name in ((pipeline_module, "_kernel_vectors"),
+                             (pipeline_module, "_int_echelon"),
+                             (pipeline_module, "_fiber_quadrics"),
+                             (curvegen, "sample_points"), (curvegen, "_checked_piece")):
+            monkeypatch.setattr(module, name, refuse)
+        out.unlink()
+        assert main(argv) == 0
+        assert out.read_bytes() == expected
+
+    @pytest.mark.parametrize("g, split", BENCH_CURVES + [(11, None), (11, (3, 3))])
+    def test_the_exact_path_gives_the_same_report(self, g, split, tmp_path, monkeypatch):
+        # every gcd certificate failing, each pair runs check (ii) on rows
+        # checked on points, the rank of the Sylvester system and, for
+        # the rank of mu, its kernel
+        out = tmp_path / "report.json"
+        argv = trial_argv(g, split, out)
+        monkeypatch.delenv("APOLAR_KIT_THREADS", raising=False)
+        assert main(argv) == 0
+        expected = out.read_bytes()
+        kernels = []
+        original = pipeline_module._kernel_vectors
+        monkeypatch.setattr(pipeline_module, "_kernel_vectors",
+                            lambda *args: kernels.append(args) or original(*args))
+        sampled = []
+        sample = curvegen.sample_points
+        monkeypatch.setattr(curvegen, "sample_points",
+                            lambda *args: sampled.append(args) or sample(*args))
+        exact_path(monkeypatch)
+        out.unlink()
+        assert main(argv) == 0
+        assert out.read_bytes() == expected
+        assert kernels and sampled
+
+    @pytest.mark.parametrize("g, split", [(7, None), (8, None), (7, (1, 1)), (8, (1, 2))],
+                             ids=["tri7", "tri8", "tet7", "tet8"])
+    def test_forms_with_one_common_root_take_the_exact_path(self, g, split, monkeypatch):
+        # two hyperplanes through a point P of the curve: Pi meets C at P,
+        # so A and B vanish at P's base and share that linear factor; the
+        # gcd certificate fails, and the exact path decides the pair as
+        # the generic quotient does
+        curve = section_curve(g, split, 1)
+        recon = build_recon(curve, 1)
+        point = recon.points[0]
+        j = next(i for i, x in enumerate(point) if x)
+        rng = make_rng(derive_seed(g, 5))
+        etas = []
+        for _ in range(2):
+            c = [rng.randint(-9, 9) for _ in range(g)]
+            dot = sum(x * y for x, y in zip(c, point))
+            c = [dot * (i == j) - point[j] * x for i, x in enumerate(c)]
+            etas.append(Polynomial(g, 1, {tuple(int(i == k) for i in range(g)): x
+                                          for k, x in enumerate(c) if x}))
+        kept = quotient_frame(*etas, g)
+        phi, forms, coprime = pipeline_module._section_forms(
+            recon, pipeline_module._hyperplane_rows(*etas), kept)
+        assert not coprime
+        common = sympy.gcd(*(sympy.Poly(f[::-1], _T) for f in forms[:2]))
+        assert common.degree() == 1
+        systems = []
+        original = pipeline_module._sylvester_rows
+        monkeypatch.setattr(pipeline_module, "_sylvester_rows",
+                            lambda *args: systems.append(args) or original(*args))
+        accepted = against_the_oracle(curve, recon, *etas)
+        assert systems
+        if accepted:
+            assert alpha_map(recon, *etas).coprime is False
